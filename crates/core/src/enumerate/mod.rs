@@ -12,16 +12,25 @@
 //! 1. **Estimate** ([`coster`]): synthesize [`JobMetrics`] for every job
 //!    from per-predicate statistics and price them with
 //!    [`ClusterModel::job_time`]. Pure function of (query, stats, model).
-//! 2. **Dry-run**: the shortlist of cheapest estimates — always including
-//!    the family's fixed incumbent plans — is executed on the deterministic
-//!    pinned simulator and re-priced from *measured* metrics via
+//! 2. **Dry-run**: the shortlist of cheapest estimates plus the family's
+//!    fixed incumbent plans is executed on the deterministic simulator —
+//!    one pool task per candidate, each running its whole workflow on a
+//!    1-worker engine — and re-priced from *measured* metrics via
 //!    [`ClusterModel::workflow_time`]. The measured-cheapest plan wins.
 //!
-//! Because every incumbent is in the dry-run shortlist, the chosen plan's
-//! measured simulated cost is never worse than the fixed plan's — the
-//! invariant `tests/prop_plan_choice.rs` pins. Candidate order, the memo,
-//! and the simulator are all deterministic, so the choice is a pure
-//! function of (query, statistics, cluster model).
+//! A shortlisted plan is not executed when its cost floor (Σ
+//! [`ClusterModel::job_time_floor`] over its jobs, known from the compiled
+//! plan alone) already exceeds the best measured cost: its measured cost
+//! could only be higher still, so it cannot win or even tie. Plans whose
+//! floor exceeds the shortlist's cheapest *estimate* wait for the first
+//! wave's measurements and then run only if that test lets them. The chosen
+//! plan's measured cost is therefore never worse than any fixed plan's —
+//! by measurement for the incumbents that ran, by the bound for those that
+//! did not — the invariant `tests/prop_plan_choice.rs` pins. Candidate
+//! order, the memo and the simulator are deterministic, measured metrics do
+//! not depend on worker counts or on which candidates run side by side, and
+//! results come back in candidate order, so the choice is a pure function
+//! of (query, statistics, cluster model).
 
 pub mod coster;
 pub mod memo;
@@ -34,7 +43,7 @@ use crate::engines::rapid::{RapidAnalytics, RapidPlus};
 use crate::plan::{PlanError, QueryEngine, QueryPlan};
 use coster::CardCtx;
 use memo::UnitGraph;
-use rapida_mapred::{ClusterModel, Engine};
+use rapida_mapred::{pool, ClusterModel, Engine};
 use rapida_rdf::TermId;
 use rapida_sparql::analysis::StarDecomposition;
 use rapida_sparql::ast::Var;
@@ -63,8 +72,10 @@ pub struct CandidateReport {
     pub cycles: usize,
     /// Phase-1 estimated cost, model seconds.
     pub estimated_s: f64,
-    /// Phase-2 measured cost (dry-run on the pinned simulator); `None` when
-    /// the candidate did not make the shortlist.
+    /// Phase-2 measured cost (dry run on the simulator). `None` when the
+    /// candidate did not make the shortlist, or made it and was pruned by
+    /// its cost floor — in which case its measured cost would have been
+    /// strictly above the chosen plan's.
     pub measured_s: Option<f64>,
 }
 
@@ -310,7 +321,7 @@ fn hive_candidates(
 ) -> Result<Vec<Candidate>, PlanError> {
     let multi = aq.blocks.len() >= 2;
     let mut cands = Vec::new();
-    // Incumbents: the fixed default shapes, always dry-run.
+    // Incumbents: the fixed default shapes, always shortlisted.
     cands.push(Candidate {
         name: "hive-naive (fixed)".into(),
         incumbent: true,
@@ -481,6 +492,26 @@ fn rapid_candidates(
     Ok(cands)
 }
 
+/// A lower bound on the plan's measured cost, from its job list alone.
+/// Summed in [`ClusterModel::workflow_time`]'s order, so it also holds under
+/// rounding.
+fn plan_floor(model: &ClusterModel, plan: &QueryPlan) -> f64 {
+    plan.jobs
+        .iter()
+        .chain(plan.final_job.iter())
+        .map(|j| model.job_time_floor(j.is_map_only()))
+        .sum()
+}
+
+/// Execute `plan` on `mr`, price the measured metrics and drop everything
+/// the run wrote — on the error path too.
+fn dry_run(plan: &QueryPlan, mr: &Engine, model: &ClusterModel) -> Result<f64, PlanError> {
+    let run = plan.try_run(mr);
+    plan.cleanup(&mr.dfs);
+    mr.dfs.remove(&plan.output_dataset);
+    Ok(model.workflow_time(&run?))
+}
+
 /// Enumerate, price, dry-run and choose the cheapest plan of `family` for
 /// this query under `model`. See the module docs for the two-phase scheme
 /// and the determinism / never-worse guarantees.
@@ -489,6 +520,21 @@ pub fn enumerate_best(
     aq: &AnalyticalQuery,
     cat: &DataCatalog,
     model: &ClusterModel,
+) -> Result<Enumerated, PlanError> {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    enumerate_at_width(family, aq, cat, model, cores)
+}
+
+/// [`enumerate_best`] with at most `width` candidates dry-run side by side.
+/// The outcome does not depend on `width`.
+fn enumerate_at_width(
+    family: Family,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+    model: &ClusterModel,
+    width: usize,
 ) -> Result<Enumerated, PlanError> {
     let cands = match family {
         Family::Hive => hive_candidates(aq, cat)?,
@@ -514,19 +560,13 @@ pub fn enumerate_best(
         let est = coster::estimate_plan(model, cat, &plan, &ctx);
         scored.push(Scored { idx, est, plan });
     }
-    if scored.is_empty() {
-        return Err(PlanError::Unsupported(
-            "plan enumeration produced no candidates".into(),
-        ));
-    }
 
     // Shortlist: the SHORTLIST cheapest estimates plus every incumbent.
     let mut by_est: Vec<usize> = (0..scored.len()).collect();
     by_est.sort_by(|&a, &b| {
         scored[a]
             .est
-            .partial_cmp(&scored[b].est)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&scored[b].est)
             .then(scored[a].idx.cmp(&scored[b].idx))
     });
     let mut shortlist: Vec<usize> = by_est.into_iter().take(SHORTLIST).collect();
@@ -537,25 +577,44 @@ pub fn enumerate_best(
     }
     shortlist.sort_unstable(); // dry-run in exploration order
 
-    // Phase 2: measured dry-runs on the deterministic pinned simulator.
-    let mr = Engine::pinned(cat.dfs.clone());
-    let mut measured: Vec<(usize, f64)> = Vec::with_capacity(shortlist.len());
-    for &i in &shortlist {
-        let plan = &scored[i].plan;
-        let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
-        let t = model.workflow_time(&wf);
-        plan.cleanup(&cat.dfs);
-        cat.dfs.remove(&plan.output_dataset);
-        measured.push((i, t));
-    }
+    // Phase 2: measured dry runs. Parallelism is across candidates: each
+    // one's jobs are too small to fill a worker pool, so every workflow
+    // runs inline on a 1-worker engine and the pool spans the shortlist.
+    // Plan ids keep the candidates' dataset names apart in the shared DFS.
+    let mr = Engine::with_workers(cat.dfs.clone(), 1);
+    let dry_run_wave = |wave: Vec<usize>| -> Result<Vec<(usize, f64)>, PlanError> {
+        let (costs, _) = pool::run_tasks(width.min(wave.len()), wave, |_, i| {
+            dry_run(&scored[i].plan, &mr, model).map(|t| (i, t))
+        });
+        costs.into_iter().collect()
+    };
+    // Wave 1: every plan that could still beat the cheapest estimate. An
+    // estimate is never below its own plan's floor, so the cheapest
+    // estimate's plan is always among them.
+    let min_est = shortlist
+        .iter()
+        .map(|&i| scored[i].est)
+        .fold(f64::INFINITY, f64::min);
+    let floor = |i: usize| plan_floor(model, &scored[i].plan);
+    let (wave1, deferred): (Vec<usize>, Vec<usize>) =
+        shortlist.iter().partition(|&&i| floor(i) <= min_est);
+    let mut measured = dry_run_wave(wave1)?;
+    // Wave 2: a deferred plan runs only if its floor does not already
+    // exceed the best measured cost. `<=` keeps every plan that could tie,
+    // so the incumbent tie-break below sees the same ties as before.
+    let best = measured
+        .iter()
+        .map(|&(_, t)| t)
+        .fold(f64::INFINITY, f64::min);
+    let wave2 = deferred.into_iter().filter(|&i| floor(i) <= best).collect();
+    measured.extend(dry_run_wave(wave2)?);
 
     // Choose: minimum measured cost; ties prefer incumbents, then
     // exploration order.
     let &(win, win_t) = measured
         .iter()
         .min_by(|(a, ta), (b, tb)| {
-            ta.partial_cmp(tb)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            ta.total_cmp(tb)
                 .then_with(|| {
                     let ia = cands[scored[*a].idx].incumbent;
                     let ib = cands[scored[*b].idx].incumbent;
@@ -563,7 +622,9 @@ pub fn enumerate_best(
                 })
                 .then(scored[*a].idx.cmp(&scored[*b].idx))
         })
-        .expect("shortlist is non-empty");
+        .ok_or_else(|| {
+            PlanError::Unsupported("plan enumeration produced no candidates".into())
+        })?;
 
     let reports: Vec<CandidateReport> = scored
         .iter()
@@ -591,4 +652,42 @@ pub fn enumerate_best(
         measured_s: win_t,
         candidates: reports,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rapida_datagen::{generate_bsbm, query, BsbmConfig};
+
+    /// How many candidates are dry-run side by side never shows in the
+    /// outcome: same choice, same costs to the bit, same reports.
+    #[test]
+    fn enumeration_is_width_independent() {
+        let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
+        let model = ClusterModel::nodes10();
+        for id in ["MG1", "MG2", "MG3", "MG4"] {
+            let aq = crate::extract(&rapida_sparql::parse_query(&query(id).sparql).unwrap())
+                .unwrap();
+            for family in [Family::Hive, Family::Rapid] {
+                let a = enumerate_at_width(family, &aq, &cat, &model, 1).unwrap();
+                let b = enumerate_at_width(family, &aq, &cat, &model, 4).unwrap();
+                assert_eq!(a.choice, b.choice, "{id} {family:?}");
+                assert_eq!(a.measured_s.to_bits(), b.measured_s.to_bits());
+                assert_eq!(a.plan.dump(), b.plan.dump());
+                let key = |e: &Enumerated| -> Vec<_> {
+                    e.candidates
+                        .iter()
+                        .map(|c| {
+                            (
+                                c.name.clone(),
+                                c.estimated_s.to_bits(),
+                                c.measured_s.map(f64::to_bits),
+                            )
+                        })
+                        .collect()
+                };
+                assert_eq!(key(&a), key(&b), "{id} {family:?}");
+            }
+        }
+    }
 }

@@ -409,6 +409,14 @@ impl QueryPlan {
         aq: &AnalyticalQuery,
         dict: &Dictionary,
     ) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
+        let wf = self.try_run(mr)?;
+        Ok((self.assemble(&mr.dfs, aq, dict), wf))
+    }
+
+    /// Run the workflow — jobs, fixups, final join — and return its metrics,
+    /// leaving the output dataset in the DFS undecoded. What a caller that
+    /// only prices the plan needs (the enumerator's dry runs).
+    pub fn try_run(&self, mr: &Engine) -> Result<WorkflowMetrics, WorkflowError> {
         let mut wf = mr.try_run_workflow(&self.jobs)?;
         for f in &self.fixups {
             f.apply(&mr.dfs);
@@ -421,8 +429,7 @@ impl QueryPlan {
             wf.jobs.extend(tail.jobs);
             wf.recovery.absorb(&tail.recovery);
         }
-        let rel = self.assemble(&mr.dfs, aq, dict);
-        Ok((rel, wf))
+        Ok(wf)
     }
 
     /// Attach cross-query scan-cache keys to every job of this plan.
@@ -559,6 +566,9 @@ pub enum PlanError {
     Extract(crate::aquery::ExtractError),
     /// The construct is outside the engine subset.
     Unsupported(String),
+    /// A candidate plan's dry run exhausted its workflow recovery budget
+    /// while the enumerator was pricing it.
+    DryRun(String),
 }
 
 impl fmt::Display for PlanError {
@@ -566,6 +576,7 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::Extract(e) => write!(f, "{e}"),
             PlanError::Unsupported(m) => write!(f, "unsupported by this engine: {m}"),
+            PlanError::DryRun(m) => write!(f, "plan dry run failed: {m}"),
         }
     }
 }
@@ -575,6 +586,12 @@ impl std::error::Error for PlanError {}
 impl From<crate::aquery::ExtractError> for PlanError {
     fn from(e: crate::aquery::ExtractError) -> Self {
         PlanError::Extract(e)
+    }
+}
+
+impl From<WorkflowError> for PlanError {
+    fn from(e: WorkflowError) -> Self {
+        PlanError::DryRun(e.to_string())
     }
 }
 

@@ -122,6 +122,17 @@ impl ClusterModel {
             + self.fault_overhead(m)
     }
 
+    /// An admissible lower bound on [`ClusterModel::job_time`] known before
+    /// the job runs: startup plus one scheduling wave per phase (map waves
+    /// and reduce waves are ≥ 1, every other term is ≥ 0). The additions
+    /// follow `job_time`'s order, so the bound also holds under f64
+    /// rounding, which is monotone. The plan enumerator prunes dry runs on
+    /// it.
+    pub fn job_time_floor(&self, map_only: bool) -> f64 {
+        let reduce_wave = if map_only { 0.0 } else { self.task_overhead_s };
+        self.job_startup_s + self.task_overhead_s + reduce_wave
+    }
+
     /// Extra simulated seconds attributable to injected faults: retry
     /// backoff, per-attempt scheduling overhead for every attempt beyond
     /// the one-per-task minimum, redoing the work that was discarded, and

@@ -64,12 +64,6 @@ pub struct Engine {
     /// never runs) and inserted on miss. `None` (the default) leaves the
     /// execution path untouched.
     pub scan_cache: Option<ScanCache>,
-    /// Optional persistent worker pool shared across workflows. When set,
-    /// map and reduce phases run on its long-lived threads instead of
-    /// spawning a fresh scoped pool per phase; its worker count overrides
-    /// [`Engine::workers`] for scheduling (not for metrics semantics —
-    /// results stay index-ordered either way).
-    pub task_pool: Option<pool::PersistentPool>,
 }
 
 /// Per-job fault accounting, accumulated across worker threads.
@@ -161,7 +155,6 @@ impl Engine {
             faults: None,
             resilience: ResiliencePolicy::default(),
             scan_cache: None,
-            task_pool: None,
         }
     }
 
@@ -199,26 +192,6 @@ impl Engine {
     pub fn with_scan_cache(mut self, cache: ScanCache) -> Self {
         self.scan_cache = Some(cache);
         self
-    }
-
-    /// Attach a persistent shared worker pool (builder style).
-    pub fn with_task_pool(mut self, p: pool::PersistentPool) -> Self {
-        self.task_pool = Some(p);
-        self
-    }
-
-    /// Run one phase's tasks: on the shared persistent pool when attached,
-    /// otherwise on a fresh scoped work-stealing pool.
-    fn pool_run<T, R, F>(&self, workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, pool::PoolStats)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        match &self.task_pool {
-            Some(p) => p.run(tasks, f),
-            None => pool::run_tasks(workers, tasks, f),
-        }
     }
 
     /// Run a sequence of jobs, accumulating workflow metrics.
@@ -487,7 +460,7 @@ impl Engine {
         // downstream block layout and equal-key value order depend on —
         // regardless of worker count, steal interleaving, or faults.
         let (map_outs, map_pool) =
-            self.pool_run(workers, splits, |idx, (di, block, block_recs)| {
+            pool::run_tasks(workers, splits, |idx, (di, block, block_recs)| {
                 let mut local = FaultStats::default();
                 let mut out = self.run_map_task(job, idx, di, &block, block_recs, &mut local);
 
@@ -745,7 +718,7 @@ impl Engine {
             // key-range order, so concatenation below reproduces the serial
             // merge byte for byte at any worker count.
             let (unit_results, reduce_pool) =
-                self.pool_run(workers, units, |_u, (p_idx, runs, kind)| {
+                pool::run_tasks(workers, units, |_u, (p_idx, runs, kind)| {
                     let mut task = reducer.create();
                     let mut out = ReduceOutput::default();
                     match kind {
@@ -1186,32 +1159,6 @@ mod tests {
             .with_scan_cache(cache.clone())
             .run_workflow(&[plain]);
         assert_eq!(cache.stats(), stats_before);
-    }
-
-    #[test]
-    fn persistent_pool_engine_matches_scoped_pool_engine() {
-        let run = |pool: Option<pool::PersistentPool>| {
-            let dfs = SimDfs::new();
-            dfs.put("in", wc_input());
-            let mut engine = Engine::pinned(dfs.clone());
-            engine.task_pool = pool;
-            let m = engine.run_job(&wordcount_job(true));
-            let bytes: Vec<Vec<u8>> = dfs
-                .get("out")
-                .unwrap()
-                .blocks
-                .iter()
-                .map(|b| b.as_ref().to_vec())
-                .collect();
-            (bytes, m.shuffle_records, m.output_bytes)
-        };
-        let scoped = run(None);
-        let pool = pool::PersistentPool::new(4);
-        let persistent = run(Some(pool.clone()));
-        assert_eq!(scoped, persistent, "same bytes and data-flow metrics");
-        // The pool survives across engines/workflows.
-        let again = run(Some(pool));
-        assert_eq!(scoped, again);
     }
 
     fn wordcount_job(with_combiner: bool) -> Job {

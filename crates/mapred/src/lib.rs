@@ -67,6 +67,6 @@ pub use job::{
     FnMapFactory, FnReduceFactory, InputSrc, Job, JobBuilder, KeyLocal, MapOutput, MapTask,
     MapTaskFactory, ReduceOutput, ReduceTask, ReduceTaskFactory,
 };
-pub use pool::{PersistentPool, PoolStats};
+pub use pool::PoolStats;
 pub use metrics::{JobMetrics, RecoveryLedger, WorkflowMetrics};
 pub use resilience::{Backoff, JobDeadline, ResiliencePolicy, WorkflowError};

@@ -28,8 +28,8 @@
 //! `crates/bench/benches/scale.rs`).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What one pool invocation observed about itself.
 #[derive(Debug, Clone, Default)]
@@ -95,6 +95,11 @@ pub fn thread_cpu_ns() -> u64 {
 ///
 /// `f` is called as `f(task_index, task)`. Results are independent of
 /// worker count and scheduling: the output vector is always in task order.
+///
+/// One worker needs no pool: the tasks run in index order on the caller's
+/// thread and nothing is spawned, so a 1-worker engine — one dry-run
+/// candidate of the plan enumerator, or any engine on a 1-core host — pays
+/// no thread start or join per phase.
 pub fn run_tasks<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, PoolStats)
 where
     T: Send,
@@ -111,6 +116,16 @@ where
                 steals: 0,
             },
         );
+    }
+    if workers == 1 {
+        let t0 = thread_cpu_ns();
+        let results = tasks
+            .into_iter()
+            .enumerate()
+            .map(|(idx, t)| f(idx, t))
+            .collect();
+        let busy_ns = vec![thread_cpu_ns().saturating_sub(t0)];
+        return (results, PoolStats { busy_ns, steals: 0 });
     }
 
     // Seed each deque with a contiguous chunk: task i goes to worker
@@ -225,235 +240,10 @@ fn steal<T>(
     None
 }
 
-/// The type-erased batch body workers execute: `(worker, task_index)`.
-type BatchFn = dyn Fn(usize, usize) + Sync;
-
-/// A borrowed `&BatchFn` smuggled across the worker threads as a raw
-/// pointer. Soundness rests on the batch protocol: [`PersistentPool::run`]
-/// does not return until every worker has bumped `finished` for the batch's
-/// epoch, and a worker's last dereference happens before that bump.
-#[derive(Clone, Copy)]
-struct BatchPtr(*const BatchFn);
-unsafe impl Send for BatchPtr {}
-
-struct Board {
-    /// Current batch: body pointer + task count. `None` between batches.
-    batch: Option<(BatchPtr, usize)>,
-    /// Bumped once per posted batch; workers run a batch exactly once.
-    epoch: u64,
-    /// Workers done with the current batch.
-    finished: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    board: Mutex<Board>,
-    work_ready: Condvar,
-    batch_done: Condvar,
-    /// Task claim cursor for the current batch (reset when posting).
-    cursor: AtomicUsize,
-    /// Per-worker CPU ns inside task bodies, for the current batch.
-    busy: Vec<AtomicU64>,
-}
-
-struct PoolInner {
-    workers: usize,
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Serializes concurrent `run` callers onto the single job board.
-    gate: Mutex<()>,
-}
-
-impl Drop for PoolInner {
-    fn drop(&mut self) {
-        {
-            let mut b = self.shared.board.lock().expect("board poisoned");
-            b.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for h in self.handles.lock().expect("handles poisoned").drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A pool with long-lived worker threads, reused across workflow runs.
-///
-/// [`run_tasks`] spawns and joins a scoped pool per phase — the right
-/// default for one-shot workflows, but a serving session executes thousands
-/// of phases, and per-phase thread spawn/join becomes pure overhead. This
-/// pool keeps `workers` threads parked on a condvar; each [`Self::run`]
-/// posts one batch, workers claim task indices from a shared atomic cursor,
-/// and the caller blocks until every worker has quiesced.
-///
-/// Same contract as [`run_tasks`]: results return sorted by task index, so
-/// output bytes are independent of scheduling. Differences: no deques and
-/// no steals (the atomic cursor load-balances at task granularity, so
-/// `PoolStats::steals` is always 0), and the pool's own worker count —
-/// not the engine's — bounds parallelism.
-///
-/// Cloning shares the pool; the threads stop when the last clone drops.
-#[derive(Clone)]
-pub struct PersistentPool {
-    inner: Arc<PoolInner>,
-}
-
-impl PersistentPool {
-    /// Spawn a pool of `workers` long-lived threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            board: Mutex::new(Board {
-                batch: None,
-                epoch: 0,
-                finished: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            batch_done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        });
-        let handles = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, w))
-            })
-            .collect();
-        PersistentPool {
-            inner: Arc::new(PoolInner {
-                workers,
-                shared,
-                handles: Mutex::new(handles),
-                gate: Mutex::new(()),
-            }),
-        }
-    }
-
-    /// This pool's worker count.
-    pub fn workers(&self) -> usize {
-        self.inner.workers
-    }
-
-    /// Run `tasks` on the pool's threads; same semantics as [`run_tasks`]
-    /// (results sorted by task index, `f(task_index, task)`).
-    pub fn run<T, R, F>(&self, tasks: Vec<T>, f: F) -> (Vec<R>, PoolStats)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let workers = self.inner.workers;
-        let n = tasks.len();
-        if n == 0 {
-            return (
-                Vec::new(),
-                PoolStats {
-                    busy_ns: vec![0; workers],
-                    steals: 0,
-                },
-            );
-        }
-        let _serialize = self.inner.gate.lock().expect("gate poisoned");
-        let shared = &self.inner.shared;
-
-        // Each slot is taken exactly once: the cursor hands every index to
-        // exactly one worker.
-        let slots: Vec<Mutex<Option<T>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-        let body = |w: usize, idx: usize| {
-            let t = slots[idx]
-                .lock()
-                .expect("slot poisoned")
-                .take()
-                .expect("task index claimed twice");
-            let t0 = thread_cpu_ns();
-            let r = f(idx, t);
-            shared.busy[w].fetch_add(thread_cpu_ns().saturating_sub(t0), Ordering::Relaxed);
-            results.lock().expect("results poisoned").push((idx, r));
-        };
-
-        {
-            let erased: &(dyn Fn(usize, usize) + Sync) = &body;
-            // SAFETY: the pointer outlives its use — we block below until
-            // every worker has finished the batch, and workers never touch
-            // a batch pointer after bumping `finished` for its epoch.
-            let ptr: BatchPtr = BatchPtr(unsafe {
-                std::mem::transmute::<*const (dyn Fn(usize, usize) + Sync), *const BatchFn>(
-                    erased as *const _,
-                )
-            });
-            for b in shared.busy.iter() {
-                b.store(0, Ordering::Relaxed);
-            }
-            shared.cursor.store(0, Ordering::Relaxed);
-            let mut board = shared.board.lock().expect("board poisoned");
-            board.batch = Some((ptr, n));
-            board.epoch += 1;
-            board.finished = 0;
-            drop(board);
-            shared.work_ready.notify_all();
-
-            let mut board = shared.board.lock().expect("board poisoned");
-            while board.finished < workers {
-                board = shared.batch_done.wait(board).expect("board poisoned");
-            }
-            board.batch = None;
-        }
-
-        let mut indexed = results.into_inner().expect("pool worker panicked");
-        debug_assert_eq!(indexed.len(), n, "every task must produce one result");
-        indexed.sort_unstable_by_key(|(idx, _)| *idx);
-        let busy_ns = shared
-            .busy
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        (
-            indexed.into_iter().map(|(_, r)| r).collect(),
-            PoolStats { busy_ns, steals: 0 },
-        )
-    }
-}
-
-fn worker_loop(shared: &Shared, w: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let (ptr, total) = {
-            let mut board = shared.board.lock().expect("board poisoned");
-            loop {
-                if board.shutdown {
-                    return;
-                }
-                if board.epoch != seen_epoch {
-                    seen_epoch = board.epoch;
-                    break board.batch.expect("epoch bumped without a batch");
-                }
-                board = shared.work_ready.wait(board).expect("board poisoned");
-            }
-        };
-        // SAFETY: `run` keeps the batch body alive until this worker bumps
-        // `finished` below; no dereference happens after that.
-        let body = unsafe { &*ptr.0 };
-        loop {
-            let idx = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= total {
-                break;
-            }
-            body(w, idx);
-        }
-        let mut board = shared.board.lock().expect("board poisoned");
-        board.finished += 1;
-        if board.finished == shared.busy.len() {
-            shared.batch_done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn results_are_in_task_order_at_any_worker_count() {
@@ -508,41 +298,16 @@ mod tests {
     }
 
     #[test]
-    fn persistent_pool_matches_run_tasks() {
-        let pool = PersistentPool::new(4);
-        for round in 0..5 {
-            let tasks: Vec<usize> = (0..97 + round).collect();
-            let (got, stats) = pool.run(tasks.clone(), |idx, t| {
-                assert_eq!(idx, t);
-                t * 3
-            });
-            let want: Vec<usize> = tasks.iter().map(|t| t * 3).collect();
-            assert_eq!(got, want, "round={round}");
-            assert_eq!(stats.busy_ns.len(), 4);
-        }
-    }
-
-    #[test]
-    fn persistent_pool_runs_every_task_once() {
-        let pool = PersistentPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let (got, _) = pool.run((0..500).collect::<Vec<usize>>(), |_, t| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            t
+    fn one_worker_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let (got, stats) = run_tasks(1, (0..17).collect::<Vec<usize>>(), |idx, t| {
+            assert_eq!(std::thread::current().id(), caller, "task {idx} left the caller");
+            (idx, t * 2)
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
-        assert_eq!(got, (0..500).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn persistent_pool_empty_batch_and_clone_share_threads() {
-        let pool = PersistentPool::new(2);
-        let alias = pool.clone();
-        let (got, stats) = pool.run(Vec::<u32>::new(), |_, t| t);
-        assert!(got.is_empty());
-        assert_eq!(stats.busy_ns.len(), 2);
-        let (got, _) = alias.run(vec![1u32, 2, 3], |_, t| t + 1);
-        assert_eq!(got, vec![2, 3, 4]);
+        let want: Vec<(usize, usize)> = (0..17).map(|t| (t, t * 2)).collect();
+        assert_eq!(got, want);
+        assert_eq!(stats.busy_ns.len(), 1);
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]

@@ -167,3 +167,96 @@ fn map_only_conversion_always_pays_on_equal_volumes() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The dry-run pruning bound: `job_time_floor` must never exceed `job_time`,
+// whatever the job measured — the enumerator skips a plan on it unseen.
+// ---------------------------------------------------------------------------
+
+use rapida_mapred::RecoveryLedger;
+use rapida_testkit::prelude::*;
+
+/// Arbitrary metrics, degenerate ones included: zero tasks, empty inputs,
+/// and every fault / integrity counter the model charges for.
+fn arb_metrics() -> impl Strategy<Value = JobMetrics> {
+    let shape = (any::<bool>(), 0usize..400, 0usize..80);
+    let volume = (
+        0u64..(1 << 32),
+        0u64..(1 << 26),
+        0u64..(1 << 30),
+        0u64..(1 << 28),
+    );
+    let faults = (
+        0u64..30,
+        0u64..30,
+        0u64..30,
+        0u64..(1 << 20),
+        0u64..(1 << 26),
+        0.0f64..600.0,
+    );
+    (shape, volume, faults).prop_map(
+        |(
+            (map_only, map_tasks, reduce_tasks),
+            (input_bytes, records, shuffle, out),
+            (failed, speculative, stragglers, wasted_rec, wasted_bytes, backoff_s),
+        )| JobMetrics {
+            name: "j".into(),
+            map_only,
+            map_tasks,
+            reduce_tasks,
+            input_bytes,
+            input_records: records,
+            map_output_records: records,
+            map_output_bytes: shuffle,
+            shuffle_records: records,
+            shuffle_bytes: shuffle,
+            output_records: records / 2,
+            output_bytes: out,
+            map_attempts: map_tasks as u64 + failed + speculative,
+            reduce_attempts: reduce_tasks as u64,
+            failed_attempts: failed,
+            speculative_attempts: speculative,
+            straggler_tasks: stragglers,
+            wasted_input_records: wasted_rec,
+            wasted_output_bytes: wasted_bytes,
+            integrity_reread_bytes: wasted_bytes / 2,
+            backoff_s,
+            ..Default::default()
+        },
+    )
+}
+
+proptest! {
+    /// Per job and per workflow (recovery ledger included), on every preset:
+    /// the floor is a lower bound, exactly — no epsilon.
+    #[test]
+    fn job_time_floor_is_admissible(
+        jobs in proptest::collection::vec(arb_metrics(), 1..8),
+        restarts in 0u64..4,
+        recomputed in 0u64..(1 << 28),
+        backoff in 0.0f64..120.0,
+    ) {
+        for model in [
+            ClusterModel::nodes10(),
+            ClusterModel::nodes50(),
+            ClusterModel::nodes60(),
+        ] {
+            for j in &jobs {
+                prop_assert!(model.job_time(j) >= model.job_time_floor(j.map_only));
+            }
+            let floor: f64 = jobs.iter().map(|j| model.job_time_floor(j.map_only)).sum();
+            let wf = WorkflowMetrics {
+                jobs: jobs.clone(),
+                recovery: RecoveryLedger {
+                    workflow_restarts: restarts,
+                    aborted_job_attempts: restarts,
+                    jobs_replayed: restarts,
+                    recomputed_bytes: recomputed,
+                    recovery_backoff_s: backoff,
+                    ..Default::default()
+                },
+            };
+            prop_assert!(model.workflow_time(&wf) >= floor);
+        }
+    }
+}

@@ -28,6 +28,9 @@ cargo test -q --offline --test scale_identity
 echo "==> plan-enumerator smoke (golden snapshots + NTGA rediscovery)"
 cargo test -q --offline -p rapida-core --test plan_snapshots
 
+echo "==> plan-enumerator oracle smoke (perfbench --smoke: both enumerate_best winners vs sparql::evaluate)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload plan_costed
+
 echo "==> ExtVP byte-identity smoke (reductions vs full scans)"
 cargo test -q --offline --test extvp_identity
 

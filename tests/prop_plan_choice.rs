@@ -1,8 +1,10 @@
 //! Plan-choice properties: on random graphs and all analytical query
 //! templates, the cost-based enumerator's chosen plan (a) is never worse
-//! than the family's fixed plans under the *measured* simulated cost, and
-//! (b) produces a byte-identical canonical Relation — the fixed plan is the
-//! correctness oracle.
+//! than the family's fixed plans under the *measured* simulated cost —
+//! including the fixed plans the enumerator pruned by their cost floor
+//! instead of dry-running, which are executed here — and (b) produces a
+//! byte-identical canonical Relation — the fixed plan is the correctness
+//! oracle.
 
 use rapida::core::{enumerate_best, Family};
 use rapida::prelude::*;
@@ -154,14 +156,23 @@ proptest! {
         let cat = DataCatalog::load(&g);
         let model = ClusterModel::nodes10();
 
-        let fixed: Vec<(Family, Vec<Box<dyn QueryEngine>>)> = vec![
+        // Each fixed engine with the label of the incumbent candidate that
+        // stands for it in the enumerator's report.
+        type Fixed = (Box<dyn QueryEngine>, &'static str);
+        let fixed: Vec<(Family, Vec<Fixed>)> = vec![
             (
                 Family::Hive,
-                vec![Box::new(HiveNaive::default()), Box::new(HiveMqo::default())],
+                vec![
+                    (Box::new(HiveNaive::default()), "hive-naive (fixed)"),
+                    (Box::new(HiveMqo::default()), "hive-mqo (fixed)"),
+                ],
             ),
             (
                 Family::Rapid,
-                vec![Box::new(RapidPlus::default()), Box::new(RapidAnalytics::default())],
+                vec![
+                    (Box::new(RapidPlus::default()), "rapid-plus (fixed)"),
+                    (Box::new(RapidAnalytics::default()), "rapida (fixed)"),
+                ],
             ),
         ];
         for (family, engines) in fixed {
@@ -182,13 +193,26 @@ proptest! {
                 label, family, chosen_cost, e.measured_s
             );
 
-            for engine in &engines {
+            for (engine, incumbent) in &engines {
                 let (fixed_cost, oracle) = run_fixed(engine.as_ref(), &aq, &cat, &model);
                 prop_assert!(
                     chosen_cost <= fixed_cost + 1e-9,
                     "template '{}': chosen '{}' at {:.4}s worse than fixed {} at {:.4}s",
                     label, e.choice, chosen_cost, engine.name(), fixed_cost
                 );
+                // An incumbent the enumerator never ran was pruned by its
+                // cost floor: executed here, it must cost strictly more
+                // than the choice (a tie would have gone to the incumbent).
+                // One it did run re-measures at the reported cost.
+                match e.candidates.iter().find(|r| r.name == *incumbent) {
+                    Some(r) if r.measured_s.is_none() => prop_assert!(
+                        r.incumbent && fixed_cost > e.measured_s,
+                        "template '{}': pruned {} costs {:.4}s, not above chosen '{}' at {:.4}s",
+                        label, incumbent, fixed_cost, e.choice, e.measured_s
+                    ),
+                    Some(r) => prop_assert_eq!(r.measured_s, Some(fixed_cost)),
+                    None => {} // hive-mqo has no incumbent on single-block queries
+                }
                 prop_assert_eq!(
                     chosen_canon.clone(),
                     oracle,
