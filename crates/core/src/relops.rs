@@ -2,7 +2,7 @@
 //! reduce-side multi-way (outer) joins, map-side broadcast joins, group-by
 //! aggregation with map-side partial aggregation, and distinct projection.
 
-use crate::rows::{decode_row, decode_row_into, encode_cell, encode_row, row_bytes, RVal};
+use crate::rows::{decode_row_append, decode_row_into, encode_cell, encode_row, RVal};
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{
     InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
@@ -315,8 +315,24 @@ impl MapTask for JoinMapTask {
 }
 
 /// Reduce task of a join cycle: multi-way (outer) join per key.
+///
+/// Allocation-free once warm: every value of a key group decodes onto one
+/// flat cell arena, each input keeps only the arena offsets of its rows (in
+/// arrival order), and the cartesian cursor, merged row and encode buffer
+/// live as long as the task. All of it is cleared per key, never dropped.
 pub struct JoinReduceTask {
     cfg: Arc<JoinCycleCfg>,
+    /// Per input, one past the highest column `output_cols`/`eq_checks`
+    /// read from it: a decoded row narrower than this is malformed.
+    need: Vec<usize>,
+    /// Decoded cells of the current key group, rows back to back.
+    cells: Vec<RVal>,
+    /// Per input, the `cells` offset each of its rows starts at.
+    rows: Vec<Vec<u32>>,
+    /// Cartesian cursor: per input, the position in `rows[input]`.
+    selection: Vec<usize>,
+    out_row: Vec<RVal>,
+    out_buf: Vec<u8>,
 }
 
 impl JoinReduceTask {
@@ -328,99 +344,100 @@ impl JoinReduceTask {
 
     /// Create from shared config.
     pub fn new(cfg: Arc<JoinCycleCfg>) -> Self {
-        JoinReduceTask { cfg }
+        let n = cfg.inputs.len();
+        let mut need = vec![0usize; n];
+        let eq_cells = cfg.eq_checks.iter().flat_map(|(a, b)| [a, b]);
+        for &(i, c) in cfg.output_cols.iter().chain(eq_cells) {
+            need[i] = need[i].max(c + 1);
+        }
+        JoinReduceTask {
+            cfg,
+            need,
+            cells: Vec::new(),
+            rows: vec![Vec::new(); n],
+            selection: vec![0; n],
+            out_row: Vec::new(),
+            out_buf: Vec::new(),
+        }
     }
 }
 
 impl ReduceTask for JoinReduceTask {
     fn reduce(&mut self, _key: &[u8], values: &[&[u8]], out: &mut ReduceOutput) {
-        let n = self.cfg.inputs.len();
-        let mut buckets: Vec<Vec<Vec<RVal>>> = vec![Vec::new(); n];
+        let JoinReduceTask {
+            cfg,
+            need,
+            cells,
+            rows,
+            selection,
+            out_row,
+            out_buf,
+        } = self;
+        cells.clear();
+        rows.iter_mut().for_each(Vec::clear);
         for v in values {
             let mut rec = *v;
-            let Some(tag) = read_varint(&mut rec) else {
-                out.skip_corrupt();
-                continue;
-            };
-            if let Some(row) = decode_row(rec) {
-                if let Some(b) = buckets.get_mut(tag as usize) {
-                    b.push(row);
+            let start = cells.len();
+            // A value is malformed when its tag or row does not decode, the
+            // tag names no input, or the row is too narrow for the columns
+            // the join reads — counted, never silently dropped.
+            let bucket = read_varint(&mut rec)
+                .map(|tag| tag as usize)
+                .filter(|&tag| tag < rows.len())
+                .filter(|&tag| decode_row_append(rec, cells).is_some_and(|w| w >= need[tag]));
+            match bucket {
+                Some(tag) => rows[tag].push(start as u32),
+                None => {
+                    cells.truncate(start);
+                    out.skip_corrupt();
                 }
-            } else {
-                out.skip_corrupt();
             }
         }
         // Required inputs must all be present for this key.
-        for (i, input) in self.cfg.inputs.iter().enumerate() {
-            if !input.optional && buckets[i].is_empty() {
-                return;
-            }
-        }
-        // Cartesian across buckets; empty optional buckets pad with None.
-        let mut selection: Vec<Option<usize>> = vec![None; n];
-        self.combine(0, &mut selection, &buckets, out);
-    }
-}
-
-impl JoinReduceTask {
-    fn combine(
-        &self,
-        i: usize,
-        selection: &mut Vec<Option<usize>>,
-        buckets: &[Vec<Vec<RVal>>],
-        out: &mut ReduceOutput,
-    ) {
-        if i == buckets.len() {
-            self.emit(selection, buckets, out);
+        let absent = |(input, r): (&JoinInputCfg, &Vec<u32>)| !input.optional && r.is_empty();
+        if cfg.inputs.iter().zip(rows.iter()).any(absent) {
             return;
         }
-        if buckets[i].is_empty() {
-            selection[i] = None;
-            self.combine(i + 1, selection, buckets, out);
-        } else {
-            for r in 0..buckets[i].len() {
-                selection[i] = Some(r);
-                self.combine(i + 1, selection, buckets, out);
-            }
-        }
-    }
-
-    fn emit(
-        &self,
-        selection: &[Option<usize>],
-        buckets: &[Vec<Vec<RVal>>],
-        out: &mut ReduceOutput,
-    ) {
-        let cell = |inp: usize, col: usize| -> RVal {
-            match selection[inp] {
-                Some(r) => buckets[inp][r][col],
+        // Cartesian across inputs, input 0 outermost; an empty (optional)
+        // bucket has no row at any cursor position and pads with `Null`.
+        let cell = |selection: &[usize], (inp, col): (usize, usize)| -> RVal {
+            match rows[inp].get(selection[inp]) {
+                Some(&start) => cells[start as usize + col],
                 None => RVal::Null,
             }
         };
-        for ((i1, c1), (i2, c2)) in &self.cfg.eq_checks {
-            let a = cell(*i1, *c1);
-            let b = cell(*i2, *c2);
-            if let (RVal::Id(x), RVal::Id(y)) = (a, b) {
-                if x != y {
-                    return;
+        selection.fill(0);
+        loop {
+            let eq_ok = cfg.eq_checks.iter().all(|&(a, b)| {
+                match (cell(selection, a), cell(selection, b)) {
+                    (RVal::Id(x), RVal::Id(y)) => x == y,
+                    _ => true,
+                }
+            });
+            if eq_ok {
+                out_row.clear();
+                out_row.extend(cfg.output_cols.iter().map(|&c| cell(selection, c)));
+                let keep = |p: &PredOnCol| p.eval(out_row, &cfg.numeric, &cfg.lexical);
+                if cfg.post_preds.iter().all(keep) {
+                    out_buf.clear();
+                    encode_row(out_row, out_buf);
+                    out.write(out_buf);
                 }
             }
+            // Advance the cursor like an odometer, last input fastest.
+            let mut i = selection.len();
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                selection[i] += 1;
+                if selection[i] < rows[i].len() {
+                    break;
+                }
+                selection[i] = 0;
+            }
         }
-        let row: Vec<RVal> = self
-            .cfg
-            .output_cols
-            .iter()
-            .map(|(i, c)| cell(*i, *c))
-            .collect();
-        if !self
-            .cfg
-            .post_preds
-            .iter()
-            .all(|p| p.eval(&row, &self.cfg.numeric, &self.cfg.lexical))
-        {
-            return;
-        }
-        out.write(&row_bytes(&row));
     }
 }
 
@@ -910,6 +927,7 @@ impl ReduceTask for DistinctReduceTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::{decode_row, row_bytes};
     use rapida_mapred::{DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder};
 
     fn rows_dataset(rows: &[Vec<RVal>]) -> rapida_mapred::Dataset {

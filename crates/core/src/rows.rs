@@ -62,32 +62,35 @@ pub fn decode_row(rec: &[u8]) -> Option<Vec<RVal>> {
 /// Decode a row record into a reused buffer (cleared first). Returns
 /// `false` on malformed input, leaving `out` in an unspecified cleared
 /// state. The scratch-row form of [`decode_row`] for per-record hot paths.
-pub fn decode_row_into(mut rec: &[u8], out: &mut Vec<RVal>) -> bool {
+pub fn decode_row_into(rec: &[u8], out: &mut Vec<RVal>) -> bool {
     out.clear();
-    let Some(n) = read_varint(&mut rec) else {
-        return false;
-    };
-    out.reserve((n as usize).min(64));
-    for _ in 0..n {
-        let Some((tag, rest)) = rec.split_first() else {
-            return false;
-        };
-        rec = rest;
-        let v = match tag {
-            0 => RVal::Null,
-            1 => match read_varint(&mut rec) {
-                Some(i) => RVal::Id(i),
-                None => return false,
-            },
-            2 => match read_f64(&mut rec) {
-                Some(f) => RVal::Num(f),
-                None => return false,
-            },
-            _ => return false,
-        };
-        out.push(v);
+    decode_row_append(rec, out).is_some()
+}
+
+/// Decode a row record onto the end of a cell arena, returning the row's
+/// width. On malformed input `out` is truncated back to its length on entry
+/// and `None` is returned — the arena never holds a half-decoded row.
+pub fn decode_row_append(mut rec: &[u8], out: &mut Vec<RVal>) -> Option<usize> {
+    let start = out.len();
+    let cells = (|| {
+        let n = read_varint(&mut rec)?;
+        out.reserve((n as usize).min(64));
+        for _ in 0..n {
+            let (tag, rest) = rec.split_first()?;
+            rec = rest;
+            out.push(match tag {
+                0 => RVal::Null,
+                1 => RVal::Id(read_varint(&mut rec)?),
+                2 => RVal::Num(read_f64(&mut rec)?),
+                _ => return None,
+            });
+        }
+        Some(n as usize)
+    })();
+    if cells.is_none() {
+        out.truncate(start);
     }
-    true
+    cells
 }
 
 /// Encode a row into a fresh buffer.

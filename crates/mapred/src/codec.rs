@@ -114,6 +114,12 @@ impl BlockBuilder {
         self.records += 1;
     }
 
+    /// Append every record of `other`: framed bytes concatenate as they are.
+    pub fn append(&mut self, other: &BlockBuilder) {
+        self.buf.extend_from_slice(&other.buf);
+        self.records += other.records;
+    }
+
     /// Current encoded size in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -153,6 +159,19 @@ struct KvEnt {
     klen: u32,
     /// Value length in bytes.
     vlen: u32,
+}
+
+/// Sort entry of a [`KvBuffer`]: 16 bytes that decide almost every
+/// comparison without touching the arena (see [`KvBuffer::cmp_ents`]).
+#[derive(Clone, Copy)]
+struct SortEnt {
+    /// The 8 key bytes after the buffer-wide shared prefix, big-endian,
+    /// zero-padded on the right.
+    prefix: u64,
+    /// Key length in bytes, not counting the shared prefix.
+    len: u32,
+    /// Position in the offset table, i.e. emit order.
+    idx: u32,
 }
 
 /// An arena-backed key/value buffer: every pair's payload lives in one
@@ -271,6 +290,51 @@ impl KvBuffer {
             .extend(other.ents.iter().map(|e| KvEnt { off: e.off + base, ..*e }));
     }
 
+    /// The sort entries of the offset table, in table order. `skip` is the
+    /// length of the prefix every key shares (`"key-0000"`, a tag byte):
+    /// those bytes decide nothing, so entries describe what follows them.
+    fn sort_ents(&self) -> (usize, Vec<SortEnt>) {
+        let n = self.ents.len();
+        let first = if n == 0 { &[][..] } else { self.key(0) };
+        let skip = (1..n).fold(first.len(), |lcp, i| {
+            let both = first[..lcp].iter().zip(self.key(i));
+            both.take_while(|(x, y)| x == y).count()
+        });
+        let ents = (0..n).map(|i| {
+            let rest = &self.key(i)[skip..];
+            let mut prefix = [0u8; 8];
+            let m = rest.len().min(8);
+            prefix[..m].copy_from_slice(&rest[..m]);
+            SortEnt {
+                prefix: u64::from_be_bytes(prefix),
+                len: rest.len() as u32,
+                idx: i as u32,
+            }
+        });
+        (skip, ents.collect())
+    }
+
+    /// The one ordering of the shuffle: `(key bytes, insertion order)`, read
+    /// off the sort entries. Zero-padded big-endian prefixes order like the
+    /// keys wherever they differ; equal prefixes of two keys of at most 8
+    /// bytes (past `skip`) mean the shorter key is the longer one minus
+    /// trailing zero bytes, so length decides; only longer keys go back to
+    /// the arena, past the bytes already known equal.
+    #[inline]
+    fn cmp_ents(&self, skip: usize, a: &SortEnt, b: &SortEnt) -> std::cmp::Ordering {
+        a.prefix
+            .cmp(&b.prefix)
+            .then_with(|| {
+                if a.len <= 8 && b.len <= 8 {
+                    a.len.cmp(&b.len)
+                } else {
+                    let (ka, kb) = (self.key(a.idx as usize), self.key(b.idx as usize));
+                    ka[skip..].cmp(&kb[skip..])
+                }
+            })
+            .then(a.idx.cmp(&b.idx))
+    }
+
     /// Sort the offset table by `(key bytes, insertion order)` without
     /// touching the payload arena. `sort_unstable` is safe here even though
     /// the shuffle's determinism contract needs equal keys kept in emit
@@ -278,17 +342,11 @@ impl KvBuffer {
     /// distinct entries ever compare equal — the result is exactly what a
     /// stable key-only sort would produce.
     pub fn sort_unstable(&mut self) {
-        let mut order: Vec<u32> = (0..self.ents.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.key(a as usize)
-                .cmp(self.key(b as usize))
-                .then(a.cmp(&b))
-        });
-        self.ents = order.iter().map(|&i| self.ents[i as usize]).collect();
+        self.sort_unstable_with(1);
     }
 
     /// [`Self::sort_unstable`] with up to `threads` sorting threads: the
-    /// order permutation is cut into contiguous chunks, each chunk sorted on
+    /// sort entries are cut into contiguous chunks, each chunk sorted on
     /// its own scoped thread, then the chunks are k-way merged. The
     /// comparison key `(key bytes, insertion index)` is a total order, so
     /// the sorted sequence is unique — the result is bit-identical to the
@@ -297,61 +355,36 @@ impl KvBuffer {
         // Below this, thread spawn + merge overhead outweighs the sort.
         const PAR_SORT_MIN: usize = 1 << 14;
         let n = self.ents.len();
+        let (skip, mut order) = self.sort_ents();
         if threads <= 1 || n < PAR_SORT_MIN {
-            self.sort_unstable();
-            return;
-        }
-        let threads = threads.min(8).min(n);
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let chunk = n.div_ceil(threads);
-        {
+            order.sort_unstable_by(|a, b| self.cmp_ents(skip, a, b));
+        } else {
+            let chunk = n.div_ceil(threads.min(8));
             let this: &KvBuffer = self;
             std::thread::scope(|scope| {
                 for part in order.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        part.sort_unstable_by(|&a, &b| {
-                            this.key(a as usize)
-                                .cmp(this.key(b as usize))
-                                .then(a.cmp(&b))
-                        });
-                    });
+                    scope.spawn(move || part.sort_unstable_by(|a, b| this.cmp_ents(skip, a, b)));
                 }
             });
-        }
-        // K-way merge by repeated head selection: k is tiny (≤ 8), so the
-        // linear scan per output element beats heap bookkeeping.
-        let mut heads: Vec<(usize, usize)> = order
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk, ci * chunk + c.len()))
-            .collect();
-        let mut merged: Vec<u32> = Vec::with_capacity(n);
-        loop {
-            let mut best: Option<u32> = None;
-            let mut best_chunk = 0usize;
-            for (ci, &(pos, end)) in heads.iter().enumerate() {
-                if pos >= end {
-                    continue;
-                }
-                let cand = order[pos];
-                let wins = match best {
-                    None => true,
-                    Some(b) => self
-                        .key(cand as usize)
-                        .cmp(self.key(b as usize))
-                        .then(cand.cmp(&b))
-                        .is_lt(),
-                };
-                if wins {
-                    best = Some(cand);
-                    best_chunk = ci;
-                }
+            // K-way merge by repeated head selection: k is tiny (≤ 8), so
+            // the linear scan per output element beats heap bookkeeping.
+            let mut heads: Vec<&[SortEnt]> = order.chunks(chunk).collect();
+            let mut merged: Vec<SortEnt> = Vec::with_capacity(n);
+            loop {
+                let live = (0..heads.len()).filter(|&ci| !heads[ci].is_empty());
+                let first = live.reduce(|best, ci| {
+                    match self.cmp_ents(skip, &heads[ci][0], &heads[best][0]) {
+                        std::cmp::Ordering::Less => ci,
+                        _ => best,
+                    }
+                });
+                let Some(ci) = first else { break };
+                merged.push(heads[ci][0]);
+                heads[ci] = &heads[ci][1..];
             }
-            let Some(idx) = best else { break };
-            heads[best_chunk].0 += 1;
-            merged.push(idx);
+            order = merged;
         }
-        self.ents = merged.iter().map(|&i| self.ents[i as usize]).collect();
+        self.ents = order.iter().map(|e| self.ents[e.idx as usize]).collect();
     }
 }
 
@@ -397,14 +430,6 @@ impl RecBuffer {
     pub fn get(&self, i: usize) -> &[u8] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
         &self.data[start..self.ends[i] as usize]
-    }
-
-    /// Append every record of `other` (copies its arena and rebases its
-    /// end-offset table) — bulk concatenation for shard-ordered reassembly.
-    pub fn append(&mut self, other: &RecBuffer) {
-        let base = self.data.len() as u64;
-        self.data.extend_from_slice(&other.data);
-        self.ends.extend(other.ends.iter().map(|e| e + base));
     }
 
     /// Iterate records in insertion order.
@@ -595,14 +620,16 @@ mod tests {
     }
 
     #[test]
-    fn recbuffer_append_rebases_ends() {
-        let mut a = RecBuffer::new();
+    fn block_append_concatenates_framed_records() {
+        let mut a = BlockBuilder::new();
         a.push(b"one");
-        let mut b = RecBuffer::new();
+        let mut b = BlockBuilder::new();
         b.push(b"");
         b.push(b"three");
         a.append(&b);
-        let got: Vec<&[u8]> = a.iter().collect();
+        assert_eq!(a.records(), 3);
+        let block = a.finish();
+        let got: Vec<&[u8]> = RecordIter::new(&block).collect();
         assert_eq!(got, vec![&b"one"[..], &b""[..], &b"three"[..]]);
     }
 

@@ -91,7 +91,7 @@ impl DatasetWriter {
     }
 }
 
-/// A stored dataset plus the per-block FNV-1a checksums computed at `put`
+/// A stored dataset plus the per-block checksums computed at `put`
 /// time — the DFS-side half of the integrity contract. Sums are behind an
 /// `Arc` so `get` clones stay cheap.
 #[derive(Clone)]
@@ -199,7 +199,7 @@ impl SimDfs {
                 // Honest detection: recompute the checksum of the bytes we
                 // actually got and compare to the stored sum.
                 if integrity::block_checksum(&bad) == sums[bi] {
-                    *block = bad; // unreachable: a flip always changes FNV
+                    *block = bad; // unreachable: a flip always changes the sum
                     break;
                 }
                 report.corrupt_blocks += 1;

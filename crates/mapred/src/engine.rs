@@ -23,7 +23,7 @@
 
 use crate::bytes::Bytes;
 use crate::cache::ScanCache;
-use crate::codec::{BlockBuilder, KvBuffer, RecordIter};
+use crate::codec::{BlockBuilder, KvBuffer, RecBuffer, RecordIter};
 use crate::dfs::{Dataset, SimDfs};
 use crate::fault::{FaultPlan, Outcome, TaskKind};
 use crate::integrity;
@@ -35,7 +35,7 @@ use crate::resilience::{ResiliencePolicy, WorkflowError};
 use std::time::Instant;
 
 /// The reducer a key is routed to: FNV-1a ([`integrity::fnv1a`], the same
-/// hash the block/spill checksums use) modulo the reducer count.
+/// hash the spill checksums use) modulo the reducer count.
 ///
 /// This is *the* shuffle contract — it depends only on the key bytes and the
 /// partition count, never on worker threads or split layout, which is what
@@ -110,6 +110,27 @@ fn map_output_size(out: &MapOutput) -> u64 {
 
 fn reduce_output_size(out: &ReduceOutput) -> u64 {
     out.kvs.payload_bytes() + out.records.payload_bytes()
+}
+
+/// Frame a committed attempt's output records into block bytes. Runs inside
+/// the pool task, so the serial commit only moves already-framed bytes.
+fn frame(recs: &RecBuffer) -> BlockBuilder {
+    let mut bb = BlockBuilder::new();
+    for rec in recs.iter() {
+        bb.push(rec);
+    }
+    bb
+}
+
+/// The output dataset of a job: one block per non-empty framed output.
+fn commit(framed: impl IntoIterator<Item = BlockBuilder>) -> Dataset {
+    let mut ds = Dataset::default();
+    for bb in framed.into_iter().filter(|bb| !bb.is_empty()) {
+        ds.records += bb.records();
+        ds.block_records.push(bb.records());
+        ds.blocks.push(Bytes::from(bb.finish()));
+    }
+    ds
 }
 
 /// How many key-range shards to cut one committed reduce merge into: about
@@ -428,7 +449,8 @@ impl Engine {
             /// time — the reference the verify-on-commit gate compares
             /// against. Empty when no spill integrity is needed.
             spill_sums: Vec<u64>,
-            records: crate::codec::RecBuffer,
+            /// The task's direct output, already framed (map-only jobs).
+            block: BlockBuilder,
             raw_kv_records: u64,
             raw_kv_bytes: u64,
             segments_skipped: u64,
@@ -523,7 +545,11 @@ impl Engine {
                     MapResult {
                         parts,
                         spill_sums,
-                        records: std::mem::take(&mut out.records),
+                        block: if job.is_map_only() {
+                            frame(&out.records)
+                        } else {
+                            BlockBuilder::new()
+                        },
                         raw_kv_records,
                         raw_kv_bytes,
                         // Committed attempt only: doomed/superseded attempts
@@ -593,26 +619,7 @@ impl Engine {
 
         let output_ds = if job.is_map_only() {
             // Map-only: one output block per non-empty map task.
-            let mut blocks = Vec::new();
-            let mut block_records = Vec::new();
-            let mut records = 0usize;
-            for r in &map_results {
-                if r.records.is_empty() {
-                    continue;
-                }
-                let mut bb = BlockBuilder::new();
-                for rec in r.records.iter() {
-                    bb.push(rec);
-                }
-                records += bb.records();
-                block_records.push(bb.records());
-                blocks.push(Bytes::from(bb.finish()));
-            }
-            Dataset {
-                blocks,
-                records,
-                block_records,
-            }
+            commit(map_results.iter_mut().map(|r| std::mem::take(&mut r.block)))
         } else {
             // Shuffle: hand each partition its ordered list of pre-sorted
             // runs, accounting shuffle volume off the offset tables in the
@@ -740,12 +747,7 @@ impl Engine {
                                 task.reduce(key, values, &mut out);
                             });
                             task.cleanup(&mut out);
-                            (
-                                p_idx,
-                                Some(std::mem::take(&mut out.records)),
-                                0,
-                                out.corrupt_records,
-                            )
+                            (p_idx, Some(frame(&out.records)), 0, out.corrupt_records)
                         }
                     }
                 });
@@ -753,40 +755,22 @@ impl Engine {
             metrics.reduce_busy_total_ns = reduce_pool.total_busy_ns();
             metrics.steals += reduce_pool.steals;
 
-            // Stitch committed shard outputs back into one record stream
-            // per partition (unit order is already canonical — see above),
-            // and fold measured waste into the ledger.
-            let mut per_part: Vec<(usize, crate::codec::RecBuffer)> = Vec::new();
+            // Stitch committed shard outputs — framed inside their units —
+            // back into one block per partition (unit order is already
+            // canonical — see above), and fold measured waste into the
+            // ledger.
+            let mut per_part: Vec<(usize, BlockBuilder)> = Vec::new();
             for (p_idx, out, waste, corrupt) in unit_results {
                 stats.wasted_output_bytes += waste;
                 metrics.corrupt_records_skipped += corrupt;
-                if let Some(recs) = out {
+                if let Some(block) = out {
                     match per_part.last_mut() {
-                        Some((last, acc)) if *last == p_idx => acc.append(&recs),
-                        _ => per_part.push((p_idx, recs)),
+                        Some((last, acc)) if *last == p_idx => acc.append(&block),
+                        _ => per_part.push((p_idx, block)),
                     }
                 }
             }
-            let mut blocks = Vec::new();
-            let mut block_records = Vec::new();
-            let mut records = 0usize;
-            for (_, recs) in per_part {
-                if recs.is_empty() {
-                    continue;
-                }
-                let mut bb = BlockBuilder::new();
-                for rec in recs.iter() {
-                    bb.push(rec);
-                }
-                records += bb.records();
-                block_records.push(bb.records());
-                blocks.push(Bytes::from(bb.finish()));
-            }
-            Dataset {
-                blocks,
-                records,
-                block_records,
-            }
+            commit(per_part.into_iter().map(|(_, block)| block))
         };
 
         if metrics.map_only {

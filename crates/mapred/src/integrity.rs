@@ -1,14 +1,15 @@
-//! Data-integrity primitives: in-tree FNV-1a checksums over DFS blocks and
-//! shuffle spill runs, plus the deterministic bit-flip corruption the fault
-//! plan injects *on read* (storage itself is never mutated — the same block
-//! read through a clean replica is always pristine).
+//! Data-integrity primitives: in-tree checksums over DFS blocks (word-wise,
+//! [`block_checksum`]) and shuffle spill runs (FNV-1a, [`kv_checksum`]),
+//! plus the deterministic bit-flip corruption the fault plan injects *on
+//! read* (storage itself is never mutated — the same block read through a
+//! clean replica is always pristine).
 //!
 //! ## Why flips land inside record payloads
 //!
 //! Corruption helpers walk the varint record framing and flip a bit inside
 //! one record's *payload*, never a length prefix. A real bit flip could of
 //! course hit framing too, but the checksum layer detects either case
-//! identically (any flipped bit changes the FNV-1a sum), while the
+//! identically (any flipped bit changes the sum), while the
 //! payload-only discipline keeps the *checksums-disabled* counterfactual
 //! well-defined: downstream operators see records that frame correctly but
 //! decode to different (or undecodable) values, so the divergence test can
@@ -21,10 +22,10 @@
 use crate::bytes::Bytes;
 use crate::codec::{read_varint, KvBuffer};
 
-/// FNV-1a over a byte string — the same construction as the shuffle
-/// partitioner hash, reused here as the block/spill checksum. 64-bit FNV is
-/// plenty for fault *detection* in a simulator: a single flipped bit always
-/// changes the sum.
+/// FNV-1a over a byte string — the shuffle partitioner hash, and the
+/// construction [`kv_checksum`] folds spill runs with. 64 bits are plenty
+/// for fault *detection* in a simulator: a single flipped bit always changes
+/// the sum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -34,9 +35,34 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Checksum of one DFS block (its full framed byte stream).
+/// Checksum of one DFS block (its full framed byte stream): an
+/// xor-multiply-rotate fold over little-endian 8-byte words — FNV-1a's
+/// construction at one step per word instead of one per byte — with the
+/// zero-padded byte tail as the last word and the length mixed into the
+/// seed (so padding cannot alias a real trailing zero byte).
+///
+/// Every step `h -> ((h ^ w) * M).rotl(R)` is a bijection of `h` for fixed
+/// `w` and of `w` for fixed `h` (xor, multiplication by an odd constant and
+/// rotation all are), so a block that differs from another of the same
+/// length in exactly one word — any single flipped bit — always gets a
+/// different sum. [`fnv1a`] itself is untouched: the shuffle partitioner
+/// hashes keys with it, and that fixes every job's output layout.
 pub fn block_checksum(block: &[u8]) -> u64 {
-    fnv1a(block)
+    const M: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(M).rotate_left(29);
+    let mut words = block.chunks_exact(8);
+    let mut h = step(0xcbf2_9ce4_8422_2325, block.len() as u64);
+    for w in &mut words {
+        let w: [u8; 8] = w.try_into().expect("chunks_exact(8) yields 8-byte chunks");
+        h = step(h, u64::from_le_bytes(w));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    h
 }
 
 /// Checksum of one shuffle spill run: the payload arena plus each pair's
@@ -148,6 +174,24 @@ mod tests {
             let bad = corrupt_block(&block, h).expect("non-empty records exist");
             assert_ne!(bad.as_ref(), &block[..], "flip must change bytes");
             assert_ne!(block_checksum(&bad), clean, "flip must change the sum");
+        }
+    }
+
+    #[test]
+    fn block_checksum_detects_every_single_bit_flip() {
+        // Every length across the word/tail boundaries, every bit.
+        for len in 0..=33usize {
+            let block: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = block_checksum(&block);
+            for bit in 0..len * 8 {
+                let mut bad = block.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(block_checksum(&bad), clean, "len {len} bit {bit}");
+            }
+            // The zero-padded tail must not alias a real trailing zero.
+            let mut longer = block.clone();
+            longer.push(0);
+            assert_ne!(block_checksum(&longer), clean, "len {len} ++ [0]");
         }
     }
 

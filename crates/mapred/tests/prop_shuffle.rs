@@ -11,7 +11,7 @@ use rapida_mapred::codec::BlockBuilder;
 use rapida_mapred::job::ReduceTaskFactory;
 use rapida_mapred::{
     shuffle_partition, DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job,
-    JobBuilder, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
+    JobBuilder, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
 };
 use std::sync::Arc;
 
@@ -278,5 +278,62 @@ proptest! {
         let expect = reference_run(&job, &records, split);
         let got = engine_run(&job, &records, split, workers);
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// Eight bytes every long key shares; its own prefixes differ from one
+/// another only by trailing zero bytes (`"a"`, `"a\0"`, `"a\0a"`, ...).
+const SHARED: &[u8; 8] = b"a\0a\0\0a\0\0";
+
+/// Keys the prefix-keyed sort entries can get wrong: empty keys, keys that
+/// differ only by trailing `0x00` bytes, keys of at most 8 bytes that are a
+/// prefix of a longer key, and keys longer than 8 bytes that share their
+/// first 8 — all over a zero-heavy three-letter alphabet.
+fn hostile_key((mode, tail): &(u8, Vec<u8>)) -> Vec<u8> {
+    let letters = tail.iter().map(|t| [0x00, b'a', 0xff][usize::from(t % 3)]);
+    match mode % 4 {
+        0 => letters.collect(),
+        1 => SHARED[..(usize::from(*mode / 4) % 9)].to_vec(),
+        _ => SHARED.iter().copied().chain(letters).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `sort_unstable` and `sort_unstable_with` at every thread count equal
+    /// a plain `(key bytes, emit index)` sort, on buffers small enough for
+    /// the serial path and large enough for the chunked sort + merge, with
+    /// every key drawn from a small hostile pool (so duplicates are heavy).
+    #[test]
+    fn prefix_entry_sort_matches_bytewise_reference(
+        pool in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..6)), 1..24),
+        n in prop_oneof![0usize..300, 16_384usize..18_000],
+        seed in any::<u64>(),
+    ) {
+        let pool: Vec<Vec<u8>> = pool.iter().map(hostile_key).collect();
+        let mut buf = KvBuffer::new();
+        let mut state = seed;
+        for i in 0..n {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            buf.push(&pool[(state >> 33) as usize % pool.len()], &(i as u32).to_le_bytes());
+        }
+        let mut want: Vec<usize> = (0..n).collect();
+        want.sort_by(|&a, &b| buf.key(a).cmp(buf.key(b)).then(a.cmp(&b)));
+        let want: Vec<(Vec<u8>, Vec<u8>)> = want
+            .iter()
+            .map(|&i| (buf.key(i).to_vec(), buf.value(i).to_vec()))
+            .collect();
+
+        let sorted = |sort: &dyn Fn(&mut KvBuffer)| -> Vec<(Vec<u8>, Vec<u8>)> {
+            let mut b = buf.clone();
+            sort(&mut b);
+            b.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect()
+        };
+        prop_assert_eq!(&sorted(&|b| b.sort_unstable()), &want);
+        for threads in [1, 2, 3, 8] {
+            prop_assert_eq!(&sorted(&|b| b.sort_unstable_with(threads)), &want);
+        }
     }
 }

@@ -681,7 +681,7 @@ impl Server {
             .filter(|o| matches!(o.status, RequestStatus::Completed { .. }))
             .map(|o| o.latency_ms)
             .collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        lat.sort_by(f64::total_cmp);
         let qps = if clock_ms > 0.0 {
             completed as f64 / (clock_ms / 1000.0)
         } else {
@@ -721,12 +721,19 @@ fn deliver(
     rel: Relation,
     clock_ms: f64,
 ) {
-    for &i in idxs {
+    let Some((&last, dups)) = idxs.split_last() else {
+        return;
+    };
+    for &i in dups {
         status[i] = Some(RequestStatus::Completed {
             relation: rel.clone(),
         });
         done_ms[i] = clock_ms;
     }
+    // The last duplicate takes the relation itself: one copy fewer per
+    // unique query, and none at all for a query nobody repeated.
+    status[last] = Some(RequestStatus::Completed { relation: rel });
+    done_ms[last] = clock_ms;
 }
 
 fn clone_reason(reason: &str) -> String {

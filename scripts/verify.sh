@@ -31,6 +31,12 @@ cargo test -q --offline -p rapida-core --test plan_snapshots
 echo "==> plan-enumerator oracle smoke (perfbench --smoke: both enumerate_best winners vs sparql::evaluate)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload plan_costed
 
+echo "==> Hive join reducer smoke (owned-reducer oracle + allocation budget)"
+cargo test -q --offline -p rapida-core --test join_reduce_identity --test alloc_budget
+
+echo "==> relational shuffle oracle smoke (perfbench --smoke: mg_hive vs the cross-family oracle)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_hive
+
 echo "==> ExtVP byte-identity smoke (reductions vs full scans)"
 cargo test -q --offline --test extvp_identity
 
