@@ -191,8 +191,8 @@ impl FaultPlan {
             state = splitmix64(&mut state);
         }
         state ^= match kind {
-            TaskKind::Map => 0x6d61_70,
-            TaskKind::Reduce => 0x7265_64,
+            TaskKind::Map => 0x006d_6170,
+            TaskKind::Reduce => 0x0072_6564,
         };
         let _ = splitmix64(&mut state);
         state ^= (task as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -14,10 +14,10 @@
 //! * [`hashagg`] — the open-addressing [`AggTable`] backing map-side
 //!   combining (flat key/state arenas, deterministic sorted drain).
 //!
-//! The hot operator paths run on the borrowed views [`TgRef`] /
-//! [`AnnTgRef`]: records are parsed in place and re-emitted by copying
-//! raw spans into per-task scratch buffers (see `DESIGN.md` §2d). The
-//! owned-decode paths survive behind `legacy_owned` flags as the
+//! The hot operator paths run on the borrowed view [`TgRef`] and the star
+//! directory [`StarDir`]: records are walked once, in place, and re-emitted
+//! by copying raw spans into per-task scratch buffers (see `DESIGN.md`
+//! §2d). The owned-decode paths survive behind `legacy_owned` flags as the
 //! benchmark baseline.
 
 pub mod hashagg;
@@ -28,9 +28,8 @@ pub mod triplegroup;
 
 pub use hashagg::AggTable;
 pub use ops::{
-    accumulate, accumulate_view, agg_join, alpha_join, finalize_groups, finalize_groups_par,
-    n_split,
-    opt_group_filter, opt_group_filter_into, AccumScratch,
+    accumulate, agg_join, alpha_join, finalize_groups, finalize_groups_par, n_split,
+    opt_group_filter, opt_group_filter_into, SlotProgram,
 };
 pub use spec::{
     any_alpha_partial, any_alpha_partial_merged, AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond,
@@ -40,4 +39,4 @@ pub use physical::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, Side, StarRoute,
     TgJoinMapConfig, TgJoinMapper, TgTransform,
 };
-pub use triplegroup::{AnnTg, AnnTgRef, TgRef, TripleGroup};
+pub use triplegroup::{AnnTg, StarDir, Stars, TgRef, TripleGroup};

@@ -2,9 +2,11 @@
 //! Definitions 3.3–3.6. The MR physical forms in [`crate::physical`] must
 //! agree with these (tested in the workspace integration suite).
 
-use crate::spec::{AggJoinSpec, AggOp, AlphaCond, NumericSnapshot, PartialAgg, StarSpec};
-use crate::triplegroup::{AnnTg, AnnTgRef, TgRef, TripleGroup};
-use rapida_mapred::codec::write_varint;
+use crate::spec::{
+    AggJoinSpec, AggOp, AlphaCond, NumericSnapshot, PartialAgg, PropReq, StarSpec, VarRef,
+};
+use crate::triplegroup::{AnnTg, Stars, TgRef, TripleGroup};
+use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_rdf::FxHashMap;
 
 /// σ^γopt — the **optional group filter** (Def 3.3).
@@ -32,73 +34,109 @@ pub fn opt_group_filter(tg: &TripleGroup, spec: &StarSpec) -> Option<TripleGroup
     Some(TripleGroup::new(tg.subject, triples))
 }
 
-/// [`opt_group_filter`] over a borrowed view, encoding the projected group
-/// directly into `out` (appended; the caller clears). Returns `false`
-/// without touching `out` when a primary requirement fails.
+/// [`opt_group_filter`] over a borrowed view, in **one walk** of the group's
+/// pairs: the walk decides the primary mask, appends the projected group's
+/// canonical encoding to `out` (the caller clears) by copying each run of
+/// kept pairs' *source bytes*, and collects into `keys` (cleared here) the
+/// kept objects of `key_prop` — the `JoinKey::ObjectOf` values of the
+/// projected group, in stored order.
+///
+/// `Some(true)`: the group passed. `Some(false)`: a primary requirement
+/// failed. `None`: fewer than `tg.len()` pairs decode — the record
+/// `TripleGroup::decode` rejects. `out` keeps its length unless the group
+/// passed.
 ///
 /// Byte-identical to `opt_group_filter(...).encode(...)`: the view's pairs
-/// are stored sorted, so the kept subsequence is sorted too and the direct
-/// varint encoding equals the owned round trip.
-pub fn opt_group_filter_into(tg: &TgRef<'_>, spec: &StarSpec, out: &mut Vec<u8>) -> bool {
-    if spec.primary.len() > 64 {
-        // The bitmask below tops out at 64 primary requirements; fall back
-        // to one scan per requirement (unreachable on real specs).
-        for req in &spec.primary {
-            if !req.matches_ref(tg) {
-                return false;
-            }
-        }
-        encode_filtered(tg, spec, usize::MAX, out);
-        return true;
+/// are stored sorted in minimal varints, so the kept subsequence is sorted
+/// too and its source bytes are its encoding.
+pub fn opt_group_filter_into(
+    tg: &TgRef<'_>,
+    spec: &StarSpec,
+    key_prop: Option<u64>,
+    out: &mut Vec<u8>,
+    keys: &mut Vec<u64>,
+) -> Option<bool> {
+    let mark = out.len();
+    let passed = filter_walk(tg, spec, key_prop, out, keys);
+    if passed != Some(true) {
+        out.truncate(mark);
     }
-    // One fused pass: track which primary requirements are satisfied and
-    // how many pairs the projection keeps.
+    passed
+}
+
+fn filter_walk(
+    tg: &TgRef<'_>,
+    spec: &StarSpec,
+    key_prop: Option<u64>,
+    out: &mut Vec<u8>,
+    keys: &mut Vec<u64>,
+) -> Option<bool> {
+    keys.clear();
+    let tracked = spec.primary.len().min(64);
+    // The mask tracks 64 primary requirements; check any beyond that with
+    // one scan each (unreachable on real specs).
+    if !spec.primary[tracked..]
+        .iter()
+        .all(|req| req.matches_ref(tg))
+    {
+        return Some(false);
+    }
+    write_varint(out, tg.subject());
+    // One byte for the kept count, widened after the walk if it needs more.
+    let count_at = out.len();
+    out.push(0);
     let mut matched: u64 = 0;
-    let mut kept: usize = 0;
-    for (p, o) in tg.pairs() {
+    let mut kept: u64 = 0;
+    // The current run of consecutive kept pairs, flushed as one copy.
+    let (mut run, mut run_len) = (tg.pair_bytes(), 0);
+    let mut cur = tg.pair_bytes();
+    for _ in 0..tg.len() {
+        let pair = cur;
+        let p = read_varint(&mut cur)?;
+        let o = read_varint(&mut cur)?;
+        let hit = |req: &PropReq| req.prop == p && req.object.is_none_or(|ro| ro == o);
         let mut keep = false;
-        for (i, req) in spec.primary.iter().enumerate() {
-            if req.prop == p && req.object.is_none_or(|ro| ro == o) {
+        for (i, req) in spec.primary[..tracked].iter().enumerate() {
+            if hit(req) {
                 matched |= 1 << i;
                 keep = true;
             }
         }
-        kept += usize::from(
-            keep || spec
-                .secondary
-                .iter()
-                .any(|req| req.prop == p && req.object.is_none_or(|ro| ro == o)),
-        );
-    }
-    if matched.count_ones() as usize != spec.primary.len() {
-        return false;
-    }
-    if kept == tg.len() {
-        // Projection keeps every pair: the canonical codec makes the
-        // record's raw span exactly the filtered encoding.
-        out.extend_from_slice(tg.raw_bytes());
-    } else {
-        encode_filtered(tg, spec, kept, out);
-    }
-    true
-}
-
-/// Encode the σ^γopt projection of `tg`, re-counting kept pairs unless the
-/// caller already knows the count.
-fn encode_filtered(tg: &TgRef<'_>, spec: &StarSpec, kept: usize, out: &mut Vec<u8>) {
-    let kept = if kept == usize::MAX {
-        tg.pairs().filter(|&(p, o)| spec.keeps(p, o)).count()
-    } else {
-        kept
-    };
-    write_varint(out, tg.subject());
-    write_varint(out, kept as u64);
-    for (p, o) in tg.pairs() {
-        if spec.keeps(p, o) {
-            write_varint(out, p);
-            write_varint(out, o);
+        if keep || spec.secondary.iter().any(hit) {
+            if run_len == 0 {
+                run = pair;
+            }
+            run_len += pair.len() - cur.len();
+            kept += 1;
+            if key_prop == Some(p) {
+                keys.push(o);
+            }
+        } else {
+            out.extend_from_slice(&run[..run_len]);
+            run_len = 0;
         }
     }
+    if matched.count_ones() as usize != tracked {
+        return Some(false);
+    }
+    out.extend_from_slice(&run[..run_len]);
+    // Write the kept count where it belongs, moving the pairs up when its
+    // varint takes more than the byte reserved.
+    match (kept >> 7).checked_ilog2() {
+        None => out[count_at] = kept as u8,
+        Some(bits) => {
+            let extra = bits as usize / 7 + 1;
+            let end = out.len();
+            out.resize(end + extra, 0);
+            out.copy_within(count_at + 1..end, count_at + 1 + extra);
+            let mut v = kept;
+            for byte in &mut out[count_at..=count_at + extra] {
+                *byte = (v & 0x7f) as u8 | if v >> 7 == 0 { 0 } else { 0x80 };
+                v >>= 7;
+            }
+        }
+    }
+    Some(true)
 }
 
 /// χ — the **n-split** operator (Def 3.4).
@@ -216,14 +254,7 @@ pub fn accumulate(
     enumerate(&value_lists, 0, &mut assignment, &mut |assignment| {
         let key: Vec<u64> = spec.group_slots.iter().map(|&i| assignment[i]).collect();
         for (i, agg) in spec.aggs.iter().enumerate() {
-            match agg.arg {
-                None => fold(&key, i, None), // COUNT(*): every assignment counts
-                Some(slot) => {
-                    let v = assignment[slot];
-                    let num = numeric.get(v as usize).copied().flatten();
-                    fold(&key, i, num);
-                }
-            }
+            fold(&key, i, agg.value(assignment, numeric));
         }
     });
 }
@@ -244,80 +275,213 @@ fn enumerate(
     }
 }
 
-/// Reusable scratch for [`accumulate_view`]: slot values flattened into one
-/// arena (per-slot spans in `bounds`), the current assignment, and the
-/// current group key. Cleared, never reallocated, between records.
+/// What one property of one star feeds in a [`SlotProgram`].
+#[derive(Debug, Clone, Copy)]
+struct PropProg {
+    prop: u64,
+    /// The value list collecting this property's objects.
+    list: Option<usize>,
+    /// The presence flag some α term reads.
+    flag: Option<usize>,
+}
+
+/// One star's row of a [`SlotProgram`]: everything any spec wants from it.
+#[derive(Debug)]
+struct StarProg {
+    star: u8,
+    /// Flag raised when the star is present (α needs the star itself).
+    present: Option<usize>,
+    /// The value list receiving the star's subject.
+    subject: Option<usize>,
+    props: Vec<PropProg>,
+}
+
+/// One Agg-Join spec, compiled against the shared lists and flags.
+#[derive(Debug)]
+struct SpecProg {
+    /// Value list per slot.
+    slots: Vec<usize>,
+    group_slots: Vec<usize>,
+    /// α as `(flag, value it must have)`.
+    alpha: Vec<(usize, bool)>,
+}
+
+/// The **compiled slot program** of an Agg-Join cycle: every variable
+/// reference and α term of every spec, deduplicated into one table per
+/// star, so one pass over each referenced star's pairs fills every value
+/// list and presence flag that any spec reads — the blocks of a composite
+/// pattern overlap by construction and share most of them.
+///
+/// Derived from the specs alone; holds its own scratch (value lists,
+/// flags, odometer), cleared per record and never reallocated once warm.
 #[derive(Debug, Default)]
-pub struct AccumScratch {
-    values: Vec<u64>,
-    bounds: Vec<(u32, u32)>,
+pub struct SlotProgram {
+    stars: Vec<StarProg>,
+    specs: Vec<SpecProg>,
+    lists: Vec<Vec<u64>>,
+    flags: Vec<bool>,
+    pos: Vec<usize>,
     assignment: Vec<u64>,
     key: Vec<u64>,
 }
 
-/// [`accumulate`] over a borrowed view: identical enumeration order and
-/// fold sequence, but slot values stream into `scratch` (one flat arena)
-/// and the group key is rebuilt in place per assignment — zero allocations
-/// per record once the scratch is warm.
-pub fn accumulate_view(
-    tg: &AnnTgRef<'_>,
-    spec: &AggJoinSpec,
-    numeric: &NumericSnapshot,
-    scratch: &mut AccumScratch,
-    fold: &mut FoldFn<'_>,
-) {
-    let AccumScratch {
-        values,
-        bounds,
-        assignment,
-        key,
-    } = scratch;
-    values.clear();
-    bounds.clear();
-    for r in &spec.slots {
-        let start = values.len() as u32;
-        r.for_each_value_ref(tg, |v| values.push(v));
-        let end = values.len() as u32;
-        // Same inner-join semantics as the owned path: an empty slot means
-        // the pattern does not match and the group contributes nothing.
-        if start == end {
-            return;
+/// The index behind `slot`, taking the next free one on first use.
+fn index_of(slot: &mut Option<usize>, next: &mut usize) -> usize {
+    *slot.get_or_insert_with(|| {
+        *next += 1;
+        *next - 1
+    })
+}
+
+impl SlotProgram {
+    /// Compile `specs`: one value list per distinct [`VarRef`], one flag
+    /// per distinct star and `(star, prop)` an α term mentions.
+    pub fn compile(specs: &[AggJoinSpec]) -> Self {
+        fn star_of(stars: &mut Vec<StarProg>, star: u8) -> &mut StarProg {
+            let at = stars
+                .iter()
+                .position(|s| s.star == star)
+                .unwrap_or_else(|| {
+                    stars.push(StarProg {
+                        star,
+                        present: None,
+                        subject: None,
+                        props: Vec::new(),
+                    });
+                    stars.len() - 1
+                });
+            &mut stars[at]
         }
-        bounds.push((start, end));
+        fn prop_of(stars: &mut Vec<StarProg>, star: u8, prop: u64) -> &mut PropProg {
+            let props = &mut star_of(stars, star).props;
+            let at = props
+                .iter()
+                .position(|p| p.prop == prop)
+                .unwrap_or_else(|| {
+                    props.push(PropProg {
+                        prop,
+                        list: None,
+                        flag: None,
+                    });
+                    props.len() - 1
+                });
+            &mut props[at]
+        }
+        let mut stars = Vec::new();
+        let (mut nlists, mut nflags) = (0, 0);
+        let specs = specs
+            .iter()
+            .map(|spec| SpecProg {
+                slots: spec
+                    .slots
+                    .iter()
+                    .map(|r| match *r {
+                        VarRef::Subject { star } => {
+                            index_of(&mut star_of(&mut stars, star).subject, &mut nlists)
+                        }
+                        VarRef::ObjectOf { star, prop } => {
+                            index_of(&mut prop_of(&mut stars, star, prop).list, &mut nlists)
+                        }
+                    })
+                    .collect(),
+                group_slots: spec.group_slots.clone(),
+                // `satisfied_full`: the term's star is there, and the
+                // property is there iff required.
+                alpha: spec
+                    .alpha
+                    .terms
+                    .iter()
+                    .flat_map(|t| {
+                        let star = index_of(&mut star_of(&mut stars, t.star).present, &mut nflags);
+                        let prop =
+                            index_of(&mut prop_of(&mut stars, t.star, t.prop).flag, &mut nflags);
+                        [(star, true), (prop, t.required)]
+                    })
+                    .collect(),
+            })
+            .collect();
+        SlotProgram {
+            stars,
+            specs,
+            lists: vec![Vec::new(); nlists],
+            flags: vec![false; nflags],
+            ..SlotProgram::default()
+        }
     }
-    assignment.clear();
-    assignment.resize(spec.slots.len(), 0);
-    enumerate_flat(values, bounds, 0, assignment, &mut |assignment| {
-        key.clear();
-        key.extend(spec.group_slots.iter().map(|&i| assignment[i]));
-        for (i, agg) in spec.aggs.iter().enumerate() {
-            match agg.arg {
-                None => fold(key, i, None), // COUNT(*): every assignment counts
-                Some(slot) => {
-                    let v = assignment[slot];
-                    let num = numeric.get(v as usize).copied().flatten();
-                    fold(key, i, num);
+
+    /// Run the program over one record: load every list and flag from the
+    /// record's stars, then for each spec whose α holds and whose slots are
+    /// all bound call `f(spec index, group key, assignment)` once per joint
+    /// assignment — specs in order, slot 0 outermost and the last slot
+    /// fastest: the sequence [`accumulate`] produces spec by spec.
+    pub fn run(&mut self, rec: &Stars<'_, '_>, mut f: impl FnMut(usize, &[u64], &[u64])) {
+        let SlotProgram {
+            stars,
+            specs,
+            lists,
+            flags,
+            pos,
+            assignment,
+            key,
+        } = self;
+        lists.iter_mut().for_each(Vec::clear);
+        flags.fill(false);
+        for sp in stars.iter() {
+            let Some(g) = rec.get(sp.star) else { continue };
+            if let Some(flag) = sp.present {
+                flags[flag] = true;
+            }
+            if let Some(list) = sp.subject {
+                lists[list].push(g.subject());
+            }
+            if sp.props.is_empty() {
+                continue;
+            }
+            for (p, o) in g.pairs() {
+                if let Some(pp) = sp.props.iter().find(|pp| pp.prop == p) {
+                    if let Some(list) = pp.list {
+                        lists[list].push(o);
+                    }
+                    if let Some(flag) = pp.flag {
+                        flags[flag] = true;
+                    }
                 }
             }
         }
-    });
-}
-
-fn enumerate_flat(
-    values: &[u64],
-    bounds: &[(u32, u32)],
-    i: usize,
-    assignment: &mut Vec<u64>,
-    f: &mut dyn FnMut(&[u64]),
-) {
-    if i == bounds.len() {
-        f(assignment);
-        return;
-    }
-    let (s, e) = bounds[i];
-    for j in s..e {
-        assignment[i] = values[j as usize];
-        enumerate_flat(values, bounds, i + 1, assignment, f);
+        for (si, spec) in specs.iter().enumerate() {
+            // An unbound slot means the pattern does not match and the
+            // record contributes nothing (relational inner-join semantics).
+            if !spec.alpha.iter().all(|&(flag, want)| flags[flag] == want)
+                || spec.slots.iter().any(|&l| lists[l].is_empty())
+            {
+                continue;
+            }
+            pos.clear();
+            pos.resize(spec.slots.len(), 0);
+            assignment.clear();
+            assignment.extend(spec.slots.iter().map(|&l| lists[l][0]));
+            'assignments: loop {
+                key.clear();
+                key.extend(spec.group_slots.iter().map(|&g| assignment[g]));
+                f(si, key, assignment);
+                // Odometer step; falling off slot 0 ends the enumeration.
+                let mut i = spec.slots.len();
+                loop {
+                    if i == 0 {
+                        break 'assignments;
+                    }
+                    i -= 1;
+                    let list = &lists[spec.slots[i]];
+                    pos[i] += 1;
+                    if pos[i] < list.len() {
+                        assignment[i] = list[pos[i]];
+                        break;
+                    }
+                    pos[i] = 0;
+                    assignment[i] = list[0];
+                }
+            }
+        }
     }
 }
 
@@ -386,7 +550,8 @@ pub fn finalize_groups_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AggSpec, AlphaTerm, PropReq, VarRef};
+    use crate::spec::{AggSpec, AlphaTerm};
+    use crate::triplegroup::StarDir;
     use std::sync::Arc;
 
     fn tg(s: u64, pairs: &[(u64, u64)]) -> TripleGroup {
@@ -739,25 +904,49 @@ mod tests {
             let mut rec = Vec::new();
             g.encode(&mut rec);
             let v = TgRef::parse(&rec).unwrap();
-            let mut got = Vec::new();
-            let kept = opt_group_filter_into(&v, &spec, &mut got);
+            let (mut got, mut keys) = (vec![0xAA], vec![7]);
+            let passed = opt_group_filter_into(&v, &spec, Some(PRODUCT), &mut got, &mut keys);
             match opt_group_filter(g, &spec) {
                 None => {
-                    assert!(!kept);
-                    assert!(got.is_empty(), "rejected group must not touch out");
+                    assert_eq!(passed, Some(false));
+                    assert_eq!(got, [0xAA], "rejected group must not touch out");
                 }
                 Some(owned) => {
-                    assert!(kept);
-                    let mut want = Vec::new();
+                    assert_eq!(passed, Some(true));
+                    let mut want = vec![0xAA];
                     owned.encode(&mut want);
                     assert_eq!(got, want);
+                    assert_eq!(keys, owned.objects_of(PRODUCT).collect::<Vec<_>>());
                 }
             }
         }
     }
 
+    /// The kept count is written after the walk: every varint width, with
+    /// dropped pairs before, between and after the kept ones.
     #[test]
-    fn accumulate_view_matches_owned() {
+    fn opt_group_filter_into_widens_the_count() {
+        let spec = fig4_spec();
+        for kept in [3u64, 127, 128, 300, 16_383, 16_384] {
+            let mut pairs = vec![(PRODUCT, 11), (99, 5), (VALID_TO, 41), (0, 1)];
+            pairs.extend((2..kept).map(|i| (PRICE, i * 37)));
+            let g = tg(7, &pairs);
+            let mut rec = Vec::new();
+            g.encode(&mut rec);
+            let v = TgRef::parse_framed(&rec).unwrap();
+            let mut got = Vec::new();
+            let passed = opt_group_filter_into(&v, &spec, None, &mut got, &mut Vec::new());
+            assert_eq!(passed, Some(true));
+            let owned = opt_group_filter(&g, &spec).unwrap();
+            assert_eq!(owned.triples.len() as u64, kept);
+            let mut want = Vec::new();
+            owned.encode(&mut want);
+            assert_eq!(got, want, "kept {kept}");
+        }
+    }
+
+    #[test]
+    fn slot_program_matches_owned() {
         const PF: u64 = 10;
         const PC: u64 = 11;
         const CN: u64 = 12;
@@ -765,20 +954,32 @@ mod tests {
         numeric[30] = Some(30.0);
         numeric[20] = Some(20.0);
         let numeric: NumericSnapshot = Arc::new(numeric);
-        let spec = AggJoinSpec {
-            id: 0,
-            slots: vec![
-                VarRef::ObjectOf { star: 0, prop: PF },
-                VarRef::ObjectOf { star: 1, prop: CN },
-                VarRef::ObjectOf { star: 0, prop: PC },
-            ],
-            group_slots: vec![0, 1],
-            aggs: vec![
-                AggSpec { op: AggOp::Sum, arg: Some(2) },
-                AggSpec { op: AggOp::Count, arg: None },
-            ],
-            alpha: AlphaCond::default(),
-        };
+        let specs = [
+            AggJoinSpec {
+                id: 0,
+                slots: vec![
+                    VarRef::ObjectOf { star: 0, prop: PF },
+                    VarRef::ObjectOf { star: 1, prop: CN },
+                    VarRef::ObjectOf { star: 0, prop: PC },
+                ],
+                group_slots: vec![0, 1],
+                aggs: vec![
+                    AggSpec { op: AggOp::Sum, arg: Some(2) },
+                    AggSpec { op: AggOp::Count, arg: None },
+                ],
+                alpha: AlphaCond::default(),
+            },
+            // Shares (0, PC) with spec 0; α wants pf absent.
+            AggJoinSpec {
+                id: 1,
+                slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
+                group_slots: vec![],
+                aggs: vec![AggSpec { op: AggOp::Avg, arg: Some(0) }],
+                alpha: AlphaCond {
+                    terms: vec![AlphaTerm { star: 0, prop: PF, required: false }],
+                },
+            },
+        ];
         let details = [
             AnnTg {
                 groups: vec![
@@ -786,24 +987,31 @@ mod tests {
                     (1, tg(8, &[(CN, 70), (CN, 71)])),
                 ],
             },
-            // Missing pf: slot 0 empty, contributes nothing on both paths.
+            // Missing pf: spec 0's slot 0 is empty, spec 1's α holds.
             AnnTg {
                 groups: vec![(0, tg(4, &[(PC, 20)])), (1, tg(8, &[(CN, 70)]))],
             },
         ];
-        let mut scratch = AccumScratch::default();
+        let mut prog = SlotProgram::compile(&specs);
+        let mut dir = StarDir::default();
         for d in &details {
-            let mut owned_folds: Vec<(Vec<u64>, usize, Option<f64>)> = Vec::new();
-            accumulate(d, &spec, &numeric, &mut |k, i, v| {
-                owned_folds.push((k.to_vec(), i, v));
-            });
+            let mut owned_folds: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
+            for (si, spec) in specs.iter().enumerate() {
+                if spec.alpha.satisfied_full(d) {
+                    accumulate(d, spec, &numeric, &mut |k, i, v| {
+                        owned_folds.push((si, k.to_vec(), i, v));
+                    });
+                }
+            }
             let rec = d.encoded();
-            let view = AnnTgRef::parse(&rec).unwrap();
-            let mut view_folds: Vec<(Vec<u64>, usize, Option<f64>)> = Vec::new();
-            accumulate_view(&view, &spec, &numeric, &mut scratch, &mut |k, i, v| {
-                view_folds.push((k.to_vec(), i, v));
+            let mut prog_folds = Vec::new();
+            prog.run(&dir.fill(&rec).unwrap(), |si, k, assignment| {
+                for (i, agg) in specs[si].aggs.iter().enumerate() {
+                    prog_folds.push((si, k.to_vec(), i, agg.value(assignment, &numeric)));
+                }
             });
-            assert_eq!(view_folds, owned_folds, "fold sequences must be identical");
+            assert!(!owned_folds.is_empty());
+            assert_eq!(prog_folds, owned_folds, "fold sequences must be identical");
         }
     }
 }

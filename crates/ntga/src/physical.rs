@@ -8,12 +8,12 @@
 //!   aggregation (`multiAggMap`, Algorithm 3; `Job_k` of Algorithm 1).
 
 use crate::hashagg::AggTable;
-use crate::ops::{accumulate, accumulate_view, opt_group_filter, opt_group_filter_into, AccumScratch};
+use crate::ops::{accumulate, opt_group_filter, opt_group_filter_into, SlotProgram};
 use crate::spec::{
     any_alpha_partial, any_alpha_partial_merged, AggJoinSpec, AlphaCond, JoinKey,
     NumericSnapshot, PartialAgg, StarSpec,
 };
-use crate::triplegroup::{AnnTg, AnnTgRef, TgRef, TripleGroup};
+use crate::triplegroup::{AnnTg, StarDir, Stars, TgRef, TripleGroup};
 use rapida_mapred::codec::{read_varint, write_f64, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_rdf::FxHashMap;
@@ -91,14 +91,18 @@ pub struct TgJoinMapConfig {
 
 /// Map phase of `Job_i`: `TG_OptGrpFilter` + tagging for `TG_AlphaJoin`.
 ///
-/// The default path parses records as [`TgRef`]/[`AnnTgRef`] views and
-/// encodes each emit directly into two per-task scratch buffers (cleared,
-/// never reallocated). The `legacy_owned` config flag selects the original
-/// owned-decode implementation.
+/// The default path walks each raw record once per route (the fused
+/// [`opt_group_filter_into`]) and each annotated record once (its
+/// [`StarDir`]), encoding every emit directly into per-task scratch
+/// (cleared, never reallocated). The `legacy_owned` config flag selects
+/// the original owned-decode implementation.
 pub struct TgJoinMapper {
     config: Arc<TgJoinMapConfig>,
     key_buf: Vec<u8>,
     val_buf: Vec<u8>,
+    /// `ObjectOf` key objects the filter walk collected.
+    keys: Vec<u64>,
+    dir: StarDir,
 }
 
 impl TgJoinMapper {
@@ -108,6 +112,8 @@ impl TgJoinMapper {
             config,
             key_buf: Vec::new(),
             val_buf: Vec::new(),
+            keys: Vec::new(),
+            dir: StarDir::default(),
         }
     }
 
@@ -169,6 +175,8 @@ impl MapTask for TgJoinMapper {
             config,
             key_buf,
             val_buf,
+            keys,
+            dir,
         } = self;
         if config.raw_inputs.contains(&src.dataset) {
             let Some(tg) = TgRef::parse_framed(record) else {
@@ -217,26 +225,33 @@ impl MapTask for TgJoinMapper {
                         }
                     }
                     None => {
-                        if !opt_group_filter_into(&tg, &route.spec, val_buf) {
-                            continue;
+                        // One walk filters, encodes and collects the keys:
+                        // the filtered group's `prop` objects are exactly
+                        // the kept `(prop, o)` pairs.
+                        let keyed_here = |star: u8| star == route.spec.star;
+                        let key_prop = match route.key {
+                            JoinKey::ObjectOf { star, prop } if keyed_here(star) => Some(prop),
+                            _ => None,
+                        };
+                        match opt_group_filter_into(&tg, &route.spec, key_prop, val_buf, keys) {
+                            Some(true) => {}
+                            Some(false) => continue,
+                            None => {
+                                out.skip_corrupt();
+                                return;
+                            }
                         }
-                        // Key straight off the source view: the filtered
-                        // group's subject is `tg`'s, and its `prop` objects
-                        // are exactly the kept `(prop, o)` pairs — no
-                        // re-parse of the encoded bytes needed.
                         match route.key {
-                            JoinKey::Subject { star } if star == route.spec.star => {
+                            JoinKey::Subject { star } if keyed_here(star) => {
                                 key_buf.clear();
                                 write_varint(key_buf, tg.subject());
                                 out.emit(key_buf, val_buf);
                             }
-                            JoinKey::ObjectOf { star, prop } if star == route.spec.star => {
-                                for (p, o) in tg.pairs() {
-                                    if p == prop && route.spec.keeps(p, o) {
-                                        key_buf.clear();
-                                        write_varint(key_buf, o);
-                                        out.emit(key_buf, val_buf);
-                                    }
+                            JoinKey::ObjectOf { star, .. } if keyed_here(star) => {
+                                for &o in keys.iter() {
+                                    key_buf.clear();
+                                    write_varint(key_buf, o);
+                                    out.emit(key_buf, val_buf);
                                 }
                             }
                             _ => {}
@@ -245,7 +260,7 @@ impl MapTask for TgJoinMapper {
                 }
             }
         } else {
-            let Some(ann) = AnnTgRef::parse_framed(record) else {
+            let Some(ann) = dir.fill(record) else {
                 out.skip_corrupt();
                 return;
             };
@@ -255,7 +270,7 @@ impl MapTask for TgJoinMapper {
                 }
                 val_buf.clear();
                 val_buf.push(route.side.byte());
-                ann.encode_into(val_buf);
+                val_buf.extend_from_slice(record);
                 route.key.extract_ref(&ann, |k| {
                     key_buf.clear();
                     write_varint(key_buf, k);
@@ -270,22 +285,27 @@ impl MapTask for TgJoinMapper {
 /// and right equivalence classes of each key, materializing only
 /// combinations accepted by at least one α-condition.
 ///
-/// The default path parses each value as an [`AnnTgRef`] view, evaluates
-/// α over the *logical* merge, and writes accepted products by
-/// interleaving raw component spans into one reused scratch buffer.
+/// The default path walks each value once into a [`StarDir`], evaluates α
+/// over the *logical* merge of two directories, and writes accepted
+/// products by interleaving raw component spans into one reused scratch
+/// buffer.
 pub struct AlphaJoinReducer {
     conds: Arc<Vec<AlphaCond>>,
     legacy_owned: bool,
     out_buf: Vec<u8>,
     left_idx: Vec<u32>,
     right_idx: Vec<u32>,
+    left_dir: StarDir,
+    /// Every right value's entries, spans in `right_spans`.
+    right_dir: StarDir,
+    right_spans: Vec<(u32, (usize, usize))>,
 }
 
 impl AlphaJoinReducer {
     /// This reducer is *key-local* (see
     /// `rapida_mapred::ReduceTaskFactory::key_local`): each key group's join
-    /// product depends only on that group's values — the index lists and
-    /// emit buffer are per-call scratch, cleared on entry — and `cleanup`
+    /// product depends only on that group's values — the index lists,
+    /// directories and emit buffer are per-call scratch, cleared on entry — and `cleanup`
     /// emits nothing. Factories may wrap it in `rapida_mapred::KeyLocal` to
     /// let the engine shard its partitions across workers.
     pub const KEY_LOCAL: bool = true;
@@ -298,17 +318,17 @@ impl AlphaJoinReducer {
             out_buf: Vec::new(),
             left_idx: Vec::new(),
             right_idx: Vec::new(),
+            left_dir: StarDir::default(),
+            right_dir: StarDir::default(),
+            right_spans: Vec::new(),
         }
     }
 
     /// The pre-view owned-decode variant (benchmark baseline).
     pub fn legacy(conds: Arc<Vec<AlphaCond>>) -> Self {
         AlphaJoinReducer {
-            conds,
             legacy_owned: true,
-            out_buf: Vec::new(),
-            left_idx: Vec::new(),
-            right_idx: Vec::new(),
+            ..Self::new(conds)
         }
     }
 
@@ -316,9 +336,9 @@ impl AlphaJoinReducer {
         let mut left: Vec<AnnTg> = Vec::new();
         let mut right: Vec<AnnTg> = Vec::new();
         for v in values {
-            let (side, rest) = match v.split_first() {
-                Some(x) => x,
-                None => continue,
+            let Some((side, rest)) = v.split_first() else {
+                out.skip_corrupt();
+                continue;
             };
             let Some(ann) = AnnTg::decode(rest) else {
                 out.skip_corrupt();
@@ -347,16 +367,19 @@ impl ReduceTask for AlphaJoinReducer {
             self.reduce_legacy(values, out);
             return;
         }
-        // Split by side byte first, deferring the (cheap, but non-free)
-        // view parse until a key is known to have both sides: one-sided
-        // keys — the common case under selective star filters — cost two
-        // index pushes and nothing else. The index lists and emit buffer
-        // are long-lived scratch; views borrow from `values` per pair.
+        // Split by side byte first, deferring every walk until a key is
+        // known to have both sides: one-sided keys — the common case under
+        // selective star filters — cost two index pushes and nothing else.
+        // Then each value is walked once: the right values into one shared
+        // directory up front, each left value as its turn comes.
         let AlphaJoinReducer {
             conds,
             out_buf,
             left_idx,
             right_idx,
+            left_dir,
+            right_dir,
+            right_spans,
             ..
         } = self;
         left_idx.clear();
@@ -365,22 +388,27 @@ impl ReduceTask for AlphaJoinReducer {
             match v.first() {
                 Some(side) if *side == Side::Left.byte() => left_idx.push(i as u32),
                 Some(_) => right_idx.push(i as u32),
-                None => {}
+                None => out.skip_corrupt(),
             }
         }
         if left_idx.is_empty() || right_idx.is_empty() {
             return;
         }
+        right_dir.clear();
+        right_spans.clear();
+        for &ri in right_idx.iter() {
+            match right_dir.push(&values[ri as usize][1..]) {
+                Some(span) => right_spans.push((ri, span)),
+                None => out.skip_corrupt(),
+            }
+        }
         for &li in left_idx.iter() {
-            let Some(l) = AnnTgRef::parse_framed(&values[li as usize][1..]) else {
+            let Some(l) = left_dir.fill(&values[li as usize][1..]) else {
                 out.skip_corrupt();
                 continue;
             };
-            for &ri in right_idx.iter() {
-                let Some(r) = AnnTgRef::parse_framed(&values[ri as usize][1..]) else {
-                    out.skip_corrupt();
-                    continue;
-                };
+            for &(ri, span) in right_spans.iter() {
+                let r = right_dir.stars(span, &values[ri as usize][1..]);
                 if any_alpha_partial_merged(conds, &l, &r) {
                     out_buf.clear();
                     l.merge_into(&r, out_buf);
@@ -417,7 +445,9 @@ pub struct AggJoinConfig {
 /// Map phase of `Job_k` (Algorithm 3): per-mapper hash aggregation keyed by
 /// `id#grp`, flushed in `cleanup`.
 ///
-/// The default path consumes [`AnnTgRef`] views and combines into the flat
+/// The default path walks each record once into a [`StarDir`], runs the
+/// [`SlotProgram`] compiled from `config.specs` over it — one pass per
+/// referenced star feeds every spec — and combines into the flat
 /// open-addressing [`AggTable`] keyed by `(spec id, group key)` term ids —
 /// no per-group key or state boxing. `cleanup` flushes in sorted key order,
 /// which keeps map-output bytes (and therefore the whole downstream
@@ -426,69 +456,69 @@ pub struct AggJoinMapper {
     config: Arc<AggJoinConfig>,
     multi_agg_map: FxHashMap<Vec<u8>, Vec<PartialAgg>>,
     table: AggTable,
-    scratch: AccumScratch,
+    prog: SlotProgram,
+    dir: StarDir,
     key_buf: Vec<u8>,
     val_buf: Vec<u8>,
-    ann_buf: Vec<u8>,
+    /// The filtered group of the raw-input path.
+    tg_buf: Vec<u8>,
 }
 
 /// The view-path record processor, as a free function over the mapper's
 /// destructured fields so the fold closure can mutate the table while the
-/// spec list stays borrowed from the config.
-#[allow(clippy::too_many_arguments)]
+/// spec list stays borrowed from the config. Folds in the owned path's
+/// order — specs, then assignments, then aggregates — which the `f64` sums
+/// and the uncombined emit order depend on.
 fn process_view(
     config: &AggJoinConfig,
-    ann: &AnnTgRef<'_>,
+    prog: &mut SlotProgram,
+    rec: &Stars<'_, '_>,
     table: &mut AggTable,
-    scratch: &mut AccumScratch,
     key_buf: &mut Vec<u8>,
     val_buf: &mut Vec<u8>,
     out: &mut MapOutput,
 ) {
-    let combine = config.map_side_combine;
-    for spec in &config.specs {
-        if !spec.alpha.satisfied_full_ref(ann) {
-            continue;
-        }
-        let nagg = spec.aggs.len();
-        accumulate_view(ann, spec, &config.numeric, scratch, &mut |key, idx, value| {
-            if combine {
-                table.slots_mut(u64::from(spec.id), key, nagg)[idx].add(value);
-            } else {
-                key_buf.clear();
-                write_varint(key_buf, u64::from(spec.id));
-                write_varint(key_buf, key.len() as u64);
-                for k in key {
-                    write_varint(key_buf, *k);
-                }
-                val_buf.clear();
-                let empty = PartialAgg::default();
-                for i in 0..nagg {
-                    if i == idx {
-                        let mut p = PartialAgg::default();
-                        p.add(value);
-                        p.encode(val_buf);
-                    } else {
-                        empty.encode(val_buf);
-                    }
-                }
-                out.emit(key_buf, val_buf);
+    prog.run(rec, |si, key, assignment| {
+        let spec = &config.specs[si];
+        if config.map_side_combine {
+            let partials = table.slots_mut(u64::from(spec.id), key, spec.aggs.len());
+            for (p, agg) in partials.iter_mut().zip(&spec.aggs) {
+                p.add(agg.value(assignment, &config.numeric));
             }
-        });
-    }
+            return;
+        }
+        key_buf.clear();
+        write_varint(key_buf, u64::from(spec.id));
+        write_varint(key_buf, key.len() as u64);
+        for k in key {
+            write_varint(key_buf, *k);
+        }
+        for (idx, agg) in spec.aggs.iter().enumerate() {
+            val_buf.clear();
+            for i in 0..spec.aggs.len() {
+                let mut p = PartialAgg::default();
+                if i == idx {
+                    p.add(agg.value(assignment, &config.numeric));
+                }
+                p.encode(val_buf);
+            }
+            out.emit(key_buf, val_buf);
+        }
+    });
 }
 
 impl AggJoinMapper {
     /// Create from shared config.
     pub fn new(config: Arc<AggJoinConfig>) -> Self {
         AggJoinMapper {
+            prog: SlotProgram::compile(&config.specs),
             config,
             multi_agg_map: FxHashMap::default(),
             table: AggTable::default(),
-            scratch: AccumScratch::default(),
+            dir: StarDir::default(),
             key_buf: Vec::new(),
             val_buf: Vec::new(),
-            ann_buf: Vec::new(),
+            tg_buf: Vec::new(),
         }
     }
 
@@ -571,18 +601,19 @@ impl MapTask for AggJoinMapper {
         let AggJoinMapper {
             config,
             table,
-            scratch,
+            prog,
+            dir,
             key_buf,
             val_buf,
-            ann_buf,
+            tg_buf,
             multi_agg_map: _,
         } = self;
         if config.raw_filters.is_empty() {
-            let Some(ann) = AnnTgRef::parse_framed(record) else {
+            let Some(ann) = dir.fill(record) else {
                 out.skip_corrupt();
                 return;
             };
-            process_view(config, &ann, table, scratch, key_buf, val_buf, out);
+            process_view(config, prog, &ann, table, key_buf, val_buf, out);
             return;
         }
         let Some(tg) = TgRef::parse_framed(record) else {
@@ -591,10 +622,7 @@ impl MapTask for AggJoinMapper {
         };
         let mut owned: Option<TripleGroup> = None;
         for (filter, transform) in &config.raw_filters {
-            // Single-star annotated layout: 1, star, filtered tg.
-            ann_buf.clear();
-            write_varint(ann_buf, 1);
-            write_varint(ann_buf, u64::from(filter.star));
+            tg_buf.clear();
             match transform {
                 Some(t) => {
                     let base = owned.get_or_insert_with(|| tg.to_owned());
@@ -602,18 +630,24 @@ impl MapTask for AggJoinMapper {
                     let Some(filtered) = opt_group_filter(&v, filter) else {
                         continue;
                     };
-                    filtered.encode(ann_buf);
+                    filtered.encode(tg_buf);
                 }
-                None => {
-                    if !opt_group_filter_into(&tg, filter, ann_buf) {
-                        continue;
+                None => match opt_group_filter_into(&tg, filter, None, tg_buf, &mut Vec::new()) {
+                    Some(true) => {}
+                    Some(false) => continue,
+                    None => {
+                        out.skip_corrupt();
+                        return;
                     }
-                }
+                },
             }
-            let Some(ann) = AnnTgRef::parse_framed(ann_buf) else {
+            // The single-star annotated group, indexed straight off the
+            // group just encoded (its header only; nothing is re-walked).
+            let Some(filtered) = TgRef::parse_framed(tg_buf) else {
                 continue;
             };
-            process_view(config, &ann, table, scratch, key_buf, val_buf, out);
+            let ann = dir.single(filter.star, &filtered);
+            process_view(config, prog, &ann, table, key_buf, val_buf, out);
         }
     }
 
@@ -1082,6 +1116,103 @@ mod tests {
             with.shuffle_records,
             without.shuffle_records
         );
+    }
+
+    /// A zero-length shuffle value has no side byte to route it by: both
+    /// reducer paths quarantine it (counted, not dropped in silence) and
+    /// join the rest of the key group; so does a value whose star tag does
+    /// not fit a `u8`.
+    #[test]
+    fn alpha_reducer_counts_undecodable_values() {
+        let tagged = |side: Side, rec: &[u8]| [&[side.byte()], rec].concat();
+        let left = tagged(Side::Left, &AnnTg::single(0, TripleGroup::new(1, vec![(PF, 7)])).encoded());
+        let right = tagged(Side::Right, &AnnTg::single(1, TripleGroup::new(2, vec![(PR, 1)])).encoded());
+        let mut wide_tag = vec![Side::Right.byte()];
+        write_varint(&mut wide_tag, 1);
+        write_varint(&mut wide_tag, 256);
+        TripleGroup::new(3, vec![(PR, 1)]).encode(&mut wide_tag);
+        for legacy in [false, true] {
+            let conds = Arc::new(Vec::new());
+            let mut reducer = if legacy {
+                AlphaJoinReducer::legacy(conds)
+            } else {
+                AlphaJoinReducer::new(conds)
+            };
+            let mut out = ReduceOutput::default();
+            reducer.reduce(b"k", &[&left, &[], &wide_tag, &right], &mut out);
+            assert_eq!(out.corrupt_records, 2, "legacy={legacy}");
+            assert_eq!(out.records.len(), 1, "legacy={legacy}");
+            // One-sided key: nothing to join, the empty value still counts.
+            reducer.reduce(b"k", &[&left, &[]], &mut out);
+            assert_eq!(out.corrupt_records, 3, "legacy={legacy}");
+            assert_eq!(out.records.len(), 1, "legacy={legacy}");
+        }
+    }
+
+    /// A record that stops mid-pair is quarantined by the one-walk kernels
+    /// exactly as the owned decoders quarantine it: counted once, nothing
+    /// emitted, on raw and annotated inputs of both mappers.
+    #[test]
+    fn mappers_quarantine_truncated_records() {
+        let raw = tg_record(10, &[(TY, PT18), (PF, 71), (PC, 30)]);
+        let ann = AnnTg::single(0, TripleGroup::decode(&raw).unwrap()).encoded();
+        let star = StarSpec {
+            star: 0,
+            primary: vec![PropReq::any(PF)],
+            secondary: vec![],
+        };
+        for legacy_owned in [false, true] {
+            let join = Arc::new(TgJoinMapConfig {
+                raw_inputs: vec![0],
+                star_routes: vec![StarRoute {
+                    spec: star.clone(),
+                    side: Side::Left,
+                    key: JoinKey::Subject { star: 0 },
+                    prefilter: None,
+                }],
+                ann_routes: vec![AnnRoute {
+                    input: 1,
+                    side: Side::Right,
+                    key: JoinKey::Subject { star: 0 },
+                }],
+                legacy_owned,
+            });
+            let agg = |raw_filters| {
+                Arc::new(AggJoinConfig {
+                    specs: vec![AggJoinSpec {
+                        id: 0,
+                        slots: vec![VarRef::ObjectOf { star: 0, prop: PF }],
+                        group_slots: vec![0],
+                        aggs: vec![AggSpec { op: AggOp::Count, arg: None }],
+                        alpha: AlphaCond::default(),
+                    }],
+                    numeric: Arc::new(Vec::new()),
+                    raw_filters,
+                    map_side_combine: true,
+                    legacy_owned,
+                })
+            };
+            let mut mappers: Vec<(Box<dyn MapTask>, usize, &[u8])> = vec![
+                (Box::new(TgJoinMapper::new(join.clone())), 0, &raw),
+                (Box::new(TgJoinMapper::new(join)), 1, &ann),
+                (Box::new(AggJoinMapper::new(agg(vec![(star.clone(), None)]))), 0, &raw),
+                (Box::new(AggJoinMapper::new(agg(vec![]))), 0, &ann),
+            ];
+            for (i, (mapper, dataset, rec)) in mappers.iter_mut().enumerate() {
+                let src = InputSrc { dataset: *dataset };
+                let mut out = MapOutput::default();
+                mapper.map(src, &rec[..rec.len() - 1], &mut out);
+                mapper.cleanup(&mut out);
+                assert_eq!(
+                    (out.corrupt_records, out.kvs.len()),
+                    (1, 0),
+                    "mapper {i} legacy={legacy_owned}"
+                );
+                mapper.map(src, rec, &mut out);
+                mapper.cleanup(&mut out);
+                assert_eq!((out.corrupt_records, out.kvs.len()), (1, 1));
+            }
+        }
     }
 
     fn raw_records(dfs: &SimDfs, name: &str) -> Vec<Vec<u8>> {

@@ -5,7 +5,7 @@
 //! into MR tasks without touching the dictionary; numeric literal values
 //! arrive via a read-only snapshot.
 
-use crate::triplegroup::{AnnTg, AnnTgRef, TgRef, TripleGroup};
+use crate::triplegroup::{AnnTg, Stars, TgRef, TripleGroup};
 use rapida_mapred::codec::{read_f64, read_varint, write_f64, write_varint};
 use std::sync::Arc;
 
@@ -78,14 +78,6 @@ impl StarSpec {
     pub fn primary_props(&self) -> Vec<u64> {
         self.primary.iter().map(|r| r.prop).collect()
     }
-
-    /// Does the σ^γopt projection keep pair `(p, o)`?
-    pub fn keeps(&self, p: u64, o: u64) -> bool {
-        self.primary
-            .iter()
-            .chain(self.secondary.iter())
-            .any(|req| req.prop == p && req.object.is_none_or(|ro| ro == o))
-    }
 }
 
 /// How an annotated triplegroup is keyed for a join (the map-phase tag of
@@ -121,20 +113,18 @@ impl JoinKey {
         }
     }
 
-    /// [`JoinKey::extract`] over a borrowed view, streaming key values into
-    /// `sink` instead of allocating a `Vec`.
-    pub fn extract_ref(&self, tg: &AnnTgRef<'_>, mut sink: impl FnMut(u64)) {
+    /// [`JoinKey::extract`] over a record's star directory, streaming key
+    /// values into `sink` instead of allocating a `Vec`.
+    pub fn extract_ref(&self, tg: &Stars<'_, '_>, mut sink: impl FnMut(u64)) {
         match self {
             JoinKey::Subject { star } => {
-                if let Some(g) = tg.star(*star) {
+                if let Some(g) = tg.get(*star) {
                     sink(g.subject());
                 }
             }
             JoinKey::ObjectOf { star, prop } => {
-                if let Some(g) = tg.star(*star) {
-                    for o in g.objects_of(*prop) {
-                        sink(o);
-                    }
+                if let Some(g) = tg.get(*star) {
+                    g.objects_of(*prop).for_each(sink);
                 }
             }
         }
@@ -181,21 +171,13 @@ impl AlphaCond {
         })
     }
 
-    /// [`AlphaCond::satisfied_full`] over a borrowed view.
-    pub fn satisfied_full_ref(&self, tg: &AnnTgRef<'_>) -> bool {
-        self.terms.iter().all(|t| match tg.star(t.star) {
-            None => false,
-            Some(g) => g.has_prop(t.prop) == t.required,
-        })
-    }
-
     /// [`AlphaCond::satisfied_partial`] over the *logical merge* of two
-    /// views with disjoint star sets — evaluates the join product without
-    /// materializing it.
-    pub fn satisfied_partial_merged(&self, l: &AnnTgRef<'_>, r: &AnnTgRef<'_>) -> bool {
+    /// records with disjoint star sets, each behind its star directory —
+    /// evaluates the join product without materializing it.
+    pub fn satisfied_partial_merged(&self, l: &Stars<'_, '_>, r: &Stars<'_, '_>) -> bool {
         self.terms
             .iter()
-            .all(|t| match l.star(t.star).or_else(|| r.star(t.star)) {
+            .all(|t| match l.get(t.star).or_else(|| r.get(t.star)) {
                 None => true,
                 Some(g) => g.has_prop(t.prop) == t.required,
             })
@@ -207,9 +189,9 @@ pub fn any_alpha_partial(conds: &[AlphaCond], tg: &AnnTg) -> bool {
     conds.is_empty() || conds.iter().any(|c| c.satisfied_partial(tg))
 }
 
-/// [`any_alpha_partial`] over the logical merge of two views (disjoint star
+/// [`any_alpha_partial`] over the logical merge of two records (disjoint star
 /// sets) — the α-join validity check without materializing the product.
-pub fn any_alpha_partial_merged(conds: &[AlphaCond], l: &AnnTgRef<'_>, r: &AnnTgRef<'_>) -> bool {
+pub fn any_alpha_partial_merged(conds: &[AlphaCond], l: &Stars<'_, '_>, r: &Stars<'_, '_>) -> bool {
     conds.is_empty() || conds.iter().any(|c| c.satisfied_partial_merged(l, r))
 }
 
@@ -241,25 +223,6 @@ impl VarRef {
                 .star(*star)
                 .map(|g| g.objects_of(*prop).collect())
                 .unwrap_or_default(),
-        }
-    }
-
-    /// [`VarRef::values`] over a borrowed view, streaming each value into
-    /// `sink` instead of allocating a `Vec`.
-    pub fn for_each_value_ref(&self, tg: &AnnTgRef<'_>, mut sink: impl FnMut(u64)) {
-        match self {
-            VarRef::Subject { star } => {
-                if let Some(g) = tg.star(*star) {
-                    sink(g.subject());
-                }
-            }
-            VarRef::ObjectOf { star, prop } => {
-                if let Some(g) = tg.star(*star) {
-                    for o in g.objects_of(*prop) {
-                        sink(o);
-                    }
-                }
-            }
         }
     }
 }
@@ -394,6 +357,18 @@ pub struct AggSpec {
     /// Index of the aggregated variable in [`AggJoinSpec::slots`];
     /// `None` = `COUNT(*)` (count assignments).
     pub arg: Option<usize>,
+}
+
+impl AggSpec {
+    /// What one assignment (one value per slot) contributes to this
+    /// aggregate: the numeric value of its argument slot; `None` for
+    /// `COUNT(*)` and for non-numeric terms (the binding still counts).
+    pub fn value(&self, assignment: &[u64], numeric: &NumericSnapshot) -> Option<f64> {
+        numeric
+            .get(assignment[self.arg?] as usize)
+            .copied()
+            .flatten()
+    }
 }
 
 /// A full Agg-Join specification (one per original grouping block):

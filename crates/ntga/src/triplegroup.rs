@@ -5,12 +5,17 @@
 //! the star subpatterns of a (composite) graph pattern, each component
 //! tagged with its star index.
 //!
-//! [`TgRef`] and [`AnnTgRef`] are the borrowed counterparts: views over an
-//! encoded record that parse the header eagerly (one validating scan, no
-//! owned `Vec`) and iterate pairs/components lazily over the raw bytes.
-//! Because the record codec is canonical (minimal-LEB128 varints, pairs
-//! stored sorted), a view's raw byte span *is* its re-encoding — operators
-//! can copy component spans instead of decode→encode round trips.
+//! [`TgRef`] is the borrowed counterpart of a triplegroup: a view over an
+//! encoded record that parses the header eagerly (no owned `Vec`) and
+//! iterates pairs lazily over the raw bytes. Because the record codec is
+//! canonical (minimal-LEB128 varints, pairs stored sorted), a view's raw
+//! byte span *is* its re-encoding — operators can copy component spans
+//! instead of decode→encode round trips.
+//!
+//! [`StarDir`] is the borrowed counterpart of an annotated triplegroup: one
+//! validating walk records where each star's component sits, so every
+//! later lookup, α test and merge is an offset lookup handing out
+//! [`TgRef`]s ([`Stars`]) instead of another walk from byte 0.
 
 use rapida_mapred::codec::{read_varint, write_varint};
 use std::collections::BTreeSet;
@@ -131,7 +136,7 @@ impl AnnTg {
         let n = read_varint(&mut rec)? as usize;
         let mut groups = Vec::with_capacity(n.min(16));
         for _ in 0..n {
-            let star = read_varint(&mut rec)? as u8;
+            let star = read_star(&mut rec)?;
             let subject = read_varint(&mut rec)?;
             let cnt = read_varint(&mut rec)? as usize;
             let mut triples = Vec::with_capacity(cnt.min(1 << 16));
@@ -161,7 +166,7 @@ pub struct TgRef<'a> {
 
 impl<'a> TgRef<'a> {
     /// Parse a view from the front of `rec`, advancing past the group.
-    /// Used for nested parsing inside [`AnnTgRef`].
+    /// Used for nested parsing inside annotated records.
     pub fn parse_prefix(rec: &mut &'a [u8]) -> Option<TgRef<'a>> {
         let start = *rec;
         let subject = read_varint(rec)?;
@@ -227,6 +232,11 @@ impl<'a> TgRef<'a> {
         self.raw
     }
 
+    /// The raw `(p, o)` varint region, for walks that need byte spans.
+    pub(crate) fn pair_bytes(&self) -> &'a [u8] {
+        self.pairs
+    }
+
     /// Iterate the `(property, object)` pairs in stored (sorted) order.
     pub fn pairs(&self) -> PairIter<'a> {
         PairIter { rest: self.pairs }
@@ -283,146 +293,171 @@ impl Iterator for PairIter<'_> {
     }
 }
 
-/// A borrowed annotated-triplegroup view over a canonical record
-/// (`n, (star, tg) * n`). Parsing validates the whole structure in one
-/// scan; component groups are iterated lazily as [`TgRef`]s.
-#[derive(Debug, Clone, Copy)]
-pub struct AnnTgRef<'a> {
-    len: usize,
-    /// The `(star, tg)` region.
-    body: &'a [u8],
-    /// The full canonical encoding.
-    raw: &'a [u8],
+/// Read a star tag. Star ids are `u8`: a wider tag is a damaged record, not
+/// star `tag mod 256`.
+fn read_star(rec: &mut &[u8]) -> Option<u8> {
+    u8::try_from(read_varint(rec)?).ok()
 }
 
-impl<'a> AnnTgRef<'a> {
-    /// Parse a whole record. Trailing bytes are ignored, matching
-    /// [`AnnTg::decode`].
-    pub fn parse(rec: &'a [u8]) -> Option<AnnTgRef<'a>> {
-        let mut cur = rec;
-        let len = read_varint(&mut cur)? as usize;
-        let body = cur;
-        for _ in 0..len {
-            read_varint(&mut cur)?;
-            TgRef::parse_prefix(&mut cur)?;
-        }
-        let body_len = body.len() - cur.len();
-        let raw_len = rec.len() - cur.len();
-        Some(AnnTgRef {
-            len,
-            body: &body[..body_len],
-            raw: &rec[..raw_len],
-        })
+/// Where one star's component sits in an annotated record (byte offsets).
+#[derive(Debug, Clone, Copy)]
+struct DirEnt {
+    star: u8,
+    subject: u64,
+    len: usize,
+    /// Offset of the group's canonical encoding (its subject varint).
+    start: usize,
+    /// Offset of the group's `(p, o)` region.
+    pairs: usize,
+    /// Offset one past the group.
+    end: usize,
+}
+
+/// The **star directory**: task-owned scratch holding, for each annotated
+/// record pushed into it, one entry per component — found by a single
+/// validating walk. Entries are offsets, not borrows, so the directory
+/// outlives any one record and is reused (cleared, never reallocated) by
+/// the operator that owns it; [`Stars`] pairs a span of entries with the
+/// record they index. Any `u8` star id is allowed; lookup is a scan of the
+/// record's few entries.
+#[derive(Debug, Default)]
+pub struct StarDir {
+    ents: Vec<DirEnt>,
+}
+
+impl StarDir {
+    /// Forget every record (capacity is kept).
+    pub fn clear(&mut self) {
+        self.ents.clear();
     }
 
-    /// Parse a span known to frame exactly one canonical annotated record
-    /// (a `RecordIter` record or a shuffle value tail): reads the group
-    /// count and trusts the framing for the component region instead of
-    /// walking every component — the hot-path constructor. On corrupt
-    /// input the group iterator stops early (reads stay bounded by the
-    /// span) instead of failing the parse; use [`Self::parse`] when the
-    /// span may carry trailing bytes or come from outside the engine.
-    pub fn parse_framed(rec: &'a [u8]) -> Option<AnnTgRef<'a>> {
+    /// Walk `rec` (`n, (star, tg) * n`) once and append its entries,
+    /// returning their span for [`Self::stars`]. `None`, with nothing
+    /// appended, exactly when [`AnnTg::decode`] would fail: a truncated
+    /// record or a star tag above 255. Trailing bytes are ignored.
+    pub fn push(&mut self, rec: &[u8]) -> Option<(usize, usize)> {
+        let first = self.ents.len();
+        let walked = self.walk(rec);
+        if walked.is_none() {
+            self.ents.truncate(first);
+        }
+        walked.map(|()| (first, self.ents.len()))
+    }
+
+    fn walk(&mut self, rec: &[u8]) -> Option<()> {
         let mut cur = rec;
-        let len = read_varint(&mut cur)? as usize;
-        Some(AnnTgRef {
-            len,
-            body: cur,
-            raw: rec,
+        let n = read_varint(&mut cur)?;
+        for _ in 0..n {
+            let star = read_star(&mut cur)?;
+            let start = rec.len() - cur.len();
+            let tg = TgRef::parse_prefix(&mut cur)?;
+            let end = rec.len() - cur.len();
+            self.ents.push(DirEnt {
+                star,
+                subject: tg.subject,
+                len: tg.len,
+                start,
+                pairs: end - tg.pairs.len(),
+                end,
+            });
+        }
+        Some(())
+    }
+
+    /// The entries of `span` (from [`Self::push`]) over the record they
+    /// were pushed from.
+    pub fn stars<'d, 'a>(&'d self, span: (usize, usize), rec: &'a [u8]) -> Stars<'d, 'a> {
+        Stars {
+            ents: &self.ents[span.0..span.1],
+            rec,
+        }
+    }
+
+    /// The directory of the single record `rec`: clear, push, view.
+    pub fn fill<'d, 'a>(&'d mut self, rec: &'a [u8]) -> Option<Stars<'d, 'a>> {
+        self.clear();
+        let span = self.push(rec)?;
+        Some(self.stars(span, rec))
+    }
+
+    /// The one-entry directory of `AnnTg::single(star, tg)`, built from
+    /// the group view itself — nothing is walked.
+    pub fn single<'d, 'a>(&'d mut self, star: u8, tg: &TgRef<'a>) -> Stars<'d, 'a> {
+        self.clear();
+        self.ents.push(DirEnt {
+            star,
+            subject: tg.subject,
+            len: tg.len,
+            start: 0,
+            pairs: tg.raw.len() - tg.pairs.len(),
+            end: tg.raw.len(),
+        });
+        self.stars((0, 1), tg.raw)
+    }
+}
+
+/// One record's slice of a [`StarDir`], with the record: star lookups
+/// without re-walking the record.
+#[derive(Debug, Clone, Copy)]
+pub struct Stars<'d, 'a> {
+    ents: &'d [DirEnt],
+    rec: &'a [u8],
+}
+
+impl<'a> Stars<'_, 'a> {
+    fn view(&self, e: &DirEnt) -> Option<TgRef<'a>> {
+        // Checked slicing: a span paired with the wrong record yields
+        // `None`, never a panic.
+        Some(TgRef {
+            subject: e.subject,
+            len: e.len,
+            pairs: self.rec.get(e.pairs..e.end)?,
+            raw: self.rec.get(e.start..e.end)?,
         })
     }
 
     /// Number of component groups.
     pub fn len(&self) -> usize {
-        self.len
+        self.ents.len()
     }
 
-    /// Is the view empty?
+    /// Is the record empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ents.is_empty()
     }
 
-    /// The full canonical encoding (re-encoding = copying this span).
-    pub fn raw_bytes(&self) -> &'a [u8] {
-        self.raw
+    /// The component view for star `star` (the first, as
+    /// [`AnnTg::star`]), if present.
+    pub fn get(&self, star: u8) -> Option<TgRef<'a>> {
+        self.view(self.ents.iter().find(|e| e.star == star)?)
     }
 
-    /// Iterate `(star, component view)` pairs in stored (star-sorted) order.
-    pub fn groups(&self) -> AnnGroupIter<'a> {
-        AnnGroupIter { rest: self.body }
-    }
-
-    /// The component view for star `star`, if present.
-    pub fn star(&self, star: u8) -> Option<TgRef<'a>> {
-        self.groups().find(|(s, _)| *s == star).map(|(_, g)| g)
-    }
-
-    /// Star indexes present, in sorted order.
-    pub fn stars(&self) -> impl Iterator<Item = u8> + 'a {
-        self.groups().map(|(s, _)| s)
-    }
-
-    /// Append the canonical encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.raw);
-    }
-
-    /// Encode the join product of two views directly into `out` without
-    /// materializing either side: component spans are interleaved by star
-    /// index. Star sets must be disjoint (the α-join contract). The result
-    /// is byte-identical to `self.to_owned().merge(&other.to_owned())`
-    /// re-encoded.
-    pub fn merge_into(&self, other: &AnnTgRef<'_>, out: &mut Vec<u8>) {
-        write_varint(out, (self.len + other.len) as u64);
-        let mut l = self.groups();
-        let mut r = other.groups();
-        let (mut lc, mut rc) = (l.next(), r.next());
+    /// Encode the join product of two records directly into `out` by
+    /// interleaving their components' raw spans by star index. Star sets
+    /// must be disjoint (the α-join contract). Byte-identical to the owned
+    /// `l.merge(&r)` re-encoded.
+    pub fn merge_into(&self, other: &Stars<'_, '_>, out: &mut Vec<u8>) {
+        write_varint(out, (self.len() + other.len()) as u64);
+        let (mut l, mut r) = (self.ents, other.ents);
         loop {
-            match (lc, rc) {
-                (Some((ls, lg)), Some((rs, _))) if ls <= rs => {
-                    write_varint(out, u64::from(ls));
-                    out.extend_from_slice(lg.raw_bytes());
-                    lc = l.next();
+            let (side, e) = match (l.split_first(), r.split_first()) {
+                (Some((le, rest)), Some((re, _))) if le.star <= re.star => {
+                    l = rest;
+                    (self, le)
                 }
-                (_, Some((rs, rg))) => {
-                    write_varint(out, u64::from(rs));
-                    out.extend_from_slice(rg.raw_bytes());
-                    rc = r.next();
+                (_, Some((re, rest))) => {
+                    r = rest;
+                    (other, re)
                 }
-                (Some((ls, lg)), None) => {
-                    write_varint(out, u64::from(ls));
-                    out.extend_from_slice(lg.raw_bytes());
-                    lc = l.next();
+                (Some((le, rest)), None) => {
+                    l = rest;
+                    (self, le)
                 }
-                (None, None) => break,
-            }
+                (None, None) => return,
+            };
+            write_varint(out, u64::from(e.star));
+            out.extend_from_slice(side.rec.get(e.start..e.end).unwrap_or_default());
         }
-    }
-
-    /// Materialize an owned [`AnnTg`].
-    pub fn to_owned(&self) -> AnnTg {
-        AnnTg {
-            groups: self.groups().map(|(s, g)| (s, g.to_owned())).collect(),
-        }
-    }
-}
-
-/// Iterator over the component groups of an [`AnnTgRef`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnnGroupIter<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for AnnGroupIter<'a> {
-    type Item = (u8, TgRef<'a>);
-
-    fn next(&mut self) -> Option<(u8, TgRef<'a>)> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        let star = read_varint(&mut self.rest)? as u8;
-        let tg = TgRef::parse_prefix(&mut self.rest)?;
-        Some((star, tg))
     }
 }
 
@@ -511,41 +546,67 @@ mod tests {
     }
 
     #[test]
-    fn anntgref_agrees_with_owned_decode() {
-        let m = AnnTg {
-            groups: vec![
-                (0, tg(1, &[(10, 100), (11, 110)])),
-                (1, tg(2, &[(20, 200)])),
-                (2, tg(3, &[])),
-            ],
-        };
-        let buf = m.encoded();
-        let v = AnnTgRef::parse(&buf).unwrap();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.stars().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(v.star(1).unwrap().subject(), 2);
-        assert!(v.star(3).is_none());
-        assert_eq!(v.to_owned(), m);
-        let mut re = Vec::new();
-        v.encode_into(&mut re);
-        assert_eq!(re, buf);
-    }
-
-    #[test]
-    fn merge_into_matches_owned_merge() {
+    fn directory_merge_matches_owned_merge() {
         let a = AnnTg {
             groups: vec![(0, tg(1, &[(5, 6)])), (3, tg(4, &[(9, 9)]))],
         };
         let b = AnnTg {
-            groups: vec![(1, tg(2, &[(7, 8), (7, 9)])), (2, tg(3, &[]))],
+            groups: vec![(1, tg(2, &[(7, 8), (7, 9)])), (200, tg(3, &[]))],
         };
         let (ab, bb) = (a.encoded(), b.encoded());
-        let (va, vb) = (AnnTgRef::parse(&ab).unwrap(), AnnTgRef::parse(&bb).unwrap());
+        let (mut da, mut db) = (StarDir::default(), StarDir::default());
+        let (va, vb) = (da.fill(&ab).unwrap(), db.fill(&bb).unwrap());
         let mut out = Vec::new();
         va.merge_into(&vb, &mut out);
         assert_eq!(out, a.merge(&b).encoded());
         out.clear();
         vb.merge_into(&va, &mut out);
         assert_eq!(out, b.merge(&a).encoded());
+    }
+
+    #[test]
+    fn directory_lookup_agrees_with_owned() {
+        let m = AnnTg {
+            groups: vec![
+                (0, tg(1, &[(10, 100), (11, 110)])),
+                (7, tg(2, &[(20, 200)])),
+                (255, tg(3, &[])),
+            ],
+        };
+        let buf = m.encoded();
+        let mut dir = StarDir::default();
+        let stars = dir.fill(&buf).unwrap();
+        assert_eq!(stars.len(), 3);
+        for (s, g) in &m.groups {
+            assert_eq!(&stars.get(*s).unwrap().to_owned(), g);
+        }
+        assert!(stars.get(1).is_none());
+        // A truncated record is corrupt and leaves nothing behind.
+        assert!(dir.fill(&buf[..buf.len() - 1]).is_none());
+        assert_eq!(dir.push(&buf), Some((0, 3)));
+        // The single-group directory indexes the group view itself.
+        let g = tg(9, &[(1, 2), (3, 4)]);
+        let mut rec = Vec::new();
+        g.encode(&mut rec);
+        let v = TgRef::parse_framed(&rec).unwrap();
+        let one = dir.single(200, &v);
+        assert_eq!(one.get(200).unwrap().to_owned(), g);
+        assert!(one.get(0).is_none());
+    }
+
+    /// A star tag is a `u8`; 256 must not alias star 0 in either decoder.
+    #[test]
+    fn star_tag_above_255_is_corrupt() {
+        let g = tg(1, &[(5, 6)]);
+        let mut rec = Vec::new();
+        write_varint(&mut rec, 1);
+        write_varint(&mut rec, 256);
+        g.encode(&mut rec);
+        assert_eq!(AnnTg::decode(&rec), None);
+        assert!(StarDir::default().fill(&rec).is_none());
+        // 255 is a star like any other.
+        let ok = AnnTg::single(255, g).encoded();
+        assert!(AnnTg::decode(&ok).is_some());
+        assert!(StarDir::default().fill(&ok).unwrap().get(255).is_some());
     }
 }

@@ -12,12 +12,20 @@
 //!   fresh key/value `Vec`s per emit), so the view path must come in at
 //!   least 3x below it on identical input.
 //!
+//! The downstream operators carry the same guarantee, checked the same way:
+//! a warm [`AggJoinMapper`] over annotated records (star directory + slot
+//! program + map-side combine) and a warm [`AlphaJoinReducer`] over
+//! two-sided key groups (one directory walk per value, span-copy merge)
+//! allocate nothing per record or key group.
+//!
 //! Everything is measured single-threaded in one `#[test]` — the gauge's
 //! counters are global.
 
-use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask};
+use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
-    JoinKey, PropReq, Side, StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper, TripleGroup,
+    AggJoinConfig, AggJoinMapper, AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaJoinReducer,
+    AlphaTerm, AnnTg, JoinKey, PropReq, Side, StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper,
+    TripleGroup, VarRef,
 };
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
 use std::sync::Arc;
@@ -93,8 +101,143 @@ fn measure(cfg: Arc<TgJoinMapConfig>, recs: &[Vec<u8>]) -> (u64, usize) {
     (allocs, out.kvs.len())
 }
 
+/// Joined product ⋈ offer records, as the α-join writes them: star 0 the
+/// product (one or two features), star 1 the offer.
+fn joined_records() -> Vec<Vec<u8>> {
+    (0..RECORDS as u64)
+        .map(|i| {
+            let mut product = vec![(PRODUCT, i % 97), (DELIVERY, i % 5)];
+            if i % 4 == 0 {
+                product.push((DELIVERY, 5 + i % 3));
+            }
+            AnnTg {
+                groups: vec![
+                    (0, TripleGroup::new(1_000 + i % 300, product)),
+                    (1, TripleGroup::new(5_000 + i, vec![(PRICE, 10 + i % 50)])),
+                ],
+            }
+            .encoded()
+        })
+        .collect()
+}
+
+/// Two overlapping blocks, as a composite pattern's Agg-Join carries them.
+fn agg_config() -> Arc<AggJoinConfig> {
+    let price = VarRef::ObjectOf { star: 1, prop: PRICE };
+    let delivery = VarRef::ObjectOf { star: 0, prop: DELIVERY };
+    let sum_price = |arg| AggSpec { op: AggOp::Sum, arg: Some(arg) };
+    Arc::new(AggJoinConfig {
+        specs: vec![
+            AggJoinSpec {
+                id: 0,
+                slots: vec![VarRef::Subject { star: 0 }, delivery, price],
+                group_slots: vec![1],
+                aggs: vec![sum_price(2), AggSpec { op: AggOp::Count, arg: None }],
+                alpha: AlphaCond {
+                    terms: vec![AlphaTerm { star: 0, prop: DELIVERY, required: true }],
+                },
+            },
+            AggJoinSpec {
+                id: 1,
+                slots: vec![price],
+                group_slots: vec![],
+                aggs: vec![sum_price(0)],
+                alpha: AlphaCond::default(),
+            },
+        ],
+        numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
+        raw_filters: Vec::new(),
+        map_side_combine: true,
+        legacy_owned: false,
+    })
+}
+
+/// Allocations of a second pass of a warm [`AggJoinMapper`] over `recs`
+/// (the first pass grows the scratch and the combine table; `cleanup`
+/// drains the table but keeps its capacity).
+fn measure_agg_map(recs: &[Vec<u8>]) -> u64 {
+    let src = InputSrc { dataset: 0 };
+    let mut mapper = AggJoinMapper::new(agg_config());
+    let mut out = MapOutput {
+        kvs: KvBuffer::with_capacity(64, 4096),
+        ..MapOutput::default()
+    };
+    for r in recs {
+        mapper.map(src, r, &mut out);
+    }
+    mapper.cleanup(&mut out);
+    let groups = out.kvs.len();
+    assert!(groups > 5, "the combine table must hold several groups");
+    alloc_gauge::reset();
+    for r in recs {
+        mapper.map(src, r, &mut out);
+    }
+    let (allocs, _bytes) = alloc_gauge::counters();
+    mapper.cleanup(&mut out);
+    assert_eq!(out.kvs.len(), 2 * groups, "passes must fold identically");
+    assert_eq!(out.corrupt_records, 0);
+    allocs
+}
+
+/// Allocations of a second pass of a warm [`AlphaJoinReducer`] over key
+/// groups of one product value and 1–4 offer values each.
+fn measure_alpha_reduce() -> (u64, usize) {
+    let tagged = |side: Side, ann: AnnTg| {
+        let mut v = vec![if side == Side::Left { 0 } else { 1 }];
+        ann.encode(&mut v);
+        v
+    };
+    let groups: Vec<Vec<Vec<u8>>> = (0..RECORDS as u64)
+        .map(|k| {
+            let mut product = vec![(PRODUCT, k % 97)];
+            if k % 2 == 0 {
+                product.push((DELIVERY, 7));
+            }
+            let mut values = vec![tagged(Side::Left, AnnTg::single(0, TripleGroup::new(k, product)))];
+            values.extend((0..=k % 4).map(|o| {
+                let offer = TripleGroup::new(9_000 + 4 * k + o, vec![(PRICE, 10 + o)]);
+                tagged(Side::Right, AnnTg::single(1, offer))
+            }));
+            values
+        })
+        .collect();
+    let conds = Arc::new(vec![AlphaCond {
+        terms: vec![AlphaTerm { star: 0, prop: DELIVERY, required: true }],
+    }]);
+    // The engine hands the reducer borrowed values; build the slices once.
+    let groups: Vec<Vec<&[u8]>> = groups
+        .iter()
+        .map(|values| values.iter().map(Vec::as_slice).collect())
+        .collect();
+    let mut reducer = AlphaJoinReducer::new(conds);
+    let mut out = ReduceOutput::default();
+    for values in &groups {
+        reducer.reduce(b"k", values, &mut out);
+    }
+    let joined = out.records.len();
+    alloc_gauge::reset();
+    for values in &groups {
+        reducer.reduce(b"k", values, &mut out);
+    }
+    let (allocs, _bytes) = alloc_gauge::counters();
+    assert_eq!(out.records.len(), 2 * joined, "passes must join identically");
+    assert_eq!(out.corrupt_records, 0);
+    (allocs, joined)
+}
+
 #[test]
 fn view_path_allocations_bounded() {
+    let agg_allocs = measure_agg_map(&joined_records());
+    assert_eq!(agg_allocs, 0, "warm Agg-Join map must not allocate");
+    let (join_allocs, joined) = measure_alpha_reduce();
+    assert_eq!(joined, RECORDS, "half the products pass α, 1 or 3 offers each");
+    // `RecBuffer` cannot be pre-sized: doubling its two arenas once each as
+    // the sink goes from one pass's records to two is the sink's cost.
+    assert!(
+        join_allocs <= 2,
+        "warm α-join reduce allocated {join_allocs} times over {RECORDS} key groups"
+    );
+
     let recs = records();
     let (view_allocs, view_pairs) = measure(config(false), &recs);
     let (legacy_allocs, legacy_pairs) = measure(config(true), &recs);

@@ -1,11 +1,15 @@
 //! Property tests for the NTGA operators: the set-theoretic laws of
-//! Definitions 3.3–3.5, partial-aggregate algebra, and codec round-trips.
+//! Definitions 3.3–3.5, partial-aggregate algebra, codec round-trips, and
+//! the one-walk kernels (fused group filter, compiled slot program) against
+//! the owned operators they must reproduce.
 
 use rapida_testkit::prelude::*;
 use rapida_ntga::{
-    alpha_join, any_alpha_partial, n_split, opt_group_filter, AggOp, AggRec, AlphaCond,
-    AlphaTerm, AnnTg, PartialAgg, PropReq, StarSpec, TripleGroup,
+    accumulate, alpha_join, any_alpha_partial, n_split, opt_group_filter, opt_group_filter_into,
+    AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, AnnTg, JoinKey, NumericSnapshot,
+    PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef, TripleGroup, VarRef,
 };
+use std::sync::Arc;
 
 fn arb_tg() -> impl Strategy<Value = TripleGroup> {
     (
@@ -187,6 +191,150 @@ proptest! {
                 (Some(a), Some(b)) => prop_assert!(a == b || (a.is_nan() && b.is_nan())),
                 _ => prop_assert!(false, "Some/None mismatch"),
             }
+        }
+    }
+
+    /// The fused one-walk filter emits the bytes of
+    /// `opt_group_filter(..).encode(..)` and the key list of
+    /// `JoinKey::extract` on the filtered group — through object-constrained
+    /// requirements, multi-byte ids and counts past one varint byte — and
+    /// rejects every truncation of the record without touching its output.
+    #[test]
+    fn fused_filter_matches_owned(
+        tg in arb_tg(),
+        bulk in (0usize..3, 1u64..8).prop_map(|(n, p)| (n * 90, p)),
+        prim in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
+        sec in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
+        key_prop in 1u64..8,
+    ) {
+        // Up to 180 extra pairs on one property, objects in the 2–3 byte
+        // varint range: kept counts on both sides of 128.
+        let mut triples = tg.triples.clone();
+        triples.extend((0..bulk.0 as u64).map(|i| (bulk.1, 100 + i * 131)));
+        let tg = TripleGroup::new(tg.subject, triples);
+        let req = |&(prop, object): &(u64, Option<u64>)| PropReq { prop, object };
+        let spec = StarSpec {
+            star: 0,
+            primary: prim.iter().map(req).collect(),
+            secondary: sec.iter().map(req).collect(),
+        };
+        let mut rec = Vec::new();
+        tg.encode(&mut rec);
+        let view = TgRef::parse_framed(&rec).expect("canonical record parses");
+
+        let (mut got, mut keys) = (vec![0xAA], vec![99]);
+        let passed = opt_group_filter_into(&view, &spec, Some(key_prop), &mut got, &mut keys);
+        match opt_group_filter(&tg, &spec) {
+            None => {
+                prop_assert_eq!(passed, Some(false));
+                prop_assert_eq!(&got, &[0xAA], "a rejected group leaves out alone");
+            }
+            Some(filtered) => {
+                prop_assert_eq!(passed, Some(true));
+                let mut want = vec![0xAA];
+                filtered.encode(&mut want);
+                prop_assert_eq!(&got, &want);
+                let key = JoinKey::ObjectOf { star: 0, prop: key_prop };
+                prop_assert_eq!(&keys, &key.extract(&AnnTg::single(0, filtered)));
+            }
+        }
+        // Every strict prefix is a damaged record: no panic, no output.
+        for cut in 0..rec.len() {
+            if let Some(short) = TgRef::parse_framed(&rec[..cut]) {
+                let mut out = vec![0xAA];
+                let passed = opt_group_filter_into(&short, &spec, Some(key_prop), &mut out, &mut keys);
+                prop_assert_eq!(passed, None, "cut at {}", cut);
+                prop_assert_eq!(&out, &[0xAA]);
+            }
+        }
+    }
+
+    /// The compiled slot program folds exactly the `(spec, key, agg index,
+    /// value)` sequence of α-gated owned `accumulate`, spec by spec: 1–4
+    /// stars with ids anywhere in `u8`, multi-valued properties, missing
+    /// stars, unbound slots, specs sharing references (and one spec naming
+    /// a reference twice), `COUNT(*)`, empty `group_slots`, zero slots.
+    #[test]
+    fn slot_program_folds_like_owned_accumulate(
+        stars in proptest::collection::btree_set(0u8..=255, 1..5),
+        groups in proptest::collection::vec((0u8..4, arb_tg()), 4..5),
+        specs in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..4, proptest::option::of(1u64..8)), 0..4),
+                proptest::collection::vec(0usize..4, 0..3),
+                proptest::collection::vec((0u8..5, proptest::option::of(0usize..4)), 1..4),
+                proptest::collection::vec((0usize..4, 1u64..8, any::<bool>()), 0..3),
+            ),
+            1..4,
+        ),
+    ) {
+        let stars: Vec<u8> = stars.into_iter().collect();
+        let star = |i: usize| stars[i % stars.len()];
+        // One group in four is missing from the record.
+        let ann = AnnTg {
+            groups: stars
+                .iter()
+                .zip(&groups)
+                .filter(|(_, (absent, _))| *absent != 0)
+                .map(|(s, (_, tg))| (*s, tg.clone()))
+                .collect(),
+        };
+        let specs: Vec<AggJoinSpec> = specs
+            .iter()
+            .enumerate()
+            .map(|(id, (slots, group, aggs, terms))| {
+                let n = slots.len();
+                AggJoinSpec {
+                    id: id as u8,
+                    slots: slots
+                        .iter()
+                        .map(|&(s, prop)| match prop {
+                            None => VarRef::Subject { star: star(s) },
+                            Some(prop) => VarRef::ObjectOf { star: star(s), prop },
+                        })
+                        .collect(),
+                    group_slots: group.iter().filter(|_| n > 0).map(|g| g % n).collect(),
+                    aggs: aggs
+                        .iter()
+                        .map(|&(op, arg)| AggSpec {
+                            op: [AggOp::Count, AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max]
+                                [op as usize],
+                            arg: arg.filter(|_| n > 0).map(|a| a % n),
+                        })
+                        .collect(),
+                    alpha: AlphaCond {
+                        terms: terms
+                            .iter()
+                            .map(|&(s, prop, required)| AlphaTerm { star: star(s), prop, required })
+                            .collect(),
+                    },
+                }
+            })
+            .collect();
+        // Objects are 0..12; odd ones are numeric, subjects never are.
+        let numeric: NumericSnapshot =
+            Arc::new((0..12).map(|i| (i % 2 == 1).then_some(f64::from(i) * 1.5)).collect());
+
+        let mut want: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
+        for (si, spec) in specs.iter().enumerate() {
+            if spec.alpha.satisfied_full(&ann) {
+                accumulate(&ann, spec, &numeric, &mut |key, i, v| {
+                    want.push((si, key.to_vec(), i, v));
+                });
+            }
+        }
+        let rec = ann.encoded();
+        let mut dir = StarDir::default();
+        let mut prog = SlotProgram::compile(&specs);
+        // Twice: the second run meets the first one's scratch.
+        for _ in 0..2 {
+            let mut got = Vec::new();
+            prog.run(&dir.fill(&rec).expect("canonical record"), |si, key, assignment| {
+                for (i, agg) in specs[si].aggs.iter().enumerate() {
+                    got.push((si, key.to_vec(), i, agg.value(assignment, &numeric)));
+                }
+            });
+            prop_assert_eq!(&got, &want);
         }
     }
 }

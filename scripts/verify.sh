@@ -37,6 +37,12 @@ cargo test -q --offline -p rapida-core --test join_reduce_identity --test alloc_
 echo "==> relational shuffle oracle smoke (perfbench --smoke: mg_hive vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_hive
 
+echo "==> NTGA one-walk kernels smoke (fused filter, slot program and star directory vs the owned operators; allocation budget)"
+cargo test -q --offline -p rapida-ntga --lib --test prop_ops --test prop_views --test alloc_budget
+
+echo "==> NTGA oracle smoke (perfbench --smoke: mg_rapida vs the cross-family oracle)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_rapida
+
 echo "==> ExtVP byte-identity smoke (reductions vs full scans)"
 cargo test -q --offline --test extvp_identity
 
