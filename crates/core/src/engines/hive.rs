@@ -473,6 +473,7 @@ impl<'a> RelPlanner<'a> {
             });
             JobBuilder::new(format!("{label} [map-join]"))
                 .input(stream.dataset.clone())
+                .sig(cfg.sig())
                 .mapper(Arc::new(MapJoinFactory::new(cfg, self.cat.dfs.clone())))
                 .output(out_name.clone())
                 .tag(tag)
@@ -518,7 +519,7 @@ impl<'a> RelPlanner<'a> {
                 numeric: self.cat.numeric.clone(),
                 lexical: self.cat.lexical.clone(),
             });
-            let mut b = JobBuilder::new(label.to_string());
+            let mut b = JobBuilder::new(label.to_string()).sig(cfg.sig());
             for r in &rels {
                 b = b.input(r.dataset.clone());
             }
@@ -592,6 +593,7 @@ impl<'a> RelPlanner<'a> {
         });
         let job = JobBuilder::new(label.to_string())
             .input(rel.dataset.clone())
+            .sig(cfg.sig())
             .mapper(Arc::new(FnMapFactory({
                 let c = cfg.clone();
                 move || GroupAggMapTask::new(c.clone())
@@ -1012,6 +1014,7 @@ impl<'a> RelPlanner<'a> {
             });
             let job = JobBuilder::new(format!("HiveMQO:extract b{b}"))
                 .input(qopt.dataset.clone())
+                .sig(dcfg.sig())
                 .mapper(Arc::new(FnMapFactory({
                     let c = dcfg.clone();
                     move || DistinctMapTask::new(c.clone())

@@ -18,6 +18,7 @@ use rapida_ntga::{
 use rapida_sparql::analysis::{PropKey, Role, StarDecomposition};
 use rapida_storage::{read_dataset_rows, ExtVpKind, ExtVpMeta};
 use rapida_sparql::ast::{PatternTerm, TriplePattern, Var};
+use std::fmt::Write;
 use std::sync::Arc;
 
 const NUM_REDUCERS: usize = 8;
@@ -154,8 +155,7 @@ impl QueryEngine for RapidPlus {
                 &format!("RAPID+:agg-join b{b}"),
                 &format!("agg b{b}"),
                 vec![spec],
-                joined,
-                &planner,
+                planner.agg_inputs(joined),
                 self.map_side_combine,
                 self.legacy_owned,
                 &out,
@@ -229,13 +229,19 @@ impl QueryEngine for RapidAnalytics {
         }
         let edges = composite_edges(cat, &composite);
         // Join-time pruning: the disjunction of every block's positive α.
-        let conds: Vec<AlphaCond> = if self.alpha_pruning {
+        // A block without a positive term contributes the empty conjunction,
+        // which accepts every combination — the whole disjunction is then
+        // `true`, written as the empty list the α-join treats as accept-all.
+        let mut conds: Vec<AlphaCond> = if self.alpha_pruning {
             (0..aq.blocks.len())
                 .map(|b| alpha_cond_of(cat, &composite, b))
                 .collect()
         } else {
             Vec::new()
         };
+        if conds.iter().any(|c| c.terms.is_empty()) {
+            conds.clear();
+        }
         let planner = TgJoinPlanner {
             cat,
             prefix: pid.clone(),
@@ -272,8 +278,7 @@ impl QueryEngine for RapidAnalytics {
                 "RAPIDAnalytics:parallel-agg-join",
                 "agg-par",
                 agg_specs,
-                joined.clone(),
-                &planner,
+                planner.agg_inputs(joined),
                 self.map_side_combine,
                 self.legacy_owned,
                 &out,
@@ -289,8 +294,7 @@ impl QueryEngine for RapidAnalytics {
                     &format!("RAPIDAnalytics:agg-join b{b}"),
                     &format!("agg b{b}"),
                     vec![spec],
-                    joined.clone(),
-                    &planner,
+                    planner.agg_inputs(joined.clone()),
                     self.map_side_combine,
                     self.legacy_owned,
                     &out,
@@ -344,32 +348,17 @@ impl RapidAnalytics {
             )?);
         }
         let pid = next_plan_id("ras");
-        let inputs = cat.tg.datasets_covering_any(&coverings);
-        let cfg = Arc::new(AggJoinConfig {
-            specs: agg_specs,
-            numeric: cat.numeric.clone(),
-            raw_filters,
-            map_side_combine: self.map_side_combine,
-            legacy_owned: self.legacy_owned,
-        });
         let out = format!("{pid}_aggs");
-        let mut builder = JobBuilder::new("RAPIDAnalytics:shared-scan-agg-join");
-        for i in inputs {
-            builder = builder.input(i);
-        }
-        let job = builder
-            .mapper(Arc::new(FnMapFactory({
-                let c = cfg.clone();
-                move || AggJoinMapper::new(c.clone())
-            })))
-            .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                let c = cfg.clone();
-                move || AggJoinReducer::new(c.clone())
-            }))))
-            .output(out.clone())
-            .num_reducers(NUM_REDUCERS)
-            .tag("agg-shared")
-            .build();
+        let job = agg_join_job(
+            cat,
+            "RAPIDAnalytics:shared-scan-agg-join",
+            "agg-shared",
+            agg_specs,
+            (cat.tg.datasets_covering_any(&coverings), raw_filters),
+            self.map_side_combine,
+            self.legacy_owned,
+            &out,
+        );
         let block_datasets = vec![out; aq.blocks.len()];
         finish_plan(
             "RAPIDAnalytics",
@@ -393,10 +382,19 @@ pub(crate) struct TgJoinPlanner<'a> {
     /// falls back to the default greedy order.
     pub(crate) edge_order: Vec<usize>,
     pub(crate) specs: Vec<StarSpec>,
-    pub(crate) prefilters: Vec<Option<TgTransform>>,
+    pub(crate) prefilters: Vec<Prefilter>,
     pub(crate) edges: Vec<CompiledEdge>,
     pub(crate) conds: Arc<Vec<AlphaCond>>,
     pub(crate) legacy_owned: bool,
+}
+
+/// A star's value-filter transform together with the text it was compiled
+/// from. The transform is a closure, so [`Job::sig`] cannot print it; `sig`
+/// stands in for it there and says everything the closure captured.
+#[derive(Clone, Default)]
+pub(crate) struct Prefilter {
+    pub(crate) apply: Option<TgTransform>,
+    pub(crate) sig: String,
 }
 
 #[derive(Debug, Clone)]
@@ -413,7 +411,80 @@ impl TgJoinPlanner<'_> {
             spec: self.specs[star].clone(),
             side,
             key,
-            prefilter: self.prefilters[star].clone(),
+            prefilter: self.prefilters[star].apply.clone(),
+        }
+    }
+
+    /// Join cycle `cycle` (1-based) of this unit; `cfg.star_routes` scan
+    /// `stars`, in route order.
+    fn join_job(
+        &self,
+        cycle: usize,
+        inputs: Vec<String>,
+        cfg: TgJoinMapConfig,
+        stars: &[usize],
+        out: &str,
+    ) -> Job {
+        let mut b = JobBuilder::new(format!("{}:tg-join{}", self.prefix, cycle))
+            .sig(self.join_sig(&cfg, stars));
+        for i in inputs {
+            b = b.input(i);
+        }
+        let cfg = Arc::new(cfg);
+        let (conds, legacy_owned) = (self.conds.clone(), self.legacy_owned);
+        b.mapper(Arc::new(FnMapFactory(move || {
+            TgJoinMapper::new(cfg.clone())
+        })))
+        .reducer(Arc::new(KeyLocal(FnReduceFactory(move || {
+            if legacy_owned {
+                AlphaJoinReducer::legacy(conds.clone())
+            } else {
+                AlphaJoinReducer::new(conds.clone())
+            }
+        }))))
+        .output(out)
+        .num_reducers(NUM_REDUCERS)
+        .tag(format!("join u{} k{}", self.unit, cycle - 1))
+        .build()
+    }
+
+    /// [`Job::sig`] of a join cycle whose star routes scan `stars`, in route
+    /// order: the mapper's config, destructured exhaustively so a new field
+    /// cannot be left out, plus what the α-join reducer is built from.
+    fn join_sig(&self, cfg: &TgJoinMapConfig, stars: &[usize]) -> String {
+        let TgJoinMapConfig {
+            raw_inputs,
+            star_routes,
+            ann_routes,
+            legacy_owned,
+        } = cfg;
+        let mut sig = format!(
+            "tg-join raw{raw_inputs:?} {ann_routes:?} legacy={legacy_owned} alpha{:?}",
+            self.conds
+        );
+        for (route, &star) in star_routes.iter().zip(stars) {
+            let StarRoute {
+                spec,
+                side,
+                key,
+                prefilter: _,
+            } = route;
+            let pre = &self.prefilters[star].sig;
+            let _ = write!(sig, " ({spec:?} {side:?} {key:?} pre[{pre}])");
+        }
+        sig
+    }
+
+    /// The inputs of an Agg-Join over this pattern: the joined intermediate,
+    /// or for a single-star pattern the raw covering partitions with the
+    /// star's filter.
+    pub(crate) fn agg_inputs(&self, joined: Option<String>) -> AggInputs {
+        match joined {
+            Some(ds) => (vec![ds], Vec::new()),
+            None => (
+                self.covering(&[0]),
+                vec![(self.specs[0].clone(), self.prefilters[0].clone())],
+            ),
         }
     }
 
@@ -468,12 +539,12 @@ impl TgJoinPlanner<'_> {
             let edge = remaining.remove(pos);
             cycle += 1;
             let out = format!("{}_join{}", self.prefix, cycle);
-            let job = if joined_stars.is_empty() {
+            let (inputs, cfg, stars) = if joined_stars.is_empty() {
                 // Both sides raw: the shared scan over covering partitions.
                 joined_stars.push(edge.l_star);
                 joined_stars.push(edge.r_star);
                 let inputs = self.covering(&[edge.l_star, edge.r_star]);
-                let cfg = Arc::new(TgJoinMapConfig {
+                let cfg = TgJoinMapConfig {
                     raw_inputs: (0..inputs.len()).collect(),
                     star_routes: vec![
                         self.route(edge.l_star, Side::Left, edge.l_key),
@@ -481,16 +552,8 @@ impl TgJoinPlanner<'_> {
                     ],
                     ann_routes: vec![],
                     legacy_owned: self.legacy_owned,
-                });
-                join_job(
-                    &format!("{}:tg-join{}", self.prefix, cycle),
-                    &format!("join u{} k{}", self.unit, cycle - 1),
-                    inputs,
-                    cfg,
-                    &self.conds,
-                    self.legacy_owned,
-                    &out,
-                )
+                };
+                (inputs, cfg, vec![edge.l_star, edge.r_star])
             } else {
                 // One side is the intermediate, the other a raw star.
                 let (new_star, new_key, old_key) =
@@ -502,7 +565,7 @@ impl TgJoinPlanner<'_> {
                 joined_stars.push(new_star);
                 let mut inputs = vec![prev.clone().expect("intermediate exists")];
                 inputs.extend(self.covering(&[new_star]));
-                let cfg = Arc::new(TgJoinMapConfig {
+                let cfg = TgJoinMapConfig {
                     raw_inputs: (1..inputs.len()).collect(),
                     star_routes: vec![self.route(new_star, Side::Right, new_key)],
                     ann_routes: vec![AnnRoute {
@@ -511,18 +574,10 @@ impl TgJoinPlanner<'_> {
                         key: old_key,
                     }],
                     legacy_owned: self.legacy_owned,
-                });
-                join_job(
-                    &format!("{}:tg-join{}", self.prefix, cycle),
-                    &format!("join u{} k{}", self.unit, cycle - 1),
-                    inputs,
-                    cfg,
-                    &self.conds,
-                    self.legacy_owned,
-                    &out,
-                )
+                };
+                (inputs, cfg, vec![new_star])
             };
-            jobs.push(job);
+            jobs.push(self.join_job(cycle, inputs, cfg, &stars, &out));
             prev = Some(out);
         }
         if joined_stars.len() != self.specs.len() {
@@ -534,55 +589,24 @@ impl TgJoinPlanner<'_> {
     }
 }
 
-fn join_job(
-    name: &str,
-    tag: &str,
-    inputs: Vec<String>,
-    cfg: Arc<TgJoinMapConfig>,
-    conds: &Arc<Vec<AlphaCond>>,
-    legacy_owned: bool,
-    out: &str,
-) -> Job {
-    let mut b = JobBuilder::new(name);
-    for i in inputs {
-        b = b.input(i);
-    }
-    let conds = conds.clone();
-    b.mapper(Arc::new(FnMapFactory({
-        let c = cfg.clone();
-        move || TgJoinMapper::new(c.clone())
-    })))
-    .reducer(Arc::new(KeyLocal(FnReduceFactory(move || {
-        if legacy_owned {
-            AlphaJoinReducer::legacy(conds.clone())
-        } else {
-            AlphaJoinReducer::new(conds.clone())
-        }
-    }))))
-    .output(out)
-    .num_reducers(NUM_REDUCERS)
-    .tag(tag)
-    .build()
-}
+/// Job inputs of an Agg-Join cycle and, when they are raw triplegroups, the
+/// single-star filters applied to the shared scan.
+pub(crate) type AggInputs = (Vec<String>, Vec<(StarSpec, Prefilter)>);
 
 pub(crate) fn agg_join_job(
     cat: &DataCatalog,
     name: &str,
     tag: &str,
     specs: Vec<AggJoinSpec>,
-    joined: Option<String>,
-    planner: &TgJoinPlanner<'_>,
+    (inputs, raw): AggInputs,
     map_side_combine: bool,
     legacy_owned: bool,
     out: &str,
 ) -> Job {
-    let (inputs, raw_filters) = match joined {
-        Some(ds) => (vec![ds], Vec::new()),
-        None => (
-            planner.covering(&[0]),
-            vec![(planner.specs[0].clone(), planner.prefilters[0].clone())],
-        ),
-    };
+    let (raw_filters, raw_sigs): (Vec<_>, Vec<String>) = raw
+        .into_iter()
+        .map(|(spec, pre)| ((spec, pre.apply), pre.sig))
+        .unzip();
     let cfg = Arc::new(AggJoinConfig {
         specs,
         numeric: cat.numeric.clone(),
@@ -590,7 +614,22 @@ pub(crate) fn agg_join_job(
         map_side_combine,
         legacy_owned,
     });
-    let mut b = JobBuilder::new(name);
+    // Exhaustive, so a new config field cannot be left out; the filter
+    // closures are stood in for by the text they were compiled from.
+    let AggJoinConfig {
+        specs,
+        numeric,
+        raw_filters,
+        map_side_combine,
+        legacy_owned,
+    } = &*cfg;
+    let raw_specs: Vec<&StarSpec> = raw_filters.iter().map(|(spec, _)| spec).collect();
+    let sig = format!(
+        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} msc={map_side_combine} \
+         legacy={legacy_owned} n{:p}",
+        Arc::as_ptr(numeric)
+    );
+    let mut b = JobBuilder::new(name).sig(sig);
     for i in inputs {
         b = b.input(i);
     }
@@ -681,7 +720,7 @@ pub(crate) fn star_prefilters(
     cat: &DataCatalog,
     filters: &[StarFilter],
     n_stars: usize,
-) -> Vec<Option<TgTransform>> {
+) -> Vec<Prefilter> {
     (0..n_stars)
         .map(|s| {
             let preds: Vec<(u64, IdPred)> = filters
@@ -697,7 +736,7 @@ pub(crate) fn star_prefilters(
         .collect()
 }
 
-fn composite_prefilters(cat: &DataCatalog, c: &CompositePattern) -> Vec<Option<TgTransform>> {
+fn composite_prefilters(cat: &DataCatalog, c: &CompositePattern) -> Vec<Prefilter> {
     star_prefilters(cat, &c.filters, c.stars.len())
 }
 
@@ -745,7 +784,7 @@ fn composite_subject_gates(c: &CompositePattern) -> Vec<(usize, PropKey)> {
 /// so output is byte-identical either way.
 fn compose_extvp_gates(
     cat: &DataCatalog,
-    prefilters: &mut [Option<TgTransform>],
+    prefilters: &mut [Prefilter],
     star_primary: &[Vec<PropKey>],
     gates: &[(usize, PropKey)],
 ) {
@@ -768,8 +807,11 @@ fn compose_extvp_gates(
         let mut subjects: Vec<u64> = read_dataset_rows(&ds).into_iter().map(|(s, _)| s).collect();
         subjects.dedup(); // reduction rows are sorted by (s, o)
         let subjects = Arc::new(subjects);
-        let inner = prefilters[*star].take();
-        prefilters[*star] = Some(Arc::new(move |tg: rapida_ntga::TripleGroup| {
+        // The gate is its subject set, so the set is what the sig says.
+        let pre = &mut prefilters[*star];
+        let _ = write!(pre.sig, " gate{subjects:?}");
+        let inner = pre.apply.take();
+        pre.apply = Some(Arc::new(move |tg: rapida_ntga::TripleGroup| {
             let tg = match &inner {
                 Some(f) => f(tg)?,
                 None => tg,
@@ -797,13 +839,18 @@ pub(crate) fn id_pred_of(cat: &DataCatalog, pred: &ValuePred) -> IdPred {
     }
 }
 
-fn make_prefilter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> Option<TgTransform> {
+fn make_prefilter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> Prefilter {
     if preds.is_empty() {
-        return None;
+        return Prefilter::default();
     }
     let numeric = cat.numeric.clone();
     let lexical = cat.lexical.clone();
-    Some(Arc::new(move |mut tg: rapida_ntga::TripleGroup| {
+    let sig = format!(
+        "{preds:?} n{:p} l{:p}",
+        Arc::as_ptr(&numeric),
+        Arc::as_ptr(&lexical)
+    );
+    let apply: TgTransform = Arc::new(move |mut tg: rapida_ntga::TripleGroup| {
         tg.triples.retain(|(p, o)| {
             preds
                 .iter()
@@ -811,7 +858,11 @@ fn make_prefilter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> Option<TgTran
                 .all(|(_, pred)| pred.eval(*o, &numeric, &lexical))
         });
         Some(tg)
-    }))
+    });
+    Prefilter {
+        apply: Some(apply),
+        sig,
+    }
 }
 
 fn edge_jk(cat: &DataCatalog, star: usize, key: &EdgeKey) -> JoinKey {
@@ -1047,7 +1098,7 @@ mod tests {
             op: rapida_sparql::ast::CmpOp::Ge,
             rhs: 5.0,
         };
-        let f = make_prefilter(&cat, vec![(pc, pred)]).unwrap();
+        let f = make_prefilter(&cat, vec![(pc, pred)]).apply.unwrap();
         let lo = cat.id_of(&rapida_rdf::Term::decimal(2.0));
         let hi = cat.id_of(&rapida_rdf::Term::decimal(7.0));
         let tg = rapida_ntga::TripleGroup::new(1, vec![(pc, lo), (pc, hi), (99, 5)]);
@@ -1098,10 +1149,14 @@ mod tests {
             plan.cleanup(&cat.dfs);
             cat.dfs.remove(&plan.output_dataset);
             let emitted: u64 = wf.jobs.iter().map(|j| j.map_output_records).sum();
-            (rel.rows, emitted)
+            (rel.rows, emitted, plan.fingerprint().expect("signed"))
         };
-        let (rows_gated, emitted_gated) = run(true);
-        let (rows_full, emitted_full) = run(false);
+        let (rows_gated, emitted_gated, print_gated) = run(true);
+        let (rows_full, emitted_full, print_full) = run(false);
+        assert_ne!(
+            print_gated, print_full,
+            "an installed gate is part of the plan"
+        );
         assert_eq!(rows_gated, rows_full, "gate changed the query result");
         assert!(
             emitted_gated < emitted_full,

@@ -18,6 +18,11 @@
 //!    1-worker engine — and re-priced from *measured* metrics via
 //!    [`ClusterModel::workflow_time`]. The measured-cheapest plan wins.
 //!
+//! Shortlisted plans that are the same plan — equal
+//! [`QueryPlan::fingerprint`]s, which happens whenever a knob is vacuous on
+//! this query — are executed once: the first of them runs and its twins are
+//! reported at its measured cost.
+//!
 //! A shortlisted plan is not executed when its cost floor (Σ
 //! [`ClusterModel::job_time_floor`] over its jobs, known from the compiled
 //! plan alone) already exceeds the best measured cost: its measured cost
@@ -72,10 +77,13 @@ pub struct CandidateReport {
     pub cycles: usize,
     /// Phase-1 estimated cost, model seconds.
     pub estimated_s: f64,
-    /// Phase-2 measured cost (dry run on the simulator). `None` when the
-    /// candidate did not make the shortlist, or made it and was pruned by
-    /// its cost floor — in which case its measured cost would have been
-    /// strictly above the chosen plan's.
+    /// Phase-2 measured cost (dry run on the simulator) — this candidate's
+    /// own run, or that of an earlier shortlisted candidate that compiled to
+    /// the same plan ([`QueryPlan::fingerprint`]); the two are the same
+    /// number to the bit. `None` when the candidate did not make the
+    /// shortlist, or made it and was pruned by its cost floor — in which
+    /// case its measured cost would have been strictly above the chosen
+    /// plan's.
     pub measured_s: Option<f64>,
 }
 
@@ -503,6 +511,19 @@ fn plan_floor(model: &ClusterModel, plan: &QueryPlan) -> f64 {
         .sum()
 }
 
+/// Per plan fingerprint, the position of the first one equal to it. `None`
+/// — a plan with an unsigned job — equals nothing, itself included.
+fn class_reps(prints: &[Option<String>]) -> Vec<usize> {
+    prints
+        .iter()
+        .enumerate()
+        .map(|(k, p)| {
+            let first = p.as_ref().and_then(|_| prints.iter().position(|q| q == p));
+            first.unwrap_or(k)
+        })
+        .collect()
+}
+
 /// Execute `plan` on `mr`, price the measured metrics and drop everything
 /// the run wrote — on the error path too.
 fn dry_run(plan: &QueryPlan, mr: &Engine, model: &ClusterModel) -> Result<f64, PlanError> {
@@ -588,6 +609,18 @@ fn enumerate_at_width(
         });
         costs.into_iter().collect()
     };
+    // One execution per distinct plan: shortlisted plans with equal
+    // fingerprints are the same operators over the same datasets, so only
+    // the first of them (exploration order) goes through the waves and its
+    // twins take its outcome — the cost they would have measured themselves,
+    // or the same pruning, since equal plans have equal floors. A plan
+    // without a fingerprint equals nothing and always stands for itself.
+    let prints: Vec<Option<String>> = shortlist
+        .iter()
+        .map(|&i| scored[i].plan.fingerprint())
+        .collect();
+    let rep_of: Vec<usize> = class_reps(&prints).iter().map(|&k| shortlist[k]).collect();
+    let reps = shortlist.iter().zip(&rep_of).filter(|(i, r)| i == r);
     // Wave 1: every plan that could still beat the cheapest estimate. An
     // estimate is never below its own plan's floor, so the cheapest
     // estimate's plan is always among them.
@@ -597,7 +630,7 @@ fn enumerate_at_width(
         .fold(f64::INFINITY, f64::min);
     let floor = |i: usize| plan_floor(model, &scored[i].plan);
     let (wave1, deferred): (Vec<usize>, Vec<usize>) =
-        shortlist.iter().partition(|&&i| floor(i) <= min_est);
+        reps.map(|(&i, _)| i).partition(|&i| floor(i) <= min_est);
     let mut measured = dry_run_wave(wave1)?;
     // Wave 2: a deferred plan runs only if its floor does not already
     // exceed the best measured cost. `<=` keeps every plan that could tie,
@@ -608,6 +641,10 @@ fn enumerate_at_width(
         .fold(f64::INFINITY, f64::min);
     let wave2 = deferred.into_iter().filter(|&i| floor(i) <= best).collect();
     measured.extend(dry_run_wave(wave2)?);
+    for (&i, &r) in shortlist.iter().zip(&rep_of).filter(|(i, r)| i != r) {
+        let twin = measured.iter().find(|(j, _)| *j == r).map(|&(_, t)| (i, t));
+        measured.extend(twin);
+    }
 
     // Choose: minimum measured cost; ties prefer incumbents, then
     // exploration order.
@@ -657,7 +694,258 @@ fn enumerate_at_width(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rapida_datagen::{generate_bsbm, query, BsbmConfig};
+    use rapida_datagen::{generate_bsbm, generate_chem, query, BsbmConfig, ChemConfig};
+
+    fn aq_of(sparql: &str) -> AnalyticalQuery {
+        crate::extract(&rapida_sparql::parse_query(sparql).unwrap()).unwrap()
+    }
+
+    /// A two-star, two-block query (Table 2 row 4: `abc:de` vs `ab:def`) in
+    /// which each block owns one secondary property, over a graph where
+    /// every combination of the two occurs: the α disjunction `c≠∅ ∨ f≠∅`
+    /// has no empty conjunction and really drops joined pairs.
+    fn alpha_case() -> (DataCatalog, AnalyticalQuery) {
+        let mut g = rapida_rdf::Graph::new();
+        let iri = |s: String| rapida_rdf::Term::iri(format!("http://x/{s}"));
+        for i in 0..24 {
+            let (s, t) = (iri(format!("s{i}")), iri(format!("t{i}")));
+            let star_s = if i % 2 == 0 { "abc" } else { "ab" };
+            let star_t = if i % 3 == 0 { "def" } else { "de" };
+            for (subj, props) in [(&s, star_s), (&t, star_t)] {
+                for p in props.chars() {
+                    g.insert_terms(subj, &iri(p.to_string()), &iri(format!("{p}{}", i % 5)));
+                }
+            }
+            g.insert_terms(&t, &iri("j".into()), &s);
+        }
+        let aq = aq_of(
+            "PREFIX ex: <http://x/>
+             SELECT ?n1 ?n2 {
+               { SELECT (COUNT(?s1) AS ?n1) {
+                   ?s1 ex:a ?a1 ; ex:b ?b1 ; ex:c ?c1 . ?t1 ex:d ?d1 ; ex:e ?e1 . ?t1 ex:j ?s1 . } }
+               { SELECT (COUNT(?s2) AS ?n2) {
+                   ?s2 ex:a ?a2 ; ex:b ?b2 . ?t2 ex:d ?d2 ; ex:e ?e2 ; ex:f ?f2 . ?t2 ex:j ?s2 . } }
+             }",
+        );
+        (DataCatalog::load(&g), aq)
+    }
+
+    /// Dry-run every candidate of both families, group by fingerprint, and
+    /// hold every class to one measured cost (bit-equal) and one set of
+    /// written datasets (byte-equal, intermediates included). Returns the
+    /// labels of the candidates that joined an earlier candidate's class.
+    fn twins_of_sound_classes(cat: &DataCatalog, aq: &AnalyticalQuery) -> Vec<String> {
+        let model = ClusterModel::nodes10();
+        let mr = Engine::with_workers(cat.dfs.clone(), 1);
+        let mut twins = Vec::new();
+        for cands in [
+            hive_candidates(aq, cat).unwrap(),
+            rapid_candidates(aq, cat).unwrap(),
+        ] {
+            // Per class: fingerprint, first member, cost bits, bytes written.
+            let mut classes: Vec<(String, String, u64, Vec<Vec<u8>>)> = Vec::new();
+            for cand in &cands {
+                let Ok(plan) = cand.compile(aq, cat) else {
+                    continue;
+                };
+                let print = plan
+                    .fingerprint()
+                    .unwrap_or_else(|| panic!("{}: a job without a sig", cand.name));
+                let wf = plan.try_run(&mr).unwrap();
+                let cost = model.workflow_time(&wf).to_bits();
+                let written: Vec<Vec<u8>> = plan
+                    .jobs
+                    .iter()
+                    .chain(plan.final_job.iter())
+                    .filter_map(|j| cat.dfs.peek(&j.output))
+                    .flat_map(|ds| {
+                        ds.blocks
+                            .iter()
+                            .map(|b| b.as_ref().to_vec())
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                plan.cleanup(&cat.dfs);
+                cat.dfs.remove(&plan.output_dataset);
+                match classes.iter().find(|c| c.0 == print) {
+                    Some((_, first, first_cost, first_written)) => {
+                        assert_eq!(cost, *first_cost, "{} vs {first}: cost", cand.name);
+                        assert!(written == *first_written, "{} vs {first}: bytes", cand.name);
+                        twins.push(cand.name.clone());
+                    }
+                    None => classes.push((print, cand.name.clone(), cost, written)),
+                }
+            }
+        }
+        twins
+    }
+
+    /// Fingerprint soundness where the enumerator relies on it — tiny BSBM
+    /// MG1–MG4 — on a chem query whose Hive plans map-join and substitute
+    /// ExtVP scans, and on a query whose α-join prunes.
+    #[test]
+    fn equal_fingerprints_price_and_write_identically() {
+        let bsbm = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
+        for id in ["MG1", "MG2", "MG3", "MG4"] {
+            let twins = twins_of_sound_classes(&bsbm, &aq_of(&query(id).sparql));
+            // No gate is installed and every block lacks a positive α term,
+            // so both knobs are vacuous here.
+            for vacuous in ["rapida alpha=off par=on msc=on", "rapida extvp=off"] {
+                assert!(
+                    twins.iter().any(|t| t == vacuous),
+                    "{id}: {vacuous} is no twin"
+                );
+            }
+        }
+
+        let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
+        let aq = aq_of(&query("MG6").sparql);
+        let fixed = HiveNaive::default().plan(&aq, &chem).unwrap().dump();
+        assert!(
+            fixed.contains("[map-join]") && fixed.contains("extvp_"),
+            "{fixed}"
+        );
+        twins_of_sound_classes(&chem, &aq);
+
+        let (cat, aq) = alpha_case();
+        let twins = twins_of_sound_classes(&cat, &aq);
+        assert!(
+            !twins.iter().any(|t| t.starts_with("rapida alpha=off")),
+            "{twins:?}"
+        );
+    }
+
+    /// Every knob that changes what a plan does changes its fingerprint —
+    /// each checked on a query where it is live — and a plan with one
+    /// unsigned job has none. (The ExtVP subject gate is checked where the
+    /// gate is: `extvp_subject_gate_prunes_shuffle_but_not_output`.)
+    #[test]
+    fn live_knobs_move_the_fingerprint() {
+        let print = |e: &dyn QueryEngine, aq: &AnalyticalQuery, cat: &DataCatalog| {
+            e.plan(aq, cat).unwrap().fingerprint().expect("signed")
+        };
+        let bsbm = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
+        let mg1 = aq_of(&query("MG1").sparql);
+        let mg3 = aq_of(&query("MG3").sparql);
+
+        let hive = |config: HiveConfig| HiveNaive {
+            config,
+            cost_model: None,
+        };
+        let fixed = print(&HiveNaive::default(), &mg1, &bsbm);
+        assert_eq!(
+            fixed,
+            print(&HiveNaive::default(), &mg1, &bsbm),
+            "plan ids leak"
+        );
+        assert!(fixed.contains("map-join"), "{fixed}");
+        for (knob, config) in [
+            (
+                "map_side_agg",
+                HiveConfig {
+                    map_side_agg: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "a threshold that flips a join",
+                HiveConfig {
+                    map_join_threshold: 0,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            assert_ne!(fixed, print(&hive(config), &mg1, &bsbm), "{knob}");
+        }
+
+        let ra = RapidAnalytics::default();
+        for (knob, e) in [
+            (
+                "map_side_combine",
+                RapidAnalytics {
+                    map_side_combine: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "legacy_owned",
+                RapidAnalytics {
+                    legacy_owned: true,
+                    ..Default::default()
+                },
+            ),
+            (
+                "parallel_agg",
+                RapidAnalytics {
+                    parallel_agg: false,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            assert_ne!(print(&ra, &mg1, &bsbm), print(&e, &mg1, &bsbm), "{knob}");
+        }
+        let rp_combine_off = RapidPlus {
+            map_side_combine: false,
+            ..Default::default()
+        };
+        assert_ne!(
+            print(&RapidPlus::default(), &mg1, &bsbm),
+            print(&rp_combine_off, &mg1, &bsbm)
+        );
+
+        // A join order other than the default one, on three-star blocks.
+        let reordered = RapidPlus {
+            join_orders: vec![vec![1, 0], vec![1, 0]],
+            ..Default::default()
+        };
+        assert_ne!(
+            print(&RapidPlus::default(), &mg3, &bsbm),
+            print(&reordered, &mg3, &bsbm)
+        );
+
+        // α pruning: vacuous on MG1 (block 1 has no positive term), live
+        // where every block has one — there it drops joined pairs.
+        let no_alpha = RapidAnalytics {
+            alpha_pruning: false,
+            ..Default::default()
+        };
+        assert_eq!(print(&ra, &mg1, &bsbm), print(&no_alpha, &mg1, &bsbm));
+        let (cat, aq) = alpha_case();
+        assert_ne!(print(&ra, &aq, &cat), print(&no_alpha, &aq, &cat));
+        let joined_records = |e: &RapidAnalytics| {
+            let plan = e.plan(&aq, &cat).unwrap();
+            let wf = plan.try_run(&Engine::pinned(cat.dfs.clone())).unwrap();
+            plan.cleanup(&cat.dfs);
+            cat.dfs.remove(&plan.output_dataset);
+            wf.jobs[0].output_records
+        };
+        assert!(joined_records(&ra) < joined_records(&no_alpha));
+
+        // ExtVP scan substitution, on a query that has one.
+        let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
+        let mg6 = aq_of(&query("MG6").sparql);
+        let no_extvp = hive(HiveConfig {
+            use_extvp: false,
+            ..Default::default()
+        });
+        assert_ne!(
+            print(&HiveNaive::default(), &mg6, &chem),
+            print(&no_extvp, &mg6, &chem)
+        );
+
+        let mut plan = ra.plan(&mg1, &bsbm).unwrap();
+        plan.jobs[0].sig.clear();
+        assert_eq!(plan.fingerprint(), None);
+    }
+
+    #[test]
+    fn an_unsigned_plan_is_in_no_class() {
+        let p = |s: &str| Some(s.to_string());
+        assert_eq!(
+            class_reps(&[p("a"), None, p("b"), p("a"), None, p("b")]),
+            vec![0, 1, 2, 0, 4, 2]
+        );
+    }
 
     /// How many candidates are dry-run side by side never shows in the
     /// outcome: same choice, same costs to the bit, same reports.

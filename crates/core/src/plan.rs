@@ -54,6 +54,19 @@ pub struct FinalJoinCfg {
     pub output: Vec<CellSrc>,
 }
 
+impl FinalJoinCfg {
+    /// Everything [`FinalJoinFactory`] and [`FinalJoinTask`] read, as text
+    /// (see [`Job::sig`]); exhaustive, so a new field cannot be left out.
+    pub fn sig(&self) -> String {
+        let FinalJoinCfg {
+            datasets,
+            joins,
+            output,
+        } = self;
+        format!("final-join {datasets:?} on{joins:?} out{output:?}")
+    }
+}
+
 type BlockTables = Vec<FxHashMap<Vec<u64>, Vec<AggRec>>>;
 
 /// Factory for the final-join map task; loads the broadcast blocks lazily.
@@ -325,6 +338,16 @@ impl QueryPlan {
         s
     }
 
+    /// `s` with the per-compilation plan id replaced by `«P»`, so that two
+    /// compilations of one plan read the same.
+    fn without_plan_id(&self, s: &str) -> String {
+        if self.plan_id.is_empty() {
+            s.to_string()
+        } else {
+            s.replace(&self.plan_id, "«P»")
+        }
+    }
+
     /// A compact, *stable* textual plan dump: like [`QueryPlan::explain`]
     /// but with the per-compilation plan id replaced by `«P»`, so two
     /// compilations of the same plan produce byte-identical dumps. This is
@@ -376,11 +399,44 @@ impl QueryPlan {
                 OutputKind::AggRecs { .. } => "agg-recs",
             }
         ));
-        if self.plan_id.is_empty() {
-            s
-        } else {
-            s.replace(&self.plan_id, "«P»")
+        self.without_plan_id(&s)
+    }
+
+    /// What this plan does, as text: every job's operator fingerprint
+    /// ([`Job::sig`]) with its inputs, output, reducer count,
+    /// combiner/reducer presence and cost tag, then the fixups and the
+    /// output decoding, with the per-compilation plan id replaced by `«P»`
+    /// as in [`QueryPlan::dump`]. `None` when a job carries no `sig`.
+    ///
+    /// Two plans compiled over one catalog with equal fingerprints run the
+    /// same operators over the same datasets: on an engine without a fault
+    /// plan they write the same bytes and meter the same counters, so the
+    /// enumerator prices them with one execution.
+    pub fn fingerprint(&self) -> Option<String> {
+        use fmt::Write;
+        let mut s = String::new();
+        for job in self.jobs.iter().chain(self.final_job.iter()) {
+            if job.sig.is_empty() {
+                return None;
+            }
+            let _ = writeln!(
+                s,
+                "{} <- {:?} -> {} r{} c{} red{} [{}]",
+                job.sig,
+                job.inputs,
+                job.output,
+                job.num_reducers,
+                job.combiner.is_some(),
+                job.reducer.is_some(),
+                job.tag
+            );
         }
+        let _ = write!(
+            s,
+            "{:?} {} {:?}",
+            self.fixups, self.output_dataset, self.output
+        );
+        Some(self.without_plan_id(&s))
     }
 
     /// Execute against an MR engine, returning the result relation and the
@@ -682,6 +738,7 @@ pub fn finish_plan(
     });
     let final_job = rapida_mapred::JobBuilder::new(format!("{engine}:final-join"))
         .input(block_datasets[0].clone())
+        .sig(cfg.sig())
         .mapper(Arc::new(FinalJoinFactory::new(cfg, dfs.clone())))
         .output(out_name.clone())
         .tag("final")

@@ -125,7 +125,9 @@ impl ScanKind {
     ///
     /// Returns `false` when the record is malformed and was quarantined —
     /// callers surface that through `MapOutput::skip_corrupt` so undecodable
-    /// input is counted, never silently dropped.
+    /// input is counted, never silently dropped. A `Rows(w)` record that
+    /// decodes to fewer than `w` cells is malformed too: every consumer
+    /// indexes the row by columns below `w`.
     fn scan(&self, rec: &[u8], row: &mut Vec<RVal>, mut sink: impl FnMut(&[RVal])) -> bool {
         match self {
             ScanKind::VpFull => {
@@ -161,8 +163,8 @@ impl ScanKind {
                     }
                 }
             }
-            ScanKind::Rows(_) => {
-                if !decode_row_into(rec, row) {
+            ScanKind::Rows(w) => {
+                if !decode_row_into(rec, row) || row.len() < *w {
                     return false;
                 }
                 sink(row);
@@ -200,6 +202,33 @@ pub struct JoinCycleCfg {
     pub numeric: NumericSnapshot,
     /// Lexical snapshot.
     pub lexical: LexicalSnapshot,
+}
+
+/// The catalog snapshots stand in a [`rapida_mapred::Job::sig`] by address:
+/// one catalog hands every plan the same two `Arc`s, and printing them
+/// would cost more than the plan.
+fn snapshots_sig(numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> String {
+    format!("n{:p} l{:p}", Arc::as_ptr(numeric), Arc::as_ptr(lexical))
+}
+
+impl JoinCycleCfg {
+    /// Everything [`JoinMapTask`] and [`JoinReduceTask`] read, as text (see
+    /// [`rapida_mapred::Job::sig`]). The destructuring is exhaustive so that
+    /// a new field cannot be left out.
+    pub fn sig(&self) -> String {
+        let JoinCycleCfg {
+            inputs,
+            output_cols,
+            eq_checks,
+            post_preds,
+            numeric,
+            lexical,
+        } = self;
+        format!(
+            "join {inputs:?} out{output_cols:?} eq{eq_checks:?} post{post_preds:?} {}",
+            snapshots_sig(numeric, lexical)
+        )
+    }
 }
 
 /// ORC-style row-group skipping: can the whole segment be skipped because
@@ -478,7 +507,94 @@ pub struct MapJoinCfg {
     pub lexical: LexicalSnapshot,
 }
 
-type SmallTables = Vec<FxHashMap<u64, Vec<Vec<RVal>>>>;
+impl MapJoinCfg {
+    /// Everything [`MapJoinFactory`] and [`MapJoinTask`] read (see
+    /// [`JoinCycleCfg::sig`]); the broadcast sides are read by dataset name.
+    pub fn sig(&self) -> String {
+        let MapJoinCfg {
+            stream,
+            smalls,
+            output_cols,
+            eq_checks,
+            post_preds,
+            numeric,
+            lexical,
+        } = self;
+        format!(
+            "map-join {stream:?} {smalls:?} out{output_cols:?} eq{eq_checks:?} \
+             post{post_preds:?} {}",
+            snapshots_sig(numeric, lexical)
+        )
+    }
+}
+
+/// One broadcast side in memory, flat: every kept row's cells sit back to
+/// back in one arena, `rows` lists them grouped by join key with arrival
+/// order kept inside a key, and `index` maps a key to its run in `rows`.
+/// Building it allocates per buffer growth, never per row, and dropping it
+/// frees three buffers.
+struct SmallTable {
+    cells: Vec<RVal>,
+    /// `(start, len)` into `cells`.
+    rows: Vec<(u32, u32)>,
+    /// Key → `(first, count)` into `rows`; only keys with a row are present.
+    index: FxHashMap<u64, (u32, u32)>,
+}
+
+impl SmallTable {
+    /// Load `small` from the DFS. Malformed records are dropped: broadcast
+    /// sides load at cache-build time, off the task path, like any
+    /// driver-side read; task-level quarantine counters cover the stream
+    /// side. Rows whose key cell is not an id never match and are not kept.
+    fn load(small: &MapJoinSmall, cfg: &MapJoinCfg, dfs: &SimDfs) -> SmallTable {
+        let pos = |n: usize| u32::try_from(n).expect("broadcast side within u32 cells");
+        let mut cells: Vec<RVal> = Vec::new();
+        // `(key, start, len)` in arrival order.
+        let mut arrived: Vec<(u64, u32, u32)> = Vec::new();
+        let mut row_buf = Vec::new();
+        if let Some(ds) = dfs.get(&small.dataset) {
+            for rec in ds.iter_records() {
+                let _ = small.scan.scan(rec, &mut row_buf, |row| {
+                    let keep = |p: &PredOnCol| p.eval(row, &cfg.numeric, &cfg.lexical);
+                    if !small.scan_preds.iter().all(keep) {
+                        return;
+                    }
+                    if let RVal::Id(k) = row[small.key_col] {
+                        arrived.push((k, pos(cells.len()), pos(row.len())));
+                        cells.extend_from_slice(row);
+                    }
+                });
+            }
+        }
+        // Stable, so a key's rows stay in arrival order — the order the
+        // probe emits them in.
+        arrived.sort_by_key(|&(k, _, _)| k);
+        let distinct = arrived.chunk_by(|a, b| a.0 == b.0).count();
+        let mut index = FxHashMap::default();
+        index.reserve(distinct);
+        let mut first = 0;
+        for run in arrived.chunk_by(|a, b| a.0 == b.0) {
+            index.insert(run[0].0, (pos(first), pos(run.len())));
+            first += run.len();
+        }
+        SmallTable {
+            cells,
+            rows: arrived
+                .iter()
+                .map(|&(_, start, len)| (start, len))
+                .collect(),
+            index,
+        }
+    }
+
+    /// The rows matching `key`, as cell slices in arrival order.
+    fn matches(&self, key: u64) -> impl Iterator<Item = &[RVal]> {
+        let (first, count) = self.index.get(&key).copied().unwrap_or((0, 0));
+        self.rows[first as usize..][..count as usize]
+            .iter()
+            .map(|&(start, len)| &self.cells[start as usize..][..len as usize])
+    }
+}
 
 /// Factory for map-join tasks; loads the broadcast sides lazily on first
 /// task creation (by which time the producing jobs have run) — the
@@ -486,7 +602,7 @@ type SmallTables = Vec<FxHashMap<u64, Vec<Vec<RVal>>>>;
 pub struct MapJoinFactory {
     cfg: Arc<MapJoinCfg>,
     dfs: SimDfs,
-    cache: OnceLock<Arc<SmallTables>>,
+    cache: OnceLock<Arc<Vec<SmallTable>>>,
 }
 
 impl MapJoinFactory {
@@ -499,36 +615,11 @@ impl MapJoinFactory {
         }
     }
 
-    fn tables(&self) -> Arc<SmallTables> {
+    fn tables(&self) -> Arc<Vec<SmallTable>> {
         self.cache
             .get_or_init(|| {
-                let mut tables = Vec::with_capacity(self.cfg.smalls.len());
-                let mut row_buf = Vec::new();
-                for small in &self.cfg.smalls {
-                    let mut map: FxHashMap<u64, Vec<Vec<RVal>>> = FxHashMap::default();
-                    if let Some(ds) = self.dfs.get(&small.dataset) {
-                        for rec in ds.iter_records() {
-                            // Broadcast sides load at cache-build time, off
-                            // the task path — malformed records are dropped
-                            // here like any driver-side read; task-level
-                            // quarantine counters cover the stream side.
-                            let _ = small.scan.scan(rec, &mut row_buf, |row| {
-                                if !small
-                                    .scan_preds
-                                    .iter()
-                                    .all(|p| p.eval(row, &self.cfg.numeric, &self.cfg.lexical))
-                                {
-                                    return;
-                                }
-                                if let RVal::Id(k) = row[small.key_col] {
-                                    map.entry(k).or_default().push(row.to_vec());
-                                }
-                            });
-                        }
-                    }
-                    tables.push(map);
-                }
-                Arc::new(tables)
+                let load = |small| SmallTable::load(small, &self.cfg, &self.dfs);
+                Arc::new(self.cfg.smalls.iter().map(load).collect())
             })
             .clone()
     }
@@ -550,7 +641,7 @@ impl MapTaskFactory for MapJoinFactory {
 /// output encoding all live in reusable per-task scratch buffers.
 pub struct MapJoinTask {
     cfg: Arc<MapJoinCfg>,
-    tables: Arc<SmallTables>,
+    tables: Arc<Vec<SmallTable>>,
     row_buf: Vec<RVal>,
     acc_buf: Vec<RVal>,
     out_buf: Vec<u8>,
@@ -586,26 +677,21 @@ impl MapJoinTask {
         }
         let small = &self.cfg.smalls[i];
         let width = small.scan.width();
-        let key = acc[small.probe_col].id();
-        let matches = key.and_then(|k| self.tables[i].get(&k));
-        match matches {
-            Some(rows) if !rows.is_empty() => {
-                for r in rows {
-                    let base = acc.len();
-                    acc.extend_from_slice(r);
-                    self.probe(i + 1, acc, out_buf, out);
-                    acc.truncate(base);
-                }
+        let base = acc.len();
+        let mut matched = false;
+        if let Some(key) = acc[small.probe_col].id() {
+            for r in self.tables[i].matches(key) {
+                matched = true;
+                acc.extend_from_slice(r);
+                self.probe(i + 1, acc, out_buf, out);
+                acc.truncate(base);
             }
-            _ => {
-                if small.optional {
-                    let base = acc.len();
-                    acc.extend(std::iter::repeat_n(RVal::Null, width));
-                    self.probe(i + 1, acc, out_buf, out);
-                    acc.truncate(base);
-                }
-                // Required side with no match: row is dropped.
-            }
+        }
+        // A required side with no match drops the row.
+        if !matched && small.optional {
+            acc.extend(std::iter::repeat_n(RVal::Null, width));
+            self.probe(i + 1, acc, out_buf, out);
+            acc.truncate(base);
         }
     }
 }
@@ -665,6 +751,28 @@ pub struct GroupAggCfg {
     /// Map-side hash partial aggregation (Hive's hash-based map
     /// aggregation). Ablation knob.
     pub map_side_combine: bool,
+}
+
+impl GroupAggCfg {
+    /// Everything [`GroupAggMapTask`] and [`GroupAggReduceTask`] read (see
+    /// [`JoinCycleCfg::sig`]).
+    pub fn sig(&self) -> String {
+        let GroupAggCfg {
+            block_id,
+            scan,
+            scan_preds,
+            group_cols,
+            aggs,
+            numeric,
+            lexical,
+            map_side_combine,
+        } = self;
+        format!(
+            "group-agg b{block_id} {scan:?} {scan_preds:?} by{group_cols:?} {aggs:?} \
+             msc={map_side_combine} {}",
+            snapshots_sig(numeric, lexical)
+        )
+    }
 }
 
 /// Map task: partial aggregation keyed by the group values. Combining runs
@@ -863,6 +971,17 @@ pub struct DistinctCfg {
     pub project_cols: Vec<usize>,
     /// Columns that must be non-null for the row to belong to the pattern.
     pub required_cols: Vec<usize>,
+}
+
+impl DistinctCfg {
+    /// Everything [`DistinctMapTask`] reads (see [`JoinCycleCfg::sig`]).
+    pub fn sig(&self) -> String {
+        let DistinctCfg {
+            project_cols,
+            required_cols,
+        } = self;
+        format!("distinct {project_cols:?} req{required_cols:?}")
+    }
 }
 
 /// Map task: validate, project, map-side dedup, emit row as key. The
@@ -1169,6 +1288,33 @@ mod tests {
         assert_eq!(recs[0].key, vec![1]);
         assert_eq!(recs[0].values, vec![Some(30.0), Some(2.0)]);
         assert_eq!(recs[1].values, vec![Some(10.0), Some(1.0)]);
+    }
+
+    /// A `Rows(2)` record that decodes to one cell is quarantined at the
+    /// scan: the group column and the aggregate argument it lacks are never
+    /// indexed, and the well-formed row beside it still aggregates.
+    #[test]
+    fn group_agg_quarantines_rows_narrower_than_its_scan() {
+        for map_side_combine in [true, false] {
+            let (numeric, lexical) = empty_snapshots();
+            let mut task = GroupAggMapTask::new(Arc::new(GroupAggCfg {
+                block_id: 0,
+                scan: ScanKind::Rows(2),
+                scan_preds: vec![],
+                group_cols: vec![1],
+                aggs: vec![(AggOp::Count, Some(1))],
+                numeric,
+                lexical,
+                map_side_combine,
+            }));
+            let mut out = MapOutput::default();
+            for row in [vec![RVal::Id(1)], vec![RVal::Id(1), RVal::Id(2)], vec![]] {
+                task.map(InputSrc { dataset: 0 }, &row_bytes(&row), &mut out);
+            }
+            task.cleanup(&mut out);
+            assert_eq!(out.corrupt_records, 2);
+            assert_eq!(out.kvs.len(), 1);
+        }
     }
 
     #[test]

@@ -153,7 +153,10 @@ impl GroupingSetsQuery {
                     .collect()];
                 (
                     cat.tg.datasets_covering_any(&reqs),
-                    vec![(planner.specs[0].clone(), planner.prefilters[0].clone())],
+                    vec![(
+                        planner.specs[0].clone(),
+                        planner.prefilters[0].apply.clone(),
+                    )],
                 )
             }
         };

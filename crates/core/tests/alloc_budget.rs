@@ -1,7 +1,9 @@
-//! Allocation-budget test for the Hive reduce-side join.
+//! Allocation-budget tests for the Hive joins.
 //!
 //! Installs [`rapida_testkit::alloc_gauge::CountingAlloc`] as this test
-//! binary's global allocator and drives [`JoinReduceTask`] directly over
+//! binary's global allocator.
+//!
+//! **Reduce-side join.** Drives [`JoinReduceTask`] directly over
 //! 2 000 three-value key groups (the shape of the VP joins: a couple of
 //! rows per subject), comparing allocator traffic with the owned reducer
 //! it replaced ([`common::ReferenceJoinReduce`]):
@@ -14,20 +16,39 @@
 //!   vectors, decoded rows, selection, merged row, encode buffer), so the
 //!   task must come in at least 3x below it on identical input.
 //!
-//! Everything is measured single-threaded in one `#[test]` — the gauge's
-//! counters are global.
+//! **Map-side join.** Builds the broadcast table of [`MapJoinFactory`] from
+//! a 20 000-row side, probes it with 20 000 stream records and drops it,
+//! beside the owned map it replaced ([`common::ReferenceMapJoin`], one heap
+//! row per broadcast row):
+//!
+//! * the build allocates per buffer growth — at most 64 times, and at least
+//!   100x less often than the owned map;
+//! * a warm task allocates nothing per stream record (only the output sink
+//!   grows, amortized);
+//! * dropping the table frees its three buffers and the two blocks that
+//!   hold the table list, where the owned map frees a block per row.
+//!
+//! The gauge's counters are global, so the tests take [`GAUGE`] and measure
+//! one at a time.
 
 mod common;
 
-use common::{value, ReferenceJoinReduce};
-use rapida_core::relops::{JoinCycleCfg, JoinInputCfg, JoinReduceTask, ScanKind};
-use rapida_core::rows::RVal;
-use rapida_mapred::{ReduceOutput, ReduceTask};
+use common::{value, ReferenceJoinReduce, ReferenceMapJoin};
+use rapida_core::relops::{
+    JoinCycleCfg, JoinInputCfg, JoinReduceTask, MapJoinCfg, MapJoinFactory, MapJoinSmall, ScanKind,
+};
+use rapida_core::rows::{row_bytes, RVal};
+use rapida_mapred::{
+    DatasetWriter, InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
+};
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Held by whichever test is measuring.
+static GAUGE: Mutex<()> = Mutex::new(());
 
 const GROUPS: usize = 2_000;
 const VALUES: usize = 3 * GROUPS;
@@ -89,6 +110,7 @@ fn measure(task: &mut dyn ReduceTask, groups: &[Vec<Vec<u8>>]) -> (u64, Vec<Vec<
 
 #[test]
 fn join_reduce_allocations_bounded() {
+    let _measuring = GAUGE.lock().unwrap();
     let groups = groups();
     let (arena_allocs, arena_out) = measure(&mut JoinReduceTask::new(cfg()), &groups);
     let (owned_allocs, owned_out) = measure(&mut ReferenceJoinReduce { cfg: cfg() }, &groups);
@@ -113,5 +135,103 @@ fn join_reduce_allocations_bounded() {
         arena_allocs * 3 <= owned_allocs,
         "join reducer ({arena_allocs}) must allocate at least 3x less than \
          the owned one ({owned_allocs})"
+    );
+}
+
+const SIDE_ROWS: u64 = 20_000;
+
+/// Run `f` and return `(its result, allocations, frees)`.
+fn gauged<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    alloc_gauge::reset();
+    let out = f();
+    (out, alloc_gauge::counters().0, alloc_gauge::frees())
+}
+
+/// Probe `task` with every stream record, warm first, and return the
+/// allocations of the second pass and what it wrote.
+fn probe(task: &mut dyn MapTask, stream: &[Vec<u8>]) -> (u64, Vec<Vec<u8>>) {
+    let pass = |task: &mut dyn MapTask| {
+        let mut out = MapOutput::default();
+        for rec in stream {
+            task.map(InputSrc { dataset: 0 }, rec, &mut out);
+        }
+        out
+    };
+    pass(task);
+    let (out, allocs, _) = gauged(|| pass(task));
+    (allocs, out.records.iter().map(<[u8]>::to_vec).collect())
+}
+
+#[test]
+fn map_join_table_allocations_bounded() {
+    let _measuring = GAUGE.lock().unwrap();
+    let id_row = |a: u64, b: u64| row_bytes(&[RVal::Id(a), RVal::Id(b)]);
+    // Two broadcast rows per key, the pair split far apart in arrival order.
+    let dfs = SimDfs::new();
+    let mut side = DatasetWriter::new(4096);
+    for i in 0..SIDE_ROWS {
+        side.push(&id_row(i % (SIDE_ROWS / 2), 1_000_000 + i));
+    }
+    dfs.put("side", side.finish());
+    // One stream record in four probes a key the side does not have.
+    let stream: Vec<Vec<u8>> = (0..SIDE_ROWS)
+        .map(|i| id_row(if i % 4 == 0 { SIDE_ROWS + i } else { i / 2 }, i))
+        .collect();
+    let cfg = Arc::new(MapJoinCfg {
+        stream: JoinInputCfg {
+            scan: ScanKind::Rows(2),
+            key_col: 0,
+            scan_preds: Vec::new(),
+            optional: false,
+        },
+        smalls: vec![MapJoinSmall {
+            dataset: "side".into(),
+            scan: ScanKind::Rows(2),
+            key_col: 0,
+            probe_col: 0,
+            optional: false,
+            scan_preds: Vec::new(),
+        }],
+        output_cols: vec![0, 1, 3],
+        eq_checks: Vec::new(),
+        post_preds: Vec::new(),
+        numeric: Arc::new(Vec::new()),
+        lexical: Arc::new(Vec::new()),
+    });
+
+    let factory = MapJoinFactory::new(cfg.clone(), dfs.clone());
+    let (mut flat, flat_build, _) = gauged(|| factory.create());
+    let (mut owned, owned_build, _) = gauged(|| ReferenceMapJoin::load(cfg.clone(), &dfs));
+    assert!(
+        flat_build <= 64,
+        "building the flat table allocated {flat_build} times"
+    );
+    assert!(
+        flat_build * 100 <= owned_build,
+        "flat build ({flat_build}) must allocate at least 100x less than the owned map \
+         ({owned_build})"
+    );
+
+    let (flat_probe, flat_out) = probe(&mut *flat, &stream);
+    let (_, owned_out) = probe(&mut owned, &stream);
+    assert_eq!(flat_out, owned_out, "variants must agree on output");
+    assert_eq!(flat_out.len() as u64, SIDE_ROWS / 4 * 3 * 2);
+    assert!(
+        flat_probe <= 64,
+        "warm map-join task allocated {flat_probe} times over {SIDE_ROWS} stream records"
+    );
+
+    // The task shares the table with the factory's cache; `cfg` and `dfs`
+    // stay alive here, so what the factory frees is the table alone.
+    drop(flat);
+    let ((), _, flat_frees) = gauged(|| drop(factory));
+    let ((), _, owned_frees) = gauged(|| drop(owned));
+    assert!(
+        flat_frees <= 3 + 2,
+        "dropping the flat table freed {flat_frees} blocks"
+    );
+    assert!(
+        owned_frees >= SIDE_ROWS,
+        "the owned map should free a block per row, freed {owned_frees}"
     );
 }

@@ -1,18 +1,31 @@
-//! The reduce-side join reducer as it was before the scratch-arena rewrite,
-//! kept as the reference oracle for `join_reduce_identity.rs` and the
-//! allocation baseline for `alloc_budget.rs`: it decodes every value into an
-//! owned `Vec<RVal>`, rebuilds its buckets and selection per key, collects
-//! each merged row and encodes it into a fresh buffer.
+//! The owned-row join operators as they were before their flat rewrites,
+//! kept as reference oracles for the identity suites and allocation
+//! baselines for `alloc_budget.rs`.
 //!
-//! One deliberate deviation from the old code: a value whose input tag names
-//! no input goes through `skip_corrupt` (the old reducer dropped it without
+//! [`ReferenceJoinReduce`] is the reduce-side join reducer before the
+//! scratch-arena rewrite (`join_reduce_identity.rs`): it decodes every value
+//! into an owned `Vec<RVal>`, rebuilds its buckets and selection per key,
+//! collects each merged row and encodes it into a fresh buffer. One
+//! deliberate deviation from the old code: a value whose input tag names no
+//! input goes through `skip_corrupt` (the old reducer dropped it without
 //! counting). Rows narrower than a column the join reads made the old code
 //! panic on an index; the tests never feed the reference such a row.
+//!
+//! [`ReferenceMapJoin`] is the broadcast join before the flat broadcast
+//! table (`map_join_identity.rs`): every small side is a
+//! `FxHashMap<u64, Vec<Vec<RVal>>>`, one heap row per broadcast row. Its one
+//! deviation: a row record narrower than its scan's width is malformed
+//! (counted on the stream side, dropped on the build side), where the old
+//! code indexed past the row.
 
-use rapida_core::relops::{JoinCycleCfg, PredOnCol};
+#![allow(dead_code)] // each test binary uses its own part
+
+use rapida_core::relops::{JoinCycleCfg, LexicalSnapshot, MapJoinCfg, PredOnCol, ScanKind};
 use rapida_core::rows::{decode_row, encode_row, row_bytes, RVal};
 use rapida_mapred::codec::{read_varint, write_varint};
-use rapida_mapred::{ReduceOutput, ReduceTask};
+use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs};
+use rapida_ntga::NumericSnapshot;
+use rapida_rdf::FxHashMap;
 use std::sync::Arc;
 
 /// One shuffled value of a join cycle, as `JoinMapTask` emits it:
@@ -28,9 +41,14 @@ pub struct ReferenceJoinReduce {
     pub cfg: Arc<JoinCycleCfg>,
 }
 
-fn eval_pred(p: &PredOnCol, row: &[RVal], cfg: &JoinCycleCfg) -> bool {
+fn eval_pred(
+    p: &PredOnCol,
+    row: &[RVal],
+    numeric: &NumericSnapshot,
+    lexical: &LexicalSnapshot,
+) -> bool {
     match row[p.col] {
-        RVal::Id(id) => p.pred.eval(id, &cfg.numeric, &cfg.lexical),
+        RVal::Id(id) => p.pred.eval(id, numeric, lexical),
         RVal::Num(_) | RVal::Null => false,
     }
 }
@@ -120,10 +138,101 @@ impl ReferenceJoinReduce {
             .cfg
             .post_preds
             .iter()
-            .all(|p| eval_pred(p, &row, &self.cfg))
+            .all(|p| eval_pred(p, &row, &self.cfg.numeric, &self.cfg.lexical))
         {
             return;
         }
         out.write(&row_bytes(&row));
+    }
+}
+
+/// Decode one record of a `Rows(w)` input; `None` = malformed.
+fn scan_row(scan: &ScanKind, rec: &[u8]) -> Option<Vec<RVal>> {
+    let ScanKind::Rows(w) = scan else {
+        panic!("the reference map-join reads row datasets only");
+    };
+    decode_row(rec).filter(|row| row.len() >= *w)
+}
+
+pub struct ReferenceMapJoin {
+    cfg: Arc<MapJoinCfg>,
+    tables: Vec<FxHashMap<u64, Vec<Vec<RVal>>>>,
+}
+
+impl ReferenceMapJoin {
+    /// Load every broadcast side into an owned map, one `Vec` per row.
+    pub fn load(cfg: Arc<MapJoinCfg>, dfs: &SimDfs) -> Self {
+        let mut tables = Vec::with_capacity(cfg.smalls.len());
+        for small in &cfg.smalls {
+            let mut map: FxHashMap<u64, Vec<Vec<RVal>>> = FxHashMap::default();
+            if let Some(ds) = dfs.get(&small.dataset) {
+                for row in ds.iter_records().filter_map(|r| scan_row(&small.scan, r)) {
+                    let keep = |p: &PredOnCol| eval_pred(p, &row, &cfg.numeric, &cfg.lexical);
+                    if !small.scan_preds.iter().all(keep) {
+                        continue;
+                    }
+                    if let RVal::Id(k) = row[small.key_col] {
+                        map.entry(k).or_default().push(row);
+                    }
+                }
+            }
+            tables.push(map);
+        }
+        ReferenceMapJoin { cfg, tables }
+    }
+
+    fn probe(&self, i: usize, acc: &mut Vec<RVal>, out: &mut MapOutput) {
+        let cfg = &self.cfg;
+        if i == cfg.smalls.len() {
+            for (a, b) in &cfg.eq_checks {
+                if let (RVal::Id(x), RVal::Id(y)) = (acc[*a], acc[*b]) {
+                    if x != y {
+                        return;
+                    }
+                }
+            }
+            let keep = |p: &PredOnCol| eval_pred(p, acc, &cfg.numeric, &cfg.lexical);
+            if !cfg.post_preds.iter().all(keep) {
+                return;
+            }
+            let row: Vec<RVal> = cfg.output_cols.iter().map(|&c| acc[c]).collect();
+            out.write(&row_bytes(&row));
+            return;
+        }
+        let small = &cfg.smalls[i];
+        let key = acc[small.probe_col].id();
+        match key.and_then(|k| self.tables[i].get(&k)) {
+            Some(rows) => {
+                for r in rows {
+                    let base = acc.len();
+                    acc.extend_from_slice(r);
+                    self.probe(i + 1, acc, out);
+                    acc.truncate(base);
+                }
+            }
+            None if small.optional => {
+                let base = acc.len();
+                acc.extend(std::iter::repeat_n(RVal::Null, small.scan.width()));
+                self.probe(i + 1, acc, out);
+                acc.truncate(base);
+            }
+            None => {}
+        }
+    }
+}
+
+impl MapTask for ReferenceMapJoin {
+    fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
+        let stream = &self.cfg.stream;
+        let Some(row) = scan_row(&stream.scan, record) else {
+            out.skip_corrupt();
+            return;
+        };
+        let keep = |p: &PredOnCol| eval_pred(p, &row, &self.cfg.numeric, &self.cfg.lexical);
+        if !stream.scan_preds.iter().all(keep) {
+            return;
+        }
+        let mut acc = row.clone();
+        self.probe(0, &mut acc, out);
     }
 }

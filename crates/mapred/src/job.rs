@@ -206,6 +206,14 @@ pub struct Job {
     /// planner is responsible for folding in everything the job's output
     /// depends on (engine config, plan signature, input identity).
     pub cache_key: Option<String>,
+    /// Operator fingerprint: a text that determines what this job's task
+    /// factories do to their input bytes — the whole operator config they
+    /// were built from — written by the planner that built them. Two jobs
+    /// with equal non-empty `sig`s, equal inputs and equal reducer count
+    /// write the same output bytes and meter the same counters on an engine
+    /// without a fault plan (injected faults are keyed by job *name*).
+    /// Empty (the default) means unknown, and is equal to nothing.
+    pub sig: String,
 }
 
 impl Job {
@@ -226,6 +234,7 @@ pub struct JobBuilder {
     num_reducers: usize,
     tag: String,
     cache_key: Option<String>,
+    sig: String,
 }
 
 impl JobBuilder {
@@ -241,7 +250,14 @@ impl JobBuilder {
             num_reducers: 4,
             tag: String::new(),
             cache_key: None,
+            sig: String::new(),
         }
+    }
+
+    /// Set the operator fingerprint (see [`Job::sig`]).
+    pub fn sig(mut self, sig: impl Into<String>) -> Self {
+        self.sig = sig.into();
+        self
     }
 
     /// Set the scan-cache key (see [`Job::cache_key`]).
@@ -305,6 +321,7 @@ impl JobBuilder {
             num_reducers: self.num_reducers,
             tag: self.tag,
             cache_key: self.cache_key,
+            sig: self.sig,
         }
     }
 }

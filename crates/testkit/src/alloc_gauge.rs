@@ -16,14 +16,16 @@
 //! Counters are global and relaxed-atomic: measurements are only meaningful
 //! when the bracketed section runs single-threaded (the typical shape is a
 //! single `#[test]` driving an operator loop directly). Reallocation counts
-//! as one allocation; deallocation is not tracked — the gauge measures
-//! allocator traffic, not live bytes.
+//! as one allocation; [`frees`] counts deallocations, so a test can bound
+//! what dropping a structure costs — the gauge measures allocator traffic,
+//! not live bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator counting every allocation.
 pub struct CountingAlloc;
@@ -51,6 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.fetch_add(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -65,10 +68,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 pub fn reset() {
     ALLOCS.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
+    FREES.store(0, Ordering::Relaxed);
 }
 
 /// Read the global counters: `(allocation count, bytes requested)` since
 /// the last [`reset`].
 pub fn counters() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
+}
+
+/// Deallocations since the last [`reset`].
+pub fn frees() -> u64 {
+    FREES.load(Ordering::Relaxed)
 }

@@ -31,8 +31,11 @@ cargo test -q --offline -p rapida-core --test plan_snapshots
 echo "==> plan-enumerator oracle smoke (perfbench --smoke: both enumerate_best winners vs sparql::evaluate)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload plan_costed
 
-echo "==> Hive join reducer smoke (owned-reducer oracle + allocation budget)"
-cargo test -q --offline -p rapida-core --test join_reduce_identity --test alloc_budget
+echo "==> Hive join smoke (owned reducer + owned broadcast-map oracles, allocation budgets)"
+cargo test -q --offline -p rapida-core --test join_reduce_identity --test map_join_identity --test alloc_budget
+
+echo "==> plan fingerprint smoke (every candidate dry-run: equal fingerprints price and write identically; live knobs move it)"
+cargo test -q --offline -p rapida-core --lib enumerate::tests
 
 echo "==> relational shuffle oracle smoke (perfbench --smoke: mg_hive vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_hive
