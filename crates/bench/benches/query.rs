@@ -1,16 +1,11 @@
-//! End-to-end Fig. 8 query benchmark: the zero-copy view operator path
-//! (`views`) against the pre-refactor owned-decode path (`legacy_owned`),
-//! MG1–MG4 on RAPIDAnalytics. Both paths produce byte-identical results
-//! (asserted by the engine-agreement and chaos suites); this group records
-//! the wall-clock gap in `BENCH_query.json`.
+//! End-to-end Fig. 8 query benchmark: MG1–MG4 on RAPIDAnalytics, the
+//! wall-clock cost of the NTGA operator path recorded as `views/MG*` in
+//! `BENCH_query.json` and tracked PR over PR as absolute times.
 //!
 //! Measured on the Fig. 8(b) BSBM-2M workbench — large enough that
 //! per-record operator cost dominates plan construction — with a
-//! single-worker MR engine so the ratio reflects operator cost, not
-//! scheduler jitter. The two variants are sampled *interleaved*
-//! (`bench_pair`) so machine-load drift cancels out of the ratio.
-
-mod common;
+//! single-worker MR engine so the number reflects operator cost, not
+//! scheduler jitter.
 
 use rapida_bench::Workbench;
 use rapida_core::engines::RapidAnalytics;
@@ -28,11 +23,7 @@ fn bench(c: &mut Criterion) {
     };
     wb.mr = Engine::with_workers(wb.cat.dfs.clone(), 1);
 
-    let views = RapidAnalytics::default();
-    let legacy = RapidAnalytics {
-        legacy_owned: true,
-        ..Default::default()
-    };
+    let engine = RapidAnalytics::default();
 
     let mut group = c.benchmark_group("query");
     group
@@ -41,13 +32,9 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(8));
     for id in ["MG1", "MG2", "MG3", "MG4"] {
         let q = query(id);
-        group.bench_pair(
-            BenchmarkId::new("views", id),
-            BenchmarkId::new("legacy_owned", id),
-            &q,
-            |q| wb.run(&views, q).expect("query runs"),
-            |q| wb.run(&legacy, q).expect("query runs"),
-        );
+        group.bench_with_input(BenchmarkId::new("views", id), &q, |b, q| {
+            b.iter(|| wb.run(&engine, q).expect("query runs"))
+        });
     }
     group.finish();
 }

@@ -28,9 +28,6 @@ const NUM_REDUCERS: usize = 8;
 pub struct RapidPlus {
     /// Map-side hash aggregation in Agg-Join (Algorithm 3 ablation knob).
     pub map_side_combine: bool,
-    /// Run operators on the owned-decode path instead of the borrowed
-    /// triplegroup views (benchmark baseline; byte-identical output).
-    pub legacy_owned: bool,
     /// Cost-based mode: enumerate candidate plans across the RAPID family,
     /// price each with this cluster model, and return the cheapest. `None`
     /// (default) keeps the fixed plan above.
@@ -52,7 +49,6 @@ impl Default for RapidPlus {
     fn default() -> Self {
         RapidPlus {
             map_side_combine: true,
-            legacy_owned: false,
             cost_model: None,
             join_orders: Vec::new(),
             use_extvp: true,
@@ -72,9 +68,6 @@ pub struct RapidAnalytics {
     /// Parallel evaluation of independent aggregations in one cycle
     /// (Fig. 6(b)); off = one Agg-Join cycle per block (Fig. 6(a)).
     pub parallel_agg: bool,
-    /// Run operators on the owned-decode path instead of the borrowed
-    /// triplegroup views (benchmark baseline; byte-identical output).
-    pub legacy_owned: bool,
     /// Cost-based mode: enumerate candidate plans across the RAPID family,
     /// price each with this cluster model, and return the cheapest. `None`
     /// (default) keeps the fixed plan above.
@@ -93,7 +86,6 @@ impl Default for RapidAnalytics {
             map_side_combine: true,
             alpha_pruning: true,
             parallel_agg: true,
-            legacy_owned: false,
             cost_model: None,
             join_orders: Vec::new(),
             use_extvp: true,
@@ -142,7 +134,6 @@ impl QueryEngine for RapidPlus {
                 prefilters,
                 edges,
                 conds: Arc::new(Vec::new()),
-                legacy_owned: self.legacy_owned,
             };
             let (mut join_jobs, joined) = planner.build_join_jobs()?;
             jobs.append(&mut join_jobs);
@@ -157,7 +148,6 @@ impl QueryEngine for RapidPlus {
                 vec![spec],
                 planner.agg_inputs(joined),
                 self.map_side_combine,
-                self.legacy_owned,
                 &out,
             ));
             block_datasets.push(out);
@@ -195,7 +185,6 @@ impl QueryEngine for RapidAnalytics {
                 // Otherwise evaluate like RAPID+.
                 let fallback = RapidPlus {
                     map_side_combine: self.map_side_combine,
-                    legacy_owned: self.legacy_owned,
                     cost_model: None,
                     join_orders: self.join_orders.clone(),
                     use_extvp: self.use_extvp,
@@ -251,7 +240,6 @@ impl QueryEngine for RapidAnalytics {
             prefilters,
             edges,
             conds: Arc::new(conds),
-            legacy_owned: self.legacy_owned,
         };
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
@@ -280,7 +268,6 @@ impl QueryEngine for RapidAnalytics {
                 agg_specs,
                 planner.agg_inputs(joined),
                 self.map_side_combine,
-                self.legacy_owned,
                 &out,
             ));
             block_datasets = vec![out; aq.blocks.len()];
@@ -296,7 +283,6 @@ impl QueryEngine for RapidAnalytics {
                     vec![spec],
                     planner.agg_inputs(joined.clone()),
                     self.map_side_combine,
-                    self.legacy_owned,
                     &out,
                 ));
                 block_datasets.push(out);
@@ -356,7 +342,6 @@ impl RapidAnalytics {
             agg_specs,
             (cat.tg.datasets_covering_any(&coverings), raw_filters),
             self.map_side_combine,
-            self.legacy_owned,
             &out,
         );
         let block_datasets = vec![out; aq.blocks.len()];
@@ -385,7 +370,6 @@ pub(crate) struct TgJoinPlanner<'a> {
     pub(crate) prefilters: Vec<Prefilter>,
     pub(crate) edges: Vec<CompiledEdge>,
     pub(crate) conds: Arc<Vec<AlphaCond>>,
-    pub(crate) legacy_owned: bool,
 }
 
 /// A star's value-filter transform together with the text it was compiled
@@ -431,16 +415,10 @@ impl TgJoinPlanner<'_> {
             b = b.input(i);
         }
         let cfg = Arc::new(cfg);
-        let (conds, legacy_owned) = (self.conds.clone(), self.legacy_owned);
-        b.mapper(Arc::new(FnMapFactory(move || {
-            TgJoinMapper::new(cfg.clone())
-        })))
+        let conds = self.conds.clone();
+        b.mapper(Arc::new(FnMapFactory(move || TgJoinMapper::new(cfg.clone()))))
         .reducer(Arc::new(KeyLocal(FnReduceFactory(move || {
-            if legacy_owned {
-                AlphaJoinReducer::legacy(conds.clone())
-            } else {
-                AlphaJoinReducer::new(conds.clone())
-            }
+            AlphaJoinReducer::new(conds.clone())
         }))))
         .output(out)
         .num_reducers(NUM_REDUCERS)
@@ -456,10 +434,9 @@ impl TgJoinPlanner<'_> {
             raw_inputs,
             star_routes,
             ann_routes,
-            legacy_owned,
         } = cfg;
         let mut sig = format!(
-            "tg-join raw{raw_inputs:?} {ann_routes:?} legacy={legacy_owned} alpha{:?}",
+            "tg-join raw{raw_inputs:?} {ann_routes:?} alpha{:?}",
             self.conds
         );
         for (route, &star) in star_routes.iter().zip(stars) {
@@ -551,7 +528,6 @@ impl TgJoinPlanner<'_> {
                         self.route(edge.r_star, Side::Right, edge.r_key),
                     ],
                     ann_routes: vec![],
-                    legacy_owned: self.legacy_owned,
                 };
                 (inputs, cfg, vec![edge.l_star, edge.r_star])
             } else {
@@ -573,7 +549,6 @@ impl TgJoinPlanner<'_> {
                         side: Side::Left,
                         key: old_key,
                     }],
-                    legacy_owned: self.legacy_owned,
                 };
                 (inputs, cfg, vec![new_star])
             };
@@ -600,7 +575,6 @@ pub(crate) fn agg_join_job(
     specs: Vec<AggJoinSpec>,
     (inputs, raw): AggInputs,
     map_side_combine: bool,
-    legacy_owned: bool,
     out: &str,
 ) -> Job {
     let (raw_filters, raw_sigs): (Vec<_>, Vec<String>) = raw
@@ -612,7 +586,6 @@ pub(crate) fn agg_join_job(
         numeric: cat.numeric.clone(),
         raw_filters,
         map_side_combine,
-        legacy_owned,
     });
     // Exhaustive, so a new config field cannot be left out; the filter
     // closures are stood in for by the text they were compiled from.
@@ -621,12 +594,10 @@ pub(crate) fn agg_join_job(
         numeric,
         raw_filters,
         map_side_combine,
-        legacy_owned,
     } = &*cfg;
     let raw_specs: Vec<&StarSpec> = raw_filters.iter().map(|(spec, _)| spec).collect();
     let sig = format!(
-        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} msc={map_side_combine} \
-         legacy={legacy_owned} n{:p}",
+        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} msc={map_side_combine} n{:p}",
         Arc::as_ptr(numeric)
     );
     let mut b = JobBuilder::new(name).sig(sig);

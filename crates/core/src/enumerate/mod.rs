@@ -868,13 +868,6 @@ mod tests {
                 },
             ),
             (
-                "legacy_owned",
-                RapidAnalytics {
-                    legacy_owned: true,
-                    ..Default::default()
-                },
-            ),
-            (
                 "parallel_agg",
                 RapidAnalytics {
                     parallel_agg: false,

@@ -7,7 +7,7 @@ use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{
     InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
 };
-use rapida_ntga::{AggOp, AggRec, AggTable, NumericSnapshot, PartialAgg};
+use rapida_ntga::{read_group_key, write_group_key, AggOp, AggRec, AggTable, NumericSnapshot, PartialAgg};
 use rapida_rdf::{FxHashMap, FxHashSet};
 use rapida_sparql::ast::CmpOp;
 use rapida_storage::decode_segment;
@@ -861,10 +861,7 @@ impl MapTask for GroupAggMapTask {
                 fold_row(row, cfg, slots);
             } else {
                 key_buf.clear();
-                write_varint(key_buf, cfg.group_cols.len() as u64);
-                for &k in key_ids.iter() {
-                    write_varint(key_buf, k);
-                }
+                write_group_key(key_buf, key_ids);
                 partials.clear();
                 partials.resize(cfg.aggs.len(), PartialAgg::default());
                 fold_row(row, cfg, partials);
@@ -903,64 +900,60 @@ impl MapTask for GroupAggMapTask {
     }
 }
 
-/// Reduce task: merge partials and emit one [`AggRec`] per group.
+/// Reduce task: merge partials and emit one [`AggRec`] per group, encoded
+/// directly into a reused scratch buffer.
 pub struct GroupAggReduceTask {
     cfg: Arc<GroupAggCfg>,
+    group_key: Vec<u64>,
+    merged: Vec<PartialAgg>,
+    /// One value's decoded partials, merged only once all of them decode.
+    scratch: Vec<PartialAgg>,
+    buf: Vec<u8>,
 }
 
 impl GroupAggReduceTask {
     /// Key-local: one [`AggRec`] per key group, derived from that group's
-    /// partials alone; no `cleanup` emissions.
+    /// partials alone — the buffers are per-call scratch, cleared on entry;
+    /// no `cleanup` emissions.
     pub const KEY_LOCAL: bool = true;
 
     /// Create from shared config.
     pub fn new(cfg: Arc<GroupAggCfg>) -> Self {
-        GroupAggReduceTask { cfg }
+        GroupAggReduceTask {
+            cfg,
+            group_key: Vec::new(),
+            merged: Vec::new(),
+            scratch: Vec::new(),
+            buf: Vec::new(),
+        }
     }
 }
 
 impl ReduceTask for GroupAggReduceTask {
     fn reduce(&mut self, key: &[u8], values: &[&[u8]], out: &mut ReduceOutput) {
+        let GroupAggReduceTask {
+            cfg,
+            group_key,
+            merged,
+            scratch,
+            buf,
+        } = self;
         let mut kb = key;
-        let Some(nk) = read_varint(&mut kb) else {
+        if read_group_key(&mut kb, group_key).is_none() {
             out.skip_corrupt();
             return;
-        };
-        let mut group_key = Vec::with_capacity(nk as usize);
-        for _ in 0..nk {
-            match read_varint(&mut kb) {
-                Some(k) => group_key.push(k),
-                None => {
-                    out.skip_corrupt();
-                    return;
-                }
-            }
         }
-        let mut merged = vec![PartialAgg::default(); self.cfg.aggs.len()];
+        merged.clear();
+        merged.resize(cfg.aggs.len(), PartialAgg::default());
         for v in values {
-            let mut vb = *v;
-            for m in merged.iter_mut() {
-                match PartialAgg::decode(&mut vb) {
-                    Some(p) => m.merge(&p),
-                    None => {
-                        out.skip_corrupt();
-                        break;
-                    }
-                }
+            if !PartialAgg::merge_encoded(merged, scratch, v) {
+                out.skip_corrupt();
             }
         }
-        let rec = AggRec {
-            id: self.cfg.block_id,
-            key: group_key,
-            values: merged
-                .iter()
-                .zip(self.cfg.aggs.iter())
-                .map(|(p, (op, _))| p.finalize(*op))
-                .collect(),
-        };
-        let mut buf = Vec::new();
-        rec.encode(&mut buf);
-        out.write(&buf);
+        buf.clear();
+        let finals = merged.iter().zip(&cfg.aggs).map(|(p, (op, _))| p.finalize(*op));
+        AggRec::encode_parts(cfg.block_id, group_key, finals, buf);
+        out.write(buf);
     }
 }
 

@@ -105,7 +105,6 @@ impl GroupingSetsQuery {
             prefilters,
             edges,
             conds: Arc::new(Vec::new()),
-            legacy_owned: false,
         };
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
@@ -165,7 +164,6 @@ impl GroupingSetsQuery {
             numeric: cat.numeric.clone(),
             raw_filters,
             map_side_combine: true,
-            legacy_owned: false,
         });
         let out = format!("{pid}_sets");
         let mut b = JobBuilder::new(format!("grouping-sets x{}", self.sets.len()));

@@ -3,16 +3,21 @@
 //! configurations and random key groups — malformed values included — both
 //! must write the same records in the same order and quarantine the same
 //! number of values, across consecutive keys on one task instance (so
-//! nothing of one key's scratch may leak into the next).
+//! nothing of one key's scratch may leak into the next). The last test
+//! holds the other reduce-side operator, [`GroupAggReduceTask`], to the same
+//! rule for damaged input: quarantined whole, never half-applied.
 
 mod common;
 
 use common::{value, ReferenceJoinReduce};
 use rapida_core::relops::{
-    IdPred, JoinCycleCfg, JoinInputCfg, JoinReduceTask, PredOnCol, ScanKind,
+    GroupAggCfg, GroupAggReduceTask, IdPred, JoinCycleCfg, JoinInputCfg, JoinReduceTask,
+    PredOnCol, ScanKind,
 };
 use rapida_core::rows::{row_bytes, RVal};
+use rapida_mapred::codec::write_varint;
 use rapida_mapred::{ReduceOutput, ReduceTask};
+use rapida_ntga::{AggOp, AggRec, PartialAgg};
 use rapida_sparql::ast::CmpOp;
 use rapida_testkit::prelude::*;
 use std::sync::Arc;
@@ -220,4 +225,57 @@ fn scratch_does_not_leak_between_keys() {
     assert_eq!(corrupt, 0);
     assert_eq!(records.len(), 2);
     assert_eq!(records[0], records[1]);
+}
+
+/// One key group through a SUM + COUNT(*) [`GroupAggReduceTask`].
+fn group_agg(key: &[u8], values: &[&[u8]]) -> (Vec<AggRec>, u64) {
+    let cfg = Arc::new(GroupAggCfg {
+        block_id: 3,
+        scan: ScanKind::Rows(2),
+        scan_preds: vec![],
+        group_cols: vec![0],
+        aggs: vec![(AggOp::Sum, Some(1)), (AggOp::Count, None)],
+        numeric: Arc::new(Vec::new()),
+        lexical: Arc::new(Vec::new()),
+        map_side_combine: true,
+    });
+    let mut out = ReduceOutput::default();
+    GroupAggReduceTask::new(cfg).reduce(key, values, &mut out);
+    let records = out.records.iter().map(|r| AggRec::decode(r).expect("an AggRec"));
+    (records.collect(), out.corrupt_records)
+}
+
+/// Two partials, one per aggregate, each having folded `x` once.
+fn partials(x: f64) -> Vec<u8> {
+    let mut p = PartialAgg::default();
+    p.add(Some(x));
+    let mut v = Vec::new();
+    p.encode(&mut v);
+    p.encode(&mut v);
+    v
+}
+
+/// A partial-aggregate value that stops short — or runs long — is
+/// quarantined whole, never merged up to the partial that failed; a key
+/// whose group-key count no key could hold is quarantined without reserving
+/// memory for it. (`AggJoinReducer` shares `PartialAgg::merge_encoded` and
+/// carries this as a property in `crates/ntga/tests/prop_ops.rs`.)
+#[test]
+fn group_agg_quarantines_damaged_values_and_keys_whole() {
+    let key = [1, 42]; // nk = 1, group key 42
+    let (a, b) = (partials(10.0), partials(5.0));
+    let want = AggRec { id: 3, key: vec![42], values: vec![Some(10.0), Some(1.0)] };
+    assert_eq!(group_agg(&key, &[&a]), (vec![want.clone()], 0));
+
+    // `b` cut anywhere — after its first partial included — or one byte long.
+    for cut in 0..b.len() {
+        assert_eq!(group_agg(&key, &[&a, &b[..cut]]), (vec![want.clone()], 1), "cut at {cut}");
+    }
+    let long = [&b[..], &[0]].concat();
+    assert_eq!(group_agg(&key, &[&long, &a]), (vec![want], 1));
+
+    let mut hostile = Vec::new();
+    write_varint(&mut hostile, u64::MAX);
+    hostile.push(42);
+    assert_eq!(group_agg(&hostile, &[&a]), (vec![], 1));
 }

@@ -17,8 +17,10 @@
 //! The hot operator paths run on the borrowed view [`TgRef`] and the star
 //! directory [`StarDir`]: records are walked once, in place, and re-emitted
 //! by copying raw spans into per-task scratch buffers (see `DESIGN.md`
-//! §2d). The owned-decode paths survive behind `legacy_owned` flags as the
-//! benchmark baseline.
+//! §2d). That is the only physical form: the owned-decode operators they
+//! replaced live on as the test-only reference in `tests/common`, which
+//! `tests/view_identity.rs` holds the production operators to byte for
+//! byte.
 
 pub mod hashagg;
 pub mod ops;
@@ -32,8 +34,9 @@ pub use ops::{
     opt_group_filter, opt_group_filter_into, SlotProgram,
 };
 pub use spec::{
-    any_alpha_partial, any_alpha_partial_merged, AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond,
-    AlphaTerm, JoinKey, NumericSnapshot, PartialAgg, PropReq, StarSpec, VarRef,
+    any_alpha_partial, any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec,
+    AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, JoinKey, NumericSnapshot, PartialAgg, PropReq,
+    StarSpec, VarRef,
 };
 pub use physical::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, Side, StarRoute,

@@ -8,31 +8,38 @@
 //!   aggregation (`multiAggMap`, Algorithm 3; `Job_k` of Algorithm 1).
 
 use crate::hashagg::AggTable;
-use crate::ops::{accumulate, opt_group_filter, opt_group_filter_into, SlotProgram};
+use crate::ops::{opt_group_filter, opt_group_filter_into, SlotProgram};
 use crate::spec::{
-    any_alpha_partial, any_alpha_partial_merged, AggJoinSpec, AlphaCond, JoinKey,
-    NumericSnapshot, PartialAgg, StarSpec,
+    any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec, AggRec, AlphaCond,
+    JoinKey, NumericSnapshot, PartialAgg, StarSpec,
 };
-use crate::triplegroup::{AnnTg, StarDir, Stars, TgRef, TripleGroup};
-use rapida_mapred::codec::{read_varint, write_f64, write_varint};
+use crate::triplegroup::{StarDir, Stars, TgRef, TripleGroup};
+use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
-use rapida_rdf::FxHashMap;
 use std::sync::Arc;
 
-/// Join side tag.
+/// Join side tag; the discriminant is the byte that leads every shuffled
+/// tg-join value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// Left equivalence class.
-    Left,
+    Left = 0,
     /// Right equivalence class.
-    Right,
+    Right = 1,
 }
 
 impl Side {
-    fn byte(self) -> u8 {
-        match self {
-            Side::Left => 0,
-            Side::Right => 1,
+    /// The tag byte.
+    pub fn byte(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Self::byte`]; any other byte is a damaged value.
+    pub fn from_byte(byte: u8) -> Option<Side> {
+        match byte {
+            0 => Some(Side::Left),
+            1 => Some(Side::Right),
+            _ => None,
         }
     }
 }
@@ -83,19 +90,14 @@ pub struct TgJoinMapConfig {
     pub star_routes: Vec<StarRoute>,
     /// Routes for annotated intermediate inputs.
     pub ann_routes: Vec<AnnRoute>,
-    /// Run the pre-view owned-decode path (`TripleGroup::decode` + fresh
-    /// `Vec` per emit). Kept in-tree as the benchmark baseline and as a
-    /// byte-identity oracle for the view path.
-    pub legacy_owned: bool,
 }
 
 /// Map phase of `Job_i`: `TG_OptGrpFilter` + tagging for `TG_AlphaJoin`.
 ///
-/// The default path walks each raw record once per route (the fused
+/// Walks each raw record once per route (the fused
 /// [`opt_group_filter_into`]) and each annotated record once (its
 /// [`StarDir`]), encoding every emit directly into per-task scratch
-/// (cleared, never reallocated). The `legacy_owned` config flag selects
-/// the original owned-decode implementation.
+/// (cleared, never reallocated).
 pub struct TgJoinMapper {
     config: Arc<TgJoinMapConfig>,
     key_buf: Vec<u8>,
@@ -116,61 +118,10 @@ impl TgJoinMapper {
             dir: StarDir::default(),
         }
     }
-
-    /// The pre-view implementation, verbatim: owned decode per record,
-    /// fresh key/value `Vec`s per emit.
-    fn map_legacy(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.raw_inputs.contains(&src.dataset) {
-            let Some(tg) = TripleGroup::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            for route in &self.config.star_routes {
-                let view = match &route.prefilter {
-                    Some(f) => match f(tg.clone()) {
-                        Some(v) => v,
-                        None => continue,
-                    },
-                    None => tg.clone(),
-                };
-                if let Some(filtered) = opt_group_filter(&view, &route.spec) {
-                    let ann = AnnTg::single(route.spec.star, filtered);
-                    for k in route.key.extract(&ann) {
-                        emit_tagged(out, k, route.side, &ann);
-                    }
-                }
-            }
-        } else {
-            let Some(ann) = AnnTg::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            for route in &self.config.ann_routes {
-                if route.input == src.dataset {
-                    for k in route.key.extract(&ann) {
-                        emit_tagged(out, k, route.side, &ann);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn emit_tagged(out: &mut MapOutput, key_val: u64, side: Side, tg: &AnnTg) {
-    let mut key = Vec::with_capacity(10);
-    write_varint(&mut key, key_val);
-    let mut val = Vec::new();
-    val.push(side.byte());
-    tg.encode(&mut val);
-    out.emit(&key, &val);
 }
 
 impl MapTask for TgJoinMapper {
     fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.legacy_owned {
-            self.map_legacy(src, record, out);
-            return;
-        }
         let TgJoinMapper {
             config,
             key_buf,
@@ -187,8 +138,8 @@ impl MapTask for TgJoinMapper {
             // only when some route actually has one.
             let mut owned: Option<TripleGroup> = None;
             for route in &config.star_routes {
-                // Value layout (identical to the owned path): side byte +
-                // AnnTg::single(star, filtered) = 1, star, tg.
+                // Value layout: side byte + AnnTg::single(star, filtered)
+                // = 1, star, tg.
                 val_buf.clear();
                 val_buf.push(route.side.byte());
                 write_varint(val_buf, 1);
@@ -285,13 +236,11 @@ impl MapTask for TgJoinMapper {
 /// and right equivalence classes of each key, materializing only
 /// combinations accepted by at least one α-condition.
 ///
-/// The default path walks each value once into a [`StarDir`], evaluates α
-/// over the *logical* merge of two directories, and writes accepted
-/// products by interleaving raw component spans into one reused scratch
-/// buffer.
+/// Walks each value once into a [`StarDir`], evaluates α over the *logical*
+/// merge of two directories, and writes accepted products by interleaving
+/// raw component spans into one reused scratch buffer.
 pub struct AlphaJoinReducer {
     conds: Arc<Vec<AlphaCond>>,
-    legacy_owned: bool,
     out_buf: Vec<u8>,
     left_idx: Vec<u32>,
     right_idx: Vec<u32>,
@@ -314,7 +263,6 @@ impl AlphaJoinReducer {
     pub fn new(conds: Arc<Vec<AlphaCond>>) -> Self {
         AlphaJoinReducer {
             conds,
-            legacy_owned: false,
             out_buf: Vec::new(),
             left_idx: Vec::new(),
             right_idx: Vec::new(),
@@ -323,50 +271,10 @@ impl AlphaJoinReducer {
             right_spans: Vec::new(),
         }
     }
-
-    /// The pre-view owned-decode variant (benchmark baseline).
-    pub fn legacy(conds: Arc<Vec<AlphaCond>>) -> Self {
-        AlphaJoinReducer {
-            legacy_owned: true,
-            ..Self::new(conds)
-        }
-    }
-
-    fn reduce_legacy(&mut self, values: &[&[u8]], out: &mut ReduceOutput) {
-        let mut left: Vec<AnnTg> = Vec::new();
-        let mut right: Vec<AnnTg> = Vec::new();
-        for v in values {
-            let Some((side, rest)) = v.split_first() else {
-                out.skip_corrupt();
-                continue;
-            };
-            let Some(ann) = AnnTg::decode(rest) else {
-                out.skip_corrupt();
-                continue;
-            };
-            if *side == Side::Left.byte() {
-                left.push(ann);
-            } else {
-                right.push(ann);
-            }
-        }
-        for l in &left {
-            for r in &right {
-                let joined = l.merge(r);
-                if any_alpha_partial(&self.conds, &joined) {
-                    out.write(&joined.encoded());
-                }
-            }
-        }
-    }
 }
 
 impl ReduceTask for AlphaJoinReducer {
     fn reduce(&mut self, _key: &[u8], values: &[&[u8]], out: &mut ReduceOutput) {
-        if self.legacy_owned {
-            self.reduce_legacy(values, out);
-            return;
-        }
         // Split by side byte first, deferring every walk until a key is
         // known to have both sides: one-sided keys — the common case under
         // selective star filters — cost two index pushes and nothing else.
@@ -380,14 +288,14 @@ impl ReduceTask for AlphaJoinReducer {
             left_dir,
             right_dir,
             right_spans,
-            ..
         } = self;
         left_idx.clear();
         right_idx.clear();
         for (i, v) in values.iter().enumerate() {
-            match v.first() {
-                Some(side) if *side == Side::Left.byte() => left_idx.push(i as u32),
-                Some(_) => right_idx.push(i as u32),
+            // A missing or unknown side byte leaves nothing to route by.
+            match v.first().copied().and_then(Side::from_byte) {
+                Some(Side::Left) => left_idx.push(i as u32),
+                Some(Side::Right) => right_idx.push(i as u32),
                 None => out.skip_corrupt(),
             }
         }
@@ -436,16 +344,12 @@ pub struct AggJoinConfig {
     /// Map-side hash aggregation (`multiAggMap`). Disabling it emits one
     /// record per assignment — the ablation knob for Algorithm 3.
     pub map_side_combine: bool,
-    /// Run the pre-view owned-decode path (`AnnTg::decode` + boxed
-    /// `FxHashMap<Vec<u8>, Vec<PartialAgg>>` combine state). Benchmark
-    /// baseline and byte-identity oracle for the view path.
-    pub legacy_owned: bool,
 }
 
 /// Map phase of `Job_k` (Algorithm 3): per-mapper hash aggregation keyed by
 /// `id#grp`, flushed in `cleanup`.
 ///
-/// The default path walks each record once into a [`StarDir`], runs the
+/// Walks each record once into a [`StarDir`], runs the
 /// [`SlotProgram`] compiled from `config.specs` over it — one pass per
 /// referenced star feeds every spec — and combines into the flat
 /// open-addressing [`AggTable`] keyed by `(spec id, group key)` term ids —
@@ -454,7 +358,6 @@ pub struct AggJoinConfig {
 /// byte-identity chain) independent of hash iteration order.
 pub struct AggJoinMapper {
     config: Arc<AggJoinConfig>,
-    multi_agg_map: FxHashMap<Vec<u8>, Vec<PartialAgg>>,
     table: AggTable,
     prog: SlotProgram,
     dir: StarDir,
@@ -464,11 +367,12 @@ pub struct AggJoinMapper {
     tg_buf: Vec<u8>,
 }
 
-/// The view-path record processor, as a free function over the mapper's
-/// destructured fields so the fold closure can mutate the table while the
-/// spec list stays borrowed from the config. Folds in the owned path's
-/// order — specs, then assignments, then aggregates — which the `f64` sums
-/// and the uncombined emit order depend on.
+/// The record processor, as a free function over the mapper's destructured
+/// fields so the fold closure can mutate the table while the spec list
+/// stays borrowed from the config. Folds in the order of the logical
+/// operator (α-gated [`crate::ops::accumulate`], spec by spec) — specs,
+/// then assignments, then aggregates — which the `f64` sums and the
+/// uncombined emit order depend on.
 fn process_view(
     config: &AggJoinConfig,
     prog: &mut SlotProgram,
@@ -489,10 +393,7 @@ fn process_view(
         }
         key_buf.clear();
         write_varint(key_buf, u64::from(spec.id));
-        write_varint(key_buf, key.len() as u64);
-        for k in key {
-            write_varint(key_buf, *k);
-        }
+        write_group_key(key_buf, key);
         for (idx, agg) in spec.aggs.iter().enumerate() {
             val_buf.clear();
             for i in 0..spec.aggs.len() {
@@ -513,7 +414,6 @@ impl AggJoinMapper {
         AggJoinMapper {
             prog: SlotProgram::compile(&config.specs),
             config,
-            multi_agg_map: FxHashMap::default(),
             table: AggTable::default(),
             dir: StarDir::default(),
             key_buf: Vec::new(),
@@ -521,83 +421,10 @@ impl AggJoinMapper {
             tg_buf: Vec::new(),
         }
     }
-
-    fn process(&mut self, ann: &AnnTg, out: &mut MapOutput) {
-        // Borrow pieces separately so the closure can mutate the map while
-        // reading the config.
-        let specs = &self.config.specs;
-        let numeric = &self.config.numeric;
-        let combine = self.config.map_side_combine;
-        let map = &mut self.multi_agg_map;
-        for spec in specs {
-            if !spec.alpha.satisfied_full(ann) {
-                continue;
-            }
-            let nagg = spec.aggs.len();
-            accumulate(ann, spec, numeric, &mut |key, idx, value| {
-                let mut kb = Vec::with_capacity(12);
-                write_varint(&mut kb, u64::from(spec.id));
-                write_varint(&mut kb, key.len() as u64);
-                for k in key {
-                    write_varint(&mut kb, *k);
-                }
-                if combine {
-                    let entry = map
-                        .entry(kb)
-                        .or_insert_with(|| vec![PartialAgg::default(); nagg]);
-                    entry[idx].add(value);
-                } else {
-                    let mut single = vec![PartialAgg::default(); nagg];
-                    single[idx].add(value);
-                    let mut vb = Vec::new();
-                    for p in &single {
-                        p.encode(&mut vb);
-                    }
-                    out.emit(&kb, &vb);
-                }
-            });
-        }
-    }
-
-    /// The pre-view map implementation, verbatim (including its per-record
-    /// `raw_filters` clone — part of the owned-path allocation profile the
-    /// benchmark baselines).
-    fn map_legacy(&mut self, record: &[u8], out: &mut MapOutput) {
-        if self.config.raw_filters.is_empty() {
-            let Some(ann) = AnnTg::decode(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            self.process(&ann, out);
-            return;
-        }
-        let Some(tg) = TripleGroup::decode(record) else {
-            out.skip_corrupt();
-            return;
-        };
-        let raw_filters = self.config.raw_filters.clone();
-        for (filter, transform) in &raw_filters {
-            let view = match transform {
-                Some(t) => match t(tg.clone()) {
-                    Some(v) => v,
-                    None => continue,
-                },
-                None => tg.clone(),
-            };
-            if let Some(filtered) = opt_group_filter(&view, filter) {
-                let ann = AnnTg::single(filter.star, filtered);
-                self.process(&ann, out);
-            }
-        }
-    }
 }
 
 impl MapTask for AggJoinMapper {
     fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        if self.config.legacy_owned {
-            self.map_legacy(record, out);
-            return;
-        }
         let AggJoinMapper {
             config,
             table,
@@ -606,7 +433,6 @@ impl MapTask for AggJoinMapper {
             key_buf,
             val_buf,
             tg_buf,
-            multi_agg_map: _,
         } = self;
         if config.raw_filters.is_empty() {
             let Some(ann) = dir.fill(record) else {
@@ -653,16 +479,6 @@ impl MapTask for AggJoinMapper {
 
     fn cleanup(&mut self, out: &mut MapOutput) {
         // Algorithm 3, Map.clean: emit the pre-aggregated entries.
-        if self.config.legacy_owned {
-            for (key, partials) in self.multi_agg_map.drain() {
-                let mut vb = Vec::new();
-                for p in &partials {
-                    p.encode(&mut vb);
-                }
-                out.emit(&key, &vb);
-            }
-            return;
-        }
         let AggJoinMapper {
             table,
             key_buf,
@@ -671,16 +487,13 @@ impl MapTask for AggJoinMapper {
         } = self;
         table.drain_sorted(|full_key, partials| {
             // full_key[0] is the table tag = the spec id; re-encode the
-            // same `id, nk, keys…` shuffle key the owned path produced.
+            // `id, nk, keys…` shuffle key the reducer parses.
             let (tag, key) = full_key
                 .split_first()
                 .expect("AggTable keys always carry the tag");
             key_buf.clear();
             write_varint(key_buf, *tag);
-            write_varint(key_buf, key.len() as u64);
-            for k in key {
-                write_varint(key_buf, *k);
-            }
+            write_group_key(key_buf, key);
             val_buf.clear();
             for p in partials {
                 p.encode(val_buf);
@@ -697,6 +510,8 @@ pub struct AggJoinReducer {
     config: Arc<AggJoinConfig>,
     group_key: Vec<u64>,
     merged: Vec<PartialAgg>,
+    /// One value's decoded partials, merged only once all of them decode.
+    scratch: Vec<PartialAgg>,
     buf: Vec<u8>,
 }
 
@@ -704,7 +519,7 @@ impl AggJoinReducer {
     /// This reducer is *key-local* (see
     /// `rapida_mapred::ReduceTaskFactory::key_local`): the partial-aggregate
     /// merge and finalize for one `id#grp` key read nothing but that key
-    /// group — `group_key` / `merged` / `buf` are per-call scratch — and
+    /// group — `group_key` / `merged` / `scratch` / `buf` are per-call scratch — and
     /// `cleanup` emits nothing. Factories may wrap it in
     /// `rapida_mapred::KeyLocal` to let the engine shard its partitions.
     pub const KEY_LOCAL: bool = true;
@@ -715,6 +530,7 @@ impl AggJoinReducer {
             config,
             group_key: Vec::new(),
             merged: Vec::new(),
+            scratch: Vec::new(),
             buf: Vec::new(),
         }
     }
@@ -726,61 +542,29 @@ impl ReduceTask for AggJoinReducer {
             config,
             group_key,
             merged,
+            scratch,
             buf,
         } = self;
+        // A key that stops short, or names a spec nobody configured, is damage.
         let mut kb = key;
-        let Some(id) = read_varint(&mut kb) else {
+        let spec = read_varint(&mut kb).and_then(|id| {
+            read_group_key(&mut kb, group_key)?;
+            config.specs.iter().find(|s| u64::from(s.id) == id)
+        });
+        let Some(spec) = spec else {
             out.skip_corrupt();
-            return;
-        };
-        let Some(nk) = read_varint(&mut kb) else {
-            out.skip_corrupt();
-            return;
-        };
-        group_key.clear();
-        for _ in 0..nk {
-            match read_varint(&mut kb) {
-                Some(k) => group_key.push(k),
-                None => {
-                    out.skip_corrupt();
-                    return;
-                }
-            }
-        }
-        let Some(spec) = config.specs.iter().find(|s| u64::from(s.id) == id) else {
             return;
         };
         merged.clear();
         merged.resize(spec.aggs.len(), PartialAgg::default());
         for v in values {
-            let mut vb = *v;
-            for m in merged.iter_mut() {
-                match PartialAgg::decode(&mut vb) {
-                    Some(p) => m.merge(&p),
-                    None => {
-                        out.skip_corrupt();
-                        break;
-                    }
-                }
+            if !PartialAgg::merge_encoded(merged, scratch, v) {
+                out.skip_corrupt();
             }
         }
-        // Direct `AggRec::encode` layout, without the owned intermediate.
         buf.clear();
-        write_varint(buf, u64::from(spec.id));
-        write_varint(buf, group_key.len() as u64);
-        for k in group_key.iter() {
-            write_varint(buf, *k);
-        }
-        write_varint(buf, spec.aggs.len() as u64);
-        for (p, a) in merged.iter().zip(spec.aggs.iter()) {
-            match p.finalize(a.op) {
-                Some(x) => {
-                    buf.push(1);
-                    write_f64(buf, x);
-                }
-                None => buf.push(0),
-            }
-        }
+        let finals = merged.iter().zip(&spec.aggs).map(|(p, a)| p.finalize(a.op));
+        AggRec::encode_parts(spec.id, group_key, finals, buf);
         out.write(buf);
     }
 }
@@ -788,7 +572,8 @@ impl ReduceTask for AggJoinReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AggOp, AggRec, AggSpec, AlphaTerm, PropReq, VarRef};
+    use crate::spec::{AggOp, AggSpec, AlphaTerm, PropReq, VarRef};
+    use crate::triplegroup::AnnTg;
     use rapida_mapred::{
         DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder, KeyLocal, SimDfs,
     };
@@ -807,11 +592,7 @@ mod tests {
 
     /// End-to-end MR run of filter + α-join for an AQ1-like 2-star composite:
     /// products (ty PT18, optional pf) ⋈ offers (pr, pc).
-    fn run_composite_join(dfs: &SimDfs) -> Vec<AnnTg> {
-        run_composite_join_as(dfs, false, "joined")
-    }
-
-    fn run_composite_join_as(dfs: &SimDfs, legacy: bool, out_name: &str) -> Vec<AnnTg> {
+    fn run_composite_join(dfs: &SimDfs, conds: Vec<AlphaCond>) -> Vec<AnnTg> {
         // Products: 10 has pf, 11 lacks pf, 12 is wrong type.
         let mut w = DatasetWriter::new(64);
         w.push(&tg_record(10, &[(TY, PT18), (PF, 71)]));
@@ -850,31 +631,20 @@ mod tests {
                 },
             ],
             ann_routes: vec![],
-            legacy_owned: legacy,
         });
-        let conds: Arc<Vec<AlphaCond>> = Arc::new(vec![]);
+        let conds = Arc::new(conds);
         let job = JobBuilder::new("mr1")
             .input("tg_products")
             .input("tg_offers")
-            .mapper(Arc::new(FnMapFactory({
-                let c = config.clone();
-                move || TgJoinMapper::new(c.clone())
-            })))
-            .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                let c = conds.clone();
-                move || {
-                    if legacy {
-                        AlphaJoinReducer::legacy(c.clone())
-                    } else {
-                        AlphaJoinReducer::new(c.clone())
-                    }
-                }
+            .mapper(Arc::new(FnMapFactory(move || TgJoinMapper::new(config.clone()))))
+            .reducer(Arc::new(KeyLocal(FnReduceFactory(move || {
+                AlphaJoinReducer::new(conds.clone())
             }))))
-            .output(out_name)
+            .output("joined")
             .num_reducers(2)
             .build();
         Engine::pinned(dfs.clone()).run_job(&job);
-        dfs.get(out_name)
+        dfs.get("joined")
             .unwrap()
             .iter_records()
             .map(|r| AnnTg::decode(r).unwrap())
@@ -884,7 +654,7 @@ mod tests {
     #[test]
     fn composite_join_produces_valid_pairs() {
         let dfs = SimDfs::new();
-        let mut joined = run_composite_join(&dfs);
+        let mut joined = run_composite_join(&dfs, vec![]);
         joined.sort_by_key(|a| a.star(1).map(|g| g.subject));
         // p12 is the wrong type — only offers 20 and 21 join.
         assert_eq!(joined.len(), 2);
@@ -897,72 +667,26 @@ mod tests {
     #[test]
     fn alpha_conditions_prune_at_join_time() {
         // Same data, but α requires pf present — p11's combination dies.
-        let dfs = SimDfs::new();
-        let mut w = DatasetWriter::new(64);
-        w.push(&tg_record(10, &[(TY, PT18), (PF, 71)]));
-        w.push(&tg_record(11, &[(TY, PT18)]));
-        dfs.put("tg_products", w.finish());
-        let mut w = DatasetWriter::new(64);
-        w.push(&tg_record(20, &[(PR, 10), (PC, 30)]));
-        w.push(&tg_record(21, &[(PR, 11), (PC, 40)]));
-        dfs.put("tg_offers", w.finish());
-
-        let config = Arc::new(TgJoinMapConfig {
-            raw_inputs: vec![0, 1],
-            star_routes: vec![
-                StarRoute {
-                    spec: StarSpec {
-                        star: 0,
-                        primary: vec![PropReq::with_object(TY, PT18)],
-                        secondary: vec![PropReq::any(PF)],
-                    },
-                    side: Side::Left,
-                    key: JoinKey::Subject { star: 0 },
-                    prefilter: None,
-                },
-                StarRoute {
-                    spec: StarSpec {
-                        star: 1,
-                        primary: vec![PropReq::any(PR), PropReq::any(PC)],
-                        secondary: vec![],
-                    },
-                    side: Side::Right,
-                    key: JoinKey::ObjectOf { star: 1, prop: PR },
-                    prefilter: None,
-                },
-            ],
-            ann_routes: vec![],
-            legacy_owned: false,
-        });
-        let conds = Arc::new(vec![AlphaCond {
-            terms: vec![AlphaTerm {
-                star: 0,
-                prop: PF,
-                required: true,
-            }],
-        }]);
-        let job = JobBuilder::new("mr1")
-            .input("tg_products")
-            .input("tg_offers")
-            .mapper(Arc::new(FnMapFactory({
-                let c = config.clone();
-                move || TgJoinMapper::new(c.clone())
-            })))
-            .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                let c = conds.clone();
-                move || AlphaJoinReducer::new(c.clone())
-            }))))
-            .output("joined")
-            .build();
-        Engine::pinned(dfs.clone()).run_job(&job);
-        let joined: Vec<AnnTg> = dfs
-            .get("joined")
-            .unwrap()
-            .iter_records()
-            .map(|r| AnnTg::decode(r).unwrap())
-            .collect();
+        let pf_present = AlphaTerm { star: 0, prop: PF, required: true };
+        let conds = vec![AlphaCond { terms: vec![pf_present] }];
+        let joined = run_composite_join(&SimDfs::new(), conds);
         assert_eq!(joined.len(), 1);
         assert_eq!(joined[0].star(0).unwrap().subject, 10);
+    }
+
+    /// One Agg-Join cycle over `input`: its shuffle record count and decoded output.
+    fn run_agg_join(dfs: &SimDfs, input: &str, cfg: AggJoinConfig, out: &str) -> (u64, Vec<AggRec>) {
+        let (m, r) = (Arc::new(cfg.clone()), Arc::new(cfg));
+        let job = JobBuilder::new("agj")
+            .input(input)
+            .mapper(Arc::new(FnMapFactory(move || AggJoinMapper::new(m.clone()))))
+            .reducer(Arc::new(KeyLocal(FnReduceFactory(move || AggJoinReducer::new(r.clone())))))
+            .output(out)
+            .build();
+        let metrics = Engine::pinned(dfs.clone()).run_job(&job);
+        let written = dfs.get(out).unwrap();
+        let recs = written.iter_records().map(|r| AggRec::decode(r).unwrap()).collect();
+        (metrics.shuffle_records, recs)
     }
 
     /// MR Agg-Join over the joined composite: SUM(price) per feature in
@@ -970,13 +694,13 @@ mod tests {
     #[test]
     fn agg_join_mr_parallel_specs() {
         let dfs = SimDfs::new();
-        let joined = run_composite_join(&dfs);
+        let joined = run_composite_join(&dfs, vec![]);
         assert_eq!(joined.len(), 2);
 
         let mut numeric = vec![None; 100];
         numeric[30] = Some(30.0);
         numeric[40] = Some(40.0);
-        let config = Arc::new(AggJoinConfig {
+        let config = AggJoinConfig {
             specs: vec![
                 AggJoinSpec {
                     id: 0,
@@ -1011,27 +735,8 @@ mod tests {
             numeric: Arc::new(numeric),
             raw_filters: vec![],
             map_side_combine: true,
-            legacy_owned: false,
-        });
-        let job = JobBuilder::new("agj")
-            .input("joined")
-            .mapper(Arc::new(FnMapFactory({
-                let c = config.clone();
-                move || AggJoinMapper::new(c.clone())
-            })))
-            .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                let c = config.clone();
-                move || AggJoinReducer::new(c.clone())
-            }))))
-            .output("aggs")
-            .build();
-        Engine::pinned(dfs.clone()).run_job(&job);
-        let mut recs: Vec<AggRec> = dfs
-            .get("aggs")
-            .unwrap()
-            .iter_records()
-            .map(|r| AggRec::decode(r).unwrap())
-            .collect();
+        };
+        let (_, mut recs) = run_agg_join(&dfs, "joined", config, "aggs");
         recs.sort_by_key(|r| (r.id, r.key.clone()));
         assert_eq!(recs.len(), 2);
         // Spec 0: feature 71 -> sum 30 (only p10 has pf).
@@ -1058,8 +763,8 @@ mod tests {
         numeric[30] = Some(30.0);
         let numeric = Arc::new(numeric);
 
-        let mk_config = |combine: bool| {
-            Arc::new(AggJoinConfig {
+        let run = |combine: bool, out: &str| {
+            let config = AggJoinConfig {
                 specs: vec![AggJoinSpec {
                     id: 0,
                     slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
@@ -1080,244 +785,13 @@ mod tests {
                     None,
                 )],
                 map_side_combine: combine,
-                legacy_owned: false,
-            })
-        };
-        let run = |combine: bool, out: &str| {
-            let config = mk_config(combine);
-            let job = JobBuilder::new("agj")
-                .input("tgs")
-                .mapper(Arc::new(FnMapFactory({
-                    let c = config.clone();
-                    move || AggJoinMapper::new(c.clone())
-                })))
-                .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                    let c = config.clone();
-                    move || AggJoinReducer::new(c.clone())
-                }))))
-                .output(out)
-                .build();
-            Engine::pinned(dfs.clone()).run_job(&job)
-        };
-        let with = run(true, "out_with");
-        let without = run(false, "out_without");
-        let recs = |name: &str| -> Vec<AggRec> {
-            dfs.get(name)
-                .unwrap()
-                .iter_records()
-                .map(|r| AggRec::decode(r).unwrap())
-                .collect()
-        };
-        assert_eq!(recs("out_with"), recs("out_without"));
-        assert_eq!(recs("out_with")[0].values, vec![Some(6000.0)]);
-        assert!(
-            with.shuffle_records < without.shuffle_records,
-            "hash aggregation must shrink the shuffle ({} vs {})",
-            with.shuffle_records,
-            without.shuffle_records
-        );
-    }
-
-    /// A zero-length shuffle value has no side byte to route it by: both
-    /// reducer paths quarantine it (counted, not dropped in silence) and
-    /// join the rest of the key group; so does a value whose star tag does
-    /// not fit a `u8`.
-    #[test]
-    fn alpha_reducer_counts_undecodable_values() {
-        let tagged = |side: Side, rec: &[u8]| [&[side.byte()], rec].concat();
-        let left = tagged(Side::Left, &AnnTg::single(0, TripleGroup::new(1, vec![(PF, 7)])).encoded());
-        let right = tagged(Side::Right, &AnnTg::single(1, TripleGroup::new(2, vec![(PR, 1)])).encoded());
-        let mut wide_tag = vec![Side::Right.byte()];
-        write_varint(&mut wide_tag, 1);
-        write_varint(&mut wide_tag, 256);
-        TripleGroup::new(3, vec![(PR, 1)]).encode(&mut wide_tag);
-        for legacy in [false, true] {
-            let conds = Arc::new(Vec::new());
-            let mut reducer = if legacy {
-                AlphaJoinReducer::legacy(conds)
-            } else {
-                AlphaJoinReducer::new(conds)
             };
-            let mut out = ReduceOutput::default();
-            reducer.reduce(b"k", &[&left, &[], &wide_tag, &right], &mut out);
-            assert_eq!(out.corrupt_records, 2, "legacy={legacy}");
-            assert_eq!(out.records.len(), 1, "legacy={legacy}");
-            // One-sided key: nothing to join, the empty value still counts.
-            reducer.reduce(b"k", &[&left, &[]], &mut out);
-            assert_eq!(out.corrupt_records, 3, "legacy={legacy}");
-            assert_eq!(out.records.len(), 1, "legacy={legacy}");
-        }
-    }
-
-    /// A record that stops mid-pair is quarantined by the one-walk kernels
-    /// exactly as the owned decoders quarantine it: counted once, nothing
-    /// emitted, on raw and annotated inputs of both mappers.
-    #[test]
-    fn mappers_quarantine_truncated_records() {
-        let raw = tg_record(10, &[(TY, PT18), (PF, 71), (PC, 30)]);
-        let ann = AnnTg::single(0, TripleGroup::decode(&raw).unwrap()).encoded();
-        let star = StarSpec {
-            star: 0,
-            primary: vec![PropReq::any(PF)],
-            secondary: vec![],
+            run_agg_join(&dfs, "tgs", config, out)
         };
-        for legacy_owned in [false, true] {
-            let join = Arc::new(TgJoinMapConfig {
-                raw_inputs: vec![0],
-                star_routes: vec![StarRoute {
-                    spec: star.clone(),
-                    side: Side::Left,
-                    key: JoinKey::Subject { star: 0 },
-                    prefilter: None,
-                }],
-                ann_routes: vec![AnnRoute {
-                    input: 1,
-                    side: Side::Right,
-                    key: JoinKey::Subject { star: 0 },
-                }],
-                legacy_owned,
-            });
-            let agg = |raw_filters| {
-                Arc::new(AggJoinConfig {
-                    specs: vec![AggJoinSpec {
-                        id: 0,
-                        slots: vec![VarRef::ObjectOf { star: 0, prop: PF }],
-                        group_slots: vec![0],
-                        aggs: vec![AggSpec { op: AggOp::Count, arg: None }],
-                        alpha: AlphaCond::default(),
-                    }],
-                    numeric: Arc::new(Vec::new()),
-                    raw_filters,
-                    map_side_combine: true,
-                    legacy_owned,
-                })
-            };
-            let mut mappers: Vec<(Box<dyn MapTask>, usize, &[u8])> = vec![
-                (Box::new(TgJoinMapper::new(join.clone())), 0, &raw),
-                (Box::new(TgJoinMapper::new(join)), 1, &ann),
-                (Box::new(AggJoinMapper::new(agg(vec![(star.clone(), None)]))), 0, &raw),
-                (Box::new(AggJoinMapper::new(agg(vec![]))), 0, &ann),
-            ];
-            for (i, (mapper, dataset, rec)) in mappers.iter_mut().enumerate() {
-                let src = InputSrc { dataset: *dataset };
-                let mut out = MapOutput::default();
-                mapper.map(src, &rec[..rec.len() - 1], &mut out);
-                mapper.cleanup(&mut out);
-                assert_eq!(
-                    (out.corrupt_records, out.kvs.len()),
-                    (1, 0),
-                    "mapper {i} legacy={legacy_owned}"
-                );
-                mapper.map(src, rec, &mut out);
-                mapper.cleanup(&mut out);
-                assert_eq!((out.corrupt_records, out.kvs.len()), (1, 1));
-            }
-        }
-    }
-
-    fn raw_records(dfs: &SimDfs, name: &str) -> Vec<Vec<u8>> {
-        dfs.get(name)
-            .unwrap()
-            .iter_records()
-            .map(|r| r.to_vec())
-            .collect()
-    }
-
-    /// The view pipeline must be byte-identical to the owned-decode path —
-    /// same records, same bytes, same order — through filter + α-join.
-    #[test]
-    fn view_join_byte_identical_to_legacy() {
-        let dfs = SimDfs::new();
-        run_composite_join_as(&dfs, false, "joined_view");
-        run_composite_join_as(&dfs, true, "joined_legacy");
-        assert_eq!(
-            raw_records(&dfs, "joined_view"),
-            raw_records(&dfs, "joined_legacy")
-        );
-    }
-
-    /// Same identity for the Agg-Join: the sorted-drain hash table and the
-    /// legacy `FxHashMap` combine state must produce identical final bytes,
-    /// with and without map-side combining, including the raw-filter
-    /// (shared single-star scan) map path.
-    #[test]
-    fn view_agg_join_byte_identical_to_legacy() {
-        let dfs = SimDfs::new();
-        let mut w = DatasetWriter::new(128);
-        for i in 0..50 {
-            w.push(&tg_record(i, &[(PF, 60 + i % 3), (PC, 30 + (i % 2) * 10)]));
-        }
-        dfs.put("tgs", w.finish());
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        numeric[40] = Some(40.0);
-        let numeric = Arc::new(numeric);
-
-        let mk_config = |combine: bool, legacy: bool| {
-            Arc::new(AggJoinConfig {
-                specs: vec![AggJoinSpec {
-                    id: 0,
-                    slots: vec![
-                        VarRef::ObjectOf { star: 0, prop: PF },
-                        VarRef::ObjectOf { star: 0, prop: PC },
-                    ],
-                    group_slots: vec![0],
-                    aggs: vec![
-                        AggSpec {
-                            op: AggOp::Avg,
-                            arg: Some(1),
-                        },
-                        AggSpec {
-                            op: AggOp::Count,
-                            arg: None,
-                        },
-                    ],
-                    alpha: AlphaCond::default(),
-                }],
-                numeric: numeric.clone(),
-                raw_filters: vec![(
-                    StarSpec {
-                        star: 0,
-                        primary: vec![PropReq::any(PF), PropReq::any(PC)],
-                        secondary: vec![],
-                    },
-                    None,
-                )],
-                map_side_combine: combine,
-                legacy_owned: legacy,
-            })
-        };
-        let run = |combine: bool, legacy: bool, out: &str| {
-            let config = mk_config(combine, legacy);
-            let job = JobBuilder::new("agj")
-                .input("tgs")
-                .mapper(Arc::new(FnMapFactory({
-                    let c = config.clone();
-                    move || AggJoinMapper::new(c.clone())
-                })))
-                .reducer(Arc::new(KeyLocal(FnReduceFactory({
-                    let c = config.clone();
-                    move || AggJoinReducer::new(c.clone())
-                }))))
-                .output(out)
-                .num_reducers(2)
-                .build();
-            Engine::pinned(dfs.clone()).run_job(&job);
-        };
-        for combine in [true, false] {
-            let (a, b) = if combine {
-                ("agg_view_c", "agg_legacy_c")
-            } else {
-                ("agg_view_n", "agg_legacy_n")
-            };
-            run(combine, false, a);
-            run(combine, true, b);
-            assert_eq!(
-                raw_records(&dfs, a),
-                raw_records(&dfs, b),
-                "combine={combine}"
-            );
-            assert!(!raw_records(&dfs, a).is_empty());
-        }
+        let (with, recs_with) = run(true, "out_with");
+        let (without, recs_without) = run(false, "out_without");
+        assert_eq!(recs_with, recs_without);
+        assert_eq!(recs_with[0].values, vec![Some(6000.0)]);
+        assert!(with < without, "hash aggregation must shrink the shuffle ({with} vs {without})");
     }
 }

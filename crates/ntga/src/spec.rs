@@ -347,6 +347,41 @@ impl PartialAgg {
             max: read_f64(buf)?,
         })
     }
+
+    /// Merge one shuffled value — `into.len()` encoded partials and nothing
+    /// after them — into `into`. The partials decode into `scratch` first,
+    /// so a damaged value (truncated, or with trailing bytes) returns
+    /// `false` and leaves `into` untouched rather than half-merged.
+    pub fn merge_encoded(
+        into: &mut [PartialAgg],
+        scratch: &mut Vec<PartialAgg>,
+        mut value: &[u8],
+    ) -> bool {
+        scratch.clear();
+        scratch.extend(into.iter().map_while(|_| PartialAgg::decode(&mut value)));
+        let whole = scratch.len() == into.len() && value.is_empty();
+        if whole {
+            into.iter_mut().zip(scratch.iter()).for_each(|(m, p)| m.merge(p));
+        }
+        whole
+    }
+}
+
+/// Append the `nk, key id * nk` tail of an aggregate shuffle key.
+pub fn write_group_key(out: &mut Vec<u8>, key: &[u64]) {
+    write_varint(out, key.len() as u64);
+    key.iter().for_each(|k| write_varint(out, *k));
+}
+
+/// Read what [`write_group_key`] wrote into `out` (cleared here). Ids are
+/// pushed as they are read, so a hostile `nk` costs no more than the bytes
+/// present. `None` = the key stops short.
+pub fn read_group_key(buf: &mut &[u8], out: &mut Vec<u64>) -> Option<()> {
+    out.clear();
+    for _ in 0..read_varint(buf)? {
+        out.push(read_varint(buf)?);
+    }
+    Some(())
 }
 
 /// One aggregation in an Agg-Join: `(func, arg)` over a grouping `theta`.
@@ -413,17 +448,28 @@ pub struct AggRec {
 impl AggRec {
     /// Encode as a DFS record.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(out, u64::from(self.id));
-        write_varint(out, self.key.len() as u64);
-        for k in &self.key {
+        Self::encode_parts(self.id, &self.key, self.values.iter().copied(), out);
+    }
+
+    /// [`Self::encode`] from borrowed parts, for reducers that finalize
+    /// straight into their output buffer.
+    pub fn encode_parts(
+        id: u8,
+        key: &[u64],
+        values: impl ExactSizeIterator<Item = Option<f64>>,
+        out: &mut Vec<u8>,
+    ) {
+        write_varint(out, u64::from(id));
+        write_varint(out, key.len() as u64);
+        for k in key {
             write_varint(out, *k);
         }
-        write_varint(out, self.values.len() as u64);
-        for v in &self.values {
+        write_varint(out, values.len() as u64);
+        for v in values {
             match v {
                 Some(x) => {
                     out.push(1);
-                    write_f64(out, *x);
+                    write_f64(out, x);
                 }
                 None => out.push(0),
             }

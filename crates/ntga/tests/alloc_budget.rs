@@ -2,14 +2,14 @@
 //!
 //! Installs [`rapida_testkit::alloc_gauge::CountingAlloc`] as this test
 //! binary's global allocator and drives [`TgJoinMapper`] directly over a
-//! batch of encoded triplegroup records, comparing allocator traffic
-//! between the borrowed-view path and the `legacy_owned` baseline:
+//! batch of encoded triplegroup records, comparing allocator traffic with
+//! the owned-decode mapper it replaced ([`common::ReferenceTgJoinMap`]):
 //!
-//! * once its scratch buffers are warm, the view path must stay under a
+//! * once its scratch buffers are warm, the mapper must stay under a
 //!   small allocations-per-record ceiling (steady state is zero: records
 //!   are parsed as views and emits reuse two cleared buffers);
-//! * the legacy path allocates per record (owned decode, per-route clone,
-//!   fresh key/value `Vec`s per emit), so the view path must come in at
+//! * the owned mapper allocates per record (owned decode, per-route clone,
+//!   fresh key/value `Vec`s per emit), so the mapper must come in at
 //!   least 3x below it on identical input.
 //!
 //! The downstream operators carry the same guarantee, checked the same way:
@@ -21,6 +21,9 @@
 //! Everything is measured single-threaded in one `#[test]` — the gauge's
 //! counters are global.
 
+mod common;
+
+use common::{tagged, ReferenceTgJoinMap};
 use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaJoinReducer,
@@ -56,7 +59,7 @@ fn records() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn config(legacy_owned: bool) -> Arc<TgJoinMapConfig> {
+fn config() -> Arc<TgJoinMapConfig> {
     Arc::new(TgJoinMapConfig {
         raw_inputs: vec![0],
         star_routes: vec![StarRoute {
@@ -70,7 +73,6 @@ fn config(legacy_owned: bool) -> Arc<TgJoinMapConfig> {
             prefilter: None,
         }],
         ann_routes: Vec::new(),
-        legacy_owned,
     })
 }
 
@@ -84,9 +86,8 @@ fn sized_output() -> MapOutput {
 
 /// One warm-up pass (fills the mapper's scratch buffers), then a measured
 /// pass into a pre-sized sink. Returns `(allocations, emitted pairs)`.
-fn measure(cfg: Arc<TgJoinMapConfig>, recs: &[Vec<u8>]) -> (u64, usize) {
+fn measure(mut mapper: impl MapTask, recs: &[Vec<u8>]) -> (u64, usize) {
     let src = InputSrc { dataset: 0 };
-    let mut mapper = TgJoinMapper::new(cfg);
     let mut warm = sized_output();
     for r in recs {
         mapper.map(src, r, &mut warm);
@@ -148,7 +149,6 @@ fn agg_config() -> Arc<AggJoinConfig> {
         numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
         raw_filters: Vec::new(),
         map_side_combine: true,
-        legacy_owned: false,
     })
 }
 
@@ -182,21 +182,16 @@ fn measure_agg_map(recs: &[Vec<u8>]) -> u64 {
 /// Allocations of a second pass of a warm [`AlphaJoinReducer`] over key
 /// groups of one product value and 1–4 offer values each.
 fn measure_alpha_reduce() -> (u64, usize) {
-    let tagged = |side: Side, ann: AnnTg| {
-        let mut v = vec![if side == Side::Left { 0 } else { 1 }];
-        ann.encode(&mut v);
-        v
-    };
     let groups: Vec<Vec<Vec<u8>>> = (0..RECORDS as u64)
         .map(|k| {
             let mut product = vec![(PRODUCT, k % 97)];
             if k % 2 == 0 {
                 product.push((DELIVERY, 7));
             }
-            let mut values = vec![tagged(Side::Left, AnnTg::single(0, TripleGroup::new(k, product)))];
+            let mut values = vec![tagged(Side::Left, &AnnTg::single(0, TripleGroup::new(k, product)))];
             values.extend((0..=k % 4).map(|o| {
                 let offer = TripleGroup::new(9_000 + 4 * k + o, vec![(PRICE, 10 + o)]);
-                tagged(Side::Right, AnnTg::single(1, offer))
+                tagged(Side::Right, &AnnTg::single(1, offer))
             }));
             values
         })
@@ -239,9 +234,9 @@ fn view_path_allocations_bounded() {
     );
 
     let recs = records();
-    let (view_allocs, view_pairs) = measure(config(false), &recs);
-    let (legacy_allocs, legacy_pairs) = measure(config(true), &recs);
-    assert_eq!(view_pairs, legacy_pairs, "variants must agree on output");
+    let (view_allocs, view_pairs) = measure(TgJoinMapper::new(config()), &recs);
+    let (owned_allocs, owned_pairs) = measure(ReferenceTgJoinMap(config()), &recs);
+    assert_eq!(view_pairs, owned_pairs, "variants must agree on output");
     assert!(view_pairs > RECORDS / 2, "most records should pass the filter");
 
     // Absolute ceiling: warm view path is allocation-free per record; allow
@@ -253,15 +248,16 @@ fn view_path_allocations_bounded() {
          (ceiling {ceiling})"
     );
 
-    // Relative floor: legacy owned-decode allocates every record (decode +
-    // clone + fresh emit buffers); views must be at least 3x below it.
+    // Relative floor: the owned-decode reference allocates every record
+    // (decode + clone + fresh emit buffers); views must be at least 3x
+    // below it.
     assert!(
-        legacy_allocs >= 3 * RECORDS as u64,
-        "legacy path should allocate per record, got {legacy_allocs}"
+        owned_allocs >= 3 * RECORDS as u64,
+        "the owned reference should allocate per record, got {owned_allocs}"
     );
     assert!(
-        view_allocs * 3 <= legacy_allocs,
+        view_allocs * 3 <= owned_allocs,
         "view path ({view_allocs}) must allocate at least 3x less than \
-         legacy ({legacy_allocs})"
+         the owned reference ({owned_allocs})"
     );
 }

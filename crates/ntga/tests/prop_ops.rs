@@ -1,13 +1,17 @@
 //! Property tests for the NTGA operators: the set-theoretic laws of
 //! Definitions 3.3–3.5, partial-aggregate algebra, codec round-trips, and
 //! the one-walk kernels (fused group filter, compiled slot program) against
-//! the owned operators they must reproduce.
+//! the owned operators they must reproduce, and the Agg-Join reducer's
+//! all-or-nothing handling of a damaged value.
 
+use rapida_mapred::codec::write_varint;
+use rapida_mapred::{ReduceOutput, ReduceTask};
 use rapida_testkit::prelude::*;
 use rapida_ntga::{
     accumulate, alpha_join, any_alpha_partial, n_split, opt_group_filter, opt_group_filter_into,
-    AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, AnnTg, JoinKey, NumericSnapshot,
-    PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef, TripleGroup, VarRef,
+    AggJoinConfig, AggJoinReducer, AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm,
+    AnnTg, JoinKey, NumericSnapshot, PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef,
+    TripleGroup, VarRef,
 };
 use std::sync::Arc;
 
@@ -336,5 +340,68 @@ proptest! {
             });
             prop_assert_eq!(&got, &want);
         }
+    }
+
+    /// The Agg-Join reducer merges a shuffled value whole or not at all:
+    /// with any one value of a key group cut short anywhere (down to
+    /// nothing) or carrying one byte too many, it writes exactly what it
+    /// writes for the group without that value and quarantines one record.
+    /// A key it cannot read — a group-key count no key could hold, a spec
+    /// id nobody configured — is one quarantined record and no output.
+    #[test]
+    fn agg_reducer_takes_a_damaged_value_whole_or_not_at_all(
+        ops in proptest::collection::vec(0usize..5, 1..4),
+        values in proptest::collection::vec(
+            proptest::collection::vec(proptest::option::of(-1e3f64..1e3), 0..4), 1..5),
+        group in proptest::collection::vec(any::<u64>(), 0..3),
+        victim in any::<usize>(),
+    ) {
+        let op = |&i: &usize| [AggOp::Count, AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max][i];
+        let config = Arc::new(AggJoinConfig {
+            specs: vec![AggJoinSpec {
+                id: 7,
+                slots: vec![],
+                group_slots: vec![],
+                aggs: ops.iter().map(|i| AggSpec { op: op(i), arg: None }).collect(),
+                alpha: AlphaCond::default(),
+            }],
+            ..AggJoinConfig::default()
+        });
+        let key_of = |id: u64, nk: u64| {
+            let mut key = Vec::new();
+            [id, nk].iter().chain(&group).for_each(|n| write_varint(&mut key, *n));
+            key
+        };
+        let key = key_of(7, group.len() as u64);
+        // One encoded value per draw: its fold, once per aggregate.
+        let values: Vec<Vec<u8>> = values
+            .iter()
+            .map(|fold| {
+                let (mut p, mut v) = (PartialAgg::default(), Vec::new());
+                fold.iter().for_each(|x| p.add(*x));
+                ops.iter().for_each(|_| p.encode(&mut v));
+                v
+            })
+            .collect();
+        let reduce = |key: &[u8], values: &[Vec<u8>]| {
+            let mut out = ReduceOutput::default();
+            let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+            AggJoinReducer::new(config.clone()).reduce(key, &values, &mut out);
+            (out.records.iter().map(<[u8]>::to_vec).collect::<Vec<_>>(), out.corrupt_records)
+        };
+
+        let victim = victim % values.len();
+        let mut without = values.clone();
+        let intact = without.remove(victim);
+        let (want, clean) = reduce(&key, &without);
+        prop_assert_eq!((want.len(), clean), (1, 0));
+        let cuts = (0..intact.len()).map(|cut| intact[..cut].to_vec());
+        for bad in cuts.chain([[&intact[..], &[0]].concat()]) {
+            let mut group = values.clone();
+            group[victim] = bad;
+            prop_assert_eq!(reduce(&key, &group), (want.clone(), 1));
+        }
+        prop_assert_eq!(reduce(&key_of(7, u64::MAX), &values), (vec![], 1));
+        prop_assert_eq!(reduce(&key_of(8, group.len() as u64), &values), (vec![], 1));
     }
 }

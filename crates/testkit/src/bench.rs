@@ -157,65 +157,6 @@ impl<'a> BenchmarkGroup<'a> {
         }
     }
 
-    /// Run two benchmark bodies as one interleaved pair: timed samples
-    /// alternate A, B, A, B, … so a slow machine window (background load,
-    /// thermal drift) hits both variants equally instead of biasing
-    /// whichever id happened to run second. Use this when the quantity of
-    /// interest is the *ratio* between the two ids. Records one result per
-    /// id, shaped exactly like two [`Self::bench_with_input`] runs.
-    pub fn bench_pair<I: ?Sized, OA, OB>(
-        &mut self,
-        id_a: BenchmarkId,
-        id_b: BenchmarkId,
-        input: &I,
-        mut fa: impl FnMut(&I) -> OA,
-        mut fb: impl FnMut(&I) -> OB,
-    ) -> &mut Self {
-        if smoke_mode() {
-            for (id, elapsed) in [
-                (id_a, time_once(|| std::hint::black_box(fa(input)))),
-                (id_b, time_once(|| std::hint::black_box(fb(input)))),
-            ] {
-                self.record_samples(id, vec![elapsed], 1);
-            }
-            return self;
-        }
-        let batch_a = self.warmed_batch(|| std::hint::black_box(fa(input)));
-        let batch_b = self.warmed_batch(|| std::hint::black_box(fb(input)));
-        let mut samples_a = Vec::with_capacity(self.sample_size);
-        let mut samples_b = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..batch_a {
-                std::hint::black_box(fa(input));
-            }
-            samples_a.push(start.elapsed().as_nanos() as f64 / batch_a as f64);
-            let start = Instant::now();
-            for _ in 0..batch_b {
-                std::hint::black_box(fb(input));
-            }
-            samples_b.push(start.elapsed().as_nanos() as f64 / batch_b as f64);
-        }
-        self.record_samples(id_a, samples_a, batch_a);
-        self.record_samples(id_b, samples_b, batch_b);
-        self
-    }
-
-    /// Warm one pair member up for half the group warmup budget and derive
-    /// its per-sample batch size from the observed per-call cost.
-    fn warmed_batch<O>(&self, mut f: impl FnMut() -> O) -> u64 {
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < self.warm_up_time / 2 || warm_iters == 0 {
-            f();
-            warm_iters += 1;
-        }
-        let per_call_ns = (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
-        let target_sample_ns =
-            self.measurement_time.as_nanos() as f64 / self.sample_size as f64;
-        (target_sample_ns / per_call_ns).clamp(1.0, 1e7) as u64
-    }
-
     fn record(&mut self, id: BenchmarkId, bencher: Bencher) {
         let mut samples = bencher.samples_ns;
         if samples.is_empty() {
@@ -223,10 +164,7 @@ impl<'a> BenchmarkGroup<'a> {
             // report shows the hole instead of silently dropping the id.
             samples.push(0.0);
         }
-        self.record_samples(id, samples, bencher.iters_per_sample);
-    }
-
-    fn record_samples(&mut self, id: BenchmarkId, mut samples: Vec<f64>, iters_per_sample: u64) {
+        let iters_per_sample = bencher.iters_per_sample;
         samples.sort_by(|a, b| a.total_cmp(b));
         let min = samples[0];
         let median = samples[samples.len() / 2];
@@ -288,12 +226,6 @@ impl<'a> BenchmarkGroup<'a> {
         }
         self.criterion.groups_run += 1;
     }
-}
-
-fn time_once<O>(f: impl FnOnce() -> O) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos() as f64
 }
 
 fn json_str(s: &str) -> String {
@@ -457,30 +389,6 @@ mod tests {
         assert_eq!(g.results.len(), 1);
         assert!(!g.results[0].samples_ns.is_empty());
         assert!(g.results[0].min_ns <= g.results[0].median_ns);
-        // Don't write a JSON file from unit tests: drop without finish().
-    }
-
-    #[test]
-    fn bench_pair_records_both_ids() {
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("testgroup_pair");
-        g.sample_size(3)
-            .warm_up_time(Duration::from_millis(1))
-            .measurement_time(Duration::from_millis(5));
-        g.bench_pair(
-            BenchmarkId::new("a", "x"),
-            BenchmarkId::new("b", "x"),
-            &7u64,
-            |n| n + 1,
-            |n| n + 2,
-        );
-        assert_eq!(g.results.len(), 2);
-        assert_eq!(g.results[0].id, "a/x");
-        assert_eq!(g.results[1].id, "b/x");
-        for r in &g.results {
-            assert_eq!(r.samples_ns.len(), 3);
-            assert!(r.min_ns <= r.median_ns);
-        }
         // Don't write a JSON file from unit tests: drop without finish().
     }
 

@@ -11,9 +11,9 @@
 #
 #   BENCH_mapred.json — legacy pair-sort shuffle vs arena run-merge shuffle
 #     over the same 1M-record workload; the arena path must be >= 2x faster.
-#   BENCH_query.json  — Fig. 8 MG queries on RAPIDAnalytics, zero-copy view
-#     operators vs the owned-decode path; the view path must be >= 1.3x
-#     faster at the median across queries.
+#   BENCH_query.json  — Fig. 8 MG queries on RAPIDAnalytics, end to end
+#     (`views/MG1..4`): absolute wall-clock times tracked PR over PR, no
+#     ratio and no floor; all four entries must exist with positive medians.
 #   BENCH_scale.json  — 1M-record shuffle at 1/2/4/8 workers, measured as
 #     busy-time makespan (busiest worker's CPU time per phase, so the floor
 #     holds even on a 1-core container); 4 workers must be >= 2x faster
@@ -71,7 +71,7 @@ run_mapred() {
 }
 
 run_query() {
-    echo "==> Fig. 8 view-vs-owned query bench (writes BENCH_query.json)"
+    echo "==> Fig. 8 end-to-end query bench (writes BENCH_query.json)"
     cargo bench --offline -p rapida-bench --bench query
 }
 
@@ -159,29 +159,13 @@ try:
 except (OSError, ValueError) as e:
     sys.exit(f"FAIL: {path} missing or malformed: {e}")
 by_id = {b["id"]: b for b in report["benchmarks"]}
-ratios = []
-for bid, views in sorted(by_id.items()):
-    if not bid.startswith("views/"):
-        continue
-    qid = bid.split("/", 1)[1]
-    legacy = by_id.get(f"legacy_owned/{qid}")
-    if legacy is None:
-        sys.exit(f"FAIL: {path} has {bid} but no legacy_owned/{qid}")
-    ratio = legacy["median_ns"] / views["median_ns"]
-    ratios.append(ratio)
-    print(
-        f"  {qid}: views {views['median_ns'] / 1e6:.2f} ms"
-        f"  legacy {legacy['median_ns'] / 1e6:.2f} ms"
-        f"  speedup {ratio:.2f}x"
-    )
-if not ratios:
-    sys.exit(f"FAIL: {path} has no views/* benchmarks")
-ratios.sort()
-mid = len(ratios) // 2
-median = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
-print(f"  median speedup: {median:.2f}x")
-if not report.get("smoke") and median < 1.3:
-    sys.exit(f"FAIL: view-path median speedup {median:.2f}x is below the 1.3x floor")
+for qid in ("MG1", "MG2", "MG3", "MG4"):
+    views = by_id.get(f"views/{qid}")
+    if views is None:
+        sys.exit(f"FAIL: {path} lacks views/{qid}")
+    if not views["median_ns"] > 0:
+        sys.exit(f"FAIL: {path} views/{qid} has a non-positive median")
+    print(f"  {qid}: views {views['median_ns'] / 1e6:.2f} ms")
 EOF
 }
 

@@ -40,8 +40,11 @@ cargo test -q --offline -p rapida-core --lib enumerate::tests
 echo "==> relational shuffle oracle smoke (perfbench --smoke: mg_hive vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_hive
 
-echo "==> NTGA one-walk kernels smoke (fused filter, slot program and star directory vs the owned operators; allocation budget)"
-cargo test -q --offline -p rapida-ntga --lib --test prop_ops --test prop_views --test alloc_budget
+echo "==> NTGA one-walk kernels smoke (fused filter, slot program and star directory vs the owned operators; physical operators vs the tests/common reference; allocation budget)"
+cargo test -q --offline -p rapida-ntga --lib --test prop_ops --test prop_views --test view_identity --test alloc_budget
+
+echo "==> one NTGA operator path (the owned-decode flag stays out of production, benches and scripts)"
+if grep -rn 'legacy[_]owned' crates/*/src src crates/bench scripts; then echo "FAIL: the flag is back" >&2; exit 1; fi
 
 echo "==> NTGA oracle smoke (perfbench --smoke: mg_rapida vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_rapida
@@ -90,9 +93,8 @@ try:
 except (OSError, ValueError) as e:
     sys.exit(f"FAIL: BENCH_query.json missing or malformed: {e}")
 ids = [b["id"] for b in report["benchmarks"]]
-for prefix in ("views/", "legacy_owned/"):
-    if not any(i.startswith(prefix) for i in ids):
-        sys.exit(f"FAIL: BENCH_query.json lacks a {prefix}* benchmark")
+if not ids or not all(i.startswith("views/") for i in ids):
+    sys.exit(f"FAIL: BENCH_query.json must hold views/* benchmarks only, got {ids}")
 print(f"  ok: {ids}")
 EOF
 

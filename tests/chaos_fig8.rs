@@ -12,10 +12,13 @@
 use rapida::core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
 use rapida::core::{extract, AnalyticalQuery, DataCatalog, QueryEngine};
 use rapida::datagen::{generate_bsbm, generate_chem, query, BsbmConfig, ChemConfig};
+use rapida::mapred::integrity::fnv1a;
 use rapida::mapred::{ClusterModel, Engine as MrEngine, FaultPlan, WorkflowMetrics};
 use rapida::sparql::parse_query;
 use rapida_testkit::chaos::{ChaosConfig, Scenario};
+use std::path::PathBuf;
 
+/// The relational engines, then the two NTGA engines.
 fn engines() -> Vec<Box<dyn QueryEngine>> {
     vec![
         Box::new(HiveNaive::default()),
@@ -88,8 +91,14 @@ fn run_one(
     ((blocks, committed(&wf)), wf)
 }
 
-/// Sweep one catalog's queries through the grid on all four engines.
-fn chaos_matrix(cat: &DataCatalog, ids: &[&str]) {
+/// Sweep one catalog's queries through the grid on `engines`; `pin` sees
+/// each pair's fault-free signature, which every other scenario must equal.
+fn chaos_matrix(
+    cat: &DataCatalog,
+    ids: &[&str],
+    engines: &[Box<dyn QueryEngine>],
+    mut pin: impl FnMut(&str, &str, &RunSignature),
+) {
     let model = ClusterModel::nodes10();
     let cfg = grid();
     let scenarios = cfg.scenarios();
@@ -102,13 +111,14 @@ fn chaos_matrix(cat: &DataCatalog, ids: &[&str]) {
     for id in ids {
         let q = query(id);
         let aq = extract(&parse_query(&q.sparql).unwrap()).unwrap();
-        for engine in engines() {
+        for engine in engines {
             let (golden, golden_wf) = run_one(cat, &aq, engine.as_ref(), &scenarios[0]);
             assert!(
                 !golden.0.is_empty() || golden_wf.jobs.is_empty(),
                 "{id}/{}: golden run produced no output blocks",
                 engine.name()
             );
+            pin(id, engine.name(), &golden);
             let golden_cost = model.workflow_time(&golden_wf);
             // Aggregate chaos evidence across the faulted scenarios: the
             // tiny workloads make any single seed's injections sparse, but
@@ -167,59 +177,57 @@ fn chaos_matrix(cat: &DataCatalog, ids: &[&str]) {
 #[test]
 fn bsbm_g_queries_survive_chaos() {
     let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
-    chaos_matrix(&cat, &["G1", "G2", "G3", "G4"]);
+    chaos_matrix(&cat, &["G1", "G2", "G3", "G4"], &engines(), |_, _, _| {});
 }
 
 #[test]
 fn bsbm_mg_queries_survive_chaos() {
     let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
-    chaos_matrix(&cat, &["MG1", "MG2", "MG3", "MG4"]);
+    chaos_matrix(&cat, &["MG1", "MG2", "MG3", "MG4"], &engines(), |_, _, _| {});
 }
 
 #[test]
 fn chem_mg6_survives_chaos() {
     let cat = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
-    chaos_matrix(&cat, &["MG6"]);
+    chaos_matrix(&cat, &["MG6"], &engines(), |_, _, _| {});
 }
 
-/// The zero-copy view operators under chaos: a Fig. 8 query run on the
-/// view path must (a) produce the exact bytes of the `legacy_owned`
-/// owned-decode path, and (b) recover byte-identically from every fault
-/// scenario in the sweep. Together these pin the view rewrite's output
-/// across both the fault-free and the fault-recovery code paths.
+/// `blocks=<count> bytes=<total block bytes> fnv=<FNV-1a 64>` of a run's
+/// signature; the hash covers every block (length-prefixed) and every
+/// committed per-job counter.
+fn digest(sig: &RunSignature) -> String {
+    let mut flat = Vec::new();
+    for block in &sig.0 {
+        flat.extend_from_slice(&(block.len() as u64).to_le_bytes());
+        flat.extend_from_slice(block);
+    }
+    for (map_only, maps, reduces, counters) in &sig.1 {
+        for n in [u64::from(*map_only), *maps as u64, *reduces as u64].iter().chain(counters) {
+            flat.extend_from_slice(&n.to_le_bytes());
+        }
+    }
+    let bytes: usize = sig.0.iter().map(Vec::len).sum();
+    format!("blocks={} bytes={bytes} fnv={:016x}", sig.0.len(), fnv1a(&flat))
+}
+
+/// The NTGA operators against their frozen reference: every Fig. 8 MG query
+/// on both NTGA engines must reproduce the digests in
+/// `tests/snapshots/fig8_ntga_golden.txt` — recorded from the owned-decode
+/// reference operators before they left production (their operator-level
+/// form lives on in `crates/ntga/tests/common`) — fault-free and, through
+/// the sweep, under every fault scenario. `RAPIDA_UPDATE_SNAPSHOTS=1`
+/// rewrites the file; do that only for a change meant to move output bytes.
 #[test]
 fn view_operators_survive_chaos_byte_identically() {
     let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
-    let q = query("MG2");
-    let aq = extract(&parse_query(&q.sparql).unwrap()).unwrap();
-    let views = RapidAnalytics::default();
-    let legacy = RapidAnalytics {
-        legacy_owned: true,
-        ..Default::default()
-    };
-
-    let cfg = grid();
-    let scenarios = cfg.scenarios();
-    let (golden, _) = run_one(&cat, &aq, &views, &scenarios[0]);
-    let (golden_legacy, _) = run_one(&cat, &aq, &legacy, &scenarios[0]);
-    assert_eq!(
-        golden, golden_legacy,
-        "view path diverged from the owned-decode baseline"
-    );
-
-    let mut injected = 0u64;
-    for s in &scenarios[1..] {
-        let (got, wf) = run_one(&cat, &aq, &views, s);
-        assert_eq!(
-            got,
-            golden,
-            "view path [{}] diverged from the fault-free golden run",
-            s.label()
-        );
-        injected += wf.total_retried_attempts() + wf.total_speculative_attempts();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/fig8_ntga_golden.txt");
+    let mut got = String::new();
+    chaos_matrix(&cat, &["MG1", "MG2", "MG3", "MG4"], &engines()[2..], |id, engine, sig| {
+        got.push_str(&format!("{id} {engine} {}\n", digest(sig)));
+    });
+    if std::env::var("RAPIDA_UPDATE_SNAPSHOTS").is_ok() {
+        std::fs::write(&path, &got).unwrap();
     }
-    assert!(
-        injected > 0,
-        "chaotic sweep injected nothing across the faulted scenarios"
-    );
+    let pinned = std::fs::read_to_string(&path).expect("tests/snapshots/fig8_ntga_golden.txt is committed");
+    assert_eq!(got, pinned, "an NTGA engine diverged from the pinned reference digests");
 }
