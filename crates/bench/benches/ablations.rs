@@ -7,7 +7,7 @@ use rapida_testkit::bench::{BenchmarkId, Criterion};
 use rapida_testkit::{criterion_group, criterion_main};
 use rapida_bench::Workbench;
 use rapida_core::engines::{RapidAnalytics, RapidPlus};
-use rapida_core::QueryEngine;
+use rapida_core::{PlanRules, QueryEngine};
 use rapida_datagen::query;
 use std::time::Duration;
 
@@ -18,23 +18,23 @@ fn bench(c: &mut Criterion) {
         ("full", Box::new(RapidAnalytics::default())),
         (
             "no-map-side-hash-agg",
-            Box::new(RapidAnalytics {
-                map_side_combine: false,
-                ..Default::default()
+            Box::new(PlanRules {
+                map_side_agg: false,
+                ..PlanRules::rapida()
             }),
         ),
         (
             "no-alpha-pruning",
-            Box::new(RapidAnalytics {
+            Box::new(PlanRules {
                 alpha_pruning: false,
-                ..Default::default()
+                ..PlanRules::rapida()
             }),
         ),
         (
             "sequential-agg-join",
-            Box::new(RapidAnalytics {
+            Box::new(PlanRules {
                 parallel_agg: false,
-                ..Default::default()
+                ..PlanRules::rapida()
             }),
         ),
         ("no-composite-gp", Box::new(RapidPlus::default())),

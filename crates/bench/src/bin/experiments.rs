@@ -8,7 +8,7 @@
 
 use rapida_bench::{all_engines, render_table, results_json, speedups, table3_engines, Workbench};
 use rapida_core::engines::{RapidAnalytics, RapidPlus};
-use rapida_core::QueryEngine;
+use rapida_core::{PlanRules, QueryEngine};
 use rapida_mapred::FaultPlan;
 
 fn main() {
@@ -195,23 +195,23 @@ fn ablations() {
         ("RAPIDAnalytics (full)", Box::new(RapidAnalytics::default())),
         (
             "  − map-side hash agg",
-            Box::new(RapidAnalytics {
-                map_side_combine: false,
-                ..Default::default()
+            Box::new(PlanRules {
+                map_side_agg: false,
+                ..PlanRules::rapida()
             }),
         ),
         (
             "  − α-join pruning",
-            Box::new(RapidAnalytics {
+            Box::new(PlanRules {
                 alpha_pruning: false,
-                ..Default::default()
+                ..PlanRules::rapida()
             }),
         ),
         (
             "  − parallel Agg-Join (Fig. 6a)",
-            Box::new(RapidAnalytics {
+            Box::new(PlanRules {
                 parallel_agg: false,
-                ..Default::default()
+                ..PlanRules::rapida()
             }),
         ),
         (
@@ -237,9 +237,9 @@ fn ablations() {
     println!("|---|---|---|---|");
     let q = rapida_bench::crossed_secondary_query();
     for (label, pruning) in [("with α-join pruning", true), ("without (all combos)", false)] {
-        let engine = RapidAnalytics {
+        let engine = PlanRules {
             alpha_pruning: pruning,
-            ..Default::default()
+            ..PlanRules::rapida()
         };
         let r = rapida_bench::run_sparql(&wb, &engine, "AQ-valid", &q).expect("runs");
         println!(

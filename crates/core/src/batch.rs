@@ -18,8 +18,9 @@
 use crate::aquery::AnalyticalQuery;
 use crate::catalog::DataCatalog;
 use crate::composite::{build_composite, CompositeOutcome};
-use crate::engines::hive::{mqo_block_jobs, HiveConfig};
+use crate::engines::hive::mqo_block_jobs;
 use crate::plan::{finish_plan, next_plan_id, PlanError, QueryPlan};
+use crate::rules::PlanRules;
 use rapida_mapred::{DatasetWriter, Job, SimDfs};
 use rapida_ntga::AggRec;
 
@@ -109,10 +110,11 @@ impl FusedPlan {
 /// Compile the shared jobs for one fusion group (≥ 2 members whose
 /// combined blocks [`fusion_groups`] already validated). The combined
 /// query's projection is irrelevant to block planning and left empty —
-/// member projections live in their own finishing plans.
+/// member projections live in their own finishing plans. The shared jobs are
+/// relational MQO jobs: of `rules`, the Hive switches apply.
 pub fn plan_fused_group(
     members: &[&AnalyticalQuery],
-    config: &HiveConfig,
+    rules: &PlanRules,
     cat: &DataCatalog,
 ) -> Result<FusedPlan, PlanError> {
     assert!(members.len() >= 2, "fused groups have at least two members");
@@ -135,7 +137,7 @@ pub fn plan_fused_group(
         }
     };
     let pid = next_plan_id("fb");
-    let (jobs, block_datasets) = mqo_block_jobs(config, &combined, &composite, cat, pid.clone())?;
+    let (jobs, block_datasets) = mqo_block_jobs(rules, &combined, &composite, cat, pid.clone())?;
     Ok(FusedPlan {
         jobs,
         block_datasets,
@@ -240,7 +242,6 @@ mod tests {
 
     #[test]
     fn fused_member_matches_solo_run() {
-        use crate::engines::hive::HiveMqo;
         use crate::plan::QueryEngine;
 
         let g = generate_bsbm(&BsbmConfig::tiny());
@@ -256,12 +257,11 @@ mod tests {
             return;
         }
 
-        let cfg = HiveConfig::default();
+        let solo_engine = PlanRules::hive_mqo();
         let refs: Vec<&AnalyticalQuery> = members.iter().collect();
-        let fused = plan_fused_group(&refs, &cfg, &cat).expect("fused plan");
+        let fused = plan_fused_group(&refs, &solo_engine, &cat).expect("fused plan");
         mr.run_workflow(&fused.jobs);
 
-        let solo_engine = HiveMqo::default();
         for (m, aq) in members.iter().enumerate() {
             let plan =
                 demux_member_plan(&fused, m, aq, "Hive (MQO)", &cat.dfs, mr.split_bytes)

@@ -12,6 +12,7 @@ use crate::aquery::{ExtractError, GroupingBlock};
 use crate::filters::{compile_block_filters, StarFilter, ValuePred};
 use crate::overlap::graphs_overlap;
 use rapida_sparql::analysis::{PropKey, Role, StarDecomposition};
+use rapida_sparql::ast::TriplePattern;
 use std::collections::BTreeSet;
 
 /// A secondary property of a composite star, with per-block presence flags.
@@ -157,16 +158,7 @@ pub fn build_composite(blocks: &[GroupingBlock]) -> Result<CompositeOutcome, Ext
 
     // Join edges from block 0 (role-equivalence across blocks already
     // verified by `graphs_overlap`).
-    let joins = decs[0]
-        .joins
-        .iter()
-        .map(|j| CompositeJoin {
-            left_star: j.left.star,
-            right_star: j.right.star,
-            left: edge_key(&decs[0], j.left.star, j.left.role, &j.left.prop, &j.var),
-            right: edge_key(&decs[0], j.right.star, j.right.role, &j.right.prop, &j.var),
-        })
-        .collect();
+    let joins = joins_of(&decs[0]);
 
     // α-conditions (Table 2): block b requires secondary (star, prop) iff
     // its own star carries prop.
@@ -251,6 +243,20 @@ pub fn build_composite(blocks: &[GroupingBlock]) -> Result<CompositeOutcome, Ext
     }))
 }
 
+/// The star-join edges of one block's decomposition in composite form — a
+/// block's own pattern is the composite of itself.
+pub fn joins_of(dec: &StarDecomposition) -> Vec<CompositeJoin> {
+    dec.joins
+        .iter()
+        .map(|j| CompositeJoin {
+            left_star: j.left.star,
+            right_star: j.right.star,
+            left: edge_key(dec, j.left.star, j.left.role, &j.left.prop, &j.var),
+            right: edge_key(dec, j.right.star, j.right.role, &j.right.prop, &j.var),
+        })
+        .collect()
+}
+
 fn edge_key(
     dec: &StarDecomposition,
     star: usize,
@@ -289,24 +295,27 @@ impl CompositePattern {
             .collect()
     }
 
-    /// Per-block star triple lookup: the constant object of `prop` in the
-    /// composite star `cs`, taken from the first block that carries it.
+    /// Block `b`'s triple pattern carrying `prop` in composite star `cs`.
+    pub fn pattern_of<'d>(
+        &self,
+        decs: &'d [StarDecomposition],
+        b: usize,
+        cs: usize,
+        prop: &PropKey,
+    ) -> Option<&'d TriplePattern> {
+        let bs = self.star_map[b].iter().position(|&c| c == cs)?;
+        decs[b].stars[bs].triple_for(prop)
+    }
+
+    /// The constant object of `prop` in the composite star `cs`, taken from
+    /// the first block that carries one.
     pub fn const_object(
         &self,
         decs: &[StarDecomposition],
         cs: usize,
         prop: &PropKey,
     ) -> Option<rapida_rdf::Term> {
-        for (b, d) in decs.iter().enumerate() {
-            if let Some(bs) = self.star_map[b].iter().position(|&c| c == cs) {
-                if let Some(tp) = d.stars[bs].triple_for(prop) {
-                    if let Some(t) = tp.o.as_term() {
-                        return Some(t.clone());
-                    }
-                }
-            }
-        }
-        None
+        (0..decs.len()).find_map(|b| self.pattern_of(decs, b, cs, prop)?.o.as_term().cloned())
     }
 }
 

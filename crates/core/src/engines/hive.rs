@@ -6,16 +6,18 @@
 
 use crate::aquery::{AnalyticalQuery, GroupingBlock};
 use crate::catalog::DataCatalog;
-use crate::composite::{build_composite, CompositeOutcome, CompositePattern};
+use crate::composite::{CompositePattern, SecondaryProp};
 use crate::engines::rapid::id_pred_of;
+use crate::engines::NUM_REDUCERS;
 use crate::filters::StarFilter;
-use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryEngine, QueryPlan};
+use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryPlan};
 use crate::relops::{
     DistinctCfg, DistinctMapTask, DistinctReduceTask, GroupAggCfg, GroupAggMapTask,
     GroupAggReduceTask, JoinCycleCfg, JoinInputCfg, JoinMapTask, JoinReduceTask, MapJoinCfg,
     MapJoinFactory, MapJoinSmall, PredOnCol, ScanKind,
 };
-use rapida_mapred::{ClusterModel, FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
+use crate::rules::{left_deep_walk, Attach, PlanRules};
+use rapida_mapred::{FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
 use rapida_ntga::AggOp;
 use rapida_rdf::FxHashMap;
 use rapida_sparql::analysis::{PropKey, Role, StarDecomposition};
@@ -24,130 +26,34 @@ use rapida_sparql::ast::{PatternTerm, TriplePattern, Var};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-const NUM_REDUCERS: usize = 8;
-
-/// Shared Hive engine configuration.
-#[derive(Debug, Clone)]
-pub struct HiveConfig {
-    /// Map-join threshold: a join becomes a map-only broadcast join when
-    /// every input but the largest is (estimated) below this many stored
-    /// bytes — Hive's `hive.mapjoin.smalltable.filesize` analog.
-    pub map_join_threshold: usize,
-    /// Hash-based map-side partial aggregation.
-    pub map_side_agg: bool,
-    /// Explicit star-join edge orders, one per planning unit (block index
-    /// for the naive planner; unit 0 for the MQO composite). Each entry is a
-    /// permutation of the unit's join-edge indexes; the planner consumes
-    /// edges in that order as long as every prefix stays connected. Empty =
-    /// the default greedy (first connecting edge) order. Set by the plan
-    /// enumerator.
-    pub join_orders: Vec<Vec<usize>>,
-    /// Substitute materialized ExtVP semi-join reductions for full VP
-    /// scans where a required join partner makes them sound. Swapping a
-    /// scan's dataset never changes query output (the reduction only drops
-    /// rows that could not survive the join) and never changes the plan
-    /// *shape*: map-join decisions keep pricing the base table, like Hive's
-    /// metastore statistics. Ablation knob for the enumerator.
-    pub use_extvp: bool,
+/// Hive (Naive): every block compiled on its own — star cycles, star-star
+/// joins, grouping-aggregation.
+pub(super) fn plan_per_block(
+    rules: &PlanRules,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+) -> Result<QueryPlan, PlanError> {
+    let pid = next_plan_id("hn");
+    let mut planner = RelPlanner::new(cat, rules, pid.clone());
+    let mut block_datasets = Vec::new();
+    for (b, block) in aq.blocks.iter().enumerate() {
+        block_datasets.push(planner.plan_block_naive(block, b as u8)?);
+    }
+    let jobs = planner.jobs;
+    finish_plan("Hive (Naive)", aq, jobs, block_datasets, &cat.dfs, &pid)
 }
 
-impl Default for HiveConfig {
-    fn default() -> Self {
-        HiveConfig {
-            map_join_threshold: 24 * 1024,
-            map_side_agg: true,
-            join_orders: Vec::new(),
-            use_extvp: true,
-        }
-    }
-}
-
-/// Hive (Naive): sequential relational evaluation of every block.
-#[derive(Debug, Clone, Default)]
-pub struct HiveNaive {
-    /// Engine configuration.
-    pub config: HiveConfig,
-    /// Cost-based opt-in: when set, `plan` runs the mini-Volcano enumerator
-    /// over the Hive plan family and returns the cheapest physical plan
-    /// under this cluster model instead of the fixed naive shape.
-    pub cost_model: Option<ClusterModel>,
-}
-
-/// Hive (MQO): composite pattern via OPTIONAL-style left-outer joins,
-/// materialized, then per-block extraction + aggregation \[27\].
-#[derive(Debug, Clone, Default)]
-pub struct HiveMqo {
-    /// Engine configuration.
-    pub config: HiveConfig,
-    /// Cost-based opt-in (see [`HiveNaive::cost_model`]).
-    pub cost_model: Option<ClusterModel>,
-}
-
-impl QueryEngine for HiveNaive {
-    fn name(&self) -> &'static str {
-        "Hive (Naive)"
-    }
-
-    fn plan(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
-        if let Some(model) = self.cost_model {
-            return crate::enumerate::enumerate_best(crate::enumerate::Family::Hive, aq, cat, &model)
-                .map(|e| e.plan);
-        }
-        let pid = next_plan_id("hn");
-        let mut planner = RelPlanner::new(cat, &self.config, pid.clone());
-        let mut block_datasets = Vec::new();
-        for (b, block) in aq.blocks.iter().enumerate() {
-            let out = planner.plan_block_naive(block, b as u8)?;
-            block_datasets.push(out);
-        }
-        finish_plan(
-            "Hive (Naive)",
-            aq,
-            planner.jobs,
-            block_datasets,
-            &cat.dfs,
-            &pid,
-        )
-    }
-}
-
-impl QueryEngine for HiveMqo {
-    fn name(&self) -> &'static str {
-        "Hive (MQO)"
-    }
-
-    fn plan(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
-        if let Some(model) = self.cost_model {
-            return crate::enumerate::enumerate_best(crate::enumerate::Family::Hive, aq, cat, &model)
-                .map(|e| e.plan);
-        }
-        if aq.blocks.len() < 2 {
-            // MQO rewriting needs multiple patterns; single blocks compile
-            // exactly like naive Hive.
-            let naive = HiveNaive {
-                config: self.config.clone(),
-                cost_model: None,
-            };
-            let mut plan = naive.plan(aq, cat)?;
-            plan.engine = "Hive (MQO)";
-            return Ok(plan);
-        }
-        let composite = match build_composite(&aq.blocks)? {
-            CompositeOutcome::Composite(c) => c,
-            CompositeOutcome::NotOverlapping(_) => {
-                let naive = HiveNaive {
-                    config: self.config.clone(),
-                    cost_model: None,
-                };
-                let mut plan = naive.plan(aq, cat)?;
-                plan.engine = "Hive (MQO)";
-                return Ok(plan);
-            }
-        };
-        let pid = next_plan_id("hm");
-        let (jobs, block_datasets) = mqo_block_jobs(&self.config, aq, &composite, cat, pid.clone())?;
-        finish_plan("Hive (MQO)", aq, jobs, block_datasets, &cat.dfs, &pid)
-    }
+/// Hive (MQO): the composite materialized once, then per-block extraction +
+/// aggregation.
+pub(super) fn plan_composite(
+    rules: &PlanRules,
+    aq: &AnalyticalQuery,
+    composite: &CompositePattern,
+    cat: &DataCatalog,
+) -> Result<QueryPlan, PlanError> {
+    let pid = next_plan_id("hm");
+    let (jobs, block_datasets) = mqo_block_jobs(rules, aq, composite, cat, pid.clone())?;
+    finish_plan("Hive (MQO)", aq, jobs, block_datasets, &cat.dfs, &pid)
 }
 
 /// Compile just the shared MQO block jobs — composite QOPT materialization
@@ -159,16 +65,16 @@ impl QueryEngine for HiveMqo {
 /// builds one composite for the whole batch, compiles the shared jobs here,
 /// and demultiplexes the per-block datasets back to member queries (block
 /// ids in the outputs are the *combined* block indices, stamped by
-/// `group_agg_cycle`). [`HiveMqo::plan`] uses the same seam, so the fused
+/// `group_agg_cycle`). [`plan_composite`] uses the same seam, so the fused
 /// path and the solo path execute identical job shapes.
 pub(crate) fn mqo_block_jobs(
-    config: &HiveConfig,
+    rules: &PlanRules,
     aq: &AnalyticalQuery,
     composite: &CompositePattern,
     cat: &DataCatalog,
     pid: String,
 ) -> Result<(Vec<Job>, Vec<String>), PlanError> {
-    let mut planner = RelPlanner::new(cat, config, pid);
+    let mut planner = RelPlanner::new(cat, rules, pid);
     let block_datasets = planner.plan_mqo(aq, composite)?;
     Ok((planner.jobs, block_datasets))
 }
@@ -192,17 +98,17 @@ impl Rel {
 
 struct RelPlanner<'a> {
     cat: &'a DataCatalog,
-    cfg: HiveConfig,
+    rules: &'a PlanRules,
     prefix: String,
     jobs: Vec<Job>,
     cycle: usize,
 }
 
 impl<'a> RelPlanner<'a> {
-    fn new(cat: &'a DataCatalog, cfg: &HiveConfig, prefix: String) -> Self {
+    fn new(cat: &'a DataCatalog, rules: &'a PlanRules, prefix: String) -> Self {
         RelPlanner {
             cat,
-            cfg: cfg.clone(),
+            rules,
             prefix,
             jobs: Vec::new(),
             cycle: 0,
@@ -331,7 +237,7 @@ impl<'a> RelPlanner<'a> {
     /// The cost enumerator explores the ExtVP × map-join interplay by
     /// sweeping `use_extvp` and measuring.
     fn substitute_extvp(&self, rel: &mut Rel, base: VpKey, partners: &[(ExtVpKind, VpKey)]) {
-        if !self.cfg.use_extvp {
+        if !self.rules.use_extvp {
             return;
         }
         let mut best: Option<&ExtVpMeta> = None;
@@ -406,7 +312,7 @@ impl<'a> RelPlanner<'a> {
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != stream_idx)
-            .all(|(_, r)| r.est_bytes <= self.cfg.map_join_threshold);
+            .all(|(_, r)| r.est_bytes <= self.rules.map_join_threshold);
         let est_out = rels.iter().map(|r| r.est_bytes).min().unwrap_or(0);
 
         let job = if small_total_ok && !rels[stream_idx].optional {
@@ -589,7 +495,7 @@ impl<'a> RelPlanner<'a> {
             aggs,
             numeric: self.cat.numeric.clone(),
             lexical: self.cat.lexical.clone(),
-            map_side_combine: self.cfg.map_side_agg,
+            map_side_combine: self.rules.map_side_agg,
         });
         let job = JobBuilder::new(label.to_string())
             .input(rel.dataset.clone())
@@ -627,14 +533,9 @@ impl<'a> RelPlanner<'a> {
         map
     }
 
-    /// Join the stars of a decomposition (BFS along the join edges),
-    /// starting from per-star relations; returns the final relation.
-    ///
-    /// `unit` indexes into [`HiveConfig::join_orders`]: when an explicit
-    /// edge permutation is configured for this planning unit, edges are
-    /// offered in that order (each prefix must stay connected, which the
-    /// enumerator guarantees; a disconnected prefix falls back to the first
-    /// connecting edge of the permuted sequence).
+    /// Join the stars of a decomposition along [`left_deep_walk`], starting
+    /// from per-star relations; returns the final relation. `unit` indexes
+    /// into [`PlanRules::join_orders`].
     fn join_stars(
         &mut self,
         label: &str,
@@ -643,75 +544,35 @@ impl<'a> RelPlanner<'a> {
         mut star_rels: Vec<Rel>,
         needed: &BTreeSet<Var>,
     ) -> Result<Rel, PlanError> {
-        if dec.stars.len() == 1 {
-            return Ok(star_rels.remove(0));
-        }
-        // Vars needed downstream of star-star joins, including join vars.
-        let mut joined: Vec<usize> = Vec::new();
-        let mut remaining: Vec<&rapida_sparql::analysis::StarJoin> =
-            match self.cfg.join_orders.get(unit) {
-                Some(ord) if is_permutation(ord, dec.joins.len()) => {
-                    ord.iter().map(|&i| &dec.joins[i]).collect()
-                }
-                _ => dec.joins.iter().collect(),
-            };
+        let ends: Vec<(usize, usize)> = dec
+            .joins
+            .iter()
+            .map(|j| (j.left.star, j.right.star))
+            .collect();
+        let steps = left_deep_walk(dec.stars.len(), self.rules.join_order(unit), &ends)?;
         let mut acc: Option<Rel> = None;
-        let mut k = 0usize;
-        while !remaining.is_empty() {
-            let pos = if joined.is_empty() {
-                0
-            } else {
-                remaining
-                    .iter()
-                    .position(|e| joined.contains(&e.left.star) != joined.contains(&e.right.star))
-                    .ok_or_else(|| {
-                        PlanError::Unsupported(
-                            "cyclic star-join graphs are outside the engine subset".into(),
-                        )
-                    })?
-            };
-            let edge = remaining.remove(pos);
+        for (k, step) in steps.iter().enumerate() {
+            let edge = &dec.joins[step.edge];
             // Needed set for this cycle: global needed + join vars of still
             // pending edges.
             let mut cycle_needed = needed.clone();
-            for e in &remaining {
-                cycle_needed.insert(e.var.clone());
-            }
-            let (rels, label_n) = if joined.is_empty() {
-                joined.push(edge.left.star);
-                joined.push(edge.right.star);
-                (
-                    vec![
-                        star_rels[edge.left.star].clone(),
-                        star_rels[edge.right.star].clone(),
-                    ],
-                    format!("{label}:join {}", edge.var),
-                )
-            } else {
-                let new_star = if joined.contains(&edge.left.star) {
-                    edge.right.star
-                } else {
-                    edge.left.star
-                };
-                joined.push(new_star);
-                (
-                    vec![acc.clone().expect("acc set"), star_rels[new_star].clone()],
-                    format!("{label}:join {}", edge.var),
-                )
+            cycle_needed.extend(steps[k + 1..].iter().map(|s| dec.joins[s.edge].var.clone()));
+            let rels = match step.attach {
+                Attach::First(l, r) => vec![star_rels[l].clone(), star_rels[r].clone()],
+                Attach::Star(s) => vec![
+                    acc.take().expect("set by the first cycle"),
+                    star_rels[s].clone(),
+                ],
             };
             acc = Some(self.join_cycle(
-                &label_n,
+                &format!("{label}:join {}", edge.var),
                 &format!("join u{unit} k{k}"),
                 rels,
                 &edge.var,
                 &cycle_needed,
             )?);
-            k += 1;
         }
-        if joined.len() != dec.stars.len() {
-            return Err(PlanError::Unsupported("disconnected star-join graph".into()));
-        }
-        Ok(acc.expect("at least one join"))
+        Ok(acc.unwrap_or_else(|| star_rels.remove(0)))
     }
 
     /// Naive relational plan of one block: star cycles, star-star joins,
@@ -798,6 +659,24 @@ impl<'a> RelPlanner<'a> {
         // outer join must keep.
         let mqo_required =
             |cs: usize, k: &PropKey| composite.stars[cs].primary.contains(k);
+        // A secondary property has one QOPT column, named after its *owner*
+        // — the first block carrying it — and prefixed unless that is
+        // block 0; every carrying block maps onto it.
+        let owner_of = |cs: usize, sec: &SecondaryProp| {
+            let owner = sec
+                .present
+                .iter()
+                .position(|&p| p)
+                .expect("secondary prop has an owner");
+            let tp = composite
+                .pattern_of(&decs, owner, cs, &sec.prop)
+                .expect("owner carries the property");
+            (owner, tp)
+        };
+        let qopt_var = |owner: usize, v: &Var| match owner {
+            0 => v.clone(),
+            _ => Var::new(format!("__b{owner}_{}", v.name())),
+        };
         for (cs, cstar) in composite.stars.iter().enumerate() {
             let subject = decs[0].stars[cs].subject.clone();
             subjects.push(subject.clone());
@@ -815,25 +694,8 @@ impl<'a> RelPlanner<'a> {
             // Secondary properties: owner block's pattern, subject renamed
             // to the composite subject, object prefixed, marked optional.
             for sec in &cstar.secondary {
-                let owner = sec
-                    .present
-                    .iter()
-                    .position(|&p| p)
-                    .expect("secondary prop has an owner");
-                let bs = composite.star_map[owner]
-                    .iter()
-                    .position(|&c| c == cs)
-                    .expect("bijective");
-                let tp = decs[owner].stars[bs]
-                    .triple_for(&sec.prop)
-                    .expect("secondary prop in owner");
-                let renamed_obj = tp.o.as_var().map(|v| {
-                    if owner == 0 {
-                        v.clone()
-                    } else {
-                        Var::new(format!("__b{owner}_{}", v.name()))
-                    }
-                });
+                let (owner, tp) = owner_of(cs, sec);
+                let renamed_obj = tp.o.as_var().map(|v| qopt_var(owner, v));
                 let mut rel =
                     self.tp_rel(tp, &filters, cs, Some(&subject), renamed_obj.as_ref())?;
                 rel.optional = true;
@@ -870,40 +732,18 @@ impl<'a> RelPlanner<'a> {
                                 )
                             })?
                     } else {
-                        // Secondary properties have one QOPT column, named
-                        // after the *owner* block (the first block carrying
-                        // the property); every carrying block maps onto it.
                         let sec = composite.stars[cs]
                             .secondary
                             .iter()
                             .find(|sp| sp.prop == key)
                             .expect("non-primary prop is secondary");
-                        let owner = sec
-                            .present
-                            .iter()
-                            .position(|&p| p)
-                            .expect("secondary prop has an owner");
-                        let obs = composite.star_map[owner]
-                            .iter()
-                            .position(|&c| c == cs)
-                            .expect("bijective");
-                        let owner_tp = decs[owner].stars[obs]
-                            .triple_for(&key)
-                            .expect("owner carries the property");
-                        let owner_var = owner_tp
-                            .o
-                            .as_var()
-                            .ok_or_else(|| {
-                                PlanError::Unsupported(
-                                    "constant/variable object mismatch on shared secondary"
-                                        .into(),
-                                )
-                            })?;
-                        if owner == 0 {
-                            owner_var.clone()
-                        } else {
-                            Var::new(format!("__b{owner}_{}", owner_var.name()))
-                        }
+                        let (owner, owner_tp) = owner_of(cs, sec);
+                        let owner_var = owner_tp.o.as_var().ok_or_else(|| {
+                            PlanError::Unsupported(
+                                "constant/variable object mismatch on shared secondary".into(),
+                            )
+                        })?;
+                        qopt_var(owner, owner_var)
                     };
                     insert_mapping(&mut var_maps[b], ov, &target)?;
                 }
@@ -993,12 +833,8 @@ impl<'a> RelPlanner<'a> {
                     if !sec.present[b] {
                         continue;
                     }
-                    let bs = composite.star_map[b]
-                        .iter()
-                        .position(|&c| c == cs)
-                        .expect("bijective");
-                    let tp = decs[b].stars[bs]
-                        .triple_for(&sec.prop)
+                    let tp = composite
+                        .pattern_of(&decs, b, cs, &sec.prop)
                         .expect("secondary prop present in this block");
                     if let Some(ov) = tp.o.as_var() {
                         let mapped = var_maps[b][ov].clone();
@@ -1049,23 +885,6 @@ impl<'a> RelPlanner<'a> {
     }
 }
 
-/// Is `ord` a permutation of `0..n`? Anything else is ignored by
-/// [`RelPlanner::join_stars`] (defensive: the enumerator only produces
-/// valid permutations, but configs are public).
-pub(crate) fn is_permutation(ord: &[usize], n: usize) -> bool {
-    if ord.len() != n {
-        return false;
-    }
-    let mut seen = vec![false; n];
-    for &i in ord {
-        if i >= n || seen[i] {
-            return false;
-        }
-        seen[i] = true;
-    }
-    true
-}
-
 fn insert_mapping(
     map: &mut FxHashMap<Var, Var>,
     from: &Var,
@@ -1106,6 +925,7 @@ fn remap_block_vars(block: &GroupingBlock, map: &FxHashMap<Var, Var>) -> Groupin
 mod tests {
     use super::*;
     use crate::aquery::extract;
+    use crate::plan::QueryEngine;
     use rapida_rdf::Graph;
     use rapida_sparql::parse_query;
 
@@ -1133,7 +953,7 @@ mod tests {
         )
         .unwrap();
         let aq = extract(&q).unwrap();
-        let plan = HiveNaive::default().plan(&aq, &cat).unwrap();
+        let plan = PlanRules::hive_naive().plan(&aq, &cat).unwrap();
         // Paper §5.2: star1, star2, star-star join, group-agg = 4 cycles.
         assert_eq!(plan.cycles(), 4);
         let names: Vec<&str> = plan.jobs.iter().map(|j| j.name.as_str()).collect();
@@ -1153,7 +973,8 @@ mod tests {
         .unwrap();
         let aq = extract(&q).unwrap();
         let block = &aq.blocks[0];
-        let planner = RelPlanner::new(&cat, &HiveConfig::default(), "t".into());
+        let rules = PlanRules::hive_naive();
+        let planner = RelPlanner::new(&cat, &rules, "t".into());
         let empty = FxHashMap::default();
         // Type pattern → subject-only scan over the type partition.
         let r0 = planner.tp_rel(&block.triples[0], &empty, 0, None, None).unwrap();
@@ -1177,7 +998,7 @@ mod tests {
         )
         .unwrap();
         let aq = extract(&q).unwrap();
-        let plan = HiveMqo::default().plan(&aq, &cat).unwrap();
+        let plan = PlanRules::hive_mqo().plan(&aq, &cat).unwrap();
         assert_eq!(plan.engine, "Hive (MQO)");
         // Single 1-tp star block: just the aggregation cycle.
         assert_eq!(plan.cycles(), 1);

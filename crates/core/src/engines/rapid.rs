@@ -5,371 +5,230 @@
 
 use crate::aquery::{resolve_block_var, AnalyticalQuery, BlockVarBinding, GroupingBlock};
 use crate::catalog::DataCatalog;
-use crate::composite::{build_composite, CompositeOutcome, CompositePattern, EdgeKey};
+use crate::composite::{joins_of, CompositeJoin, CompositePattern, EdgeKey};
+use crate::engines::NUM_REDUCERS;
 use crate::filters::{compile_block_filters, StarFilter, ValuePred};
-use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryEngine, QueryPlan};
+use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryPlan};
 use crate::relops::IdPred;
-use rapida_mapred::{ClusterModel, FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
+use crate::rules::{left_deep_walk, Attach, PlanRules};
+use rapida_mapred::{FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggJoinSpec, AggSpec, AlphaCond,
     AlphaJoinReducer, AlphaTerm, AnnRoute, JoinKey, PropReq, Side, StarRoute, StarSpec,
     TgJoinMapConfig, TgJoinMapper, TgTransform, VarRef,
 };
-use rapida_sparql::analysis::{PropKey, Role, StarDecomposition};
+use rapida_rdf::TermId;
+use rapida_sparql::analysis::{PropKey, StarDecomposition};
 use rapida_storage::{read_dataset_rows, ExtVpKind, ExtVpMeta};
 use rapida_sparql::ast::{PatternTerm, TriplePattern, Var};
 use std::fmt::Write;
 use std::sync::Arc;
 
-const NUM_REDUCERS: usize = 8;
+/// RAPID+: every block's pattern joined and aggregated on its own.
+pub(super) fn plan_per_block(
+    rules: &PlanRules,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+) -> Result<QueryPlan, PlanError> {
+    let pid = next_plan_id("rp");
+    let mut jobs = Vec::new();
+    let mut block_datasets = Vec::new();
+    for (b, block) in aq.blocks.iter().enumerate() {
+        let dec = block.decomposition()?;
+        let (prefix, order) = (format!("{pid}_b{b}"), rules.join_order(b));
+        let planner =
+            TgJoinPlanner::for_block(cat, block, &dec, prefix, b, order, rules.use_extvp)?;
+        let (mut join_jobs, joined) = planner.build_join_jobs()?;
+        jobs.append(&mut join_jobs);
 
-/// RAPID+ — sequential NTGA evaluation of each grouping block.
-#[derive(Debug, Clone)]
-pub struct RapidPlus {
-    /// Map-side hash aggregation in Agg-Join (Algorithm 3 ablation knob).
-    pub map_side_combine: bool,
-    /// Cost-based mode: enumerate candidate plans across the RAPID family,
-    /// price each with this cluster model, and return the cheapest. `None`
-    /// (default) keeps the fixed plan above.
-    pub cost_model: Option<ClusterModel>,
-    /// Explicit star-join edge orders, one entry per planning unit (block
-    /// index). Each entry must be a permutation of that block's edge
-    /// indexes; missing or invalid entries fall back to the default greedy
-    /// order. Set by the enumerator.
-    pub join_orders: Vec<Vec<usize>>,
-    /// Gate star scans on ExtVP-derived subject sets: a star entering a
-    /// join by Subject keeps only triplegroups whose subject appears in
-    /// the matching SO reduction. Sound because the α-join is a pure inner
-    /// join — gated-out groups could never survive it — so output stays
-    /// byte-identical either way.
-    pub use_extvp: bool,
-}
-
-impl Default for RapidPlus {
-    fn default() -> Self {
-        RapidPlus {
-            map_side_combine: true,
-            cost_model: None,
-            join_orders: Vec::new(),
-            use_extvp: true,
-        }
+        // Agg-Join cycle for this block.
+        let spec = block_agg_spec(cat, block, &dec, b as u8, None, AlphaCond::default())?;
+        let out = format!("{pid}_b{b}_agg");
+        jobs.push(agg_join_job(
+            cat,
+            &format!("RAPID+:agg-join b{b}"),
+            &format!("agg b{b}"),
+            vec![spec],
+            planner.agg_inputs(joined),
+            rules.map_side_agg,
+            &out,
+        ));
+        block_datasets.push(out);
     }
+    finish_plan("RAPID+ (Naive)", aq, jobs, block_datasets, &cat.dfs, &pid)
 }
 
-/// RAPIDAnalytics — composite graph pattern with parallel Agg-Join.
-#[derive(Debug, Clone)]
-pub struct RapidAnalytics {
-    /// Map-side hash aggregation (Algorithm 3 ablation knob).
-    pub map_side_combine: bool,
-    /// α-join pruning of invalid composite combinations (ablation: off
-    /// materializes every combination; per-block α at aggregation time keeps
-    /// results correct).
-    pub alpha_pruning: bool,
-    /// Parallel evaluation of independent aggregations in one cycle
-    /// (Fig. 6(b)); off = one Agg-Join cycle per block (Fig. 6(a)).
-    pub parallel_agg: bool,
-    /// Cost-based mode: enumerate candidate plans across the RAPID family,
-    /// price each with this cluster model, and return the cheapest. `None`
-    /// (default) keeps the fixed plan above.
-    pub cost_model: Option<ClusterModel>,
-    /// Explicit star-join edge orders per planning unit (composite pattern =
-    /// unit 0); invalid entries fall back to the default greedy order.
-    pub join_orders: Vec<Vec<usize>>,
-    /// Gate star scans on ExtVP-derived subject sets (see
-    /// [`RapidPlus::use_extvp`]).
-    pub use_extvp: bool,
-}
+/// RAPIDAnalytics: the composite pattern joined once (α-join pruning),
+/// then every block aggregated over it by the generalized Agg-Join.
+pub(super) fn plan_composite(
+    rules: &PlanRules,
+    aq: &AnalyticalQuery,
+    composite: &CompositePattern,
+    cat: &DataCatalog,
+) -> Result<QueryPlan, PlanError> {
+    let pid = next_plan_id("ra");
+    let decs: Vec<StarDecomposition> = aq
+        .blocks
+        .iter()
+        .map(|b| b.decomposition())
+        .collect::<Result<_, _>>()?;
 
-impl Default for RapidAnalytics {
-    fn default() -> Self {
-        RapidAnalytics {
-            map_side_combine: true,
-            alpha_pruning: true,
-            parallel_agg: true,
-            cost_model: None,
-            join_orders: Vec::new(),
-            use_extvp: true,
-        }
+    let specs = composite_star_specs(cat, composite, &decs)?;
+    let mut prefilters = star_prefilters(cat, &composite.filters, composite.stars.len());
+    if rules.use_extvp {
+        let primary: Vec<Vec<PropKey>> = composite
+            .stars
+            .iter()
+            .map(|s| s.primary.clone())
+            .collect();
+        compose_extvp_gates(
+            cat,
+            &mut prefilters,
+            &primary,
+            &subject_gates(&composite.joins),
+        );
     }
-}
+    let edges = compile_edges(cat, &composite.joins);
+    // Join-time pruning: the disjunction of every block's positive α.
+    // A block without a positive term contributes the empty conjunction,
+    // which accepts every combination — the whole disjunction is then
+    // `true`, written as the empty list the α-join treats as accept-all.
+    let mut conds: Vec<AlphaCond> = if rules.alpha_pruning {
+        (0..aq.blocks.len())
+            .map(|b| alpha_cond_of(cat, composite, b))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    if conds.iter().any(|c| c.terms.is_empty()) {
+        conds.clear();
+    }
+    let planner = TgJoinPlanner {
+        cat,
+        prefix: pid.clone(),
+        unit: 0,
+        edge_order: rules.join_order(0),
+        specs,
+        prefilters,
+        edges,
+        conds: Arc::new(conds),
+    };
+    let (mut jobs, joined) = planner.build_join_jobs()?;
 
-impl QueryEngine for RapidPlus {
-    fn name(&self) -> &'static str {
-        "RAPID+ (Naive)"
+    // Agg-Join specs, one per block, over the composite layout.
+    let mut agg_specs = Vec::with_capacity(aq.blocks.len());
+    for (b, block) in aq.blocks.iter().enumerate() {
+        let alpha = alpha_cond_of(cat, composite, b);
+        agg_specs.push(block_agg_spec(
+            cat,
+            block,
+            &decs[b],
+            b as u8,
+            Some(&composite.star_map[b]),
+            alpha,
+        )?);
     }
 
-    fn plan(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
-        if let Some(model) = self.cost_model {
-            return crate::enumerate::enumerate_best(
-                crate::enumerate::Family::Rapid,
-                aq,
-                cat,
-                &model,
-            )
-            .map(|e| e.plan);
-        }
-        let pid = next_plan_id("rp");
-        let mut jobs = Vec::new();
-        let mut block_datasets = Vec::new();
-        for (b, block) in aq.blocks.iter().enumerate() {
-            let dec = block.decomposition()?;
-            let filters = compile_block_filters(block, &dec)?;
-            let specs = block_star_specs(cat, &dec)?;
-            let mut prefilters = star_prefilters(cat, &filters, dec.stars.len());
-            if self.use_extvp {
-                let primary: Vec<Vec<PropKey>> = dec
-                    .stars
-                    .iter()
-                    .map(|s| s.triples.iter().filter_map(PropKey::of).collect())
-                    .collect();
-                compose_extvp_gates(cat, &mut prefilters, &primary, &block_subject_gates(&dec));
-            }
-            let edges = compile_edges(cat, &dec)?;
-            let planner = TgJoinPlanner {
-                cat,
-                prefix: format!("{pid}_b{b}"),
-                unit: b,
-                edge_order: self.join_orders.get(b).cloned().unwrap_or_default(),
-                specs,
-                prefilters,
-                edges,
-                conds: Arc::new(Vec::new()),
-            };
-            let (mut join_jobs, joined) = planner.build_join_jobs()?;
-            jobs.append(&mut join_jobs);
-
-            // Agg-Join cycle for this block.
-            let spec = block_agg_spec(cat, block, &dec, b as u8, None, AlphaCond::default())?;
-            let out = format!("{pid}_b{b}_agg");
+    let mut block_datasets;
+    if rules.parallel_agg {
+        // One generalized Agg-Join cycle (Fig. 6(b)).
+        let out = format!("{pid}_aggs");
+        jobs.push(agg_join_job(
+            cat,
+            "RAPIDAnalytics:parallel-agg-join",
+            "agg-par",
+            agg_specs,
+            planner.agg_inputs(joined),
+            rules.map_side_agg,
+            &out,
+        ));
+        block_datasets = vec![out; aq.blocks.len()];
+    } else {
+        // Sequential Agg-Joins (Fig. 6(a) ablation).
+        block_datasets = Vec::with_capacity(aq.blocks.len());
+        for (b, spec) in agg_specs.into_iter().enumerate() {
+            let out = format!("{pid}_agg_b{b}");
             jobs.push(agg_join_job(
                 cat,
-                &format!("RAPID+:agg-join b{b}"),
+                &format!("RAPIDAnalytics:agg-join b{b}"),
                 &format!("agg b{b}"),
                 vec![spec],
-                planner.agg_inputs(joined),
-                self.map_side_combine,
+                planner.agg_inputs(joined.clone()),
+                rules.map_side_agg,
                 &out,
             ));
             block_datasets.push(out);
         }
-        finish_plan("RAPID+ (Naive)", aq, jobs, block_datasets, &cat.dfs, &pid)
     }
+    finish_plan("RAPIDAnalytics", aq, jobs, block_datasets, &cat.dfs, &pid)
 }
 
-impl QueryEngine for RapidAnalytics {
-    fn name(&self) -> &'static str {
-        "RAPIDAnalytics"
-    }
-
-    fn plan(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
-        if let Some(model) = self.cost_model {
-            return crate::enumerate::enumerate_best(
-                crate::enumerate::Family::Rapid,
-                aq,
-                cat,
-                &model,
-            )
-            .map(|e| e.plan);
-        }
-        let composite = match build_composite(&aq.blocks)? {
-            CompositeOutcome::Composite(c) => c,
-            CompositeOutcome::NotOverlapping(_) => {
-                // Non-overlapping patterns: the composite rewrite does not
-                // apply. When every block is a single star there is still a
-                // sharing opportunity within one MR cycle (§2.2): scan the
-                // union of covering partitions once, filter per block, and
-                // aggregate all blocks in one generalized Agg-Join.
-                if let Some(plan) = self.plan_shared_single_star(aq, cat)? {
-                    return Ok(plan);
-                }
-                // Otherwise evaluate like RAPID+.
-                let fallback = RapidPlus {
-                    map_side_combine: self.map_side_combine,
-                    cost_model: None,
-                    join_orders: self.join_orders.clone(),
-                    use_extvp: self.use_extvp,
-                };
-                let mut plan = fallback.plan(aq, cat)?;
-                plan.engine = "RAPIDAnalytics";
-                return Ok(plan);
-            }
-        };
-        let pid = next_plan_id("ra");
-        let decs: Vec<StarDecomposition> = aq
-            .blocks
-            .iter()
-            .map(|b| b.decomposition())
-            .collect::<Result<_, _>>()?;
-
-        let specs = composite_star_specs(cat, &composite, &decs)?;
-        let mut prefilters = composite_prefilters(cat, &composite);
-        if self.use_extvp {
-            let primary: Vec<Vec<PropKey>> = composite
-                .stars
-                .iter()
-                .map(|s| s.primary.clone())
-                .collect();
-            compose_extvp_gates(
-                cat,
-                &mut prefilters,
-                &primary,
-                &composite_subject_gates(&composite),
-            );
-        }
-        let edges = composite_edges(cat, &composite);
-        // Join-time pruning: the disjunction of every block's positive α.
-        // A block without a positive term contributes the empty conjunction,
-        // which accepts every combination — the whole disjunction is then
-        // `true`, written as the empty list the α-join treats as accept-all.
-        let mut conds: Vec<AlphaCond> = if self.alpha_pruning {
-            (0..aq.blocks.len())
-                .map(|b| alpha_cond_of(cat, &composite, b))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if conds.iter().any(|c| c.terms.is_empty()) {
-            conds.clear();
-        }
-        let planner = TgJoinPlanner {
+/// The §2.2 shared scan over non-overlapping single-star blocks: one
+/// Agg-Join cycle over the union of covering partitions, each block's star
+/// filter applied to the shared scan.
+pub(super) fn plan_shared_single_star(
+    rules: &PlanRules,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+) -> Result<QueryPlan, PlanError> {
+    let mut raw_filters = Vec::with_capacity(aq.blocks.len());
+    let mut agg_specs = Vec::with_capacity(aq.blocks.len());
+    for (b, block) in aq.blocks.iter().enumerate() {
+        let dec = block.decomposition()?;
+        let filters = compile_block_filters(block, &dec)?;
+        let mut specs = block_star_specs(cat, &dec)?;
+        let mut spec = specs.remove(0);
+        // Tag this block's star with the block index so the AnnTgs
+        // produced by the shared scan route to the right Agg-Join spec.
+        spec.star = b as u8;
+        let prefilter = star_prefilters(cat, &filters, 1).remove(0);
+        raw_filters.push((spec, prefilter));
+        agg_specs.push(block_agg_spec(
             cat,
-            prefix: pid.clone(),
-            unit: 0,
-            edge_order: self.join_orders.first().cloned().unwrap_or_default(),
-            specs,
-            prefilters,
-            edges,
-            conds: Arc::new(conds),
-        };
-        let (mut jobs, joined) = planner.build_join_jobs()?;
-
-        // Agg-Join specs, one per block, over the composite layout.
-        let mut agg_specs = Vec::with_capacity(aq.blocks.len());
-        for (b, block) in aq.blocks.iter().enumerate() {
-            let alpha = alpha_cond_of(cat, &composite, b);
-            agg_specs.push(block_agg_spec(
-                cat,
-                block,
-                &decs[b],
-                b as u8,
-                Some(&composite.star_map[b]),
-                alpha,
-            )?);
-        }
-
-        let mut block_datasets;
-        if self.parallel_agg {
-            // One generalized Agg-Join cycle (Fig. 6(b)).
-            let out = format!("{pid}_aggs");
-            jobs.push(agg_join_job(
-                cat,
-                "RAPIDAnalytics:parallel-agg-join",
-                "agg-par",
-                agg_specs,
-                planner.agg_inputs(joined),
-                self.map_side_combine,
-                &out,
-            ));
-            block_datasets = vec![out; aq.blocks.len()];
-        } else {
-            // Sequential Agg-Joins (Fig. 6(a) ablation).
-            block_datasets = Vec::with_capacity(aq.blocks.len());
-            for (b, spec) in agg_specs.into_iter().enumerate() {
-                let out = format!("{pid}_agg_b{b}");
-                jobs.push(agg_join_job(
-                    cat,
-                    &format!("RAPIDAnalytics:agg-join b{b}"),
-                    &format!("agg b{b}"),
-                    vec![spec],
-                    planner.agg_inputs(joined.clone()),
-                    self.map_side_combine,
-                    &out,
-                ));
-                block_datasets.push(out);
-            }
-        }
-        finish_plan("RAPIDAnalytics", aq, jobs, block_datasets, &cat.dfs, &pid)
+            block,
+            &dec,
+            b as u8,
+            Some(&[b]),
+            AlphaCond::default(),
+        )?);
     }
-}
-
-impl RapidAnalytics {
-    /// The §2.2 shared-scan fallback: all blocks single-star and
-    /// non-overlapping → one Agg-Join cycle over the union of covering
-    /// partitions, each block's star filter applied to the shared scan.
-    /// Returns `None` when any block has joins (RAPID+ handles those).
-    fn plan_shared_single_star(
-        &self,
-        aq: &AnalyticalQuery,
-        cat: &DataCatalog,
-    ) -> Result<Option<QueryPlan>, PlanError> {
-        let mut raw_filters = Vec::with_capacity(aq.blocks.len());
-        let mut agg_specs = Vec::with_capacity(aq.blocks.len());
-        let mut coverings: Vec<Vec<rapida_rdf::TermId>> = Vec::new();
-        for (b, block) in aq.blocks.iter().enumerate() {
-            let dec = block.decomposition()?;
-            if dec.stars.len() != 1 {
-                return Ok(None);
-            }
-            let filters = compile_block_filters(block, &dec)?;
-            let mut specs = block_star_specs(cat, &dec)?;
-            let mut spec = specs.remove(0);
-            // Tag this block's star with the block index so the AnnTgs
-            // produced by the shared scan route to the right Agg-Join spec.
-            spec.star = b as u8;
-            let prefilter = star_prefilters(cat, &filters, 1).remove(0);
-            coverings.push(
-                spec.primary_props()
-                    .into_iter()
-                    .map(rapida_rdf::TermId)
-                    .collect(),
-            );
-            raw_filters.push((spec, prefilter));
-            agg_specs.push(block_agg_spec(
-                cat,
-                block,
-                &dec,
-                b as u8,
-                Some(&[b]),
-                AlphaCond::default(),
-            )?);
-        }
-        let pid = next_plan_id("ras");
-        let out = format!("{pid}_aggs");
-        let job = agg_join_job(
-            cat,
-            "RAPIDAnalytics:shared-scan-agg-join",
-            "agg-shared",
-            agg_specs,
-            (cat.tg.datasets_covering_any(&coverings), raw_filters),
-            self.map_side_combine,
-            &out,
-        );
-        let block_datasets = vec![out; aq.blocks.len()];
-        finish_plan(
-            "RAPIDAnalytics",
-            aq,
-            vec![job],
-            block_datasets,
-            &cat.dfs,
-            &pid,
-        )
-        .map(Some)
-    }
+    let pid = next_plan_id("ras");
+    let out = format!("{pid}_aggs");
+    let job = agg_join_job(
+        cat,
+        "RAPIDAnalytics:shared-scan-agg-join",
+        "agg-shared",
+        agg_specs,
+        (
+            covering(cat, raw_filters.iter().map(|(spec, _)| spec)),
+            raw_filters,
+        ),
+        rules.map_side_agg,
+        &out,
+    );
+    let block_datasets = vec![out; aq.blocks.len()];
+    finish_plan(
+        "RAPIDAnalytics",
+        aq,
+        vec![job],
+        block_datasets,
+        &cat.dfs,
+        &pid,
+    )
 }
 
 /// Shared join-cycle planning over star specs + edges.
 pub(crate) struct TgJoinPlanner<'a> {
-    pub(crate) cat: &'a DataCatalog,
-    pub(crate) prefix: String,
+    cat: &'a DataCatalog,
+    prefix: String,
     /// Planning-unit index for cost tags (block index, 0 for composites).
-    pub(crate) unit: usize,
-    /// Explicit edge order (permutation of `0..edges.len()`); anything else
-    /// falls back to the default greedy order.
-    pub(crate) edge_order: Vec<usize>,
-    pub(crate) specs: Vec<StarSpec>,
-    pub(crate) prefilters: Vec<Prefilter>,
-    pub(crate) edges: Vec<CompiledEdge>,
-    pub(crate) conds: Arc<Vec<AlphaCond>>,
+    unit: usize,
+    /// The unit's [`PlanRules::join_orders`] entry.
+    edge_order: &'a [usize],
+    specs: Vec<StarSpec>,
+    prefilters: Vec<Prefilter>,
+    edges: Vec<CompiledEdge>,
+    conds: Arc<Vec<AlphaCond>>,
 }
 
 /// A star's value-filter transform together with the text it was compiled
@@ -389,7 +248,42 @@ pub(crate) struct CompiledEdge {
     r_key: JoinKey,
 }
 
-impl TgJoinPlanner<'_> {
+impl<'a> TgJoinPlanner<'a> {
+    /// The planner of one block's own pattern: every property primary, the
+    /// block's value filters (and, with `use_extvp`, subject gates) ahead of
+    /// the shuffle, no α-condition.
+    pub(crate) fn for_block(
+        cat: &'a DataCatalog,
+        block: &GroupingBlock,
+        dec: &StarDecomposition,
+        prefix: String,
+        unit: usize,
+        edge_order: &'a [usize],
+        use_extvp: bool,
+    ) -> Result<Self, PlanError> {
+        let filters = compile_block_filters(block, dec)?;
+        let joins = joins_of(dec);
+        let mut prefilters = star_prefilters(cat, &filters, dec.stars.len());
+        if use_extvp {
+            let primary: Vec<Vec<PropKey>> = dec
+                .stars
+                .iter()
+                .map(|s| s.triples.iter().filter_map(PropKey::of).collect())
+                .collect();
+            compose_extvp_gates(cat, &mut prefilters, &primary, &subject_gates(&joins));
+        }
+        Ok(TgJoinPlanner {
+            cat,
+            prefix,
+            unit,
+            edge_order,
+            specs: block_star_specs(cat, dec)?,
+            prefilters,
+            edges: compile_edges(cat, &joins),
+            conds: Arc::new(Vec::new()),
+        })
+    }
+
     fn route(&self, star: usize, side: Side, key: JoinKey) -> StarRoute {
         StarRoute {
             spec: self.specs[star].clone(),
@@ -466,102 +360,68 @@ impl TgJoinPlanner<'_> {
     }
 
     fn covering(&self, stars: &[usize]) -> Vec<String> {
-        let reqs: Vec<Vec<rapida_rdf::TermId>> = stars
-            .iter()
-            .map(|&s| {
-                self.specs[s]
-                    .primary_props()
-                    .into_iter()
-                    .map(rapida_rdf::TermId)
-                    .collect()
-            })
-            .collect();
-        self.cat.tg.datasets_covering_any(&reqs)
+        covering(self.cat, stars.iter().map(|&s| &self.specs[s]))
     }
 
-    /// Build the join cycles. Returns `(jobs, joined dataset)`;
-    /// `joined = None` for single-star patterns (the Agg-Join scans raw
-    /// triplegroups directly).
+    /// Build the join cycles of [`left_deep_walk`]. Returns `(jobs, joined
+    /// dataset)`; `joined = None` for single-star patterns (the Agg-Join
+    /// scans raw triplegroups directly).
     pub(crate) fn build_join_jobs(&self) -> Result<(Vec<Job>, Option<String>), PlanError> {
-        if self.specs.len() == 1 {
-            return Ok((Vec::new(), None));
-        }
-        let mut jobs = Vec::new();
-        let mut joined_stars: Vec<usize> = Vec::new();
-        let mut remaining: Vec<&CompiledEdge> =
-            if crate::engines::hive::is_permutation(&self.edge_order, self.edges.len()) {
-                self.edge_order.iter().map(|&i| &self.edges[i]).collect()
-            } else {
-                self.edges.iter().collect()
-            };
+        let ends: Vec<(usize, usize)> = self.edges.iter().map(|e| (e.l_star, e.r_star)).collect();
+        let steps = left_deep_walk(self.specs.len(), self.edge_order, &ends)?;
+        let mut jobs = Vec::with_capacity(steps.len());
         let mut prev: Option<String> = None;
-        let mut cycle = 0usize;
-        while !remaining.is_empty() {
-            // Pick the next edge: for the first cycle any edge, afterwards
-            // one connecting the joined set to a new star.
-            let pos = if joined_stars.is_empty() {
-                0
-            } else {
-                remaining
-                    .iter()
-                    .position(|e| {
-                        joined_stars.contains(&e.l_star) != joined_stars.contains(&e.r_star)
-                    })
-                    .ok_or_else(|| {
-                        PlanError::Unsupported(
-                            "cyclic star-join graphs are outside the engine subset".into(),
-                        )
-                    })?
-            };
-            let edge = remaining.remove(pos);
-            cycle += 1;
-            let out = format!("{}_join{}", self.prefix, cycle);
-            let (inputs, cfg, stars) = if joined_stars.is_empty() {
+        for (k, step) in steps.iter().enumerate() {
+            let edge = &self.edges[step.edge];
+            let out = format!("{}_join{}", self.prefix, k + 1);
+            let (inputs, cfg, stars) = match step.attach {
                 // Both sides raw: the shared scan over covering partitions.
-                joined_stars.push(edge.l_star);
-                joined_stars.push(edge.r_star);
-                let inputs = self.covering(&[edge.l_star, edge.r_star]);
-                let cfg = TgJoinMapConfig {
-                    raw_inputs: (0..inputs.len()).collect(),
-                    star_routes: vec![
-                        self.route(edge.l_star, Side::Left, edge.l_key),
-                        self.route(edge.r_star, Side::Right, edge.r_key),
-                    ],
-                    ann_routes: vec![],
-                };
-                (inputs, cfg, vec![edge.l_star, edge.r_star])
-            } else {
-                // One side is the intermediate, the other a raw star.
-                let (new_star, new_key, old_key) =
-                    if joined_stars.contains(&edge.l_star) {
-                        (edge.r_star, edge.r_key, edge.l_key)
-                    } else {
-                        (edge.l_star, edge.l_key, edge.r_key)
+                Attach::First(l, r) => {
+                    let inputs = self.covering(&[l, r]);
+                    let cfg = TgJoinMapConfig {
+                        raw_inputs: (0..inputs.len()).collect(),
+                        star_routes: vec![
+                            self.route(l, Side::Left, edge.l_key),
+                            self.route(r, Side::Right, edge.r_key),
+                        ],
+                        ann_routes: vec![],
                     };
-                joined_stars.push(new_star);
-                let mut inputs = vec![prev.clone().expect("intermediate exists")];
-                inputs.extend(self.covering(&[new_star]));
-                let cfg = TgJoinMapConfig {
-                    raw_inputs: (1..inputs.len()).collect(),
-                    star_routes: vec![self.route(new_star, Side::Right, new_key)],
-                    ann_routes: vec![AnnRoute {
-                        input: 0,
-                        side: Side::Left,
-                        key: old_key,
-                    }],
-                };
-                (inputs, cfg, vec![new_star])
+                    (inputs, cfg, vec![l, r])
+                }
+                // One side is the intermediate, the other a raw star.
+                Attach::Star(new_star) => {
+                    let (new_key, old_key) = if new_star == edge.r_star {
+                        (edge.r_key, edge.l_key)
+                    } else {
+                        (edge.l_key, edge.r_key)
+                    };
+                    let mut inputs = vec![prev.take().expect("set by the first cycle")];
+                    inputs.extend(self.covering(&[new_star]));
+                    let cfg = TgJoinMapConfig {
+                        raw_inputs: (1..inputs.len()).collect(),
+                        star_routes: vec![self.route(new_star, Side::Right, new_key)],
+                        ann_routes: vec![AnnRoute {
+                            input: 0,
+                            side: Side::Left,
+                            key: old_key,
+                        }],
+                    };
+                    (inputs, cfg, vec![new_star])
+                }
             };
-            jobs.push(self.join_job(cycle, inputs, cfg, &stars, &out));
+            jobs.push(self.join_job(k + 1, inputs, cfg, &stars, &out));
             prev = Some(out);
-        }
-        if joined_stars.len() != self.specs.len() {
-            return Err(PlanError::Unsupported(
-                "disconnected star-join graph".into(),
-            ));
         }
         Ok((jobs, prev))
     }
+}
+
+/// The triplegroup partitions that hold every group matching any of `specs`.
+fn covering<'s>(cat: &DataCatalog, specs: impl Iterator<Item = &'s StarSpec>) -> Vec<String> {
+    let reqs: Vec<Vec<TermId>> = specs
+        .map(|s| s.primary_props().into_iter().map(TermId).collect())
+        .collect();
+    cat.tg.datasets_covering_any(&reqs)
 }
 
 /// Job inputs of an Agg-Join cycle and, when they are raw triplegroups, the
@@ -634,7 +494,7 @@ fn prop_req_of(cat: &DataCatalog, tp: &TriplePattern) -> Result<PropReq, PlanErr
 
 /// Star specs for a single block (all properties primary — the original
 /// graph pattern).
-pub(crate) fn block_star_specs(
+fn block_star_specs(
     cat: &DataCatalog,
     dec: &StarDecomposition,
 ) -> Result<Vec<StarSpec>, PlanError> {
@@ -687,7 +547,7 @@ fn composite_star_specs(
 }
 
 /// Build per-star prefilter transforms from compiled value filters.
-pub(crate) fn star_prefilters(
+fn star_prefilters(
     cat: &DataCatalog,
     filters: &[StarFilter],
     n_stars: usize,
@@ -707,29 +567,11 @@ pub(crate) fn star_prefilters(
         .collect()
 }
 
-fn composite_prefilters(cat: &DataCatalog, c: &CompositePattern) -> Vec<Prefilter> {
-    star_prefilters(cat, &c.filters, c.stars.len())
-}
-
 /// Join edges where a star enters the join by its subject against a
 /// partner's `ObjectOf(p)` column: `(subject-side star, partner prop p)`.
-fn block_subject_gates(dec: &StarDecomposition) -> Vec<(usize, PropKey)> {
+fn subject_gates(joins: &[CompositeJoin]) -> Vec<(usize, PropKey)> {
     let mut gates = Vec::new();
-    for j in &dec.joins {
-        for (me, other) in [(&j.left, &j.right), (&j.right, &j.left)] {
-            if me.role == Role::Subject && other.role == Role::Object {
-                if let Some(p) = &other.prop {
-                    gates.push((me.star, p.clone()));
-                }
-            }
-        }
-    }
-    gates
-}
-
-fn composite_subject_gates(c: &CompositePattern) -> Vec<(usize, PropKey)> {
-    let mut gates = Vec::new();
-    for j in &c.joins {
+    for j in joins {
         for (star, key, other) in [
             (j.left_star, &j.left, &j.right),
             (j.right_star, &j.right, &j.left),
@@ -846,43 +688,8 @@ fn edge_jk(cat: &DataCatalog, star: usize, key: &EdgeKey) -> JoinKey {
     }
 }
 
-pub(crate) fn compile_edges(
-    cat: &DataCatalog,
-    dec: &StarDecomposition,
-) -> Result<Vec<CompiledEdge>, PlanError> {
-    dec.joins
-        .iter()
-        .map(|j| {
-            let side_key = |side: &rapida_sparql::analysis::JoinSide| -> JoinKey {
-                match side.role {
-                    Role::Subject => JoinKey::Subject {
-                        star: side.star as u8,
-                    },
-                    Role::Object => JoinKey::ObjectOf {
-                        star: side.star as u8,
-                        prop: side
-                            .prop
-                            .as_ref()
-                            .map(|p| cat.resolve_prop(p).0)
-                            .unwrap_or(crate::catalog::MISSING_ID),
-                    },
-                    Role::Property => {
-                        unreachable!("property-role joins are rejected by decompose()")
-                    }
-                }
-            };
-            Ok(CompiledEdge {
-                l_star: j.left.star,
-                r_star: j.right.star,
-                l_key: side_key(&j.left),
-                r_key: side_key(&j.right),
-            })
-        })
-        .collect()
-}
-
-fn composite_edges(cat: &DataCatalog, c: &CompositePattern) -> Vec<CompiledEdge> {
-    c.joins
+fn compile_edges(cat: &DataCatalog, joins: &[CompositeJoin]) -> Vec<CompiledEdge> {
+    joins
         .iter()
         .map(|j| CompiledEdge {
             l_star: j.left_star,
@@ -981,6 +788,7 @@ pub(crate) fn block_agg_spec(
 mod tests {
     use super::*;
     use crate::aquery::extract;
+    use crate::plan::QueryEngine;
     use rapida_rdf::Graph;
     use rapida_sparql::parse_query;
 
@@ -1055,7 +863,7 @@ mod tests {
              SELECT (COUNT(?c) AS ?n) { ?p a ex:T1 . ?o ex:pr ?p ; ex:pc ?c . }",
         );
         let dec = b.decomposition().unwrap();
-        let edges = compile_edges(&cat, &dec).unwrap();
+        let edges = compile_edges(&cat, &joins_of(&dec));
         assert_eq!(edges.len(), 1);
         assert!(matches!(edges[0].l_key, JoinKey::Subject { star: 0 }));
         assert!(matches!(edges[0].r_key, JoinKey::ObjectOf { star: 1, .. }));
@@ -1110,9 +918,9 @@ mod tests {
         )
         .unwrap();
         let run = |use_extvp: bool| {
-            let engine = RapidPlus {
+            let engine = PlanRules {
                 use_extvp,
-                ..Default::default()
+                ..PlanRules::rapid_plus()
             };
             let plan = engine.plan(&aq, &cat).unwrap();
             let mr = rapida_mapred::Engine::pinned(cat.dfs.clone());
@@ -1133,24 +941,5 @@ mod tests {
             emitted_gated < emitted_full,
             "gate never fired: {emitted_gated} map-output records vs {emitted_full}"
         );
-    }
-
-    #[test]
-    fn shared_single_star_planner_declines_joined_blocks() {
-        let cat = catalog();
-        let q = parse_query(
-            "PREFIX ex: <http://x/>
-             SELECT ?nA ?nB {
-               { SELECT (COUNT(?c) AS ?nA) { ?o ex:pr ?p ; ex:pc ?c . ?p ex:pf ?f . } }
-               { SELECT (COUNT(?f2) AS ?nB) { ?p2 ex:pf ?f2 . } }
-             }",
-        )
-        .unwrap();
-        let aq = extract(&q).unwrap();
-        let ra = RapidAnalytics::default();
-        let plan = ra
-            .plan_shared_single_star(&aq, &cat)
-            .expect("planning succeeds");
-        assert!(plan.is_none(), "block 0 has a join — not single-star");
     }
 }

@@ -10,9 +10,13 @@
 //! function of (query, statistics).
 
 use crate::catalog::{DataCatalog, MISSING_ID};
+use crate::composite::{joins_of, CompositeJoin, CompositePattern, EdgeKey};
+use crate::plan::PlanError;
+use crate::rules::{left_deep_walk, Attach, Step};
 use rapida_rdf::TermId;
-use rapida_sparql::analysis::{PropKey, Role, StarDecomposition, StarPattern};
+use rapida_sparql::analysis::{PropKey, StarDecomposition, StarPattern};
 use rapida_sparql::ast::PatternTerm;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Estimated size of one star pattern.
@@ -51,32 +55,33 @@ pub struct UnitGraph {
 }
 
 impl UnitGraph {
-    /// Build the unit graph of one block's star decomposition.
-    pub fn from_dec(cat: &DataCatalog, dec: &StarDecomposition) -> UnitGraph {
-        let stars: Vec<StarEst> = dec.stars.iter().map(|s| star_est(cat, s)).collect();
-        let edges = dec
-            .joins
+    /// The unit graph over `stars` joined by `joins`.
+    fn new(cat: &DataCatalog, stars: Vec<StarEst>, joins: &[CompositeJoin]) -> UnitGraph {
+        let ndv_of = |star: usize, key: &EdgeKey| -> f64 {
+            match key {
+                EdgeKey::Subject => stars[star].subjects,
+                EdgeKey::ObjectOf(p) => pred_of(cat, p)
+                    .map(|ps| ps.ndv_objects as f64)
+                    .unwrap_or(1.0),
+            }
+        };
+        let edges = joins
             .iter()
-            .map(|j| {
-                let ndv_of = |side: &rapida_sparql::analysis::JoinSide| -> f64 {
-                    match side.role {
-                        Role::Subject => stars[side.star].subjects,
-                        _ => side
-                            .prop
-                            .as_ref()
-                            .and_then(|p| pred_of(cat, p))
-                            .map(|ps| ps.ndv_objects as f64)
-                            .unwrap_or(1.0),
-                    }
-                };
-                UnitEdge {
-                    l: j.left.star,
-                    r: j.right.star,
-                    key_ndv: ndv_of(&j.left).min(ndv_of(&j.right)).max(1.0),
-                }
+            .map(|j| UnitEdge {
+                l: j.left_star,
+                r: j.right_star,
+                key_ndv: ndv_of(j.left_star, &j.left)
+                    .min(ndv_of(j.right_star, &j.right))
+                    .max(1.0),
             })
             .collect();
         UnitGraph { stars, edges }
+    }
+
+    /// Build the unit graph of one block's star decomposition.
+    pub fn from_dec(cat: &DataCatalog, dec: &StarDecomposition) -> UnitGraph {
+        let stars = dec.stars.iter().map(|s| star_est(cat, s)).collect();
+        Self::new(cat, stars, &joins_of(dec))
     }
 
     /// Estimated rows of joining two relations on a key with `ndv` distinct
@@ -85,60 +90,39 @@ impl UnitGraph {
         l_rows * r_rows / ndv.max(1.0)
     }
 
-    /// Rows after each join step when edges are consumed in `order`
-    /// (`result[k]` = rows of the intermediate produced by the `k`-th join
-    /// cycle). Falls back to each edge's own estimate when `order` visits a
-    /// disconnected edge.
-    pub fn prefix_rows(&self, order: &[usize]) -> Vec<f64> {
-        let mut joined: Vec<usize> = Vec::new();
-        let mut rows = 0.0;
-        let mut out = Vec::with_capacity(order.len());
-        for &ei in order {
-            let e = &self.edges[ei];
-            if joined.is_empty() {
-                joined.push(e.l);
-                joined.push(e.r);
-                rows = Self::join_rows(self.stars[e.l].rows, self.stars[e.r].rows, e.key_ndv);
-            } else {
-                let new = if joined.contains(&e.l) { e.r } else { e.l };
-                if !joined.contains(&new) {
-                    joined.push(new);
-                }
-                rows = Self::join_rows(rows, self.stars[new].rows, e.key_ndv);
-            }
-            out.push(rows);
-        }
-        out
+    /// The join cycles the planners run for this unit under the
+    /// `join_orders` entry `order` ([`left_deep_walk`]).
+    pub fn walk(&self, order: &[usize]) -> Result<Vec<Step>, PlanError> {
+        let ends: Vec<(usize, usize)> = self.edges.iter().map(|e| (e.l, e.r)).collect();
+        left_deep_walk(self.stars.len(), order, &ends)
     }
 
-    /// The engines' default edge order: first edge first, then repeatedly
-    /// the lowest-index edge connecting the joined set to a new star.
-    pub fn greedy_order(&self) -> Vec<usize> {
-        let n = self.edges.len();
-        let mut joined: Vec<usize> = Vec::new();
-        let mut used = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        while order.len() < n {
-            let pick = if joined.is_empty() {
-                Some(0)
-            } else {
-                (0..n).find(|&i| {
-                    !used[i]
-                        && (joined.contains(&self.edges[i].l)
-                            != joined.contains(&self.edges[i].r))
-                })
-            };
-            let Some(i) = pick else { break };
-            used[i] = true;
-            let e = &self.edges[i];
-            for s in [e.l, e.r] {
-                if !joined.contains(&s) {
-                    joined.push(s);
-                }
-            }
-            order.push(i);
-        }
-        order
+    /// Rows after each join cycle of [`Self::walk`] (`result[k]` = rows of
+    /// the intermediate the `k`-th cycle produces).
+    pub fn prefix_rows(&self, order: &[usize]) -> Result<Vec<f64>, PlanError> {
+        let mut rows = 0.0;
+        let steps = self.walk(order)?;
+        Ok(steps
+            .iter()
+            .map(|step| {
+                let ndv = self.edges[step.edge].key_ndv;
+                rows = match step.attach {
+                    Attach::First(l, r) => {
+                        Self::join_rows(self.stars[l].rows, self.stars[r].rows, ndv)
+                    }
+                    Attach::Star(s) => Self::join_rows(rows, self.stars[s].rows, ndv),
+                };
+                rows
+            })
+            .collect())
+    }
+
+    /// [`Self::best_order`] when it is not the order the planners take by
+    /// default — the only case worth a candidate of its own.
+    pub fn reorder(&self) -> Option<Vec<usize>> {
+        let best = self.best_order()?;
+        let default = self.walk(&[]).ok()?;
+        (!default.iter().map(|s| s.edge).eq(best.iter().copied())).then_some(best)
     }
 
     /// The cheapest connected edge order by estimated cumulative
@@ -237,13 +221,17 @@ fn pred_of<'a>(
 }
 
 /// Estimate one star from the statistics catalog: subjects = min over the
-/// triple patterns' candidate-subject counts, rows = subjects × the product
-/// of variable-object multiplicities.
-pub fn star_est(cat: &DataCatalog, star: &StarPattern) -> StarEst {
+/// patterns' candidate-subject counts, rows = subjects × the product of
+/// variable-object multiplicities. `patterns` are the star's property keys,
+/// each with whether its object is a constant.
+fn est_of<K: Borrow<PropKey>>(
+    cat: &DataCatalog,
+    patterns: impl Iterator<Item = (K, bool)>,
+) -> StarEst {
     let mut subjects = f64::INFINITY;
     let mut mult = 1.0;
-    for tp in &star.triples {
-        let Some(key) = PropKey::of(tp) else { continue };
+    for (key, const_object) in patterns {
+        let key = key.borrow();
         let cand = if let Some(obj) = &key.type_object {
             let oid = cat.id_of(obj);
             if oid == MISSING_ID {
@@ -252,16 +240,14 @@ pub fn star_est(cat: &DataCatalog, star: &StarPattern) -> StarEst {
                 cat.pstats.type_count(TermId(oid)) as f64
             }
         } else {
-            match pred_of(cat, &key) {
+            match pred_of(cat, key) {
                 None => 0.0,
-                Some(ps) => match &tp.o {
-                    // Constant object: expected subjects carrying that value.
-                    PatternTerm::Term(_) => ps.count as f64 / (ps.ndv_objects.max(1) as f64),
-                    PatternTerm::Var(_) => {
-                        mult *= ps.avg_per_subject().max(1.0);
-                        ps.ndv_subjects as f64
-                    }
-                },
+                // Constant object: expected subjects carrying that value.
+                Some(ps) if const_object => ps.count as f64 / (ps.ndv_objects.max(1) as f64),
+                Some(ps) => {
+                    mult *= ps.avg_per_subject().max(1.0);
+                    ps.ndv_subjects as f64
+                }
             }
         };
         subjects = subjects.min(cand);
@@ -275,76 +261,28 @@ pub fn star_est(cat: &DataCatalog, star: &StarPattern) -> StarEst {
     }
 }
 
+/// Estimate one star of a block from its triple patterns.
+pub fn star_est(cat: &DataCatalog, star: &StarPattern) -> StarEst {
+    let keys = star
+        .triples
+        .iter()
+        .filter_map(|tp| Some((PropKey::of(tp)?, matches!(tp.o, PatternTerm::Term(_)))));
+    est_of(cat, keys)
+}
+
 /// Estimate composite-star sizes: like [`star_est`] but over the composite
 /// primary property keys (the shared scan pattern the MQO rewrites match).
-pub fn composite_star_est(
-    cat: &DataCatalog,
-    c: &crate::composite::CompositePattern,
-) -> Vec<StarEst> {
+pub fn composite_star_est(cat: &DataCatalog, c: &CompositePattern) -> Vec<StarEst> {
     c.stars
         .iter()
-        .map(|cs| {
-            let mut subjects = f64::INFINITY;
-            let mut mult = 1.0;
-            for key in &cs.primary {
-                let cand = if let Some(obj) = &key.type_object {
-                    let oid = cat.id_of(obj);
-                    if oid == MISSING_ID {
-                        0.0
-                    } else {
-                        cat.pstats.type_count(TermId(oid)) as f64
-                    }
-                } else {
-                    match pred_of(cat, key) {
-                        None => 0.0,
-                        Some(ps) => {
-                            mult *= ps.avg_per_subject().max(1.0);
-                            ps.ndv_subjects as f64
-                        }
-                    }
-                };
-                subjects = subjects.min(cand);
-            }
-            if !subjects.is_finite() {
-                subjects = cat.pstats.subjects as f64;
-            }
-            StarEst {
-                subjects,
-                rows: subjects * mult,
-            }
-        })
+        .map(|cs| est_of(cat, cs.primary.iter().map(|k| (k, false))))
         .collect()
 }
 
 /// Build the unit graph of the composite pattern (stars from the primary
 /// property intersection, edges from the composite joins).
-pub fn unit_from_composite(
-    cat: &DataCatalog,
-    c: &crate::composite::CompositePattern,
-) -> UnitGraph {
-    let stars = composite_star_est(cat, c);
-    let edges = c
-        .joins
-        .iter()
-        .map(|j| {
-            let ndv_of = |star: usize, key: &crate::composite::EdgeKey| -> f64 {
-                match key {
-                    crate::composite::EdgeKey::Subject => stars[star].subjects,
-                    crate::composite::EdgeKey::ObjectOf(p) => pred_of(cat, p)
-                        .map(|ps| ps.ndv_objects as f64)
-                        .unwrap_or(1.0),
-                }
-            };
-            UnitEdge {
-                l: j.left_star,
-                r: j.right_star,
-                key_ndv: ndv_of(j.left_star, &j.left)
-                    .min(ndv_of(j.right_star, &j.right))
-                    .max(1.0),
-            }
-        })
-        .collect();
-    UnitGraph { stars, edges }
+pub fn unit_from_composite(cat: &DataCatalog, c: &CompositePattern) -> UnitGraph {
+    UnitGraph::new(cat, composite_star_est(cat, c), &c.joins)
 }
 
 #[cfg(test)]
@@ -373,10 +311,28 @@ mod tests {
         }
     }
 
+    fn edges_of(g: &UnitGraph, order: &[usize]) -> Vec<usize> {
+        g.walk(order).unwrap().iter().map(|s| s.edge).collect()
+    }
+
     #[test]
-    fn greedy_order_consumes_first_connecting_edges() {
+    fn default_walk_consumes_first_connecting_edges() {
         let g = chain(&[10.0, 10.0, 10.0], &[10.0, 10.0]);
-        assert_eq!(g.greedy_order(), vec![0, 1]);
+        assert_eq!(edges_of(&g, &[]), vec![0, 1]);
+    }
+
+    /// An order whose prefix is disconnected is priced as it is executed:
+    /// on A–B–C–D, `[0, 2, 1]` cannot take edge 2 (C–D) second, the
+    /// planners take edge 1 there, and so must the estimate.
+    #[test]
+    fn a_disconnected_prefix_is_priced_as_executed() {
+        let g = chain(&[100.0, 50.0, 40.0, 20.0], &[10.0, 10.0, 4.0]);
+        assert_eq!(edges_of(&g, &[0, 2, 1]), vec![0, 1, 2]);
+        assert_eq!(g.prefix_rows(&[0, 2, 1]), g.prefix_rows(&[0, 1, 2]));
+        let rows = g.prefix_rows(&[0, 1, 2]).unwrap();
+        assert_eq!(rows, vec![500.0, 2000.0, 10000.0]);
+        // Not a permutation: index order.
+        assert_eq!(edges_of(&g, &[0, 0, 1]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -423,7 +379,7 @@ mod tests {
     #[test]
     fn prefix_rows_follow_the_order() {
         let g = chain(&[100.0, 10.0, 1000.0], &[10.0, 100.0]);
-        let rows = g.prefix_rows(&[0, 1]);
+        let rows = g.prefix_rows(&[0, 1]).unwrap();
         assert_eq!(rows.len(), 2);
         assert!((rows[0] - 100.0).abs() < 1e-9); // 100*10/10
         assert!((rows[1] - 1000.0).abs() < 1e-9); // 100*1000/100

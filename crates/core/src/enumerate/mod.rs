@@ -6,8 +6,8 @@
 //! placement and parallel-vs-sequential aggregation for the NTGA engines,
 //! map-join vs shuffle-join thresholds and aggregation placement for the
 //! Hive engines, plus memo-searched star-join orders ([`memo`]) — compiles
-//! each alternative to an ordinary [`QueryPlan`] through the *fixed*
-//! engines, and prices it in two phases:
+//! each alternative — a [`PlanRules`] value — to an ordinary [`QueryPlan`]
+//! through the one compiler, and prices it in two phases:
 //!
 //! 1. **Estimate** ([`coster`]): synthesize [`JobMetrics`] for every job
 //!    from per-predicate statistics and price them with
@@ -40,12 +40,14 @@
 pub mod coster;
 pub mod memo;
 
-use crate::aquery::{resolve_block_var, AnalyticalQuery, BlockVarBinding};
+pub use crate::rules::Family;
+
+use crate::aquery::{resolve_block_var, AnalyticalQuery, BlockVarBinding, GroupingBlock};
 use crate::catalog::DataCatalog;
-use crate::composite::CompositeOutcome;
-use crate::engines::hive::{is_permutation, HiveConfig, HiveMqo, HiveNaive};
-use crate::engines::rapid::{RapidAnalytics, RapidPlus};
-use crate::plan::{PlanError, QueryEngine, QueryPlan};
+use crate::composite::CompositePattern;
+use crate::engines::{compile_shaped, resolve_shape, Shape};
+use crate::plan::{PlanError, QueryPlan};
+use crate::rules::PlanRules;
 use coster::CardCtx;
 use memo::UnitGraph;
 use rapida_mapred::{pool, ClusterModel, Engine};
@@ -56,15 +58,6 @@ use rapida_sparql::ast::Var;
 /// How many non-incumbent candidates advance from the estimate phase to the
 /// measured dry-run.
 const SHORTLIST: usize = 4;
-
-/// The two physical plan families (matching the paper's system pairs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// Relational VP plans: Hive (Naive) and Hive (MQO) shapes.
-    Hive,
-    /// NTGA triplegroup plans: RAPID+ and RAPIDAnalytics shapes.
-    Rapid,
-}
 
 /// One explored alternative, reported for experiments and tests.
 #[derive(Debug, Clone)]
@@ -102,96 +95,88 @@ pub struct Enumerated {
     pub candidates: Vec<CandidateReport>,
 }
 
-/// A candidate's compilation recipe: a fixed-engine configuration.
-#[derive(Debug, Clone)]
-enum Spec {
-    HiveNaive(HiveConfig),
-    HiveMqo(HiveConfig),
-    RapidPlus(RapidPlus),
-    Rapida(RapidAnalytics),
-}
-
 #[derive(Debug, Clone)]
 struct Candidate {
     name: String,
     incumbent: bool,
-    spec: Spec,
+    rules: PlanRules,
 }
 
 impl Candidate {
-    fn compile(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
-        match &self.spec {
-            Spec::HiveNaive(cfg) => HiveNaive {
-                config: cfg.clone(),
-                cost_model: None,
-            }
-            .plan(aq, cat),
-            Spec::HiveMqo(cfg) => HiveMqo {
-                config: cfg.clone(),
-                cost_model: None,
-            }
-            .plan(aq, cat),
-            Spec::RapidPlus(e) => e.plan(aq, cat),
-            Spec::Rapida(e) => e.plan(aq, cat),
+    fn new(name: impl Into<String>, incumbent: bool, rules: PlanRules) -> Self {
+        Candidate {
+            name: name.into(),
+            incumbent,
+            rules,
+        }
+    }
+
+    /// The shape this candidate compiles to, given what the family's
+    /// composite rules resolved to on this query.
+    fn shape<'s>(&self, composite: &'s Shape) -> &'s Shape {
+        if self.rules.composite {
+            composite
+        } else {
+            &Shape::PerBlock
         }
     }
 
     /// The candidate's cardinality context (depends on its plan shape and
-    /// its effective join orders).
-    fn ctx(&self, aq: &AnalyticalQuery, cat: &DataCatalog) -> Result<CardCtx, PlanError> {
-        match &self.spec {
-            Spec::HiveNaive(cfg) => ctx_per_block(cat, aq, &cfg.join_orders),
-            Spec::RapidPlus(e) => ctx_per_block(cat, aq, &e.join_orders),
-            Spec::HiveMqo(cfg) => match composite_of(aq)? {
-                Some(c) => {
-                    let dec0 = aq.blocks[0].decomposition()?;
-                    let unit = UnitGraph::from_dec(cat, &dec0);
-                    ctx_composite(cat, aq, &c, unit, cfg.join_orders.first())
-                }
-                None => ctx_per_block(cat, aq, &cfg.join_orders),
-            },
-            Spec::Rapida(e) => match composite_of(aq)? {
-                Some(c) => {
-                    let unit = memo::unit_from_composite(cat, &c);
-                    ctx_composite(cat, aq, &c, unit, e.join_orders.first())
-                }
-                None => ctx_per_block(cat, aq, &e.join_orders),
-            },
+    /// its join orders).
+    fn ctx(
+        &self,
+        shape: &Shape,
+        aq: &AnalyticalQuery,
+        cat: &DataCatalog,
+    ) -> Result<CardCtx, PlanError> {
+        match composite_unit(self.rules.family, shape, aq, cat)? {
+            Some((c, unit)) => ctx_composite(cat, aq, c, unit, self.rules.join_order(0)),
+            None => ctx_per_block(cat, aq, &self.rules),
         }
     }
 }
 
-fn composite_of(
+/// The pattern and join graph of the one planning unit a composite-shaped
+/// plan of `family` has. A one-block composite is its block — the NTGA
+/// compiler plans it through the composite path, but it is priced (and its
+/// join order searched) as the block it is, whose own decomposition still
+/// knows constant objects.
+fn composite_unit<'s>(
+    family: Family,
+    shape: &'s Shape,
     aq: &AnalyticalQuery,
-) -> Result<Option<crate::composite::CompositePattern>, PlanError> {
+    cat: &DataCatalog,
+) -> Result<Option<(&'s CompositePattern, UnitGraph)>, PlanError> {
+    let Shape::Composite(c) = shape else {
+        return Ok(None);
+    };
     if aq.blocks.len() < 2 {
         return Ok(None);
     }
-    match crate::composite::build_composite(&aq.blocks)? {
-        CompositeOutcome::Composite(c) => Ok(Some(c)),
-        CompositeOutcome::NotOverlapping(_) => Ok(None),
-    }
+    let unit = match family {
+        // MQO joins block 0's stars; the other blocks only add optional
+        // columns to them.
+        Family::Hive => UnitGraph::from_dec(cat, &aq.blocks[0].decomposition()?),
+        Family::Rapid => memo::unit_from_composite(cat, c),
+    };
+    Ok(Some((c, unit)))
 }
 
-/// Effective edge order of one unit: the configured permutation when valid,
-/// the planner's greedy default otherwise.
-fn effective_order(unit: &UnitGraph, cfg: Option<&Vec<usize>>) -> Vec<usize> {
-    match cfg {
-        Some(ord) if is_permutation(ord, unit.edges.len()) => ord.clone(),
-        _ => unit.greedy_order(),
-    }
-}
-
-/// NDV of a grouping variable within one unit graph. `remap` translates the
-/// block-local star index into the unit's star index.
-fn group_ndv(
+/// Estimated group count of `block` aggregating `rows` rows of `unit`: the
+/// NDV product of its grouping variables, capped by the input. `remap`
+/// translates the block-local star index into the unit's star index.
+fn group_count(
     cat: &DataCatalog,
+    block: &GroupingBlock,
     dec: &StarDecomposition,
     unit: &UnitGraph,
     remap: &dyn Fn(usize) -> usize,
-    v: &Var,
+    rows: f64,
 ) -> f64 {
-    match resolve_block_var(dec, v) {
+    if block.group_by.is_empty() {
+        return 1.0;
+    }
+    let ndv = |v: &Var| match resolve_block_var(dec, v) {
         Ok(BlockVarBinding::Subject { star }) => unit
             .stars
             .get(remap(star))
@@ -205,7 +190,27 @@ fn group_ndv(
                 .unwrap_or(1.0)
         }
         Err(_) => 1.0,
-    }
+    };
+    block
+        .group_by
+        .iter()
+        .map(ndv)
+        .product::<f64>()
+        .min(rows.max(1.0))
+}
+
+/// Record one planning unit walked in `order` — its stars' rows and the
+/// rows after each join cycle — and return the rows it ends with.
+fn push_unit(ctx: &mut CardCtx, unit: &UnitGraph, order: &[usize]) -> Result<f64, PlanError> {
+    let prefix = unit.prefix_rows(order)?;
+    let rows = prefix
+        .last()
+        .copied()
+        .unwrap_or_else(|| unit.stars.first().map(|s| s.rows).unwrap_or(0.0));
+    let star_rows = unit.stars.iter().map(|s| s.rows).collect();
+    ctx.star_rows.push(star_rows);
+    ctx.join_rows.push(prefix);
+    Ok(rows)
 }
 
 /// Context for per-block plan shapes (Hive Naive, RAPID+): one planning
@@ -213,31 +218,14 @@ fn group_ndv(
 fn ctx_per_block(
     cat: &DataCatalog,
     aq: &AnalyticalQuery,
-    orders: &[Vec<usize>],
+    rules: &PlanRules,
 ) -> Result<CardCtx, PlanError> {
     let mut ctx = CardCtx::default();
     for (b, block) in aq.blocks.iter().enumerate() {
         let dec = block.decomposition()?;
         let unit = UnitGraph::from_dec(cat, &dec);
-        let order = effective_order(&unit, orders.get(b));
-        let prefix = unit.prefix_rows(&order);
-        let rows = prefix
-            .last()
-            .copied()
-            .unwrap_or_else(|| unit.stars.first().map(|s| s.rows).unwrap_or(0.0));
-        let identity = |s: usize| s;
-        let groups = if block.group_by.is_empty() {
-            1.0
-        } else {
-            block
-                .group_by
-                .iter()
-                .map(|v| group_ndv(cat, &dec, &unit, &identity, v))
-                .product::<f64>()
-                .min(rows.max(1.0))
-        };
-        ctx.star_rows.push(unit.stars.iter().map(|s| s.rows).collect());
-        ctx.join_rows.push(prefix);
+        let rows = push_unit(&mut ctx, &unit, rules.join_order(b))?;
+        let groups = group_count(cat, block, &dec, &unit, &|s| s, rows);
         ctx.block_rows.push(rows);
         ctx.agg_rows.push(groups);
     }
@@ -249,35 +237,16 @@ fn ctx_per_block(
 fn ctx_composite(
     cat: &DataCatalog,
     aq: &AnalyticalQuery,
-    c: &crate::composite::CompositePattern,
+    c: &CompositePattern,
     unit: UnitGraph,
-    order_cfg: Option<&Vec<usize>>,
+    order: &[usize],
 ) -> Result<CardCtx, PlanError> {
-    let order = effective_order(&unit, order_cfg);
-    let prefix = unit.prefix_rows(&order);
-    let rows = prefix
-        .last()
-        .copied()
-        .unwrap_or_else(|| unit.stars.first().map(|s| s.rows).unwrap_or(0.0));
-    let mut ctx = CardCtx {
-        star_rows: vec![unit.stars.iter().map(|s| s.rows).collect()],
-        join_rows: vec![prefix],
-        ..CardCtx::default()
-    };
-    for (b, block) in aq.blocks.iter().enumerate() {
+    let mut ctx = CardCtx::default();
+    let rows = push_unit(&mut ctx, &unit, order)?;
+    for (block, map) in aq.blocks.iter().zip(&c.star_map) {
         let dec = block.decomposition()?;
-        let map = &c.star_map[b];
         let remap = |s: usize| map.get(s).copied().unwrap_or(s);
-        let groups = if block.group_by.is_empty() {
-            1.0
-        } else {
-            block
-                .group_by
-                .iter()
-                .map(|v| group_ndv(cat, &dec, &unit, &remap, v))
-                .product::<f64>()
-                .min(rows.max(1.0))
-        };
+        let groups = group_count(cat, block, &dec, &unit, &remap, rows);
         ctx.block_rows.push(rows);
         ctx.agg_rows.push(groups);
     }
@@ -311,113 +280,102 @@ fn memo_orders_per_block(
     let mut any = false;
     for block in &aq.blocks {
         let dec = block.decomposition()?;
-        let unit = UnitGraph::from_dec(cat, &dec);
-        match unit.best_order() {
-            Some(ord) if ord != unit.greedy_order() => {
-                orders.push(ord);
-                any = true;
-            }
-            _ => orders.push(Vec::new()),
-        }
+        let order = UnitGraph::from_dec(cat, &dec).reorder();
+        any |= order.is_some();
+        orders.push(order.unwrap_or_default());
     }
-    Ok(if any { Some(orders) } else { None })
+    Ok(any.then_some(orders))
+}
+
+/// The family's candidates, and what its composite rules come to on this
+/// query — resolved once; every candidate is either that shape or per-block
+/// ([`Candidate::shape`]).
+fn candidates(
+    family: Family,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+) -> Result<(Vec<Candidate>, Shape), PlanError> {
+    let composite = resolve_shape(&PlanRules::preset(family, true), aq)?;
+    let per_block_orders = memo_orders_per_block(cat, aq)?;
+    let composite_orders = composite_unit(family, &composite, aq, cat)?
+        .and_then(|(_, unit)| unit.reorder())
+        .map(|order| vec![order]);
+    let cands = match family {
+        Family::Hive => hive_candidates(aq.blocks.len() >= 2, per_block_orders, composite_orders),
+        Family::Rapid => rapid_candidates(per_block_orders, composite_orders),
+    };
+    Ok((cands, composite))
+}
+
+fn on_off(on: bool) -> &'static str {
+    if on {
+        "on"
+    } else {
+        "off"
+    }
 }
 
 fn hive_candidates(
-    aq: &AnalyticalQuery,
-    cat: &DataCatalog,
-) -> Result<Vec<Candidate>, PlanError> {
-    let multi = aq.blocks.len() >= 2;
-    let mut cands = Vec::new();
+    multi: bool,
+    naive_memo: Option<Vec<Vec<usize>>>,
+    mqo_memo: Option<Vec<Vec<usize>>>,
+) -> Vec<Candidate> {
     // Incumbents: the fixed default shapes, always shortlisted.
-    cands.push(Candidate {
-        name: "hive-naive (fixed)".into(),
-        incumbent: true,
-        spec: Spec::HiveNaive(HiveConfig::default()),
-    });
+    let naive = Candidate::new("hive-naive (fixed)", true, PlanRules::hive_naive());
+    let mut cands = vec![naive];
     if multi {
-        cands.push(Candidate {
-            name: "hive-mqo (fixed)".into(),
-            incumbent: true,
-            spec: Spec::HiveMqo(HiveConfig::default()),
-        });
+        let mqo = Candidate::new("hive-mqo (fixed)", true, PlanRules::hive_mqo());
+        cands.push(mqo);
     }
-
-    let naive_memo = memo_orders_per_block(cat, aq)?;
-    let mqo_memo: Option<Vec<Vec<usize>>> = match composite_of(aq)? {
-        Some(_) => {
-            let dec0 = aq.blocks[0].decomposition()?;
-            let unit = UnitGraph::from_dec(cat, &dec0);
-            match unit.best_order() {
-                Some(ord) if ord != unit.greedy_order() => Some(vec![ord]),
-                _ => None,
-            }
-        }
-        None => None,
-    };
-
-    let default = HiveConfig::default();
-    for mqo in [false, true] {
-        if mqo && !multi {
+    for (preset, memo_orders) in [
+        (PlanRules::hive_naive(), naive_memo),
+        (PlanRules::hive_mqo(), mqo_memo),
+    ] {
+        if preset.composite && !multi {
             continue;
         }
-        let memo_orders = if mqo { &mqo_memo } else { &naive_memo };
-        let mut ord_variants: Vec<Option<&Vec<Vec<usize>>>> = vec![None];
-        if memo_orders.is_some() {
-            ord_variants.push(memo_orders.as_ref());
-        }
-        for &thr in &[0usize, default.map_join_threshold, 1 << 20] {
-            for &msa in &[true, false] {
-                for &extvp in &[true, false] {
-                    for &ord in &ord_variants {
-                        if thr == default.map_join_threshold && msa && extvp && ord.is_none() {
-                            continue; // that's the incumbent
-                        }
-                        let cfg = HiveConfig {
+        let ord_variants = std::iter::once(Vec::new()).chain(memo_orders);
+        for thr in [0usize, preset.map_join_threshold, 1 << 20] {
+            for msa in [true, false] {
+                for extvp in [true, false] {
+                    for ord in ord_variants.clone() {
+                        let rules = PlanRules {
                             map_join_threshold: thr,
                             map_side_agg: msa,
                             use_extvp: extvp,
-                            join_orders: ord.cloned().unwrap_or_default(),
+                            join_orders: ord,
+                            ..preset.clone()
                         };
+                        if rules == preset {
+                            continue; // that's the incumbent
+                        }
                         let name = format!(
                             "hive-{} mj={thr} msa={} extvp={} ord={}",
-                            if mqo { "mqo" } else { "naive" },
-                            if msa { "on" } else { "off" },
-                            if extvp { "on" } else { "off" },
-                            fmt_order(&cfg.join_orders),
+                            if preset.composite { "mqo" } else { "naive" },
+                            on_off(msa),
+                            on_off(extvp),
+                            fmt_order(&rules.join_orders),
                         );
-                        cands.push(Candidate {
-                            name,
-                            incumbent: false,
-                            spec: if mqo {
-                                Spec::HiveMqo(cfg)
-                            } else {
-                                Spec::HiveNaive(cfg)
-                            },
-                        });
+                        cands.push(Candidate::new(name, false, rules));
                     }
                 }
             }
         }
     }
-    Ok(cands)
+    cands
 }
 
 fn rapid_candidates(
-    aq: &AnalyticalQuery,
-    cat: &DataCatalog,
-) -> Result<Vec<Candidate>, PlanError> {
-    let mut cands = Vec::new();
-    cands.push(Candidate {
-        name: "rapid-plus (fixed)".into(),
-        incumbent: true,
-        spec: Spec::RapidPlus(RapidPlus::default()),
-    });
-    cands.push(Candidate {
-        name: "rapida (fixed)".into(),
-        incumbent: true,
-        spec: Spec::Rapida(RapidAnalytics::default()),
-    });
+    plus_memo: Option<Vec<Vec<usize>>>,
+    rapida_memo: Option<Vec<Vec<usize>>>,
+) -> Vec<Candidate> {
+    let (plus, rapida) = (PlanRules::rapid_plus(), PlanRules::rapida());
+    let mut cands = vec![
+        Candidate::new("rapid-plus (fixed)", true, plus.clone()),
+        Candidate::new("rapida (fixed)", true, rapida.clone()),
+    ];
+    let mut variant =
+        |name: String, rules: PlanRules| cands.push(Candidate::new(name, false, rules));
 
     // Aggregation-placement and α-join ablations of the analytics shape.
     for (alpha, par, msc) in [
@@ -426,78 +384,57 @@ fn rapid_candidates(
         (false, false, true),
         (true, true, false),
     ] {
-        cands.push(Candidate {
-            name: format!(
+        variant(
+            format!(
                 "rapida alpha={} par={} msc={}",
-                if alpha { "on" } else { "off" },
-                if par { "on" } else { "off" },
-                if msc { "on" } else { "off" }
+                on_off(alpha),
+                on_off(par),
+                on_off(msc)
             ),
-            incumbent: false,
-            spec: Spec::Rapida(RapidAnalytics {
-                map_side_combine: msc,
+            PlanRules {
+                map_side_agg: msc,
                 alpha_pruning: alpha,
                 parallel_agg: par,
-                ..Default::default()
-            }),
-        });
+                ..rapida.clone()
+            },
+        );
     }
-    cands.push(Candidate {
-        name: "rapid-plus msc=off".into(),
-        incumbent: false,
-        spec: Spec::RapidPlus(RapidPlus {
-            map_side_combine: false,
-            ..Default::default()
-        }),
-    });
+    variant(
+        "rapid-plus msc=off".into(),
+        PlanRules {
+            map_side_agg: false,
+            ..plus.clone()
+        },
+    );
 
     // ExtVP subject-gate ablations: the gates trade plan-time set loads for
     // map-side group drops, so the enumerator prices both sides.
-    cands.push(Candidate {
-        name: "rapid-plus extvp=off".into(),
-        incumbent: false,
-        spec: Spec::RapidPlus(RapidPlus {
-            use_extvp: false,
-            ..Default::default()
-        }),
-    });
-    cands.push(Candidate {
-        name: "rapida extvp=off".into(),
-        incumbent: false,
-        spec: Spec::Rapida(RapidAnalytics {
-            use_extvp: false,
-            ..Default::default()
-        }),
-    });
+    for (label, preset) in [("rapid-plus", &plus), ("rapida", &rapida)] {
+        variant(
+            format!("{label} extvp=off"),
+            PlanRules {
+                use_extvp: false,
+                ..preset.clone()
+            },
+        );
+    }
 
     // Memo-searched join orders.
-    if let Some(orders) = memo_orders_per_block(cat, aq)? {
-        cands.push(Candidate {
-            name: format!("rapid-plus ord={}", fmt_order(&orders)),
-            incumbent: false,
-            spec: Spec::RapidPlus(RapidPlus {
-                join_orders: orders,
-                ..Default::default()
-            }),
-        });
-    }
-    if let Some(c) = composite_of(aq)? {
-        let unit = memo::unit_from_composite(cat, &c);
-        if let Some(ord) = unit.best_order() {
-            if ord != unit.greedy_order() {
-                let orders = vec![ord];
-                cands.push(Candidate {
-                    name: format!("rapida ord={}", fmt_order(&orders)),
-                    incumbent: false,
-                    spec: Spec::Rapida(RapidAnalytics {
-                        join_orders: orders,
-                        ..Default::default()
-                    }),
-                });
-            }
+    for (label, preset, memo_orders) in [
+        ("rapid-plus", &plus, plus_memo),
+        ("rapida", &rapida, rapida_memo),
+    ] {
+        if let Some(join_orders) = memo_orders {
+            variant(
+                format!("{label} ord={}", fmt_order(&join_orders)),
+                PlanRules {
+                    join_orders,
+                    ..preset.clone()
+                },
+            );
         }
     }
-    Ok(cands)
+    cands
 }
 
 /// A lower bound on the plan's measured cost, from its job list alone.
@@ -557,10 +494,8 @@ fn enumerate_at_width(
     model: &ClusterModel,
     width: usize,
 ) -> Result<Enumerated, PlanError> {
-    let cands = match family {
-        Family::Hive => hive_candidates(aq, cat)?,
-        Family::Rapid => rapid_candidates(aq, cat)?,
-    };
+    let (cands, composite) = candidates(family, aq, cat)?;
+    let compile = |cand: &Candidate| compile_shaped(&cand.rules, cand.shape(&composite), aq, cat);
 
     // Phase 1: compile + estimate every candidate. Incumbent compilation
     // failures are real errors; exotic knob combinations that fail to
@@ -572,12 +507,12 @@ fn enumerate_at_width(
     }
     let mut scored: Vec<Scored> = Vec::with_capacity(cands.len());
     for (idx, cand) in cands.iter().enumerate() {
-        let plan = match cand.compile(aq, cat) {
+        let plan = match compile(cand) {
             Ok(p) => p,
             Err(e) if cand.incumbent => return Err(e),
             Err(_) => continue,
         };
-        let ctx = cand.ctx(aq, cat)?;
+        let ctx = cand.ctx(cand.shape(&composite), aq, cat)?;
         let est = coster::estimate_plan(model, cat, &plan, &ctx);
         scored.push(Scored { idx, est, plan });
     }
@@ -677,7 +612,7 @@ fn enumerate_at_width(
 
     // Re-compile the winner fresh (its dry-run plan already executed once;
     // factories may hold caches) and stamp the cost-based engine name.
-    let mut plan = cands[scored[win].idx].compile(aq, cat)?;
+    let mut plan = compile(&cands[scored[win].idx])?;
     plan.engine = match family {
         Family::Hive => "Hive (cost-based)",
         Family::Rapid => "RAPID (cost-based)",
@@ -694,6 +629,7 @@ fn enumerate_at_width(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::QueryEngine;
     use rapida_datagen::{generate_bsbm, generate_chem, query, BsbmConfig, ChemConfig};
 
     fn aq_of(sparql: &str) -> AnalyticalQuery {
@@ -738,14 +674,13 @@ mod tests {
         let model = ClusterModel::nodes10();
         let mr = Engine::with_workers(cat.dfs.clone(), 1);
         let mut twins = Vec::new();
-        for cands in [
-            hive_candidates(aq, cat).unwrap(),
-            rapid_candidates(aq, cat).unwrap(),
-        ] {
+        for family in [Family::Hive, Family::Rapid] {
+            let (cands, composite) = candidates(family, aq, cat).unwrap();
             // Per class: fingerprint, first member, cost bits, bytes written.
             let mut classes: Vec<(String, String, u64, Vec<Vec<u8>>)> = Vec::new();
             for cand in &cands {
-                let Ok(plan) = cand.compile(aq, cat) else {
+                let shape = cand.shape(&composite);
+                let Ok(plan) = compile_shaped(&cand.rules, shape, aq, cat) else {
                     continue;
                 };
                 let print = plan
@@ -800,7 +735,7 @@ mod tests {
 
         let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
         let aq = aq_of(&query("MG6").sparql);
-        let fixed = HiveNaive::default().plan(&aq, &chem).unwrap().dump();
+        let fixed = PlanRules::hive_naive().plan(&aq, &chem).unwrap().dump();
         assert!(
             fixed.contains("[map-join]") && fixed.contains("extvp_"),
             "{fixed}"
@@ -821,91 +756,51 @@ mod tests {
     /// gate is: `extvp_subject_gate_prunes_shuffle_but_not_output`.)
     #[test]
     fn live_knobs_move_the_fingerprint() {
-        let print = |e: &dyn QueryEngine, aq: &AnalyticalQuery, cat: &DataCatalog| {
+        let print = |e: &PlanRules, aq: &AnalyticalQuery, cat: &DataCatalog| {
             e.plan(aq, cat).unwrap().fingerprint().expect("signed")
         };
         let bsbm = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
         let mg1 = aq_of(&query("MG1").sparql);
         let mg3 = aq_of(&query("MG3").sparql);
-
-        let hive = |config: HiveConfig| HiveNaive {
-            config,
-            cost_model: None,
-        };
-        let fixed = print(&HiveNaive::default(), &mg1, &bsbm);
-        assert_eq!(
-            fixed,
-            print(&HiveNaive::default(), &mg1, &bsbm),
-            "plan ids leak"
+        let (hn, rp, ra) = (
+            PlanRules::hive_naive(),
+            PlanRules::rapid_plus(),
+            PlanRules::rapida(),
         );
+
+        let fixed = print(&hn, &mg1, &bsbm);
+        assert_eq!(fixed, print(&hn, &mg1, &bsbm), "plan ids leak");
         assert!(fixed.contains("map-join"), "{fixed}");
-        for (knob, config) in [
-            (
-                "map_side_agg",
-                HiveConfig {
-                    map_side_agg: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                "a threshold that flips a join",
-                HiveConfig {
-                    map_join_threshold: 0,
-                    ..Default::default()
-                },
-            ),
-        ] {
-            assert_ne!(fixed, print(&hive(config), &mg1, &bsbm), "{knob}");
+        fn swapped() -> Vec<Vec<usize>> {
+            vec![vec![1, 0]; 2]
         }
-
-        let ra = RapidAnalytics::default();
-        for (knob, e) in [
-            (
-                "map_side_combine",
-                RapidAnalytics {
-                    map_side_combine: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                "parallel_agg",
-                RapidAnalytics {
-                    parallel_agg: false,
-                    ..Default::default()
-                },
-            ),
-        ] {
-            assert_ne!(print(&ra, &mg1, &bsbm), print(&e, &mg1, &bsbm), "{knob}");
+        type Knob = (&'static str, fn(&mut PlanRules));
+        let live: [(Knob, &PlanRules, &AnalyticalQuery); 6] = [
+            (("map_side_agg", |r| r.map_side_agg = false), &hn, &mg1),
+            (("a flipped join", |r| r.map_join_threshold = 0), &hn, &mg1),
+            (("map_side_agg", |r| r.map_side_agg = false), &ra, &mg1),
+            (("parallel_agg", |r| r.parallel_agg = false), &ra, &mg1),
+            (("map_side_agg", |r| r.map_side_agg = false), &rp, &mg1),
+            // A join order other than the default one, on three-star blocks.
+            (("join_orders", |r| r.join_orders = swapped()), &rp, &mg3),
+        ];
+        for ((knob, set), preset, aq) in live {
+            let mut rules = preset.clone();
+            set(&mut rules);
+            let (fixed, moved) = (print(preset, aq, &bsbm), print(&rules, aq, &bsbm));
+            assert_ne!(fixed, moved, "{} {knob}", preset.name());
         }
-        let rp_combine_off = RapidPlus {
-            map_side_combine: false,
-            ..Default::default()
-        };
-        assert_ne!(
-            print(&RapidPlus::default(), &mg1, &bsbm),
-            print(&rp_combine_off, &mg1, &bsbm)
-        );
-
-        // A join order other than the default one, on three-star blocks.
-        let reordered = RapidPlus {
-            join_orders: vec![vec![1, 0], vec![1, 0]],
-            ..Default::default()
-        };
-        assert_ne!(
-            print(&RapidPlus::default(), &mg3, &bsbm),
-            print(&reordered, &mg3, &bsbm)
-        );
 
         // α pruning: vacuous on MG1 (block 1 has no positive term), live
         // where every block has one — there it drops joined pairs.
-        let no_alpha = RapidAnalytics {
+        let no_alpha = PlanRules {
             alpha_pruning: false,
-            ..Default::default()
+            ..ra.clone()
         };
         assert_eq!(print(&ra, &mg1, &bsbm), print(&no_alpha, &mg1, &bsbm));
         let (cat, aq) = alpha_case();
         assert_ne!(print(&ra, &aq, &cat), print(&no_alpha, &aq, &cat));
-        let joined_records = |e: &RapidAnalytics| {
+        let joined_records = |e: &PlanRules| {
             let plan = e.plan(&aq, &cat).unwrap();
             let wf = plan.try_run(&Engine::pinned(cat.dfs.clone())).unwrap();
             plan.cleanup(&cat.dfs);
@@ -917,18 +812,58 @@ mod tests {
         // ExtVP scan substitution, on a query that has one.
         let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
         let mg6 = aq_of(&query("MG6").sparql);
-        let no_extvp = hive(HiveConfig {
+        let no_extvp = PlanRules {
             use_extvp: false,
-            ..Default::default()
-        });
-        assert_ne!(
-            print(&HiveNaive::default(), &mg6, &chem),
-            print(&no_extvp, &mg6, &chem)
-        );
+            ..hn.clone()
+        };
+        assert_ne!(print(&hn, &mg6, &chem), print(&no_extvp, &mg6, &chem));
 
         let mut plan = ra.plan(&mg1, &bsbm).unwrap();
         plan.jobs[0].sig.clear();
         assert_eq!(plan.fingerprint(), None);
+    }
+
+    /// The contract between the planners' job tags and the coster: every
+    /// tag of every candidate's plan resolves in that candidate's context,
+    /// and the context prices exactly the join cycles the plan runs.
+    #[test]
+    fn every_job_tag_resolves_in_its_candidates_context() {
+        let bsbm = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
+        let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
+        for (id, cat) in [
+            ("MG1", &bsbm),
+            ("MG2", &bsbm),
+            ("MG3", &bsbm),
+            ("MG4", &bsbm),
+            ("MG6", &chem),
+        ] {
+            let aq = aq_of(&query(id).sparql);
+            for family in [Family::Hive, Family::Rapid] {
+                let (cands, composite) = candidates(family, &aq, cat).unwrap();
+                for cand in &cands {
+                    let shape = cand.shape(&composite);
+                    let plan = compile_shaped(&cand.rules, shape, &aq, cat).unwrap();
+                    let ctx = cand.ctx(shape, &aq, cat).unwrap();
+                    let tags: Vec<&str> = plan
+                        .jobs
+                        .iter()
+                        .chain(plan.final_job.iter())
+                        .map(|j| j.tag.as_str())
+                        .collect();
+                    for tag in &tags {
+                        let rows = ctx.rows_for_tag(tag);
+                        assert!(rows.is_some(), "{id} {}: tag {tag:?}", cand.name);
+                    }
+                    for (u, rows) in ctx.join_rows.iter().enumerate() {
+                        let cycles = tags
+                            .iter()
+                            .filter(|t| t.starts_with(&format!("join u{u} k")))
+                            .count();
+                        assert_eq!(rows.len(), cycles, "{id} {}: unit {u}", cand.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

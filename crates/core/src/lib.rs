@@ -13,7 +13,13 @@
 //! * [`relops`] — relational physical MR operators (scans, joins, map-joins,
 //!   group-agg, distinct).
 //! * [`plan`] — query plans, the final map-only join, result assembly.
-//! * [`engines`] — `HiveNaive`, `HiveMqo`, `RapidPlus`, `RapidAnalytics`.
+//! * [`rules`] — [`PlanRules`]: family, plan shape and ablation switches in
+//!   one value; the paper's four systems are its presets. Also the left-deep
+//!   join walk the planners run and the coster prices.
+//! * [`engines`] — the one compiler, [`engines::compile`], and the presets
+//!   under the paper's names: `HiveNaive`, `HiveMqo`, `RapidPlus`,
+//!   `RapidAnalytics`.
+//! * [`enumerate`] — cost-based choice among the rules values of one family.
 //!
 //! ```no_run
 //! use rapida_core::{DataCatalog, QueryEngine, engines::RapidAnalytics, extract};
@@ -43,15 +49,17 @@ pub mod plan;
 pub mod relops;
 pub mod rollup;
 pub mod rows;
+pub mod rules;
 
 pub use aquery::{extract, AnalyticalQuery, GroupingBlock};
 pub use batch::{demux_member_plan, fusion_groups, plan_fused_group, FusedPlan};
 pub use catalog::{DataCatalog, LoadConfig};
 pub use composite::{build_composite, CompositeOutcome, CompositePattern};
-pub use enumerate::{enumerate_best, CandidateReport, Enumerated, Family};
+pub use enumerate::{enumerate_best, CandidateReport, Enumerated};
 pub use overlap::{graphs_overlap, stars_overlap, GraphOverlap};
 pub use plan::{PlanError, QueryEngine, QueryPlan};
 pub use rollup::{cube_sets, rollup_sets, GroupingSetsPlan, GroupingSetsQuery};
+pub use rules::{Family, PlanRules};
 
 use rapida_mapred::{Engine, WorkflowMetrics};
 use rapida_sparql::Relation;

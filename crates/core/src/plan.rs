@@ -688,14 +688,14 @@ pub fn finish_plan(
         })
         .collect();
 
+    let projection: Vec<CellSrc> = resolved
+        .iter()
+        .map(|(b, c)| match c {
+            crate::aquery::ColRef::Key(k) => CellSrc::Key { block: *b, idx: *k },
+            crate::aquery::ColRef::Agg(a) => CellSrc::Agg { block: *b, idx: *a },
+        })
+        .collect();
     if aq.blocks.len() == 1 {
-        let projection = resolved
-            .iter()
-            .map(|(b, c)| match c {
-                crate::aquery::ColRef::Key(k) => CellSrc::Key { block: *b, idx: *k },
-                crate::aquery::ColRef::Agg(a) => CellSrc::Agg { block: *b, idx: *a },
-            })
-            .collect();
         return Ok(QueryPlan {
             engine,
             plan_id: plan_id.to_string(),
@@ -723,18 +723,11 @@ pub fn finish_plan(
         }
         joins.push(pairs);
     }
-    let output: Vec<CellSrc> = resolved
-        .iter()
-        .map(|(b, c)| match c {
-            crate::aquery::ColRef::Key(k) => CellSrc::Key { block: *b, idx: *k },
-            crate::aquery::ColRef::Agg(a) => CellSrc::Agg { block: *b, idx: *a },
-        })
-        .collect();
     let out_name = format!("{plan_id}_final");
     let cfg = Arc::new(FinalJoinCfg {
         datasets: block_datasets.clone(),
         joins,
-        output,
+        output: projection,
     });
     let final_job = rapida_mapred::JobBuilder::new(format!("{engine}:final-join"))
         .input(block_datasets[0].clone())

@@ -16,19 +16,13 @@
 
 use crate::aquery::GroupingBlock;
 use crate::catalog::DataCatalog;
-use crate::engines::rapid::{
-    block_agg_spec, block_star_specs, compile_edges, star_prefilters, TgJoinPlanner,
-};
-use crate::filters::compile_block_filters;
+use crate::engines::rapid::{agg_join_job, block_agg_spec, TgJoinPlanner};
 use crate::plan::{next_plan_id, PlanError};
-use rapida_mapred::{Engine, FnMapFactory, FnReduceFactory, JobBuilder, WorkflowMetrics};
-use rapida_ntga::{
-    AggJoinConfig, AggJoinMapper, AggJoinReducer, AggRec, AlphaCond,
-};
+use rapida_mapred::{Engine, WorkflowMetrics};
+use rapida_ntga::{AggRec, AlphaCond};
 use rapida_rdf::TermId;
 use rapida_sparql::ast::Var;
 use rapida_sparql::{Cell, Relation};
-use std::sync::Arc;
 
 /// A grouping-sets query: one pattern block, many grouping levels.
 #[derive(Debug, Clone)]
@@ -92,20 +86,7 @@ impl GroupingSetsQuery {
         }
         let pid = next_plan_id("gs");
         let dec = self.block.decomposition()?;
-        let filters = compile_block_filters(&self.block, &dec)?;
-        let specs = block_star_specs(cat, &dec)?;
-        let prefilters = star_prefilters(cat, &filters, dec.stars.len());
-        let edges = compile_edges(cat, &dec)?;
-        let planner = TgJoinPlanner {
-            cat,
-            prefix: pid.clone(),
-            unit: 0,
-            edge_order: Vec::new(),
-            specs,
-            prefilters,
-            edges,
-            conds: Arc::new(Vec::new()),
-        };
+        let planner = TgJoinPlanner::for_block(cat, &self.block, &dec, pid.clone(), 0, &[], false)?;
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
         // Output key layout: union of set variables.
@@ -141,48 +122,16 @@ impl GroupingSetsQuery {
                 AlphaCond::default(),
             )?);
         }
-        let cfg_joined = joined.clone();
-        let (inputs, raw_filters) = match cfg_joined {
-            Some(ds) => (vec![ds], Vec::new()),
-            None => {
-                let reqs: Vec<Vec<TermId>> = vec![planner.specs[0]
-                    .primary_props()
-                    .into_iter()
-                    .map(TermId)
-                    .collect()];
-                (
-                    cat.tg.datasets_covering_any(&reqs),
-                    vec![(
-                        planner.specs[0].clone(),
-                        planner.prefilters[0].apply.clone(),
-                    )],
-                )
-            }
-        };
-        let cfg = Arc::new(AggJoinConfig {
-            specs: agg_specs,
-            numeric: cat.numeric.clone(),
-            raw_filters,
-            map_side_combine: true,
-        });
         let out = format!("{pid}_sets");
-        let mut b = JobBuilder::new(format!("grouping-sets x{}", self.sets.len()));
-        for i in inputs {
-            b = b.input(i);
-        }
-        jobs.push(
-            b.mapper(Arc::new(FnMapFactory({
-                let c = cfg.clone();
-                move || AggJoinMapper::new(c.clone())
-            })))
-            .reducer(Arc::new(FnReduceFactory({
-                let c = cfg.clone();
-                move || AggJoinReducer::new(c.clone())
-            })))
-            .output(out.clone())
-            .num_reducers(8)
-            .build(),
-        );
+        jobs.push(agg_join_job(
+            cat,
+            &format!("grouping-sets x{}", self.sets.len()),
+            "agg-par",
+            agg_specs,
+            planner.agg_inputs(joined),
+            true,
+            &out,
+        ));
         Ok(GroupingSetsPlan {
             jobs,
             dataset: out,

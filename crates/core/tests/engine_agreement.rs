@@ -3,7 +3,7 @@
 //! paper exercises.
 
 use rapida_core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
-use rapida_core::{extract, DataCatalog, QueryEngine};
+use rapida_core::{extract, DataCatalog, PlanRules, QueryEngine};
 use rapida_mapred::Engine;
 use rapida_rdf::{vocab, Graph, Term};
 use rapida_sparql::{evaluate, parse_query};
@@ -346,9 +346,9 @@ fn alpha_pruning_reduces_join_output() {
 
     let mut join_outputs = Vec::new();
     for pruning in [true, false] {
-        let engine = RapidAnalytics {
+        let engine = PlanRules {
             alpha_pruning: pruning,
-            ..Default::default()
+            ..PlanRules::rapida()
         };
         let plan = engine.plan(&aq, &cat).unwrap();
         let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);

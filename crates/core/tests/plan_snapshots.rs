@@ -6,7 +6,7 @@
 //! Regenerate after an intentional change with:
 //! `RAPIDA_UPDATE_SNAPSHOTS=1 cargo test -p rapida-core --test plan_snapshots`
 
-use rapida_core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
+use rapida_core::engines::RapidPlus;
 use rapida_core::enumerate::{enumerate_best, Enumerated, Family};
 use rapida_core::{extract, AnalyticalQuery, DataCatalog, QueryEngine};
 use rapida_datagen::{generate_bsbm, query, BsbmConfig};
@@ -209,25 +209,17 @@ fn enumerator_rediscovers_ntga_star_grouping() {
     }
 }
 
-/// Engine-level opt-in: setting `cost_model` on any fixed engine routes
-/// planning through the enumerator, and the chosen plan's measured cost is
-/// never worse than that engine's fixed plan (every incumbent is
-/// shortlisted, then dry-run or pruned by its cost floor).
+/// The chosen plan's measured cost is never worse than any fixed plan's
+/// (every incumbent is shortlisted, then dry-run or pruned by its cost
+/// floor).
 #[test]
 fn cost_model_opt_in_never_worse_than_fixed() {
     let cat = catalog();
     let model = ClusterModel::nodes10();
     let aq = aq_of("MG1");
 
-    let chosen = HiveMqo {
-        cost_model: Some(model),
-        ..Default::default()
-    }
-    .plan(&aq, &cat)
-    .unwrap();
-    assert_eq!(chosen.engine, "Hive (cost-based)");
-
     let e = enumerate_best(Family::Hive, &aq, &cat, &model).unwrap();
+    assert_eq!(e.plan.engine, "Hive (cost-based)");
     for r in &e.candidates {
         if let (true, Some(m)) = (r.incumbent, r.measured_s) {
             assert!(
@@ -240,21 +232,6 @@ fn cost_model_opt_in_never_worse_than_fixed() {
             );
         }
     }
-
-    let chosen_r = RapidAnalytics {
-        cost_model: Some(model),
-        ..Default::default()
-    }
-    .plan(&aq, &cat)
-    .unwrap();
-    assert_eq!(chosen_r.engine, "RAPID (cost-based)");
-    let hn = HiveNaive {
-        cost_model: Some(model),
-        ..Default::default()
-    }
-    .plan(&aq, &cat)
-    .unwrap();
-    assert_eq!(hn.engine, "Hive (cost-based)");
 }
 
 /// Determinism: two independent enumerations of the same (query, stats,

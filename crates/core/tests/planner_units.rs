@@ -1,11 +1,13 @@
 //! Plan-structure unit tests: map-join thresholds, multi-key final joins,
 //! out-of-scope constructs, and error reporting.
 
-use rapida_core::engines::{HiveConfig, HiveNaive, RapidAnalytics};
-use rapida_core::{extract, DataCatalog, PlanError, QueryEngine};
-use rapida_mapred::Engine;
+use rapida_core::engines::{HiveNaive, RapidAnalytics};
+use rapida_core::rules::{left_deep_walk, Attach};
+use rapida_core::{extract, DataCatalog, PlanError, PlanRules, QueryEngine};
+use rapida_mapred::{Engine, Job};
 use rapida_rdf::{vocab, Graph, Term};
 use rapida_sparql::{evaluate, parse_query};
+use rapida_testkit::prelude::*;
 
 fn iri(s: &str) -> Term {
     Term::iri(format!("http://x/{s}"))
@@ -44,12 +46,9 @@ fn map_join_threshold_controls_cycle_kinds() {
     let expected = evaluate(&query, &g).canonicalized(&g.dict);
 
     let run = |threshold: usize| {
-        let engine = HiveNaive {
-            config: HiveConfig {
-                map_join_threshold: threshold,
-                ..Default::default()
-            },
-            cost_model: None,
+        let engine = PlanRules {
+            map_join_threshold: threshold,
+            ..PlanRules::hive_naive()
         };
         let plan = engine.plan(&aq, &cat).unwrap();
         let map_only = plan.map_only_cycles();
@@ -147,5 +146,118 @@ fn absent_property_scans_empty() {
         let plan = engine.plan(&aq, &cat).unwrap();
         let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
         assert!(rel.is_empty(), "{}", engine.name());
+    }
+}
+
+fn ends_of(dec: &rapida_sparql::analysis::StarDecomposition) -> Vec<(usize, usize)> {
+    let ends = dec.joins.iter().map(|j| (j.left.star, j.right.star));
+    ends.collect()
+}
+
+/// The join jobs of unit 0, which must be tagged `join u0 k0..` in order.
+fn join_jobs(rules: &PlanRules, aq: &rapida_core::AnalyticalQuery, cat: &DataCatalog) -> Vec<Job> {
+    let plan = rules.plan(aq, cat).unwrap();
+    let is_join = |j: &Job| j.tag.starts_with("join ");
+    let jobs: Vec<Job> = plan.jobs.into_iter().filter(is_join).collect();
+    for (k, job) in jobs.iter().enumerate() {
+        assert_eq!(job.tag, format!("join u0 k{k}"), "{}", rules.name());
+    }
+    jobs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 48,
+        ..ProptestConfig::default()
+    })]
+
+    /// Over a random tree of stars and any permutation of its edges as the
+    /// join order — connected prefixes or not — both planners run exactly
+    /// the cycles of `left_deep_walk`, which is what the coster prices.
+    #[test]
+    fn both_planners_run_the_walk(
+        parents in prop::collection::vec(any::<u8>(), 1..5),
+        keys in prop::collection::vec(any::<u8>(), 4..5),
+    ) {
+        // Star i > 0 hangs off star `parents[i-1] % i` by an edge of its own
+        // variable: `?s<parent> ex:e<i> ?s<i>`.
+        let n = parents.len() + 1;
+        let mut g = Graph::new();
+        let mut pattern = String::new();
+        for i in 0..n {
+            let node = iri(&format!("n{i}"));
+            g.insert_terms(&node, &iri(&format!("v{i}")), &Term::integer(i as i64));
+            pattern += &format!("?s{i} ex:v{i} ?v{i} . ");
+        }
+        for (child, p) in parents.iter().enumerate() {
+            let (i, p) = (child + 1, usize::from(*p) % (child + 1));
+            let (parent, node) = (iri(&format!("n{p}")), iri(&format!("n{i}")));
+            g.insert_terms(&parent, &iri(&format!("e{i}")), &node);
+            pattern += &format!("?s{p} ex:e{i} ?s{i} . ");
+        }
+        let q = format!("PREFIX ex: <http://x/> SELECT (COUNT(?v0) AS ?c) {{ {pattern} }}");
+        let aq = extract(&parse_query(&q).unwrap()).unwrap();
+        let cat = DataCatalog::load(&g);
+        let dec = aq.blocks[0].decomposition().unwrap();
+        let ends = ends_of(&dec);
+        let mut order: Vec<usize> = (0..ends.len()).collect();
+        order.sort_by_key(|&e| keys[e]);
+        let steps = left_deep_walk(n, &order, &ends).unwrap();
+        prop_assert_eq!(steps.len(), n - 1);
+
+        // No map-joins, whose labels carry a suffix.
+        let hive = PlanRules {
+            join_orders: vec![order.clone()],
+            map_join_threshold: 0,
+            ..PlanRules::hive_naive()
+        };
+        let ran: Vec<String> = join_jobs(&hive, &aq, &cat)
+            .into_iter()
+            .map(|j| j.name)
+            .collect();
+        let walked: Vec<String> = steps
+            .iter()
+            .map(|s| format!("Hive b0:join {}", dec.joins[s.edge].var))
+            .collect();
+        prop_assert_eq!(ran, walked, "order {:?}", order);
+
+        // A tg-join's sig lists the star specs its map side scans.
+        let rapid = PlanRules {
+            join_orders: vec![order.clone()],
+            ..PlanRules::rapid_plus()
+        };
+        let scanned = |j: &Job| -> Vec<usize> {
+            let specs = j.sig.split("StarSpec { star: ").skip(1);
+            let star = |rest: &str| rest.split(',').next().unwrap().parse().unwrap();
+            specs.map(star).collect()
+        };
+        let ran: Vec<Vec<usize>> = join_jobs(&rapid, &aq, &cat)
+            .iter()
+            .map(scanned)
+            .collect();
+        let walked: Vec<Vec<usize>> = steps
+            .iter()
+            .map(|s| match s.attach {
+                Attach::First(l, r) => vec![l, r],
+                Attach::Star(new) => vec![new],
+            })
+            .collect();
+        prop_assert_eq!(ran, walked, "order {:?}", order);
+    }
+}
+
+/// A cyclic star graph is the walk's error, from whichever planner hits it.
+#[test]
+fn a_cyclic_star_graph_is_the_same_error_everywhere() {
+    let q = "PREFIX ex: <http://x/>
+        SELECT (COUNT(?a) AS ?n) { ?a ex:p ?b . ?b ex:q ?c . ?c ex:r ?a . }";
+    let aq = extract(&parse_query(q).unwrap()).unwrap();
+    let cat = DataCatalog::load(&shop_graph());
+    let dec = aq.blocks[0].decomposition().unwrap();
+    let walk_err = left_deep_walk(dec.stars.len(), &[], &ends_of(&dec)).unwrap_err();
+    assert!(format!("{walk_err}").contains("cyclic"), "{walk_err}");
+    for rules in [PlanRules::hive_naive(), PlanRules::rapid_plus()] {
+        let planned = rules.plan(&aq, &cat).err();
+        assert_eq!(planned, Some(walk_err.clone()), "{}", rules.name());
     }
 }

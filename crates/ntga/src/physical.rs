@@ -120,6 +120,17 @@ impl TgJoinMapper {
     }
 }
 
+/// The owned group a prefilter transform needs: decoded once per record,
+/// and only when some route actually has a transform. A checked decode — the
+/// framed view reads a record cut mid-pair as the prefix that still decodes.
+/// `None`: the record is damaged.
+fn owned_group<'o>(owned: &'o mut Option<TripleGroup>, record: &[u8]) -> Option<&'o TripleGroup> {
+    if owned.is_none() {
+        *owned = Some(TripleGroup::decode(record)?);
+    }
+    owned.as_ref()
+}
+
 impl MapTask for TgJoinMapper {
     fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
         let TgJoinMapper {
@@ -134,8 +145,6 @@ impl MapTask for TgJoinMapper {
                 out.skip_corrupt();
                 return;
             };
-            // Prefilter transforms need an owned group; decode lazily, once,
-            // only when some route actually has one.
             let mut owned: Option<TripleGroup> = None;
             for route in &config.star_routes {
                 // Value layout: side byte + AnnTg::single(star, filtered)
@@ -147,7 +156,10 @@ impl MapTask for TgJoinMapper {
                 let tg_start = val_buf.len();
                 match &route.prefilter {
                     Some(f) => {
-                        let base = owned.get_or_insert_with(|| tg.to_owned());
+                        let Some(base) = owned_group(&mut owned, record) else {
+                            out.skip_corrupt();
+                            return;
+                        };
                         let Some(v) = f(base.clone()) else { continue };
                         let Some(filtered) = opt_group_filter(&v, &route.spec) else {
                             continue;
@@ -451,7 +463,10 @@ impl MapTask for AggJoinMapper {
             tg_buf.clear();
             match transform {
                 Some(t) => {
-                    let base = owned.get_or_insert_with(|| tg.to_owned());
+                    let Some(base) = owned_group(&mut owned, record) else {
+                        out.skip_corrupt();
+                        return;
+                    };
                     let Some(v) = t(base.clone()) else { continue };
                     let Some(filtered) = opt_group_filter(&v, filter) else {
                         continue;

@@ -7,7 +7,8 @@
 //! one-sided keys, a second cycle over annotated routes with a `prefilter`ed
 //! raw star, Agg-Joins over joined and raw (shared single-star scan) inputs
 //! with `map_side_combine` on and off, a truncated record in every kind of
-//! input of both mappers.
+//! input of both mappers — behind a `prefilter` too, where the prefix that
+//! still decodes would pass the filter.
 
 mod common;
 
@@ -100,17 +101,17 @@ fn cut(mut rec: Vec<u8>) -> Vec<u8> {
 /// every ninth offer points at no product, every eleventh lacks its price
 /// and every fifth has two; vendors 505 and 506 are referenced but absent
 /// and 520 sells nothing, so both cycles meet one-sided keys on either side.
-/// Products, offers and the stray joined input each end in a truncated
-/// record. Vendors do not, and the raw Agg-Join lists its unfiltered star
-/// first: a star behind a `prefilter` still reads a truncated group as the
-/// prefix that decodes, which this suite leaves alone.
+/// Every input ends in a truncated record. The products' and the vendors'
+/// are cut inside their last pair, and what is left of them passes the
+/// value filters those stars are scanned behind and would join: a mapper
+/// that materialized the decodable prefix would emit it.
 fn load(dfs: &SimDfs) {
     let products = (0..40u64).map(|i| {
         let mut pairs = vec![(TY, PT18 + u64::from(i % 4 == 3))];
         pairs.extend((0..i % 3).map(|f| (PF, 60 + (i + f) % 4)));
         raw(100 + i, pairs)
     });
-    put(dfs, "products", products.chain([cut(raw(199, vec![(TY, PT18), (PF, 300)]))]));
+    put(dfs, "products", products.chain([cut(raw(199, vec![(TY, PT18), (PF, 62), (PF, 300)]))]));
     let offers = (0..90u64).map(|j| {
         let product = if j % 9 == 8 { 400 + j } else { 100 + j % 40 };
         let mut pairs = vec![(PR, product), (PV, 500 + j % 7)];
@@ -121,7 +122,7 @@ fn load(dfs: &SimDfs) {
     });
     put(dfs, "offers", offers.chain([cut(raw(1999, vec![(PR, 100), (PC, 30), (PV, 500)]))]));
     let vendors = [0, 1, 2, 3, 4, 20].map(|k| raw(500 + k, vec![(PN, 70 + k % 3), (PN, 80)]));
-    put(dfs, "vendors", vendors);
+    put(dfs, "vendors", vendors.into_iter().chain([cut(raw(506, vec![(PN, 72), (PN, 300)]))]));
     // A joined record from nowhere plus a truncated one, for the mappers'
     // annotated inputs.
     let stray = AnnTg {
@@ -231,7 +232,7 @@ fn workflow_is_byte_identical_to_the_reference() {
     };
     let either = vec![has_feature(true), has_feature(false)];
     let (joined2, _, corrupt) = tg_join(&dfs, &["joined1", "vendors", "stray"], cfg, either, "joined2");
-    assert_eq!(corrupt, 1, "the truncated stray record");
+    assert_eq!(corrupt, 2, "the truncated stray record and the truncated vendor");
     assert!(bytes(&joined2) > 0);
 
     // Agg-Join over the three-star join (and the stray two-star input): two
@@ -269,14 +270,14 @@ fn workflow_is_byte_identical_to_the_reference() {
     assert!(with.0 < without.0, "combining must shrink the shuffle");
 
     // Agg-Join straight off the raw inputs: one scan, two single-star
-    // filters (one behind a value filter), one block each.
+    // filters (the first behind a value filter), one block each.
     let cfg = AggJoinConfig {
         specs: vec![
             block(0, vec![obj(0, PF)], vec![0], &[(AggOp::Count, None)], AlphaCond::default()),
             block(1, vec![obj(1, PV), price], vec![0], &[(AggOp::Sum, Some(1))], AlphaCond::default()),
         ],
         numeric: numeric(),
-        raw_filters: vec![(offer_star(), None), (product_star(), Some(even_objects_of(PF)))],
+        raw_filters: vec![(product_star(), Some(even_objects_of(PF))), (offer_star(), None)],
         map_side_combine: true,
     };
     for (blocks, _, corrupt) in agg_join(&dfs, &["offers", "products"], cfg, "raw_aggs") {

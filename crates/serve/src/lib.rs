@@ -26,10 +26,9 @@
 //! turns an over-budget query into a typed [`RequestStatus::Rejected`],
 //! never a panic, and never partial rows.
 
-use rapida_core::engines::{HiveConfig, HiveMqo};
 use rapida_core::{
     demux_member_plan, extract, fusion_groups, plan_fused_group, AnalyticalQuery, DataCatalog,
-    QueryEngine,
+    PlanRules, QueryEngine,
 };
 use rapida_datagen::traffic::{sparql_of, TrafficEvent};
 use rapida_mapred::{
@@ -413,8 +412,7 @@ impl Server {
         let cfg = &self.inner.config;
         let window_ms = cfg.window_ms.max(1);
         let mr = self.engine();
-        let hive = HiveConfig::default();
-        let planner = HiveMqo::default();
+        let rules = PlanRules::hive_mqo();
 
         // Window index -> request indexes, in (at_ms, client, seq) order.
         let mut windows: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -472,8 +470,8 @@ impl Server {
                         .map(|&u| uniq[u].0.as_str())
                         .collect::<Vec<_>>()
                         .join("&");
-                    let shared = plan_fused_group(&refs, &hive, cat).and_then(|mut fused| {
-                        fused.attach_scan_cache_keys(&format!("{hive:?}|{group_sig}"));
+                    let shared = plan_fused_group(&refs, &rules, cat).and_then(|mut fused| {
+                        fused.attach_scan_cache_keys(&format!("{rules:?}|{group_sig}"));
                         let wf = mr.try_run_workflow(&fused.jobs).map_err(|e| {
                             rapida_core::PlanError::Unsupported(format!("shared jobs: {e}"))
                         })?;
@@ -502,7 +500,7 @@ impl Server {
                                     &fused,
                                     m,
                                     aq,
-                                    "Hive (MQO)",
+                                    rules.name(),
                                     &cat.dfs,
                                     mr.split_bytes,
                                 )
@@ -538,11 +536,11 @@ impl Server {
                 } else {
                     let u = group[0];
                     let (sig, aq, idxs) = &uniq[u];
-                    let run = planner
+                    let run = rules
                         .plan(aq, cat)
                         .map_err(|e| format!("planning: {e}"))
                         .and_then(|mut plan| {
-                            plan.attach_scan_cache_keys(&format!("solo|{hive:?}|{sig}"));
+                            plan.attach_scan_cache_keys(&format!("solo|{rules:?}|{sig}"));
                             let out = plan
                                 .try_execute(&mr, aq, &cat.dict)
                                 .map_err(|e| format!("{e}"));
@@ -590,7 +588,7 @@ impl Server {
         let cat = &self.inner.cat;
         let cfg = &self.inner.config;
         let mr = self.engine();
-        let planner = HiveMqo::default();
+        let planner = PlanRules::hive_mqo();
 
         // The engine is deterministic: identical queries produce identical
         // metrics and results, so repeated requests replay a memoized run

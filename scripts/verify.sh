@@ -49,6 +49,12 @@ if grep -rn 'legacy[_]owned' crates/*/src src crates/bench scripts; then echo "F
 echo "==> NTGA oracle smoke (perfbench --smoke: mg_rapida vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_rapida
 
+echo "==> one rules value, one compiler (the per-engine config structs, the engine-level cost switch and the enumerator's recipe enum stay deleted)"
+if grep -rnE 'cost[_]model|Hive[C]onfig|enum [S]pec' crates/*/src src crates/bench scripts; then echo "FAIL: a second planner configuration is back" >&2; exit 1; fi
+
+echo "==> serving oracle smoke (perfbench --smoke: serve_fit, planned through PlanRules::hive_mqo)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload serve_fit
+
 echo "==> ExtVP byte-identity smoke (reductions vs full scans)"
 cargo test -q --offline --test extvp_identity
 

@@ -52,7 +52,8 @@ pub use rapida_storage as storage;
 pub mod prelude {
     pub use rapida_core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
     pub use rapida_core::{
-        extract, run_query, AnalyticalQuery, DataCatalog, PlanError, QueryEngine, QueryPlan,
+        extract, run_query, AnalyticalQuery, DataCatalog, PlanError, PlanRules, QueryEngine,
+        QueryPlan,
     };
     pub use rapida_mapred::{ClusterModel, Engine as MrEngine, SimDfs, WorkflowMetrics};
     pub use rapida_serve::{ServeConfig, ServeMode, ServeReport, Server};

@@ -146,7 +146,11 @@ proptest! {
         }
     }
 
-    /// Ablated RAPIDAnalytics variants stay correct (they only change cost).
+    /// Every setting of the planner switches stays correct (they only change
+    /// cost): both families × plan shape × each switch × the map-join
+    /// threshold's three regimes, one representative per distinct plan —
+    /// a switch that is vacuous for a family or on this query collapses
+    /// into its twin's fingerprint.
     #[test]
     fn ablated_variants_agree(rg in random_graph()) {
         let g = rg.build();
@@ -156,15 +160,31 @@ proptest! {
         let aq = extract(&query).unwrap();
         let cat = DataCatalog::load(&g);
         let mr = MrEngine::pinned(cat.dfs.clone());
-        let variants: Vec<RapidAnalytics> = vec![
-            RapidAnalytics { map_side_combine: false, ..Default::default() },
-            RapidAnalytics { alpha_pruning: false, ..Default::default() },
-            RapidAnalytics { parallel_agg: false, ..Default::default() },
-        ];
-        for v in &variants {
-            let plan = v.plan(&aq, &cat).unwrap();
-            let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
-            prop_assert_eq!(rel.canonicalized(&g.dict), expected.clone());
+        let mut seen = std::collections::BTreeSet::new();
+        for preset in [
+            PlanRules::hive_naive(),
+            PlanRules::hive_mqo(),
+            PlanRules::rapid_plus(),
+            PlanRules::rapida(),
+        ] {
+            for bits in 0..16u8 {
+                for map_join_threshold in [0, preset.map_join_threshold, usize::MAX] {
+                    let rules = PlanRules {
+                        map_side_agg: bits & 1 == 0,
+                        use_extvp: bits & 2 == 0,
+                        alpha_pruning: bits & 4 == 0,
+                        parallel_agg: bits & 8 == 0,
+                        map_join_threshold,
+                        ..preset.clone()
+                    };
+                    let plan = rules.plan(&aq, &cat).unwrap();
+                    if !seen.insert(plan.fingerprint().expect("every job is signed")) {
+                        continue;
+                    }
+                    let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+                    prop_assert_eq!(rel.canonicalized(&g.dict), expected.clone(), "{:?}", rules);
+                }
+            }
         }
     }
 }
