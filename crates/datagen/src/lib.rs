@@ -19,5 +19,5 @@ pub mod traffic;
 pub use bsbm::{generate as generate_bsbm, BsbmConfig};
 pub use chem::{generate as generate_chem, ChemConfig};
 pub use pubmed::{generate as generate_pubmed, PubmedConfig};
-pub use queries::{catalog, mg_ids, query, CatalogQuery, Workload};
+pub use queries::{catalog, mg_ids, query, try_query, CatalogQuery, Workload};
 pub use traffic::{generate as generate_traffic, TrafficConfig, TrafficEvent};

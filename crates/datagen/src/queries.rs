@@ -450,13 +450,16 @@ pub fn catalog() -> Vec<CatalogQuery> {
     out
 }
 
+/// Look up a catalog query by id; `None` for an id the catalog does not
+/// have (what a server does with an id that came from a client).
+pub fn try_query(id: &str) -> Option<CatalogQuery> {
+    catalog().into_iter().find(|q| q.id == id)
+}
+
 /// Look up a catalog query by id. Panics on unknown ids (programmer error
 /// in benchmarks/examples).
 pub fn query(id: &str) -> CatalogQuery {
-    catalog()
-        .into_iter()
-        .find(|q| q.id == id)
-        .unwrap_or_else(|| panic!("unknown catalog query '{id}'"))
+    try_query(id).unwrap_or_else(|| panic!("unknown catalog query '{id}'"))
 }
 
 /// All multi-grouping query ids.
@@ -497,6 +500,7 @@ mod tests {
     fn lookup_by_id() {
         assert_eq!(query("MG3").shapes, &[&[3, 3, 1][..], &[2, 3, 1][..]]);
         assert_eq!(query("MG16").selectivity, Some("hi"));
+        assert!(try_query("MG5").is_none(), "the paper has no MG5");
     }
 
     #[test]

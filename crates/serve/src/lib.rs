@@ -28,17 +28,26 @@
 
 use rapida_core::{
     demux_member_plan, extract, fusion_groups, plan_fused_group, AnalyticalQuery, DataCatalog,
-    PlanRules, QueryEngine,
+    PlanRules, QueryEngine, QueryPlan,
 };
-use rapida_datagen::traffic::{sparql_of, TrafficEvent};
+use rapida_datagen::queries::try_query;
+use rapida_datagen::traffic::TrafficEvent;
 use rapida_mapred::{
     ClusterModel, Engine, FaultPlan, JobDeadline, ResiliencePolicy, ScanCache, ScanCacheStats,
 };
 use rapida_rdf::Graph;
 use rapida_sparql::{parse_query, Relation};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The planner every request goes through, in both modes; its `Debug` form
+/// is part of each scan-cache key.
+const RULES: PlanRules = PlanRules::hive_mqo();
+
+/// A query's answer with its plan's modeled cluster seconds, or the typed
+/// reason its requests are rejected with.
+type Run = Result<(Relation, f64), String>;
 
 /// How the server schedules a drained queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +112,8 @@ struct Request {
     client: usize,
     seq: usize,
     query_id: String,
-    sparql: String,
+    /// The SPARQL text, or why there is none (rejected with it at drain time).
+    text: Result<Arc<str>, String>,
 }
 
 /// Terminal state of one request.
@@ -291,17 +301,22 @@ pub struct Session {
 impl Session {
     /// Submit a raw SPARQL query arriving at `at_ms`.
     pub fn submit(&self, at_ms: u64, sparql: &str) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.server
-            .push(at_ms, self.client, seq, "adhoc".to_string(), sparql.to_string());
+        self.push(at_ms, "adhoc", Ok(sparql.into()));
     }
 
     /// Submit a catalog query by id, arriving at `at_ms`.
     pub fn submit_catalog(&self, at_ms: u64, query_id: &str) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let sparql = rapida_datagen::query(query_id).sparql;
-        self.server
-            .push(at_ms, self.client, seq, query_id.to_string(), sparql);
+        self.push(at_ms, query_id, catalog_text(query_id));
+    }
+
+    fn push(&self, at_ms: u64, query_id: &str, text: Result<Arc<str>, String>) {
+        self.server.inner.queue.lock().unwrap().push(Request {
+            at_ms,
+            client: self.client,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            query_id: query_id.to_string(),
+            text,
+        });
     }
 }
 
@@ -339,26 +354,21 @@ impl Server {
     /// Enqueue a pre-generated traffic trace (see
     /// [`rapida_datagen::traffic`]); event sequence numbers are preserved.
     pub fn enqueue_traffic(&self, events: &[TrafficEvent]) {
+        // One catalog lookup per distinct id of the call, not per event.
+        let mut texts: HashMap<&str, Result<Arc<str>, String>> = HashMap::new();
         let mut q = self.inner.queue.lock().unwrap();
         for ev in events {
+            let text = texts
+                .entry(&ev.query_id)
+                .or_insert_with(|| catalog_text(&ev.query_id));
             q.push(Request {
                 at_ms: ev.at_ms,
                 client: ev.client,
                 seq: ev.seq,
                 query_id: ev.query_id.clone(),
-                sparql: sparql_of(ev),
+                text: text.clone(),
             });
         }
-    }
-
-    fn push(&self, at_ms: u64, client: usize, seq: usize, query_id: String, sparql: String) {
-        self.inner.queue.lock().unwrap().push(Request {
-            at_ms,
-            client,
-            seq,
-            query_id,
-            sparql,
-        });
     }
 
     /// Current cumulative scan-cache ledger.
@@ -412,7 +422,6 @@ impl Server {
         let cfg = &self.inner.config;
         let window_ms = cfg.window_ms.max(1);
         let mr = self.engine();
-        let rules = PlanRules::hive_mqo();
 
         // Window index -> request indexes, in (at_ms, client, seq) order.
         let mut windows: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -420,155 +429,94 @@ impl Server {
             windows.entry(r.at_ms / window_ms).or_default().push(i);
         }
 
-        let mut clock_ms = 0.0_f64;
-        let mut done_ms = vec![0.0_f64; reqs.len()];
-        let mut status: Vec<Option<RequestStatus>> = vec![None; reqs.len()];
+        let mut front = FrontEnd::default();
+        let mut board = Board::new(reqs.len());
         let mut traces = Vec::new();
 
         for (w, members) in &windows {
-            let close_ms = ((w + 1) * window_ms) as f64;
-            clock_ms = clock_ms.max(close_ms);
-            let rejected_before = status
-                .iter()
-                .filter(|s| matches!(s, Some(RequestStatus::Rejected { .. })))
-                .count();
+            board.clock_ms = board.clock_ms.max(((w + 1) * window_ms) as f64);
+            let rejected_before = board.rejected;
 
-            // Parse + extract; dedup by canonical signature.
-            let mut uniq: Vec<(String, AnalyticalQuery, Vec<usize>)> = Vec::new();
+            // The window's distinct queries and who asks for each, in arrival order.
+            let mut uniq: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut slot_of: HashMap<usize, usize> = HashMap::new();
             for &i in members {
-                let aq = match parse_query(&reqs[i].sparql)
-                    .map_err(|e| format!("parse error: {e}"))
-                    .and_then(|q| {
-                        extract(&q).map_err(|e| format!("not an analytical query: {e}"))
-                    }) {
-                    Ok(aq) => aq,
-                    Err(reason) => {
-                        status[i] = Some(RequestStatus::Rejected { reason });
-                        done_ms[i] = clock_ms;
-                        continue;
+                match front.resolve(&reqs[i].text) {
+                    Ok(q) => {
+                        let slot = *slot_of.entry(q).or_insert_with(|| {
+                            uniq.push((q, Vec::new()));
+                            uniq.len() - 1
+                        });
+                        uniq[slot].1.push(i);
                     }
-                };
-                let sig = aq.signature();
-                match uniq.iter_mut().find(|(s, _, _)| *s == sig) {
-                    Some((_, _, idxs)) => idxs.push(i),
-                    None => uniq.push((sig, aq, vec![i])),
+                    Err(reason) => board.reject(&[i], reason),
                 }
             }
 
-            let queries: Vec<AnalyticalQuery> = uniq.iter().map(|(_, q, _)| q.clone()).collect();
+            let queries: Vec<AnalyticalQuery> = uniq
+                .iter()
+                .map(|&(q, _)| front.queries[q].1.clone())
+                .collect();
             let groups = fusion_groups(&queries);
             let mut fused_members = 0usize;
             let mut shared_jobs = 0usize;
 
             for group in &groups {
-                if group.len() >= 2 {
-                    fused_members += group.len();
-                    let refs: Vec<&AnalyticalQuery> =
-                        group.iter().map(|&u| &queries[u]).collect();
-                    let group_sig: String = group
-                        .iter()
-                        .map(|&u| uniq[u].0.as_str())
-                        .collect::<Vec<_>>()
-                        .join("&");
-                    let shared = plan_fused_group(&refs, &rules, cat).and_then(|mut fused| {
-                        fused.attach_scan_cache_keys(&format!("{rules:?}|{group_sig}"));
-                        let wf = mr.try_run_workflow(&fused.jobs).map_err(|e| {
-                            rapida_core::PlanError::Unsupported(format!("shared jobs: {e}"))
-                        })?;
-                        Ok((fused, cfg.model.workflow_time(&wf)))
-                    });
-                    match shared {
-                        Err(e) => {
-                            // All-or-nothing per group: a failed shared
-                            // workflow rejects every member — no partial
-                            // block data ever reaches a demux.
-                            let reason = format!("fused group rejected: {e}");
-                            for &u in group {
-                                for &i in &uniq[u].2 {
-                                    status[i] =
-                                        Some(RequestStatus::Rejected { reason: clone_reason(&reason) });
-                                    done_ms[i] = clock_ms;
-                                }
-                            }
-                        }
-                        Ok((fused, shared_s)) => {
-                            shared_jobs += fused.jobs.len();
-                            clock_ms += shared_s * 1000.0;
-                            for (m, &u) in group.iter().enumerate() {
-                                let (_, aq, idxs) = &uniq[u];
-                                let run = demux_member_plan(
-                                    &fused,
-                                    m,
-                                    aq,
-                                    rules.name(),
-                                    &cat.dfs,
-                                    mr.split_bytes,
-                                )
-                                .map_err(|e| format!("demux: {e}"))
-                                .and_then(|plan| {
-                                    let out = plan
-                                        .try_execute(&mr, aq, &cat.dict)
-                                        .map_err(|e| format!("finishing jobs: {e}"));
-                                    plan.cleanup(&cat.dfs);
-                                    cat.dfs.remove(&plan.output_dataset);
-                                    out
-                                });
-                                match run {
-                                    Ok((rel, wf)) => {
-                                        clock_ms += cfg.model.workflow_time(&wf) * 1000.0;
-                                        deliver(&mut status, &mut done_ms, idxs, rel, clock_ms);
-                                    }
-                                    Err(reason) => {
-                                        for &i in idxs {
-                                            status[i] = Some(RequestStatus::Rejected {
-                                                reason: clone_reason(&reason),
-                                            });
-                                            done_ms[i] = clock_ms;
-                                        }
-                                    }
-                                }
-                            }
-                            for ds in fused.intermediate_datasets() {
-                                cat.dfs.remove(&ds);
-                            }
+                if let [u] = group[..] {
+                    let (sig, aq) = &front.queries[uniq[u].0];
+                    board.settle(&uniq[u].1, self.run_solo(&mr, sig, aq));
+                    continue;
+                }
+                fused_members += group.len();
+                let refs: Vec<&AnalyticalQuery> = group.iter().map(|&u| &queries[u]).collect();
+                let group_sig: Vec<&str> = group
+                    .iter()
+                    .map(|&u| front.queries[uniq[u].0].0.as_str())
+                    .collect();
+                let shared = plan_fused_group(&refs, &RULES, cat).and_then(|mut fused| {
+                    fused.attach_scan_cache_keys(&format!("{RULES:?}|{}", group_sig.join("&")));
+                    let wf = mr.try_run_workflow(&fused.jobs).map_err(|e| {
+                        rapida_core::PlanError::Unsupported(format!("shared jobs: {e}"))
+                    })?;
+                    Ok((fused, cfg.model.workflow_time(&wf)))
+                });
+                match shared {
+                    Err(e) => {
+                        // All-or-nothing per group: a failed shared workflow
+                        // rejects every member — no partial block data ever
+                        // reaches a demux.
+                        let reason = format!("fused group rejected: {e}");
+                        for &u in group {
+                            board.reject(&uniq[u].1, &reason);
                         }
                     }
-                } else {
-                    let u = group[0];
-                    let (sig, aq, idxs) = &uniq[u];
-                    let run = rules
-                        .plan(aq, cat)
-                        .map_err(|e| format!("planning: {e}"))
-                        .and_then(|mut plan| {
-                            plan.attach_scan_cache_keys(&format!("solo|{rules:?}|{sig}"));
-                            let out = plan
-                                .try_execute(&mr, aq, &cat.dict)
-                                .map_err(|e| format!("{e}"));
-                            plan.cleanup(&cat.dfs);
-                            cat.dfs.remove(&plan.output_dataset);
-                            out
-                        });
-                    match run {
-                        Ok((rel, wf)) => {
-                            clock_ms += cfg.model.workflow_time(&wf) * 1000.0;
-                            deliver(&mut status, &mut done_ms, idxs, rel, clock_ms);
+                    Ok((fused, shared_s)) => {
+                        shared_jobs += fused.jobs.len();
+                        board.clock_ms += shared_s * 1000.0;
+                        for (m, &u) in group.iter().enumerate() {
+                            let aq = &queries[u];
+                            let run = demux_member_plan(
+                                &fused,
+                                m,
+                                aq,
+                                RULES.name(),
+                                &cat.dfs,
+                                mr.split_bytes,
+                            )
+                            .map_err(|e| format!("demux: {e}"))
+                            .and_then(|plan| {
+                                self.execute(&mr, &plan, aq)
+                                    .map_err(|e| format!("finishing jobs: {e}"))
+                            });
+                            board.settle(&uniq[u].1, run);
                         }
-                        Err(reason) => {
-                            for &i in idxs {
-                                status[i] = Some(RequestStatus::Rejected {
-                                    reason: clone_reason(&reason),
-                                });
-                                done_ms[i] = clock_ms;
-                            }
+                        for ds in fused.intermediate_datasets() {
+                            cat.dfs.remove(&ds);
                         }
                     }
                 }
             }
 
-            let rejected_now = status
-                .iter()
-                .filter(|s| matches!(s, Some(RequestStatus::Rejected { .. })))
-                .count();
             traces.push(WindowTrace {
                 window: *w,
                 arrivals: members.len(),
@@ -576,110 +524,93 @@ impl Server {
                 groups: groups.len(),
                 fused_members,
                 shared_jobs,
-                rejected: rejected_now - rejected_before,
+                rejected: board.rejected - rejected_before,
                 cache: self.cache_stats(),
             });
         }
 
-        self.finish(reqs, status, done_ms, clock_ms, traces)
+        self.finish(reqs, board, traces)
     }
 
     fn drain_serial(&self, reqs: Vec<Request>) -> ServeReport {
-        let cat = &self.inner.cat;
-        let cfg = &self.inner.config;
         let mr = self.engine();
-        let planner = PlanRules::hive_mqo();
 
         // The engine is deterministic: identical queries produce identical
         // metrics and results, so repeated requests replay a memoized run
         // while still being *charged* full one-at-a-time simulated cost.
-        let mut memo: Vec<(String, Result<(Relation, f64), String>)> = Vec::new();
-        let mut clock_ms = 0.0_f64;
-        let mut done_ms = vec![0.0_f64; reqs.len()];
-        let mut status: Vec<Option<RequestStatus>> = vec![None; reqs.len()];
+        // `memo` grows in step with `front.queries`, at a query's first request.
+        let mut front = FrontEnd::default();
+        let mut memo: Vec<Run> = Vec::new();
+        let mut board = Board::new(reqs.len());
 
         for (i, r) in reqs.iter().enumerate() {
-            clock_ms = clock_ms.max(r.at_ms as f64);
-            let parsed = parse_query(&r.sparql)
-                .map_err(|e| format!("parse error: {e}"))
-                .and_then(|q| extract(&q).map_err(|e| format!("not an analytical query: {e}")));
-            let aq = match parsed {
-                Ok(aq) => aq,
+            board.clock_ms = board.clock_ms.max(r.at_ms as f64);
+            let q = match front.resolve(&r.text) {
+                Ok(q) => q,
                 Err(reason) => {
-                    status[i] = Some(RequestStatus::Rejected { reason });
-                    done_ms[i] = clock_ms;
+                    board.reject(&[i], reason);
                     continue;
                 }
             };
-            let sig = aq.signature();
-            let entry = match memo.iter().find(|(s, _)| *s == sig) {
-                Some((_, e)) => e.clone(),
-                None => {
-                    let run = planner
-                        .plan(&aq, cat)
-                        .map_err(|e| format!("planning: {e}"))
-                        .and_then(|plan| {
-                            let out = plan
-                                .try_execute(&mr, &aq, &cat.dict)
-                                .map_err(|e| format!("{e}"));
-                            plan.cleanup(&cat.dfs);
-                            cat.dfs.remove(&plan.output_dataset);
-                            out
-                        })
-                        .map(|(rel, wf)| (rel, cfg.model.workflow_time(&wf)));
-                    memo.push((sig, run.clone()));
-                    run
-                }
-            };
-            match entry {
-                Ok((rel, sim_s)) => {
-                    clock_ms += sim_s * 1000.0;
-                    status[i] = Some(RequestStatus::Completed { relation: rel });
-                    done_ms[i] = clock_ms;
-                }
-                Err(reason) => {
-                    status[i] = Some(RequestStatus::Rejected { reason });
-                    done_ms[i] = clock_ms;
-                }
+            if q == memo.len() {
+                let (sig, aq) = &front.queries[q];
+                memo.push(self.run_solo(&mr, sig, aq));
             }
+            board.settle(&[i], memo[q].clone());
         }
 
-        self.finish(reqs, status, done_ms, clock_ms, Vec::new())
+        self.finish(reqs, board, Vec::new())
     }
 
-    fn finish(
-        &self,
-        reqs: Vec<Request>,
-        status: Vec<Option<RequestStatus>>,
-        done_ms: Vec<f64>,
-        clock_ms: f64,
-        windows: Vec<WindowTrace>,
-    ) -> ServeReport {
+    /// Plan one query by itself and run it. The scan-cache keys are inert on
+    /// an engine without a cache (serial mode, a zero budget).
+    fn run_solo(&self, mr: &Engine, sig: &str, aq: &AnalyticalQuery) -> Run {
+        let mut plan = RULES
+            .plan(aq, &self.inner.cat)
+            .map_err(|e| format!("planning: {e}"))?;
+        plan.attach_scan_cache_keys(&format!("solo|{RULES:?}|{sig}"));
+        self.execute(mr, &plan, aq)
+    }
+
+    /// Run a compiled plan and drop what it wrote, whatever the outcome. The
+    /// answer comes back with the plan's modeled cluster seconds.
+    fn execute(&self, mr: &Engine, plan: &QueryPlan, aq: &AnalyticalQuery) -> Run {
+        let cat = &self.inner.cat;
+        let out = plan.try_execute(mr, aq, &cat.dict);
+        plan.cleanup(&cat.dfs);
+        cat.dfs.remove(&plan.output_dataset);
+        out.map(|(rel, wf)| (rel, self.inner.config.model.workflow_time(&wf)))
+            .map_err(|e| e.to_string())
+    }
+
+    fn finish(&self, reqs: Vec<Request>, board: Board, windows: Vec<WindowTrace>) -> ServeReport {
         let cfg = &self.inner.config;
-        let mut outcomes = Vec::with_capacity(reqs.len());
-        for (i, r) in reqs.into_iter().enumerate() {
-            let status = status[i].clone().unwrap_or(RequestStatus::Rejected {
-                reason: "request was never scheduled".to_string(),
-            });
-            outcomes.push(RequestOutcome {
-                client: r.client,
-                seq: r.seq,
-                at_ms: r.at_ms,
-                query_id: r.query_id,
-                latency_ms: (done_ms[i] - r.at_ms as f64).max(0.0),
-                status,
-            });
-        }
-        let completed = outcomes
-            .iter()
-            .filter(|o| matches!(o.status, RequestStatus::Completed { .. }))
-            .count();
+        let clock_ms = board.clock_ms;
+        let outcomes: Vec<RequestOutcome> = reqs
+            .into_iter()
+            .zip(board.slots)
+            .map(|(r, slot)| {
+                let (status, done_ms) = slot.unwrap_or_else(|| {
+                    let reason = "request was never scheduled".to_string();
+                    (RequestStatus::Rejected { reason }, 0.0)
+                });
+                RequestOutcome {
+                    client: r.client,
+                    seq: r.seq,
+                    at_ms: r.at_ms,
+                    query_id: r.query_id,
+                    latency_ms: (done_ms - r.at_ms as f64).max(0.0),
+                    status,
+                }
+            })
+            .collect();
         let mut lat: Vec<f64> = outcomes
             .iter()
             .filter(|o| matches!(o.status, RequestStatus::Completed { .. }))
             .map(|o| o.latency_ms)
             .collect();
         lat.sort_by(f64::total_cmp);
+        let completed = lat.len();
         let qps = if clock_ms > 0.0 {
             completed as f64 / (clock_ms / 1000.0)
         } else {
@@ -711,31 +642,97 @@ impl Server {
     }
 }
 
-/// Record a completed unique query into every duplicate request's slot.
-fn deliver(
-    status: &mut [Option<RequestStatus>],
-    done_ms: &mut [f64],
-    idxs: &[usize],
-    rel: Relation,
-    clock_ms: f64,
-) {
-    let Some((&last, dups)) = idxs.split_last() else {
-        return;
-    };
-    for &i in dups {
-        status[i] = Some(RequestStatus::Completed {
-            relation: rel.clone(),
-        });
-        done_ms[i] = clock_ms;
-    }
-    // The last duplicate takes the relation itself: one copy fewer per
-    // unique query, and none at all for a query nobody repeated.
-    status[last] = Some(RequestStatus::Completed { relation: rel });
-    done_ms[last] = clock_ms;
+/// The text of catalog query `id`, or the reason a request naming an id the
+/// catalog does not have is rejected with when it is drained.
+fn catalog_text(id: &str) -> Result<Arc<str>, String> {
+    try_query(id)
+        .map(|q| q.sparql.into())
+        .ok_or_else(|| format!("unknown catalog query '{id}'"))
 }
 
-fn clone_reason(reason: &str) -> String {
-    reason.to_string()
+/// One drain's front end: a text is parsed, extracted and signed the first
+/// time the drain meets it; every later request with the same bytes is one
+/// lookup, and texts that spell the same query share one entry of `queries`.
+/// The map is for lookup only — requests are walked in arrival order, so
+/// nothing observable follows its iteration order — and dies with the drain.
+#[derive(Default)]
+struct FrontEnd<'r> {
+    by_text: HashMap<&'r str, Result<usize, String>>,
+    /// The drain's distinct `(signature, query)` pairs, in first-arrival order.
+    queries: Vec<(String, AnalyticalQuery)>,
+}
+
+impl<'r> FrontEnd<'r> {
+    /// The index in `queries` of what `text` asks for, or the typed reason
+    /// the request is rejected with.
+    fn resolve(&mut self, text: &'r Result<Arc<str>, String>) -> Result<usize, &str> {
+        let text: &str = text.as_ref().map_err(String::as_str)?;
+        let queries = &mut self.queries;
+        let entry = self.by_text.entry(text).or_insert_with(|| {
+            let query = parse_query(text).map_err(|e| format!("parse error: {e}"))?;
+            let aq = extract(&query).map_err(|e| format!("not an analytical query: {e}"))?;
+            let sig = aq.signature();
+            let known = queries.iter().position(|(s, _)| *s == sig);
+            Ok(known.unwrap_or_else(|| {
+                queries.push((sig, aq));
+                queries.len() - 1
+            }))
+        });
+        entry.as_ref().map(|&q| q).map_err(String::as_str)
+    }
+}
+
+/// One drain's timeline: the simulated clock and, per request, its terminal
+/// state with the clock it was reached at; `rejected` counts as they are made.
+struct Board {
+    clock_ms: f64,
+    slots: Vec<Option<(RequestStatus, f64)>>,
+    rejected: usize,
+}
+
+impl Board {
+    fn new(requests: usize) -> Board {
+        Board {
+            clock_ms: 0.0,
+            slots: vec![None; requests],
+            rejected: 0,
+        }
+    }
+
+    /// Record a completed unique query into every duplicate request's slot.
+    fn deliver(&mut self, idxs: &[usize], relation: Relation) {
+        let Some((&last, dups)) = idxs.split_last() else {
+            return;
+        };
+        for &i in dups {
+            let relation = relation.clone();
+            self.slots[i] = Some((RequestStatus::Completed { relation }, self.clock_ms));
+        }
+        // The last duplicate takes the relation itself: one copy fewer per
+        // unique query, and none at all for a query nobody repeated.
+        self.slots[last] = Some((RequestStatus::Completed { relation }, self.clock_ms));
+    }
+
+    /// Reject every request of `idxs` with `reason`, whole: no rows.
+    fn reject(&mut self, idxs: &[usize], reason: &str) {
+        for &i in idxs {
+            let reason = reason.to_string();
+            self.slots[i] = Some((RequestStatus::Rejected { reason }, self.clock_ms));
+        }
+        self.rejected += idxs.len();
+    }
+
+    /// The tail every executed query shares: a finished run advances the
+    /// clock by its modeled seconds and is delivered, a failed one rejects.
+    fn settle(&mut self, idxs: &[usize], run: Run) {
+        match run {
+            Ok((relation, sim_s)) => {
+                self.clock_ms += sim_s * 1000.0;
+                self.deliver(idxs, relation);
+            }
+            Err(reason) => self.reject(idxs, &reason),
+        }
+    }
 }
 
 /// Nearest-rank percentile over an already-sorted sample (0.0 if empty).

@@ -58,8 +58,12 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --
 echo "==> ExtVP byte-identity smoke (reductions vs full scans)"
 cargo test -q --offline --test extvp_identity
 
-echo "==> serving smoke (batched-MQO identity + replay ledger, small traffic)"
+echo "==> serving smoke (batched-MQO identity + replay ledger + golden ledger, small traffic; per-duplicate allocation budget)"
 RAPIDA_SERVE_ROUNDS=2 RAPIDA_CHAOS_SEEDS=2 cargo test -q --offline --test serve_identity
+cargo test -q --offline -p rapida-serve --test alloc_budget
+
+echo "==> one drain front end (each answer is moved out of the drain, never copied out; no per-request reason copier)"
+if grep -rnF -e 'clone_reason' -e 'status[i].clone()' crates/serve/src; then echo "FAIL: the per-request copies are back" >&2; exit 1; fi
 
 echo "==> serving CLI smoke (2 clients, 2 batching windows, both modes)"
 ./target/release/rapida serve --clients 2 --duration-ms 150 --window-ms 100 --seed 7 > /dev/null
