@@ -260,7 +260,7 @@ mod tests {
         let solo_engine = PlanRules::hive_mqo();
         let refs: Vec<&AnalyticalQuery> = members.iter().collect();
         let fused = plan_fused_group(&refs, &solo_engine, &cat).expect("fused plan");
-        mr.run_workflow(&fused.jobs);
+        mr.try_run_workflow(&fused.jobs).expect("no faults, no recovery");
 
         for (m, aq) in members.iter().enumerate() {
             let plan =

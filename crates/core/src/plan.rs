@@ -444,7 +444,7 @@ impl QueryPlan {
     ///
     /// Delegates to [`QueryPlan::try_execute`]; an exhausted workflow
     /// recovery budget panics (unreachable for probabilistic fault plans —
-    /// see `rapida_mapred::Engine::run_workflow`).
+    /// see `rapida_mapred::Engine::try_run_workflow`).
     pub fn execute(
         &self,
         mr: &Engine,

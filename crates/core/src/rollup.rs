@@ -18,7 +18,7 @@ use crate::aquery::GroupingBlock;
 use crate::catalog::DataCatalog;
 use crate::engines::rapid::{agg_join_job, block_agg_spec, TgJoinPlanner};
 use crate::plan::{next_plan_id, PlanError};
-use rapida_mapred::{Engine, WorkflowMetrics};
+use rapida_mapred::{Engine, WorkflowError, WorkflowMetrics};
 use rapida_ntga::{AggRec, AlphaCond};
 use rapida_rdf::TermId;
 use rapida_sparql::ast::Var;
@@ -150,8 +150,19 @@ impl GroupingSetsPlan {
 
     /// Execute, assembling the lattice result: columns
     /// `key_vars… aggregates… ?__set`.
+    ///
+    /// Delegates to [`GroupingSetsPlan::try_execute`]; an exhausted workflow
+    /// recovery budget panics.
     pub fn execute(&self, mr: &Engine) -> (Relation, WorkflowMetrics) {
-        let wf = mr.run_workflow(&self.jobs);
+        self.try_execute(mr)
+            .unwrap_or_else(|e| panic!("grouping-sets execution exhausted its recovery budget: {e}"))
+    }
+
+    /// Execute with workflow-level checkpoint/recovery: an exhausted retry
+    /// budget degrades to a typed [`WorkflowError`] carrying the partial
+    /// metrics instead of panicking.
+    pub fn try_execute(&self, mr: &Engine) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
+        let wf = mr.try_run_workflow(&self.jobs)?;
         let mut vars = self.key_vars.clone();
         vars.extend(self.agg_aliases.iter().cloned());
         vars.push(Var::new("__set"));
@@ -176,7 +187,7 @@ impl GroupingSetsPlan {
                 rows.push(row);
             }
         }
-        (Relation { vars, rows }, wf)
+        Ok((Relation { vars, rows }, wf))
     }
 }
 
@@ -322,6 +333,57 @@ mod tests {
         let (rel, _) = plan.execute(&mr);
         // f×c = 6 groups, f = 3, c = 2, ALL = 1.
         assert_eq!(rel.len(), 6 + 3 + 2 + 1);
+    }
+
+    /// A job-kill schedule that outlasts the workflow retry budget is the
+    /// typed error, carrying the jobs committed before the killed one and
+    /// the recovery ledger — not a panic.
+    #[test]
+    fn exhausted_retry_budget_is_a_typed_error() {
+        use rapida_mapred::{FaultPlan, ResiliencePolicy};
+
+        let mut g = sample_graph();
+        for i in 0..3 {
+            g.insert_terms(&iri(&format!("feat{i}")), &iri("l"), &iri(&format!("label{i}")));
+        }
+        let q = parse_query(
+            "PREFIX ex: <http://x/>
+             SELECT ?l (COUNT(?p) AS ?n)
+             { ?o ex:f ?f ; ex:pc ?p . ?f ex:l ?l . } GROUP BY ?l",
+        )
+        .unwrap();
+        let cat = DataCatalog::load(&g);
+        let plan = GroupingSetsQuery {
+            block: extract(&q).unwrap().blocks.remove(0),
+            sets: rollup_sets(&[Var::new("l")]),
+        }
+        .plan(&cat)
+        .unwrap();
+        let last = plan.cycles() - 1;
+        assert!(last > 0, "the two-star pattern must join before it aggregates");
+        let mr = Engine::pinned(cat.dfs.clone())
+            .with_faults(FaultPlan {
+                abort_job: Some((last, 99)),
+                ..FaultPlan::new(0)
+            })
+            .with_resilience(ResiliencePolicy {
+                workflow_attempts: 3,
+                ..ResiliencePolicy::default()
+            });
+        match plan.try_execute(&mr) {
+            Err(WorkflowError::RetryBudgetExhausted {
+                job_index,
+                attempts,
+                partial,
+                ..
+            }) => {
+                assert_eq!(job_index, last);
+                assert_eq!(attempts, 3);
+                assert_eq!(partial.jobs.len(), last, "the join cycles committed");
+                assert_eq!(partial.recovery.aborted_job_attempts, 3);
+            }
+            other => panic!("expected RetryBudgetExhausted, got {:?}", other.map(|(r, _)| r.len())),
+        }
     }
 
     #[test]

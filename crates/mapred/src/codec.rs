@@ -6,6 +6,8 @@
 //! Shuffle data and materialized intermediates are genuinely serialized
 //! through this module, which keeps the simulator's byte counts honest.
 
+use crate::radix::{self, SortEnt};
+
 /// Append a LEB128 varint.
 #[inline]
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -161,19 +163,6 @@ struct KvEnt {
     vlen: u32,
 }
 
-/// Sort entry of a [`KvBuffer`]: 16 bytes that decide almost every
-/// comparison without touching the arena (see [`KvBuffer::cmp_ents`]).
-#[derive(Clone, Copy)]
-struct SortEnt {
-    /// The 8 key bytes after the buffer-wide shared prefix, big-endian,
-    /// zero-padded on the right.
-    prefix: u64,
-    /// Key length in bytes, not counting the shared prefix.
-    len: u32,
-    /// Position in the offset table, i.e. emit order.
-    idx: u32,
-}
-
 /// An arena-backed key/value buffer: every pair's payload lives in one
 /// contiguous `data` arena (`key` immediately followed by `value`), located
 /// through a compact offset table. This replaces per-record
@@ -290,100 +279,17 @@ impl KvBuffer {
             .extend(other.ents.iter().map(|e| KvEnt { off: e.off + base, ..*e }));
     }
 
-    /// The sort entries of the offset table, in table order. `skip` is the
-    /// length of the prefix every key shares (`"key-0000"`, a tag byte):
-    /// those bytes decide nothing, so entries describe what follows them.
-    fn sort_ents(&self) -> (usize, Vec<SortEnt>) {
-        let n = self.ents.len();
-        let first = if n == 0 { &[][..] } else { self.key(0) };
-        let skip = (1..n).fold(first.len(), |lcp, i| {
-            let both = first[..lcp].iter().zip(self.key(i));
-            both.take_while(|(x, y)| x == y).count()
-        });
-        let ents = (0..n).map(|i| {
-            let rest = &self.key(i)[skip..];
-            let mut prefix = [0u8; 8];
-            let m = rest.len().min(8);
-            prefix[..m].copy_from_slice(&rest[..m]);
-            SortEnt {
-                prefix: u64::from_be_bytes(prefix),
-                len: rest.len() as u32,
-                idx: i as u32,
-            }
-        });
-        (skip, ents.collect())
-    }
-
-    /// The one ordering of the shuffle: `(key bytes, insertion order)`, read
-    /// off the sort entries. Zero-padded big-endian prefixes order like the
-    /// keys wherever they differ; equal prefixes of two keys of at most 8
-    /// bytes (past `skip`) mean the shorter key is the longer one minus
-    /// trailing zero bytes, so length decides; only longer keys go back to
-    /// the arena, past the bytes already known equal.
-    #[inline]
-    fn cmp_ents(&self, skip: usize, a: &SortEnt, b: &SortEnt) -> std::cmp::Ordering {
-        a.prefix
-            .cmp(&b.prefix)
-            .then_with(|| {
-                if a.len <= 8 && b.len <= 8 {
-                    a.len.cmp(&b.len)
-                } else {
-                    let (ka, kb) = (self.key(a.idx as usize), self.key(b.idx as usize));
-                    ka[skip..].cmp(&kb[skip..])
-                }
-            })
-            .then(a.idx.cmp(&b.idx))
-    }
-
     /// Sort the offset table by `(key bytes, insertion order)` without
-    /// touching the payload arena. `sort_unstable` is safe here even though
-    /// the shuffle's determinism contract needs equal keys kept in emit
-    /// order: the insertion index is part of the comparison key, so no two
-    /// distinct entries ever compare equal — the result is exactly what a
-    /// stable key-only sort would produce.
+    /// touching the payload arena: one pass measures the prefix every key
+    /// shares, one builds a sort entry per pair, and the radix kernel
+    /// orders those. Equal keys keep emit order — the shuffle's
+    /// determinism contract — so the result is what a stable key-only sort
+    /// would produce.
     pub fn sort_unstable(&mut self) {
-        self.sort_unstable_with(1);
-    }
-
-    /// [`Self::sort_unstable`] with up to `threads` sorting threads: the
-    /// sort entries are cut into contiguous chunks, each chunk sorted on
-    /// its own scoped thread, then the chunks are k-way merged. The
-    /// comparison key `(key bytes, insertion index)` is a total order, so
-    /// the sorted sequence is unique — the result is bit-identical to the
-    /// serial sort at every thread count.
-    pub fn sort_unstable_with(&mut self, threads: usize) {
-        // Below this, thread spawn + merge overhead outweighs the sort.
-        const PAR_SORT_MIN: usize = 1 << 14;
-        let n = self.ents.len();
-        let (skip, mut order) = self.sort_ents();
-        if threads <= 1 || n < PAR_SORT_MIN {
-            order.sort_unstable_by(|a, b| self.cmp_ents(skip, a, b));
-        } else {
-            let chunk = n.div_ceil(threads.min(8));
-            let this: &KvBuffer = self;
-            std::thread::scope(|scope| {
-                for part in order.chunks_mut(chunk) {
-                    scope.spawn(move || part.sort_unstable_by(|a, b| this.cmp_ents(skip, a, b)));
-                }
-            });
-            // K-way merge by repeated head selection: k is tiny (≤ 8), so
-            // the linear scan per output element beats heap bookkeeping.
-            let mut heads: Vec<&[SortEnt]> = order.chunks(chunk).collect();
-            let mut merged: Vec<SortEnt> = Vec::with_capacity(n);
-            loop {
-                let live = (0..heads.len()).filter(|&ci| !heads[ci].is_empty());
-                let first = live.reduce(|best, ci| {
-                    match self.cmp_ents(skip, &heads[ci][0], &heads[best][0]) {
-                        std::cmp::Ordering::Less => ci,
-                        _ => best,
-                    }
-                });
-                let Some(ci) = first else { break };
-                merged.push(heads[ci][0]);
-                heads[ci] = &heads[ci][1..];
-            }
-            order = merged;
-        }
+        let skip = radix::shared_prefix((0..self.len()).map(|i| self.key(i)));
+        let mut order: Vec<SortEnt> =
+            (0..self.len()).map(|i| SortEnt::new(&self.key(i)[skip..], i)).collect();
+        radix::sort(&mut order, |i| &self.key(i as usize)[skip..]);
         self.ents = order.iter().map(|e| self.ents[e.idx as usize]).collect();
     }
 }
@@ -583,40 +489,6 @@ mod tests {
         assert_eq!(a.kv(0), KvRef { key: b"k1", value: b"v1" });
         assert_eq!(a.kv(1), KvRef { key: b"k2", value: b"v22" });
         assert_eq!(a.kv(2), KvRef { key: b"k3", value: b"" });
-    }
-
-    #[test]
-    fn parallel_sort_matches_serial_sort() {
-        // Keys with heavy duplication so the (key, idx) tie-break matters.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut a = KvBuffer::new();
-        for i in 0..40_000u64 {
-            let key = (next() % 512).to_string().into_bytes();
-            a.push(&key, &i.to_le_bytes());
-        }
-        let b = a.clone();
-        a.sort_unstable();
-        for threads in [1, 2, 3, 8] {
-            let mut c = b.clone();
-            c.sort_unstable_with(threads);
-            let want: Vec<(Vec<u8>, Vec<u8>)> =
-                a.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect();
-            let got: Vec<(Vec<u8>, Vec<u8>)> =
-                c.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-        // Small buffers take the serial path and still sort correctly.
-        let mut small = KvBuffer::new();
-        small.push(b"b", b"1");
-        small.push(b"a", b"2");
-        small.sort_unstable_with(4);
-        assert_eq!(small.key(0), b"a");
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The MapReduce execution engine: work-stealing parallel map over splits,
-//! arena-backed map-side sorted runs, a loser-tree run-merge shuffle,
-//! shard-parallel streaming reduce — a faithful in-process model of the
-//! Hadoop execution cycle, with real serialization at every boundary.
+//! arena-backed map-side sorted runs, a radix-merge shuffle, shard-parallel
+//! grouped reduce — a faithful in-process model of the Hadoop execution
+//! cycle, with real serialization at every boundary.
 //!
 //! Data path (see DESIGN.md "Zero-copy shuffle data path"): map tasks emit
 //! into one contiguous [`KvBuffer`] arena per task; the arena's offset table
 //! is sorted once map-side by `(key, emit order)` (also feeding the combiner
-//! a streaming grouped pass) and spilled into compact per-`(task,
-//! partition)` sorted arenas; the reduce side merges those pre-sorted runs
-//! with a loser tree — each run read sequentially, front to back — and
-//! streams key groups straight into the reducer. No materialized `Vec` of
-//! pairs, no reduce-side re-sort, no per-record heap allocation.
+//! a grouped pass) and spilled into compact per-`(task, partition)` sorted
+//! arenas; the reduce side gathers those pre-sorted runs — each read front
+//! to back — orders the gathered entries with the same radix kernel and
+//! hands key groups straight to the reducer. No materialized `Vec` of pairs,
+//! no per-record heap allocation.
 //!
 //! Parallel structure (see DESIGN.md §2e): both phases run through the
 //! work-stealing [`pool`]. Map tasks are pool tasks; a reduce partition is
@@ -442,7 +442,7 @@ impl Engine {
         // Per-map-task results, merged after the parallel section.
         // `parts[p]` is the task's compact, key-sorted spill arena for
         // reduce partition `p` — one pre-sorted run per (task, partition),
-        // ready for the reduce-side loser-tree merge to read sequentially.
+        // ready for the reduce-side merge to gather sequentially.
         struct MapResult {
             parts: Vec<KvBuffer>,
             /// FNV-1a checksum of each spill in `parts`, recorded at spill
@@ -467,15 +467,6 @@ impl Engine {
                 .is_some_and(|plan| plan.spill_corrupt_p > 0.0);
 
         let workers = self.workers.max(1);
-        // With fewer splits than workers, idle workers lend themselves to
-        // the per-task sort: the offset-table sort runs chunked across
-        // `sort_threads` scoped threads, bit-identical to the serial sort
-        // (the comparison key is a total order).
-        let sort_threads = if splits.is_empty() {
-            1
-        } else {
-            (workers / splits.len()).max(1)
-        };
 
         // Map phase through the work-stealing pool: one task per split.
         // Results come back in task index order — the canonical order
@@ -496,8 +487,8 @@ impl Engine {
                     // Map-side sort: one offset-table sort per task,
                     // by (key, emit order). The payload arena never
                     // moves.
-                    kvs.sort_unstable_with(sort_threads);
-                    // Map-side combiner: stream the sorted run's key
+                    kvs.sort_unstable();
+                    // Map-side combiner: pass the sorted run's key
                     // groups through the combiner and sort its output
                     // the same way — Hadoop's combiner contract.
                     if let Some(comb) = &job.combiner {
@@ -510,7 +501,7 @@ impl Engine {
                             ctask.cleanup(&mut cout);
                             corrupt_records += cout.corrupt_records;
                             kvs = cout.kvs;
-                            kvs.sort_unstable_with(sort_threads);
+                            kvs.sort_unstable();
                         }
                     }
                     // Spill: copy each partition's pairs — scanning in

@@ -1,31 +1,31 @@
-//! K-way merge of pre-sorted shuffle runs.
+//! The reduce-side shuffle: merge pre-sorted runs into key groups.
 //!
-//! Each map task leaves one key-sorted run per reduce partition; the
-//! reduce-side shuffle is a [`LoserTree`] merge of those runs that feeds the
-//! reducer a *streaming* sequence of key groups ([`merge_key_groups`])
-//! instead of a materialized, re-sorted `Vec` of pairs.
+//! Each map task leaves one key-sorted run per reduce partition. A merge
+//! unit gathers its runs in run order and orders them with the crate's one
+//! radix kernel (`radix`), then feeds the reducer a sequence of
+//! key groups ([`merge_key_groups`]) — no materialized, re-framed `Vec` of
+//! pairs.
 //!
 //! ## Determinism
 //!
-//! The merge is a total order: pairs are compared by key bytes and ties are
-//! broken by run index (runs are supplied in canonical map-task order).
-//! Because every run is itself sorted by `(key, emit order)`
-//! ([`KvBuffer::sort_unstable`]), the merged sequence is exactly what the
-//! old engine's stable reduce-side sort over the task-ordered concatenation
-//! produced — equal keys surface in (map task, emit) order, byte for byte.
+//! The merged order is `(key, run, emit)`: the kernel is stable, runs are
+//! gathered in canonical map-task order, and every run is itself sorted by
+//! `(key, emit order)` ([`KvBuffer::sort_unstable`]). That is exactly what
+//! the old engine's stable reduce-side sort over the task-ordered
+//! concatenation produced — equal keys surface in (map task, emit) order,
+//! byte for byte.
 
-use crate::codec::KvBuffer;
+use crate::codec::{KvBuffer, KvRef};
+use crate::radix::{self, SortEnt};
 
-/// One pre-sorted run: a [`KvBuffer`] plus an optional selection of entry
-/// indices (a map task's slice of one reduce partition), optionally
-/// windowed to a contiguous subrange — the unit the shard-parallel merge
-/// cuts runs into. With no selection and no window the whole buffer is the
-/// run.
+/// One pre-sorted run: a [`KvBuffer`] (a map task's spill for one reduce
+/// partition), optionally windowed to a contiguous subrange — the unit the
+/// shard-parallel merge cuts runs into. With no window the whole buffer is
+/// the run.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     buf: &'a KvBuffer,
-    sel: Option<&'a [u32]>,
-    /// First position of the window within the (selected) run.
+    /// First buffer position of the window.
     lo: usize,
     /// Window length.
     n: usize,
@@ -36,20 +36,8 @@ impl<'a> Run<'a> {
     pub fn sorted(buf: &'a KvBuffer) -> Self {
         Run {
             buf,
-            sel: None,
             lo: 0,
             n: buf.len(),
-        }
-    }
-
-    /// A run over a selection of entry indices, in selection order (the
-    /// indices must point at keys in non-decreasing order).
-    pub fn select(buf: &'a KvBuffer, sel: &'a [u32]) -> Self {
-        Run {
-            buf,
-            sel: Some(sel),
-            lo: 0,
-            n: sel.len(),
         }
     }
 
@@ -59,7 +47,6 @@ impl<'a> Run<'a> {
         debug_assert!(start <= end && end <= self.n);
         Run {
             buf: self.buf,
-            sel: self.sel,
             lo: self.lo + start,
             n: end - start,
         }
@@ -75,181 +62,65 @@ impl<'a> Run<'a> {
         self.n == 0
     }
 
-    #[inline]
-    fn entry(&self, i: usize) -> usize {
-        debug_assert!(i < self.n);
-        match self.sel {
-            Some(s) => s[self.lo + i] as usize,
-            None => self.lo + i,
-        }
-    }
-
     /// Key bytes of the run's `i`-th pair.
     #[inline]
     pub fn key(&self, i: usize) -> &'a [u8] {
-        self.buf.key(self.entry(i))
+        debug_assert!(i < self.n);
+        self.buf.key(self.lo + i)
     }
 
     /// Value bytes of the run's `i`-th pair.
     #[inline]
     pub fn value(&self, i: usize) -> &'a [u8] {
-        self.buf.value(self.entry(i))
+        debug_assert!(i < self.n);
+        self.buf.value(self.lo + i)
     }
 }
 
-/// A classic loser tree over `k` runs: `next()` yields `(run, index)` pairs
-/// in `(key, run)` order with `O(log k)` comparisons per pair (one replay
-/// path from the winning leaf to the root), versus `O(k)` for naive
-/// selection and `O(log k)` with ~2× the comparisons for a binary heap.
-pub struct LoserTree<'a, 'r> {
-    runs: &'r [Run<'a>],
-    /// Next unconsumed position in each run.
-    pos: Vec<usize>,
-    /// Each live run's current head key, resolved once per advance —
-    /// replay comparisons touch only these cached slices instead of
-    /// re-chasing selection → offset table → arena at every tree level.
-    /// `None` marks an exhausted run.
-    heads: Vec<Option<&'a [u8]>>,
-    /// `tree[0]` is the overall winner; `tree[1..k]` hold the loser of the
-    /// internal match at that node. Leaves are implicit at `k..2k`, padded
-    /// to a power of two with exhausted virtual runs.
-    tree: Vec<usize>,
-    /// Padded leaf count (power of two, 0 when there are no runs).
-    k: usize,
-}
-
-impl<'a, 'r> LoserTree<'a, 'r> {
-    /// Build the tree over `runs` (each pre-sorted by key).
-    pub fn new(runs: &'r [Run<'a>]) -> Self {
-        let n = runs.len();
-        if n == 0 {
-            return LoserTree {
-                runs,
-                pos: Vec::new(),
-                heads: Vec::new(),
-                tree: Vec::new(),
-                k: 0,
-            };
-        }
-        let k = n.next_power_of_two();
-        let pos = vec![0usize; n];
-        let heads: Vec<Option<&'a [u8]>> = runs
-            .iter()
-            .map(|r| if r.is_empty() { None } else { Some(r.key(0)) })
-            .collect();
-        let mut lt = LoserTree {
-            runs,
-            pos,
-            heads,
-            tree: vec![usize::MAX; k],
-            k,
-        };
-        // Initial matches, bottom-up: winners propagate, losers stay.
-        let mut winners = vec![0usize; 2 * k];
-        for leaf in 0..k {
-            winners[k + leaf] = leaf; // leaf id == run id; >= n means virtual
-        }
-        for node in (1..k).rev() {
-            let (a, b) = (winners[2 * node], winners[2 * node + 1]);
-            if lt.beats(a, b) {
-                winners[node] = a;
-                lt.tree[node] = b;
-            } else {
-                winners[node] = b;
-                lt.tree[node] = a;
-            }
-        }
-        lt.tree[0] = winners[1];
-        lt
-    }
-
-    /// Does run `a`'s head beat run `b`'s head? Exhausted (or virtual) runs
-    /// lose to everything; ties break toward the lower run index.
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        let ha = if a < self.heads.len() { self.heads[a] } else { None };
-        let hb = if b < self.heads.len() { self.heads[b] } else { None };
-        match (ha, hb) {
-            (Some(x), Some(y)) => x.cmp(y).then(a.cmp(&b)).is_lt(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
-    /// Pop the next pair in merge order: `(run index, index within run)`.
-    pub fn next(&mut self) -> Option<(usize, usize)> {
-        self.next_with_key().map(|(r, i, _)| (r, i))
-    }
-
-    /// Pop the next pair along with its key bytes — the key is the cached
-    /// head slice, so callers on the hot path skip one arena resolution.
-    pub fn next_with_key(&mut self) -> Option<(usize, usize, &'a [u8])> {
-        if self.k == 0 {
-            return None;
-        }
-        let w = self.tree[0];
-        if w >= self.runs.len() {
-            return None;
-        }
-        let key = self.heads[w]?; // None: overall winner exhausted, merge done
-        let idx = self.pos[w];
-        self.pos[w] += 1;
-        self.heads[w] = if self.pos[w] < self.runs[w].len() {
-            Some(self.runs[w].key(self.pos[w]))
-        } else {
-            None
-        };
-        // Replay the path from w's leaf to the root.
-        let mut cur = w;
-        let mut node = (self.k + w) / 2;
-        while node >= 1 {
-            let other = self.tree[node];
-            if self.beats(other, cur) {
-                self.tree[node] = cur;
-                cur = other;
-            }
-            node /= 2;
-        }
-        self.tree[0] = cur;
-        Some((w, idx, key))
-    }
-}
-
-/// Merge `runs` and stream key groups to `f(key, values)` — the reduce-side
-/// shuffle in one pass, never materializing the merged pair list. With
-/// `limit = Some(n)` consumption stops after `n` pairs, emitting the final
-/// (possibly cut) group — the fault-injection kill point, matching the old
-/// engine's `kvs[..limit]` prefix semantics. Returns the pairs consumed.
+/// Merge `runs` and hand each key group to `f(key, values)` — the
+/// reduce-side shuffle of one unit: gather every pair in run order, order
+/// the gathered entries with the radix kernel, then group. With
+/// `limit = Some(n)` only the first `n` pairs of the merged order are
+/// grouped, the final (possibly cut) group included — the fault-injection
+/// kill point, matching the old engine's `kvs[..limit]` prefix semantics.
+/// Returns the pairs consumed.
 pub fn merge_key_groups<F: FnMut(&[u8], &[&[u8]])>(
     runs: &[Run<'_>],
     limit: Option<usize>,
     mut f: F,
 ) -> usize {
-    let cap = limit.unwrap_or(usize::MAX);
-    if cap == 0 {
+    let total: usize = runs.iter().map(Run::len).sum();
+    let n = limit.map_or(total, |cap| cap.min(total));
+    if n == 0 {
         return 0;
     }
-    let mut lt = LoserTree::new(runs);
-    let Some((r0, i0, k0)) = lt.next_with_key() else {
-        return 0;
-    };
-    let mut cur_key = k0;
-    let mut values: Vec<&[u8]> = vec![runs[r0].value(i0)];
-    let mut consumed = 1usize;
-    while consumed < cap {
-        let Some((r, i, key)) = lt.next_with_key() else {
-            break;
-        };
-        if key != cur_key {
-            f(cur_key, &values);
-            values.clear();
-            cur_key = key;
+    // A sorted run's first and last keys share exactly the prefix all of
+    // its keys share.
+    let bounds = runs.iter().filter(|r| !r.is_empty());
+    let skip = radix::shared_prefix(bounds.flat_map(|r| [r.key(0), r.key(r.len() - 1)]));
+    let mut pairs: Vec<KvRef<'_>> = Vec::with_capacity(total);
+    let mut ents: Vec<SortEnt> = Vec::with_capacity(total);
+    for r in runs {
+        for i in 0..r.len() {
+            let (key, value) = (r.key(i), r.value(i));
+            ents.push(SortEnt::new(&key[skip..], pairs.len()));
+            pairs.push(KvRef { key, value });
         }
-        values.push(runs[r].value(i));
-        consumed += 1;
     }
-    f(cur_key, &values);
-    consumed
+    let rest = |i: u32| &pairs[i as usize].key[skip..];
+    // One sorted run is already in merged order.
+    if runs.iter().filter(|r| !r.is_empty()).count() > 1 {
+        radix::sort(&mut ents, rest);
+    }
+    let values: Vec<&[u8]> = ents[..n].iter().map(|e| pairs[e.idx as usize].value).collect();
+    let mut start = 0;
+    for i in 1..=n {
+        if i == n || ents[i - 1].differs(&ents[i], rest) {
+            f(pairs[ents[start].idx as usize].key, &values[start..i]);
+            start = i;
+        }
+    }
+    n
 }
 
 /// Cut a set of pre-sorted runs into at most `shards` disjoint key ranges,
@@ -259,8 +130,8 @@ pub fn merge_key_groups<F: FnMut(&[u8], &[&[u8]])>(
 /// run with the same `first position whose key >= cut` rule — so all
 /// occurrences of any key, across all runs, land in exactly one shard, and
 /// no key group ever straddles a shard boundary. Within each shard the runs
-/// keep their original order (empty windows included), so the loser tree's
-/// run-index tie-break inside a shard agrees with the serial merge.
+/// keep their original order (empty windows included), so the merge's
+/// run-order tie-break inside a shard agrees with the serial merge.
 /// Concatenating the shard merges in shard order therefore reproduces the
 /// serial merge byte for byte: shard ranges partition the key space in
 /// ascending order, and within a range the merge is the same merge.
@@ -335,23 +206,6 @@ fn lower_bound(r: &Run<'_>, from: usize, cut: &[u8]) -> usize {
     lo
 }
 
-/// [`merge_key_groups`] over a [`plan_shards`] plan, executed serially in
-/// shard order: `f(shard, key, values)` sees exactly the groups the serial
-/// merge would produce, in the same order, with the shard index attached.
-/// The engine runs the same plan with one merge per pool task; this serial
-/// driver is the oracle the property tests compare both against.
-pub fn shard_merge_key_groups<F: FnMut(usize, &[u8], &[&[u8]])>(
-    runs: &[Run<'_>],
-    shards: usize,
-    mut f: F,
-) -> usize {
-    let mut consumed = 0usize;
-    for (s, shard) in plan_shards(runs, shards).iter().enumerate() {
-        consumed += merge_key_groups(shard, None, |k, vs| f(s, k, vs));
-    }
-    consumed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,12 +219,12 @@ mod tests {
         b
     }
 
+    /// The merged pair sequence, flattened out of the key groups.
     fn merged(runs: &[Run<'_>]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut lt = LoserTree::new(runs);
         let mut out = Vec::new();
-        while let Some((r, i)) = lt.next() {
-            out.push((runs[r].key(i).to_vec(), runs[r].value(i).to_vec()));
-        }
+        merge_key_groups(runs, None, |k, vs| {
+            out.extend(vs.iter().map(|v| (k.to_vec(), v.to_vec())));
+        });
         out
     }
 
@@ -394,7 +248,7 @@ mod tests {
 
     #[test]
     fn merge_matches_reference_sort_on_many_runs() {
-        // 7 runs (non-power-of-two) of varying sizes with heavy key overlap.
+        // 7 runs of varying sizes with heavy key overlap.
         let mut bufs = Vec::new();
         for r in 0..7u64 {
             let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
@@ -428,28 +282,6 @@ mod tests {
         assert_eq!(
             merged(&[Run::sorted(&one)]),
             vec![(b"k".to_vec(), b"v".to_vec())]
-        );
-    }
-
-    #[test]
-    fn selection_runs_merge_like_full_runs() {
-        let mut buf = KvBuffer::new();
-        for (k, v) in [(b"c", b"1"), (b"a", b"2"), (b"b", b"3"), (b"a", b"4")] {
-            buf.push(k, v);
-        }
-        buf.sort_unstable(); // a2 a4 b3 c1
-        let evens: Vec<u32> = vec![0, 2]; // a2, b3
-        let odds: Vec<u32> = vec![1, 3]; // a4, c1
-        let runs = [Run::select(&buf, &evens), Run::select(&buf, &odds)];
-        let got = merged(&runs);
-        assert_eq!(
-            got,
-            vec![
-                (b"a".to_vec(), b"2".to_vec()),
-                (b"a".to_vec(), b"4".to_vec()),
-                (b"b".to_vec(), b"3".to_vec()),
-                (b"c".to_vec(), b"1".to_vec()),
-            ]
         );
     }
 
@@ -489,15 +321,18 @@ mod tests {
     }
 
     /// Flatten a shard plan's groups: `(shard, key, values)` triples in
-    /// emission order.
+    /// emission order, each shard merged on its own.
     fn sharded_groups(
         runs: &[Run<'_>],
         shards: usize,
     ) -> (usize, Vec<(usize, Vec<u8>, Vec<Vec<u8>>)>) {
         let mut out = Vec::new();
-        let n = shard_merge_key_groups(runs, shards, |s, k, vs| {
-            out.push((s, k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
-        });
+        let mut n = 0;
+        for (s, shard) in plan_shards(runs, shards).iter().enumerate() {
+            n += merge_key_groups(shard, None, |k, vs| {
+                out.push((s, k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
+            });
+        }
         (n, out)
     }
 
@@ -558,7 +393,7 @@ mod tests {
         }
         // All-empty run set.
         let runs = [Run::sorted(&empty)];
-        assert_eq!(shard_merge_key_groups(&runs, 4, |_, _, _| panic!()), 0);
+        assert_eq!(sharded_groups(&runs, 4), (0, Vec::new()));
         let plan = plan_shards(&[], 4);
         assert_eq!(plan.len(), 1);
         assert!(plan[0].is_empty());

@@ -8,7 +8,24 @@
 
 use rapida_testkit::prelude::*;
 
-use rapida_mapred::{merge_key_groups, plan_shards, shard_merge_key_groups, KvBuffer, Run};
+use rapida_mapred::{merge_key_groups, plan_shards, KvBuffer, Run};
+
+/// [`merge_key_groups`] over a [`plan_shards`] plan, executed serially in
+/// shard order: `f(shard, key, values)` sees exactly the groups the serial
+/// merge would produce, in the same order, with the shard index attached.
+/// The engine runs the same plan with one merge per pool task; this serial
+/// driver is the oracle the properties below compare both against.
+fn shard_merge_key_groups<F: FnMut(usize, &[u8], &[&[u8]])>(
+    runs: &[Run<'_>],
+    shards: usize,
+    mut f: F,
+) -> usize {
+    let mut consumed = 0usize;
+    for (s, shard) in plan_shards(runs, shards).iter().enumerate() {
+        consumed += merge_key_groups(shard, None, |k, vs| f(s, k, vs));
+    }
+    consumed
+}
 
 /// Build one sorted run from `(key_id, value)` pairs. Keys come from a tiny
 /// id space so equal keys frequently cross runs; values are tagged with the

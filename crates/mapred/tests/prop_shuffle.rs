@@ -13,6 +13,7 @@ use rapida_mapred::{
     shuffle_partition, DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job,
     JobBuilder, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
 };
+use rapida_mapred::{merge_key_groups, plan_shards, Run};
 use std::sync::Arc;
 
 /// Mapper used by both engines: writes records through (map-only output)
@@ -282,58 +283,181 @@ proptest! {
 }
 
 /// Eight bytes every long key shares; its own prefixes differ from one
-/// another only by trailing zero bytes (`"a"`, `"a\0"`, `"a\0a"`, ...).
+/// another only by trailing zero bytes (`"a"`, `"a\0"`, `"a\0a"`, ...), and
+/// `SHARED[..6]` zero-padded is `SHARED` itself.
 const SHARED: &[u8; 8] = b"a\0a\0\0a\0\0";
+
+/// Tail bytes over a zero-heavy three-letter alphabet.
+fn letters(tail: &[u8]) -> impl Iterator<Item = u8> + '_ {
+    tail.iter().map(|t| [0x00, b'a', 0xff][usize::from(t % 3)])
+}
 
 /// Keys the prefix-keyed sort entries can get wrong: empty keys, keys that
 /// differ only by trailing `0x00` bytes, keys of at most 8 bytes that are a
 /// prefix of a longer key, and keys longer than 8 bytes that share their
-/// first 8 — all over a zero-heavy three-letter alphabet.
+/// first 8.
 fn hostile_key((mode, tail): &(u8, Vec<u8>)) -> Vec<u8> {
-    let letters = tail.iter().map(|t| [0x00, b'a', 0xff][usize::from(t % 3)]);
     match mode % 4 {
-        0 => letters.collect(),
+        0 => letters(tail).collect(),
         1 => SHARED[..(usize::from(*mode / 4) % 9)].to_vec(),
-        _ => SHARED.iter().copied().chain(letters).collect(),
+        _ => SHARED.iter().copied().chain(letters(tail)).collect(),
     }
+}
+
+/// A key pool of one `shape`, every key opening with `tag`:
+///
+/// * 0 — the hostile mix of [`hostile_key`];
+/// * 1 — every key at most 8 bytes past `tag`, so the sort entries alone
+///   decide and no tail is compared: the empty key, the trailing-zero twins
+///   `a` / `a\0`, the all-`0xFF` 8-byte key and short letter keys;
+/// * 2 — one key, repeated: every digit has a single bucket and is skipped;
+/// * 3 — tie fix-ups: keys longer than 8 bytes sharing their first 8, the
+///   ≤ 8-byte keys whose zero-padded form equals that head (`SHARED[..6]`,
+///   `SHARED`), and the empty key so the shared prefix stays `tag`.
+fn key_pool(shape: u8, raw: &[(u8, Vec<u8>)], tag: &[u8]) -> Vec<Vec<u8>> {
+    let pool: Vec<Vec<u8>> = match shape % 4 {
+        0 => raw.iter().map(hostile_key).collect(),
+        1 => [&b""[..], b"a", b"a\0", &[0xff; 8]]
+            .iter()
+            .map(|k| k.to_vec())
+            .chain(raw.iter().map(|(_, tail)| letters(tail).take(8).collect()))
+            .collect(),
+        2 => vec![raw[0].1.clone()],
+        _ => [&b""[..], &SHARED[..6], SHARED]
+            .iter()
+            .map(|k| k.to_vec())
+            .chain(raw.iter().map(|(mode, tail)| {
+                let first = letters(std::slice::from_ref(mode));
+                SHARED.iter().copied().chain(first).chain(letters(tail)).collect()
+            }))
+            .collect(),
+    };
+    pool.into_iter().map(|k| [tag, &k].concat()).collect()
+}
+
+/// `n` pairs drawn from `pool` by a seeded LCG, each value its emit index.
+fn drawn(pool: &[Vec<u8>], n: usize, seed: u64) -> KvBuffer {
+    let mut buf = KvBuffer::new();
+    let mut state = seed;
+    for i in 0..n {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        buf.push(&pool[(state >> 33) as usize % pool.len()], &(i as u32).to_le_bytes());
+    }
+    buf
+}
+
+fn pairs_of(buf: &KvBuffer) -> Vec<(Vec<u8>, Vec<u8>)> {
+    buf.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `sort_unstable` and `sort_unstable_with` at every thread count equal
-    /// a plain `(key bytes, emit index)` sort, on buffers small enough for
-    /// the serial path and large enough for the chunked sort + merge, with
-    /// every key drawn from a small hostile pool (so duplicates are heavy).
+    /// `sort_unstable` equals a plain `(key bytes, emit index)` sort at
+    /// every size from empty, through the small-n cut-over, to one well
+    /// past the histograms' fixed cost, with
+    /// every key drawn from a small pool (so duplicates are heavy) of each
+    /// shape, with and without a buffer-wide shared prefix.
     #[test]
     fn prefix_entry_sort_matches_bytewise_reference(
-        pool in proptest::collection::vec(
-            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..6)), 1..24),
-        n in prop_oneof![0usize..300, 16_384usize..18_000],
+        raw in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..12)), 1..24),
+        shape in 0u8..4,
+        tag in proptest::collection::vec(any::<u8>(), 0..10),
         seed in any::<u64>(),
     ) {
-        let pool: Vec<Vec<u8>> = pool.iter().map(hostile_key).collect();
-        let mut buf = KvBuffer::new();
-        let mut state = seed;
-        for i in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            buf.push(&pool[(state >> 33) as usize % pool.len()], &(i as u32).to_le_bytes());
+        let pool = key_pool(shape, &raw, &tag);
+        for n in [0, 1, 2, 300, 18_000] {
+            let buf = drawn(&pool, n, seed);
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by(|&a, &b| buf.key(a).cmp(buf.key(b)).then(a.cmp(&b)));
+            let want: Vec<(Vec<u8>, Vec<u8>)> = want
+                .iter()
+                .map(|&i| (buf.key(i).to_vec(), buf.value(i).to_vec()))
+                .collect();
+            let mut got = buf.clone();
+            got.sort_unstable();
+            prop_assert_eq!(&pairs_of(&got), &want, "n = {}", n);
         }
-        let mut want: Vec<usize> = (0..n).collect();
-        want.sort_by(|&a, &b| buf.key(a).cmp(buf.key(b)).then(a.cmp(&b)));
-        let want: Vec<(Vec<u8>, Vec<u8>)> = want
-            .iter()
-            .map(|&i| (buf.key(i).to_vec(), buf.value(i).to_vec()))
-            .collect();
+    }
+}
 
-        let sorted = |sort: &dyn Fn(&mut KvBuffer)| -> Vec<(Vec<u8>, Vec<u8>)> {
-            let mut b = buf.clone();
-            sort(&mut b);
-            b.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect()
-        };
-        prop_assert_eq!(&sorted(&|b| b.sort_unstable()), &want);
-        for threads in [1, 2, 3, 8] {
-            prop_assert_eq!(&sorted(&|b| b.sort_unstable_with(threads)), &want);
+/// Key groups as `merge_key_groups` reports them.
+type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+/// The reference merge: concatenate the runs in run order, stable-sort by
+/// key alone, keep the first `limit` pairs, group.
+fn reference_groups(runs: &[Run<'_>], limit: usize) -> Groups {
+    let mut pairs: Vec<(&[u8], &[u8])> = runs
+        .iter()
+        .flat_map(|r| (0..r.len()).map(move |i| (r.key(i), r.value(i))))
+        .collect();
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    let mut out: Groups = Vec::new();
+    for (k, v) in pairs.into_iter().take(limit) {
+        match out.last_mut() {
+            Some((last, vs)) if last.as_slice() == k => vs.push(v.to_vec()),
+            _ => out.push((k.to_vec(), vec![v.to_vec()])),
+        }
+    }
+    out
+}
+
+fn merged_groups(runs: &[Run<'_>], limit: Option<usize>) -> (usize, Groups) {
+    let mut out: Groups = Vec::new();
+    let n = merge_key_groups(runs, limit, |k, vs| {
+        out.push((k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()));
+    });
+    (n, out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// `merge_key_groups` equals the reference merge on hostile runs —
+    /// empty runs, runs over every key-pool shape, and the windows
+    /// `plan_shards` cuts — at `limit` none, 0, one pair into the first
+    /// group of two or more, and the total.
+    #[test]
+    fn merge_key_groups_matches_stable_sort_reference(
+        raw in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..12)), 1..16),
+        shape in 0u8..4,
+        tag in proptest::collection::vec(any::<u8>(), 0..6),
+        sizes in proptest::collection::vec(0usize..300, 0..9),
+        shards in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let pool = key_pool(shape, &raw, &tag);
+        let bufs: Vec<KvBuffer> = sizes
+            .iter()
+            .enumerate()
+            .map(|(r, &n)| {
+                let mut buf = drawn(&pool, n, seed ^ r as u64);
+                buf.sort_unstable();
+                buf
+            })
+            .collect();
+        let runs: Vec<Run<'_>> = bufs.iter().map(Run::sorted).collect();
+        let mut units = vec![runs.clone()];
+        units.extend(plan_shards(&runs, shards));
+        for unit in &units {
+            let total: usize = unit.iter().map(Run::len).sum();
+            let all = reference_groups(unit, total);
+            let mid = all
+                .iter()
+                .scan(0, |start, (_, vs)| {
+                    let at = *start;
+                    *start += vs.len();
+                    Some((at, vs.len()))
+                })
+                .find(|&(_, len)| len > 1)
+                .map_or(total / 2, |(at, _)| at + 1);
+            prop_assert_eq!(merged_groups(unit, None), (total, all.clone()));
+            for limit in [0, mid, total] {
+                let want = reference_groups(unit, limit);
+                prop_assert_eq!(merged_groups(unit, Some(limit)), (limit, want), "limit {}", limit);
+            }
         }
     }
 }

@@ -123,7 +123,7 @@ where
 /// ```ignore
 /// chaos! {
 ///     fn my_workflow(scenario) {
-///         run_workflow(scenario.fault_seed, scenario.workers) // -> impl PartialEq + Debug
+///         run_scenario(scenario.fault_seed, scenario.workers) // -> impl PartialEq + Debug
 ///     }
 /// }
 /// ```

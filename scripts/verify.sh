@@ -22,6 +22,15 @@ RAPIDA_CHAOS_SEEDS=4 cargo test -q --offline -p rapida-mapred --test chaos
 echo "==> integrity smoke (checksum quarantine + checksums-off divergence)"
 cargo test -q --offline -p rapida-mapred --test integrity --test recover
 
+echo "==> shuffle ordering smoke (radix kernel + merge vs bytewise/stable-sort references; allocation budget)"
+cargo test -q --offline -p rapida-mapred --test prop_shuffle --test prop_shard_merge --test alloc_budget
+
+echo "==> one ordering kernel (the comparison sort, the chunked thread sort and the loser tree stay deleted)"
+if grep -rnE 'LoserTree|sort_unstable_with|Run::select' crates/*/src; then echo "FAIL: a second shuffle ordering is back" >&2; exit 1; fi
+
+echo "==> no panicking workflow runs outside the engine (callers use try_run_workflow)"
+if grep -rnw 'run_workflow' crates/*/src | grep -v '^crates/mapred/src/engine.rs:'; then echo "FAIL: a caller of the panicking run_workflow is back" >&2; exit 1; fi
+
 echo "==> scale smoke (worker-count determinism matrix)"
 cargo test -q --offline --test scale_identity
 
