@@ -14,8 +14,8 @@ use crate::rules::{left_deep_walk, Attach, PlanRules};
 use rapida_mapred::{FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggJoinSpec, AggSpec, AlphaCond,
-    AlphaJoinReducer, AlphaTerm, AnnRoute, JoinKey, PropReq, Side, StarRoute, StarSpec,
-    TgJoinMapConfig, TgJoinMapper, TgTransform, VarRef,
+    AlphaJoinReducer, AlphaTerm, AnnRoute, InputRoutes, JoinKey, PropReq, Side, StarRoute,
+    StarSpec, TgJoinMapConfig, TgJoinMapper, TgTransform, VarRef,
 };
 use rapida_rdf::TermId;
 use rapida_sparql::analysis::{PropKey, StarDecomposition};
@@ -194,15 +194,17 @@ pub(super) fn plan_shared_single_star(
     }
     let pid = next_plan_id("ras");
     let out = format!("{pid}_aggs");
+    let (inputs, table) = shared_scan(cat, raw_filters.iter().map(|(spec, _)| spec));
     let job = agg_join_job(
         cat,
         "RAPIDAnalytics:shared-scan-agg-join",
         "agg-shared",
         agg_specs,
-        (
-            covering(cat, raw_filters.iter().map(|(spec, _)| spec)),
-            raw_filters,
-        ),
+        AggInputs {
+            inputs,
+            table,
+            raw: raw_filters,
+        },
         rules.map_side_agg,
         &out,
     );
@@ -303,6 +305,13 @@ impl<'a> TgJoinPlanner<'a> {
         stars: &[usize],
         out: &str,
     ) -> Job {
+        assert_eq!(cfg.inputs.len(), inputs.len(), "one route-table entry per input");
+        #[cfg(test)]
+        route_table::record(
+            &inputs,
+            &cfg.inputs,
+            cfg.star_routes.iter().map(|r| (&r.spec, &r.prefilter)),
+        );
         let mut b = JobBuilder::new(format!("{}:tg-join{}", self.prefix, cycle))
             .sig(self.join_sig(&cfg, stars));
         for i in inputs {
@@ -325,14 +334,11 @@ impl<'a> TgJoinPlanner<'a> {
     /// cannot be left out, plus what the α-join reducer is built from.
     fn join_sig(&self, cfg: &TgJoinMapConfig, stars: &[usize]) -> String {
         let TgJoinMapConfig {
-            raw_inputs,
+            inputs,
             star_routes,
             ann_routes,
         } = cfg;
-        let mut sig = format!(
-            "tg-join raw{raw_inputs:?} {ann_routes:?} alpha{:?}",
-            self.conds
-        );
+        let mut sig = format!("tg-join {inputs:?} {ann_routes:?} alpha{:?}", self.conds);
         for (route, &star) in star_routes.iter().zip(stars) {
             let StarRoute {
                 spec,
@@ -351,16 +357,24 @@ impl<'a> TgJoinPlanner<'a> {
     /// star's filter.
     pub(crate) fn agg_inputs(&self, joined: Option<String>) -> AggInputs {
         match joined {
-            Some(ds) => (vec![ds], Vec::new()),
-            None => (
-                self.covering(&[0]),
-                vec![(self.specs[0].clone(), self.prefilters[0].clone())],
-            ),
+            Some(ds) => AggInputs {
+                inputs: vec![ds],
+                table: vec![InputRoutes::Ann],
+                raw: Vec::new(),
+            },
+            None => {
+                let (inputs, table) = self.shared_scan(&[0]);
+                AggInputs {
+                    inputs,
+                    table,
+                    raw: vec![(self.specs[0].clone(), self.prefilters[0].clone())],
+                }
+            }
         }
     }
 
-    fn covering(&self, stars: &[usize]) -> Vec<String> {
-        covering(self.cat, stars.iter().map(|&s| &self.specs[s]))
+    fn shared_scan(&self, stars: &[usize]) -> (Vec<String>, Vec<InputRoutes>) {
+        shared_scan(self.cat, stars.iter().map(|&s| &self.specs[s]))
     }
 
     /// Build the join cycles of [`left_deep_walk`]. Returns `(jobs, joined
@@ -375,11 +389,12 @@ impl<'a> TgJoinPlanner<'a> {
             let edge = &self.edges[step.edge];
             let out = format!("{}_join{}", self.prefix, k + 1);
             let (inputs, cfg, stars) = match step.attach {
-                // Both sides raw: the shared scan over covering partitions.
+                // Both sides raw: the shared scan over covering partitions,
+                // each walked by the routes its class covers.
                 Attach::First(l, r) => {
-                    let inputs = self.covering(&[l, r]);
+                    let (inputs, table) = self.shared_scan(&[l, r]);
                     let cfg = TgJoinMapConfig {
-                        raw_inputs: (0..inputs.len()).collect(),
+                        inputs: table,
                         star_routes: vec![
                             self.route(l, Side::Left, edge.l_key),
                             self.route(r, Side::Right, edge.r_key),
@@ -395,13 +410,15 @@ impl<'a> TgJoinPlanner<'a> {
                     } else {
                         (edge.l_key, edge.r_key)
                     };
+                    let (raw, entries) = self.shared_scan(&[new_star]);
                     let mut inputs = vec![prev.take().expect("set by the first cycle")];
-                    inputs.extend(self.covering(&[new_star]));
+                    inputs.extend(raw);
+                    let mut table = vec![InputRoutes::Ann];
+                    table.extend(entries);
                     let cfg = TgJoinMapConfig {
-                        raw_inputs: (1..inputs.len()).collect(),
+                        inputs: table,
                         star_routes: vec![self.route(new_star, Side::Right, new_key)],
                         ann_routes: vec![AnnRoute {
-                            input: 0,
                             side: Side::Left,
                             key: old_key,
                         }],
@@ -416,27 +433,43 @@ impl<'a> TgJoinPlanner<'a> {
     }
 }
 
-/// The triplegroup partitions that hold every group matching any of `specs`.
-fn covering<'s>(cat: &DataCatalog, specs: impl Iterator<Item = &'s StarSpec>) -> Vec<String> {
+/// The shared scan of `specs`: the triplegroup partitions holding every
+/// group any of them can match and, per partition, its route-table entry —
+/// the indexes of the specs its class covers.
+fn shared_scan<'s>(
+    cat: &DataCatalog,
+    specs: impl Iterator<Item = &'s StarSpec>,
+) -> (Vec<String>, Vec<InputRoutes>) {
     let reqs: Vec<Vec<TermId>> = specs
         .map(|s| s.primary_props().into_iter().map(TermId).collect())
         .collect();
-    cat.tg.datasets_covering_any(&reqs)
+    cat.tg
+        .covering_any(&reqs)
+        .into_iter()
+        .map(|(dataset, covers)| (dataset, InputRoutes::Raw(covers)))
+        .unzip()
 }
 
-/// Job inputs of an Agg-Join cycle and, when they are raw triplegroups, the
-/// single-star filters applied to the shared scan.
-pub(crate) type AggInputs = (Vec<String>, Vec<(StarSpec, Prefilter)>);
+/// Job inputs of an Agg-Join cycle, their route table and, when they are
+/// raw triplegroups, the single-star filters applied to the shared scan.
+pub(crate) struct AggInputs {
+    inputs: Vec<String>,
+    table: Vec<InputRoutes>,
+    raw: Vec<(StarSpec, Prefilter)>,
+}
 
 pub(crate) fn agg_join_job(
     cat: &DataCatalog,
     name: &str,
     tag: &str,
     specs: Vec<AggJoinSpec>,
-    (inputs, raw): AggInputs,
+    AggInputs { inputs, table, raw }: AggInputs,
     map_side_combine: bool,
     out: &str,
 ) -> Job {
+    assert_eq!(table.len(), inputs.len(), "one route-table entry per input");
+    #[cfg(test)]
+    route_table::record(&inputs, &table, raw.iter().map(|(spec, pre)| (spec, &pre.apply)));
     let (raw_filters, raw_sigs): (Vec<_>, Vec<String>) = raw
         .into_iter()
         .map(|(spec, pre)| ((spec, pre.apply), pre.sig))
@@ -444,6 +477,7 @@ pub(crate) fn agg_join_job(
     let cfg = Arc::new(AggJoinConfig {
         specs,
         numeric: cat.numeric.clone(),
+        inputs: table,
         raw_filters,
         map_side_combine,
     });
@@ -452,12 +486,14 @@ pub(crate) fn agg_join_job(
     let AggJoinConfig {
         specs,
         numeric,
+        inputs: table,
         raw_filters,
         map_side_combine,
     } = &*cfg;
     let raw_specs: Vec<&StarSpec> = raw_filters.iter().map(|(spec, _)| spec).collect();
     let sig = format!(
-        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} msc={map_side_combine} n{:p}",
+        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} table{table:?} \
+         msc={map_side_combine} n{:p}",
         Arc::as_ptr(numeric)
     );
     let mut b = JobBuilder::new(name).sig(sig);
@@ -783,6 +819,9 @@ pub(crate) fn block_agg_spec(
         alpha,
     })
 }
+
+#[cfg(test)]
+mod route_table;
 
 #[cfg(test)]
 mod tests {

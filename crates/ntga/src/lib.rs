@@ -39,7 +39,7 @@ pub use spec::{
     StarSpec, VarRef,
 };
 pub use physical::{
-    AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, Side, StarRoute,
-    TgJoinMapConfig, TgJoinMapper, TgTransform,
+    AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, InputRoutes, Side,
+    StarRoute, TgJoinMapConfig, TgJoinMapper, TgTransform,
 };
 pub use triplegroup::{AnnTg, StarDir, Stars, TgRef, TripleGroup};

@@ -62,15 +62,31 @@ pub struct StarRoute {
 }
 
 /// A route for intermediate annotated-triplegroup inputs (later join cycles
-/// of 3+-star patterns), selected by job input index.
+/// of 3+-star patterns); it walks every [`InputRoutes::Ann`] input.
 #[derive(Debug, Clone)]
 pub struct AnnRoute {
-    /// Job input (dataset) index this route applies to.
-    pub input: usize,
     /// Join side.
     pub side: Side,
     /// Join key extractor.
     pub key: JoinKey,
+}
+
+/// One entry of a scan's route table: what one job input holds and which
+/// routes walk its records. A tg-join ([`TgJoinMapConfig::inputs`]) and an
+/// Agg-Join ([`AggJoinConfig::inputs`]) read the same table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InputRoutes {
+    /// Raw subject triplegroups of one equivalence class: the indexes,
+    /// ascending, of the raw routes ([`TgJoinMapConfig::star_routes`],
+    /// [`AggJoinConfig::raw_filters`]) whose primary properties the class
+    /// has. A record of a class lacking one of a route's primary properties
+    /// can never pass that route, so routes the entry does not list are
+    /// never walked over the input.
+    Raw(Vec<usize>),
+    /// Annotated intermediate triplegroups, walked by every
+    /// [`TgJoinMapConfig::ann_routes`] entry (aggregated as they are by an
+    /// Agg-Join).
+    Ann,
 }
 
 /// A raw-triplegroup transform applied before star filtering: value-level
@@ -82,11 +98,11 @@ pub type TgTransform = Arc<dyn Fn(TripleGroup) -> Option<TripleGroup> + Send + S
 /// Configuration for [`TgJoinMapper`].
 #[derive(Clone, Default)]
 pub struct TgJoinMapConfig {
-    /// Dataset indexes holding raw subject triplegroups; all
-    /// [`Self::star_routes`] are applied to each of their records (shared
-    /// scan).
-    pub raw_inputs: Vec<usize>,
-    /// Star routes for raw inputs.
+    /// The route table, one entry per job input, indexed by
+    /// [`InputSrc::dataset`]. A record of an input without an entry is a
+    /// broken config: it is quarantined, not read.
+    pub inputs: Vec<InputRoutes>,
+    /// Star routes for raw inputs (shared scan).
     pub star_routes: Vec<StarRoute>,
     /// Routes for annotated intermediate inputs.
     pub ann_routes: Vec<AnnRoute>,
@@ -94,7 +110,8 @@ pub struct TgJoinMapConfig {
 
 /// Map phase of `Job_i`: `TG_OptGrpFilter` + tagging for `TG_AlphaJoin`.
 ///
-/// Walks each raw record once per route (the fused
+/// Looks up the record's input in the route table once, then walks each raw
+/// record once per route its class covers (the fused
 /// [`opt_group_filter_into`]) and each annotated record once (its
 /// [`StarDir`]), encoding every emit directly into per-task scratch
 /// (cleared, never reallocated).
@@ -140,106 +157,107 @@ impl MapTask for TgJoinMapper {
             keys,
             dir,
         } = self;
-        if config.raw_inputs.contains(&src.dataset) {
-            let Some(tg) = TgRef::parse_framed(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            let mut owned: Option<TripleGroup> = None;
-            for route in &config.star_routes {
-                // Value layout: side byte + AnnTg::single(star, filtered)
-                // = 1, star, tg.
-                val_buf.clear();
-                val_buf.push(route.side.byte());
-                write_varint(val_buf, 1);
-                write_varint(val_buf, u64::from(route.spec.star));
-                let tg_start = val_buf.len();
-                match &route.prefilter {
-                    Some(f) => {
-                        let Some(base) = owned_group(&mut owned, record) else {
-                            out.skip_corrupt();
-                            return;
-                        };
-                        let Some(v) = f(base.clone()) else { continue };
-                        let Some(filtered) = opt_group_filter(&v, &route.spec) else {
-                            continue;
-                        };
-                        filtered.encode(val_buf);
-                        // Key off the filtered group just encoded in place.
-                        let Some(ftg) = TgRef::parse_framed(&val_buf[tg_start..]) else {
-                            continue;
-                        };
-                        match route.key {
-                            JoinKey::Subject { star } if star == route.spec.star => {
-                                key_buf.clear();
-                                write_varint(key_buf, ftg.subject());
-                                out.emit(key_buf, val_buf);
-                            }
-                            JoinKey::ObjectOf { star, prop } if star == route.spec.star => {
-                                for o in ftg.objects_of(prop) {
-                                    key_buf.clear();
-                                    write_varint(key_buf, o);
-                                    out.emit(key_buf, val_buf);
-                                }
-                            }
-                            // Key references a star this route doesn't
-                            // produce: nothing to emit (extract() semantics).
-                            _ => {}
-                        }
-                    }
-                    None => {
-                        // One walk filters, encodes and collects the keys:
-                        // the filtered group's `prop` objects are exactly
-                        // the kept `(prop, o)` pairs.
-                        let keyed_here = |star: u8| star == route.spec.star;
-                        let key_prop = match route.key {
-                            JoinKey::ObjectOf { star, prop } if keyed_here(star) => Some(prop),
-                            _ => None,
-                        };
-                        match opt_group_filter_into(&tg, &route.spec, key_prop, val_buf, keys) {
-                            Some(true) => {}
-                            Some(false) => continue,
-                            None => {
+        match config.inputs.get(src.dataset) {
+            Some(InputRoutes::Raw(routes)) => {
+                let Some(tg) = TgRef::parse_framed(record) else {
+                    out.skip_corrupt();
+                    return;
+                };
+                let mut owned: Option<TripleGroup> = None;
+                for route in routes.iter().map(|&r| &config.star_routes[r]) {
+                    // Value layout: side byte + AnnTg::single(star, filtered)
+                    // = 1, star, tg.
+                    val_buf.clear();
+                    val_buf.push(route.side.byte());
+                    write_varint(val_buf, 1);
+                    write_varint(val_buf, u64::from(route.spec.star));
+                    let tg_start = val_buf.len();
+                    match &route.prefilter {
+                        Some(f) => {
+                            let Some(base) = owned_group(&mut owned, record) else {
                                 out.skip_corrupt();
                                 return;
-                            }
-                        }
-                        match route.key {
-                            JoinKey::Subject { star } if keyed_here(star) => {
-                                key_buf.clear();
-                                write_varint(key_buf, tg.subject());
-                                out.emit(key_buf, val_buf);
-                            }
-                            JoinKey::ObjectOf { star, .. } if keyed_here(star) => {
-                                for &o in keys.iter() {
+                            };
+                            let Some(v) = f(base.clone()) else { continue };
+                            let Some(filtered) = opt_group_filter(&v, &route.spec) else {
+                                continue;
+                            };
+                            filtered.encode(val_buf);
+                            // Key off the filtered group just encoded in place.
+                            let Some(ftg) = TgRef::parse_framed(&val_buf[tg_start..]) else {
+                                continue;
+                            };
+                            match route.key {
+                                JoinKey::Subject { star } if star == route.spec.star => {
                                     key_buf.clear();
-                                    write_varint(key_buf, o);
+                                    write_varint(key_buf, ftg.subject());
                                     out.emit(key_buf, val_buf);
                                 }
+                                JoinKey::ObjectOf { star, prop } if star == route.spec.star => {
+                                    for o in ftg.objects_of(prop) {
+                                        key_buf.clear();
+                                        write_varint(key_buf, o);
+                                        out.emit(key_buf, val_buf);
+                                    }
+                                }
+                                // Key references a star this route doesn't
+                                // produce: nothing to emit (extract() semantics).
+                                _ => {}
                             }
-                            _ => {}
+                        }
+                        None => {
+                            // One walk filters, encodes and collects the keys:
+                            // the filtered group's `prop` objects are exactly
+                            // the kept `(prop, o)` pairs.
+                            let keyed_here = |star: u8| star == route.spec.star;
+                            let key_prop = match route.key {
+                                JoinKey::ObjectOf { star, prop } if keyed_here(star) => Some(prop),
+                                _ => None,
+                            };
+                            match opt_group_filter_into(&tg, &route.spec, key_prop, val_buf, keys) {
+                                Some(true) => {}
+                                Some(false) => continue,
+                                None => {
+                                    out.skip_corrupt();
+                                    return;
+                                }
+                            }
+                            match route.key {
+                                JoinKey::Subject { star } if keyed_here(star) => {
+                                    key_buf.clear();
+                                    write_varint(key_buf, tg.subject());
+                                    out.emit(key_buf, val_buf);
+                                }
+                                JoinKey::ObjectOf { star, .. } if keyed_here(star) => {
+                                    for &o in keys.iter() {
+                                        key_buf.clear();
+                                        write_varint(key_buf, o);
+                                        out.emit(key_buf, val_buf);
+                                    }
+                                }
+                                _ => {}
+                            }
                         }
                     }
                 }
             }
-        } else {
-            let Some(ann) = dir.fill(record) else {
-                out.skip_corrupt();
-                return;
-            };
-            for route in &config.ann_routes {
-                if route.input != src.dataset {
-                    continue;
+            Some(InputRoutes::Ann) => {
+                let Some(ann) = dir.fill(record) else {
+                    out.skip_corrupt();
+                    return;
+                };
+                for route in &config.ann_routes {
+                    val_buf.clear();
+                    val_buf.push(route.side.byte());
+                    val_buf.extend_from_slice(record);
+                    route.key.extract_ref(&ann, |k| {
+                        key_buf.clear();
+                        write_varint(key_buf, k);
+                        out.emit(key_buf, val_buf);
+                    });
                 }
-                val_buf.clear();
-                val_buf.push(route.side.byte());
-                val_buf.extend_from_slice(record);
-                route.key.extract_ref(&ann, |k| {
-                    key_buf.clear();
-                    write_varint(key_buf, k);
-                    out.emit(key_buf, val_buf);
-                });
             }
+            None => out.skip_corrupt(),
         }
     }
 }
@@ -347,11 +365,17 @@ pub struct AggJoinConfig {
     pub specs: Vec<AggJoinSpec>,
     /// Numeric values by raw term id.
     pub numeric: NumericSnapshot,
-    /// If non-empty, inputs are raw subject triplegroups: each entry is a
-    /// single-star filter (with optional value-filter transform) whose
-    /// `spec.star` tags the produced annotated triplegroup. Several entries
-    /// realize a *shared scan* across structurally different single-star
-    /// patterns (§2.2) — one cycle aggregates them all.
+    /// The route table, one entry per job input, indexed by
+    /// [`InputSrc::dataset`]: an [`InputRoutes::Ann`] input is aggregated
+    /// as it is, an [`InputRoutes::Raw`] input through the
+    /// [`Self::raw_filters`] its entry lists. A record of an input without
+    /// an entry is a broken config: it is quarantined, not read.
+    pub inputs: Vec<InputRoutes>,
+    /// The raw routes: each a single-star filter (with optional
+    /// value-filter transform) whose `spec.star` tags the produced
+    /// annotated triplegroup. Several entries realize a *shared scan* across
+    /// structurally different single-star patterns (§2.2) — one cycle
+    /// aggregates them all.
     pub raw_filters: Vec<(StarSpec, Option<TgTransform>)>,
     /// Map-side hash aggregation (`multiAggMap`). Disabling it emits one
     /// record per assignment — the ablation knob for Algorithm 3.
@@ -436,7 +460,7 @@ impl AggJoinMapper {
 }
 
 impl MapTask for AggJoinMapper {
-    fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
+    fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
         let AggJoinMapper {
             config,
             table,
@@ -446,20 +470,27 @@ impl MapTask for AggJoinMapper {
             val_buf,
             tg_buf,
         } = self;
-        if config.raw_filters.is_empty() {
-            let Some(ann) = dir.fill(record) else {
+        let filters = match config.inputs.get(src.dataset) {
+            Some(InputRoutes::Raw(filters)) => filters,
+            Some(InputRoutes::Ann) => {
+                let Some(ann) = dir.fill(record) else {
+                    out.skip_corrupt();
+                    return;
+                };
+                process_view(config, prog, &ann, table, key_buf, val_buf, out);
+                return;
+            }
+            None => {
                 out.skip_corrupt();
                 return;
-            };
-            process_view(config, prog, &ann, table, key_buf, val_buf, out);
-            return;
-        }
+            }
+        };
         let Some(tg) = TgRef::parse_framed(record) else {
             out.skip_corrupt();
             return;
         };
         let mut owned: Option<TripleGroup> = None;
-        for (filter, transform) in &config.raw_filters {
+        for (filter, transform) in filters.iter().map(|&f| &config.raw_filters[f]) {
             tg_buf.clear();
             match transform {
                 Some(t) => {
@@ -622,7 +653,7 @@ mod tests {
         dfs.put("tg_offers", w.finish());
 
         let config = Arc::new(TgJoinMapConfig {
-            raw_inputs: vec![0, 1],
+            inputs: vec![InputRoutes::Raw(vec![0, 1]); 2],
             star_routes: vec![
                 StarRoute {
                     spec: StarSpec {
@@ -748,6 +779,7 @@ mod tests {
                 },
             ],
             numeric: Arc::new(numeric),
+            inputs: vec![InputRoutes::Ann],
             raw_filters: vec![],
             map_side_combine: true,
         };
@@ -791,6 +823,7 @@ mod tests {
                     alpha: AlphaCond::default(),
                 }],
                 numeric: numeric.clone(),
+                inputs: vec![InputRoutes::Raw(vec![0])],
                 raw_filters: vec![(
                     StarSpec {
                         star: 0,

@@ -10,7 +10,10 @@
 //!   are parsed as views and emits reuse two cleared buffers);
 //! * the owned mapper allocates per record (owned decode, per-route clone,
 //!   fresh key/value `Vec`s per emit), so the mapper must come in at
-//!   least 3x below it on identical input.
+//!   least 3x below it on identical input;
+//! * over two classes on two inputs, one walked by one route and the other
+//!   by two, the warm mapper allocates nothing at all (the route table is
+//!   one lookup per record).
 //!
 //! The downstream operators carry the same guarantee, checked the same way:
 //! a warm [`AggJoinMapper`] over annotated records (star directory + slot
@@ -27,8 +30,8 @@ use common::{tagged, ReferenceTgJoinMap};
 use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaJoinReducer,
-    AlphaTerm, AnnTg, JoinKey, PropReq, Side, StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper,
-    TripleGroup, VarRef,
+    AlphaTerm, AnnTg, InputRoutes, JoinKey, PropReq, Side, StarRoute, StarSpec, TgJoinMapConfig,
+    TgJoinMapper, TripleGroup, VarRef,
 };
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
 use std::sync::Arc;
@@ -40,10 +43,18 @@ const RECORDS: usize = 2_000;
 const PRODUCT: u64 = 3;
 const PRICE: u64 = 4;
 const DELIVERY: u64 = 5;
+const OFFER: u64 = 6;
+
+fn encoded(s: u64, triples: Vec<(u64, u64)>) -> Vec<u8> {
+    let mut rec = Vec::new();
+    TripleGroup::new(s, triples).encode(&mut rec);
+    rec
+}
 
 /// A product/price star with an optional delivery-days secondary — two
-/// thirds of the records match, one third fails the primary check.
-fn records() -> Vec<Vec<u8>> {
+/// thirds of the records match, one third fails the primary check. All on
+/// input 0.
+fn records() -> Vec<(usize, Vec<u8>)> {
     (0..RECORDS)
         .map(|i| {
             let s = 1_000 + i as u64;
@@ -52,26 +63,60 @@ fn records() -> Vec<Vec<u8>> {
                 1 => vec![(PRODUCT, s % 97), (PRICE, 10 + s % 50), (DELIVERY, 7)],
                 _ => vec![(PRICE, 10 + s % 50)], // no product: filtered out
             };
-            let mut rec = Vec::new();
-            TripleGroup::new(s, triples).encode(&mut rec);
-            rec
+            (0, encoded(s, triples))
         })
         .collect()
 }
 
+fn product_route() -> StarRoute {
+    StarRoute {
+        spec: StarSpec {
+            star: 0,
+            primary: vec![PropReq::any(PRODUCT), PropReq::any(PRICE)],
+            secondary: vec![PropReq::any(DELIVERY)],
+        },
+        side: Side::Left,
+        key: JoinKey::Subject { star: 0 },
+        prefilter: None,
+    }
+}
+
 fn config() -> Arc<TgJoinMapConfig> {
     Arc::new(TgJoinMapConfig {
-        raw_inputs: vec![0],
-        star_routes: vec![StarRoute {
-            spec: StarSpec {
-                star: 0,
-                primary: vec![PropReq::any(PRODUCT), PropReq::any(PRICE)],
-                secondary: vec![PropReq::any(DELIVERY)],
-            },
-            side: Side::Left,
-            key: JoinKey::Subject { star: 0 },
-            prefilter: None,
-        }],
+        inputs: vec![InputRoutes::Raw(vec![0])],
+        star_routes: vec![product_route()],
+        ann_routes: Vec::new(),
+    })
+}
+
+/// Two classes interleaved record by record: products on input 0, offers
+/// (offer → product, price) on input 1.
+fn two_class_records() -> Vec<(usize, Vec<u8>)> {
+    (0..RECORDS as u64)
+        .map(|i| match i % 2 {
+            0 => (0, encoded(1_000 + i, vec![(PRODUCT, i % 97), (PRICE, 10 + i % 50)])),
+            _ => (1, encoded(9_000 + i, vec![(OFFER, 1_000 + i - 1), (PRICE, 10 + i % 50)])),
+        })
+        .collect()
+}
+
+/// The product route and an offer route keyed by the product it sells. The
+/// products' entry lists the product route alone; the offers' lists both,
+/// so each offer fails the product route before it passes its own.
+fn two_class_config() -> Arc<TgJoinMapConfig> {
+    let offer = StarRoute {
+        spec: StarSpec {
+            star: 1,
+            primary: vec![PropReq::any(OFFER), PropReq::any(PRICE)],
+            secondary: Vec::new(),
+        },
+        side: Side::Right,
+        key: JoinKey::ObjectOf { star: 1, prop: OFFER },
+        prefilter: None,
+    };
+    Arc::new(TgJoinMapConfig {
+        inputs: vec![InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![0, 1])],
+        star_routes: vec![product_route(), offer],
         ann_routes: Vec::new(),
     })
 }
@@ -86,16 +131,15 @@ fn sized_output() -> MapOutput {
 
 /// One warm-up pass (fills the mapper's scratch buffers), then a measured
 /// pass into a pre-sized sink. Returns `(allocations, emitted pairs)`.
-fn measure(mut mapper: impl MapTask, recs: &[Vec<u8>]) -> (u64, usize) {
-    let src = InputSrc { dataset: 0 };
+fn measure(mut mapper: impl MapTask, recs: &[(usize, Vec<u8>)]) -> (u64, usize) {
     let mut warm = sized_output();
-    for r in recs {
-        mapper.map(src, r, &mut warm);
+    for (dataset, r) in recs {
+        mapper.map(InputSrc { dataset: *dataset }, r, &mut warm);
     }
     let mut out = sized_output();
     alloc_gauge::reset();
-    for r in recs {
-        mapper.map(src, r, &mut out);
+    for (dataset, r) in recs {
+        mapper.map(InputSrc { dataset: *dataset }, r, &mut out);
     }
     let (allocs, _bytes) = alloc_gauge::counters();
     assert_eq!(out.kvs.len(), warm.kvs.len(), "passes must emit identically");
@@ -147,6 +191,7 @@ fn agg_config() -> Arc<AggJoinConfig> {
             },
         ],
         numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
+        inputs: vec![InputRoutes::Ann],
         raw_filters: Vec::new(),
         map_side_combine: true,
     })
@@ -260,4 +305,13 @@ fn view_path_allocations_bounded() {
         "view path ({view_allocs}) must allocate at least 3x less than \
          the owned reference ({owned_allocs})"
     );
+
+    // A two-class, two-route shared scan: one route-table lookup per
+    // record, nothing allocated.
+    let recs = two_class_records();
+    let (table_allocs, table_pairs) = measure(TgJoinMapper::new(two_class_config()), &recs);
+    let (_, owned_pairs) = measure(ReferenceTgJoinMap(two_class_config()), &recs);
+    assert_eq!(table_pairs, owned_pairs, "variants must agree on output");
+    assert_eq!(table_pairs, RECORDS, "every product and every offer passes");
+    assert_eq!(table_allocs, 0, "a warm two-route scan must not allocate");
 }

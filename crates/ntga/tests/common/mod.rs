@@ -12,6 +12,11 @@
 //! goes uncounted). Trailing bytes after an annotated record are outside
 //! the contract: the reference re-encodes without them, production copies
 //! the span.
+//!
+//! They read a route table only for what an input holds (and, as production
+//! does, quarantine a record of an input the table has no entry for): every
+//! star route (every single-star filter) is applied to every raw record, so
+//! they are the oracle that the table's pruning changes nothing.
 
 #![allow(dead_code)] // each test binary uses its own part
 
@@ -19,7 +24,8 @@ use rapida_mapred::codec::write_varint;
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     accumulate, any_alpha_partial, opt_group_filter, write_group_key, AggJoinConfig, AlphaCond,
-    AnnTg, JoinKey, PartialAgg, Side, StarSpec, TgJoinMapConfig, TgTransform, TripleGroup,
+    AnnTg, InputRoutes, JoinKey, PartialAgg, Side, StarSpec, TgJoinMapConfig, TgTransform,
+    TripleGroup,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -59,22 +65,26 @@ impl MapTask for ReferenceTgJoinMap {
                 out.emit(&kb, &tagged(side, ann));
             }
         };
-        if cfg.raw_inputs.contains(&src.dataset) {
-            let Some(tg) = TripleGroup::decode(record) else {
-                return out.skip_corrupt();
-            };
-            for r in &cfg.star_routes {
-                if let Some(ann) = star_of(&tg, &r.spec, &r.prefilter) {
+        match cfg.inputs.get(src.dataset) {
+            Some(InputRoutes::Raw(_)) => {
+                let Some(tg) = TripleGroup::decode(record) else {
+                    return out.skip_corrupt();
+                };
+                for r in &cfg.star_routes {
+                    if let Some(ann) = star_of(&tg, &r.spec, &r.prefilter) {
+                        emit(r.side, &r.key, &ann);
+                    }
+                }
+            }
+            Some(InputRoutes::Ann) => {
+                let Some(ann) = AnnTg::decode(record) else {
+                    return out.skip_corrupt();
+                };
+                for r in &cfg.ann_routes {
                     emit(r.side, &r.key, &ann);
                 }
             }
-        } else {
-            let Some(ann) = AnnTg::decode(record) else {
-                return out.skip_corrupt();
-            };
-            for r in cfg.ann_routes.iter().filter(|r| r.input == src.dataset) {
-                emit(r.side, &r.key, &ann);
-            }
+            None => out.skip_corrupt(),
         }
     }
 }
@@ -147,13 +157,17 @@ impl ReferenceAggJoinMap {
 }
 
 impl MapTask for ReferenceAggJoinMap {
-    fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
+    fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
         let cfg = self.cfg.clone();
-        if cfg.raw_filters.is_empty() {
-            return match AnnTg::decode(record) {
-                Some(ann) => self.fold(&ann, out),
-                None => out.skip_corrupt(),
-            };
+        match cfg.inputs.get(src.dataset) {
+            Some(InputRoutes::Raw(_)) => {}
+            Some(InputRoutes::Ann) => {
+                return match AnnTg::decode(record) {
+                    Some(ann) => self.fold(&ann, out),
+                    None => out.skip_corrupt(),
+                }
+            }
+            None => return out.skip_corrupt(),
         }
         let Some(tg) = TripleGroup::decode(record) else {
             return out.skip_corrupt();

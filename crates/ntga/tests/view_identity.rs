@@ -8,7 +8,9 @@
 //! raw star, Agg-Joins over joined and raw (shared single-star scan) inputs
 //! with `map_side_combine` on and off, a truncated record in every kind of
 //! input of both mappers — behind a `prefilter` too, where the prefix that
-//! still decodes would pass the filter.
+//! still decodes would pass the filter — and route tables that leave a
+//! route or a filter off an input, which the reference walks anyway, or
+//! have no entry for an input, whose records both quarantine.
 
 mod common;
 
@@ -20,8 +22,8 @@ use rapida_mapred::{
 };
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggJoinSpec, AggOp, AggSpec, AlphaCond,
-    AlphaJoinReducer, AlphaTerm, AnnRoute, AnnTg, JoinKey, PropReq, Side, StarRoute, StarSpec,
-    TgJoinMapConfig, TgJoinMapper, TgTransform, TripleGroup, VarRef,
+    AlphaJoinReducer, AlphaTerm, AnnRoute, AnnTg, InputRoutes, JoinKey, PropReq, Side, StarRoute,
+    StarSpec, TgJoinMapConfig, TgJoinMapper, TgTransform, TripleGroup, VarRef,
 };
 use std::sync::Arc;
 
@@ -31,6 +33,7 @@ const PR: u64 = 3; // offer -> product
 const PC: u64 = 4; // offer price
 const PV: u64 = 5; // offer -> vendor
 const PN: u64 = 6; // vendor country
+const PD: u64 = 7; // offer delivery days (a second offer class)
 const PT18: u64 = 90;
 
 fn star(star: u8, primary: Vec<PropReq>, secondary: Vec<PropReq>) -> StarSpec {
@@ -205,9 +208,11 @@ fn workflow_is_byte_identical_to_the_reference() {
     let bytes = |blocks: &[Vec<u8>]| blocks.iter().map(Vec::len).sum::<usize>();
 
     // Cycle 1: one shared scan of both raw inputs feeds both routes; with and
-    // without α-pruning.
+    // without α-pruning. Products never carry pr, so theirs is the product
+    // route alone; each offer walks both routes, failing the product route
+    // before it reuses the scratch for its own.
     let cfg = TgJoinMapConfig {
-        raw_inputs: vec![0, 1],
+        inputs: vec![InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![0, 1])],
         star_routes: vec![
             route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None),
             route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, None),
@@ -226,9 +231,9 @@ fn workflow_is_byte_identical_to_the_reference() {
     let by_vendor = JoinKey::ObjectOf { star: 1, prop: PV };
     let vendor = star(2, vec![PropReq::any(PN)], vec![]);
     let cfg = TgJoinMapConfig {
-        raw_inputs: vec![1],
+        inputs: vec![InputRoutes::Ann, InputRoutes::Raw(vec![0]), InputRoutes::Ann],
         star_routes: vec![route(vendor, Side::Right, JoinKey::Subject { star: 2 }, Some(even_objects_of(PN)))],
-        ann_routes: [0, 2].map(|input| AnnRoute { input, side: Side::Left, key: by_vendor }).to_vec(),
+        ann_routes: vec![AnnRoute { side: Side::Left, key: by_vendor }],
     };
     let either = vec![has_feature(true), has_feature(false)];
     let (joined2, _, corrupt) = tg_join(&dfs, &["joined1", "vendors", "stray"], cfg, either, "joined2");
@@ -262,6 +267,7 @@ fn workflow_is_byte_identical_to_the_reference() {
             ),
         ],
         numeric: numeric(),
+        inputs: vec![InputRoutes::Ann; 2],
         raw_filters: vec![],
         map_side_combine: true,
     };
@@ -270,19 +276,79 @@ fn workflow_is_byte_identical_to_the_reference() {
     assert!(with.0 < without.0, "combining must shrink the shuffle");
 
     // Agg-Join straight off the raw inputs: one scan, two single-star
-    // filters (the first behind a value filter), one block each.
+    // filters (the first behind a value filter), one block each. The route
+    // table prunes the product filter on the offers and walks the products
+    // with both.
     let cfg = AggJoinConfig {
         specs: vec![
             block(0, vec![obj(0, PF)], vec![0], &[(AggOp::Count, None)], AlphaCond::default()),
             block(1, vec![obj(1, PV), price], vec![0], &[(AggOp::Sum, Some(1))], AlphaCond::default()),
         ],
         numeric: numeric(),
+        inputs: vec![InputRoutes::Raw(vec![1]), InputRoutes::Raw(vec![0, 1])],
         raw_filters: vec![(product_star(), Some(even_objects_of(PF))), (offer_star(), None)],
         map_side_combine: true,
     };
     for (blocks, _, corrupt) in agg_join(&dfs, &["offers", "products"], cfg, "raw_aggs") {
         assert_eq!(corrupt, 2, "one truncated record per raw input");
         assert!(bytes(&blocks) > 0);
+    }
+}
+
+/// The route table's pruning is exact. A two-route shared scan over
+/// class-homogeneous inputs — two offer classes around one product class,
+/// each walked only by the route its class covers — must write, shuffle and
+/// quarantine what the reference writes applying both routes to every
+/// record. Every input ends in a truncated record, which the one route still
+/// walking it must count. The entries are not symmetric in (input, route),
+/// so a table read the wrong way round shows.
+#[test]
+fn route_table_pruning_is_byte_identical_to_the_reference() {
+    let dfs = SimDfs::new();
+    let offer = |j: u64, delivery: bool| {
+        let mut pairs = vec![(PR, 100 + j % 12), (PC, 30 + j % 4), (PV, 500 + j % 3)];
+        pairs.extend(delivery.then_some((PD, 2 + j % 5)));
+        raw(1000 + j, pairs)
+    };
+    let product = |i: u64| raw(100 + i, vec![(TY, PT18 + u64::from(i % 5 == 4)), (PF, 60 + i % 4)]);
+    put(&dfs, "offers", (0..30).map(|j| offer(j, false)).chain([cut(offer(30, false))]));
+    put(&dfs, "products", (0..12).map(product).chain([cut(product(12))]));
+    put(&dfs, "offers_with_delivery", (40..60).map(|j| offer(j, true)).chain([cut(offer(60, true))]));
+
+    let cfg = TgJoinMapConfig {
+        inputs: vec![InputRoutes::Raw(vec![1]), InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![1])],
+        star_routes: vec![
+            route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None),
+            route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, None),
+        ],
+        ann_routes: vec![],
+    };
+    let inputs = ["offers", "products", "offers_with_delivery"];
+    let (joined, (emitted, _), corrupt) = tg_join(&dfs, &inputs, cfg, vec![], "pruned");
+    assert_eq!(corrupt, 3, "one truncated record per input");
+    assert_eq!(emitted, 10 + 50, "the type-PT18 products and every offer");
+    assert!(!joined.iter().all(Vec::is_empty));
+}
+
+/// A table without an entry for one of the job's inputs is a broken config,
+/// not a silent filter: both mappers quarantine every record of that input.
+#[test]
+fn an_input_without_a_table_entry_is_quarantined() {
+    let dfs = SimDfs::new();
+    load(&dfs);
+    let cfg = TgJoinMapConfig {
+        inputs: vec![InputRoutes::Raw(vec![0])],
+        star_routes: vec![route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None)],
+        ann_routes: vec![],
+    };
+    let (.., corrupt) = tg_join(&dfs, &["products", "vendors"], cfg, vec![], "short_table");
+    assert_eq!(corrupt, 1 + 7, "the truncated product and every vendor record");
+
+    let count = block(0, vec![obj(0, PF)], vec![], &[(AggOp::Count, None)], AlphaCond::default());
+    let cfg = AggJoinConfig { specs: vec![count], ..AggJoinConfig::default() };
+    for (blocks, _, corrupt) in agg_join(&dfs, &["stray"], cfg, "no_table") {
+        assert_eq!(corrupt, 2, "both stray records");
+        assert!(blocks.iter().all(Vec::is_empty));
     }
 }
 

@@ -5,6 +5,12 @@
 //! has), one DFS dataset per class — the paper's pre-processing for RAPID+ /
 //! RAPIDAnalytics (§5.1). Query evaluation reads only the classes whose
 //! property set covers a star pattern's required properties.
+//!
+//! The class catalog feeds the mapper as well as the input list: a shared
+//! scan over several star patterns learns, per class it reads, which of the
+//! patterns that class covers ([`TgStore::covering_any`]). The planner turns
+//! that into the scan's route table, so a record is walked only by the star
+//! routes its class can satisfy.
 
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{DatasetWriter, SimDfs};
@@ -127,20 +133,24 @@ impl TgStore {
             .collect()
     }
 
-    /// Dataset names of classes overlapping *any* of the given property sets
-    /// (deduplicated) — the single shared scan of a composite pattern.
-    pub fn datasets_covering_any(&self, requireds: &[Vec<TermId>]) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for ec in &self.classes {
-            if requireds
-                .iter()
-                .any(|req| req.iter().all(|p| ec.props.contains(p)))
-                && !out.contains(&ec.dataset)
-            {
-                out.push(ec.dataset.clone());
-            }
-        }
-        out
+    /// The single shared scan of several star patterns: every class whose
+    /// property set covers at least one of `requireds`, in class order, with
+    /// the indexes (ascending) of the requirement sets it covers — the
+    /// patterns its records can satisfy. Class datasets are unique, so no
+    /// class is listed twice.
+    pub fn covering_any(&self, requireds: &[Vec<TermId>]) -> Vec<(String, Vec<usize>)> {
+        self.classes
+            .iter()
+            .filter_map(|ec| {
+                let covers: Vec<usize> = requireds
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, req)| req.iter().all(|p| ec.props.contains(p)))
+                    .map(|(i, _)| i)
+                    .collect();
+                (!covers.is_empty()).then(|| (ec.dataset.clone(), covers))
+            })
+            .collect()
     }
 
     /// Total stored bytes.
@@ -199,12 +209,29 @@ mod tests {
     }
 
     #[test]
-    fn covering_any_deduplicates() {
+    fn covering_any_lists_each_class_once_with_what_it_covers() {
         let (g, _dfs, store) = sample();
         let ty = g.dict.lookup(&Term::iri(vocab::RDF_TYPE)).unwrap();
         let label = g.dict.lookup(&iri("label")).unwrap();
-        let ds = store.datasets_covering_any(&[vec![ty], vec![label]]);
-        assert_eq!(ds.len(), 2, "each class listed once");
+        let feature = g.dict.lookup(&iri("feature")).unwrap();
+        let covers = |reqs: &[Vec<TermId>]| -> Vec<Vec<usize>> {
+            store
+                .covering_any(reqs)
+                .into_iter()
+                .map(|(_, c)| c)
+                .collect()
+        };
+        // Both classes have type and label: each listed once, covering both.
+        assert_eq!(covers(&[vec![ty], vec![label]]), vec![vec![0, 1]; 2]);
+        // Only {type, label, feature} covers the feature star.
+        let both = store.covering_any(&[vec![ty, label], vec![feature]]);
+        let with_feature = both.iter().find(|(_, c)| c.len() == 2);
+        assert_eq!(both.len(), 2);
+        assert_eq!(
+            with_feature.map(|(ds, _)| vec![ds.clone()]),
+            Some(store.datasets_covering(&[feature]))
+        );
+        assert_eq!(covers(&[vec![feature]]), vec![vec![0]]);
     }
 
     #[test]

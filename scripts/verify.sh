@@ -52,6 +52,13 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --
 echo "==> NTGA one-walk kernels smoke (fused filter, slot program and star directory vs the owned operators; physical operators vs the tests/common reference; allocation budget)"
 cargo test -q --offline -p rapida-ntga --lib --test prop_ops --test prop_views --test view_identity --test alloc_budget
 
+echo "==> NTGA route tables (pruned shared scans vs the walk-every-route reference; every planner-dropped (input, route) pair passes nothing)"
+cargo test -q --offline -p rapida-ntga --test view_identity -- route_table_pruning_is_byte_identical_to_the_reference an_input_without_a_table_entry_is_quarantined
+cargo test -q --offline -p rapida-core --lib engines::rapid::route_table
+
+echo "==> one route table (the per-record raw-input list and its contains dispatch, and the Agg-Join's parallel table, stay deleted)"
+if grep -rnwE 'raw_inputs|raw_table' crates/*/src; then echo "FAIL: a second route table is back" >&2; exit 1; fi
+
 echo "==> one NTGA operator path (the owned-decode flag stays out of production, benches and scripts)"
 if grep -rn 'legacy[_]owned' crates/*/src src crates/bench scripts; then echo "FAIL: the flag is back" >&2; exit 1; fi
 
