@@ -13,13 +13,16 @@
 //! no per-record heap allocation.
 //!
 //! Parallel structure (see DESIGN.md §2e): both phases run through the
-//! work-stealing [`pool`]. Map tasks are pool tasks; a reduce partition is
-//! *flattened* into pool units — one per doomed/superseded fault attempt
-//! (run serially over the partition's merged prefix, so the waste ledger is
-//! worker-count-independent) plus the committed merge, which is cut into
-//! key-range shards ([`crate::merge::plan_shards`]) whenever the reducer
-//! declares itself key-local. Shard outputs concatenate in range order into
-//! the exact byte stream of the serial merge.
+//! work-stealing [`pool`], and both are *flattened* into pool units by one
+//! serial attempt script per map task and per reduce partition
+//! (`attempt_script`): one unit per doomed or superseded fault attempt —
+//! a map unit over (a prefix of) its split, a reduce unit over (a prefix
+//! of) the partition's serial merge, so the waste ledger is
+//! worker-count-independent — plus the committed attempt. The committed
+//! reduce merge is cut into key-range shards ([`crate::merge::plan_shards`])
+//! whenever the reducer declares itself key-local; shard outputs
+//! concatenate in range order into the exact byte stream of the serial
+//! merge.
 
 use crate::bytes::Bytes;
 use crate::cache::ScanCache;
@@ -66,52 +69,6 @@ pub struct Engine {
     pub scan_cache: Option<ScanCache>,
 }
 
-/// Per-job fault accounting, accumulated across worker threads.
-#[derive(Default)]
-struct FaultStats {
-    map_attempts: u64,
-    reduce_attempts: u64,
-    failed: u64,
-    speculative: u64,
-    stragglers: u64,
-    node_loss: u64,
-    wasted_input_records: u64,
-    wasted_output_bytes: u64,
-    backoff_s: f64,
-    corrupt_spills_detected: u64,
-    integrity_reread_bytes: u64,
-    silent_corruptions: u64,
-}
-
-impl FaultStats {
-    fn merge(&mut self, o: FaultStats) {
-        self.map_attempts += o.map_attempts;
-        self.reduce_attempts += o.reduce_attempts;
-        self.failed += o.failed;
-        self.speculative += o.speculative;
-        self.stragglers += o.stragglers;
-        self.node_loss += o.node_loss;
-        self.wasted_input_records += o.wasted_input_records;
-        self.wasted_output_bytes += o.wasted_output_bytes;
-        self.backoff_s += o.backoff_s;
-        self.corrupt_spills_detected += o.corrupt_spills_detected;
-        self.integrity_reread_bytes += o.integrity_reread_bytes;
-        self.silent_corruptions += o.silent_corruptions;
-    }
-}
-
-/// Bytes an attempt produced (emitted kvs + written records) — what gets
-/// thrown away when the attempt is killed or superseded. Arena payload
-/// lengths carry no framing, so these are the same sums of key + value +
-/// record lengths the counters have always used.
-fn map_output_size(out: &MapOutput) -> u64 {
-    out.kvs.payload_bytes() + out.records.payload_bytes()
-}
-
-fn reduce_output_size(out: &ReduceOutput) -> u64 {
-    out.kvs.payload_bytes() + out.records.payload_bytes()
-}
-
 /// Frame a committed attempt's output records into block bytes. Runs inside
 /// the pool task, so the serial commit only moves already-framed bytes.
 fn frame(recs: &RecBuffer) -> BlockBuilder {
@@ -151,16 +108,102 @@ fn shard_count(workers: usize, key_local: bool, partitions: usize, part_records:
         .max(1)
 }
 
-/// One flattened reduce-phase pool unit (see module docs).
+/// One flattened pool unit: a single attempt of a map task or of a reduce
+/// partition (see module docs).
+#[derive(Clone, Copy, PartialEq)]
 enum UnitKind {
-    /// A fault-doomed attempt: run the serial merge up to `limit` pairs,
-    /// count the waste, keep nothing.
+    /// A fault-doomed attempt: read the first `limit` records (map) or
+    /// pairs of the serial merge (reduce), skip cleanup, keep nothing.
     Doomed { limit: usize },
-    /// A straggler attempt superseded by its speculative duplicate: full
-    /// serial merge, output discarded as waste.
+    /// A straggler attempt superseded by its speculative duplicate: a full
+    /// pass, output discarded as waste.
     WastedFull,
-    /// A committed merge over (a key-range shard of) the partition.
+    /// The committed attempt (reduce: over a key-range shard of the
+    /// partition).
     Committed,
+}
+
+impl UnitKind {
+    /// The kill point: how much input a doomed attempt reads.
+    fn limit(self) -> Option<usize> {
+        match self {
+            UnitKind::Doomed { limit } => Some(limit),
+            _ => None,
+        }
+    }
+
+    /// What a lost attempt threw away after reading `read` records or pairs
+    /// into `kvs` and `records`: its input (a doomed attempt's kill point)
+    /// and every byte it produced. Arena payload lengths carry no framing,
+    /// so these are sums of key + value + record lengths.
+    fn waste(self, read: usize, kvs: &KvBuffer, records: &RecBuffer) -> (u64, u64) {
+        let read = self.limit().unwrap_or(read);
+        (read as u64, kvs.payload_bytes() + records.payload_bytes())
+    }
+}
+
+/// The attempt script of map task or reduce partition `idx` of `job`: turns
+/// the plan's pure [`FaultPlan::decide`] outcomes into the task's units, in
+/// order — a [`UnitKind::Doomed`] per failed attempt, a
+/// [`UnitKind::WastedFull`] for a straggler its speculative duplicate
+/// supersedes, then the one [`UnitKind::Committed`] attempt — and writes
+/// the serial half of the attempt ledger (attempts, failures, node loss,
+/// stragglers, speculation, backoff) into `m`. Wasted records and bytes are
+/// the measured half: the lost units report them as they run.
+///
+/// `total` is the task's input size (records of the split, pairs of the
+/// partition), asked only when an attempt fails. Without a plan the script
+/// is the single committed attempt and allocates nothing.
+fn attempt_script(
+    plan: Option<&FaultPlan>,
+    job: &Job,
+    kind: TaskKind,
+    idx: usize,
+    total: impl Fn() -> usize,
+    m: &mut JobMetrics,
+) -> impl Iterator<Item = UnitKind> {
+    let mut lost = Vec::new();
+    if let Some(plan) = plan {
+        // Per-task backoff subtotal, folded in task order: the ledger's
+        // float sum never depends on how tasks were scheduled.
+        let mut backoff_s = 0.0;
+        let mut retry = 0;
+        loop {
+            match plan.decide(&job.name, kind, idx, retry) {
+                Outcome::Fail {
+                    fraction,
+                    node_loss,
+                } => {
+                    let total = total();
+                    m.failed_attempts += 1;
+                    m.lost_node_tasks += u64::from(node_loss);
+                    backoff_s += plan.backoff_s(retry);
+                    lost.push(UnitKind::Doomed {
+                        limit: ((fraction * total as f64) as usize).min(total),
+                    });
+                    retry += 1;
+                }
+                Outcome::Straggle => {
+                    m.straggler_tasks += 1;
+                    if plan.speculation {
+                        // The speculative duplicate commits; the slow
+                        // original's full output is discarded.
+                        m.speculative_attempts += 1;
+                        lost.push(UnitKind::WastedFull);
+                    }
+                    break;
+                }
+                Outcome::Success => break,
+            }
+        }
+        m.backoff_s += backoff_s;
+    }
+    let attempts = lost.len() as u64 + 1;
+    match kind {
+        TaskKind::Map => m.map_attempts += attempts,
+        TaskKind::Reduce => m.reduce_attempts += attempts,
+    }
+    lost.into_iter().chain([UnitKind::Committed])
 }
 
 impl Engine {
@@ -213,19 +256,6 @@ impl Engine {
     pub fn with_scan_cache(mut self, cache: ScanCache) -> Self {
         self.scan_cache = Some(cache);
         self
-    }
-
-    /// Run a sequence of jobs, accumulating workflow metrics.
-    ///
-    /// Delegates to [`Engine::try_run_workflow`]; an exhausted recovery
-    /// budget panics. That is unreachable for purely probabilistic fault
-    /// plans (the final budgeted attempt never aborts) — only an explicit
-    /// [`FaultPlan::abort_job`] scheduled with more kills than the
-    /// workflow's retry budget can trip it, and harnesses doing that should
-    /// call [`Engine::try_run_workflow`] and handle the typed error.
-    pub fn run_workflow(&self, jobs: &[Job]) -> WorkflowMetrics {
-        self.try_run_workflow(jobs)
-            .unwrap_or_else(|e| panic!("workflow exhausted its recovery budget: {e}"))
     }
 
     /// Run a sequence of jobs with workflow-level recovery.
@@ -402,41 +432,38 @@ impl Engine {
             map_only: job.is_map_only(),
             ..Default::default()
         };
+        let plan = self.faults.as_ref();
 
-        // Gather input splits: (dataset index, block, known record count).
-        // The integrity read path ([`SimDfs::fetch`]) verifies each block's
-        // checksum against the fault plan's injected read corruption and
-        // re-reads from replicas; with checksums disabled a corrupted copy
-        // flows through silently — the detection being load-bearing is what
-        // the divergence tests demonstrate.
-        let mut splits: Vec<(usize, Bytes, Option<usize>)> = Vec::new();
+        // Gather input splits and run each one's attempt script into map
+        // units: (dataset index, block, attempt). The integrity read path
+        // ([`SimDfs::fetch`]) verifies each block's checksum against the
+        // fault plan's injected read corruption and re-reads from replicas;
+        // with checksums disabled a corrupted copy flows through silently —
+        // the detection being load-bearing is what the divergence tests
+        // demonstrate.
+        let mut units: Vec<(usize, Bytes, UnitKind)> = Vec::new();
         for (di, name) in job.inputs.iter().enumerate() {
-            if let Some((ds, integ)) =
-                self.dfs
-                    .fetch(name, self.faults.as_ref(), self.resilience.checksums)
-            {
+            if let Some((ds, integ)) = self.dfs.fetch(name, plan, self.resilience.checksums) {
                 metrics.corrupt_blocks_detected += integ.corrupt_blocks;
                 metrics.integrity_reread_bytes += integ.reread_bytes;
                 metrics.silent_corruptions += integ.silent;
                 metrics.input_bytes += ds.total_bytes() as u64;
                 metrics.input_records += ds.records as u64;
-                let Dataset {
-                    blocks,
-                    block_records,
-                    ..
-                } = ds;
-                let counts_known = block_records.len() == blocks.len();
-                for (bi, b) in blocks.into_iter().enumerate() {
-                    let n = if counts_known {
-                        Some(block_records[bi])
-                    } else {
-                        None
-                    };
-                    splits.push((di, b, n));
+                let counts_known = ds.block_records.len() == ds.blocks.len();
+                for (bi, block) in ds.blocks.iter().enumerate() {
+                    // The split's record count is tracked by the dataset
+                    // writer; only hand-assembled datasets without counts
+                    // pay a decode pass, and only when an attempt fails.
+                    let n = counts_known.then(|| ds.block_records[bi]);
+                    let total = || n.unwrap_or_else(|| RecordIter::new(block).count());
+                    let task = metrics.map_tasks;
+                    metrics.map_tasks += 1;
+                    let script =
+                        attempt_script(plan, job, TaskKind::Map, task, total, &mut metrics);
+                    units.extend(script.map(|kind| (di, block.clone(), kind)));
                 }
             }
         }
-        metrics.map_tasks = splits.len();
 
         let num_partitions = job.num_reducers.max(1);
         // Per-map-task results, merged after the parallel section.
@@ -460,114 +487,120 @@ impl Engine {
 
         // Record spill checksums only when the plan can corrupt spills and
         // the policy verifies them — the bytes to compare against.
-        let spill_guard = self.resilience.checksums
-            && self
-                .faults
-                .as_ref()
-                .is_some_and(|plan| plan.spill_corrupt_p > 0.0);
+        let spill_guard =
+            self.resilience.checksums && plan.is_some_and(|plan| plan.spill_corrupt_p > 0.0);
 
         let workers = self.workers.max(1);
 
-        // Map phase through the work-stealing pool: one task per split.
-        // Results come back in task index order — the canonical order
-        // downstream block layout and equal-key value order depend on —
-        // regardless of worker count, steal interleaving, or faults.
-        let (map_outs, map_pool) =
-            pool::run_tasks(workers, splits, |idx, (di, block, block_recs)| {
-                let mut local = FaultStats::default();
-                let mut out = self.run_map_task(job, idx, di, &block, block_recs, &mut local);
+        // Map phase through the work-stealing pool: one unit per attempt.
+        // Results come back in unit order — committed attempts in task
+        // order, the canonical order downstream block layout and equal-key
+        // value order depend on — regardless of worker count, steal
+        // interleaving, or faults. Only the committed attempt sorts,
+        // combines and spills; a lost one reports its waste.
+        let (map_outs, map_pool) = pool::run_tasks(workers, units, |_, (di, block, kind)| {
+            let mut task = job.mapper.create();
+            let mut out = MapOutput::default();
+            let mut read = 0;
+            for rec in RecordIter::new(&block).take(kind.limit().unwrap_or(usize::MAX)) {
+                task.map(InputSrc { dataset: di }, rec, &mut out);
+                read += 1;
+            }
+            // A doomed attempt died mid-task: no cleanup.
+            if !matches!(kind, UnitKind::Doomed { .. }) {
+                task.cleanup(&mut out);
+            }
+            if kind != UnitKind::Committed {
+                return Err(kind.waste(read, &out.kvs, &out.records));
+            }
 
-                let raw_kv_records = out.kvs.len() as u64;
-                let raw_kv_bytes = out.kvs.payload_bytes();
-                let mut corrupt_records = out.corrupt_records;
+            let raw_kv_records = out.kvs.len() as u64;
+            let raw_kv_bytes = out.kvs.payload_bytes();
+            let mut corrupt_records = out.corrupt_records;
 
-                let mut kvs = std::mem::take(&mut out.kvs);
-                let mut parts: Vec<KvBuffer> = Vec::new();
-                if !job.is_map_only() {
-                    // Map-side sort: one offset-table sort per task,
-                    // by (key, emit order). The payload arena never
-                    // moves.
-                    kvs.sort_unstable();
-                    // Map-side combiner: pass the sorted run's key
-                    // groups through the combiner and sort its output
-                    // the same way — Hadoop's combiner contract.
-                    if let Some(comb) = &job.combiner {
-                        if !kvs.is_empty() {
-                            let mut ctask = comb.create();
-                            let mut cout = ReduceOutput::default();
-                            merge_key_groups(&[Run::sorted(&kvs)], None, |key, values| {
-                                ctask.reduce(key, values, &mut cout);
-                            });
-                            ctask.cleanup(&mut cout);
-                            corrupt_records += cout.corrupt_records;
-                            kvs = cout.kvs;
-                            kvs.sort_unstable();
-                        }
-                    }
-                    // Spill: copy each partition's pairs — scanning in
-                    // sorted order, so every spill stays key-sorted
-                    // with equal keys in emit order — into a compact
-                    // per-partition arena. The reduce-side merge then
-                    // reads each run front to back, sequentially. An
-                    // exact-size counting pass first, so the spill
-                    // arenas never reallocate.
-                    let mut pidx: Vec<u32> = Vec::with_capacity(kvs.len());
-                    let mut counts = vec![(0usize, 0u64); num_partitions];
-                    for i in 0..kvs.len() {
-                        let p = shuffle_partition(kvs.key(i), num_partitions);
-                        pidx.push(p as u32);
-                        counts[p].0 += 1;
-                        counts[p].1 += kvs.pair_bytes(i);
-                    }
-                    parts = counts
-                        .iter()
-                        .map(|&(n, bytes)| KvBuffer::with_capacity(n, bytes as usize))
-                        .collect();
-                    for i in 0..kvs.len() {
-                        parts[pidx[i] as usize].push(kvs.key(i), kvs.value(i));
+            let mut kvs = std::mem::take(&mut out.kvs);
+            let mut parts: Vec<KvBuffer> = Vec::new();
+            if !job.is_map_only() {
+                // Map-side sort: one offset-table sort per task, by (key,
+                // emit order). The payload arena never moves.
+                kvs.sort_unstable();
+                // Map-side combiner: pass the sorted run's key groups
+                // through the combiner and sort its output the same way —
+                // Hadoop's combiner contract.
+                if let Some(comb) = &job.combiner {
+                    if !kvs.is_empty() {
+                        let mut ctask = comb.create();
+                        let mut cout = ReduceOutput::default();
+                        merge_key_groups(&[Run::sorted(&kvs)], None, |key, values| {
+                            ctask.reduce(key, values, &mut cout);
+                        });
+                        ctask.cleanup(&mut cout);
+                        corrupt_records += cout.corrupt_records;
+                        kvs = cout.kvs;
+                        kvs.sort_unstable();
                     }
                 }
-                let spill_sums = if spill_guard {
-                    parts.iter().map(integrity::kv_checksum).collect()
+                // Spill: copy each partition's pairs — scanning in sorted
+                // order, so every spill stays key-sorted with equal keys in
+                // emit order — into a compact per-partition arena. The
+                // reduce-side merge then reads each run front to back,
+                // sequentially. An exact-size counting pass first, so the
+                // spill arenas never reallocate.
+                let mut pidx: Vec<u32> = Vec::with_capacity(kvs.len());
+                let mut counts = vec![(0usize, 0u64); num_partitions];
+                for i in 0..kvs.len() {
+                    let p = shuffle_partition(kvs.key(i), num_partitions);
+                    pidx.push(p as u32);
+                    counts[p].0 += 1;
+                    counts[p].1 += kvs.pair_bytes(i);
+                }
+                parts = counts
+                    .iter()
+                    .map(|&(n, bytes)| KvBuffer::with_capacity(n, bytes as usize))
+                    .collect();
+                for i in 0..kvs.len() {
+                    parts[pidx[i] as usize].push(kvs.key(i), kvs.value(i));
+                }
+            }
+            let spill_sums = if spill_guard {
+                parts.iter().map(integrity::kv_checksum).collect()
+            } else {
+                Vec::new()
+            };
+            Ok(MapResult {
+                parts,
+                spill_sums,
+                block: if job.is_map_only() {
+                    frame(&out.records)
                 } else {
-                    Vec::new()
-                };
-                (
-                    MapResult {
-                        parts,
-                        spill_sums,
-                        block: if job.is_map_only() {
-                            frame(&out.records)
-                        } else {
-                            BlockBuilder::new()
-                        },
-                        raw_kv_records,
-                        raw_kv_bytes,
-                        // Committed attempt only: doomed/superseded attempts
-                        // build their own MapOutput whose skip counters are
-                        // discarded with the rest of their work.
-                        segments_skipped: out.segments_skipped,
-                        input_bytes_pruned: out.input_bytes_pruned,
-                        corrupt_records,
-                    },
-                    local,
-                )
-            });
-        let mut stats = FaultStats::default();
-        let mut map_results: Vec<MapResult> = Vec::with_capacity(map_outs.len());
-        for (r, local) in map_outs {
-            stats.merge(local);
-            map_results.push(r);
-        }
+                    BlockBuilder::new()
+                },
+                raw_kv_records,
+                raw_kv_bytes,
+                segments_skipped: out.segments_skipped,
+                input_bytes_pruned: out.input_bytes_pruned,
+                corrupt_records,
+            })
+        });
         metrics.map_busy_max_ns = map_pool.makespan_ns();
         metrics.map_busy_total_ns = map_pool.total_busy_ns();
         metrics.steals = map_pool.steals;
-        for r in &map_results {
-            metrics.map_output_records += r.raw_kv_records;
-            metrics.map_output_bytes += r.raw_kv_bytes;
-            metrics.segments_skipped += r.segments_skipped;
-            metrics.input_bytes_pruned += r.input_bytes_pruned;
-            metrics.corrupt_records_skipped += r.corrupt_records;
+        let mut map_results: Vec<MapResult> = Vec::with_capacity(metrics.map_tasks);
+        for r in map_outs {
+            match r {
+                Ok(r) => {
+                    metrics.map_output_records += r.raw_kv_records;
+                    metrics.map_output_bytes += r.raw_kv_bytes;
+                    metrics.segments_skipped += r.segments_skipped;
+                    metrics.input_bytes_pruned += r.input_bytes_pruned;
+                    metrics.corrupt_records_skipped += r.corrupt_records;
+                    map_results.push(r);
+                }
+                Err((records, bytes)) => {
+                    metrics.wasted_input_records += records;
+                    metrics.wasted_output_bytes += bytes;
+                }
+            }
         }
 
         // Verify-on-commit gate for shuffle spills. Spill corruption is a
@@ -578,7 +611,7 @@ impl Engine {
         // (in the simulator: simply kept) — so a corrupt run never reaches
         // a reducer. With checksums off, the flip lands in place and flows
         // downstream silently.
-        if let Some(plan) = self.faults.as_ref().filter(|p| p.spill_corrupt_p > 0.0) {
+        if let Some(plan) = plan.filter(|p| p.spill_corrupt_p > 0.0) {
             for (t, r) in map_results.iter_mut().enumerate() {
                 for p in 0..r.parts.len() {
                     if r.parts[p].is_empty() {
@@ -591,18 +624,18 @@ impl Engine {
                         let mut bad = r.parts[p].clone();
                         if integrity::corrupt_kv(&mut bad, h) {
                             if integrity::kv_checksum(&bad) != r.spill_sums[p] {
-                                stats.corrupt_spills_detected += 1;
-                                stats.integrity_reread_bytes += r.parts[p].payload_bytes();
+                                metrics.corrupt_spills_detected += 1;
+                                metrics.integrity_reread_bytes += r.parts[p].payload_bytes();
                             } else {
                                 // A flip the checksum missed (FNV-1a makes
                                 // this unconstructable, but account honestly
                                 // rather than assume).
-                                stats.silent_corruptions += 1;
+                                metrics.silent_corruptions += 1;
                                 r.parts[p] = bad;
                             }
                         }
                     } else if integrity::corrupt_kv(&mut r.parts[p], h) {
-                        stats.silent_corruptions += 1;
+                        metrics.silent_corruptions += 1;
                     }
                 }
             }
@@ -631,116 +664,57 @@ impl Engine {
             }
             metrics.reduce_tasks = part_runs.iter().filter(|rs| !rs.is_empty()).count();
 
-            // Reduce phase: flatten every partition into pool units. Fault
-            // decisions are a *pure* function of (job, partition, retry), so
-            // the attempt script — and with it the whole waste/backoff
-            // ledger except measured wasted output bytes — is computed here,
-            // serially, before any unit runs. Doomed and superseded attempts
-            // always merge the full partition on one unit (their kill points
-            // are defined against the serial merge); only the committed
-            // merge is cut into key-range shards, and only when the reducer
-            // declares itself key-local.
+            // Reduce phase: flatten every partition into pool units by its
+            // attempt script, computed here, serially, before any unit runs.
+            // Doomed and superseded attempts always merge the full partition
+            // on one unit (their kill points are defined against the serial
+            // merge); only the committed merge is cut into key-range
+            // shards, and only when the reducer declares itself key-local.
             let reducer = job.reducer.as_ref().expect("checked map_only");
             let key_local = reducer.key_local();
             let nonempty = metrics.reduce_tasks;
             let mut units: Vec<(usize, Vec<Run<'_>>, UnitKind)> = Vec::new();
-            let mut committed_units = 0usize;
             for (p_idx, (runs, total)) in part_runs
                 .iter()
                 .zip(part_records)
                 .enumerate()
                 .filter(|(_, (runs, _))| !runs.is_empty())
             {
-                if let Some(plan) = &self.faults {
-                    let mut retries = 0usize;
-                    loop {
-                        let outcome =
-                            plan.decide(&job.name, TaskKind::Reduce, p_idx, retries);
-                        stats.reduce_attempts += 1;
-                        match outcome {
-                            Outcome::Fail {
-                                fraction,
-                                node_loss,
-                            } => {
-                                // The attempt dies `limit` pairs into its
-                                // merged input; merge_key_groups' limit
-                                // stops mid-group exactly where the old
-                                // materialized slice did. No cleanup runs.
-                                let limit =
-                                    ((fraction * total as f64) as usize).min(total);
-                                stats.failed += 1;
-                                if node_loss {
-                                    stats.node_loss += 1;
-                                }
-                                stats.wasted_input_records += limit as u64;
-                                stats.backoff_s += plan.backoff_s(retries);
-                                units.push((p_idx, runs.clone(), UnitKind::Doomed { limit }));
-                                retries += 1;
-                            }
-                            Outcome::Straggle { .. } => {
-                                stats.stragglers += 1;
-                                if plan.speculation {
-                                    // The speculative duplicate commits;
-                                    // the slow original's full output is
-                                    // discarded.
-                                    stats.reduce_attempts += 1;
-                                    stats.speculative += 1;
-                                    stats.wasted_input_records += total as u64;
-                                    units.push((p_idx, runs.clone(), UnitKind::WastedFull));
-                                }
-                                break;
-                            }
-                            Outcome::Success => break,
-                        }
-                    }
-                } else {
-                    stats.reduce_attempts += 1;
-                }
                 let shards = shard_count(workers, key_local, nonempty, total);
-                if shards <= 1 {
-                    units.push((p_idx, runs.clone(), UnitKind::Committed));
-                    committed_units += 1;
-                } else {
-                    for shard in plan_shards(runs, shards) {
-                        units.push((p_idx, shard, UnitKind::Committed));
-                        committed_units += 1;
+                let script =
+                    attempt_script(plan, job, TaskKind::Reduce, p_idx, || total, &mut metrics);
+                for kind in script {
+                    if kind == UnitKind::Committed {
+                        for shard in plan_shards(runs, shards) {
+                            units.push((p_idx, shard, kind));
+                        }
+                    } else {
+                        units.push((p_idx, runs.clone(), kind));
                     }
                 }
             }
-            metrics.merge_shards = committed_units;
+            metrics.merge_shards = units.iter().filter(|u| u.2 == UnitKind::Committed).count();
 
             // Execute the units through the pool. Every unit's work is a
             // pure function of its (partition, runs, kind) — results carry
-            // (partition, committed records, measured waste) and arrive in
+            // (partition, committed block or measured waste) and arrive in
             // unit order, which is partition order with committed shards in
             // key-range order, so concatenation below reproduces the serial
             // merge byte for byte at any worker count.
             let (unit_results, reduce_pool) =
-                pool::run_tasks(workers, units, |_u, (p_idx, runs, kind)| {
+                pool::run_tasks(workers, units, |_, (p_idx, runs, kind)| {
                     let mut task = reducer.create();
                     let mut out = ReduceOutput::default();
-                    match kind {
-                        UnitKind::Doomed { limit } => {
-                            merge_key_groups(&runs, Some(limit), |key, values| {
-                                task.reduce(key, values, &mut out);
-                            });
-                            (p_idx, None, reduce_output_size(&out), 0)
-                        }
-                        UnitKind::WastedFull => {
-                            merge_key_groups(&runs, None, |key, values| {
-                                task.reduce(key, values, &mut out);
-                            });
-                            task.cleanup(&mut out);
-                            (p_idx, None, reduce_output_size(&out), 0)
-                        }
-                        UnitKind::Committed => {
-                            merge_key_groups(&runs, None, |key, values| {
-                                task.reduce(key, values, &mut out);
-                            });
-                            task.cleanup(&mut out);
-                            (p_idx, Some(frame(&out.records)), 0, out.corrupt_records)
-                        }
+                    let read = merge_key_groups(&runs, kind.limit(), |key, values| {
+                        task.reduce(key, values, &mut out);
+                    });
+                    if !matches!(kind, UnitKind::Doomed { .. }) {
+                        task.cleanup(&mut out);
                     }
+                    if kind != UnitKind::Committed {
+                        return (p_idx, Err(kind.waste(read, &out.kvs, &out.records)));
+                    }
+                    (p_idx, Ok((frame(&out.records), out.corrupt_records)))
                 });
             metrics.reduce_busy_max_ns = reduce_pool.makespan_ns();
             metrics.reduce_busy_total_ns = reduce_pool.total_busy_ns();
@@ -751,13 +725,18 @@ impl Engine {
             // canonical — see above), and fold measured waste into the
             // ledger.
             let mut per_part: Vec<(usize, BlockBuilder)> = Vec::new();
-            for (p_idx, out, waste, corrupt) in unit_results {
-                stats.wasted_output_bytes += waste;
-                metrics.corrupt_records_skipped += corrupt;
-                if let Some(block) = out {
-                    match per_part.last_mut() {
-                        Some((last, acc)) if *last == p_idx => acc.append(&block),
-                        _ => per_part.push((p_idx, block)),
+            for (p_idx, r) in unit_results {
+                match r {
+                    Ok((block, corrupt)) => {
+                        metrics.corrupt_records_skipped += corrupt;
+                        match per_part.last_mut() {
+                            Some((last, acc)) if *last == p_idx => acc.append(&block),
+                            _ => per_part.push((p_idx, block)),
+                        }
+                    }
+                    Err((records, bytes)) => {
+                        metrics.wasted_input_records += records;
+                        metrics.wasted_output_bytes += bytes;
                     }
                 }
             }
@@ -771,115 +750,9 @@ impl Engine {
         metrics.output_records = output_ds.records as u64;
         metrics.output_bytes = output_ds.total_bytes() as u64;
         self.dfs.put(&job.output, output_ds);
-
-        metrics.map_attempts = stats.map_attempts;
-        metrics.reduce_attempts = stats.reduce_attempts;
-        metrics.failed_attempts = stats.failed;
-        metrics.speculative_attempts = stats.speculative;
-        metrics.straggler_tasks = stats.stragglers;
-        metrics.lost_node_tasks = stats.node_loss;
-        metrics.wasted_input_records = stats.wasted_input_records;
-        metrics.wasted_output_bytes = stats.wasted_output_bytes;
-        metrics.backoff_s = stats.backoff_s;
-        // Block-level integrity counters were recorded at split gather; the
-        // spill-level counters accumulated in stats join them here.
-        metrics.corrupt_spills_detected = stats.corrupt_spills_detected;
-        metrics.integrity_reread_bytes += stats.integrity_reread_bytes;
-        metrics.silent_corruptions += stats.silent_corruptions;
-
         metrics.wall = start.elapsed();
         metrics
     }
-
-    /// Run one map task to a committed result, injecting the fault plan's
-    /// outcomes attempt by attempt. The committed [`MapOutput`] is always
-    /// the output of one clean full pass over the split — killed attempts
-    /// only accumulate wasted-work counters — so the data flowing into the
-    /// shuffle is identical to a fault-free run.
-    fn run_map_task(
-        &self,
-        job: &Job,
-        task_idx: usize,
-        di: usize,
-        block: &Bytes,
-        block_recs: Option<usize>,
-        stats: &mut FaultStats,
-    ) -> MapOutput {
-        let full = |out: &mut MapOutput| {
-            let mut task = job.mapper.create();
-            let mut n = 0u64;
-            for rec in RecordIter::new(block) {
-                task.map(InputSrc { dataset: di }, rec, out);
-                n += 1;
-            }
-            task.cleanup(out);
-            n
-        };
-        let Some(plan) = &self.faults else {
-            stats.map_attempts += 1;
-            let mut out = MapOutput::default();
-            full(&mut out);
-            return out;
-        };
-
-        let mut retries = 0usize;
-        loop {
-            let outcome = plan.decide(&job.name, TaskKind::Map, task_idx, retries);
-            stats.map_attempts += 1;
-            match outcome {
-                Outcome::Fail {
-                    fraction,
-                    node_loss,
-                } => {
-                    // Genuinely run the doomed attempt over a prefix of the
-                    // split (the kill point), then discard its work. No
-                    // cleanup: the attempt died mid-task. The split's record
-                    // count is tracked by the dataset writer; only
-                    // hand-assembled datasets without counts pay a decode
-                    // pass here.
-                    let total =
-                        block_recs.unwrap_or_else(|| RecordIter::new(block).count());
-                    let limit = ((fraction * total as f64) as usize).min(total);
-                    let mut task = job.mapper.create();
-                    let mut wasted = MapOutput::default();
-                    for rec in RecordIter::new(block).take(limit) {
-                        task.map(InputSrc { dataset: di }, rec, &mut wasted);
-                    }
-                    stats.failed += 1;
-                    if node_loss {
-                        stats.node_loss += 1;
-                    }
-                    stats.wasted_input_records += limit as u64;
-                    stats.wasted_output_bytes += map_output_size(&wasted);
-                    stats.backoff_s += plan.backoff_s(retries);
-                    retries += 1;
-                }
-                Outcome::Straggle { .. } => {
-                    let mut out = MapOutput::default();
-                    let read = full(&mut out);
-                    stats.stragglers += 1;
-                    if plan.speculation {
-                        // The speculative duplicate finishes first and
-                        // commits; the slow original's work is discarded.
-                        stats.map_attempts += 1;
-                        stats.speculative += 1;
-                        stats.wasted_input_records += read;
-                        stats.wasted_output_bytes += map_output_size(&out);
-                        let mut dup = MapOutput::default();
-                        full(&mut dup);
-                        return dup;
-                    }
-                    return out;
-                }
-                Outcome::Success => {
-                    let mut out = MapOutput::default();
-                    full(&mut out);
-                    return out;
-                }
-            }
-        }
-    }
-
 }
 
 #[cfg(test)]
@@ -1086,7 +959,7 @@ mod tests {
             .output("out")
             .build();
         let engine = Engine::pinned(dfs.clone());
-        let wf = engine.run_workflow(&[j1, j2]);
+        let wf = engine.try_run_workflow(&[j1, j2]).expect("no faults, no recovery");
         assert_eq!(wf.cycles(), 2);
         assert_eq!(wf.full_cycles(), 1);
         assert_eq!(wf.map_only_cycles(), 1);
@@ -1105,7 +978,7 @@ mod tests {
                 .cache_key("k:scan")
                 .build();
             let engine = Engine::pinned(dfs.clone()).with_scan_cache(cache.clone());
-            (engine.run_workflow(&[job]), dfs.get("out").unwrap())
+            (engine.try_run_workflow(&[job]).expect("no faults, no recovery"), dfs.get("out").unwrap())
         };
         let dfs1 = SimDfs::new();
         let (wf1, out1) = run(&dfs1);
@@ -1132,7 +1005,8 @@ mod tests {
             .build();
         Engine::pinned(dfs3.clone())
             .with_scan_cache(cache.clone())
-            .run_workflow(&[plain]);
+            .try_run_workflow(&[plain])
+            .expect("no faults, no recovery");
         assert_eq!(cache.stats(), stats_before);
     }
 
@@ -1244,7 +1118,6 @@ mod tests {
         dfs.put("in", wc_input());
         let plan = FaultPlan {
             straggler_p: 1.0,
-            straggler_slowdown: 4.0,
             speculation: false,
             ..FaultPlan::new(2)
         };
@@ -1265,7 +1138,6 @@ mod tests {
         dfs.put("in", wc_input());
         let plan = FaultPlan {
             straggler_p: 1.0,
-            straggler_slowdown: 4.0,
             ..FaultPlan::new(2)
         };
         let engine = Engine::pinned(dfs.clone()).with_faults(plan);

@@ -56,13 +56,11 @@ pub enum Outcome {
         /// Whether this failure models the task's node disappearing.
         node_loss: bool,
     },
-    /// The attempt runs to completion but `slowdown`× slower than normal.
-    /// With [`FaultPlan::speculation`] on, the engine launches a duplicate
-    /// attempt that wins; otherwise the slow attempt commits.
-    Straggle {
-        /// Slowdown factor (≥ 1) relative to a healthy attempt.
-        slowdown: f64,
-    },
+    /// The attempt runs to completion, but late. With
+    /// [`FaultPlan::speculation`] on, the engine launches a duplicate attempt
+    /// that wins; otherwise the slow attempt commits and the cost model
+    /// charges it a fixed [`crate::cost::ClusterModel::straggler_penalty_s`].
+    Straggle,
 }
 
 /// A seedable, deterministic fault-injection plan.
@@ -80,8 +78,6 @@ pub struct FaultPlan {
     pub reduce_fail_p: f64,
     /// Per-attempt probability that an attempt straggles.
     pub straggler_p: f64,
-    /// Straggler slowdown factor (≥ 1).
-    pub straggler_slowdown: f64,
     /// Launch a speculative duplicate for stragglers (Hadoop's
     /// `mapred.map.tasks.speculative.execution`).
     pub speculation: bool,
@@ -129,7 +125,6 @@ impl FaultPlan {
             map_fail_p: 0.0,
             reduce_fail_p: 0.0,
             straggler_p: 0.0,
-            straggler_slowdown: 1.0,
             speculation: true,
             max_attempts: 4,
             backoff_base_s: 2.0,
@@ -151,7 +146,6 @@ impl FaultPlan {
             map_fail_p: 0.35,
             reduce_fail_p: 0.35,
             straggler_p: 0.25,
-            straggler_slowdown: 6.0,
             block_corrupt_p: 0.3,
             spill_corrupt_p: 0.25,
             job_abort_p: 0.15,
@@ -242,9 +236,7 @@ impl FaultPlan {
             }
         }
         if Self::unit(self.hash(job, kind, task, attempt, 3)) < self.straggler_p {
-            return Outcome::Straggle {
-                slowdown: self.straggler_slowdown.max(1.0),
-            };
+            return Outcome::Straggle;
         }
         Outcome::Success
     }
@@ -272,12 +264,6 @@ impl FaultPlan {
         let _ = splitmix64(&mut state);
         state ^= (b << 32) | domain;
         splitmix64(&mut state)
-    }
-
-    /// Does this plan inject any read-path corruption at all? Engines skip
-    /// the checksum machinery entirely when nothing can flip a bit.
-    pub fn corrupts(&self) -> bool {
-        self.block_corrupt_p > 0.0 || self.spill_corrupt_p > 0.0
     }
 
     /// Decide whether reading replica `replica` of block `block` of dataset
@@ -360,7 +346,7 @@ mod tests {
         for task in 0..200 {
             match plan.decide("a", TaskKind::Map, task, 0) {
                 Outcome::Fail { .. } => fails += 1,
-                Outcome::Straggle { .. } => straggles += 1,
+                Outcome::Straggle => straggles += 1,
                 Outcome::Success => {}
             }
             if plan.decide("a", TaskKind::Map, task, 0) != plan.decide("b", TaskKind::Map, task, 0)

@@ -18,31 +18,31 @@ use crate::cost::ClusterModel;
 use crate::metrics::WorkflowMetrics;
 use std::fmt;
 
-/// Deterministic exponential backoff: `base_s · 2^min(retry, cap)`.
+/// Deterministic exponential backoff: `base_s · 2^min(retry, 16)`.
 ///
-/// The cap bounds the exponent so the simulated delay saturates instead of
-/// overflowing `f64` range on adversarial retry counts — with the default
-/// `cap = 16` the schedule tops out at `base_s · 65536`, already hours of
-/// simulated wall clock. Hadoop's real backoff jitters; ours deliberately
-/// does not, which is what keeps the waste ledger bit-identical across
-/// worker counts and replays.
+/// The clamp bounds the exponent so the simulated delay saturates instead of
+/// overflowing `f64` range on adversarial retry counts — the schedule tops
+/// out at `base_s · 65536`, already hours of simulated wall clock. Hadoop's
+/// real backoff jitters; ours deliberately does not, which is what keeps the
+/// waste ledger bit-identical across worker counts and replays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Backoff {
     /// Delay before the first retry, seconds.
     pub base_s: f64,
-    /// Exponent clamp: retry numbers at or beyond this reuse its delay.
-    pub cap: u32,
 }
 
 impl Backoff {
-    /// The default schedule (2 s base, ×2 per retry, capped at 2^16).
+    /// Exponent clamp: retry numbers at or beyond this reuse its delay.
+    const CAP: u32 = 16;
+
+    /// The schedule with first delay `base_s`, ×2 per retry, capped at 2^16.
     pub fn new(base_s: f64) -> Self {
-        Backoff { base_s, cap: 16 }
+        Backoff { base_s }
     }
 
     /// Simulated delay before retry number `retry` (0-based).
     pub fn delay_s(&self, retry: usize) -> f64 {
-        self.base_s * 2f64.powi((retry as u32).min(self.cap) as i32)
+        self.base_s * 2f64.powi((retry as u32).min(Self::CAP) as i32)
     }
 }
 

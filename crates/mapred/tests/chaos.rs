@@ -1,19 +1,24 @@
 //! Chaos suite for the MapReduce simulator itself: sweep fault seeds ×
 //! worker counts over a three-cycle workflow and require (a) bit-identical
 //! recovery and (b) an honest attempt ledger with correspondingly higher
-//! simulated cost.
+//! simulated cost — pinned by value in
+//! `tests/snapshots/fault_ledger_golden.txt`.
 //!
 //! Sweep width is tunable via `RAPIDA_CHAOS_SEEDS` (see
 //! `rapida_testkit::chaos`); `scripts/verify.sh` runs this file as its
 //! chaos smoke pass.
 
+mod common;
+
 use rapida_mapred::{
-    ClusterModel, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory, InputSrc,
-    JobBuilder, KeyLocal, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs, WorkflowMetrics,
+    ClusterModel, Dataset, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory,
+    InputSrc, Job, JobBuilder, KeyLocal, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
+    WorkflowMetrics,
 };
 use rapida_testkit::chaos;
 use rapida_testkit::chaos::{ChaosConfig, Scenario};
 use rapida_testkit::rng::StdRng;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Emits (word, 1) for every input record.
@@ -36,7 +41,7 @@ impl MapTask for FilterMap {
 
 /// Shuffle-heavy mapper: emits one pair per byte of the record (so every
 /// map task produces several sorted runs with heavy key overlap) plus a
-/// per-record length marker — exercises the loser-tree run merge with
+/// per-record length marker — exercises the reduce-side run merge with
 /// many equal keys spread across every task.
 struct FanoutMap;
 impl MapTask for FanoutMap {
@@ -75,7 +80,7 @@ impl ReduceTask for Sum {
 
 /// The three-cycle workflow: map-only filter → combined word count →
 /// re-aggregation (same shape as the determinism suite's).
-fn workflow() -> Vec<rapida_mapred::Job> {
+fn workflow() -> Vec<Job> {
     vec![
         JobBuilder::new("filter")
             .input("in")
@@ -100,23 +105,27 @@ fn workflow() -> Vec<rapida_mapred::Job> {
     ]
 }
 
-/// Run the workflow under a scenario; returns full workflow metrics plus
-/// the output dataset's exact block bytes.
-fn run(scenario: &Scenario, plan_of: impl Fn(u64) -> FaultPlan) -> (WorkflowMetrics, Vec<Vec<u8>>) {
+/// The fault plan a scenario's seed selects.
+type PlanOf = fn(u64) -> FaultPlan;
+
+/// A scenario runner: builds its input, runs its jobs under the scenario and
+/// returns full workflow metrics plus the `out` dataset's exact block bytes.
+type Runner = fn(&Scenario, PlanOf) -> (WorkflowMetrics, Vec<Vec<u8>>);
+
+/// Run `jobs` over `input` (stored as `in`) under a scenario.
+fn run_jobs(
+    scenario: &Scenario,
+    plan_of: PlanOf,
+    input: Dataset,
+    jobs: &[Job],
+) -> (WorkflowMetrics, Vec<Vec<u8>>) {
     let dfs = SimDfs::new();
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let mut w = DatasetWriter::new(64);
-    for _ in 0..400 {
-        let len = rng.gen_range(1usize..=4);
-        let word: String = (0..len)
-            .map(|_| (b'a' + rng.gen_range(0u8..6)) as char)
-            .collect();
-        w.push(word.as_bytes());
-    }
-    dfs.put("in", w.finish());
+    dfs.put("in", input);
     let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
     engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&workflow());
+    let wf = engine
+        .try_run_workflow(jobs)
+        .expect("probabilistic fault plans never exhaust the recovery budget");
     let blocks: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")
@@ -127,31 +136,84 @@ fn run(scenario: &Scenario, plan_of: impl Fn(u64) -> FaultPlan) -> (WorkflowMetr
     (wf, blocks)
 }
 
+/// `n` seeded words of `len` letters drawn from the first `letters` of the
+/// alphabet, in splits of `split_bytes`.
+fn words(
+    seed: u64,
+    n: usize,
+    len: std::ops::RangeInclusive<usize>,
+    letters: u8,
+    split_bytes: usize,
+) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = DatasetWriter::new(split_bytes);
+    for _ in 0..n {
+        let len = rng.gen_range(len.clone());
+        let word: Vec<u8> = (0..len)
+            .map(|_| b'a' + rng.gen_range(0u8..letters))
+            .collect();
+        w.push(&word);
+    }
+    w.finish()
+}
+
+/// The three-cycle [`workflow`] over 400 short words.
+fn run(scenario: &Scenario, plan_of: PlanOf) -> (WorkflowMetrics, Vec<Vec<u8>>) {
+    run_jobs(
+        scenario,
+        plan_of,
+        words(0x5EED, 400, 1..=4, 6, 64),
+        &workflow(),
+    )
+}
+
+/// Like [`run`], but the input is hand-assembled without per-block record
+/// counts, so a doomed map attempt must count its split to find its kill
+/// point.
+fn run_uncounted(scenario: &Scenario, plan_of: PlanOf) -> (WorkflowMetrics, Vec<Vec<u8>>) {
+    let mut input = words(0x5EED, 400, 1..=4, 6, 64);
+    input.block_records.clear();
+    run_jobs(scenario, plan_of, input, &workflow())
+}
+
 /// The committed (data-flow) portion of the metrics: everything the cost
 /// of a *fault-free* run depends on. Attempt counters are deliberately
 /// excluded — they are supposed to differ across scenarios.
-fn committed_signature(wf: &WorkflowMetrics) -> Vec<(String, bool, usize, usize, [u64; 8])> {
-    wf.jobs
-        .iter()
-        .map(|m| {
-            (
-                m.name.clone(),
-                m.map_only,
-                m.map_tasks,
-                m.reduce_tasks,
-                [
-                    m.input_bytes,
-                    m.input_records,
-                    m.map_output_records,
-                    m.map_output_bytes,
-                    m.shuffle_records,
-                    m.shuffle_bytes,
-                    m.output_records,
-                    m.output_bytes,
-                ],
-            )
-        })
-        .collect()
+fn committed_signature(wf: &WorkflowMetrics) -> Vec<String> {
+    wf.jobs.iter().map(common::committed).collect()
+}
+
+/// A whole node lost on top of background failures and stragglers, with
+/// speculation disabled.
+fn node_loss_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        lost_node: Some((seed % 8) as usize),
+        speculation: false,
+        straggler_p: 0.2,
+        ..FaultPlan::failures_only(seed, 0.3)
+    }
+}
+
+/// Map attempts fail at a high rate, reduce attempts never; both kinds
+/// straggle, with speculation.
+fn map_chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        map_fail_p: 0.6,
+        reduce_fail_p: 0.0,
+        straggler_p: 0.4,
+        speculation: true,
+        ..FaultPlan::new(seed)
+    }
+}
+
+/// Reduce attempts fail at a high rate, with stragglers and speculation.
+fn reduce_chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        reduce_fail_p: 0.7,
+        straggler_p: 0.3,
+        speculation: true,
+        ..FaultPlan::new(seed)
+    }
 }
 
 chaos! {
@@ -171,13 +233,7 @@ chaos! {
     /// Same, losing a whole node on top of background failures, with
     /// speculation disabled.
     fn workflow_survives_node_loss_without_speculation(scenario) {
-        let (wf, blocks) = run(scenario, |seed| FaultPlan {
-            lost_node: Some((seed % 8) as usize),
-            speculation: false,
-            straggler_p: 0.2,
-            straggler_slowdown: 5.0,
-            ..FaultPlan::failures_only(seed, 0.3)
-        });
+        let (wf, blocks) = run(scenario, node_loss_plan);
         (committed_signature(&wf), blocks)
     }
 
@@ -190,11 +246,7 @@ chaos! {
     fn sharded_reduce_survives_mid_merge_faults(scenario) {
         let (wf, blocks) = run_sharded(scenario, |seed| FaultPlan {
             map_fail_p: 0.05,
-            reduce_fail_p: 0.7,
-            straggler_p: 0.3,
-            straggler_slowdown: 5.0,
-            speculation: true,
-            ..FaultPlan::new(seed)
+            ..reduce_chaos_plan(seed)
         });
         (committed_signature(&wf), blocks)
     }
@@ -220,14 +272,7 @@ chaos! {
     /// and therefore the merged reduce input — must be bit-identical to the
     /// fault-free golden.
     fn run_merge_survives_map_failures_and_stragglers(scenario) {
-        let (wf, blocks) = run_fanout(scenario, |seed| FaultPlan {
-            map_fail_p: 0.6,
-            reduce_fail_p: 0.0,
-            straggler_p: 0.4,
-            straggler_slowdown: 6.0,
-            speculation: true,
-            ..FaultPlan::new(seed)
-        });
+        let (wf, blocks) = run_fanout(scenario, map_chaos_plan);
         (committed_signature(&wf), blocks)
     }
 }
@@ -235,19 +280,7 @@ chaos! {
 /// Like [`run`], but over the shuffle-heavy [`FanoutMap`] workflow: a
 /// combined fan-out count followed by a regrouping cycle, 7 then 2
 /// reducers so partitions see many runs each.
-fn run_fanout(
-    scenario: &Scenario,
-    plan_of: impl Fn(u64) -> FaultPlan,
-) -> (WorkflowMetrics, Vec<Vec<u8>>) {
-    let dfs = SimDfs::new();
-    let mut rng = StdRng::seed_from_u64(0xFA57);
-    let mut w = DatasetWriter::new(48);
-    for _ in 0..300 {
-        let len = rng.gen_range(1usize..=5);
-        let word: Vec<u8> = (0..len).map(|_| b'a' + rng.gen_range(0u8..4)).collect();
-        w.push(&word);
-    }
-    dfs.put("in", w.finish());
+fn run_fanout(scenario: &Scenario, plan_of: PlanOf) -> (WorkflowMetrics, Vec<Vec<u8>>) {
     let jobs = vec![
         JobBuilder::new("fanout")
             .input("in")
@@ -265,17 +298,7 @@ fn run_fanout(
             .num_reducers(2)
             .build(),
     ];
-    let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
-    engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&jobs);
-    let blocks: Vec<Vec<u8>> = dfs
-        .get("out")
-        .expect("workflow output")
-        .blocks
-        .iter()
-        .map(|b| b.as_ref().to_vec())
-        .collect();
-    (wf, blocks)
+    run_jobs(scenario, plan_of, words(0xFA57, 300, 1..=5, 4, 48), &jobs)
 }
 
 /// Bigram counter: emits a 2-byte key per adjacent byte pair — a wider key
@@ -293,37 +316,81 @@ impl MapTask for BigramMap {
 /// Like [`run`], but a single-cycle bigram count sized past the engine's
 /// shard floor (≥ 4096 records per partition), with the reducer declared
 /// key-local so committed merges genuinely shard.
-fn run_sharded(
-    scenario: &Scenario,
-    plan_of: impl Fn(u64) -> FaultPlan,
-) -> (WorkflowMetrics, Vec<Vec<u8>>) {
-    let dfs = SimDfs::new();
-    let mut rng = StdRng::seed_from_u64(0xB16);
-    let mut w = DatasetWriter::new(2048);
-    for _ in 0..2500 {
-        let len = rng.gen_range(4usize..=9);
-        let word: Vec<u8> = (0..len).map(|_| b'a' + rng.gen_range(0u8..12)).collect();
-        w.push(&word);
-    }
-    dfs.put("in", w.finish());
+fn run_sharded(scenario: &Scenario, plan_of: PlanOf) -> (WorkflowMetrics, Vec<Vec<u8>>) {
     let jobs = vec![JobBuilder::new("bigrams")
         .input("in")
         .mapper(Arc::new(FnMapFactory(|| BigramMap)))
-        .reducer(Arc::new(KeyLocal(FnReduceFactory(|| Sum { to_output: true }))))
+        .reducer(Arc::new(KeyLocal(FnReduceFactory(|| Sum {
+            to_output: true,
+        }))))
         .output("out")
         .num_reducers(2)
         .build()];
-    let mut engine = Engine::with_workers(dfs.clone(), scenario.workers);
-    engine.faults = scenario.fault_seed.map(plan_of);
-    let wf = engine.run_workflow(&jobs);
-    let blocks: Vec<Vec<u8>> = dfs
-        .get("out")
-        .expect("workflow output")
-        .blocks
-        .iter()
-        .map(|b| b.as_ref().to_vec())
-        .collect();
-    (wf, blocks)
+    run_jobs(
+        scenario,
+        plan_of,
+        words(0xB16, 2500, 4..=9, 12, 2048),
+        &jobs,
+    )
+}
+
+/// The attempt ledger by value. Every scenario runner × five fault plans ×
+/// seeds 1–4 × {1, 4} workers must reproduce
+/// `tests/snapshots/fault_ledger_golden.txt`: every counter of every
+/// committed job (the shared [`common::signature`] — attempts, failures,
+/// node loss, stragglers, speculation, waste, backoff, integrity) plus the
+/// workflow recovery ledger. `RAPIDA_UPDATE_SNAPSHOTS=1` rewrites the file;
+/// do that only for a change meant to move the ledger.
+#[test]
+fn fault_ledger_matches_the_golden() {
+    let runners: [(&str, Runner); 4] = [
+        ("words", run),
+        ("uncounted", run_uncounted),
+        ("fanout", run_fanout),
+        ("sharded", run_sharded),
+    ];
+    let plans: [(&str, PlanOf); 5] = [
+        ("chaotic", FaultPlan::chaotic),
+        ("failures_only_0.5", |seed| {
+            FaultPlan::failures_only(seed, 0.5)
+        }),
+        ("node_loss", node_loss_plan),
+        ("map_chaos", map_chaos_plan),
+        ("corrupting", FaultPlan::corrupting),
+    ];
+    let mut got = String::new();
+    for (runner_name, runner) in runners {
+        for (plan_name, plan_of) in plans {
+            for seed in 1..=4u64 {
+                for workers in [1usize, 4] {
+                    let scenario = Scenario {
+                        fault_seed: Some(seed),
+                        workers,
+                    };
+                    let (wf, _) = runner(&scenario, plan_of);
+                    got.push_str(&format!(
+                        "{runner_name} {plan_name} seed={seed} workers={workers}\n"
+                    ));
+                    for m in &wf.jobs {
+                        got.push_str(&format!("  {}\n", common::signature(m)));
+                    }
+                    got.push_str(&format!("  {:?}\n", wf.recovery));
+                }
+            }
+        }
+    }
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/fault_ledger_golden.txt");
+    if std::env::var("RAPIDA_UPDATE_SNAPSHOTS").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &got).unwrap();
+    }
+    let pinned = std::fs::read_to_string(&path)
+        .expect("tests/snapshots/fault_ledger_golden.txt is committed");
+    assert_eq!(
+        got, pinned,
+        "the attempt ledger diverged from the pinned golden"
+    );
 }
 
 /// Under reduce-side chaos the entire attempt ledger — including wasted
@@ -333,35 +400,16 @@ fn run_sharded(
 #[test]
 fn sharded_reduce_ledger_is_worker_count_independent() {
     let cfg = ChaosConfig::from_env();
-    let plan_of = |seed: u64| FaultPlan {
-        reduce_fail_p: 0.7,
-        straggler_p: 0.3,
-        straggler_slowdown: 5.0,
-        speculation: true,
-        ..FaultPlan::new(seed)
-    };
     for seed in &cfg.seeds {
-        let ledgers: Vec<Vec<(u64, u64, u64, u64, u64, String)>> = [1usize, 2, 4, 8]
+        let ledgers: Vec<Vec<String>> = [1usize, 2, 4, 8]
             .iter()
             .map(|&workers| {
                 let s = Scenario {
                     fault_seed: Some(*seed),
                     workers,
                 };
-                let (wf, _) = run_sharded(&s, plan_of);
-                wf.jobs
-                    .iter()
-                    .map(|j| {
-                        (
-                            j.task_attempts(),
-                            j.failed_attempts,
-                            j.wasted_input_records,
-                            j.wasted_output_bytes,
-                            j.speculative_attempts,
-                            format!("{:.6}", j.backoff_s),
-                        )
-                    })
-                    .collect()
+                let (wf, _) = run_sharded(&s, reduce_chaos_plan);
+                wf.jobs.iter().map(common::ledger).collect()
             })
             .collect();
         for l in &ledgers[1..] {
@@ -375,7 +423,7 @@ fn sharded_reduce_ledger_is_worker_count_independent() {
                 fault_seed: Some(*seed),
                 workers: 8,
             };
-            let (wf, _) = run_sharded(&s, plan_of);
+            let (wf, _) = run_sharded(&s, reduce_chaos_plan);
             assert_eq!(
                 wf.jobs.iter().map(|j| j.extra_attempts()).sum::<u64>(),
                 wf.total_retried_attempts() + wf.total_speculative_attempts(),
@@ -433,7 +481,10 @@ fn corruption_ledger_is_worker_count_independent_and_detects() {
             .iter()
             .map(|(blocks, spills, _, _)| blocks + spills)
             .sum();
-        assert!(detected > 0, "seed {seed:#x}: corrupting plan injected nothing");
+        assert!(
+            detected > 0,
+            "seed {seed:#x}: corrupting plan injected nothing"
+        );
     }
 }
 
@@ -487,12 +538,8 @@ fn faulted_runs_ledger_attempts_and_cost_more() {
 /// as both module and macro) — compile-time check via an explicit call.
 #[test]
 fn sweep_callable_directly() {
-    chaos::sweep(
-        "direct",
-        &ChaosConfig::with_seed_count(1),
-        |s| {
-            let (wf, blocks) = run(s, FaultPlan::chaotic);
-            (committed_signature(&wf), blocks)
-        },
-    );
+    chaos::sweep("direct", &ChaosConfig::with_seed_count(1), |s| {
+        let (wf, blocks) = run(s, FaultPlan::chaotic);
+        (committed_signature(&wf), blocks)
+    });
 }

@@ -1,6 +1,7 @@
 //! Execution determinism: rerunning the same job sequence over the same
-//! input must reproduce every measured metric bit-for-bit (everything except
-//! wall-clock), regardless of the worker thread count. The cost model's
+//! input must reproduce every counter bit-for-bit (all of `JobMetrics` but
+//! the measured times, `steals` and `merge_shards` — see `common`),
+//! regardless of the worker thread count. The cost model's
 //! simulated cluster times are derived from these counters, so any
 //! scheduling-dependent wobble here would make every paper figure flaky.
 //!
@@ -8,10 +9,13 @@
 //! a pure function of (key, reducer count) that spreads distinct keys over
 //! every reducer.
 
+mod common;
+
+use common::{committed, signature};
 use rapida_mapred::engine::shuffle_partition;
 use rapida_mapred::{
     DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory, InputSrc, JobBuilder,
-    JobMetrics, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs, WorkflowMetrics,
+    MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs, WorkflowMetrics,
 };
 use rapida_testkit::rng::StdRng;
 use std::sync::Arc;
@@ -100,26 +104,6 @@ fn workflow() -> Vec<rapida_mapred::Job> {
     ]
 }
 
-/// Every JobMetrics field except `wall`, for exact comparison.
-fn signature(m: &JobMetrics) -> (String, bool, usize, usize, [u64; 8]) {
-    (
-        m.name.clone(),
-        m.map_only,
-        m.map_tasks,
-        m.reduce_tasks,
-        [
-            m.input_bytes,
-            m.input_records,
-            m.map_output_records,
-            m.map_output_bytes,
-            m.shuffle_records,
-            m.shuffle_bytes,
-            m.output_records,
-            m.output_bytes,
-        ],
-    )
-}
-
 fn run_with_workers(seed: u64, workers: usize) -> (WorkflowMetrics, Vec<Vec<u8>>) {
     run_with_faults(seed, workers, None)
 }
@@ -133,7 +117,9 @@ fn run_with_faults(
     seeded_input(&dfs, seed);
     let mut engine = Engine::with_workers(dfs.clone(), workers);
     engine.faults = faults;
-    let wf = engine.run_workflow(&workflow());
+    let wf = engine
+        .try_run_workflow(&workflow())
+        .expect("probabilistic fault plans never exhaust the recovery budget");
     let out: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")
@@ -149,7 +135,12 @@ fn rerun_reproduces_workflow_metrics_exactly() {
     let (b, out_b) = run_with_workers(7, 4);
     assert_eq!(a.jobs.len(), b.jobs.len());
     for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
-        assert_eq!(signature(ja), signature(jb), "job {} drifted across reruns", ja.name);
+        assert_eq!(
+            signature(ja),
+            signature(jb),
+            "job {} drifted across reruns",
+            ja.name
+        );
     }
     assert_eq!(out_a, out_b, "output records drifted across reruns");
     // Sanity: the workflow actually exercised all three cycle kinds.
@@ -180,7 +171,8 @@ fn metrics_do_not_depend_on_worker_count() {
 fn outputs_bit_identical_across_workers_with_and_without_faults() {
     // The workers ∈ {1, 2, 8} grid, fault-free and under two fault plans:
     // every combination must reproduce the golden run's committed metrics
-    // AND the exact output bytes (block layout included).
+    // AND the exact output bytes (block layout included), and each plan's
+    // attempt ledger must be the same at every worker count.
     let (golden_wf, golden_out) = run_with_workers(23, 1);
     let plans: [Option<FaultPlan>; 3] = [
         None,
@@ -191,13 +183,21 @@ fn outputs_bit_identical_across_workers_with_and_without_faults() {
         }),
     ];
     for plan in &plans {
+        let (plan_wf, _) = run_with_faults(23, 1, plan.clone());
         for workers in [1usize, 2, 8] {
             let (wf, out) = run_with_faults(23, workers, plan.clone());
-            for (ja, jb) in golden_wf.jobs.iter().zip(&wf.jobs) {
+            for ((ja, jp), jb) in golden_wf.jobs.iter().zip(&plan_wf.jobs).zip(&wf.jobs) {
                 assert_eq!(
-                    signature(ja),
-                    signature(jb),
+                    committed(ja),
+                    committed(jb),
                     "job {} drifted at workers={workers}, faults={:?}",
+                    ja.name,
+                    plan.as_ref().map(|p| p.seed)
+                );
+                assert_eq!(
+                    signature(jp),
+                    signature(jb),
+                    "job {} ledger drifted at workers={workers}, faults={:?}",
                     ja.name,
                     plan.as_ref().map(|p| p.seed)
                 );

@@ -87,7 +87,9 @@ fn run(
     dfs.put("in", w.finish());
     let mut engine = Engine::with_workers(dfs.clone(), 4).with_resilience(policy);
     engine.faults = faults;
-    let wf = engine.run_workflow(&workflow());
+    let wf = engine
+        .try_run_workflow(&workflow())
+        .expect("probabilistic fault plans never exhaust the recovery budget");
     let blocks: Vec<Vec<u8>> = dfs
         .get("out")
         .expect("workflow output")

@@ -163,7 +163,9 @@ fn ladder_cost(plan: Option<FaultPlan>) -> f64 {
         .build();
     let mut engine = Engine::pinned(dfs);
     engine.faults = plan;
-    let wf = engine.run_workflow(&[job]);
+    let wf = engine
+        .try_run_workflow(&[job])
+        .expect("probabilistic fault plans never exhaust the recovery budget");
     ClusterModel::nodes10().workflow_time(&wf)
 }
 

@@ -19,6 +19,9 @@ cargo test -q --workspace --offline
 echo "==> chaos smoke (4 fault seeds x worker counts, incl. corruption sweeps)"
 RAPIDA_CHAOS_SEEDS=4 cargo test -q --offline -p rapida-mapred --test chaos
 
+echo "==> attempt ledger golden (map + reduce attempt scripts vs tests/snapshots/fault_ledger_golden.txt)"
+cargo test -q --offline -p rapida-mapred --test chaos -- --exact fault_ledger_matches_the_golden
+
 echo "==> integrity smoke (checksum quarantine + checksums-off divergence)"
 cargo test -q --offline -p rapida-mapred --test integrity --test recover
 
@@ -28,8 +31,8 @@ cargo test -q --offline -p rapida-mapred --test prop_shuffle --test prop_shard_m
 echo "==> one ordering kernel (the comparison sort, the chunked thread sort and the loser tree stay deleted)"
 if grep -rnE 'LoserTree|sort_unstable_with|Run::select' crates/*/src; then echo "FAIL: a second shuffle ordering is back" >&2; exit 1; fi
 
-echo "==> no panicking workflow runs outside the engine (callers use try_run_workflow)"
-if grep -rnw 'run_workflow' crates/*/src | grep -v '^crates/mapred/src/engine.rs:'; then echo "FAIL: a caller of the panicking run_workflow is back" >&2; exit 1; fi
+echo "==> one attempt script (the map-side retry loop, its ledger mirror, the straggler slowdown knob and the panicking run_workflow stay deleted)"
+if grep -rnwE 'FaultStats|run_map_task|straggler_slowdown|fn run_workflow' crates/*/src; then echo "FAIL: a second fault-attempt path is back" >&2; exit 1; fi
 
 echo "==> scale smoke (worker-count determinism matrix)"
 cargo test -q --offline --test scale_identity
