@@ -1,4 +1,4 @@
-//! Shuffle data-path microbench: the arena-backed sorted-run merge engine
+//! Shuffle data-path microbench: the arena-backed emit-order run merge engine
 //! against an in-bench reimplementation of the legacy shuffle (per-record
 //! `(Vec<u8>, Vec<u8>)` pairs, reduce-side concatenation + one stable sort
 //! per partition) over the same 1M-record workload.

@@ -5,8 +5,12 @@
 //! length-prefixed byte strings, and length-prefixed records inside blocks.
 //! Shuffle data and materialized intermediates are genuinely serialized
 //! through this module, which keeps the simulator's byte counts honest.
+//!
+//! The shuffle's emit arena, [`KvBuffer`], keeps pairs in emit order: a map
+//! task's output and each of its per-partition spills alike. Nothing here
+//! orders keys — the reduce-side merge does ([`crate::merge`]).
 
-use crate::radix::{self, SortEnt};
+use crate::radix;
 
 /// Append a LEB128 varint.
 #[inline]
@@ -167,12 +171,16 @@ struct KvEnt {
 /// contiguous `data` arena (`key` immediately followed by `value`), located
 /// through a compact offset table. This replaces per-record
 /// `(Vec<u8>, Vec<u8>)` heap pairs on the shuffle path — emitting a pair is
-/// two `extend_from_slice` calls into an amortized arena, and sorting moves
-/// 16-byte table entries instead of 48-byte pair structs, never the payload.
+/// two `extend_from_slice` calls into an amortized arena. Pairs stay in emit
+/// order; the reduce-side merge orders 16-byte sort entries over them, never
+/// the payload.
 #[derive(Default, Clone)]
 pub struct KvBuffer {
     data: Vec<u8>,
     ents: Vec<KvEnt>,
+    /// The length of the prefix every key shares, when the writer measured
+    /// it ([`KvBuffer::record_shared_prefix`]); every later write clears it.
+    shared: Option<usize>,
 }
 
 impl KvBuffer {
@@ -186,6 +194,7 @@ impl KvBuffer {
         KvBuffer {
             data: Vec::with_capacity(payload_bytes),
             ents: Vec::with_capacity(records),
+            shared: None,
         }
     }
 
@@ -200,6 +209,7 @@ impl KvBuffer {
             klen: key.len() as u32,
             vlen: value.len() as u32,
         });
+        self.shared = None;
     }
 
     /// Number of pairs.
@@ -218,13 +228,6 @@ impl KvBuffer {
         self.data.len() as u64
     }
 
-    /// Key + value bytes of pair `i`.
-    #[inline]
-    pub fn pair_bytes(&self, i: usize) -> u64 {
-        let e = self.ents[i];
-        u64::from(e.klen) + u64::from(e.vlen)
-    }
-
     /// Key bytes of pair `i`.
     #[inline]
     pub fn key(&self, i: usize) -> &[u8] {
@@ -240,18 +243,12 @@ impl KvBuffer {
         &self.data[start..start + e.vlen as usize]
     }
 
-    /// Pair `i` as a [`KvRef`].
-    #[inline]
-    pub fn kv(&self, i: usize) -> KvRef<'_> {
-        KvRef {
-            key: self.key(i),
-            value: self.value(i),
-        }
-    }
-
-    /// Iterate pairs in table order.
+    /// Iterate pairs in emit order.
     pub fn iter(&self) -> impl Iterator<Item = KvRef<'_>> {
-        (0..self.len()).map(|i| self.kv(i))
+        self.ents.iter().map(|e| {
+            let (key, rest) = self.data[e.off as usize..].split_at(e.klen as usize);
+            KvRef { key, value: &rest[..e.vlen as usize] }
+        })
     }
 
     /// Flip one bit inside pair `i`'s key (`in_value == false`) or value
@@ -268,29 +265,20 @@ impl KvBuffer {
         let span = if in_value { e.vlen } else { e.klen } as usize;
         debug_assert!(span > 0, "flip target span must be non-empty");
         self.data[start + (bit % (span * 8)) / 8] ^= 1 << (bit % 8);
+        self.shared = None;
     }
 
-    /// Append every pair of `other` (copies its arena and rebases its
-    /// offset table) — bulk concatenation for shard-ordered reassembly.
-    pub fn append(&mut self, other: &KvBuffer) {
-        let base = self.data.len() as u64;
-        self.data.extend_from_slice(&other.data);
-        self.ents
-            .extend(other.ents.iter().map(|e| KvEnt { off: e.off + base, ..*e }));
+    /// Length of the prefix every key shares: the recorded value, else one
+    /// pass over the keys.
+    pub(crate) fn shared_prefix(&self) -> usize {
+        self.shared.unwrap_or_else(|| radix::shared_prefix(self.iter().map(|kv| kv.key)))
     }
 
-    /// Sort the offset table by `(key bytes, insertion order)` without
-    /// touching the payload arena: one pass measures the prefix every key
-    /// shares, one builds a sort entry per pair, and the radix kernel
-    /// orders those. Equal keys keep emit order — the shuffle's
-    /// determinism contract — so the result is what a stable key-only sort
-    /// would produce.
-    pub fn sort_unstable(&mut self) {
-        let skip = radix::shared_prefix((0..self.len()).map(|i| self.key(i)));
-        let mut order: Vec<SortEnt> =
-            (0..self.len()).map(|i| SortEnt::new(&self.key(i)[skip..], i)).collect();
-        radix::sort(&mut order, |i| &self.key(i as usize)[skip..]);
-        self.ents = order.iter().map(|e| self.ents[e.idx as usize]).collect();
+    /// Record `n` as the length of the prefix every key shares, measured by
+    /// a writer that read every key anyway (`engine::spill`).
+    pub(crate) fn record_shared_prefix(&mut self, n: usize) {
+        debug_assert_eq!(n, radix::shared_prefix(self.iter().map(|kv| kv.key)));
+        self.shared = Some(n);
     }
 }
 
@@ -449,46 +437,16 @@ mod tests {
         b.push(b"beta", b"");
         assert_eq!(b.len(), 3);
         assert_eq!(b.payload_bytes(), (5 + 1 + 9 + 4) as u64);
-        assert_eq!(b.kv(0), KvRef { key: b"alpha", value: b"1" });
-        assert_eq!(b.kv(1), KvRef { key: b"", value: b"empty-key" });
-        assert_eq!(b.kv(2), KvRef { key: b"beta", value: b"" });
-        assert_eq!(b.pair_bytes(0), 6);
-        assert_eq!(b.iter().count(), 3);
-    }
-
-    #[test]
-    fn kvbuffer_sort_is_stable_for_equal_keys() {
-        let mut b = KvBuffer::new();
-        b.push(b"b", b"1");
-        b.push(b"a", b"2");
-        b.push(b"b", b"3");
-        b.push(b"a", b"4");
-        b.sort_unstable();
-        let got: Vec<(&[u8], &[u8])> = b.iter().map(|kv| (kv.key, kv.value)).collect();
-        // Equal keys keep emit order — the shuffle's determinism contract.
+        let got: Vec<KvRef<'_>> = b.iter().collect();
         assert_eq!(
             got,
-            vec![
-                (&b"a"[..], &b"2"[..]),
-                (&b"a"[..], &b"4"[..]),
-                (&b"b"[..], &b"1"[..]),
-                (&b"b"[..], &b"3"[..]),
+            [
+                KvRef { key: b"alpha", value: b"1" },
+                KvRef { key: b"", value: b"empty-key" },
+                KvRef { key: b"beta", value: b"" },
             ]
         );
-    }
-
-    #[test]
-    fn kvbuffer_append_rebases_offsets() {
-        let mut a = KvBuffer::new();
-        a.push(b"k1", b"v1");
-        let mut b = KvBuffer::new();
-        b.push(b"k2", b"v22");
-        b.push(b"k3", b"");
-        a.append(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.kv(0), KvRef { key: b"k1", value: b"v1" });
-        assert_eq!(a.kv(1), KvRef { key: b"k2", value: b"v22" });
-        assert_eq!(a.kv(2), KvRef { key: b"k3", value: b"" });
+        assert_eq!((b.key(1), b.value(1)), (&b""[..], &b"empty-key"[..]));
     }
 
     #[test]

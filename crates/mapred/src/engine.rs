@@ -1,16 +1,16 @@
 //! The MapReduce execution engine: work-stealing parallel map over splits,
-//! arena-backed map-side sorted runs, a radix-merge shuffle, shard-parallel
+//! arena-backed emit-order spills, a radix-merge shuffle, shard-parallel
 //! grouped reduce — a faithful in-process model of the Hadoop execution
 //! cycle, with real serialization at every boundary.
 //!
 //! Data path (see DESIGN.md "Zero-copy shuffle data path"): map tasks emit
-//! into one contiguous [`KvBuffer`] arena per task; the arena's offset table
-//! is sorted once map-side by `(key, emit order)` (also feeding the combiner
-//! a grouped pass) and spilled into compact per-`(task, partition)` sorted
-//! arenas; the reduce side gathers those pre-sorted runs — each read front
-//! to back — orders the gathered entries with the same radix kernel and
-//! hands key groups straight to the reducer. No materialized `Vec` of pairs,
-//! no per-record heap allocation.
+//! into one contiguous [`KvBuffer`] arena per task, which is spilled, in
+//! emit order, into compact per-`(task, partition)` arenas; a combiner, if
+//! set, first groups the task's output through the reduce side's merge. The
+//! reduce side gathers those runs — each read front to back — orders the
+//! gathered entries with the crate's one radix kernel and hands key groups
+//! straight to the reducer: each pair is ordered once. No materialized `Vec`
+//! of pairs, no per-record heap allocation.
 //!
 //! Parallel structure (see DESIGN.md §2e): both phases run through the
 //! work-stealing [`pool`], and both are *flattened* into pool units by one
@@ -19,10 +19,10 @@
 //! a map unit over (a prefix of) its split, a reduce unit over (a prefix
 //! of) the partition's serial merge, so the waste ledger is
 //! worker-count-independent — plus the committed attempt. The committed
-//! reduce merge is cut into key-range shards ([`crate::merge::plan_shards`])
-//! whenever the reducer declares itself key-local; shard outputs
-//! concatenate in range order into the exact byte stream of the serial
-//! merge.
+//! reduce merge is cut into key-range shards ([`crate::merge::plan_shards`],
+//! routed by [`crate::merge::Route`] in a pool pass of their own) whenever
+//! the reducer declares itself key-local; shard outputs concatenate in range
+//! order into the exact byte stream of the serial merge.
 
 use crate::bytes::Bytes;
 use crate::cache::ScanCache;
@@ -31,7 +31,7 @@ use crate::dfs::{Dataset, SimDfs};
 use crate::fault::{FaultPlan, Outcome, TaskKind};
 use crate::integrity;
 use crate::job::{InputSrc, Job, MapOutput, ReduceOutput};
-use crate::merge::{merge_key_groups, plan_shards, Run};
+use crate::merge::{merge_key_groups, plan_shards, Route, Run};
 use crate::metrics::{JobMetrics, RecoveryLedger, WorkflowMetrics};
 use crate::pool;
 use crate::resilience::{ResiliencePolicy, WorkflowError};
@@ -67,6 +67,35 @@ pub struct Engine {
     /// never runs) and inserted on miss. `None` (the default) leaves the
     /// execution path untouched.
     pub scan_cache: Option<ScanCache>,
+}
+
+/// Spill a map task's output: one exact-size arena per reduce partition,
+/// its pairs in emit order. The counting pass, which reads every key anyway,
+/// also records the prefix each arena's keys share for the merge's entries.
+#[doc(hidden)]
+pub fn spill(kvs: &KvBuffer, num_partitions: usize) -> Vec<KvBuffer> {
+    let mut pidx: Vec<u32> = Vec::with_capacity(kvs.len());
+    // Per partition: pairs, payload bytes, first key, shared prefix.
+    let mut counts = vec![(0usize, 0usize, &[][..], 0usize); num_partitions];
+    for kv in kvs.iter() {
+        let p = shuffle_partition(kv.key, num_partitions);
+        pidx.push(p as u32);
+        let (n, bytes, first, shared) = &mut counts[p];
+        if *n == 0 {
+            (*first, *shared) = (kv.key, kv.key.len());
+        }
+        *shared = crate::radix::extend_shared_prefix(first, *shared, kv.key);
+        (*n, *bytes) = (*n + 1, *bytes + kv.key.len() + kv.value.len());
+    }
+    let mut parts: Vec<KvBuffer> =
+        (counts.iter()).map(|&(n, bytes, ..)| KvBuffer::with_capacity(n, bytes)).collect();
+    for (kv, &p) in kvs.iter().zip(&pidx) {
+        parts[p as usize].push(kv.key, kv.value);
+    }
+    for (part, &(.., shared)) in parts.iter_mut().zip(&counts) {
+        part.record_shared_prefix(shared);
+    }
+    parts
 }
 
 /// Frame a committed attempt's output records into block bytes. Runs inside
@@ -118,8 +147,7 @@ enum UnitKind {
     /// A straggler attempt superseded by its speculative duplicate: a full
     /// pass, output discarded as waste.
     WastedFull,
-    /// The committed attempt (reduce: over a key-range shard of the
-    /// partition).
+    /// The committed attempt (reduce: one key-range shard of the partition).
     Committed,
 }
 
@@ -467,9 +495,9 @@ impl Engine {
 
         let num_partitions = job.num_reducers.max(1);
         // Per-map-task results, merged after the parallel section.
-        // `parts[p]` is the task's compact, key-sorted spill arena for
-        // reduce partition `p` — one pre-sorted run per (task, partition),
-        // ready for the reduce-side merge to gather sequentially.
+        // `parts[p]` is the task's compact, emit-order spill arena for
+        // reduce partition `p` — one run per (task, partition), ready for
+        // the reduce-side merge to gather sequentially.
         struct MapResult {
             parts: Vec<KvBuffer>,
             /// FNV-1a checksum of each spill in `parts`, recorded at spill
@@ -496,8 +524,8 @@ impl Engine {
         // Results come back in unit order — committed attempts in task
         // order, the canonical order downstream block layout and equal-key
         // value order depend on — regardless of worker count, steal
-        // interleaving, or faults. Only the committed attempt sorts,
-        // combines and spills; a lost one reports its waste.
+        // interleaving, or faults. Only the committed attempt combines and
+        // spills; a lost one reports its waste.
         let (map_outs, map_pool) = pool::run_tasks(workers, units, |_, (di, block, kind)| {
             let mut task = job.mapper.create();
             let mut out = MapOutput::default();
@@ -521,46 +549,17 @@ impl Engine {
             let mut kvs = std::mem::take(&mut out.kvs);
             let mut parts: Vec<KvBuffer> = Vec::new();
             if !job.is_map_only() {
-                // Map-side sort: one offset-table sort per task, by (key,
-                // emit order). The payload arena never moves.
-                kvs.sort_unstable();
-                // Map-side combiner: pass the sorted run's key groups
-                // through the combiner and sort its output the same way —
-                // Hadoop's combiner contract.
-                if let Some(comb) = &job.combiner {
-                    if !kvs.is_empty() {
-                        let mut ctask = comb.create();
-                        let mut cout = ReduceOutput::default();
-                        merge_key_groups(&[Run::sorted(&kvs)], None, |key, values| {
-                            ctask.reduce(key, values, &mut cout);
-                        });
-                        ctask.cleanup(&mut cout);
-                        corrupt_records += cout.corrupt_records;
-                        kvs = cout.kvs;
-                        kvs.sort_unstable();
-                    }
+                // Map-side combiner over the task's key groups, values in
+                // emit order; its output is spilled as it was emitted.
+                if let Some(comb) = job.combiner.as_ref().filter(|_| !kvs.is_empty()) {
+                    let mut ctask = comb.create();
+                    let mut cout = ReduceOutput::default();
+                    merge_key_groups(&[Run::new(&kvs)], None, |k, v| ctask.reduce(k, v, &mut cout));
+                    ctask.cleanup(&mut cout);
+                    corrupt_records += cout.corrupt_records;
+                    kvs = cout.kvs;
                 }
-                // Spill: copy each partition's pairs — scanning in sorted
-                // order, so every spill stays key-sorted with equal keys in
-                // emit order — into a compact per-partition arena. The
-                // reduce-side merge then reads each run front to back,
-                // sequentially. An exact-size counting pass first, so the
-                // spill arenas never reallocate.
-                let mut pidx: Vec<u32> = Vec::with_capacity(kvs.len());
-                let mut counts = vec![(0usize, 0u64); num_partitions];
-                for i in 0..kvs.len() {
-                    let p = shuffle_partition(kvs.key(i), num_partitions);
-                    pidx.push(p as u32);
-                    counts[p].0 += 1;
-                    counts[p].1 += kvs.pair_bytes(i);
-                }
-                parts = counts
-                    .iter()
-                    .map(|&(n, bytes)| KvBuffer::with_capacity(n, bytes as usize))
-                    .collect();
-                for i in 0..kvs.len() {
-                    parts[pidx[i] as usize].push(kvs.key(i), kvs.value(i));
-                }
+                parts = spill(&kvs, num_partitions);
             }
             let spill_sums = if spill_guard {
                 parts.iter().map(integrity::kv_checksum).collect()
@@ -645,51 +644,51 @@ impl Engine {
             // Map-only: one output block per non-empty map task.
             commit(map_results.iter_mut().map(|r| std::mem::take(&mut r.block)))
         } else {
-            // Shuffle: hand each partition its ordered list of pre-sorted
-            // runs, accounting shuffle volume off the offset tables in the
-            // same pass — nothing is concatenated or re-sorted.
-            let mut part_runs: Vec<Vec<Run<'_>>> =
-                (0..num_partitions).map(|_| Vec::new()).collect();
-            let mut part_records: Vec<usize> = vec![0; num_partitions];
+            // Shuffle: hand each partition its spills in map-task order,
+            // accounting shuffle volume off the offset tables in the same
+            // pass — nothing is concatenated or copied.
+            let mut part_spills: Vec<Vec<&KvBuffer>> = vec![Vec::new(); num_partitions];
             for r in &map_results {
-                for (p, spill) in r.parts.iter().enumerate() {
-                    if spill.is_empty() {
-                        continue;
-                    }
-                    metrics.shuffle_records += spill.len() as u64;
-                    metrics.shuffle_bytes += spill.payload_bytes();
-                    part_records[p] += spill.len();
-                    part_runs[p].push(Run::sorted(spill));
+                for (p, part) in r.parts.iter().enumerate().filter(|(_, part)| !part.is_empty()) {
+                    metrics.shuffle_records += part.len() as u64;
+                    metrics.shuffle_bytes += part.payload_bytes();
+                    part_spills[p].push(part);
                 }
             }
-            metrics.reduce_tasks = part_runs.iter().filter(|rs| !rs.is_empty()).count();
+            let pairs = |ss: &[&KvBuffer]| ss.iter().map(|b| b.len()).sum::<usize>();
+            metrics.reduce_tasks = part_spills.iter().filter(|ss| !ss.is_empty()).count();
+
+            // A committed merge of a key-local reducer is cut into key-range
+            // shards: cut keys from a sample, serially, then one pool pass
+            // routes each spill, so a shard unit gathers only its own pairs.
+            let reducer = job.reducer.as_ref().expect("checked map_only");
+            let (key_local, nonempty) = (reducer.key_local(), metrics.reduce_tasks);
+            let cuts: Vec<Vec<&[u8]>> = (part_spills.iter())
+                .map(|ss| plan_shards(ss, shard_count(workers, key_local, nonempty, pairs(ss))))
+                .collect();
+            let to_route: Vec<(&KvBuffer, &[&[u8]])> = (part_spills.iter().zip(&cuts))
+                .flat_map(|(ss, cuts)| ss.iter().map(move |&b| (b, cuts.as_slice())))
+                .filter(|(_, cuts)| !cuts.is_empty())
+                .collect();
+            let (routes, route_pool) =
+                pool::run_tasks(workers, to_route, |_, (buf, cuts)| Route::new(buf, cuts));
+            let mut routes = routes.iter();
 
             // Reduce phase: flatten every partition into pool units by its
             // attempt script, computed here, serially, before any unit runs.
-            // Doomed and superseded attempts always merge the full partition
-            // on one unit (their kill points are defined against the serial
-            // merge); only the committed merge is cut into key-range
-            // shards, and only when the reducer declares itself key-local.
-            let reducer = job.reducer.as_ref().expect("checked map_only");
-            let key_local = reducer.key_local();
-            let nonempty = metrics.reduce_tasks;
+            // Doomed and superseded attempts merge the whole partition on one
+            // unit: their kill points are defined against the serial merge.
             let mut units: Vec<(usize, Vec<Run<'_>>, UnitKind)> = Vec::new();
-            for (p_idx, (runs, total)) in part_runs
-                .iter()
-                .zip(part_records)
-                .enumerate()
-                .filter(|(_, (runs, _))| !runs.is_empty())
-            {
-                let shards = shard_count(workers, key_local, nonempty, total);
-                let script =
-                    attempt_script(plan, job, TaskKind::Reduce, p_idx, || total, &mut metrics);
-                for kind in script {
-                    if kind == UnitKind::Committed {
-                        for shard in plan_shards(runs, shards) {
-                            units.push((p_idx, shard, kind));
-                        }
-                    } else {
-                        units.push((p_idx, runs.clone(), kind));
+            let parts = part_spills.iter().zip(&cuts).enumerate();
+            for (p_idx, (ss, cuts)) in parts.filter(|(_, (ss, _))| !ss.is_empty()) {
+                let routed = if cuts.is_empty() { 0 } else { ss.len() };
+                let rts: Vec<&Route<'_>> = routes.by_ref().take(routed).collect();
+                let n = || pairs(ss);
+                for kind in attempt_script(plan, job, TaskKind::Reduce, p_idx, n, &mut metrics) {
+                    match kind {
+                        UnitKind::Committed if routed > 0 => units.extend((0..=cuts.len())
+                            .map(|s| (p_idx, rts.iter().map(|r| r.shard(s)).collect(), kind))),
+                        _ => units.push((p_idx, ss.iter().copied().map(Run::new).collect(), kind)),
                     }
                 }
             }
@@ -716,9 +715,10 @@ impl Engine {
                     }
                     (p_idx, Ok((frame(&out.records), out.corrupt_records)))
                 });
-            metrics.reduce_busy_max_ns = reduce_pool.makespan_ns();
-            metrics.reduce_busy_total_ns = reduce_pool.total_busy_ns();
-            metrics.steals += reduce_pool.steals;
+            // The routing pass runs before the units: its busy time adds on.
+            metrics.reduce_busy_max_ns = route_pool.makespan_ns() + reduce_pool.makespan_ns();
+            metrics.reduce_busy_total_ns = route_pool.total_busy_ns() + reduce_pool.total_busy_ns();
+            metrics.steals += route_pool.steals + reduce_pool.steals;
 
             // Stitch committed shard outputs — framed inside their units —
             // back into one block per partition (unit order is already

@@ -7,11 +7,11 @@
 //! measured, not estimated.
 //!
 //! The shuffle data path is zero-copy: map tasks emit into contiguous
-//! arenas ([`KvBuffer`] / [`RecBuffer`]), each task's output is sorted once
-//! map-side by permuting its offset table, and the reduce side merges the
-//! pre-sorted runs ([`merge`]) into key groups handed straight to reducers —
-//! no per-record heap pairs. Both sides order keys with one radix kernel
-//! (`radix`). See `DESIGN.md`, "Zero-copy shuffle data path".
+//! arenas ([`KvBuffer`] / [`RecBuffer`]) and spill them per partition in
+//! emit order, and the reduce side orders the gathered runs once, with one
+//! radix kernel (`radix`), into key groups handed straight to reducers
+//! ([`merge`]) — no per-record heap pairs. See `DESIGN.md`, "Zero-copy
+//! shuffle data path".
 //!
 //! Components:
 //! * [`bytes`] — the cheap-clone immutable byte buffer ([`Bytes`]) blocks
@@ -20,8 +20,8 @@
 //!   can be served from instead of re-running.
 //! * [`codec`] — varint record encoding shared by all operators, plus the
 //!   [`KvBuffer`] / [`RecBuffer`] emit arenas.
-//! * [`merge`] — sorted runs, their key-range shards and the reduce-side
-//!   merge into key groups.
+//! * [`merge`] — spill runs, their key-range shards and routes, and the
+//!   reduce-side merge into key groups.
 //! * [`dfs`] — the simulated DFS ([`SimDfs`]) holding named datasets of
 //!   splits.
 //! * [`job`] — job specs with Hadoop-style task lifecycles (map / combiner /
@@ -63,7 +63,7 @@ pub use codec::{KvBuffer, KvRef, RecBuffer};
 pub use cost::ClusterModel;
 pub use dfs::{Dataset, DatasetWriter, IntegrityReport, SimDfs};
 pub use engine::{shuffle_partition, Engine};
-pub use merge::{merge_key_groups, plan_shards, Run};
+pub use merge::{merge_key_groups, plan_shards, Route, Run};
 pub use fault::{FaultPlan, Outcome, TaskKind};
 pub use job::{
     FnMapFactory, FnReduceFactory, InputSrc, Job, JobBuilder, KeyLocal, MapOutput, MapTask,

@@ -1,9 +1,7 @@
 //! The shuffle's one ordering kernel: a stable LSD radix sort over 16-byte
-//! sort entries. The map side runs it once per task ([`KvBuffer::sort_unstable`])
-//! and the reduce side once per merge unit ([`crate::merge::merge_key_groups`]);
-//! nothing else in the crate orders keys. DESIGN.md §2c has the order proof.
-//!
-//! [`KvBuffer::sort_unstable`]: crate::KvBuffer::sort_unstable
+//! sort entries. Its one caller is [`crate::merge::merge_key_groups`] — per
+//! reduce merge unit, and per map task with a combiner; nothing else in the
+//! crate orders keys. DESIGN.md §2c has the order proof.
 
 /// Sort entry: what decides almost every key comparison, without touching
 /// the payload arena.
@@ -14,7 +12,7 @@ pub(crate) struct SortEnt {
     pub(crate) prefix: u64,
     /// Key length in bytes, not counting the shared prefix.
     pub(crate) len: u32,
-    /// Input position: emit order map-side, gather order reduce-side.
+    /// Input position: gather order, which is `(run, emit)` order.
     pub(crate) idx: u32,
 }
 
@@ -60,17 +58,19 @@ impl SortEnt {
     }
 }
 
-/// Length of the prefix every key of `keys` shares: bytes that decide no
-/// comparison, so sort entries describe what follows them.
+/// Length of the prefix every key of `keys` shares: bytes that decide no comparison.
 pub(crate) fn shared_prefix<'k>(mut keys: impl Iterator<Item = &'k [u8]>) -> usize {
     let Some(first) = keys.next() else { return 0 };
-    keys.fold(first.len(), |lcp, k| {
-        first[..lcp]
-            .iter()
-            .zip(k)
-            .take_while(|(x, y)| x == y)
-            .count()
-    })
+    keys.fold(first.len(), |lcp, k| extend_shared_prefix(first, lcp, k))
+}
+
+/// The shared prefix once `key` joins keys sharing `first[..lcp]`; most keep it whole.
+#[inline]
+pub(crate) fn extend_shared_prefix(first: &[u8], lcp: usize, key: &[u8]) -> usize {
+    match key.get(..lcp) == Some(&first[..lcp]) {
+        true => lcp,
+        false => first[..lcp].iter().zip(key).take_while(|(x, y)| x == y).count(),
+    }
 }
 
 /// Below this many entries an integer comparison sort on the same digits

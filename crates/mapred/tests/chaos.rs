@@ -40,7 +40,7 @@ impl MapTask for FilterMap {
 }
 
 /// Shuffle-heavy mapper: emits one pair per byte of the record (so every
-/// map task produces several sorted runs with heavy key overlap) plus a
+/// map task produces several runs with heavy key overlap) plus a
 /// per-record length marker — exercises the reduce-side run merge with
 /// many equal keys spread across every task.
 struct FanoutMap;

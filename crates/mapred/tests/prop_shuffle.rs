@@ -13,7 +13,7 @@ use rapida_mapred::{
     shuffle_partition, DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job,
     JobBuilder, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
 };
-use rapida_mapred::{merge_key_groups, plan_shards, Run};
+use rapida_mapred::{merge_key_groups, plan_shards, Route, Run};
 use std::sync::Arc;
 
 /// Mapper used by both engines: writes records through (map-only output)
@@ -346,18 +346,15 @@ fn drawn(pool: &[Vec<u8>], n: usize, seed: u64) -> KvBuffer {
     buf
 }
 
-fn pairs_of(buf: &KvBuffer) -> Vec<(Vec<u8>, Vec<u8>)> {
-    buf.iter().map(|kv| (kv.key.to_vec(), kv.value.to_vec())).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// `sort_unstable` equals a plain `(key bytes, emit index)` sort at
-    /// every size from empty, through the small-n cut-over, to one well
-    /// past the histograms' fixed cost, with
-    /// every key drawn from a small pool (so duplicates are heavy) of each
-    /// shape, with and without a buffer-wide shared prefix.
+    /// The merge of one emit-order run — the radix kernel alone, as a map
+    /// task's combiner pass runs it — equals a plain `(key bytes, emit
+    /// index)` sort at every size from empty, through the small-n cut-over,
+    /// to one well past the histograms' fixed cost, with every key drawn
+    /// from a small pool (so duplicates are heavy) of each shape, with and
+    /// without a buffer-wide shared prefix.
     #[test]
     fn prefix_entry_sort_matches_bytewise_reference(
         raw in proptest::collection::vec(
@@ -375,9 +372,11 @@ proptest! {
                 .iter()
                 .map(|&i| (buf.key(i).to_vec(), buf.value(i).to_vec()))
                 .collect();
-            let mut got = buf.clone();
-            got.sort_unstable();
-            prop_assert_eq!(&pairs_of(&got), &want, "n = {}", n);
+            let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            merge_key_groups(&[Run::new(&buf)], None, |k, vs| {
+                got.extend(vs.iter().map(|v| (k.to_vec(), v.to_vec())));
+            });
+            prop_assert_eq!(&got, &want, "n = {}", n);
         }
     }
 }
@@ -385,12 +384,17 @@ proptest! {
 /// Key groups as `merge_key_groups` reports them.
 type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 
-/// The reference merge: concatenate the runs in run order, stable-sort by
-/// key alone, keep the first `limit` pairs, group.
-fn reference_groups(runs: &[Run<'_>], limit: usize) -> Groups {
-    let mut pairs: Vec<(&[u8], &[u8])> = runs
-        .iter()
-        .flat_map(|r| (0..r.len()).map(move |i| (r.key(i), r.value(i))))
+/// A key range `[lo, hi)`; an open bound is `None`.
+type Range<'a> = (Option<&'a [u8]>, Option<&'a [u8]>);
+
+/// The reference merge: concatenate the spills in run order, keep the pairs
+/// whose keys lie in `range`, stable-sort by key alone, keep the first
+/// `limit` pairs, group.
+fn reference_groups(bufs: &[KvBuffer], (lo, hi): Range<'_>, limit: usize) -> Groups {
+    let admits = |k: &[u8]| lo.is_none_or(|lo| k >= lo) && hi.is_none_or(|hi| k < hi);
+    let mut pairs: Vec<(&[u8], &[u8])> = (bufs.iter().flat_map(KvBuffer::iter))
+        .filter(|kv| admits(kv.key))
+        .map(|kv| (kv.key, kv.value))
         .collect();
     pairs.sort_by(|a, b| a.0.cmp(b.0));
     let mut out: Groups = Vec::new();
@@ -414,17 +418,20 @@ fn merged_groups(runs: &[Run<'_>], limit: Option<usize>) -> (usize, Groups) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `merge_key_groups` equals the reference merge on hostile runs —
-    /// empty runs, runs over every key-pool shape, and the windows
-    /// `plan_shards` cuts — at `limit` none, 0, one pair into the first
-    /// group of two or more, and the total.
+    /// `merge_key_groups` equals the reference merge on hostile emit-order
+    /// runs — empty runs, runs of a few pairs (whose own shared prefix is
+    /// often longer than the unit's), runs over every key-pool shape, and
+    /// each shard of `plan_shards`' cuts as its `Route`s gather it, checked
+    /// against the shard's own half-open key range — at `limit` none, 0, one
+    /// pair into the first group of two or more, and the total. The shards,
+    /// merged in order, also concatenate to the whole merge.
     #[test]
     fn merge_key_groups_matches_stable_sort_reference(
         raw in proptest::collection::vec(
             (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..12)), 1..16),
         shape in 0u8..4,
         tag in proptest::collection::vec(any::<u8>(), 0..6),
-        sizes in proptest::collection::vec(0usize..300, 0..9),
+        sizes in proptest::collection::vec(prop_oneof![0usize..4, 0usize..300], 0..9),
         shards in 1usize..6,
         seed in any::<u64>(),
     ) {
@@ -432,18 +439,25 @@ proptest! {
         let bufs: Vec<KvBuffer> = sizes
             .iter()
             .enumerate()
-            .map(|(r, &n)| {
-                let mut buf = drawn(&pool, n, seed ^ r as u64);
-                buf.sort_unstable();
-                buf
-            })
+            .map(|(r, &n)| drawn(&pool, n, seed ^ r as u64))
             .collect();
-        let runs: Vec<Run<'_>> = bufs.iter().map(Run::sorted).collect();
-        let mut units = vec![runs.clone()];
-        units.extend(plan_shards(&runs, shards));
-        for unit in &units {
-            let total: usize = unit.iter().map(Run::len).sum();
-            let all = reference_groups(unit, total);
+        let spills: Vec<&KvBuffer> = bufs.iter().collect();
+        let cuts = plan_shards(&spills, shards);
+        let routes: Vec<Route<'_>> = bufs.iter().map(|b| Route::new(b, &cuts)).collect();
+        // The whole partition, then each shard with the range it must hold.
+        let mut units: Vec<(Vec<Run<'_>>, Range<'_>)> =
+            vec![(bufs.iter().map(Run::new).collect(), (None, None))];
+        for s in 0..=cuts.len() {
+            let range = (s.checked_sub(1).map(|i| cuts[i]), cuts.get(s).copied());
+            units.push((routes.iter().map(|rt| rt.shard(s)).collect(), range));
+        }
+        let whole = reference_groups(&bufs, (None, None), usize::MAX);
+        let concat: Groups =
+            units[1..].iter().flat_map(|(u, _)| merged_groups(u, None).1).collect();
+        prop_assert_eq!(&concat, &whole, "shards concatenate to the whole merge");
+        for (unit, range) in &units {
+            let all = reference_groups(&bufs, *range, usize::MAX);
+            let total: usize = all.iter().map(|(_, vs)| vs.len()).sum();
             let mid = all
                 .iter()
                 .scan(0, |start, (_, vs)| {
@@ -455,7 +469,7 @@ proptest! {
                 .map_or(total / 2, |(at, _)| at + 1);
             prop_assert_eq!(merged_groups(unit, None), (total, all.clone()));
             for limit in [0, mid, total] {
-                let want = reference_groups(unit, limit);
+                let want = reference_groups(&bufs, *range, limit);
                 prop_assert_eq!(merged_groups(unit, Some(limit)), (limit, want), "limit {}", limit);
             }
         }

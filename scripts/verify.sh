@@ -25,11 +25,16 @@ cargo test -q --offline -p rapida-mapred --test chaos -- --exact fault_ledger_ma
 echo "==> integrity smoke (checksum quarantine + checksums-off divergence)"
 cargo test -q --offline -p rapida-mapred --test integrity --test recover
 
-echo "==> shuffle ordering smoke (radix kernel + merge vs bytewise/stable-sort references; allocation budget)"
-cargo test -q --offline -p rapida-mapred --test prop_shuffle --test prop_shard_merge --test alloc_budget
+echo "==> shuffle ordering smoke (emit-order runs: merge and shard plan vs the stable-sort reference; radix kernel vs bytewise reference; allocation budget)"
+cargo test -q --offline -p rapida-mapred --test prop_shuffle -- --exact merge_key_groups_matches_stable_sort_reference prefix_entry_sort_matches_bytewise_reference arena_shuffle_matches_pair_sort_reference
+cargo test -q --offline -p rapida-mapred --test prop_shard_merge -- --exact sharded_merge_is_byte_identical_to_serial empty_and_single_key_runs_never_break_the_plan
+cargo test -q --offline -p rapida-mapred --test alloc_budget -- --exact shuffle_allocates_a_constant_number_of_blocks
 
 echo "==> one ordering kernel (the comparison sort, the chunked thread sort and the loser tree stay deleted)"
 if grep -rnE 'LoserTree|sort_unstable_with|Run::select' crates/*/src; then echo "FAIL: a second shuffle ordering is back" >&2; exit 1; fi
+
+echo "==> pairs are ordered once, reduce-side (the map-side sort, sorted runs and their binary-search windows stay deleted)"
+if grep -rnE 'fn sort_unstable|Run::sorted|fn lower_bound|sort_unstable\(\)' crates/mapred/src; then echo "FAIL: a map-side ordering is back" >&2; exit 1; fi
 
 echo "==> one attempt script (the map-side retry loop, its ledger mirror, the straggler slowdown knob and the panicking run_workflow stay deleted)"
 if grep -rnwE 'FaultStats|run_map_task|straggler_slowdown|fn run_workflow' crates/*/src; then echo "FAIL: a second fault-attempt path is back" >&2; exit 1; fi
