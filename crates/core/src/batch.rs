@@ -151,6 +151,10 @@ pub fn plan_fused_group(
 /// on the combined block id, rewrite to the member-local id) into private
 /// datasets, then finish the plan — empty-ALL fixups, the final join, and
 /// output decoding all run exactly as they would for a solo compilation.
+///
+/// A shared block dataset holding a record that does not decode fails the
+/// demux with [`PlanError::CorruptRecord`]: the member's answer would
+/// otherwise silently lose that row.
 pub fn demux_member_plan(
     fused: &FusedPlan,
     member: usize,
@@ -161,18 +165,17 @@ pub fn demux_member_plan(
 ) -> Result<QueryPlan, PlanError> {
     let qpid = next_plan_id("dm");
     let offset = fused.member_offsets[member];
-    let mut datasets = Vec::with_capacity(aq.blocks.len());
+    let mut datasets: Vec<String> = Vec::with_capacity(aq.blocks.len());
     for local in 0..aq.blocks.len() {
         let combined = offset + local;
         let dest = format!("{qpid}_b{local}");
-        restamp(
-            dfs,
-            &fused.block_datasets[combined],
-            combined as u8,
-            local as u8,
-            &dest,
-            split_bytes,
-        );
+        let src = &fused.block_datasets[combined];
+        if let Err(e) = restamp(dfs, src, combined as u8, local as u8, &dest, split_bytes) {
+            for ds in &datasets {
+                dfs.remove(ds);
+            }
+            return Err(e);
+        }
         datasets.push(dest);
     }
     finish_plan(engine, aq, Vec::new(), datasets, dfs, &qpid)
@@ -180,15 +183,24 @@ pub fn demux_member_plan(
 
 /// Copy the records of one combined block into a private dataset with the
 /// member-local block id. Driver-side, like [`crate::plan::AllGroupFixup`]:
-/// the demux moves final aggregates (small by construction), not scans.
-fn restamp(dfs: &SimDfs, src: &str, from_id: u8, to_id: u8, dest: &str, split_bytes: usize) {
+/// the demux moves final aggregates (small by construction), not scans. A
+/// record that does not decode is an error, not a skipped row.
+fn restamp(
+    dfs: &SimDfs,
+    src: &str,
+    from_id: u8,
+    to_id: u8,
+    dest: &str,
+    split_bytes: usize,
+) -> Result<(), PlanError> {
     let ds = dfs.peek(src).unwrap_or_default();
     let mut w = DatasetWriter::new(split_bytes);
     let mut buf = Vec::new();
-    for rec in ds.iter_records() {
-        let Some(mut r) = AggRec::decode(rec) else {
-            continue;
-        };
+    for (record, rec) in ds.iter_records().enumerate() {
+        let mut r = AggRec::decode(rec).ok_or_else(|| PlanError::CorruptRecord {
+            dataset: src.to_string(),
+            record,
+        })?;
         if r.id != from_id {
             continue;
         }
@@ -198,6 +210,7 @@ fn restamp(dfs: &SimDfs, src: &str, from_id: u8, to_id: u8, dest: &str, split_by
         w.push(&buf);
     }
     dfs.put(dest, w.finish());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -238,6 +251,43 @@ mod tests {
         for g in &a {
             assert!(g.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn an_undecodable_block_record_rejects_the_member() {
+        let g = generate_bsbm(&BsbmConfig::tiny());
+        let cat = DataCatalog::load(&g);
+        let mr = Engine::pinned(cat.dfs.clone());
+        let members = [aq_of("MG1"), aq_of("MG1")];
+        let refs: Vec<&AnalyticalQuery> = members.iter().collect();
+        let fused = plan_fused_group(&refs, &PlanRules::hive_mqo(), &cat).expect("fused plan");
+        mr.try_run_workflow(&fused.jobs).expect("no faults, no recovery");
+
+        // Cut the first record of member 1's first combined block dataset
+        // down to its id byte: it no longer decodes.
+        let src = &fused.block_datasets[fused.member_offsets[1]];
+        let ds = cat.dfs.peek(src).expect("shared block output");
+        assert!(ds.records > 0, "nothing to damage");
+        let mut w = DatasetWriter::new(mr.split_bytes);
+        for (i, rec) in ds.iter_records().enumerate() {
+            w.push(if i == 0 { &rec[..1] } else { rec });
+        }
+        cat.dfs.put(src, w.finish());
+
+        let before = cat.dfs.names();
+        let (aq, engine) = (&members[1], "Hive (MQO)");
+        match demux_member_plan(&fused, 1, aq, engine, &cat.dfs, mr.split_bytes) {
+            Err(PlanError::CorruptRecord { dataset, record }) => {
+                assert_eq!((dataset.as_str(), record), (src.as_str(), 0));
+            }
+            Err(e) => panic!("wrong rejection: {e}"),
+            Ok(_) => panic!("a member whose block lost a row was not rejected"),
+        }
+        assert_eq!(
+            cat.dfs.names(),
+            before,
+            "a rejected demux leaves no dataset behind"
+        );
     }
 
     #[test]

@@ -625,6 +625,14 @@ pub enum PlanError {
     /// A candidate plan's dry run exhausted its workflow recovery budget
     /// while the enumerator was pricing it.
     DryRun(String),
+    /// Record `record` (0-based, in dataset order) of an intermediate
+    /// dataset the plan consumes does not decode.
+    CorruptRecord {
+        /// The dataset holding the record.
+        dataset: String,
+        /// The record's index.
+        record: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -633,6 +641,9 @@ impl fmt::Display for PlanError {
             PlanError::Extract(e) => write!(f, "{e}"),
             PlanError::Unsupported(m) => write!(f, "unsupported by this engine: {m}"),
             PlanError::DryRun(m) => write!(f, "plan dry run failed: {m}"),
+            PlanError::CorruptRecord { dataset, record } => {
+                write!(f, "record {record} of dataset {dataset} does not decode")
+            }
         }
     }
 }

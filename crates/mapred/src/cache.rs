@@ -5,7 +5,12 @@
 //! same VP/ExtVP reduction, same star filter). Those jobs carry a
 //! `cache_key` (see [`crate::job::Job::cache_key`]); when the engine
 //! meets a keyed job whose output is cached, it skips the job body and
-//! republishes the cached [`Dataset`] under the job's output name.
+//! republishes the cached dataset under the job's output name.
+//!
+//! An entry is a [`Sealed`] dataset: the blocks together with the per-block
+//! checksums the DFS computed when the job's output was first written. A hit
+//! hands both back, so republishing it ([`crate::SimDfs::put_sealed`]) costs
+//! O(blocks), not a second pass over every byte.
 //!
 //! Determinism: eviction order is strict LRU driven by a monotone access
 //! counter, never by wall time or pointer identity, so two identical
@@ -16,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::dfs::Dataset;
+use crate::dfs::Sealed;
 
 /// Running cache counters (monotone; read via [`ScanCache::stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,7 +42,7 @@ pub struct ScanCacheStats {
 
 #[derive(Debug)]
 struct Entry {
-    data: Dataset,
+    data: Sealed,
     bytes: u64,
     /// Last-use stamp from the monotone counter; unique per access, so
     /// LRU order is a total order and eviction is deterministic.
@@ -76,7 +81,7 @@ impl ScanCache {
     }
 
     /// Look up a key, refreshing its LRU stamp on hit.
-    pub fn get(&self, key: &str) -> Option<Dataset> {
+    pub fn get(&self, key: &str) -> Option<Sealed> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
@@ -97,8 +102,8 @@ impl ScanCache {
     /// Insert (or refresh) an entry, evicting least-recently-used entries
     /// until the budget holds. Returns the number of evictions performed.
     /// Oversize entries (larger than the whole budget) are not admitted.
-    pub fn insert(&self, key: &str, data: Dataset) -> u64 {
-        let bytes = data.total_bytes() as u64;
+    pub fn insert(&self, key: &str, data: Sealed) -> u64 {
+        let bytes = data.dataset().total_bytes() as u64;
         let mut inner = self.inner.lock().unwrap();
         if bytes > self.budget_bytes {
             inner.stats.rejected_oversize += 1;
@@ -169,12 +174,12 @@ mod tests {
     use super::*;
     use crate::dfs::DatasetWriter;
 
-    fn dataset(records: usize, payload: &[u8]) -> Dataset {
+    fn dataset(records: usize, payload: &[u8]) -> Sealed {
         let mut w = DatasetWriter::new(1 << 20);
         for _ in 0..records {
             w.push(payload);
         }
-        w.finish()
+        Sealed::new(w.finish())
     }
 
     #[test]
@@ -183,8 +188,8 @@ mod tests {
         let d = dataset(10, b"abcdef");
         cache.insert("k", d.clone());
         let got = cache.get("k").expect("hit");
-        assert_eq!(got.records, d.records);
-        assert_eq!(got.blocks.len(), d.blocks.len());
+        assert_eq!(got.dataset().records, d.dataset().records);
+        assert_eq!(got.dataset().blocks.len(), d.dataset().blocks.len());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 0));
     }
@@ -200,7 +205,7 @@ mod tests {
     fn lru_eviction_is_deterministic() {
         // Budget fits two entries; touching "a" makes "b" the victim.
         let d = dataset(1, &[0u8; 100]);
-        let per = d.total_bytes() as u64;
+        let per = d.dataset().total_bytes() as u64;
         let cache = ScanCache::new(per * 2);
         cache.insert("a", d.clone());
         cache.insert("b", d.clone());
@@ -226,7 +231,7 @@ mod tests {
     fn replay_gives_identical_stats() {
         let run = || {
             let d = dataset(1, &[0u8; 64]);
-            let per = d.total_bytes() as u64;
+            let per = d.dataset().total_bytes() as u64;
             let cache = ScanCache::new(per * 2);
             for key in ["a", "b", "a", "c", "b", "a", "d"] {
                 if cache.get(key).is_none() {

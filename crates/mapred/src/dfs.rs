@@ -3,6 +3,15 @@
 //! Each block doubles as an input split for map tasks, mirroring HDFS's
 //! block-per-split default. Read/write byte counters feed the cluster cost
 //! model.
+//!
+//! What the DFS stores is a [`Sealed`] dataset: the blocks plus their
+//! per-block checksums, computed once, by [`Sealed::new`], when the bytes are
+//! first written. The blocks are immutable, so the sums stay valid for as
+//! long as the dataset lives: republishing it ([`SimDfs::put_sealed`] — the
+//! scan cache's hit path) and handing it out ([`SimDfs::peek_sealed`]) move
+//! the sums along with the blocks instead of hashing every byte again. Only
+//! the integrity checks of [`SimDfs::fetch`] and [`SimDfs::verify`] hash
+//! stored bytes after that, against the sealed sums.
 
 use crate::bytes::Bytes;
 use crate::codec::{BlockBuilder, RecordIter};
@@ -91,13 +100,36 @@ impl DatasetWriter {
     }
 }
 
-/// A stored dataset plus the per-block checksums computed at `put`
-/// time — the DFS-side half of the integrity contract. Sums are behind an
-/// `Arc` so `get` clones stay cheap.
-#[derive(Clone)]
-struct Stored {
+/// A dataset plus the per-block checksums of its bytes — the DFS-side half
+/// of the integrity contract, and the unit the DFS stores and the scan cache
+/// holds. [`Sealed::new`] is the only place the sums are computed; the fields
+/// are private, so a dataset and its sums can only travel together. Sums are
+/// behind an `Arc` so clones stay cheap.
+#[derive(Clone, Debug)]
+pub struct Sealed {
     ds: Dataset,
     block_sums: Arc<Vec<u64>>,
+}
+
+impl Sealed {
+    /// Seal `ds`: checksum every block, from the bytes being sealed — the
+    /// ground truth integrity reads verify against.
+    pub fn new(ds: Dataset) -> Sealed {
+        let block_sums = ds
+            .blocks
+            .iter()
+            .map(|b| integrity::block_checksum(b))
+            .collect();
+        Sealed {
+            ds,
+            block_sums: Arc::new(block_sums),
+        }
+    }
+
+    /// The sealed dataset.
+    pub fn dataset(&self) -> &Dataset {
+        &self.ds
+    }
 }
 
 /// What an integrity-checked read observed (see [`SimDfs::fetch`]).
@@ -116,7 +148,7 @@ pub struct IntegrityReport {
 /// The simulated DFS, shared between jobs of a workflow.
 #[derive(Clone, Default)]
 pub struct SimDfs {
-    inner: Arc<RwLock<HashMap<String, Stored>>>,
+    inner: Arc<RwLock<HashMap<String, Sealed>>>,
     bytes_written: Arc<AtomicU64>,
     bytes_read: Arc<AtomicU64>,
 }
@@ -127,39 +159,40 @@ impl SimDfs {
         Self::default()
     }
 
-    /// Store a dataset under `name`, replacing any existing one. Every
-    /// block's checksum is computed here, from the bytes being stored —
-    /// the ground truth integrity reads verify against.
+    /// Store a freshly written dataset under `name`, replacing any existing
+    /// one: seal it (checksum every block), then [`Self::put_sealed`].
     pub fn put(&self, name: &str, ds: Dataset) {
+        self.put_sealed(name, Sealed::new(ds));
+    }
+
+    /// Store an already sealed dataset under `name`, replacing any existing
+    /// one. Its sums were computed when it was sealed and are stored as they
+    /// are: O(blocks), whatever the byte size. Counts as a write of every
+    /// byte, like [`Self::put`].
+    pub fn put_sealed(&self, name: &str, sealed: Sealed) {
         self.bytes_written
-            .fetch_add(ds.total_bytes() as u64, Ordering::Relaxed);
-        let block_sums = Arc::new(
-            ds.blocks
-                .iter()
-                .map(|b| integrity::block_checksum(b))
-                .collect::<Vec<u64>>(),
-        );
-        self.inner
-            .write()
-            .unwrap()
-            .insert(name.to_string(), Stored { ds, block_sums });
+            .fetch_add(sealed.ds.total_bytes() as u64, Ordering::Relaxed);
+        self.inner.write().unwrap().insert(name.to_string(), sealed);
     }
 
     /// Fetch a dataset (cheap: blocks are refcounted).
     pub fn get(&self, name: &str) -> Option<Dataset> {
-        let ds = self.inner.read().unwrap().get(name).map(|s| s.ds.clone());
-        if let Some(d) = &ds {
-            self.bytes_read
-                .fetch_add(d.total_bytes() as u64, Ordering::Relaxed);
-        }
-        ds
+        self.get_sealed(name).map(|s| s.ds)
+    }
+
+    /// [`Self::get`], keeping the sums: counts a read of every byte.
+    fn get_sealed(&self, name: &str) -> Option<Sealed> {
+        let sealed = self.peek_sealed(name)?;
+        self.bytes_read
+            .fetch_add(sealed.ds.total_bytes() as u64, Ordering::Relaxed);
+        Some(sealed)
     }
 
     /// Fetch a dataset through the integrity read path: every block read
     /// walks the replica chain under the fault plan's corruption decisions.
     /// With `verify` on, a corrupted copy is *detected* by recomputing its
-    /// checksum against the sum stored at `put` time, quarantined, and the
-    /// block re-read from the next replica (the last replica is never
+    /// checksum against the sum the dataset was sealed with, quarantined,
+    /// and the block re-read from the next replica (the last replica is never
     /// corrupted, so the walk terminates on clean bytes — see
     /// [`FaultPlan::replicas`]). With `verify` off, the first replica's
     /// possibly-flipped copy is returned as-is and counted as silent.
@@ -171,17 +204,14 @@ impl SimDfs {
         faults: Option<&FaultPlan>,
         verify: bool,
     ) -> Option<(Dataset, IntegrityReport)> {
-        let mut ds = self.get(name)?;
+        let Sealed {
+            mut ds,
+            block_sums: sums,
+        } = self.get_sealed(name)?;
         let mut report = IntegrityReport::default();
         let Some(plan) = faults.filter(|p| p.block_corrupt_p > 0.0) else {
             return Some((ds, report));
         };
-        let sums = self
-            .inner
-            .read()
-            .unwrap()
-            .get(name)
-            .map(|s| Arc::clone(&s.block_sums))?;
         for (bi, block) in ds.blocks.iter_mut().enumerate() {
             let replicas = plan.replicas.max(1);
             for replica in 0..replicas {
@@ -197,7 +227,7 @@ impl SimDfs {
                     break;
                 }
                 // Honest detection: recompute the checksum of the bytes we
-                // actually got and compare to the stored sum.
+                // actually got and compare to the sealed sum.
                 if integrity::block_checksum(&bad) == sums[bi] {
                     *block = bad; // unreachable: a flip always changes the sum
                     break;
@@ -212,11 +242,11 @@ impl SimDfs {
     }
 
     /// Recompute and verify every block checksum of `name` against the sums
-    /// stored at `put` time. Returns the dataset's byte size on success,
+    /// it was sealed with. Returns the dataset's byte size on success,
     /// `None` when the dataset is missing or any block mismatches — the
     /// checkpoint-validation primitive of workflow recovery.
     pub fn verify(&self, name: &str) -> Option<u64> {
-        let stored = self.inner.read().unwrap().get(name).cloned()?;
+        let stored = self.peek_sealed(name)?;
         if stored.ds.blocks.len() != stored.block_sums.len() {
             return None;
         }
@@ -230,16 +260,19 @@ impl SimDfs {
 
     /// The stored per-block checksums of `name`, if present.
     pub fn block_sums(&self, name: &str) -> Option<Vec<u64>> {
-        self.inner
-            .read()
-            .unwrap()
-            .get(name)
-            .map(|s| s.block_sums.as_ref().clone())
+        self.peek_sealed(name).map(|s| s.block_sums.to_vec())
     }
 
     /// Peek at a dataset without counting a read.
     pub fn peek(&self, name: &str) -> Option<Dataset> {
-        self.inner.read().unwrap().get(name).map(|s| s.ds.clone())
+        self.peek_sealed(name).map(|s| s.ds)
+    }
+
+    /// Peek at what is stored under `name` — the dataset with the sums it
+    /// was sealed with — without counting a read. Cheap: blocks and sums
+    /// are refcounted.
+    pub fn peek_sealed(&self, name: &str) -> Option<Sealed> {
+        self.inner.read().unwrap().get(name).cloned()
     }
 
     /// Remove a dataset.

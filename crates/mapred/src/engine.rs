@@ -423,20 +423,22 @@ impl Engine {
     /// Run one job through the scan cache when both the engine carries a
     /// cache and the job carries a key; otherwise run it directly.
     ///
-    /// On a hit the job body never executes: the cached [`Dataset`] is
-    /// republished under the job's output name (checksummed by the DFS
-    /// like any write, so checkpoint verification still works) and the
-    /// committed metrics are an empty map-only record with
-    /// `scan_cache_hits = 1` — the cost model charges it roughly a job
-    /// startup, nothing more. On a miss the job runs normally, its output
-    /// is offered to the cache, and the evictions that admission caused
-    /// are charged to this job's metrics.
+    /// On a hit the job body never executes: the cached
+    /// [`Sealed`](crate::dfs::Sealed) dataset is republished under the job's
+    /// output name with [`SimDfs::put_sealed`] — carrying the block checksums
+    /// sealed when it was first written, so checkpoint verification still
+    /// works and no byte is hashed again — and the committed metrics are an
+    /// empty map-only record with `scan_cache_hits = 1`: the cost model
+    /// charges it roughly a job startup, nothing more. On a miss the job runs
+    /// normally, the sealed output its own `put` just stored is offered to
+    /// the cache, and the evictions that admission caused are charged to this
+    /// job's metrics.
     fn run_job_cached(&self, job: &Job) -> JobMetrics {
         let (Some(cache), Some(key)) = (&self.scan_cache, &job.cache_key) else {
             return self.run_job(job);
         };
-        if let Some(ds) = cache.get(key) {
-            self.dfs.put(&job.output, ds);
+        if let Some(sealed) = cache.get(key) {
+            self.dfs.put_sealed(&job.output, sealed);
             return JobMetrics {
                 name: job.name.clone(),
                 map_only: true,
@@ -445,7 +447,7 @@ impl Engine {
             };
         }
         let mut m = self.run_job(job);
-        if let Some(out) = self.dfs.peek(&job.output) {
+        if let Some(out) = self.dfs.peek_sealed(&job.output) {
             m.scan_cache_evictions = cache.insert(key, out);
         }
         m.scan_cache_misses = 1;
@@ -971,9 +973,11 @@ mod tests {
         let cache = ScanCache::new(1 << 20);
         let run = |dfs: &SimDfs| {
             dfs.put("in", word_dataset(&["a", "b", "a"]));
+            // A mapper that rewrites every record, so `out`'s bytes (and
+            // sums) differ from `in`'s.
             let job = JobBuilder::new("scan")
                 .input("in")
-                .mapper(Arc::new(FnMapFactory(|| IdMap)))
+                .mapper(Arc::new(FnMapFactory(|| TagMap)))
                 .output("out")
                 .cache_key("k:scan")
                 .build();
@@ -994,6 +998,9 @@ mod tests {
             d.blocks.iter().map(|b| b.as_ref().to_vec()).collect::<Vec<_>>()
         };
         assert_eq!(bytes(&out1), bytes(&out2), "hit republishes identical bytes");
+        // ...with the sums sealed when the miss first wrote them.
+        assert_eq!(dfs2.block_sums("out"), dfs1.block_sums("out"));
+        assert_eq!(dfs2.verify("out"), Some(out2.total_bytes() as u64));
         // Unkeyed jobs never touch the cache.
         let stats_before = cache.stats();
         let dfs3 = SimDfs::new();

@@ -23,7 +23,8 @@
 //! * [`merge`] — spill runs, their key-range shards and routes, and the
 //!   reduce-side merge into key groups.
 //! * [`dfs`] — the simulated DFS ([`SimDfs`]) holding named datasets of
-//!   splits.
+//!   splits, each [`Sealed`] with its block checksums once, when first
+//!   written.
 //! * [`job`] — job specs with Hadoop-style task lifecycles (map / combiner /
 //!   reduce, per-task `cleanup` hooks).
 //! * [`pool`] — the work-stealing task pool both phases run on.
@@ -61,7 +62,7 @@ pub use bytes::Bytes;
 pub use cache::{ScanCache, ScanCacheStats};
 pub use codec::{KvBuffer, KvRef, RecBuffer};
 pub use cost::ClusterModel;
-pub use dfs::{Dataset, DatasetWriter, IntegrityReport, SimDfs};
+pub use dfs::{Dataset, DatasetWriter, IntegrityReport, Sealed, SimDfs};
 pub use engine::{shuffle_partition, Engine};
 pub use merge::{merge_key_groups, plan_shards, Route, Run};
 pub use fault::{FaultPlan, Outcome, TaskKind};

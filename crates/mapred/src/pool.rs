@@ -34,7 +34,8 @@ use std::sync::Mutex;
 /// What one pool invocation observed about itself.
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
-    /// Per-worker CPU nanoseconds spent inside task bodies.
+    /// Per-worker CPU nanoseconds spent inside task bodies: one entry per
+    /// requested worker, zero for a worker the phase gave no thread.
     pub busy_ns: Vec<u64>,
     /// Tasks moved between worker deques by steals.
     pub steals: u64,
@@ -96,10 +97,14 @@ pub fn thread_cpu_ns() -> u64 {
 /// `f` is called as `f(task_index, task)`. Results are independent of
 /// worker count and scheduling: the output vector is always in task order.
 ///
-/// One worker needs no pool: the tasks run in index order on the caller's
-/// thread and nothing is spawned, so a 1-worker engine — one dry-run
-/// candidate of the plan enumerator, or any engine on a 1-core host — pays
-/// no thread start or join per phase.
+/// The pool spawns at most one thread per task — `min(workers, tasks)` —
+/// since a thread with nothing seeded could only steal. One thread needs no
+/// pool at all: with one worker, or a phase of one task, the tasks run in
+/// index order on the caller's thread and nothing is spawned, so a 1-worker
+/// engine — one dry-run candidate of the plan enumerator, or any engine on a
+/// 1-core host — and a single-split job pay no thread start or join per
+/// phase. [`PoolStats::busy_ns`] keeps one entry per requested worker either
+/// way; a worker that got no thread reports zero.
 pub fn run_tasks<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, PoolStats)
 where
     T: Send,
@@ -108,35 +113,28 @@ where
 {
     let workers = workers.max(1);
     let n = tasks.len();
-    if n == 0 {
-        return (
-            Vec::new(),
-            PoolStats {
-                busy_ns: vec![0; workers],
-                steals: 0,
-            },
-        );
-    }
-    if workers == 1 {
+    let threads = workers.min(n);
+    if threads <= 1 {
         let t0 = thread_cpu_ns();
         let results = tasks
             .into_iter()
             .enumerate()
             .map(|(idx, t)| f(idx, t))
             .collect();
-        let busy_ns = vec![thread_cpu_ns().saturating_sub(t0)];
+        let mut busy_ns = vec![0u64; workers];
+        busy_ns[0] = thread_cpu_ns().saturating_sub(t0);
         return (results, PoolStats { busy_ns, steals: 0 });
     }
 
-    // Seed each deque with a contiguous chunk: task i goes to worker
-    // i / ceil(n / workers). Contiguous chunks keep the initial assignment
+    // Seed each deque with a contiguous chunk: task i goes to thread
+    // i / ceil(n / threads). Contiguous chunks keep the initial assignment
     // aligned with data locality (adjacent splits, adjacent partitions) and
     // make back-half steals grab the work farthest from the victim's
     // cursor.
     let mut queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
     {
-        let per = n.div_ceil(workers);
+        let per = n.div_ceil(threads);
         let mut it = tasks.into_iter().enumerate();
         'fill: for q in &mut queues {
             let q = q.get_mut().expect("fresh mutex");
@@ -151,10 +149,10 @@ where
 
     let steals = AtomicU64::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let busy: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::with_capacity(workers));
+    let busy: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::with_capacity(threads));
     let queues = &queues;
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for w in 0..threads {
             let steals = &steals;
             let results = &results;
             let busy = &busy;
@@ -308,6 +306,40 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(stats.busy_ns.len(), 1);
         assert_eq!(stats.steals, 0);
+    }
+
+    #[test]
+    fn a_single_task_runs_inline_at_any_worker_count() {
+        let caller = std::thread::current().id();
+        for workers in [2, 4, 8] {
+            let (got, stats) = run_tasks(workers, vec![21usize], |idx, t| {
+                let here = std::thread::current().id();
+                assert_eq!(here, caller, "workers={workers}: the task left the caller");
+                (idx, t * 2)
+            });
+            assert_eq!(got, vec![(0, 42)]);
+            assert_eq!(
+                stats.busy_ns.len(),
+                workers,
+                "one busy entry per requested worker"
+            );
+            assert_eq!(stats.steals, 0);
+        }
+    }
+
+    #[test]
+    fn no_more_threads_than_tasks() {
+        // Three tasks on eight workers: three threads, each seeded with one
+        // task, so none is left to steal; the other five workers report zero.
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let (got, stats) = run_tasks(8, vec![0usize, 1, 2], |idx, t| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            (idx, t)
+        });
+        assert_eq!(got, vec![(0, 0), (1, 1), (2, 2)]);
+        assert!(threads.into_inner().unwrap().len() <= 3);
+        assert_eq!(stats.busy_ns.len(), 8);
+        assert!(stats.busy_ns[3..].iter().all(|&ns| ns == 0));
     }
 
     #[test]

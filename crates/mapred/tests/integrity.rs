@@ -6,10 +6,12 @@
 //! still produced golden bytes would mean the fault injection is a no-op;
 //! a checksummed run that diverges would mean quarantine is broken.
 
+mod common;
+
 use rapida_mapred::{
     ClusterModel, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory, InputSrc,
-    JobBuilder, MapOutput, MapTask, ReduceOutput, ReduceTask, ResiliencePolicy, SimDfs,
-    WorkflowMetrics,
+    JobBuilder, MapOutput, MapTask, ReduceOutput, ReduceTask, ResiliencePolicy, ScanCache,
+    SimDfs, WorkflowMetrics,
 };
 use rapida_testkit::rng::StdRng;
 use std::sync::Arc;
@@ -70,10 +72,8 @@ fn workflow() -> Vec<rapida_mapred::Job> {
     ]
 }
 
-fn run(
-    faults: Option<FaultPlan>,
-    policy: ResiliencePolicy,
-) -> (WorkflowMetrics, Vec<Vec<u8>>) {
+/// A DFS holding the 500-word multi-block input as `in`.
+fn word_dfs() -> SimDfs {
     let dfs = SimDfs::new();
     let mut rng = StdRng::seed_from_u64(0x1DEA);
     let mut w = DatasetWriter::new(64);
@@ -85,6 +85,14 @@ fn run(
         w.push(word.as_bytes());
     }
     dfs.put("in", w.finish());
+    dfs
+}
+
+fn run(
+    faults: Option<FaultPlan>,
+    policy: ResiliencePolicy,
+) -> (WorkflowMetrics, Vec<Vec<u8>>) {
+    let dfs = word_dfs();
     let mut engine = Engine::with_workers(dfs.clone(), 4).with_resilience(policy);
     engine.faults = faults;
     let wf = engine
@@ -191,4 +199,94 @@ fn integrity_ledger_is_deterministic() {
     let (wf_b, blocks_b) = run(Some(FaultPlan::corrupting(7)), ResiliencePolicy::default());
     assert_eq!(sig(&wf_a), sig(&wf_b));
     assert_eq!(blocks_a, blocks_b);
+}
+
+/// Writes every record with a `#` prefix: an output whose bytes, and so
+/// whose block sums, differ from its input's.
+struct TagMap;
+impl MapTask for TagMap {
+    fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
+        out.write(&[b"#", record].concat());
+    }
+}
+
+/// A scan-cache hit republishes a dataset with the sums sealed when it was
+/// first written, and a later job cannot tell it from a fresh copy. Job 0, a
+/// keyed map-only scan, is served from `cache`; job 1 reads its output under
+/// block corruption and is aborted once, so the recovery pass re-verifies
+/// job 0's checkpoint against the stored sums. Job 1's ledger, the recovery
+/// ledger and the output bytes must equal those of a run whose scan wrote
+/// its output itself — with checksums on, and with checksums off.
+#[test]
+fn a_hit_republished_dataset_reads_like_a_freshly_written_one() {
+    let workflow = || {
+        vec![
+            JobBuilder::new("scan")
+                .input("in")
+                .mapper(Arc::new(FnMapFactory(|| TagMap)))
+                .output("scanned")
+                .cache_key("k:scan")
+                .build(),
+            JobBuilder::new("count")
+                .input("scanned")
+                .mapper(Arc::new(FnMapFactory(|| TokenMap)))
+                .reducer(Arc::new(FnReduceFactory(|| Sum { to_output: true })))
+                .output("out")
+                .num_reducers(2)
+                .build(),
+        ]
+    };
+    let faults = FaultPlan {
+        block_corrupt_p: 0.5,
+        abort_job: Some((1, 1)),
+        ..FaultPlan::new(0xC0FFEE)
+    };
+    for checksums in [true, false] {
+        let policy = ResiliencePolicy {
+            checksums,
+            ..ResiliencePolicy::default()
+        };
+        let run = |cache: &ScanCache| {
+            let dfs = word_dfs();
+            let engine = Engine::with_workers(dfs.clone(), 4)
+                .with_resilience(policy.clone())
+                .with_faults(faults.clone())
+                .with_scan_cache(cache.clone());
+            let wf = engine
+                .try_run_workflow(&workflow())
+                .expect("one abort, then commit");
+            let out: Vec<Vec<u8>> = dfs
+                .get("out")
+                .unwrap()
+                .blocks
+                .iter()
+                .map(|b| b.to_vec())
+                .collect();
+            (wf, out)
+        };
+        // The first run misses and writes `scanned` itself; the second, on a
+        // fresh DFS, is served it from the cache.
+        let cache = ScanCache::new(1 << 20);
+        let (fresh, fresh_out) = run(&cache);
+        let (hit, hit_out) = run(&cache);
+        assert!(hit.jobs[1].corrupt_blocks_detected + hit.jobs[1].silent_corruptions > 0);
+        assert_eq!(
+            common::signature(&hit.jobs[1]),
+            common::signature(&fresh.jobs[1]),
+            "checksums={checksums}: the reader saw a different dataset"
+        );
+        assert_eq!(
+            format!("{:?}", hit.recovery),
+            format!("{:?}", fresh.recovery),
+            "checksums={checksums}: the republished checkpoint did not verify"
+        );
+        assert_eq!(hit_out, fresh_out);
+        assert_eq!(fresh.total_scan_cache_misses(), 1);
+        assert_eq!(
+            hit.total_scan_cache_hits(),
+            1,
+            "the recovery pass keeps the checkpoint"
+        );
+        assert_eq!(hit.recovery.checkpoint_jobs_skipped, 1);
+    }
 }

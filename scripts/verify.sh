@@ -25,6 +25,14 @@ cargo test -q --offline -p rapida-mapred --test chaos -- --exact fault_ledger_ma
 echo "==> integrity smoke (checksum quarantine + checksums-off divergence)"
 cargo test -q --offline -p rapida-mapred --test integrity --test recover
 
+echo "==> sealed datasets (a scan-cache hit republishes the sums sealed at the first put; a one-task pool phase runs inline)"
+cargo test -q --offline -p rapida-mapred --test integrity -- --exact a_hit_republished_dataset_reads_like_a_freshly_written_one
+cargo test -q --offline -p rapida-mapred --lib -- --exact engine::tests::keyed_job_is_served_from_the_scan_cache pool::tests::a_single_task_runs_inline_at_any_worker_count pool::tests::no_more_threads_than_tasks
+cargo test -q --offline -p rapida-core --lib -- --exact batch::tests::an_undecodable_block_record_rejects_the_member
+
+echo "==> stored bytes are checksummed once (block_checksum is called only by the integrity module and the DFS)"
+if grep -rnF 'block_checksum(' crates/*/src | grep -vE '^crates/mapred/src/(integrity|dfs)\.rs:'; then echo "FAIL: a second pass over stored bytes is back" >&2; exit 1; fi
+
 echo "==> shuffle ordering smoke (emit-order runs: merge and shard plan vs the stable-sort reference; radix kernel vs bytewise reference; allocation budget)"
 cargo test -q --offline -p rapida-mapred --test prop_shuffle -- --exact merge_key_groups_matches_stable_sort_reference prefix_entry_sort_matches_bytewise_reference arena_shuffle_matches_pair_sort_reference
 cargo test -q --offline -p rapida-mapred --test prop_shard_merge -- --exact sharded_merge_is_byte_identical_to_serial empty_and_single_key_runs_never_break_the_plan
