@@ -3,13 +3,18 @@
 //!
 //! Usage:
 //! ```text
-//! experiments [table3|fig8a|fig8b|fig8c|table4|cycles|ablations|all]
+//! experiments [table3|fig8a|fig8b|fig8c|table4|cycles|ablations|chaos|choice|all]
 //! ```
 
 use rapida_bench::{all_engines, render_table, results_json, speedups, table3_engines, Workbench};
 use rapida_core::engines::{RapidAnalytics, RapidPlus};
-use rapida_core::{PlanRules, QueryEngine};
-use rapida_mapred::FaultPlan;
+use rapida_core::enumerate::{dry_run_every_candidate, CandidateRun};
+use rapida_core::{enumerate_best, extract, DataCatalog, Family, PlanRules, QueryEngine};
+use rapida_datagen::{
+    catalog, generate_bsbm, generate_chem, generate_pubmed, BsbmConfig, ChemConfig, PubmedConfig,
+    Workload,
+};
+use rapida_mapred::{ClusterModel, FaultPlan};
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -22,6 +27,7 @@ fn main() {
         "cycles" => cycles(),
         "ablations" => ablations(),
         "chaos" => chaos(),
+        "choice" => choice(),
         "all" => {
             table3();
             fig8a();
@@ -31,11 +37,12 @@ fn main() {
             cycles();
             ablations();
             chaos();
+            choice();
         }
         other => {
             eprintln!("unknown experiment '{other}'");
             eprintln!(
-                "usage: experiments [table3|fig8a|fig8b|fig8c|table4|cycles|ablations|chaos|all]"
+                "usage: experiments [table3|fig8a|fig8b|fig8c|table4|cycles|ablations|chaos|choice|all]"
             );
             std::process::exit(2);
         }
@@ -247,4 +254,172 @@ fn ablations() {
             r.sim_seconds, r.cycles, r.materialized_mb
         );
     }
+}
+
+/// One (dataset, query, family) cell of the plan-choice sweep. Each pick is
+/// a candidate name and that candidate's measured cost.
+struct ChoiceCell {
+    label: String,
+    /// The cheapest estimate.
+    estimate_pick: (String, f64),
+    enumerator_pick: (String, f64),
+    measured_best: (String, f64),
+}
+
+/// Do the dry runs earn their keep? Every compiled candidate of every
+/// catalog query × family is executed, on the nodes10 model over tiny,
+/// small and five 8k-product BSBM graphs (seeds 43–47) and the chem and
+/// PubMed graphs at both sizes, then on the four paper workbenches. Per
+/// cell: what choosing by estimate alone picks, what `enumerate_best`
+/// picks, the measured best of all candidates, the largest |estimate −
+/// measured|, the rank inversions (pairs the estimate orders against their
+/// measured costs), and how many workflows the enumerator executed.
+fn choice() {
+    let nodes10 = ClusterModel::nodes10();
+    println!("\n### Plan choice — estimate alone vs dry runs vs every candidate run\n");
+    println!("| Dataset | Query | Family | estimate's pick | enumerator's pick | measured best | est − enum s | enum − best s | max abs(est − meas) s | inversions | dry runs |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    let mut cells = Vec::new();
+    let mut sweep = |label: &str, cat: &DataCatalog, model: &ClusterModel, workload: Workload| {
+        for q in catalog().into_iter().filter(|q| q.workload == workload) {
+            let parsed = rapida_sparql::parse_query(&q.sparql).expect("catalog query parses");
+            let aq = extract(&parsed).expect("catalog query extracts");
+            for family in [Family::Hive, Family::Rapid] {
+                let cell = format!("{label} {} {family:?}", q.id);
+                let all = dry_run_every_candidate(family, &aq, cat, model)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let e = enumerate_best(family, &aq, cat, model)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                cells.push(choice_row(&cell, &all, &e));
+            }
+        }
+    };
+    let bsbm = |cfg: BsbmConfig| DataCatalog::load(&generate_bsbm(&cfg));
+    sweep("bsbm-tiny", &bsbm(BsbmConfig::tiny()), &nodes10, Workload::Bsbm);
+    sweep("bsbm-small", &bsbm(BsbmConfig::small()), &nodes10, Workload::Bsbm);
+    for seed in 43..=47 {
+        let cat = bsbm(BsbmConfig {
+            seed,
+            ..BsbmConfig::large()
+        });
+        sweep(&format!("bsbm-8k/{seed}"), &cat, &nodes10, Workload::Bsbm);
+    }
+    for (label, graph) in [
+        ("chem-tiny", generate_chem(&ChemConfig::tiny())),
+        ("chem", generate_chem(&ChemConfig::default())),
+    ] {
+        sweep(label, &DataCatalog::load(&graph), &nodes10, Workload::Chem);
+    }
+    for (label, graph) in [
+        ("pubmed-tiny", generate_pubmed(&PubmedConfig::tiny())),
+        ("pubmed", generate_pubmed(&PubmedConfig::default())),
+    ] {
+        sweep(label, &DataCatalog::load(&graph), &nodes10, Workload::Pubmed);
+    }
+    for (wb, workload) in [
+        (Workbench::bsbm_500k(), Workload::Bsbm),
+        (Workbench::bsbm_2m(), Workload::Bsbm),
+        (Workbench::chem(), Workload::Chem),
+        (Workbench::pubmed(), Workload::Pubmed),
+    ] {
+        sweep(wb.label, &wb.cat, &wb.model, workload);
+    }
+
+    let losses: Vec<&ChoiceCell> = cells
+        .iter()
+        .filter(|c| c.estimate_pick.1 > c.enumerator_pick.1)
+        .collect();
+    let misses = cells
+        .iter()
+        .filter(|c| c.enumerator_pick.1 > c.measured_best.1)
+        .count();
+    println!(
+        "\n{} cells; the enumerator's pick is the measured best of all candidates in {}.",
+        cells.len(),
+        cells.len() - misses
+    );
+    println!(
+        "Choosing by estimate alone loses in {} cells:\n",
+        losses.len()
+    );
+    println!("| Cell | estimate's pick | enumerator's pick | loss s |");
+    println!("|---|---|---|---|");
+    for c in losses {
+        println!(
+            "| {} | {} ({:.3}) | {} ({:.3}) | {} |",
+            c.label,
+            c.estimate_pick.0,
+            c.estimate_pick.1,
+            c.enumerator_pick.0,
+            c.enumerator_pick.1,
+            gap(c.estimate_pick.1 - c.enumerator_pick.1)
+        );
+    }
+}
+
+/// A cost gap in model seconds: three decimals, or one significant digit
+/// below a millisecond, so a sub-millisecond loss does not print as zero.
+fn gap(s: f64) -> String {
+    match s.abs() {
+        0.0 => "0".into(),
+        a if a < 1e-3 => format!("{s:.1e}"),
+        _ => format!("{s:.3}"),
+    }
+}
+
+/// Print one sweep cell's table row and return what the summary needs.
+fn choice_row(label: &str, all: &[CandidateRun], e: &rapida_core::Enumerated) -> ChoiceCell {
+    let names: Vec<&str> = e.candidates.iter().map(|c| c.name.as_str()).collect();
+    let run_names: Vec<&str> = all.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, run_names, "{label}: candidate spaces differ");
+    let by = |key: fn(&CandidateRun) -> f64| {
+        all.iter()
+            .min_by(|a, b| key(a).total_cmp(&key(b)))
+            .expect("a family has candidates")
+    };
+    let est = by(|c| c.estimated_s);
+    let best = by(|c| c.measured_s);
+    let max_err = all
+        .iter()
+        .map(|c| (c.estimated_s - c.measured_s).abs())
+        .fold(0.0, f64::max);
+    let mut inversions = 0;
+    for (i, a) in all.iter().enumerate() {
+        for b in &all[i + 1..] {
+            let by_est = a.estimated_s.total_cmp(&b.estimated_s);
+            let by_meas = a.measured_s.total_cmp(&b.measured_s);
+            inversions += usize::from(by_est.is_ne() && by_meas.is_ne() && by_est != by_meas);
+        }
+    }
+    // Executed workflows: one per fingerprint class with a measured cost (a
+    // plan without a fingerprint is a class of its own).
+    let mut executed: Vec<Option<&str>> = Vec::new();
+    for (c, run) in e.candidates.iter().zip(all) {
+        let class = run.fingerprint.as_deref();
+        if c.measured_s.is_some() && (class.is_none() || !executed.contains(&class)) {
+            executed.push(class);
+        }
+    }
+    let cell = ChoiceCell {
+        label: label.to_string(),
+        estimate_pick: (est.name.clone(), est.measured_s),
+        enumerator_pick: (e.choice.clone(), e.measured_s),
+        measured_best: (best.name.clone(), best.measured_s),
+    };
+    println!(
+        "| {} | {} ({:.3}) | {} ({:.3}) | {} ({:.3}) | {} | {} | {:.3} | {} | {} |",
+        label.replace(' ', " | "),
+        cell.estimate_pick.0,
+        cell.estimate_pick.1,
+        cell.enumerator_pick.0,
+        cell.enumerator_pick.1,
+        cell.measured_best.0,
+        cell.measured_best.1,
+        gap(cell.estimate_pick.1 - cell.enumerator_pick.1),
+        gap(cell.enumerator_pick.1 - cell.measured_best.1),
+        max_err,
+        inversions,
+        executed.len()
+    );
+    cell
 }

@@ -7,9 +7,10 @@
 //! intermediate sizes come from the producing job's tag — `"star u0 s1"`,
 //! `"join u0 k2"`, `"agg b0"`, … — resolved against the [`CardCtx`] built
 //! from the same statistics the memo search uses. The estimate is therefore
-//! a pure function of (query, statistics, model): good enough to rank
-//! alternatives for the dry-run shortlist, cheap enough to price dozens of
-//! candidates.
+//! a pure function of (query, statistics, model): good enough to pick the
+//! plans worth a dry run, cheap enough to price dozens of candidates. It is
+//! blind to ExtVP reductions — a substituted scan's rows are the unreduced
+//! star's — which is why the enumerator also dry-runs the other ExtVP arm.
 
 use crate::catalog::DataCatalog;
 use crate::plan::QueryPlan;

@@ -12,23 +12,28 @@
 //! 1. **Estimate** ([`coster`]): synthesize [`JobMetrics`] for every job
 //!    from per-predicate statistics and price them with
 //!    [`ClusterModel::job_time`]. Pure function of (query, stats, model).
-//! 2. **Dry-run**: the shortlist of cheapest estimates plus the family's
-//!    fixed incumbent plans is executed on the deterministic simulator —
-//!    one pool task per candidate, each running its whole workflow on a
-//!    1-worker engine — and re-priced from *measured* metrics via
-//!    [`ClusterModel::workflow_time`]. The measured-cheapest plan wins.
+//! 2. **Dry-run** the plans that can win — the cheapest estimate, the
+//!    cheapest estimate whose `use_extvp` differs, and the family's fixed
+//!    incumbent plans — on the deterministic simulator, and re-price them
+//!    from *measured* metrics via [`ClusterModel::workflow_time`]. The
+//!    measured-cheapest plan wins. The second member is there because the
+//!    coster prices a substituted ExtVP scan by its input bytes, not by the
+//!    rows the reduction removes, so it can rank the wrong ExtVP arm first.
+//!    A wave of dry runs spreads the cores over its candidates: one pool
+//!    task per candidate, each running its whole workflow on an engine of
+//!    `width / lanes` workers, so a lone dry run gets every core.
 //!
-//! Shortlisted plans that are the same plan — equal
-//! [`QueryPlan::fingerprint`]s, which happens whenever a knob is vacuous on
-//! this query — are executed once: the first of them runs and its twins are
-//! reported at its measured cost.
+//! Candidates that are the same plan — equal [`QueryPlan::fingerprint`]s,
+//! which happens whenever a knob is vacuous on this query — are executed
+//! once: the first of them runs, and every compiled candidate with that
+//! fingerprint is reported at its measured cost.
 //!
-//! A shortlisted plan is not executed when its cost floor (Σ
+//! A plan that can win is not executed when its cost floor (Σ
 //! [`ClusterModel::job_time_floor`] over its jobs, known from the compiled
 //! plan alone) already exceeds the best measured cost: its measured cost
 //! could only be higher still, so it cannot win or even tie. Plans whose
-//! floor exceeds the shortlist's cheapest *estimate* wait for the first
-//! wave's measurements and then run only if that test lets them. The chosen
+//! floor exceeds the cheapest *estimate* wait for the first wave's
+//! measurements and then run only if that test lets them. The chosen
 //! plan's measured cost is therefore never worse than any fixed plan's —
 //! by measurement for the incumbents that ran, by the bound for those that
 //! did not — the invariant `tests/prop_plan_choice.rs` pins. Candidate
@@ -55,10 +60,6 @@ use rapida_rdf::TermId;
 use rapida_sparql::analysis::StarDecomposition;
 use rapida_sparql::ast::Var;
 
-/// How many non-incumbent candidates advance from the estimate phase to the
-/// measured dry-run.
-const SHORTLIST: usize = 4;
-
 /// One explored alternative, reported for experiments and tests.
 #[derive(Debug, Clone)]
 pub struct CandidateReport {
@@ -71,12 +72,11 @@ pub struct CandidateReport {
     /// Phase-1 estimated cost, model seconds.
     pub estimated_s: f64,
     /// Phase-2 measured cost (dry run on the simulator) — this candidate's
-    /// own run, or that of an earlier shortlisted candidate that compiled to
-    /// the same plan ([`QueryPlan::fingerprint`]); the two are the same
-    /// number to the bit. `None` when the candidate did not make the
-    /// shortlist, or made it and was pruned by its cost floor — in which
-    /// case its measured cost would have been strictly above the chosen
-    /// plan's.
+    /// own run, or that of a candidate that compiled to the same plan
+    /// ([`QueryPlan::fingerprint`]); the two are the same number to the bit.
+    /// `None` when the candidate's plan is not among the plans that can win,
+    /// or is and was pruned by its cost floor — in which case its measured
+    /// cost would have been strictly above the chosen plan's.
     pub measured_s: Option<f64>,
 }
 
@@ -320,7 +320,8 @@ fn hive_candidates(
     naive_memo: Option<Vec<Vec<usize>>>,
     mqo_memo: Option<Vec<Vec<usize>>>,
 ) -> Vec<Candidate> {
-    // Incumbents: the fixed default shapes, always shortlisted.
+    // Incumbents: the fixed default shapes, always among the plans that can
+    // win.
     let naive = Candidate::new("hive-naive (fixed)", true, PlanRules::hive_naive());
     let mut cands = vec![naive];
     if multi {
@@ -470,6 +471,58 @@ fn dry_run(plan: &QueryPlan, mr: &Engine, model: &ClusterModel) -> Result<f64, P
     Ok(model.workflow_time(&run?))
 }
 
+/// A compiled candidate and its phase-1 estimate.
+struct Scored {
+    /// Position in the family's candidate list.
+    idx: usize,
+    est: f64,
+    plan: QueryPlan,
+}
+
+/// Phase 1: the family's candidates, each compiled and estimated, plus what
+/// the family's composite rules resolve to. Incumbent compilation failures
+/// are real errors; exotic knob combinations that fail to compile are
+/// silently dropped.
+fn score(
+    family: Family,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+    model: &ClusterModel,
+) -> Result<(Vec<Candidate>, Shape, Vec<Scored>), PlanError> {
+    let (cands, composite) = candidates(family, aq, cat)?;
+    let mut scored = Vec::with_capacity(cands.len());
+    for (idx, cand) in cands.iter().enumerate() {
+        let shape = cand.shape(&composite);
+        let plan = match compile_shaped(&cand.rules, shape, aq, cat) {
+            Ok(p) => p,
+            Err(e) if cand.incumbent => return Err(e),
+            Err(_) => continue,
+        };
+        let ctx = cand.ctx(shape, aq, cat)?;
+        let est = coster::estimate_plan(model, cat, &plan, &ctx);
+        scored.push(Scored { idx, est, plan });
+    }
+    Ok((cands, composite, scored))
+}
+
+/// Positions in `scored` of the plans that can win, in exploration order:
+/// the cheapest estimate, the cheapest estimate whose `use_extvp` differs
+/// from it, and every incumbent. Equal estimates go to the earlier
+/// candidate.
+fn can_win(cands: &[Candidate], scored: &[Scored]) -> Vec<usize> {
+    let extvp = |i: usize| cands[scored[i].idx].rules.use_extvp;
+    let cheapest = |arm: Option<bool>| {
+        (0..scored.len())
+            .filter(|&i| arm.is_none_or(|a| extvp(i) == a))
+            .min_by(|&a, &b| scored[a].est.total_cmp(&scored[b].est))
+    };
+    let first = cheapest(None);
+    let other_arm = first.and_then(|f| cheapest(Some(!extvp(f))));
+    (0..scored.len())
+        .filter(|&i| Some(i) == first || Some(i) == other_arm || cands[scored[i].idx].incumbent)
+        .collect()
+}
+
 /// Enumerate, price, dry-run and choose the cheapest plan of `family` for
 /// this query under `model`. See the module docs for the two-phase scheme
 /// and the determinism / never-worse guarantees.
@@ -485,8 +538,8 @@ pub fn enumerate_best(
     enumerate_at_width(family, aq, cat, model, cores)
 }
 
-/// [`enumerate_best`] with at most `width` candidates dry-run side by side.
-/// The outcome does not depend on `width`.
+/// [`enumerate_best`] with `width` cores for the dry runs. The outcome does
+/// not depend on `width`.
 fn enumerate_at_width(
     family: Family,
     aq: &AnalyticalQuery,
@@ -494,97 +547,69 @@ fn enumerate_at_width(
     model: &ClusterModel,
     width: usize,
 ) -> Result<Enumerated, PlanError> {
-    let (cands, composite) = candidates(family, aq, cat)?;
-    let compile = |cand: &Candidate| compile_shaped(&cand.rules, cand.shape(&composite), aq, cat);
+    let (cands, composite, scored) = score(family, aq, cat, model)?;
+    let contenders = can_win(&cands, &scored);
 
-    // Phase 1: compile + estimate every candidate. Incumbent compilation
-    // failures are real errors; exotic knob combinations that fail to
-    // compile are silently dropped.
-    struct Scored {
-        idx: usize,
-        est: f64,
-        plan: QueryPlan,
-    }
-    let mut scored: Vec<Scored> = Vec::with_capacity(cands.len());
-    for (idx, cand) in cands.iter().enumerate() {
-        let plan = match compile(cand) {
-            Ok(p) => p,
-            Err(e) if cand.incumbent => return Err(e),
-            Err(_) => continue,
-        };
-        let ctx = cand.ctx(cand.shape(&composite), aq, cat)?;
-        let est = coster::estimate_plan(model, cat, &plan, &ctx);
-        scored.push(Scored { idx, est, plan });
-    }
-
-    // Shortlist: the SHORTLIST cheapest estimates plus every incumbent.
-    let mut by_est: Vec<usize> = (0..scored.len()).collect();
-    by_est.sort_by(|&a, &b| {
-        scored[a]
-            .est
-            .total_cmp(&scored[b].est)
-            .then(scored[a].idx.cmp(&scored[b].idx))
-    });
-    let mut shortlist: Vec<usize> = by_est.into_iter().take(SHORTLIST).collect();
-    for (i, s) in scored.iter().enumerate() {
-        if cands[s.idx].incumbent && !shortlist.contains(&i) {
-            shortlist.push(i);
-        }
-    }
-    shortlist.sort_unstable(); // dry-run in exploration order
-
-    // Phase 2: measured dry runs. Parallelism is across candidates: each
-    // one's jobs are too small to fill a worker pool, so every workflow
-    // runs inline on a 1-worker engine and the pool spans the shortlist.
-    // Plan ids keep the candidates' dataset names apart in the shared DFS.
-    let mr = Engine::with_workers(cat.dfs.clone(), 1);
+    // Phase 2: measured dry runs. A dry-run job on plan-time data has 1–2
+    // splits, so parallelism is first across candidates: a wave runs as one
+    // pool task per candidate, at most `width` side by side, and the cores
+    // those lanes leave idle go to the candidates' engines — `width / lanes`
+    // workers each, so a lone dry run gets every core. Plan ids keep the
+    // candidates' dataset names apart in the shared DFS.
     let dry_run_wave = |wave: Vec<usize>| -> Result<Vec<(usize, f64)>, PlanError> {
-        let (costs, _) = pool::run_tasks(width.min(wave.len()), wave, |_, i| {
+        if wave.is_empty() {
+            return Ok(Vec::new());
+        }
+        let lanes = width.min(wave.len());
+        let mr = Engine::with_workers(cat.dfs.clone(), width / lanes);
+        let (costs, _) = pool::run_tasks(lanes, wave, |_, i| {
             dry_run(&scored[i].plan, &mr, model).map(|t| (i, t))
         });
         costs.into_iter().collect()
     };
-    // One execution per distinct plan: shortlisted plans with equal
-    // fingerprints are the same operators over the same datasets, so only
-    // the first of them (exploration order) goes through the waves and its
-    // twins take its outcome — the cost they would have measured themselves,
-    // or the same pruning, since equal plans have equal floors. A plan
-    // without a fingerprint equals nothing and always stands for itself.
-    let prints: Vec<Option<String>> = shortlist
-        .iter()
-        .map(|&i| scored[i].plan.fingerprint())
-        .collect();
-    let rep_of: Vec<usize> = class_reps(&prints).iter().map(|&k| shortlist[k]).collect();
-    let reps = shortlist.iter().zip(&rep_of).filter(|(i, r)| i == r);
+    // One execution per distinct plan: candidates with equal fingerprints
+    // are the same operators over the same datasets, so only the first of a
+    // class (exploration order) goes through the waves, and every compiled
+    // candidate of the class takes its outcome — the cost it would have
+    // measured itself, or the same pruning, since equal plans have equal
+    // floors. A plan without a fingerprint equals nothing and always stands
+    // for itself.
+    let prints: Vec<Option<String>> = scored.iter().map(|s| s.plan.fingerprint()).collect();
+    let rep = class_reps(&prints);
+    let mut reps: Vec<usize> = contenders.iter().map(|&i| rep[i]).collect();
+    reps.sort_unstable();
+    reps.dedup();
     // Wave 1: every plan that could still beat the cheapest estimate. An
     // estimate is never below its own plan's floor, so the cheapest
     // estimate's plan is always among them.
-    let min_est = shortlist
+    let min_est = contenders
         .iter()
         .map(|&i| scored[i].est)
         .fold(f64::INFINITY, f64::min);
     let floor = |i: usize| plan_floor(model, &scored[i].plan);
     let (wave1, deferred): (Vec<usize>, Vec<usize>) =
-        reps.map(|(&i, _)| i).partition(|&i| floor(i) <= min_est);
+        reps.into_iter().partition(|&i| floor(i) <= min_est);
     let mut measured = dry_run_wave(wave1)?;
     // Wave 2: a deferred plan runs only if its floor does not already
     // exceed the best measured cost. `<=` keeps every plan that could tie,
-    // so the incumbent tie-break below sees the same ties as before.
+    // so the incumbent tie-break below sees every tie.
     let best = measured
         .iter()
         .map(|&(_, t)| t)
         .fold(f64::INFINITY, f64::min);
     let wave2 = deferred.into_iter().filter(|&i| floor(i) <= best).collect();
     measured.extend(dry_run_wave(wave2)?);
-    for (&i, &r) in shortlist.iter().zip(&rep_of).filter(|(i, r)| i != r) {
-        let twin = measured.iter().find(|(j, _)| *j == r).map(|&(_, t)| (i, t));
-        measured.extend(twin);
-    }
+    let cost = |i: usize| {
+        measured
+            .iter()
+            .find(|&&(r, _)| r == rep[i])
+            .map(|&(_, t)| t)
+    };
 
     // Choose: minimum measured cost; ties prefer incumbents, then
     // exploration order.
-    let &(win, win_t) = measured
-        .iter()
+    let (win, win_t) = (0..scored.len())
+        .filter_map(|i| cost(i).map(|t| (i, t)))
         .min_by(|(a, ta), (b, tb)| {
             ta.total_cmp(tb)
                 .then_with(|| {
@@ -606,24 +631,70 @@ fn enumerate_at_width(
             incumbent: cands[s.idx].incumbent,
             cycles: s.plan.cycles(),
             estimated_s: s.est,
-            measured_s: measured.iter().find(|(j, _)| *j == i).map(|(_, t)| *t),
+            measured_s: cost(i),
         })
         .collect();
 
     // Re-compile the winner fresh (its dry-run plan already executed once;
     // factories may hold caches) and stamp the cost-based engine name.
-    let mut plan = compile(&cands[scored[win].idx])?;
+    let cand = &cands[scored[win].idx];
+    let mut plan = compile_shaped(&cand.rules, cand.shape(&composite), aq, cat)?;
     plan.engine = match family {
         Family::Hive => "Hive (cost-based)",
         Family::Rapid => "RAPID (cost-based)",
     };
     Ok(Enumerated {
         plan,
-        choice: cands[scored[win].idx].name.clone(),
+        choice: cand.name.clone(),
         estimated_s: scored[win].est,
         measured_s: win_t,
         candidates: reports,
     })
+}
+
+/// One compiled candidate, estimated and dry-run.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct CandidateRun {
+    pub name: String,
+    pub incumbent: bool,
+    pub use_extvp: bool,
+    /// Phase-1 estimate, model seconds.
+    pub estimated_s: f64,
+    /// Σ [`ClusterModel::job_time_floor`] over the plan's jobs.
+    pub floor_s: f64,
+    /// Measured cost of its own dry run, model seconds.
+    pub measured_s: f64,
+    pub fingerprint: Option<String>,
+}
+
+/// Every compiled candidate of `family` in exploration order — the space
+/// [`enumerate_best`] chooses from — each estimated *and* dry-run, nothing
+/// pruned. What experiments and tests hold the enumerator's choice against.
+#[doc(hidden)]
+pub fn dry_run_every_candidate(
+    family: Family,
+    aq: &AnalyticalQuery,
+    cat: &DataCatalog,
+    model: &ClusterModel,
+) -> Result<Vec<CandidateRun>, PlanError> {
+    let (cands, _, scored) = score(family, aq, cat, model)?;
+    let mr = Engine::new(cat.dfs.clone());
+    scored
+        .iter()
+        .map(|s| {
+            let cand = &cands[s.idx];
+            Ok(CandidateRun {
+                name: cand.name.clone(),
+                incumbent: cand.incumbent,
+                use_extvp: cand.rules.use_extvp,
+                estimated_s: s.est,
+                floor_s: plan_floor(model, &s.plan),
+                measured_s: dry_run(&s.plan, &mr, model)?,
+                fingerprint: s.plan.fingerprint(),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -875,35 +946,128 @@ mod tests {
         );
     }
 
-    /// How many candidates are dry-run side by side never shows in the
+    /// How many cores the dry runs get — and so how a wave splits them
+    /// between candidates and their engines' workers — never shows in the
     /// outcome: same choice, same costs to the bit, same reports.
     #[test]
     fn enumeration_is_width_independent() {
         let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
         let model = ClusterModel::nodes10();
+        let key = |e: &Enumerated| -> Vec<_> {
+            e.candidates
+                .iter()
+                .map(|c| {
+                    (
+                        c.name.clone(),
+                        c.estimated_s.to_bits(),
+                        c.measured_s.map(f64::to_bits),
+                    )
+                })
+                .collect()
+        };
         for id in ["MG1", "MG2", "MG3", "MG4"] {
-            let aq = crate::extract(&rapida_sparql::parse_query(&query(id).sparql).unwrap())
-                .unwrap();
+            let aq = aq_of(&query(id).sparql);
             for family in [Family::Hive, Family::Rapid] {
                 let a = enumerate_at_width(family, &aq, &cat, &model, 1).unwrap();
-                let b = enumerate_at_width(family, &aq, &cat, &model, 4).unwrap();
-                assert_eq!(a.choice, b.choice, "{id} {family:?}");
-                assert_eq!(a.measured_s.to_bits(), b.measured_s.to_bits());
-                assert_eq!(a.plan.dump(), b.plan.dump());
-                let key = |e: &Enumerated| -> Vec<_> {
-                    e.candidates
-                        .iter()
-                        .map(|c| {
-                            (
-                                c.name.clone(),
-                                c.estimated_s.to_bits(),
-                                c.measured_s.map(f64::to_bits),
-                            )
-                        })
-                        .collect()
-                };
-                assert_eq!(key(&a), key(&b), "{id} {family:?}");
+                for width in [2, 3, 4] {
+                    let b = enumerate_at_width(family, &aq, &cat, &model, width).unwrap();
+                    assert_eq!(a.choice, b.choice, "{id} {family:?} width {width}");
+                    assert_eq!(a.measured_s.to_bits(), b.measured_s.to_bits());
+                    assert_eq!(a.plan.dump(), b.plan.dump());
+                    assert_eq!(key(&a), key(&b), "{id} {family:?} width {width}");
+                }
             }
         }
+    }
+
+    /// The dry-run contract, held against every compiled candidate's own
+    /// dry run, for both families: the choice costs no more than any
+    /// incumbent; a reported cost is that candidate's own; a candidate
+    /// reported without one costs strictly more than the choice; and the
+    /// executed plans are, up to fingerprint class, the plans that can win —
+    /// the cheapest estimate, the cheapest estimate on the other ExtVP arm,
+    /// and every incumbent — less those their cost floor pruned.
+    fn assert_dry_run_contract(
+        cat: &DataCatalog,
+        aq: &AnalyticalQuery,
+        model: &ClusterModel,
+    ) -> Vec<(Enumerated, Vec<CandidateRun>)> {
+        let mut out = Vec::new();
+        for family in [Family::Hive, Family::Rapid] {
+            let all = dry_run_every_candidate(family, aq, cat, model).unwrap();
+            let e = enumerate_best(family, aq, cat, model).unwrap();
+            let chosen = e.measured_s;
+            assert_eq!(e.candidates.len(), all.len(), "{family:?}: candidate space");
+            for (c, run) in e.candidates.iter().zip(&all) {
+                assert_eq!(c.name, run.name);
+                if run.incumbent {
+                    assert!(chosen <= run.measured_s, "{family:?}: {} beats the choice", c.name);
+                }
+                match c.measured_s {
+                    Some(m) => assert_eq!(m.to_bits(), run.measured_s.to_bits(), "{}", c.name),
+                    None => assert!(run.measured_s > chosen, "{family:?}: {} unpriced", c.name),
+                }
+            }
+
+            let same_class = |i: usize, j: usize| {
+                i == j || all[i].fingerprint.is_some() && all[i].fingerprint == all[j].fingerprint
+            };
+            let cheapest = |arm: Option<bool>| {
+                (0..all.len())
+                    .filter(|&i| arm.is_none_or(|a| all[i].use_extvp == a))
+                    .min_by(|&a, &b| all[a].estimated_s.total_cmp(&all[b].estimated_s))
+            };
+            let first = cheapest(None).unwrap();
+            let other_arm = cheapest(Some(!all[first].use_extvp));
+            let can_win: Vec<usize> = (0..all.len())
+                .filter(|&i| i == first || Some(i) == other_arm || all[i].incumbent)
+                .collect();
+            let priced = |i: usize| e.candidates[i].measured_s.is_some();
+            assert!(priced(first), "{family:?}: the cheapest estimate was not run");
+            for &m in &can_win {
+                if !priced(m) {
+                    assert!(all[m].floor_s > chosen, "{family:?}: {} skipped", all[m].name);
+                }
+            }
+            for (i, run) in all.iter().enumerate() {
+                let runs_with = can_win.iter().any(|&m| priced(m) && same_class(i, m));
+                assert_eq!(priced(i), runs_with, "{family:?}: {}", run.name);
+            }
+            out.push((e, all));
+        }
+        out
+    }
+
+    #[test]
+    fn dry_runs_cover_exactly_the_plans_that_can_win() {
+        let model = ClusterModel::nodes10();
+        let bsbm = DataCatalog::load(&generate_bsbm(&BsbmConfig::tiny()));
+        for id in ["MG1", "MG2", "MG3", "MG4"] {
+            assert_dry_run_contract(&bsbm, &aq_of(&query(id).sparql), &model);
+        }
+        let chem = DataCatalog::load(&generate_chem(&ChemConfig::tiny()));
+        assert_dry_run_contract(&chem, &aq_of(&query("MG6").sparql), &model);
+        let (cat, aq) = alpha_case();
+        assert_dry_run_contract(&cat, &aq, &model);
+    }
+
+    /// The coster prices a substituted ExtVP scan by its input bytes, not by
+    /// the rows the reduction removes, so on bsbm-8k MG2 it ranks every
+    /// `extvp=on` Hive plan above its `extvp=off` twin — and measures the
+    /// other way round. The other-arm dry run is what finds the cheaper one.
+    #[test]
+    fn the_other_extvp_arm_is_dry_run() {
+        let model = ClusterModel::nodes10();
+        let cat = DataCatalog::load(&generate_bsbm(&BsbmConfig::large()));
+        let aq = aq_of(&query("MG2").sparql);
+        let (e, all) = assert_dry_run_contract(&cat, &aq, &model).remove(0);
+        let by_estimate = all
+            .iter()
+            .min_by(|a, b| a.estimated_s.total_cmp(&b.estimated_s))
+            .unwrap();
+        assert_eq!(by_estimate.name, "hive-mqo mj=1048576 msa=on extvp=off ord=default");
+        assert_eq!(format!("{:.3}", by_estimate.measured_s), "115.535");
+        assert_eq!(e.choice, "hive-mqo mj=1048576 msa=on extvp=on ord=default");
+        assert_eq!(format!("{:.3}", e.measured_s), "115.506");
     }
 }
