@@ -68,12 +68,20 @@ fn run_one(
     (blocks, cycles, wf)
 }
 
-/// Sweep the query list on all four engines over both catalogs. Returns the
-/// number of (query, engine) pairs where ExtVP strictly shrank the data
-/// flow (input or shuffle side).
-fn identity_matrix(on: &DataCatalog, off: &DataCatalog, ids: &[&str]) -> usize {
-    let mut strict = 0;
-    for id in ids {
+/// One (query, engine) pair of a sweep: did ExtVP strictly shrink its
+/// input bytes, its shuffle bytes?
+struct Shrank {
+    id: &'static str,
+    engine: &'static str,
+    input: bool,
+    shuffle: bool,
+}
+
+/// Sweep the query list on all four engines over both catalogs, returning
+/// per (query, engine) pair where ExtVP strictly shrank the data flow.
+fn identity_matrix(on: &DataCatalog, off: &DataCatalog, ids: &[&'static str]) -> Vec<Shrank> {
+    let mut shrank = Vec::new();
+    for &id in ids {
         let q = query(id);
         let aq = extract(&parse_query(&q.sparql).unwrap()).unwrap();
         for engine in engines() {
@@ -111,12 +119,15 @@ fn identity_matrix(on: &DataCatalog, off: &DataCatalog, ids: &[&str]) -> usize {
                 "{id}/{}: ExtVP shuffled more ({sh_on} > {sh_off} bytes)",
                 engine.name()
             );
-            if in_on < in_off || sh_on < sh_off {
-                strict += 1;
-            }
+            shrank.push(Shrank {
+                id,
+                engine: engine.name(),
+                input: in_on < in_off,
+                shuffle: sh_on < sh_off,
+            });
         }
     }
-    strict
+    shrank
 }
 
 #[test]
@@ -128,18 +139,29 @@ fn bsbm_g_queries_are_extvp_invariant() {
 #[test]
 fn bsbm_mg_queries_are_extvp_invariant_and_cheaper() {
     let (on, off) = catalog_pair(&generate_bsbm(&BsbmConfig::tiny()));
-    let strict = identity_matrix(&on, &off, &["MG1", "MG2", "MG3", "MG4"]);
+    let shrank = identity_matrix(&on, &off, &["MG1", "MG2", "MG3", "MG4"]);
     assert!(
-        strict > 0,
+        shrank.iter().any(|s| s.input || s.shuffle),
         "no MG (query, engine) pair saw a strict data-flow reduction — \
          substitution never fired"
     );
 }
 
+/// Chem MG6, G6 and G7. G6 and G7 are the catalog cells where the NTGA
+/// engines install an ExtVP subject gate on a triplegroup scan, so under
+/// RAPID+ and RAPIDAnalytics the gate must strictly shrink the shuffle.
 #[test]
 fn chem_mg6_is_extvp_invariant() {
     let (on, off) = catalog_pair(&generate_chem(&ChemConfig::tiny()));
-    identity_matrix(&on, &off, &["MG6"]);
+    let shrank = identity_matrix(&on, &off, &["MG6", "G6", "G7"]);
+    let gated: Vec<&Shrank> = shrank
+        .iter()
+        .filter(|s| s.id != "MG6" && s.engine.starts_with("RAPID"))
+        .collect();
+    assert_eq!(gated.len(), 4, "G6 and G7 under RAPID+ and RAPIDAnalytics");
+    for s in gated {
+        assert!(s.shuffle, "{}/{}: the subject gate never fired", s.id, s.engine);
+    }
 }
 
 /// Chaos leg: the ExtVP-substituted plans must also recover byte-identically
