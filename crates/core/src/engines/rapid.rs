@@ -9,19 +9,17 @@ use crate::composite::{joins_of, CompositeJoin, CompositePattern, EdgeKey};
 use crate::engines::NUM_REDUCERS;
 use crate::filters::{compile_block_filters, StarFilter, ValuePred};
 use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryPlan};
-use crate::relops::IdPred;
 use crate::rules::{left_deep_walk, Attach, PlanRules};
 use rapida_mapred::{FnMapFactory, FnReduceFactory, Job, JobBuilder, KeyLocal};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggJoinSpec, AggSpec, AlphaCond,
-    AlphaJoinReducer, AlphaTerm, AnnRoute, InputRoutes, JoinKey, PropReq, Side, StarRoute,
-    StarSpec, TgJoinMapConfig, TgJoinMapper, TgTransform, VarRef,
+    AlphaJoinReducer, AlphaTerm, AnnRoute, IdPred, InputRoutes, JoinKey, PropReq, Side,
+    StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper, ValueFilter, VarRef,
 };
 use rapida_rdf::TermId;
 use rapida_sparql::analysis::{PropKey, StarDecomposition};
 use rapida_storage::{read_dataset_rows, ExtVpKind, ExtVpMeta};
 use rapida_sparql::ast::{PatternTerm, TriplePattern, Var};
-use std::fmt::Write;
 use std::sync::Arc;
 
 /// RAPID+: every block's pattern joined and aggregated on its own.
@@ -74,19 +72,14 @@ pub(super) fn plan_composite(
         .collect::<Result<_, _>>()?;
 
     let specs = composite_star_specs(cat, composite, &decs)?;
-    let mut prefilters = star_prefilters(cat, &composite.filters, composite.stars.len());
+    let mut filters = star_filters(cat, &composite.filters, composite.stars.len());
     if rules.use_extvp {
         let primary: Vec<Vec<PropKey>> = composite
             .stars
             .iter()
             .map(|s| s.primary.clone())
             .collect();
-        compose_extvp_gates(
-            cat,
-            &mut prefilters,
-            &primary,
-            &subject_gates(&composite.joins),
-        );
+        compose_extvp_gates(cat, &mut filters, &primary, &subject_gates(&composite.joins));
     }
     let edges = compile_edges(cat, &composite.joins);
     // Join-time pruning: the disjunction of every block's positive α.
@@ -109,7 +102,7 @@ pub(super) fn plan_composite(
         unit: 0,
         edge_order: rules.join_order(0),
         specs,
-        prefilters,
+        filters,
         edges,
         conds: Arc::new(conds),
     };
@@ -181,8 +174,7 @@ pub(super) fn plan_shared_single_star(
         // Tag this block's star with the block index so the AnnTgs
         // produced by the shared scan route to the right Agg-Join spec.
         spec.star = b as u8;
-        let prefilter = star_prefilters(cat, &filters, 1).remove(0);
-        raw_filters.push((spec, prefilter));
+        raw_filters.push((spec, star_filters(cat, &filters, 1).remove(0)));
         agg_specs.push(block_agg_spec(
             cat,
             block,
@@ -228,18 +220,10 @@ pub(crate) struct TgJoinPlanner<'a> {
     /// The unit's [`PlanRules::join_orders`] entry.
     edge_order: &'a [usize],
     specs: Vec<StarSpec>,
-    prefilters: Vec<Prefilter>,
+    /// Per star: its pushed-down FILTER predicates and ExtVP subject gate.
+    filters: Vec<ValueFilter>,
     edges: Vec<CompiledEdge>,
     conds: Arc<Vec<AlphaCond>>,
-}
-
-/// A star's value-filter transform together with the text it was compiled
-/// from. The transform is a closure, so [`Job::sig`] cannot print it; `sig`
-/// stands in for it there and says everything the closure captured.
-#[derive(Clone, Default)]
-pub(crate) struct Prefilter {
-    pub(crate) apply: Option<TgTransform>,
-    pub(crate) sig: String,
 }
 
 #[derive(Debug, Clone)]
@@ -263,16 +247,16 @@ impl<'a> TgJoinPlanner<'a> {
         edge_order: &'a [usize],
         use_extvp: bool,
     ) -> Result<Self, PlanError> {
-        let filters = compile_block_filters(block, dec)?;
+        let compiled = compile_block_filters(block, dec)?;
         let joins = joins_of(dec);
-        let mut prefilters = star_prefilters(cat, &filters, dec.stars.len());
+        let mut filters = star_filters(cat, &compiled, dec.stars.len());
         if use_extvp {
             let primary: Vec<Vec<PropKey>> = dec
                 .stars
                 .iter()
                 .map(|s| s.triples.iter().filter_map(PropKey::of).collect())
                 .collect();
-            compose_extvp_gates(cat, &mut prefilters, &primary, &subject_gates(&joins));
+            compose_extvp_gates(cat, &mut filters, &primary, &subject_gates(&joins));
         }
         Ok(TgJoinPlanner {
             cat,
@@ -280,7 +264,7 @@ impl<'a> TgJoinPlanner<'a> {
             unit,
             edge_order,
             specs: block_star_specs(cat, dec)?,
-            prefilters,
+            filters,
             edges: compile_edges(cat, &joins),
             conds: Arc::new(Vec::new()),
         })
@@ -291,29 +275,22 @@ impl<'a> TgJoinPlanner<'a> {
             spec: self.specs[star].clone(),
             side,
             key,
-            prefilter: self.prefilters[star].apply.clone(),
+            filter: self.filters[star].clone(),
         }
     }
 
-    /// Join cycle `cycle` (1-based) of this unit; `cfg.star_routes` scan
-    /// `stars`, in route order.
-    fn join_job(
-        &self,
-        cycle: usize,
-        inputs: Vec<String>,
-        cfg: TgJoinMapConfig,
-        stars: &[usize],
-        out: &str,
-    ) -> Job {
+    /// Join cycle `cycle` (1-based) of this unit. Its [`Job::sig`] is the
+    /// mapper's whole config plus what the α-join reducer is built from.
+    fn join_job(&self, cycle: usize, inputs: Vec<String>, cfg: TgJoinMapConfig, out: &str) -> Job {
         assert_eq!(cfg.inputs.len(), inputs.len(), "one route-table entry per input");
         #[cfg(test)]
         route_table::record(
             &inputs,
             &cfg.inputs,
-            cfg.star_routes.iter().map(|r| (&r.spec, &r.prefilter)),
+            cfg.star_routes.iter().map(|r| (&r.spec, &r.filter)),
         );
         let mut b = JobBuilder::new(format!("{}:tg-join{}", self.prefix, cycle))
-            .sig(self.join_sig(&cfg, stars));
+            .sig(format!("tg-join {cfg:?} alpha{:?}", self.conds));
         for i in inputs {
             b = b.input(i);
         }
@@ -327,29 +304,6 @@ impl<'a> TgJoinPlanner<'a> {
         .num_reducers(NUM_REDUCERS)
         .tag(format!("join u{} k{}", self.unit, cycle - 1))
         .build()
-    }
-
-    /// [`Job::sig`] of a join cycle whose star routes scan `stars`, in route
-    /// order: the mapper's config, destructured exhaustively so a new field
-    /// cannot be left out, plus what the α-join reducer is built from.
-    fn join_sig(&self, cfg: &TgJoinMapConfig, stars: &[usize]) -> String {
-        let TgJoinMapConfig {
-            inputs,
-            star_routes,
-            ann_routes,
-        } = cfg;
-        let mut sig = format!("tg-join {inputs:?} {ann_routes:?} alpha{:?}", self.conds);
-        for (route, &star) in star_routes.iter().zip(stars) {
-            let StarRoute {
-                spec,
-                side,
-                key,
-                prefilter: _,
-            } = route;
-            let pre = &self.prefilters[star].sig;
-            let _ = write!(sig, " ({spec:?} {side:?} {key:?} pre[{pre}])");
-        }
-        sig
     }
 
     /// The inputs of an Agg-Join over this pattern: the joined intermediate,
@@ -367,7 +321,7 @@ impl<'a> TgJoinPlanner<'a> {
                 AggInputs {
                     inputs,
                     table,
-                    raw: vec![(self.specs[0].clone(), self.prefilters[0].clone())],
+                    raw: vec![(self.specs[0].clone(), self.filters[0].clone())],
                 }
             }
         }
@@ -388,7 +342,7 @@ impl<'a> TgJoinPlanner<'a> {
         for (k, step) in steps.iter().enumerate() {
             let edge = &self.edges[step.edge];
             let out = format!("{}_join{}", self.prefix, k + 1);
-            let (inputs, cfg, stars) = match step.attach {
+            let (inputs, cfg) = match step.attach {
                 // Both sides raw: the shared scan over covering partitions,
                 // each walked by the routes its class covers.
                 Attach::First(l, r) => {
@@ -401,7 +355,7 @@ impl<'a> TgJoinPlanner<'a> {
                         ],
                         ann_routes: vec![],
                     };
-                    (inputs, cfg, vec![l, r])
+                    (inputs, cfg)
                 }
                 // One side is the intermediate, the other a raw star.
                 Attach::Star(new_star) => {
@@ -423,10 +377,10 @@ impl<'a> TgJoinPlanner<'a> {
                             key: old_key,
                         }],
                     };
-                    (inputs, cfg, vec![new_star])
+                    (inputs, cfg)
                 }
             };
-            jobs.push(self.join_job(k + 1, inputs, cfg, &stars, &out));
+            jobs.push(self.join_job(k + 1, inputs, cfg, &out));
             prev = Some(out);
         }
         Ok((jobs, prev))
@@ -455,7 +409,7 @@ fn shared_scan<'s>(
 pub(crate) struct AggInputs {
     inputs: Vec<String>,
     table: Vec<InputRoutes>,
-    raw: Vec<(StarSpec, Prefilter)>,
+    raw: Vec<(StarSpec, ValueFilter)>,
 }
 
 pub(crate) fn agg_join_job(
@@ -469,20 +423,16 @@ pub(crate) fn agg_join_job(
 ) -> Job {
     assert_eq!(table.len(), inputs.len(), "one route-table entry per input");
     #[cfg(test)]
-    route_table::record(&inputs, &table, raw.iter().map(|(spec, pre)| (spec, &pre.apply)));
-    let (raw_filters, raw_sigs): (Vec<_>, Vec<String>) = raw
-        .into_iter()
-        .map(|(spec, pre)| ((spec, pre.apply), pre.sig))
-        .unzip();
+    route_table::record(&inputs, &table, raw.iter().map(|(spec, filter)| (spec, filter)));
     let cfg = Arc::new(AggJoinConfig {
         specs,
         numeric: cat.numeric.clone(),
         inputs: table,
-        raw_filters,
+        raw_filters: raw,
         map_side_combine,
     });
-    // Exhaustive, so a new config field cannot be left out; the filter
-    // closures are stood in for by the text they were compiled from.
+    // Exhaustive, so a new config field cannot be left out; the numeric
+    // snapshot prints by pointer.
     let AggJoinConfig {
         specs,
         numeric,
@@ -490,10 +440,8 @@ pub(crate) fn agg_join_job(
         raw_filters,
         map_side_combine,
     } = &*cfg;
-    let raw_specs: Vec<&StarSpec> = raw_filters.iter().map(|(spec, _)| spec).collect();
     let sig = format!(
-        "agg-join {specs:?} raw{raw_specs:?} pre{raw_sigs:?} table{table:?} \
-         msc={map_side_combine} n{:p}",
+        "agg-join {specs:?} raw{raw_filters:?} table{table:?} msc={map_side_combine} n{:p}",
         Arc::as_ptr(numeric)
     );
     let mut b = JobBuilder::new(name).sig(sig);
@@ -582,25 +530,29 @@ fn composite_star_specs(
         .collect()
 }
 
-/// Build per-star prefilter transforms from compiled value filters.
-fn star_prefilters(
-    cat: &DataCatalog,
-    filters: &[StarFilter],
-    n_stars: usize,
-) -> Vec<Prefilter> {
+/// Each of `n_stars` stars' [`ValueFilter`], from its compiled value
+/// filters; ungated.
+fn star_filters(cat: &DataCatalog, filters: &[StarFilter], n_stars: usize) -> Vec<ValueFilter> {
     (0..n_stars)
         .map(|s| {
-            let preds: Vec<(u64, IdPred)> = filters
+            let preds = filters
                 .iter()
                 .filter(|f| f.star == s)
-                .map(|f| {
-                    let (pid, _) = cat.resolve_prop(&f.prop);
-                    (pid, id_pred_of(cat, &f.pred))
-                })
+                .map(|f| (cat.resolve_prop(&f.prop).0, id_pred_of(cat, &f.pred)))
                 .collect();
-            make_prefilter(cat, preds)
+            value_filter(cat, preds)
         })
         .collect()
+}
+
+/// An ungated filter of `preds`, over the catalog's snapshots.
+fn value_filter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> ValueFilter {
+    ValueFilter {
+        preds,
+        subjects: None,
+        numeric: cat.numeric.clone(),
+        lexical: cat.lexical.clone(),
+    }
 }
 
 /// Join edges where a star enters the join by its subject against a
@@ -622,18 +574,19 @@ fn subject_gates(joins: &[CompositeJoin]) -> Vec<(usize, PropKey)> {
     gates
 }
 
-/// Compose ExtVP subject gates into per-star prefilters. A spec-matching
+/// Compose ExtVP subject gates into per-star filters. A spec-matching
 /// triplegroup of the subject-side star has its subject in `subjects(a)`
 /// for every primary prop `a`, and survives the pure-inner α-join only if
 /// that subject also lies in `objects(p)` — together exactly the subject
 /// set of the `SO[a|p]` reduction. The smallest applicable reduction is
 /// loaded once at plan time as a sorted id set and checked by binary
 /// search ahead of the shuffle; stars without a materialized reduction
-/// stay ungated. Groups the gate removes could never survive the join,
-/// so output is byte-identical either way.
+/// stay ungated, and a star gated twice keeps the intersection. Groups the
+/// gate removes could never survive the join, so output is byte-identical
+/// either way.
 fn compose_extvp_gates(
     cat: &DataCatalog,
-    prefilters: &mut [Prefilter],
+    filters: &mut [ValueFilter],
     star_primary: &[Vec<PropKey>],
     gates: &[(usize, PropKey)],
 ) {
@@ -655,18 +608,11 @@ fn compose_extvp_gates(
         };
         let mut subjects: Vec<u64> = read_dataset_rows(&ds).into_iter().map(|(s, _)| s).collect();
         subjects.dedup(); // reduction rows are sorted by (s, o)
-        let subjects = Arc::new(subjects);
-        // The gate is its subject set, so the set is what the sig says.
-        let pre = &mut prefilters[*star];
-        let _ = write!(pre.sig, " gate{subjects:?}");
-        let inner = pre.apply.take();
-        pre.apply = Some(Arc::new(move |tg: rapida_ntga::TripleGroup| {
-            let tg = match &inner {
-                Some(f) => f(tg)?,
-                None => tg,
-            };
-            subjects.binary_search(&tg.subject).is_ok().then_some(tg)
-        }));
+        let gate = &mut filters[*star].subjects;
+        if let Some(earlier) = gate {
+            subjects.retain(|s| earlier.binary_search(s).is_ok());
+        }
+        *gate = Some(Arc::new(subjects));
     }
 }
 
@@ -685,32 +631,6 @@ pub(crate) fn id_pred_of(cat: &DataCatalog, pred: &ValuePred) -> IdPred {
             pattern: pattern.clone(),
             case_insensitive: *case_insensitive,
         },
-    }
-}
-
-fn make_prefilter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> Prefilter {
-    if preds.is_empty() {
-        return Prefilter::default();
-    }
-    let numeric = cat.numeric.clone();
-    let lexical = cat.lexical.clone();
-    let sig = format!(
-        "{preds:?} n{:p} l{:p}",
-        Arc::as_ptr(&numeric),
-        Arc::as_ptr(&lexical)
-    );
-    let apply: TgTransform = Arc::new(move |mut tg: rapida_ntga::TripleGroup| {
-        tg.triples.retain(|(p, o)| {
-            preds
-                .iter()
-                .filter(|(fp, _)| fp == p)
-                .all(|(_, pred)| pred.eval(*o, &numeric, &lexical))
-        });
-        Some(tg)
-    });
-    Prefilter {
-        apply: Some(apply),
-        sig,
     }
 }
 
@@ -916,14 +836,13 @@ mod tests {
             op: rapida_sparql::ast::CmpOp::Ge,
             rhs: 5.0,
         };
-        let f = make_prefilter(&cat, vec![(pc, pred)]).apply.unwrap();
+        let f = value_filter(&cat, vec![(pc, pred)]);
         let lo = cat.id_of(&rapida_rdf::Term::decimal(2.0));
         let hi = cat.id_of(&rapida_rdf::Term::decimal(7.0));
-        let tg = rapida_ntga::TripleGroup::new(1, vec![(pc, lo), (pc, hi), (99, 5)]);
-        let out = f(tg).unwrap();
-        assert!(out.has_triple(pc, hi));
-        assert!(!out.has_triple(pc, lo));
-        assert!(out.has_prop(99), "unrelated properties untouched");
+        assert!(f.admits(pc, hi));
+        assert!(!f.admits(pc, lo));
+        assert!(f.admits(99, 5), "unrelated properties untouched");
+        assert!(f.admits_subject(1), "no gate");
     }
 
     /// The ExtVP subject gate on a graph where only 4 of 40 `pa` subjects

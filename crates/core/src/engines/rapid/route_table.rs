@@ -30,7 +30,7 @@ use std::cell::RefCell;
 struct Scan {
     inputs: Vec<String>,
     table: Vec<InputRoutes>,
-    routes: Vec<(StarSpec, Option<TgTransform>)>,
+    routes: Vec<(StarSpec, ValueFilter)>,
 }
 
 thread_local! {
@@ -42,12 +42,12 @@ thread_local! {
 pub(super) fn record<'r>(
     inputs: &[String],
     table: &[InputRoutes],
-    routes: impl Iterator<Item = (&'r StarSpec, &'r Option<TgTransform>)>,
+    routes: impl Iterator<Item = (&'r StarSpec, &'r ValueFilter)>,
 ) {
     let scan = Scan {
         inputs: inputs.to_vec(),
         table: table.to_vec(),
-        routes: routes.map(|(spec, pre)| (spec.clone(), pre.clone())).collect(),
+        routes: routes.map(|(spec, filter)| (spec.clone(), filter.clone())).collect(),
     };
     SCANS.with(|scans| scans.borrow_mut().push(scan));
 }
@@ -68,14 +68,14 @@ SELECT ?nA ?v ?nB {
 }",
 ];
 
-/// How many records of `dataset` pass `spec` behind `prefilter`, counted by
-/// the reference tg-join mapper over a one-route, one-input table.
-fn passing(cat: &DataCatalog, dataset: &str, (spec, prefilter): &(StarSpec, Option<TgTransform>)) -> usize {
+/// How many records of `dataset` pass `spec` behind `filter`, counted by the
+/// reference tg-join mapper over a one-route, one-input table.
+fn passing(cat: &DataCatalog, dataset: &str, (spec, filter): &(StarSpec, ValueFilter)) -> usize {
     let route = StarRoute {
         spec: spec.clone(),
         side: Side::Left,
         key: JoinKey::Subject { star: spec.star },
-        prefilter: prefilter.clone(),
+        filter: filter.clone(),
     };
     let cfg = TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![0])],

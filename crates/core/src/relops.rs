@@ -7,76 +7,12 @@ use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{
     InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
 };
+pub use rapida_ntga::{IdPred, LexicalSnapshot};
 use rapida_ntga::{read_group_key, write_group_key, AggOp, AggRec, AggTable, NumericSnapshot, PartialAgg};
 use rapida_rdf::{FxHashMap, FxHashSet};
 use rapida_sparql::ast::CmpOp;
 use rapida_storage::decode_segment;
 use std::sync::{Arc, OnceLock};
-
-/// Shared lexical snapshot type (regex filters).
-pub type LexicalSnapshot = Arc<Vec<String>>;
-
-/// An id-level value predicate (compiled from a `ValuePred` against the
-/// catalog).
-#[derive(Debug, Clone, PartialEq)]
-pub enum IdPred {
-    /// Numeric comparison via the numeric snapshot.
-    Num {
-        /// Operator.
-        op: CmpOp,
-        /// Constant.
-        rhs: f64,
-    },
-    /// Identity comparison against a term id.
-    IdEq {
-        /// `=` vs `!=`.
-        eq: bool,
-        /// Constant id ([`crate::catalog::MISSING_ID`] matches nothing).
-        rhs: u64,
-    },
-    /// Substring containment on the lexical form.
-    Contains {
-        /// Pattern.
-        pattern: String,
-        /// Case-insensitive flag.
-        case_insensitive: bool,
-    },
-}
-
-impl IdPred {
-    /// Evaluate against a term id.
-    pub fn eval(&self, id: u64, numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> bool {
-        match self {
-            IdPred::Num { op, rhs } => {
-                let Some(v) = numeric.get(id as usize).copied().flatten() else {
-                    return false;
-                };
-                match op {
-                    CmpOp::Eq => v == *rhs,
-                    CmpOp::Ne => v != *rhs,
-                    CmpOp::Lt => v < *rhs,
-                    CmpOp::Le => v <= *rhs,
-                    CmpOp::Gt => v > *rhs,
-                    CmpOp::Ge => v >= *rhs,
-                }
-            }
-            IdPred::IdEq { eq, rhs } => (id == *rhs) == *eq,
-            IdPred::Contains {
-                pattern,
-                case_insensitive,
-            } => match lexical.get(id as usize) {
-                None => false,
-                Some(lex) => {
-                    if *case_insensitive {
-                        lex.to_lowercase().contains(&pattern.to_lowercase())
-                    } else {
-                        lex.contains(pattern.as_str())
-                    }
-                }
-            },
-        }
-    }
-}
 
 /// A predicate bound to a row column. `Null` cells fail every predicate.
 #[derive(Debug, Clone, PartialEq)]

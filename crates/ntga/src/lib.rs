@@ -4,23 +4,26 @@
 //! analytical extensions:
 //!
 //! * [`triplegroup`] — [`TripleGroup`] / [`AnnTg`] model and codecs.
-//! * [`spec`] — operator specifications: star requirements, α-conditions
-//!   (Table 2), variable references, aggregation specs and mergeable
-//!   [`PartialAgg`] states.
-//! * [`ops`] — logical operators (Defs 3.3–3.6): the optional group filter
-//!   σ^γopt, the n-split χ, the α-Join, and the TG Agg-Join γ^AgJ.
+//! * [`spec`] — operator specifications: star requirements, value filters
+//!   (FILTER pushdown and the ExtVP subject gate), α-conditions (Table 2),
+//!   variable references, aggregation specs and mergeable [`PartialAgg`]
+//!   states.
+//! * [`ops`] — the per-record kernels of the operators (Defs 3.3 and 3.6):
+//!   the one-walk optional group filter σ^γopt and the Agg-Join's compiled
+//!   [`SlotProgram`].
 //! * [`physical`] — MR physical operators (Algorithms 1–3): filter + α-join
 //!   map/reduce pairs and the Agg-Join with map-side hash aggregation.
 //! * [`hashagg`] — the open-addressing [`AggTable`] backing map-side
 //!   combining (flat key/state arenas, deterministic sorted drain).
 //!
-//! The hot operator paths run on the borrowed view [`TgRef`] and the star
-//! directory [`StarDir`]: records are walked once, in place, and re-emitted
-//! by copying raw spans into per-task scratch buffers (see `DESIGN.md`
-//! §2d). That is the only physical form: the owned-decode operators they
-//! replaced live on as the test-only reference in `tests/common`, which
-//! `tests/view_identity.rs` holds the production operators to byte for
-//! byte.
+//! The operators run on the borrowed view [`TgRef`] and the star directory
+//! [`StarDir`]: records are walked once, in place, and re-emitted by copying
+//! raw spans into per-task scratch buffers (see `DESIGN.md` §2d). That is
+//! the only physical form. The logical operators of Defs 3.3–3.6 — σ^γopt,
+//! the n-split χ, the α-Join and the TG Agg-Join γ^AgJ over owned values —
+//! and the owned-decode tasks written against them live in `tests/common`
+//! as the spec oracle, which `tests/view_identity.rs` and
+//! `tests/prop_ops.rs` hold the production operators to.
 
 pub mod hashagg;
 pub mod ops;
@@ -29,17 +32,14 @@ pub mod spec;
 pub mod triplegroup;
 
 pub use hashagg::AggTable;
-pub use ops::{
-    accumulate, agg_join, alpha_join, finalize_groups, finalize_groups_par, n_split,
-    opt_group_filter, opt_group_filter_into, SlotProgram,
-};
+pub use ops::{opt_group_filter_into, SlotProgram};
 pub use spec::{
     any_alpha_partial, any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec,
-    AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, JoinKey, NumericSnapshot, PartialAgg, PropReq,
-    StarSpec, VarRef,
+    AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, IdPred, JoinKey, LexicalSnapshot,
+    NumericSnapshot, PartialAgg, PropReq, StarSpec, ValueFilter, VarRef,
 };
 pub use physical::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, InputRoutes, Side,
-    StarRoute, TgJoinMapConfig, TgJoinMapper, TgTransform,
+    StarRoute, TgJoinMapConfig, TgJoinMapper,
 };
 pub use triplegroup::{AnnTg, StarDir, Stars, TgRef, TripleGroup};

@@ -1,63 +1,43 @@
-//! Logical NTGA operators — in-memory reference forms of the paper's
-//! Definitions 3.3–3.6. The MR physical forms in [`crate::physical`] must
-//! agree with these (tested in the workspace integration suite).
+//! The NTGA operator kernels the physical operators run on one record at a
+//! time: the optional group filter σ^γopt (Def 3.3) as one walk of a raw
+//! triplegroup's pairs, and the Agg-Join's assignment enumeration (Def 3.6)
+//! as a [`SlotProgram`] compiled from every spec of a cycle. Their logical,
+//! owned-value forms — with the n-split χ and the α-Join of Defs 3.4–3.5 —
+//! are the test-only oracle in `tests/common`.
 
-use crate::spec::{
-    AggJoinSpec, AggOp, AlphaCond, NumericSnapshot, PartialAgg, PropReq, StarSpec, VarRef,
-};
-use crate::triplegroup::{AnnTg, Stars, TgRef, TripleGroup};
+use crate::spec::{AggJoinSpec, PropReq, StarSpec, ValueFilter, VarRef};
+use crate::triplegroup::{Stars, TgRef};
 use rapida_mapred::codec::{read_varint, write_varint};
-use rapida_rdf::FxHashMap;
 
-/// σ^γopt — the **optional group filter** (Def 3.3).
+/// σ^γopt — the **optional group filter** (Def 3.3) over a borrowed view,
+/// behind a star's [`ValueFilter`], in **one walk** of the group's pairs.
+/// A pair failing a predicate on its property counts as absent; every other
+/// pair matching a primary or secondary requirement is kept. The walk
+/// decides the primary mask, appends the projected group's canonical
+/// encoding to `out` (the caller clears) by copying each run of kept pairs'
+/// *source bytes*, and collects into `keys` (cleared here) the kept objects
+/// of `key_prop` — the `JoinKey::ObjectOf` values of the projected group,
+/// in stored order. The subject gate is checked once the walk is done.
 ///
-/// Projects a subject triplegroup onto a composite star pattern's
-/// `P_prim ∪ P_opt` and keeps it iff every primary property matches. Returns
-/// the projected group, or `None` if a primary requirement fails.
-pub fn opt_group_filter(tg: &TripleGroup, spec: &StarSpec) -> Option<TripleGroup> {
-    for req in &spec.primary {
-        if !req.matches(tg) {
-            return None;
-        }
-    }
-    let mut triples = Vec::new();
-    for &(p, o) in &tg.triples {
-        let keep = spec
-            .primary
-            .iter()
-            .chain(spec.secondary.iter())
-            .any(|req| req.prop == p && req.object.is_none_or(|ro| ro == o));
-        if keep {
-            triples.push((p, o));
-        }
-    }
-    Some(TripleGroup::new(tg.subject, triples))
-}
-
-/// [`opt_group_filter`] over a borrowed view, in **one walk** of the group's
-/// pairs: the walk decides the primary mask, appends the projected group's
-/// canonical encoding to `out` (the caller clears) by copying each run of
-/// kept pairs' *source bytes*, and collects into `keys` (cleared here) the
-/// kept objects of `key_prop` — the `JoinKey::ObjectOf` values of the
-/// projected group, in stored order.
+/// `Some(true)`: the group passed. `Some(false)`: a primary requirement or
+/// the subject gate failed. `None`: fewer than `tg.len()` pairs decode —
+/// the record `TripleGroup::decode` rejects, whatever the filter would
+/// have said. `out` keeps its length unless the group passed.
 ///
-/// `Some(true)`: the group passed. `Some(false)`: a primary requirement
-/// failed. `None`: fewer than `tg.len()` pairs decode — the record
-/// `TripleGroup::decode` rejects. `out` keeps its length unless the group
-/// passed.
-///
-/// Byte-identical to `opt_group_filter(...).encode(...)`: the view's pairs
-/// are stored sorted in minimal varints, so the kept subsequence is sorted
-/// too and its source bytes are its encoding.
+/// Byte-identical to dropping the failing pairs, gating the subject, then
+/// projecting the owned group and encoding it: the view's pairs are stored
+/// sorted in minimal varints, so the kept subsequence is sorted too and its
+/// source bytes are its encoding.
 pub fn opt_group_filter_into(
     tg: &TgRef<'_>,
     spec: &StarSpec,
+    filter: &ValueFilter,
     key_prop: Option<u64>,
     out: &mut Vec<u8>,
     keys: &mut Vec<u64>,
 ) -> Option<bool> {
     let mark = out.len();
-    let passed = filter_walk(tg, spec, key_prop, out, keys);
+    let passed = filter_walk(tg, spec, filter, key_prop, out, keys);
     if passed != Some(true) {
         out.truncate(mark);
     }
@@ -67,20 +47,13 @@ pub fn opt_group_filter_into(
 fn filter_walk(
     tg: &TgRef<'_>,
     spec: &StarSpec,
+    filter: &ValueFilter,
     key_prop: Option<u64>,
     out: &mut Vec<u8>,
     keys: &mut Vec<u64>,
 ) -> Option<bool> {
     keys.clear();
     let tracked = spec.primary.len().min(64);
-    // The mask tracks 64 primary requirements; check any beyond that with
-    // one scan each (unreachable on real specs).
-    if !spec.primary[tracked..]
-        .iter()
-        .all(|req| req.matches_ref(tg))
-    {
-        return Some(false);
-    }
     write_varint(out, tg.subject());
     // One byte for the kept count, widened after the walk if it needs more.
     let count_at = out.len();
@@ -94,15 +67,15 @@ fn filter_walk(
         let pair = cur;
         let p = read_varint(&mut cur)?;
         let o = read_varint(&mut cur)?;
-        let hit = |req: &PropReq| req.prop == p && req.object.is_none_or(|ro| ro == o);
-        let mut keep = false;
+        let hit = |req: &PropReq| req.admits(p, o);
+        let mut hits: u64 = 0;
         for (i, req) in spec.primary[..tracked].iter().enumerate() {
             if hit(req) {
-                matched |= 1 << i;
-                keep = true;
+                hits |= 1 << i;
             }
         }
-        if keep || spec.secondary.iter().any(hit) {
+        if (hits != 0 || spec.secondary.iter().any(hit)) && filter.admits(p, o) {
+            matched |= hits;
             if run_len == 0 {
                 run = pair;
             }
@@ -116,7 +89,13 @@ fn filter_walk(
             run_len = 0;
         }
     }
-    if matched.count_ones() as usize != tracked {
+    // The mask tracks 64 primary requirements; any beyond that take one
+    // scan each (unreachable on real specs).
+    let untracked = |req: &PropReq| tg.pairs().any(|(p, o)| req.admits(p, o) && filter.admits(p, o));
+    if matched.count_ones() as usize != tracked
+        || !spec.primary[tracked..].iter().all(untracked)
+        || !filter.admits_subject(tg.subject())
+    {
         return Some(false);
     }
     out.extend_from_slice(&run[..run_len]);
@@ -137,142 +116,6 @@ fn filter_walk(
         }
     }
     Some(true)
-}
-
-/// χ — the **n-split** operator (Def 3.4).
-///
-/// Extracts up to `n` sub-triplegroups from a composite-pattern match: the
-/// `i`-th output combines the primary-property triples with the triples of
-/// the `i`-th secondary property set, and exists iff every property of that
-/// secondary set is present.
-pub fn n_split(
-    tg: &TripleGroup,
-    primary: &[u64],
-    secondary_sets: &[Vec<u64>],
-) -> Vec<Option<TripleGroup>> {
-    secondary_sets
-        .iter()
-        .map(|secs| {
-            if !secs.iter().all(|p| tg.has_prop(*p)) {
-                return None;
-            }
-            let triples: Vec<(u64, u64)> = tg
-                .triples
-                .iter()
-                .filter(|(p, _)| primary.contains(p) || secs.contains(p))
-                .copied()
-                .collect();
-            Some(TripleGroup::new(tg.subject, triples))
-        })
-        .collect()
-}
-
-/// ⋈^γ_{α1∨…∨αm} — the **α-Join** (Def 3.5), in-memory form.
-///
-/// Joins two annotated-triplegroup collections on precomputed key values,
-/// materializing a combination only when at least one α-condition accepts it
-/// (partial semantics: conditions mention only stars present so far).
-pub fn alpha_join(
-    left: &[(u64, AnnTg)],
-    right: &[(u64, AnnTg)],
-    conds: &[AlphaCond],
-) -> Vec<AnnTg> {
-    let mut by_key: FxHashMap<u64, Vec<&AnnTg>> = FxHashMap::default();
-    for (k, tg) in left {
-        by_key.entry(*k).or_default().push(tg);
-    }
-    let mut out = Vec::new();
-    for (k, rtg) in right {
-        if let Some(ls) = by_key.get(k) {
-            for ltg in ls {
-                let joined = ltg.merge(rtg);
-                if crate::spec::any_alpha_partial(conds, &joined) {
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// γ^AgJ — the **TG Agg-Join** (Def 3.6), in-memory form.
-///
-/// For each detail triplegroup satisfying the spec's α-condition, enumerates
-/// the joint assignments of all referenced variables (grouping + aggregation
-/// arguments; multi-valued properties fan out exactly as the relational
-/// row expansion would) and folds each assignment into the group keyed by
-/// the grouping values. Returns `(group key, partial states)` pairs.
-///
-/// The paper's base-triplegroup formulation (`RNG(btg, TG_detail, θ, α)`)
-/// is recovered by reading each output group as one base triplegroup whose
-/// RNG contributed the folded detail groups.
-pub fn agg_join(
-    details: &[AnnTg],
-    spec: &AggJoinSpec,
-    numeric: &NumericSnapshot,
-) -> Vec<(Vec<u64>, Vec<PartialAgg>)> {
-    let mut groups: FxHashMap<Vec<u64>, Vec<PartialAgg>> = FxHashMap::default();
-    for tg in details {
-        if !spec.alpha.satisfied_full(tg) {
-            continue;
-        }
-        accumulate(tg, spec, numeric, &mut |key, idx, value| {
-            let entry = groups
-                .entry(key.to_vec())
-                .or_insert_with(|| vec![PartialAgg::default(); spec.aggs.len()]);
-            entry[idx].add(value);
-        });
-    }
-    groups.into_iter().collect()
-}
-
-/// Shared assignment-enumeration core for the logical and physical Agg-Join:
-/// calls `fold(group_key, agg_index, numeric_value)` once per (assignment,
-/// aggregation) pair.
-/// Callback type for [`accumulate`]: `(group key, aggregate index, value)`.
-pub type FoldFn<'a> = dyn FnMut(&[u64], usize, Option<f64>) + 'a;
-
-pub fn accumulate(
-    tg: &AnnTg,
-    spec: &AggJoinSpec,
-    numeric: &NumericSnapshot,
-    fold: &mut FoldFn<'_>,
-) {
-    // Value lists per slot. A triplegroup that reached the Agg-Join and
-    // passed α has every pattern variable bound (primary presence is
-    // enforced by the group filter, secondary presence by α); an empty slot
-    // therefore means the pattern does not match and the group contributes
-    // nothing (relational inner-join semantics).
-    let value_lists: Vec<Vec<u64>> = spec.slots.iter().map(|r| r.values(tg)).collect();
-    if value_lists.iter().any(|v| v.is_empty()) {
-        return;
-    }
-
-    // Enumerate the full cartesian assignment space — the relational
-    // solution-row expansion of the block pattern.
-    let mut assignment: Vec<u64> = vec![0; spec.slots.len()];
-    enumerate(&value_lists, 0, &mut assignment, &mut |assignment| {
-        let key: Vec<u64> = spec.group_slots.iter().map(|&i| assignment[i]).collect();
-        for (i, agg) in spec.aggs.iter().enumerate() {
-            fold(&key, i, agg.value(assignment, numeric));
-        }
-    });
-}
-
-fn enumerate(
-    lists: &[Vec<u64>],
-    i: usize,
-    assignment: &mut Vec<u64>,
-    f: &mut dyn FnMut(&[u64]),
-) {
-    if i == lists.len() {
-        f(assignment);
-        return;
-    }
-    for &v in &lists[i] {
-        assignment[i] = v;
-        enumerate(lists, i + 1, assignment, f);
-    }
 }
 
 /// What one property of one star feeds in a [`SlotProgram`].
@@ -413,7 +256,7 @@ impl SlotProgram {
     /// record's stars, then for each spec whose α holds and whose slots are
     /// all bound call `f(spec index, group key, assignment)` once per joint
     /// assignment — specs in order, slot 0 outermost and the last slot
-    /// fastest: the sequence [`accumulate`] produces spec by spec.
+    /// fastest: the sequence the logical Agg-Join produces spec by spec.
     pub fn run(&mut self, rec: &Stars<'_, '_>, mut f: impl FnMut(usize, &[u64], &[u64])) {
         let SlotProgram {
             stars,
@@ -485,74 +328,10 @@ impl SlotProgram {
     }
 }
 
-/// Finalize agg-join groups into `(key, values)` with each partial resolved
-/// through its [`AggOp`].
-pub fn finalize_groups(
-    groups: Vec<(Vec<u64>, Vec<PartialAgg>)>,
-    ops: &[AggOp],
-) -> Vec<(Vec<u64>, Vec<Option<f64>>)> {
-    finalize_groups_par(groups, ops, 1)
-}
-
-/// [`finalize_groups`] with the group list cut into contiguous chunks
-/// finalized on `workers` scoped threads. Each group's finalize reads only
-/// its own partials — key-local in the engine's sense — so chunk outputs
-/// concatenated in chunk order are exactly the serial result at any worker
-/// count.
-pub fn finalize_groups_par(
-    groups: Vec<(Vec<u64>, Vec<PartialAgg>)>,
-    ops: &[AggOp],
-    workers: usize,
-) -> Vec<(Vec<u64>, Vec<Option<f64>>)> {
-    const MIN_PAR_GROUPS: usize = 1024;
-    let finalize_chunk = |chunk: Vec<(Vec<u64>, Vec<PartialAgg>)>| {
-        chunk
-            .into_iter()
-            .map(|(k, partials)| {
-                let values = partials
-                    .iter()
-                    .zip(ops)
-                    .map(|(p, op)| p.finalize(*op))
-                    .collect();
-                (k, values)
-            })
-            .collect::<Vec<_>>()
-    };
-    let workers = workers.max(1).min(groups.len() / MIN_PAR_GROUPS + 1);
-    if workers <= 1 {
-        return finalize_chunk(groups);
-    }
-    // Split into owned chunks front to back, finalize each on its own
-    // scoped thread, join in spawn order.
-    let per = groups.len().div_ceil(workers);
-    let mut rest = groups;
-    let mut chunks: Vec<Vec<(Vec<u64>, Vec<PartialAgg>)>> = Vec::with_capacity(workers);
-    while rest.len() > per {
-        let tail = rest.split_off(per);
-        chunks.push(rest);
-        rest = tail;
-    }
-    chunks.push(rest);
-    let finalize_chunk = &finalize_chunk;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(move || finalize_chunk(c)))
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            out.extend(h.join().expect("finalize worker panicked"));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AggSpec, AlphaTerm};
-    use crate::triplegroup::StarDir;
-    use std::sync::Arc;
+    use crate::triplegroup::TripleGroup;
 
     fn tg(s: u64, pairs: &[(u64, u64)]) -> TripleGroup {
         TripleGroup::new(s, pairs.to_vec())
@@ -570,6 +349,17 @@ mod tests {
             primary: vec![PropReq::any(PRODUCT), PropReq::any(PRICE)],
             secondary: vec![PropReq::any(VALID_FROM), PropReq::any(VALID_TO)],
         }
+    }
+
+    /// σ^γopt of `g` through the one walk, unfiltered: the projected group,
+    /// or `None` if a primary requirement fails.
+    fn opt_group_filter(g: &TripleGroup, spec: &StarSpec) -> Option<TripleGroup> {
+        let mut rec = Vec::new();
+        g.encode(&mut rec);
+        let view = TgRef::parse(&rec).unwrap();
+        let mut out = Vec::new();
+        let passed = opt_group_filter_into(&view, spec, &ValueFilter::default(), None, &mut out, &mut Vec::new());
+        passed.expect("a canonical record").then(|| TripleGroup::decode(&out).unwrap())
     }
 
     /// Fig. 4(a): tg1, tg2, tg4 pass; tg3 (missing price) is filtered out.
@@ -612,301 +402,25 @@ mod tests {
         assert_eq!(out.triples, vec![(7, 70)]);
     }
 
-    /// Fig. 4(b): n-split with P_sec1={validFrom}, P_sec2={validTo}.
-    #[test]
-    fn fig4b_n_split() {
-        let tg4 = tg(
-            104,
-            &[(PRODUCT, 14), (PRICE, 24), (VALID_FROM, 34), (VALID_TO, 44)],
-        );
-        let tg1 = tg(101, &[(PRODUCT, 11), (PRICE, 21), (VALID_TO, 41)]);
-        let prim = vec![PRODUCT, PRICE];
-        let secs = vec![vec![VALID_FROM], vec![VALID_TO]];
-
-        let s4 = n_split(&tg4, &prim, &secs);
-        // tg4 matches both combinations.
-        let s41 = s4[0].as_ref().unwrap();
-        assert!(s41.has_prop(VALID_FROM) && !s41.has_prop(VALID_TO));
-        let s42 = s4[1].as_ref().unwrap();
-        assert!(s42.has_prop(VALID_TO) && !s42.has_prop(VALID_FROM));
-
-        // tg1 matches only the second combination.
-        let s1 = n_split(&tg1, &prim, &secs);
-        assert!(s1[0].is_none());
-        assert!(s1[1].is_some());
-    }
-
-    /// Fig. 4(c): first combination has no secondary properties.
-    #[test]
-    fn fig4c_n_split_with_empty_secondary() {
-        let tg1 = tg(101, &[(PRODUCT, 11), (PRICE, 21), (VALID_TO, 41)]);
-        let s = n_split(&tg1, &[PRODUCT, PRICE], &[vec![], vec![VALID_TO]]);
-        let first = s[0].as_ref().unwrap();
-        assert_eq!(first.props().len(), 2);
-        assert!(s[1].is_some());
-    }
-
-    /// Table 2 row 4 shape: GP1=abc:de, GP2=ab:def — α1 = c≠∅ ∧ f=∅,
-    /// α2 = c=∅ ∧ f≠∅. Combinations violating both must not materialize.
-    #[test]
-    fn alpha_join_rejects_invalid_combinations() {
-        const A: u64 = 1;
-        const B: u64 = 2;
-        const C: u64 = 3;
-        const D: u64 = 4;
-        const E: u64 = 5;
-        const F: u64 = 6;
-        let conds = vec![
-            AlphaCond {
-                terms: vec![
-                    AlphaTerm { star: 0, prop: C, required: true },
-                    AlphaTerm { star: 1, prop: F, required: false },
-                ],
-            },
-            AlphaCond {
-                terms: vec![
-                    AlphaTerm { star: 0, prop: C, required: false },
-                    AlphaTerm { star: 1, prop: F, required: true },
-                ],
-            },
-        ];
-        // Left star 0 groups: with and without c. Key = subject for the test.
-        let l_abc = AnnTg::single(0, tg(1, &[(A, 10), (B, 11), (C, 12)]));
-        let l_ab = AnnTg::single(0, tg(2, &[(A, 10), (B, 11)]));
-        // Right star 1 groups: with and without f.
-        let r_def = AnnTg::single(1, tg(3, &[(D, 20), (E, 21), (F, 22)]));
-        let r_de = AnnTg::single(1, tg(4, &[(D, 20), (E, 21)]));
-
-        let left = vec![(7, l_abc.clone()), (7, l_ab.clone())];
-        let right = vec![(7, r_def.clone()), (7, r_de.clone())];
-        let out = alpha_join(&left, &right, &conds);
-        // Valid: abc+de (α1), ab+def (α2). Invalid: abc+def, ab+de.
-        assert_eq!(out.len(), 2);
-        for j in &out {
-            let has_c = j.star(0).unwrap().has_prop(C);
-            let has_f = j.star(1).unwrap().has_prop(F);
-            assert!(has_c != has_f, "exactly one of c/f per Table 2 row");
-        }
-    }
-
-    #[test]
-    fn alpha_join_matches_on_key_only() {
-        let l = vec![(1, AnnTg::single(0, tg(1, &[(1, 1)])))];
-        let r = vec![(2, AnnTg::single(1, tg(2, &[(2, 2)])))];
-        assert!(alpha_join(&l, &r, &[]).is_empty(), "different keys");
-    }
-
-    /// Fig. 5: groupings on (feature, country); dtg2 (no pf) fails α and the
-    /// aggregation fans out over the multi-valued pf.
-    #[test]
-    fn fig5_agg_join() {
-        const PF: u64 = 10; // productFeature (secondary)
-        const PC: u64 = 11; // price
-        const CN: u64 = 12; // country
-        // One composite star (index 0) carrying pf+pc, star 1 carrying cn —
-        // flattened here into two stars of an AnnTg.
-        let feat1 = 501;
-        let feat2 = 502;
-        let uk = 601;
-        let us = 602;
-        // Numeric snapshot: ids are prices when in 0..100.
-        let mut numeric = vec![None; 1000];
-        numeric[30] = Some(30.0);
-        numeric[50] = Some(50.0);
-        numeric[20] = Some(20.0);
-        let numeric: NumericSnapshot = Arc::new(numeric);
-
-        let dtg1 = AnnTg {
-            groups: vec![
-                (0, tg(1, &[(PF, feat1), (PC, 30)])),
-                (1, tg(9, &[(CN, uk)])),
-            ],
-        };
-        // dtg2 has no pf — fails α.
-        let dtg2 = AnnTg {
-            groups: vec![(0, tg(2, &[(PC, 50)])), (1, tg(9, &[(CN, uk)]))],
-        };
-        // dtg3: two features, one price — fans out to two groups.
-        let dtg3 = AnnTg {
-            groups: vec![
-                (0, tg(3, &[(PF, feat1), (PF, feat2), (PC, 20)])),
-                (1, tg(8, &[(CN, us)])),
-            ],
-        };
-        let spec = AggJoinSpec {
-            id: 0,
-            slots: vec![
-                VarRef::ObjectOf { star: 0, prop: PF },
-                VarRef::ObjectOf { star: 1, prop: CN },
-                VarRef::ObjectOf { star: 0, prop: PC },
-            ],
-            group_slots: vec![0, 1],
-            aggs: vec![
-                AggSpec { op: AggOp::Sum, arg: Some(2) },
-                AggSpec { op: AggOp::Count, arg: Some(2) },
-            ],
-            alpha: AlphaCond {
-                terms: vec![AlphaTerm { star: 0, prop: PF, required: true }],
-            },
-        };
-        let mut groups = agg_join(&[dtg1, dtg2, dtg3], &spec, &numeric);
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(groups.len(), 3); // (f1,uk), (f1,us), (f2,us)
-        let lookup = |k: &[u64]| {
-            groups
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, p)| (p[0].finalize(AggOp::Sum), p[1].finalize(AggOp::Count)))
-                .unwrap()
-        };
-        assert_eq!(lookup(&[feat1, uk]), (Some(30.0), Some(1.0)));
-        assert_eq!(lookup(&[feat1, us]), (Some(20.0), Some(1.0)));
-        assert_eq!(lookup(&[feat2, us]), (Some(20.0), Some(1.0)));
-    }
-
-    /// COUNT grouped by the counted variable must count each assignment once
-    /// (the correlated-variable case).
-    #[test]
-    fn agg_join_correlated_group_and_agg_var() {
-        const CID: u64 = 5;
-        let numeric: NumericSnapshot = Arc::new(vec![None; 10]);
-        let d = AnnTg::single(0, tg(1, &[(CID, 7), (CID, 8)]));
-        let spec = AggJoinSpec {
-            id: 0,
-            slots: vec![VarRef::ObjectOf { star: 0, prop: CID }],
-            group_slots: vec![0],
-            aggs: vec![AggSpec {
-                op: AggOp::Count,
-                arg: Some(0),
-            }],
-            alpha: AlphaCond::default(),
-        };
-        let mut groups = agg_join(&[d], &spec, &numeric);
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(groups.len(), 2);
-        for (_, p) in &groups {
-            assert_eq!(p[0].finalize(AggOp::Count), Some(1.0));
-        }
-    }
-
-    /// GROUP BY ALL: a single group keyed by the empty tuple.
-    #[test]
-    fn agg_join_group_by_all() {
-        const PC: u64 = 11;
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        numeric[20] = Some(20.0);
-        let numeric: NumericSnapshot = Arc::new(numeric);
-        let d1 = AnnTg::single(0, tg(1, &[(PC, 30)]));
-        let d2 = AnnTg::single(0, tg(2, &[(PC, 20)]));
-        let spec = AggJoinSpec {
-            id: 1,
-            slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
-            group_slots: vec![],
-            aggs: vec![AggSpec {
-                op: AggOp::Sum,
-                arg: Some(0),
-            }],
-            alpha: AlphaCond::default(),
-        };
-        let groups = agg_join(&[d1, d2], &spec, &numeric);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].0, Vec::<u64>::new());
-        assert_eq!(groups[0].1[0].finalize(AggOp::Sum), Some(50.0));
-    }
-
-    /// Parallel evaluation of two independent Agg-Joins over the same detail
-    /// collection (§4.1) must equal their sequential evaluation.
-    #[test]
-    fn parallel_agg_joins_equal_sequential() {
-        const PF: u64 = 10;
-        const PC: u64 = 11;
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        numeric[20] = Some(20.0);
-        let numeric: NumericSnapshot = Arc::new(numeric);
-        let details = vec![
-            AnnTg::single(0, tg(1, &[(PF, 61), (PC, 30)])),
-            AnnTg::single(0, tg(2, &[(PC, 20)])),
-        ];
-        let spec1 = AggJoinSpec {
-            id: 0,
-            slots: vec![
-                VarRef::ObjectOf { star: 0, prop: PF },
-                VarRef::ObjectOf { star: 0, prop: PC },
-            ],
-            group_slots: vec![0],
-            aggs: vec![AggSpec { op: AggOp::Sum, arg: Some(1) }],
-            alpha: AlphaCond {
-                terms: vec![AlphaTerm { star: 0, prop: PF, required: true }],
-            },
-        };
-        let spec2 = AggJoinSpec {
-            id: 1,
-            slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
-            group_slots: vec![],
-            aggs: vec![AggSpec { op: AggOp::Count, arg: Some(0) }],
-            alpha: AlphaCond::default(),
-        };
-        // "Parallel": one pass over details feeding both specs.
-        let g1 = agg_join(&details, &spec1, &numeric);
-        let g2 = agg_join(&details, &spec2, &numeric);
-        assert_eq!(g1.len(), 1);
-        assert_eq!(g1[0].1[0].finalize(AggOp::Sum), Some(30.0));
-        assert_eq!(g2[0].1[0].finalize(AggOp::Count), Some(2.0));
-    }
-
-    #[test]
-    fn finalize_groups_applies_ops() {
-        let mut p = PartialAgg::default();
-        p.add(Some(4.0));
-        p.add(Some(6.0));
-        let out = finalize_groups(vec![(vec![1], vec![p])], &[AggOp::Avg]);
-        assert_eq!(out[0].1[0], Some(5.0));
-    }
-
-    #[test]
-    fn finalize_groups_par_matches_serial_in_order() {
-        // Enough groups to clear the MIN_PAR_GROUPS floor and genuinely
-        // split across threads.
-        let mk = || {
-            (0..5000usize)
-                .map(|i| {
-                    let mut p = PartialAgg::default();
-                    p.add(Some(i as f64));
-                    p.add(if i % 7 == 0 { None } else { Some(2.0 * i as f64) });
-                    let mut q = PartialAgg::default();
-                    q.add(Some(1.0));
-                    (vec![i as u64, (i % 13) as u64], vec![p, q])
-                })
-                .collect::<Vec<_>>()
-        };
-        let ops = [AggOp::Sum, AggOp::Count];
-        let serial = finalize_groups_par(mk(), &ops, 1);
-        for workers in [2, 3, 8] {
-            assert_eq!(
-                finalize_groups_par(mk(), &ops, workers),
-                serial,
-                "chunk-parallel finalize must match serial at {workers} workers"
-            );
-        }
-    }
-
     #[test]
     fn opt_group_filter_into_matches_owned() {
         let spec = fig4_spec();
         let cases = [
-            tg(101, &[(PRODUCT, 11), (PRICE, 21), (VALID_TO, 41), (99, 5)]),
-            tg(102, &[(PRODUCT, 12), (PRICE, 22)]),
-            tg(103, &[(PRODUCT, 13), (VALID_FROM, 33)]),
+            (
+                tg(101, &[(PRODUCT, 11), (PRICE, 21), (VALID_TO, 41), (99, 5)]),
+                Some(tg(101, &[(PRODUCT, 11), (PRICE, 21), (VALID_TO, 41)])),
+            ),
+            (tg(102, &[(PRODUCT, 12), (PRICE, 22)]), Some(tg(102, &[(PRODUCT, 12), (PRICE, 22)]))),
+            (tg(103, &[(PRODUCT, 13), (VALID_FROM, 33)]), None),
         ];
-        for g in &cases {
+        for (g, projected) in &cases {
             let mut rec = Vec::new();
             g.encode(&mut rec);
             let v = TgRef::parse(&rec).unwrap();
             let (mut got, mut keys) = (vec![0xAA], vec![7]);
-            let passed = opt_group_filter_into(&v, &spec, Some(PRODUCT), &mut got, &mut keys);
-            match opt_group_filter(g, &spec) {
+            let filter = ValueFilter::default();
+            let passed = opt_group_filter_into(&v, &spec, &filter, Some(PRODUCT), &mut got, &mut keys);
+            match projected {
                 None => {
                     assert_eq!(passed, Some(false));
                     assert_eq!(got, [0xAA], "rejected group must not touch out");
@@ -927,6 +441,7 @@ mod tests {
     #[test]
     fn opt_group_filter_into_widens_the_count() {
         let spec = fig4_spec();
+        let fig4 = [PRODUCT, PRICE, VALID_FROM, VALID_TO];
         for kept in [3u64, 127, 128, 300, 16_383, 16_384] {
             let mut pairs = vec![(PRODUCT, 11), (99, 5), (VALID_TO, 41), (0, 1)];
             pairs.extend((2..kept).map(|i| (PRICE, i * 37)));
@@ -935,83 +450,13 @@ mod tests {
             g.encode(&mut rec);
             let v = TgRef::parse_framed(&rec).unwrap();
             let mut got = Vec::new();
-            let passed = opt_group_filter_into(&v, &spec, None, &mut got, &mut Vec::new());
+            let passed = opt_group_filter_into(&v, &spec, &ValueFilter::default(), None, &mut got, &mut Vec::new());
             assert_eq!(passed, Some(true));
-            let owned = opt_group_filter(&g, &spec).unwrap();
-            assert_eq!(owned.triples.len() as u64, kept);
+            pairs.retain(|(p, _)| fig4.contains(p));
+            assert_eq!(pairs.len() as u64, kept);
             let mut want = Vec::new();
-            owned.encode(&mut want);
+            tg(7, &pairs).encode(&mut want);
             assert_eq!(got, want, "kept {kept}");
-        }
-    }
-
-    #[test]
-    fn slot_program_matches_owned() {
-        const PF: u64 = 10;
-        const PC: u64 = 11;
-        const CN: u64 = 12;
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        numeric[20] = Some(20.0);
-        let numeric: NumericSnapshot = Arc::new(numeric);
-        let specs = [
-            AggJoinSpec {
-                id: 0,
-                slots: vec![
-                    VarRef::ObjectOf { star: 0, prop: PF },
-                    VarRef::ObjectOf { star: 1, prop: CN },
-                    VarRef::ObjectOf { star: 0, prop: PC },
-                ],
-                group_slots: vec![0, 1],
-                aggs: vec![
-                    AggSpec { op: AggOp::Sum, arg: Some(2) },
-                    AggSpec { op: AggOp::Count, arg: None },
-                ],
-                alpha: AlphaCond::default(),
-            },
-            // Shares (0, PC) with spec 0; α wants pf absent.
-            AggJoinSpec {
-                id: 1,
-                slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
-                group_slots: vec![],
-                aggs: vec![AggSpec { op: AggOp::Avg, arg: Some(0) }],
-                alpha: AlphaCond {
-                    terms: vec![AlphaTerm { star: 0, prop: PF, required: false }],
-                },
-            },
-        ];
-        let details = [
-            AnnTg {
-                groups: vec![
-                    (0, tg(3, &[(PF, 61), (PF, 62), (PC, 20), (PC, 30)])),
-                    (1, tg(8, &[(CN, 70), (CN, 71)])),
-                ],
-            },
-            // Missing pf: spec 0's slot 0 is empty, spec 1's α holds.
-            AnnTg {
-                groups: vec![(0, tg(4, &[(PC, 20)])), (1, tg(8, &[(CN, 70)]))],
-            },
-        ];
-        let mut prog = SlotProgram::compile(&specs);
-        let mut dir = StarDir::default();
-        for d in &details {
-            let mut owned_folds: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
-            for (si, spec) in specs.iter().enumerate() {
-                if spec.alpha.satisfied_full(d) {
-                    accumulate(d, spec, &numeric, &mut |k, i, v| {
-                        owned_folds.push((si, k.to_vec(), i, v));
-                    });
-                }
-            }
-            let rec = d.encoded();
-            let mut prog_folds = Vec::new();
-            prog.run(&dir.fill(&rec).unwrap(), |si, k, assignment| {
-                for (i, agg) in specs[si].aggs.iter().enumerate() {
-                    prog_folds.push((si, k.to_vec(), i, agg.value(assignment, &numeric)));
-                }
-            });
-            assert!(!owned_folds.is_empty());
-            assert_eq!(prog_folds, owned_folds, "fold sequences must be identical");
         }
     }
 }

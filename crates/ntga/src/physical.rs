@@ -6,14 +6,20 @@
 //!   Algorithm 1).
 //! * [`AggJoinMapper`] + [`AggJoinReducer`] — `TG_AgJ` with map-side hash
 //!   aggregation (`multiAggMap`, Algorithm 3; `Job_k` of Algorithm 1).
+//!
+//! Both mappers read a raw triplegroup one way: one walk of
+//! [`opt_group_filter_into`] per route its class covers, behind the route's
+//! [`ValueFilter`] (pushed-down FILTER predicates and the ExtVP subject
+//! gate, plain data the planner compiles). Nothing is decoded into owned
+//! values.
 
 use crate::hashagg::AggTable;
-use crate::ops::{opt_group_filter, opt_group_filter_into, SlotProgram};
+use crate::ops::{opt_group_filter_into, SlotProgram};
 use crate::spec::{
     any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec, AggRec, AlphaCond,
-    JoinKey, NumericSnapshot, PartialAgg, StarSpec,
+    JoinKey, NumericSnapshot, PartialAgg, StarSpec, ValueFilter,
 };
-use crate::triplegroup::{StarDir, Stars, TgRef, TripleGroup};
+use crate::triplegroup::{StarDir, Stars, TgRef};
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use std::sync::Arc;
@@ -45,10 +51,10 @@ impl Side {
 }
 
 /// A route from a star-pattern spec to a join side: every raw triplegroup
-/// passing the spec's optional group filter is emitted on `side` keyed by
-/// `key`. Multiple routes over the same scan realize NTGA's shared
-/// execution of star patterns.
-#[derive(Clone)]
+/// passing the spec's optional group filter behind `filter` is emitted on
+/// `side` keyed by `key`. Multiple routes over the same scan realize NTGA's
+/// shared execution of star patterns.
+#[derive(Debug, Clone)]
 pub struct StarRoute {
     /// The composite star spec (`TG_OptGrpFilter` parameters).
     pub spec: StarSpec,
@@ -56,9 +62,9 @@ pub struct StarRoute {
     pub side: Side,
     /// The join key extractor.
     pub key: JoinKey,
-    /// Optional per-star value-filter transform applied before the group
-    /// filter (FILTER pushdown; may differ between stars).
-    pub prefilter: Option<TgTransform>,
+    /// The star's pushed-down FILTER predicates and ExtVP subject gate
+    /// (may differ between stars).
+    pub filter: ValueFilter,
 }
 
 /// A route for intermediate annotated-triplegroup inputs (later join cycles
@@ -89,14 +95,8 @@ pub enum InputRoutes {
     Ann,
 }
 
-/// A raw-triplegroup transform applied before star filtering: value-level
-/// FILTER pushdown drops triples whose objects fail a predicate (returning
-/// `None` drops the whole group). Built by the planner with dictionary
-/// snapshots baked in.
-pub type TgTransform = Arc<dyn Fn(TripleGroup) -> Option<TripleGroup> + Send + Sync>;
-
 /// Configuration for [`TgJoinMapper`].
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TgJoinMapConfig {
     /// The route table, one entry per job input, indexed by
     /// [`InputSrc::dataset`]. A record of an input without an entry is a
@@ -137,17 +137,6 @@ impl TgJoinMapper {
     }
 }
 
-/// The owned group a prefilter transform needs: decoded once per record,
-/// and only when some route actually has a transform. A checked decode — the
-/// framed view reads a record cut mid-pair as the prefix that still decodes.
-/// `None`: the record is damaged.
-fn owned_group<'o>(owned: &'o mut Option<TripleGroup>, record: &[u8]) -> Option<&'o TripleGroup> {
-    if owned.is_none() {
-        *owned = Some(TripleGroup::decode(record)?);
-    }
-    owned.as_ref()
-}
-
 impl MapTask for TgJoinMapper {
     fn map(&mut self, src: InputSrc, record: &[u8], out: &mut MapOutput) {
         let TgJoinMapper {
@@ -163,7 +152,6 @@ impl MapTask for TgJoinMapper {
                     out.skip_corrupt();
                     return;
                 };
-                let mut owned: Option<TripleGroup> = None;
                 for route in routes.iter().map(|&r| &config.star_routes[r]) {
                     // Value layout: side byte + AnnTg::single(star, filtered)
                     // = 1, star, tg.
@@ -171,73 +159,38 @@ impl MapTask for TgJoinMapper {
                     val_buf.push(route.side.byte());
                     write_varint(val_buf, 1);
                     write_varint(val_buf, u64::from(route.spec.star));
-                    let tg_start = val_buf.len();
-                    match &route.prefilter {
-                        Some(f) => {
-                            let Some(base) = owned_group(&mut owned, record) else {
-                                out.skip_corrupt();
-                                return;
-                            };
-                            let Some(v) = f(base.clone()) else { continue };
-                            let Some(filtered) = opt_group_filter(&v, &route.spec) else {
-                                continue;
-                            };
-                            filtered.encode(val_buf);
-                            // Key off the filtered group just encoded in place.
-                            let Some(ftg) = TgRef::parse_framed(&val_buf[tg_start..]) else {
-                                continue;
-                            };
-                            match route.key {
-                                JoinKey::Subject { star } if star == route.spec.star => {
-                                    key_buf.clear();
-                                    write_varint(key_buf, ftg.subject());
-                                    out.emit(key_buf, val_buf);
-                                }
-                                JoinKey::ObjectOf { star, prop } if star == route.spec.star => {
-                                    for o in ftg.objects_of(prop) {
-                                        key_buf.clear();
-                                        write_varint(key_buf, o);
-                                        out.emit(key_buf, val_buf);
-                                    }
-                                }
-                                // Key references a star this route doesn't
-                                // produce: nothing to emit (extract() semantics).
-                                _ => {}
-                            }
-                        }
+                    // One walk filters, encodes and collects the keys: the
+                    // filtered group's `prop` objects are exactly the kept
+                    // `(prop, o)` pairs.
+                    let keyed_here = |star: u8| star == route.spec.star;
+                    let key_prop = match route.key {
+                        JoinKey::ObjectOf { star, prop } if keyed_here(star) => Some(prop),
+                        _ => None,
+                    };
+                    match opt_group_filter_into(&tg, &route.spec, &route.filter, key_prop, val_buf, keys) {
+                        Some(true) => {}
+                        Some(false) => continue,
                         None => {
-                            // One walk filters, encodes and collects the keys:
-                            // the filtered group's `prop` objects are exactly
-                            // the kept `(prop, o)` pairs.
-                            let keyed_here = |star: u8| star == route.spec.star;
-                            let key_prop = match route.key {
-                                JoinKey::ObjectOf { star, prop } if keyed_here(star) => Some(prop),
-                                _ => None,
-                            };
-                            match opt_group_filter_into(&tg, &route.spec, key_prop, val_buf, keys) {
-                                Some(true) => {}
-                                Some(false) => continue,
-                                None => {
-                                    out.skip_corrupt();
-                                    return;
-                                }
-                            }
-                            match route.key {
-                                JoinKey::Subject { star } if keyed_here(star) => {
-                                    key_buf.clear();
-                                    write_varint(key_buf, tg.subject());
-                                    out.emit(key_buf, val_buf);
-                                }
-                                JoinKey::ObjectOf { star, .. } if keyed_here(star) => {
-                                    for &o in keys.iter() {
-                                        key_buf.clear();
-                                        write_varint(key_buf, o);
-                                        out.emit(key_buf, val_buf);
-                                    }
-                                }
-                                _ => {}
+                            out.skip_corrupt();
+                            return;
+                        }
+                    }
+                    match route.key {
+                        JoinKey::Subject { star } if keyed_here(star) => {
+                            key_buf.clear();
+                            write_varint(key_buf, tg.subject());
+                            out.emit(key_buf, val_buf);
+                        }
+                        JoinKey::ObjectOf { star, .. } if keyed_here(star) => {
+                            for &o in keys.iter() {
+                                key_buf.clear();
+                                write_varint(key_buf, o);
+                                out.emit(key_buf, val_buf);
                             }
                         }
+                        // Key references a star this route doesn't produce:
+                        // nothing to emit (extract() semantics).
+                        _ => {}
                     }
                 }
             }
@@ -371,12 +324,12 @@ pub struct AggJoinConfig {
     /// [`Self::raw_filters`] its entry lists. A record of an input without
     /// an entry is a broken config: it is quarantined, not read.
     pub inputs: Vec<InputRoutes>,
-    /// The raw routes: each a single-star filter (with optional
-    /// value-filter transform) whose `spec.star` tags the produced
-    /// annotated triplegroup. Several entries realize a *shared scan* across
+    /// The raw routes: each a single-star filter behind its
+    /// [`ValueFilter`], whose `spec.star` tags the produced annotated
+    /// triplegroup. Several entries realize a *shared scan* across
     /// structurally different single-star patterns (§2.2) — one cycle
     /// aggregates them all.
-    pub raw_filters: Vec<(StarSpec, Option<TgTransform>)>,
+    pub raw_filters: Vec<(StarSpec, ValueFilter)>,
     /// Map-side hash aggregation (`multiAggMap`). Disabling it emits one
     /// record per assignment — the ablation knob for Algorithm 3.
     pub map_side_combine: bool,
@@ -406,9 +359,9 @@ pub struct AggJoinMapper {
 /// The record processor, as a free function over the mapper's destructured
 /// fields so the fold closure can mutate the table while the spec list
 /// stays borrowed from the config. Folds in the order of the logical
-/// operator (α-gated [`crate::ops::accumulate`], spec by spec) — specs,
-/// then assignments, then aggregates — which the `f64` sums and the
-/// uncombined emit order depend on.
+/// operator (α-gated assignment enumeration, spec by spec) — specs, then
+/// assignments, then aggregates — which the `f64` sums and the uncombined
+/// emit order depend on.
 fn process_view(
     config: &AggJoinConfig,
     prog: &mut SlotProgram,
@@ -489,36 +442,22 @@ impl MapTask for AggJoinMapper {
             out.skip_corrupt();
             return;
         };
-        let mut owned: Option<TripleGroup> = None;
-        for (filter, transform) in filters.iter().map(|&f| &config.raw_filters[f]) {
+        for (spec, filter) in filters.iter().map(|&f| &config.raw_filters[f]) {
             tg_buf.clear();
-            match transform {
-                Some(t) => {
-                    let Some(base) = owned_group(&mut owned, record) else {
-                        out.skip_corrupt();
-                        return;
-                    };
-                    let Some(v) = t(base.clone()) else { continue };
-                    let Some(filtered) = opt_group_filter(&v, filter) else {
-                        continue;
-                    };
-                    filtered.encode(tg_buf);
+            match opt_group_filter_into(&tg, spec, filter, None, tg_buf, &mut Vec::new()) {
+                Some(true) => {}
+                Some(false) => continue,
+                None => {
+                    out.skip_corrupt();
+                    return;
                 }
-                None => match opt_group_filter_into(&tg, filter, None, tg_buf, &mut Vec::new()) {
-                    Some(true) => {}
-                    Some(false) => continue,
-                    None => {
-                        out.skip_corrupt();
-                        return;
-                    }
-                },
             }
             // The single-star annotated group, indexed straight off the
             // group just encoded (its header only; nothing is re-walked).
             let Some(filtered) = TgRef::parse_framed(tg_buf) else {
                 continue;
             };
-            let ann = dir.single(filter.star, &filtered);
+            let ann = dir.single(spec.star, &filtered);
             process_view(config, prog, &ann, table, key_buf, val_buf, out);
         }
     }
@@ -619,7 +558,7 @@ impl ReduceTask for AggJoinReducer {
 mod tests {
     use super::*;
     use crate::spec::{AggOp, AggSpec, AlphaTerm, PropReq, VarRef};
-    use crate::triplegroup::AnnTg;
+    use crate::triplegroup::{AnnTg, TripleGroup};
     use rapida_mapred::{
         DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder, KeyLocal, SimDfs,
     };
@@ -663,7 +602,7 @@ mod tests {
                     },
                     side: Side::Left,
                     key: JoinKey::Subject { star: 0 },
-                    prefilter: None,
+                    filter: ValueFilter::default(),
                 },
                 StarRoute {
                     spec: StarSpec {
@@ -673,7 +612,7 @@ mod tests {
                     },
                     side: Side::Right,
                     key: JoinKey::ObjectOf { star: 1, prop: PR },
-                    prefilter: None,
+                    filter: ValueFilter::default(),
                 },
             ],
             ann_routes: vec![],
@@ -830,7 +769,7 @@ mod tests {
                         primary: vec![PropReq::any(PC)],
                         secondary: vec![],
                     },
-                    None,
+                    ValueFilter::default(),
                 )],
                 map_side_combine: combine,
             };

@@ -2,11 +2,13 @@
 //! (Table 2), variable references, aggregation specs and partial aggregates.
 //!
 //! Everything here is dictionary-id based (`u64`) so the specs can be shipped
-//! into MR tasks without touching the dictionary; numeric literal values
-//! arrive via a read-only snapshot.
+//! into MR tasks without touching the dictionary; numeric values and
+//! lexical forms arrive via read-only snapshots.
 
-use crate::triplegroup::{AnnTg, Stars, TgRef, TripleGroup};
+use crate::triplegroup::{AnnTg, Stars, TripleGroup};
 use rapida_mapred::codec::{read_f64, read_varint, write_f64, write_varint};
+use rapida_sparql::ast::CmpOp;
+use std::fmt;
 use std::sync::Arc;
 
 /// One property requirement of a star pattern. For the `ty PT18`
@@ -41,12 +43,9 @@ impl PropReq {
         }
     }
 
-    /// [`PropReq::matches`] over a borrowed view.
-    pub fn matches_ref(&self, tg: &TgRef<'_>) -> bool {
-        match self.object {
-            Some(o) => tg.has_triple(self.prop, o),
-            None => tg.has_prop(self.prop),
-        }
+    /// Does the pair `(p, o)` satisfy this requirement?
+    pub fn admits(&self, p: u64, o: u64) -> bool {
+        self.prop == p && self.object.is_none_or(|ro| ro == o)
     }
 }
 
@@ -429,9 +428,125 @@ pub struct AggJoinSpec {
     pub alpha: AlphaCond,
 }
 
-/// The numeric-value resolver shared by aggregation operators: index by raw
-/// term id, `None` for non-numeric terms.
+/// The numeric-value resolver shared by aggregation operators and value
+/// predicates: index by raw term id, `None` for non-numeric terms.
 pub type NumericSnapshot = Arc<Vec<Option<f64>>>;
+
+/// The lexical-form resolver of substring predicates: index by raw term id.
+pub type LexicalSnapshot = Arc<Vec<String>>;
+
+/// An id-level value predicate (a FILTER comparison compiled against the
+/// catalog), evaluated by the NTGA group filter and the relational scans.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IdPred {
+    /// Numeric comparison via the numeric snapshot.
+    Num {
+        /// Operator.
+        op: CmpOp,
+        /// Constant.
+        rhs: f64,
+    },
+    /// Identity comparison against a term id.
+    IdEq {
+        /// `=` vs `!=`.
+        eq: bool,
+        /// Constant id (the catalog's missing-term id matches nothing).
+        rhs: u64,
+    },
+    /// Substring containment on the lexical form.
+    Contains {
+        /// Pattern.
+        pattern: String,
+        /// Case-insensitive flag.
+        case_insensitive: bool,
+    },
+}
+
+impl IdPred {
+    /// Evaluate against a term id.
+    pub fn eval(&self, id: u64, numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> bool {
+        match self {
+            IdPred::Num { op, rhs } => {
+                let Some(v) = numeric.get(id as usize).copied().flatten() else {
+                    return false;
+                };
+                match op {
+                    CmpOp::Eq => v == *rhs,
+                    CmpOp::Ne => v != *rhs,
+                    CmpOp::Lt => v < *rhs,
+                    CmpOp::Le => v <= *rhs,
+                    CmpOp::Gt => v > *rhs,
+                    CmpOp::Ge => v >= *rhs,
+                }
+            }
+            IdPred::IdEq { eq, rhs } => (id == *rhs) == *eq,
+            IdPred::Contains {
+                pattern,
+                case_insensitive,
+            } => match lexical.get(id as usize) {
+                None => false,
+                Some(lex) => {
+                    if *case_insensitive {
+                        lex.to_lowercase().contains(&pattern.to_lowercase())
+                    } else {
+                        lex.contains(pattern.as_str())
+                    }
+                }
+            },
+        }
+    }
+}
+
+/// What a raw star's group filter admits besides its [`StarSpec`]: the
+/// star's pushed-down FILTER predicates and its ExtVP subject gate (the
+/// subject set of an `SO` reduction, S2RDF's semi-join). The default
+/// admits everything.
+#[derive(Clone, Default)]
+pub struct ValueFilter {
+    /// `(property, predicate)`: a pair of `property` whose object fails one
+    /// of its predicates counts as absent — not kept, and matching no
+    /// requirement.
+    pub preds: Vec<(u64, IdPred)>,
+    /// The subjects a group may have, ascending and distinct; `None` = any.
+    /// Several gates on one star are intersected at plan time.
+    pub subjects: Option<Arc<Vec<u64>>>,
+    /// Numeric values by term id, for [`IdPred::Num`].
+    pub numeric: NumericSnapshot,
+    /// Lexical forms by term id, for [`IdPred::Contains`].
+    pub lexical: LexicalSnapshot,
+}
+
+impl ValueFilter {
+    /// Does the pair `(p, o)` pass every predicate on `p`?
+    pub fn admits(&self, p: u64, o: u64) -> bool {
+        self.preds
+            .iter()
+            .filter(|(fp, _)| *fp == p)
+            .all(|(_, pred)| pred.eval(o, &self.numeric, &self.lexical))
+    }
+
+    /// Does the gate let a group with this subject through?
+    pub fn admits_subject(&self, subject: u64) -> bool {
+        self.subjects
+            .as_ref()
+            .is_none_or(|s| s.binary_search(&subject).is_ok())
+    }
+}
+
+/// The predicates and the subject set by value, the snapshots by pointer
+/// (they are the catalog's, shared by every filter planned over it).
+impl fmt::Debug for ValueFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "ValueFilter {{ preds: {:?}, subjects: {:?}, numeric: {:p}, lexical: {:p} }}",
+            self.preds,
+            self.subjects,
+            Arc::as_ptr(&self.numeric),
+            Arc::as_ptr(&self.lexical)
+        )
+    }
+}
 
 /// An aggregated output record: `(spec id, group key values, finalized
 /// aggregate values)`.

@@ -13,7 +13,11 @@
 //!   least 3x below it on identical input;
 //! * over two classes on two inputs, one walked by one route and the other
 //!   by two, the warm mapper allocates nothing at all (the route table is
-//!   one lookup per record).
+//!   one lookup per record);
+//! * behind a value filter — numeric, id and substring predicates on a
+//!   primary and a secondary property — and a subject gate, the warm
+//!   mapper allocates nothing at all: the filter is checked inside the one
+//!   walk.
 //!
 //! The downstream operators carry the same guarantee, checked the same way:
 //! a warm [`AggJoinMapper`] over annotated records (star directory + slot
@@ -30,9 +34,10 @@ use common::{tagged, ReferenceTgJoinMap};
 use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaJoinReducer,
-    AlphaTerm, AnnTg, InputRoutes, JoinKey, PropReq, Side, StarRoute, StarSpec, TgJoinMapConfig,
-    TgJoinMapper, TripleGroup, VarRef,
+    AlphaTerm, AnnTg, IdPred, InputRoutes, JoinKey, PropReq, Side, StarRoute, StarSpec,
+    TgJoinMapConfig, TgJoinMapper, TripleGroup, ValueFilter, VarRef,
 };
+use rapida_sparql::ast::CmpOp;
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
 use std::sync::Arc;
 
@@ -77,7 +82,7 @@ fn product_route() -> StarRoute {
         },
         side: Side::Left,
         key: JoinKey::Subject { star: 0 },
-        prefilter: None,
+        filter: ValueFilter::default(),
     }
 }
 
@@ -112,11 +117,32 @@ fn two_class_config() -> Arc<TgJoinMapConfig> {
         },
         side: Side::Right,
         key: JoinKey::ObjectOf { star: 1, prop: OFFER },
-        prefilter: None,
+        filter: ValueFilter::default(),
     };
     Arc::new(TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![0, 1])],
         star_routes: vec![product_route(), offer],
+        ann_routes: Vec::new(),
+    })
+}
+
+/// The product route behind a pushed-down FILTER — prices of at least 20,
+/// delivery in 7 days, spelled with a `7` — and a subject gate that shuts
+/// out every seventh product.
+fn filtered_config() -> Arc<TgJoinMapConfig> {
+    let filter = ValueFilter {
+        preds: vec![
+            (PRICE, IdPred::Num { op: CmpOp::Ge, rhs: 20.0 }),
+            (DELIVERY, IdPred::IdEq { eq: true, rhs: 7 }),
+            (DELIVERY, IdPred::Contains { pattern: "7".into(), case_insensitive: false }),
+        ],
+        subjects: Some(Arc::new((1_000..1_000 + RECORDS as u64).filter(|s| s % 7 != 0).collect())),
+        numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
+        lexical: Arc::new((0..100).map(|i| format!("{i} days")).collect()),
+    };
+    Arc::new(TgJoinMapConfig {
+        inputs: vec![InputRoutes::Raw(vec![0])],
+        star_routes: vec![StarRoute { filter, ..product_route() }],
         ann_routes: Vec::new(),
     })
 }
@@ -314,4 +340,12 @@ fn view_path_allocations_bounded() {
     assert_eq!(table_pairs, owned_pairs, "variants must agree on output");
     assert_eq!(table_pairs, RECORDS, "every product and every offer passes");
     assert_eq!(table_allocs, 0, "a warm two-route scan must not allocate");
+
+    // A filtered and gated route: the same walk, nothing allocated.
+    let recs = records();
+    let (filtered_allocs, filtered_pairs) = measure(TgJoinMapper::new(filtered_config()), &recs);
+    let (_, owned_pairs) = measure(ReferenceTgJoinMap(filtered_config()), &recs);
+    assert_eq!(filtered_pairs, owned_pairs, "variants must agree on output");
+    assert!(0 < filtered_pairs && filtered_pairs < view_pairs, "the filter must drop some, not all");
+    assert_eq!(filtered_allocs, 0, "a warm filtered and gated route must not allocate");
 }

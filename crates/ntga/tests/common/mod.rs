@@ -1,10 +1,20 @@
-//! The NTGA physical operators as owned-decode reference tasks, written
-//! against the logical operators of Definitions 3.3–3.6: decode each record
-//! into an owned [`TripleGroup`] / [`AnnTg`], apply [`opt_group_filter`],
-//! [`AnnTg::merge`] + [`any_alpha_partial`], or α-gated [`accumulate`], and
-//! re-encode into fresh buffers. `view_identity.rs` holds the one-walk
-//! production operators to these byte for byte; `alloc_budget.rs` takes its
-//! owned-path allocation baseline from [`ReferenceTgJoinMap`].
+//! The spec oracle of the NTGA operators.
+//!
+//! The logical operators of Definitions 3.3–3.6 over owned values: the
+//! optional group filter [`opt_group_filter`], the n-split [`n_split`], the
+//! α-Join [`alpha_join`] and the TG Agg-Join [`agg_join`] with its
+//! assignment enumeration [`accumulate`]. The Fig. 4/5 tests
+//! (`reference_ops.rs`) and the laws of `prop_ops.rs` pin them to the
+//! paper; `prop_ops.rs` holds the one-walk kernels to them.
+//!
+//! The physical operators as owned-decode reference tasks, written against
+//! those: decode each record into an owned [`TripleGroup`] / [`AnnTg`],
+//! drop the pairs failing a star's value predicates, gate its subject, apply
+//! [`opt_group_filter`], [`AnnTg::merge`] + [`any_alpha_partial`], or
+//! α-gated [`accumulate`], and re-encode into fresh buffers.
+//! `view_identity.rs` holds the one-walk production operators to these
+//! byte for byte; `alloc_budget.rs` takes its owned-path allocation
+//! baseline from [`ReferenceTgJoinMap`].
 //!
 //! They count damaged input as production does: [`ReferenceAlphaJoinReduce`]
 //! decodes a key group only once its side bytes show both sides present
@@ -23,12 +33,189 @@
 use rapida_mapred::codec::write_varint;
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
-    accumulate, any_alpha_partial, opt_group_filter, write_group_key, AggJoinConfig, AlphaCond,
-    AnnTg, InputRoutes, JoinKey, PartialAgg, Side, StarSpec, TgJoinMapConfig, TgTransform,
-    TripleGroup,
+    any_alpha_partial, write_group_key, AggJoinConfig, AggJoinSpec, AlphaCond, AnnTg, InputRoutes,
+    JoinKey, NumericSnapshot, PartialAgg, Side, StarSpec, TgJoinMapConfig, TripleGroup,
+    ValueFilter,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// σ^γopt — the **optional group filter** (Def 3.3).
+///
+/// Projects a subject triplegroup onto a composite star pattern's
+/// `P_prim ∪ P_opt` and keeps it iff every primary property matches. Returns
+/// the projected group, or `None` if a primary requirement fails.
+pub fn opt_group_filter(tg: &TripleGroup, spec: &StarSpec) -> Option<TripleGroup> {
+    for req in &spec.primary {
+        if !req.matches(tg) {
+            return None;
+        }
+    }
+    let mut triples = Vec::new();
+    for &(p, o) in &tg.triples {
+        let keep = spec
+            .primary
+            .iter()
+            .chain(spec.secondary.iter())
+            .any(|req| req.prop == p && req.object.is_none_or(|ro| ro == o));
+        if keep {
+            triples.push((p, o));
+        }
+    }
+    Some(TripleGroup::new(tg.subject, triples))
+}
+
+/// χ — the **n-split** operator (Def 3.4).
+///
+/// Extracts up to `n` sub-triplegroups from a composite-pattern match: the
+/// `i`-th output combines the primary-property triples with the triples of
+/// the `i`-th secondary property set, and exists iff every property of that
+/// secondary set is present.
+pub fn n_split(
+    tg: &TripleGroup,
+    primary: &[u64],
+    secondary_sets: &[Vec<u64>],
+) -> Vec<Option<TripleGroup>> {
+    secondary_sets
+        .iter()
+        .map(|secs| {
+            if !secs.iter().all(|p| tg.has_prop(*p)) {
+                return None;
+            }
+            let triples: Vec<(u64, u64)> = tg
+                .triples
+                .iter()
+                .filter(|(p, _)| primary.contains(p) || secs.contains(p))
+                .copied()
+                .collect();
+            Some(TripleGroup::new(tg.subject, triples))
+        })
+        .collect()
+}
+
+/// ⋈^γ_{α1∨…∨αm} — the **α-Join** (Def 3.5), in-memory form.
+///
+/// Joins two annotated-triplegroup collections on precomputed key values,
+/// materializing a combination only when at least one α-condition accepts it
+/// (partial semantics: conditions mention only stars present so far).
+pub fn alpha_join(
+    left: &[(u64, AnnTg)],
+    right: &[(u64, AnnTg)],
+    conds: &[AlphaCond],
+) -> Vec<AnnTg> {
+    let mut by_key: HashMap<u64, Vec<&AnnTg>> = HashMap::new();
+    for (k, tg) in left {
+        by_key.entry(*k).or_default().push(tg);
+    }
+    let mut out = Vec::new();
+    for (k, rtg) in right {
+        if let Some(ls) = by_key.get(k) {
+            for ltg in ls {
+                let joined = ltg.merge(rtg);
+                if any_alpha_partial(conds, &joined) {
+                    out.push(joined);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// γ^AgJ — the **TG Agg-Join** (Def 3.6), in-memory form.
+///
+/// For each detail triplegroup satisfying the spec's α-condition, enumerates
+/// the joint assignments of all referenced variables (grouping + aggregation
+/// arguments; multi-valued properties fan out exactly as the relational
+/// row expansion would) and folds each assignment into the group keyed by
+/// the grouping values. Returns `(group key, partial states)` pairs, in key
+/// order.
+///
+/// The paper's base-triplegroup formulation (`RNG(btg, TG_detail, θ, α)`)
+/// is recovered by reading each output group as one base triplegroup whose
+/// RNG contributed the folded detail groups.
+pub fn agg_join(
+    details: &[AnnTg],
+    spec: &AggJoinSpec,
+    numeric: &NumericSnapshot,
+) -> Vec<(Vec<u64>, Vec<PartialAgg>)> {
+    let mut groups: BTreeMap<Vec<u64>, Vec<PartialAgg>> = BTreeMap::new();
+    for tg in details {
+        if !spec.alpha.satisfied_full(tg) {
+            continue;
+        }
+        accumulate(tg, spec, numeric, &mut |key, idx, value| {
+            let entry = groups
+                .entry(key.to_vec())
+                .or_insert_with(|| vec![PartialAgg::default(); spec.aggs.len()]);
+            entry[idx].add(value);
+        });
+    }
+    groups.into_iter().collect()
+}
+
+/// The assignment enumeration of the Agg-Join: calls `fold(group key,
+/// aggregate index, numeric value)` once per (assignment, aggregation)
+/// pair, slot 0 outermost and the last slot fastest.
+pub fn accumulate(
+    tg: &AnnTg,
+    spec: &AggJoinSpec,
+    numeric: &NumericSnapshot,
+    fold: &mut dyn FnMut(&[u64], usize, Option<f64>),
+) {
+    // Value lists per slot. A triplegroup that reached the Agg-Join and
+    // passed α has every pattern variable bound (primary presence is
+    // enforced by the group filter, secondary presence by α); an empty slot
+    // therefore means the pattern does not match and the group contributes
+    // nothing (relational inner-join semantics).
+    let value_lists: Vec<Vec<u64>> = spec.slots.iter().map(|r| r.values(tg)).collect();
+    if value_lists.iter().any(|v| v.is_empty()) {
+        return;
+    }
+
+    // Enumerate the full cartesian assignment space — the relational
+    // solution-row expansion of the block pattern.
+    let mut assignment: Vec<u64> = vec![0; spec.slots.len()];
+    enumerate(&value_lists, 0, &mut assignment, &mut |assignment| {
+        let key: Vec<u64> = spec.group_slots.iter().map(|&i| assignment[i]).collect();
+        for (i, agg) in spec.aggs.iter().enumerate() {
+            fold(&key, i, agg.value(assignment, numeric));
+        }
+    });
+}
+
+fn enumerate(
+    lists: &[Vec<u64>],
+    i: usize,
+    assignment: &mut Vec<u64>,
+    f: &mut dyn FnMut(&[u64]),
+) {
+    if i == lists.len() {
+        f(assignment);
+        return;
+    }
+    for &v in &lists[i] {
+        assignment[i] = v;
+        enumerate(lists, i + 1, assignment, f);
+    }
+}
+
+/// A raw group behind a star's [`ValueFilter`], as the filter's fields say:
+/// every pair failing a predicate on its property dropped, then `None` if
+/// the subject is outside the gate's set.
+pub fn value_filtered(tg: &TripleGroup, filter: &ValueFilter) -> Option<TripleGroup> {
+    let mut kept = tg.clone();
+    kept.triples.retain(|&(p, o)| {
+        filter
+            .preds
+            .iter()
+            .filter(|(fp, _)| *fp == p)
+            .all(|(_, pred)| pred.eval(o, &filter.numeric, &filter.lexical))
+    });
+    match &filter.subjects {
+        Some(set) if !set.contains(&kept.subject) => None,
+        _ => Some(kept),
+    }
+}
 
 /// One shuffled tg-join value: `side byte ++ annotated record`.
 pub fn tagged(side: Side, ann: &AnnTg) -> Vec<u8> {
@@ -37,12 +224,9 @@ pub fn tagged(side: Side, ann: &AnnTg) -> Vec<u8> {
     v
 }
 
-/// σ^γopt of one raw group for one star, behind its optional value filter.
-fn star_of(tg: &TripleGroup, spec: &StarSpec, prefilter: &Option<TgTransform>) -> Option<AnnTg> {
-    let kept = match prefilter {
-        Some(f) => f(tg.clone())?,
-        None => tg.clone(),
-    };
+/// σ^γopt of one raw group for one star, behind its value filter.
+fn star_of(tg: &TripleGroup, spec: &StarSpec, filter: &ValueFilter) -> Option<AnnTg> {
+    let kept = value_filtered(tg, filter)?;
     Some(AnnTg::single(spec.star, opt_group_filter(&kept, spec)?))
 }
 
@@ -71,7 +255,7 @@ impl MapTask for ReferenceTgJoinMap {
                     return out.skip_corrupt();
                 };
                 for r in &cfg.star_routes {
-                    if let Some(ann) = star_of(&tg, &r.spec, &r.prefilter) {
+                    if let Some(ann) = star_of(&tg, &r.spec, &r.filter) {
                         emit(r.side, &r.key, &ann);
                     }
                 }
@@ -172,8 +356,8 @@ impl MapTask for ReferenceAggJoinMap {
         let Some(tg) = TripleGroup::decode(record) else {
             return out.skip_corrupt();
         };
-        for (spec, prefilter) in &cfg.raw_filters {
-            if let Some(ann) = star_of(&tg, spec, prefilter) {
+        for (spec, filter) in &cfg.raw_filters {
+            if let Some(ann) = star_of(&tg, spec, filter) {
                 self.fold(&ann, out);
             }
         }

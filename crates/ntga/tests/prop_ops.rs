@@ -1,19 +1,24 @@
 //! Property tests for the NTGA operators: the set-theoretic laws of
-//! Definitions 3.3–3.5, partial-aggregate algebra, codec round-trips, and
-//! the one-walk kernels (fused group filter, compiled slot program) against
-//! the owned operators they must reproduce, and the Agg-Join reducer's
-//! all-or-nothing handling of a damaged value.
+//! Definitions 3.3–3.5 on the logical operators of the spec oracle
+//! (`common`), partial-aggregate algebra, codec round-trips, and the
+//! one-walk kernels (fused group filter behind a value filter, compiled
+//! slot program) against the owned operators they must reproduce, and the
+//! Agg-Join reducer's all-or-nothing handling of a damaged value.
 
+mod common;
+
+use common::{accumulate, alpha_join, n_split, opt_group_filter, value_filtered};
 use rapida_mapred::codec::write_varint;
 use rapida_mapred::{ReduceOutput, ReduceTask};
-use rapida_testkit::prelude::*;
 use rapida_ntga::{
-    accumulate, alpha_join, any_alpha_partial, n_split, opt_group_filter, opt_group_filter_into,
-    AggJoinConfig, AggJoinReducer, AggJoinSpec, AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm,
-    AnnTg, JoinKey, NumericSnapshot, PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef,
-    TripleGroup, VarRef,
+    any_alpha_partial, opt_group_filter_into, AggJoinConfig, AggJoinReducer, AggJoinSpec, AggOp,
+    AggRec, AggSpec, AlphaCond, AlphaTerm, AnnTg, IdPred, JoinKey, LexicalSnapshot,
+    NumericSnapshot, PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef, TripleGroup,
+    ValueFilter, VarRef,
 };
-use std::sync::Arc;
+use rapida_sparql::ast::CmpOp;
+use rapida_testkit::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 fn arb_tg() -> impl Strategy<Value = TripleGroup> {
     (
@@ -33,6 +38,36 @@ fn arb_spec() -> impl Strategy<Value = StarSpec> {
             primary: prim.into_iter().map(PropReq::any).collect(),
             secondary: sec.into_iter().map(PropReq::any).collect(),
         })
+}
+
+/// Snapshots over every object id the filter tests draw: ids divisible by 3
+/// are the numbers `id / 3`, and id `i`'s lexical form is `t{i}`.
+fn snapshots() -> (NumericSnapshot, LexicalSnapshot) {
+    static SNAPSHOTS: OnceLock<(NumericSnapshot, LexicalSnapshot)> = OnceLock::new();
+    SNAPSHOTS
+        .get_or_init(|| {
+            let ids = 0..24_000u32;
+            let numeric = ids.clone().map(|i| (i % 3 == 0).then_some(f64::from(i / 3))).collect();
+            (Arc::new(numeric), Arc::new(ids.map(|i| format!("t{i}")).collect()))
+        })
+        .clone()
+}
+
+/// A value predicate of each kind, drawn from `(kind, n)`: a numeric
+/// comparison against `n`, an id (in)equality with `n`, or a substring —
+/// `n` as digits, or case-insensitively `T` and `n`.
+fn id_pred((kind, n): (u8, u64)) -> IdPred {
+    match kind {
+        0 => IdPred::Num {
+            op: [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][n as usize % 6],
+            rhs: n as f64,
+        },
+        1 => IdPred::IdEq { eq: n % 2 == 0, rhs: n },
+        _ => IdPred::Contains {
+            pattern: if n % 2 == 0 { format!("{}", n / 2) } else { format!("T{}", n / 2) },
+            case_insensitive: n % 2 == 1,
+        },
+    }
 }
 
 proptest! {
@@ -198,61 +233,6 @@ proptest! {
         }
     }
 
-    /// The fused one-walk filter emits the bytes of
-    /// `opt_group_filter(..).encode(..)` and the key list of
-    /// `JoinKey::extract` on the filtered group — through object-constrained
-    /// requirements, multi-byte ids and counts past one varint byte — and
-    /// rejects every truncation of the record without touching its output.
-    #[test]
-    fn fused_filter_matches_owned(
-        tg in arb_tg(),
-        bulk in (0usize..3, 1u64..8).prop_map(|(n, p)| (n * 90, p)),
-        prim in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
-        sec in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
-        key_prop in 1u64..8,
-    ) {
-        // Up to 180 extra pairs on one property, objects in the 2–3 byte
-        // varint range: kept counts on both sides of 128.
-        let mut triples = tg.triples.clone();
-        triples.extend((0..bulk.0 as u64).map(|i| (bulk.1, 100 + i * 131)));
-        let tg = TripleGroup::new(tg.subject, triples);
-        let req = |&(prop, object): &(u64, Option<u64>)| PropReq { prop, object };
-        let spec = StarSpec {
-            star: 0,
-            primary: prim.iter().map(req).collect(),
-            secondary: sec.iter().map(req).collect(),
-        };
-        let mut rec = Vec::new();
-        tg.encode(&mut rec);
-        let view = TgRef::parse_framed(&rec).expect("canonical record parses");
-
-        let (mut got, mut keys) = (vec![0xAA], vec![99]);
-        let passed = opt_group_filter_into(&view, &spec, Some(key_prop), &mut got, &mut keys);
-        match opt_group_filter(&tg, &spec) {
-            None => {
-                prop_assert_eq!(passed, Some(false));
-                prop_assert_eq!(&got, &[0xAA], "a rejected group leaves out alone");
-            }
-            Some(filtered) => {
-                prop_assert_eq!(passed, Some(true));
-                let mut want = vec![0xAA];
-                filtered.encode(&mut want);
-                prop_assert_eq!(&got, &want);
-                let key = JoinKey::ObjectOf { star: 0, prop: key_prop };
-                prop_assert_eq!(&keys, &key.extract(&AnnTg::single(0, filtered)));
-            }
-        }
-        // Every strict prefix is a damaged record: no panic, no output.
-        for cut in 0..rec.len() {
-            if let Some(short) = TgRef::parse_framed(&rec[..cut]) {
-                let mut out = vec![0xAA];
-                let passed = opt_group_filter_into(&short, &spec, Some(key_prop), &mut out, &mut keys);
-                prop_assert_eq!(passed, None, "cut at {}", cut);
-                prop_assert_eq!(&out, &[0xAA]);
-            }
-        }
-    }
-
     /// The compiled slot program folds exactly the `(spec, key, agg index,
     /// value)` sequence of α-gated owned `accumulate`, spec by spec: 1–4
     /// stars with ids anywhere in `u8`, multi-valued properties, missing
@@ -403,5 +383,162 @@ proptest! {
         }
         prop_assert_eq!(reduce(&key_of(7, u64::MAX), &values), (vec![], 1));
         prop_assert_eq!(reduce(&key_of(8, group.len() as u64), &values), (vec![], 1));
+    }
+}
+
+#[test]
+fn slot_program_matches_owned() {
+    const PF: u64 = 10;
+    const PC: u64 = 11;
+    const CN: u64 = 12;
+    let mut numeric = vec![None; 100];
+    numeric[30] = Some(30.0);
+    numeric[20] = Some(20.0);
+    let numeric: NumericSnapshot = Arc::new(numeric);
+    let specs = [
+        AggJoinSpec {
+            id: 0,
+            slots: vec![
+                VarRef::ObjectOf { star: 0, prop: PF },
+                VarRef::ObjectOf { star: 1, prop: CN },
+                VarRef::ObjectOf { star: 0, prop: PC },
+            ],
+            group_slots: vec![0, 1],
+            aggs: vec![
+                AggSpec { op: AggOp::Sum, arg: Some(2) },
+                AggSpec { op: AggOp::Count, arg: None },
+            ],
+            alpha: AlphaCond::default(),
+        },
+        // Shares (0, PC) with spec 0; α wants pf absent.
+        AggJoinSpec {
+            id: 1,
+            slots: vec![VarRef::ObjectOf { star: 0, prop: PC }],
+            group_slots: vec![],
+            aggs: vec![AggSpec { op: AggOp::Avg, arg: Some(0) }],
+            alpha: AlphaCond {
+                terms: vec![AlphaTerm { star: 0, prop: PF, required: false }],
+            },
+        },
+    ];
+    let details = [
+        AnnTg {
+            groups: vec![
+                (0, TripleGroup::new(3, vec![(PF, 61), (PF, 62), (PC, 20), (PC, 30)])),
+                (1, TripleGroup::new(8, vec![(CN, 70), (CN, 71)])),
+            ],
+        },
+        // Missing pf: spec 0's slot 0 is empty, spec 1's α holds.
+        AnnTg {
+            groups: vec![(0, TripleGroup::new(4, vec![(PC, 20)])), (1, TripleGroup::new(8, vec![(CN, 70)]))],
+        },
+    ];
+    let mut prog = SlotProgram::compile(&specs);
+    let mut dir = StarDir::default();
+    for d in &details {
+        let mut owned_folds: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
+        for (si, spec) in specs.iter().enumerate() {
+            if spec.alpha.satisfied_full(d) {
+                accumulate(d, spec, &numeric, &mut |k, i, v| {
+                    owned_folds.push((si, k.to_vec(), i, v));
+                });
+            }
+        }
+        let rec = d.encoded();
+        let mut prog_folds = Vec::new();
+        prog.run(&dir.fill(&rec).unwrap(), |si, k, assignment| {
+            for (i, agg) in specs[si].aggs.iter().enumerate() {
+                prog_folds.push((si, k.to_vec(), i, agg.value(assignment, &numeric)));
+            }
+        });
+        assert!(!owned_folds.is_empty());
+        assert_eq!(prog_folds, owned_folds, "fold sequences must be identical");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The fused one-walk filter behind a value filter emits the bytes of
+    /// the owned reference — drop the pairs failing their property's
+    /// predicates, gate the subject, `opt_group_filter(..).encode(..)` —
+    /// and the key list of `JoinKey::extract` on the filtered group,
+    /// through numeric, id and substring predicates on primary, secondary
+    /// and unprojected properties, subject sets with and without the
+    /// subject, object-constrained requirements, multi-byte ids and counts
+    /// past one varint byte; and it rejects every truncation of the record,
+    /// gated out or not, without touching its output.
+    #[test]
+    fn fused_filter_matches_owned(
+        tg in arb_tg(),
+        bulk in (0usize..3, 1u64..8).prop_map(|(n, p)| (n * 90, p)),
+        prim in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
+        sec in proptest::collection::vec((1u64..8, proptest::option::of(0u64..12)), 0..3),
+        key_prop in 1u64..8,
+        preds in proptest::collection::vec(((0u8..3, 0usize..8), (0u8..3, 0u64..24)), 0..4),
+        gate in proptest::option::of((any::<bool>(), proptest::collection::vec(any::<u32>(), 0..4))),
+    ) {
+        // Up to 180 extra pairs on one property, objects in the 2–3 byte
+        // varint range: kept counts on both sides of 128.
+        let mut triples = tg.triples.clone();
+        triples.extend((0..bulk.0 as u64).map(|i| (bulk.1, 100 + i * 131)));
+        let tg = TripleGroup::new(tg.subject, triples);
+        let req = |&(prop, object): &(u64, Option<u64>)| PropReq { prop, object };
+        let spec = StarSpec {
+            star: 0,
+            primary: prim.iter().map(req).collect(),
+            secondary: sec.iter().map(req).collect(),
+        };
+        let (numeric, lexical) = snapshots();
+        let subjects = gate.map(|(with_subject, others)| {
+            let mut set: Vec<u64> = others.into_iter().map(u64::from).collect();
+            set.extend(with_subject.then_some(tg.subject));
+            set.sort_unstable();
+            set.dedup();
+            Arc::new(set)
+        });
+        // A predicate's property: a primary one, a secondary one, or any.
+        let pick = |reqs: &[(u64, Option<u64>)], i: usize| reqs.get(i % reqs.len().max(1)).map(|r| r.0);
+        let prop_of = |(which, i): (u8, usize)| match which {
+            0 => pick(&prim, i),
+            1 => pick(&sec, i),
+            _ => None,
+        }
+        .unwrap_or(1 + i as u64 % 7);
+        let filter = ValueFilter {
+            preds: preds.into_iter().map(|(p, pred)| (prop_of(p), id_pred(pred))).collect(),
+            subjects,
+            numeric,
+            lexical,
+        };
+        let mut rec = Vec::new();
+        tg.encode(&mut rec);
+        let view = TgRef::parse_framed(&rec).expect("canonical record parses");
+
+        let (mut got, mut keys) = (vec![0xAA], vec![99]);
+        let passed = opt_group_filter_into(&view, &spec, &filter, Some(key_prop), &mut got, &mut keys);
+        match value_filtered(&tg, &filter).and_then(|kept| opt_group_filter(&kept, &spec)) {
+            None => {
+                prop_assert_eq!(passed, Some(false));
+                prop_assert_eq!(&got, &[0xAA], "a rejected group leaves out alone");
+            }
+            Some(filtered) => {
+                prop_assert_eq!(passed, Some(true));
+                let mut want = vec![0xAA];
+                filtered.encode(&mut want);
+                prop_assert_eq!(&got, &want);
+                let key = JoinKey::ObjectOf { star: 0, prop: key_prop };
+                prop_assert_eq!(&keys, &key.extract(&AnnTg::single(0, filtered)));
+            }
+        }
+        // Every strict prefix is a damaged record: no panic, no output.
+        for cut in 0..rec.len() {
+            if let Some(short) = TgRef::parse_framed(&rec[..cut]) {
+                let mut out = vec![0xAA];
+                let passed = opt_group_filter_into(&short, &spec, &filter, Some(key_prop), &mut out, &mut keys);
+                prop_assert_eq!(passed, None, "cut at {}", cut);
+                prop_assert_eq!(&out, &[0xAA]);
+            }
+        }
     }
 }

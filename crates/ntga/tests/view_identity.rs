@@ -4,11 +4,12 @@
 //! per implementation over the same inputs, and must write the same dataset
 //! blocks, shuffle the same map output and quarantine the same number of
 //! records. Covered: a shared raw scan feeding two routes, α-pruning,
-//! one-sided keys, a second cycle over annotated routes with a `prefilter`ed
-//! raw star, Agg-Joins over joined and raw (shared single-star scan) inputs
-//! with `map_side_combine` on and off, a truncated record in every kind of
-//! input of both mappers — behind a `prefilter` too, where the prefix that
-//! still decodes would pass the filter — and route tables that leave a
+//! one-sided keys, a second cycle over annotated routes with a raw star
+//! behind a value filter and a subject gate, Agg-Joins over joined and raw
+//! (shared single-star scan) inputs with `map_side_combine` on and off, a
+//! truncated record in every kind of input of both mappers — behind a
+//! filter too, where the prefix that still decodes would pass it, and
+//! behind a gate that shuts the record out — and route tables that leave a
 //! route or a filter off an input, which the reference walks anyway, or
 //! have no entry for an input, whose records both quarantine.
 
@@ -22,9 +23,10 @@ use rapida_mapred::{
 };
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AggJoinSpec, AggOp, AggSpec, AlphaCond,
-    AlphaJoinReducer, AlphaTerm, AnnRoute, AnnTg, InputRoutes, JoinKey, PropReq, Side, StarRoute,
-    StarSpec, TgJoinMapConfig, TgJoinMapper, TgTransform, TripleGroup, VarRef,
+    AlphaJoinReducer, AlphaTerm, AnnRoute, AnnTg, IdPred, InputRoutes, JoinKey, PropReq, Side,
+    StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper, TripleGroup, ValueFilter, VarRef,
 };
+use rapida_sparql::ast::CmpOp;
 use std::sync::Arc;
 
 const TY: u64 = 1;
@@ -48,8 +50,8 @@ fn offer_star() -> StarSpec {
     star(1, vec![PropReq::any(PR), PropReq::any(PC), PropReq::any(PV)], vec![])
 }
 
-fn route(spec: StarSpec, side: Side, key: JoinKey, prefilter: Option<TgTransform>) -> StarRoute {
-    StarRoute { spec, side, key, prefilter }
+fn route(spec: StarSpec, side: Side, key: JoinKey, filter: ValueFilter) -> StarRoute {
+    StarRoute { spec, side, key, filter }
 }
 
 fn has_feature(required: bool) -> AlphaCond {
@@ -72,13 +74,16 @@ fn block(
     AggJoinSpec { id, slots, group_slots, aggs, alpha }
 }
 
-/// FILTER pushdown stand-in: drops every `prop` triple whose object is odd,
-/// and the whole group when none is left.
-fn even_objects_of(prop: u64) -> TgTransform {
-    Arc::new(move |mut tg: TripleGroup| {
-        tg.triples.retain(|&(p, o)| p != prop || o % 2 == 0);
-        tg.has_prop(prop).then_some(tg)
-    })
+/// A pushed-down FILTER: every `prop` pair with an odd object counts as
+/// absent (term ids as the numbers `id % 2`, equal to 0). With `gate`, only
+/// groups with one of those subjects pass.
+fn even_objects_of(prop: u64, gate: Option<Vec<u64>>) -> ValueFilter {
+    ValueFilter {
+        preds: vec![(prop, IdPred::Num { op: CmpOp::Eq, rhs: 0.0 })],
+        subjects: gate.map(Arc::new),
+        numeric: Arc::new((0..400).map(|i| Some(f64::from(i % 2))).collect()),
+        ..ValueFilter::default()
+    }
 }
 
 fn put(dfs: &SimDfs, name: &str, records: impl IntoIterator<Item = Vec<u8>>) {
@@ -107,7 +112,10 @@ fn cut(mut rec: Vec<u8>) -> Vec<u8> {
 /// Every input ends in a truncated record. The products' and the vendors'
 /// are cut inside their last pair, and what is left of them passes the
 /// value filters those stars are scanned behind and would join: a mapper
-/// that materialized the decodable prefix would emit it.
+/// that materialized the decodable prefix would emit it. The products' also
+/// passes its star's subject gate; the vendors' does not, and the vendor
+/// route is the only one walking its input, so a mapper that gated before it
+/// walked would let it go uncounted.
 fn load(dfs: &SimDfs) {
     let products = (0..40u64).map(|i| {
         let mut pairs = vec![(TY, PT18 + u64::from(i % 4 == 3))];
@@ -214,8 +222,8 @@ fn workflow_is_byte_identical_to_the_reference() {
     let cfg = TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![0, 1])],
         star_routes: vec![
-            route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None),
-            route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, None),
+            route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, ValueFilter::default()),
+            route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, ValueFilter::default()),
         ],
         ann_routes: vec![],
     };
@@ -227,12 +235,18 @@ fn workflow_is_byte_identical_to_the_reference() {
 
     // Cycle 2: the intermediate (and the stray annotated input) on the left
     // by the offer's vendor — two keys for the stray record — against a raw
-    // vendor star behind a value filter.
+    // vendor star behind a value filter and a gate that shuts out vendor
+    // 502 and the truncated 506.
     let by_vendor = JoinKey::ObjectOf { star: 1, prop: PV };
     let vendor = star(2, vec![PropReq::any(PN)], vec![]);
     let cfg = TgJoinMapConfig {
         inputs: vec![InputRoutes::Ann, InputRoutes::Raw(vec![0]), InputRoutes::Ann],
-        star_routes: vec![route(vendor, Side::Right, JoinKey::Subject { star: 2 }, Some(even_objects_of(PN)))],
+        star_routes: vec![route(
+            vendor,
+            Side::Right,
+            JoinKey::Subject { star: 2 },
+            even_objects_of(PN, Some(vec![500, 501, 503, 504, 520])),
+        )],
         ann_routes: vec![AnnRoute { side: Side::Left, key: by_vendor }],
     };
     let either = vec![has_feature(true), has_feature(false)];
@@ -276,9 +290,11 @@ fn workflow_is_byte_identical_to_the_reference() {
     assert!(with.0 < without.0, "combining must shrink the shuffle");
 
     // Agg-Join straight off the raw inputs: one scan, two single-star
-    // filters (the first behind a value filter), one block each. The route
-    // table prunes the product filter on the offers and walks the products
-    // with both.
+    // filters (the first behind a value filter and a gate that shuts out
+    // every fifth product but lets the truncated 199 in), one block each.
+    // The route table prunes the product filter on the offers and walks the
+    // products with both.
+    let products = (100..140).filter(|i| i % 5 != 2).chain([199]).collect();
     let cfg = AggJoinConfig {
         specs: vec![
             block(0, vec![obj(0, PF)], vec![0], &[(AggOp::Count, None)], AlphaCond::default()),
@@ -286,7 +302,10 @@ fn workflow_is_byte_identical_to_the_reference() {
         ],
         numeric: numeric(),
         inputs: vec![InputRoutes::Raw(vec![1]), InputRoutes::Raw(vec![0, 1])],
-        raw_filters: vec![(product_star(), Some(even_objects_of(PF))), (offer_star(), None)],
+        raw_filters: vec![
+            (product_star(), even_objects_of(PF, Some(products))),
+            (offer_star(), ValueFilter::default()),
+        ],
         map_side_combine: true,
     };
     for (blocks, _, corrupt) in agg_join(&dfs, &["offers", "products"], cfg, "raw_aggs") {
@@ -318,8 +337,8 @@ fn route_table_pruning_is_byte_identical_to_the_reference() {
     let cfg = TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![1]), InputRoutes::Raw(vec![0]), InputRoutes::Raw(vec![1])],
         star_routes: vec![
-            route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None),
-            route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, None),
+            route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, ValueFilter::default()),
+            route(offer_star(), Side::Right, JoinKey::ObjectOf { star: 1, prop: PR }, ValueFilter::default()),
         ],
         ann_routes: vec![],
     };
@@ -338,7 +357,7 @@ fn an_input_without_a_table_entry_is_quarantined() {
     load(&dfs);
     let cfg = TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![0])],
-        star_routes: vec![route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, None)],
+        star_routes: vec![route(product_star(), Side::Left, JoinKey::Subject { star: 0 }, ValueFilter::default())],
         ann_routes: vec![],
     };
     let (.., corrupt) = tg_join(&dfs, &["products", "vendors"], cfg, vec![], "short_table");

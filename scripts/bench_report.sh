@@ -61,9 +61,6 @@ run_mapred() {
     echo "==> shuffle data-path bench (writes BENCH_mapred.json)"
     cargo bench --offline -p rapida-bench --bench shuffle
 
-    echo "==> operator microbenches"
-    cargo bench --offline -p rapida-bench --bench operators
-
     echo "==> Fig. 8 engine-comparison benches"
     cargo bench --offline -p rapida-bench --bench fig8a_bsbm
     cargo bench --offline -p rapida-bench --bench fig8b_bsbm

@@ -2,11 +2,12 @@
 # Tier-1 verification: everything must pass with no network access.
 #
 #   build (release)  ->  full workspace test suite  ->  runs with larger
-#   test knobs  ->  deleted-name guards  ->  perfbench oracles  ->  bench smoke
+#   test knobs  ->  perfbench oracles  ->  bench smoke
 #
 # The root manifest's `default-members` makes `cargo test` run every crate's
 # suite, so no test is re-run here by name; the only repeated runs are the
 # ones that set an environment knob (RAPIDA_CHAOS_SEEDS, RAPIDA_SERVE_ROUNDS).
+# The deleted-name guards are part of that suite (tests/deleted_names.rs).
 #
 # The bench smoke runs every bench target with one timed iteration per
 # benchmark (RAPIDA_BENCH_SMOKE=1), which proves the harnesses execute
@@ -24,44 +25,20 @@ cargo test -q --offline
 echo "==> chaos smoke (4 fault seeds x worker counts, incl. corruption sweeps)"
 RAPIDA_CHAOS_SEEDS=4 cargo test -q --offline -p rapida-mapred --test chaos
 
-echo "==> stored bytes are checksummed once (block_checksum is called only by the integrity module and the DFS)"
-if grep -rnF 'block_checksum(' crates/*/src | grep -vE '^crates/mapred/src/(integrity|dfs)\.rs:'; then echo "FAIL: a second pass over stored bytes is back" >&2; exit 1; fi
-
-echo "==> one ordering kernel (the comparison sort, the chunked thread sort and the loser tree stay deleted)"
-if grep -rnE 'LoserTree|sort_unstable_with|Run::select' crates/*/src; then echo "FAIL: a second shuffle ordering is back" >&2; exit 1; fi
-
-echo "==> pairs are ordered once, reduce-side (the map-side sort, sorted runs and their binary-search windows stay deleted)"
-if grep -rnE 'fn sort_unstable|Run::sorted|fn lower_bound|sort_unstable\(\)' crates/mapred/src; then echo "FAIL: a map-side ordering is back" >&2; exit 1; fi
-
-echo "==> one attempt script (the map-side retry loop, its ledger mirror, the straggler slowdown knob and the panicking run_workflow stay deleted)"
-if grep -rnwE 'FaultStats|run_map_task|straggler_slowdown|fn run_workflow' crates/*/src; then echo "FAIL: a second fault-attempt path is back" >&2; exit 1; fi
-
 echo "==> plan-enumerator oracle smoke (perfbench --smoke: both enumerate_best winners vs sparql::evaluate)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload plan_costed
 
 echo "==> relational shuffle oracle smoke (perfbench --smoke: mg_hive vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_hive
 
-echo "==> one route table (the per-record raw-input list and its contains dispatch, and the Agg-Join's parallel table, stay deleted)"
-if grep -rnwE 'raw_inputs|raw_table' crates/*/src; then echo "FAIL: a second route table is back" >&2; exit 1; fi
-
-echo "==> one NTGA operator path (the owned-decode flag stays out of production, benches and scripts)"
-if grep -rn 'legacy[_]owned' crates/*/src src crates/bench scripts; then echo "FAIL: the flag is back" >&2; exit 1; fi
-
 echo "==> NTGA oracle smoke (perfbench --smoke: mg_rapida vs the cross-family oracle)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload mg_rapida
-
-echo "==> one rules value, one compiler (the per-engine config structs, the engine-level cost switch and the enumerator's recipe enum stay deleted)"
-if grep -rnE 'cost[_]model|Hive[C]onfig|enum [S]pec' crates/*/src src crates/bench scripts; then echo "FAIL: a second planner configuration is back" >&2; exit 1; fi
 
 echo "==> serving oracle smoke (perfbench --smoke: serve_fit, planned through PlanRules::hive_mqo)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke --workload serve_fit
 
 echo "==> serving smoke (batched-MQO identity + replay ledger + golden ledger, small traffic)"
 RAPIDA_SERVE_ROUNDS=2 RAPIDA_CHAOS_SEEDS=2 cargo test -q --offline --test serve_identity
-
-echo "==> one drain front end (each answer is moved out of the drain, never copied out; no per-request reason copier)"
-if grep -rnF -e 'clone_reason' -e 'status[i].clone()' crates/serve/src; then echo "FAIL: the per-request copies are back" >&2; exit 1; fi
 
 echo "==> serving CLI smoke (2 clients, 2 batching windows, both modes)"
 ./target/release/rapida serve --clients 2 --duration-ms 150 --window-ms 100 --seed 7 > /dev/null

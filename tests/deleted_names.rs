@@ -1,0 +1,155 @@
+//! Deleted names stay deleted. Each row of [`GUARDS`] is a pattern that
+//! must not appear in any file under its scope, with what took its place;
+//! a deletion that must not come back adds a row. Plain `std`: the files are
+//! read from the checkout and searched line by line.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// One deleted name.
+struct Guard {
+    /// The text that must not appear.
+    pattern: &'static str,
+    /// Match only where the pattern is not part of a longer identifier.
+    word: bool,
+    /// Directories searched, relative to the repository root; a `*`
+    /// component stands for every entry of its parent directory.
+    scope: &'static [&'static str],
+    /// Files under the scope that may still hold the pattern.
+    allowed: &'static [&'static str],
+    /// What took its place.
+    replaced_by: &'static str,
+}
+
+const SRC: &[&str] = &["crates/*/src"];
+const SRC_BENCH_SCRIPTS: &[&str] = &["crates/*/src", "src", "crates/bench", "scripts"];
+
+const fn guard(pattern: &'static str, word: bool, scope: &'static [&'static str], replaced_by: &'static str) -> Guard {
+    Guard { pattern, word, scope, allowed: &[], replaced_by }
+}
+
+const SEALED: &str = "stored bytes are checksummed once, by `dfs::Sealed::new`";
+const RADIX: &str = "one ordering kernel: the reduce side's stable radix pass";
+const REDUCE_SIDE: &str = "pairs are ordered once, reduce-side; map tasks spill in emit order";
+const ATTEMPT_SCRIPT: &str = "one attempt script for map tasks and reduce partitions; callers use `try_run_workflow`";
+const ROUTE_TABLE: &str = "one route table, `InputRoutes`, per scan";
+const ONE_NTGA_PATH: &str = "one NTGA operator path; the owned-decode reference lives in `crates/ntga/tests/common`";
+const RULES: &str = "one `PlanRules` value and one compiler";
+const DRAIN: &str = "each answer is moved out of the drain, never copied";
+const VALUE_FILTER: &str = "raw stars carry a `ValueFilter`, applied inside the one filter walk";
+const ORACLE: &str = "the logical NTGA operators are the spec oracle in `crates/ntga/tests/common`";
+
+const GUARDS: &[Guard] = &[
+    Guard {
+        pattern: "block_checksum(",
+        word: false,
+        scope: SRC,
+        allowed: &["crates/mapred/src/integrity.rs", "crates/mapred/src/dfs.rs"],
+        replaced_by: SEALED,
+    },
+    guard("LoserTree", false, SRC, RADIX),
+    guard("sort_unstable_with", false, SRC, RADIX),
+    guard("Run::select", false, SRC, RADIX),
+    guard("fn sort_unstable", false, &["crates/mapred/src"], REDUCE_SIDE),
+    guard("sort_unstable()", false, &["crates/mapred/src"], REDUCE_SIDE),
+    guard("Run::sorted", false, &["crates/mapred/src"], REDUCE_SIDE),
+    guard("fn lower_bound", false, &["crates/mapred/src"], REDUCE_SIDE),
+    guard("FaultStats", true, SRC, ATTEMPT_SCRIPT),
+    guard("run_map_task", true, SRC, ATTEMPT_SCRIPT),
+    guard("straggler_slowdown", true, SRC, ATTEMPT_SCRIPT),
+    guard("fn run_workflow", true, SRC, ATTEMPT_SCRIPT),
+    guard("raw_inputs", true, SRC, ROUTE_TABLE),
+    guard("raw_table", true, SRC, ROUTE_TABLE),
+    guard("legacy_owned", false, SRC_BENCH_SCRIPTS, ONE_NTGA_PATH),
+    guard("cost_model", false, SRC_BENCH_SCRIPTS, RULES),
+    guard("HiveConfig", false, SRC_BENCH_SCRIPTS, RULES),
+    guard("enum Spec", false, SRC_BENCH_SCRIPTS, RULES),
+    guard("clone_reason", false, &["crates/serve/src"], DRAIN),
+    guard("status[i].clone()", false, &["crates/serve/src"], DRAIN),
+    guard("TgTransform", true, SRC, VALUE_FILTER),
+    guard("owned_group", true, SRC, VALUE_FILTER),
+    guard("Prefilter", true, SRC, VALUE_FILTER),
+    guard("finalize_groups_par", false, SRC, ORACLE),
+    guard("fn n_split", false, SRC, ORACLE),
+];
+
+/// Does `line` hold `pattern` — as a whole word, when `word`?
+fn holds(line: &str, pattern: &str, word: bool) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices(pattern).any(|(at, _)| {
+        !word || !(ident(line[..at].chars().next_back()) || ident(line[at + pattern.len()..].chars().next()))
+    })
+}
+
+/// The directories a scope entry names; `*` expands to every entry of its
+/// parent directory that has the rest of the path.
+fn expand(root: &Path, scope: &str) -> Vec<PathBuf> {
+    let mut dirs = vec![root.to_path_buf()];
+    for part in scope.split('/') {
+        dirs = dirs
+            .into_iter()
+            .flat_map(|dir| match part {
+                "*" => fs::read_dir(&dir)
+                    .map(|entries| entries.flatten().map(|e| e.path()).collect())
+                    .unwrap_or_default(),
+                _ => vec![dir.join(part)],
+            })
+            .filter(|d| d.is_dir())
+            .collect();
+    }
+    dirs.sort();
+    dirs
+}
+
+/// Every file under `dir`, recursively.
+fn files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("a scope directory is readable").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            files(&path, out);
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn deleted_names_stay_deleted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for g in GUARDS {
+        for scope in g.scope {
+            let dirs = expand(root, scope);
+            assert!(!dirs.is_empty(), "`{}`: scope {scope} names no directory", g.pattern);
+            let mut paths = Vec::new();
+            dirs.iter().for_each(|d| files(d, &mut paths));
+            for path in paths {
+                let rel = path.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
+                if g.allowed.contains(&rel.as_str()) {
+                    continue;
+                }
+                let Ok(bytes) = fs::read(&path) else { continue };
+                for (n, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+                    if holds(line, g.pattern, g.word) {
+                        found.push(format!("{rel}:{}: `{}` is back ({})", n + 1, g.pattern, g.replaced_by));
+                    }
+                }
+            }
+        }
+    }
+    assert!(found.is_empty(), "deleted names reappeared:\n{}", found.join("\n"));
+}
+
+#[test]
+fn the_matcher_finds_whole_words_and_substrings() {
+    assert!(holds("struct LoserTree;", "LoserTree", false));
+    assert!(holds("let t: TgTransform = f;", "TgTransform", true));
+    assert!(!holds("fn prefilter_drops() {}", "Prefilter", true));
+    assert!(!holds("PrefilterSet", "Prefilter", true));
+    assert!(holds("Prefilter { apply }", "Prefilter", true));
+    assert!(holds("x.sort_unstable();", "sort_unstable()", false));
+    assert!(!holds("fn run_workflows()", "fn run_workflow", true));
+    // Every guarded directory exists: a misspelt scope would guard nothing.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(expand(root, "crates/*/src").len() >= 9);
+}
