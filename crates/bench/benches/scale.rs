@@ -9,8 +9,8 @@
 //! it is what the work-stealing pool + shard-parallel reduce merge are
 //! supposed to shrink as workers grow.
 //!
-//! Results land in `BENCH_scale.json` (ids `shuffle_1m/w{1,2,4,8}`);
-//! `scripts/bench_report.sh scale` enforces the ≥2x floor at 4 workers.
+//! Results land in `BENCH_scale.json` (ids `shuffle_1m/w{1,2,4,8}`); outside
+//! smoke mode the bench fails below a 2x speedup at 4 workers.
 
 use rapida_mapred::{
     DatasetWriter, Engine, FnMapFactory, FnReduceFactory, InputSrc, Job, JobBuilder, KeyLocal,
@@ -92,7 +92,8 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(6));
 
-    for workers in [1usize, 2, 4, 8] {
+    const WORKERS: [usize; 4] = [1, 2, 4, 8];
+    for workers in WORKERS {
         group.bench_function(format!("{tag}/w{workers}"), |b| {
             b.iter_custom(|iters| {
                 let mut total = Duration::ZERO;
@@ -109,7 +110,13 @@ fn bench(c: &mut Criterion) {
         });
     }
 
+    let makespan = |w: usize| group.median_ns(&format!("{tag}/w{w}")).expect("every worker count recorded");
+    for w in WORKERS {
+        println!("  w{w}: busy makespan {:.1} ms ({:.2}x vs w1)", makespan(w) / 1e6, makespan(1) / makespan(w));
+    }
+    let ratio = makespan(1) / makespan(4);
     group.finish();
+    assert!(smoke_mode() || ratio >= 2.0, "4-worker speedup {ratio:.2}x is below the 2x floor");
 }
 
 criterion_group!(benches, bench);

@@ -6,8 +6,8 @@
 //! Both sides run single-threaded end to end — dataset scan, map emit,
 //! partition, sort/merge, grouped reduction, output block build — so the
 //! ratio isolates the data-path rewrite, not parallelism. Results land in
-//! `BENCH_mapred.json` (group `mapred`); `scripts/bench_report.sh` records
-//! the committed baseline.
+//! `BENCH_mapred.json` (group `mapred`); outside smoke mode the bench fails
+//! unless the arena path is at least 2x faster than the legacy one.
 
 use rapida_mapred::codec::{BlockBuilder, RecordIter};
 use rapida_mapred::{
@@ -135,11 +135,10 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(8));
 
-    group.bench_function(format!("shuffle_legacy_pairs/{tag}"), |b| {
-        b.iter(|| legacy_run(&ds, reducers))
-    });
+    let (legacy_id, arena_id) = (format!("shuffle_legacy_pairs/{tag}"), format!("shuffle_arena_merge/{tag}"));
+    group.bench_function(legacy_id.as_str(), |b| b.iter(|| legacy_run(&ds, reducers)));
 
-    group.bench_function(format!("shuffle_arena_merge/{tag}"), |b| {
+    group.bench_function(arena_id.as_str(), |b| {
         b.iter(|| {
             let dfs = SimDfs::new();
             dfs.put("in", ds.clone()); // blocks are refcounted: cheap
@@ -149,7 +148,11 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    let ratio = group.median_ns(&legacy_id).expect("legacy id recorded")
+        / group.median_ns(&arena_id).expect("arena id recorded");
+    println!("  arena shuffle speedup over legacy pairs: {ratio:.2}x");
     group.finish();
+    assert!(smoke_mode() || ratio >= 2.0, "arena shuffle speedup {ratio:.2}x is below the 2x floor");
 }
 
 criterion_group!(benches, bench);

@@ -144,8 +144,8 @@ fn checkpoint_resume_replays_only_the_lost_job() {
 
 /// The same loss without checkpointing replays the whole DAG: every job
 /// reruns, nothing is skipped, and the recomputed bytes are at least 2×
-/// the checkpoint-resume figure — the margin `BENCH_recover.json` reports
-/// and `scripts/bench_report.sh` enforces.
+/// the checkpoint-resume figure — the margin that
+/// `crates/bench/tests/floors.rs` asserts on MG1.
 #[test]
 fn full_restart_recomputes_at_least_twice_as_much() {
     let model = ClusterModel::nodes10();

@@ -159,11 +159,12 @@ impl<'a> BenchmarkGroup<'a> {
 
     fn record(&mut self, id: BenchmarkId, bencher: Bencher) {
         let mut samples = bencher.samples_ns;
-        if samples.is_empty() {
-            // The bench closure never called iter(); record a zero so the
-            // report shows the hole instead of silently dropping the id.
-            samples.push(0.0);
-        }
+        assert!(
+            !samples.is_empty(),
+            "bench `{}/{}` never called `iter` or `iter_custom`",
+            self.name,
+            id.id
+        );
         let iters_per_sample = bencher.iters_per_sample;
         samples.sort_by(|a, b| a.total_cmp(b));
         let min = samples[0];
@@ -186,6 +187,12 @@ impl<'a> BenchmarkGroup<'a> {
             iters_per_sample,
         });
         self.criterion.benches_run += 1;
+    }
+
+    /// The median of an already-run benchmark of this group, by its id
+    /// (`function/parameter`), in nanoseconds per iteration.
+    pub fn median_ns(&self, id: &str) -> Option<f64> {
+        self.results.iter().find(|r| r.id == id).map(|r| r.median_ns)
     }
 
     /// Finish the group: write `BENCH_<group>.json`.
@@ -408,6 +415,29 @@ mod tests {
             assert!((s - 1000.0).abs() < 1.0, "sample {s} should be ~1000 ns");
         }
         // Don't write a JSON file from unit tests: drop without finish().
+    }
+
+    #[test]
+    fn median_ns_looks_up_a_recorded_id() {
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("testgroup_median");
+        g.sample_size(3)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(5));
+        g.bench_function(BenchmarkId::new("fixed", "a"), |b| {
+            b.iter_custom(|iters| Duration::from_micros(2 * iters))
+        });
+        let median = g.median_ns("fixed/a").expect("recorded id");
+        assert!((median - 2000.0).abs() < 1.0, "median {median} should be ~2000 ns");
+        assert_eq!(g.median_ns("fixed/b"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "testgroup_hole/empty")]
+    fn a_bench_that_never_iterates_panics_with_its_id() {
+        let mut c = Criterion::default();
+        let mut g = c.benchmark_group("testgroup_hole");
+        g.bench_function("empty", |_b| {});
     }
 
     #[test]

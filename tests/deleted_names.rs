@@ -38,6 +38,8 @@ const RULES: &str = "one `PlanRules` value and one compiler";
 const DRAIN: &str = "each answer is moved out of the drain, never copied";
 const VALUE_FILTER: &str = "raw stars carry a `ValueFilter`, applied inside the one filter walk";
 const ORACLE: &str = "the logical NTGA operators are the spec oracle in `crates/ntga/tests/common`";
+const FLOORS: &str = "report floors are Rust: `crates/bench/tests/floors.rs`, and each timing bench checks its own";
+const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
     Guard {
@@ -71,6 +73,16 @@ const GUARDS: &[Guard] = &[
     guard("Prefilter", true, SRC, VALUE_FILTER),
     guard("finalize_groups_par", false, SRC, ORACLE),
     guard("fn n_split", false, SRC, ORACLE),
+    guard("bench_report", false, SRC_BENCH_SCRIPTS, FLOORS),
+    guard("python3", false, &["scripts"], FLOORS),
+    Guard {
+        pattern: "iter_custom",
+        word: false,
+        scope: &["crates/bench/benches"],
+        // Busy-time makespan: real nanoseconds, on a clock the bench reads.
+        allowed: &["crates/bench/benches/scale.rs"],
+        replaced_by: HONEST_UNITS,
+    },
 ];
 
 /// Does `line` hold `pattern` — as a whole word, when `word`?
