@@ -1,0 +1,39 @@
+//! `Graph::insert_term_triples` interns in batches under one dictionary
+//! write lock; the result must be exactly that of inserting the triples term
+//! by term: the same id for every term, the same triple order, and the same
+//! duplicates dropped.
+
+use rapida_datagen::{generate_bsbm, generate_chem, BsbmConfig, ChemConfig};
+use rapida_rdf::{parse_ntriples, write_ntriples, Graph, TermId, TermTriple};
+
+/// The generated graph as parsed N-Triples, with duplicates appended: every
+/// seventh triple again, then the first ten again.
+fn document_with_duplicates(graph: &Graph) -> Vec<TermTriple> {
+    let mut triples: Vec<TermTriple> = graph.triples.iter().map(|t| t.decode(&graph.dict)).collect();
+    let again: Vec<TermTriple> = triples.iter().step_by(7).chain(triples.iter().take(10)).cloned().collect();
+    triples.extend(again);
+    parse_ntriples(&write_ntriples(&triples)).expect("generated N-Triples parse")
+}
+
+fn assert_same_load(name: &str, generated: &Graph) {
+    let doc = document_with_duplicates(generated);
+    let mut batched = Graph::new();
+    batched.insert_term_triples(&doc);
+    let mut one_by_one = Graph::new();
+    for tt in &doc {
+        one_by_one.insert_terms(&tt.s, &tt.p, &tt.o);
+    }
+    assert_eq!(batched.len(), generated.len(), "{name}: duplicates dropped");
+    assert_eq!(batched.triples, one_by_one.triples, "{name}: ids and triple order");
+    assert_eq!(batched.dict.len(), one_by_one.dict.len(), "{name}: dictionary size");
+    for id in 0..batched.dict.len() as u64 {
+        assert_eq!(batched.dict.term(TermId(id)), one_by_one.dict.term(TermId(id)), "{name}: term #{id}");
+    }
+}
+
+#[test]
+fn batched_interning_matches_term_by_term_insertion() {
+    // Tiny BSBM spans more than one interning batch; chem fits in one.
+    assert_same_load("bsbm", &generate_bsbm(&BsbmConfig::tiny()));
+    assert_same_load("chem", &generate_chem(&ChemConfig::tiny()));
+}

@@ -49,11 +49,23 @@ impl Graph {
         self.insert(t)
     }
 
-    /// Load triples parsed from an N-Triples document.
+    /// Load triples parsed from an N-Triples document. Terms are interned
+    /// in bounded batches, each under one dictionary write lock; ids and
+    /// triple order are those of inserting the triples one by one.
     pub fn insert_term_triples<'a>(&mut self, triples: impl IntoIterator<Item = &'a TermTriple>) {
-        for tt in triples {
-            let t = tt.encode(&self.dict);
-            self.insert(t);
+        const BATCH_TRIPLES: usize = 4096;
+        let mut triples = triples.into_iter();
+        let mut ids = Vec::with_capacity(3 * BATCH_TRIPLES);
+        loop {
+            ids.clear();
+            let batch = triples.by_ref().take(BATCH_TRIPLES);
+            self.dict.intern_batch(batch.flat_map(|tt| [&tt.s, &tt.p, &tt.o]), &mut ids);
+            if ids.is_empty() {
+                return;
+            }
+            for spo in ids.chunks_exact(3) {
+                self.insert(Triple::new(spo[0], spo[1], spo[2]));
+            }
         }
     }
 

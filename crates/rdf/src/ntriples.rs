@@ -2,7 +2,8 @@
 //!
 //! Supports the subset needed by the workspace: IRIs, blank nodes, plain /
 //! typed / language-tagged literals with the standard escapes, `#` comments,
-//! and blank lines.
+//! and blank lines. `\uXXXX` and `\UXXXXXXXX` escapes decode in literals and
+//! IRIs; in an IRI every other byte is kept as written.
 
 use crate::term::Term;
 use crate::triple::TermTriple;
@@ -66,18 +67,22 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn take_until(&mut self, stop: u8) -> Result<&'a str, String> {
+    /// The IRI after an opening `<`, up to its `>`, escapes decoded.
+    fn iri(&mut self) -> Result<String, String> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == stop {
-                let s = std::str::from_utf8(&self.input[start..self.pos])
-                    .map_err(|_| "invalid utf-8".to_string())?;
-                self.pos += 1;
-                return Ok(s);
+        let mut escaped = false;
+        while let Some(c) = self.bump() {
+            match c {
+                b'>' => {
+                    let raw = std::str::from_utf8(&self.input[start..self.pos - 1])
+                        .map_err(|_| "invalid utf-8".to_string())?;
+                    return if escaped { decode_iri(raw) } else { Ok(raw.to_owned()) };
+                }
+                b'\\' => escaped = true,
+                _ => {}
             }
-            self.pos += 1;
         }
-        Err(format!("unterminated token, expected '{}'", stop as char))
+        Err("unterminated token, expected '>'".into())
     }
 
     fn parse_term(&mut self) -> Result<Term, String> {
@@ -85,8 +90,7 @@ impl<'a> Cursor<'a> {
         match self.peek() {
             Some(b'<') => {
                 self.bump();
-                let iri = self.take_until(b'>')?;
-                Ok(Term::iri(iri))
+                Ok(Term::iri(self.iri()?))
             }
             Some(b'_') => {
                 self.bump();
@@ -118,6 +122,14 @@ impl<'a> Cursor<'a> {
                             Some(b't') => lexical.push('\t'),
                             Some(b'"') => lexical.push('"'),
                             Some(b'\\') => lexical.push('\\'),
+                            Some(b'\'') => lexical.push('\''),
+                            Some(b'b') => lexical.push('\u{8}'),
+                            Some(b'f') => lexical.push('\u{c}'),
+                            Some(u @ (b'u' | b'U')) => {
+                                let (c, width) = uchar(u, &self.input[self.pos..])?;
+                                lexical.push(c);
+                                self.pos += width;
+                            }
                             Some(c) => return Err(format!("bad escape '\\{}'", c as char)),
                             None => return Err("dangling escape".into()),
                         },
@@ -145,8 +157,7 @@ impl<'a> Cursor<'a> {
                         self.bump();
                         self.expect(b'^')?;
                         self.expect(b'<')?;
-                        let dt = self.take_until(b'>')?;
-                        Ok(Term::typed_literal(lexical, dt))
+                        Ok(Term::typed_literal(lexical, self.iri()?))
                     }
                     Some(b'@') => {
                         self.bump();
@@ -168,6 +179,47 @@ impl<'a> Cursor<'a> {
             None => Err("unexpected end of line".into()),
         }
     }
+}
+
+/// Decode the hex digits of a `\u` (`kind` `b'u'`, 4 digits) or `\U` (8
+/// digits) escape at the start of `digits`: the character and the digit
+/// count.
+fn uchar(kind: u8, digits: &[u8]) -> Result<(char, usize), String> {
+    let width = if kind == b'u' { 4 } else { 8 };
+    let hex = digits
+        .get(..width)
+        .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+        .ok_or_else(|| format!("bad escape '\\{}': needs {width} hex digits", kind as char))?;
+    // ASCII hex digits, at most 8: always a valid u32.
+    let code = hex.iter().fold(0u32, |acc, &d| acc << 4 | (d as char).to_digit(16).unwrap());
+    match char::from_u32(code) {
+        Some(c) => Ok((c, width)),
+        None if (0xD800..=0xDFFF).contains(&code) => Err(format!("bad escape: U+{code:04X} is a surrogate")),
+        None => Err(format!("bad escape: U+{code:X} is beyond U+10FFFF")),
+    }
+}
+
+/// Decode the `\u` / `\U` escapes of an IRI; every other byte is kept.
+fn decode_iri(raw: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let after = &rest[at + 1..];
+        match after.as_bytes().first() {
+            Some(&u @ (b'u' | b'U')) => {
+                let (c, width) = uchar(u, &after.as_bytes()[1..])?;
+                out.push(c);
+                rest = &after[1 + width..];
+            }
+            _ => {
+                out.push('\\');
+                rest = after;
+            }
+        }
+    }
+    out.push_str(rest);
+    Ok(out)
 }
 
 fn utf8_width(first: u8) -> usize {
@@ -300,6 +352,45 @@ mod tests {
         let doc = write_ntriples(std::slice::from_ref(&original));
         let parsed = parse_ntriples(&doc).unwrap();
         assert_eq!(parsed, vec![original]);
+    }
+
+    #[test]
+    fn decodes_uchar_escapes_in_literals_and_iris() {
+        let t = parse_ntriples_line(
+            r#"<http://x/caf\u00E9> <http://x/p\U0001F30D> "\u00e9t\u00E9 \U0001F30D \'\b\f"^^<http://x/t\u0079pe> ."#,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(t.s, Term::iri("http://x/café"));
+        assert_eq!(t.p, Term::iri("http://x/p🌍"));
+        assert_eq!(t.o, Term::typed_literal("été 🌍 '\u{8}\u{c}", "http://x/type"));
+    }
+
+    #[test]
+    fn other_iri_bytes_parse_as_written() {
+        let t = parse_ntriples_line(r"<http://x/a\b\n> <http://x/p> <http://x/o\> .").unwrap().unwrap();
+        assert_eq!(t.s, Term::iri(r"http://x/a\b\n"));
+        assert_eq!(t.o, Term::iri(r"http://x/o\"));
+    }
+
+    #[test]
+    fn bad_uchar_escapes_are_typed_errors_with_their_line() {
+        for (bad, why) in [
+            (r#""\uD800""#, "surrogate"),
+            (r#""\UDFFF0000""#, "beyond"),
+            (r#""\U00110000""#, "beyond"),
+            (r#""\u12""#, "4 hex digits"),
+            (r#""\u12G4""#, "4 hex digits"),
+            (r#""\U0001F30""#, "8 hex digits"),
+            ("<http://x/\\uDC00>", "surrogate"),
+            ("<http://x/\\u00>", "4 hex digits"),
+            ("<http://x/\\U>", "8 hex digits"),
+        ] {
+            let doc = format!("<http://x/s> <http://x/p> <http://x/o> .\n<http://x/s> <http://x/p> {bad} .\n");
+            let err = parse_ntriples(&doc).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}");
+            assert!(err.message.contains(why), "{bad}: {}", err.message);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property tests: N-Triples serialization round-trips for arbitrary terms,
-//! and dictionary identity laws.
+//! Property tests: N-Triples serialization round-trips for arbitrary terms
+//! (also with `\u` / `\U` escapes in IRIs and literals), and dictionary
+//! identity laws.
 
 use rapida_testkit::prelude::*;
 use rapida_rdf::{parse_ntriples, write_ntriples, Dictionary, Term, TermTriple};
@@ -39,6 +40,61 @@ fn arb_subject() -> impl Strategy<Value = Term> {
     ]
 }
 
+/// `c` as a `\uXXXX` escape, or `\UXXXXXXXX` when `long` or outside the BMP.
+fn uchar(c: char, long: bool, out: &mut String) {
+    if long || u32::from(c) > 0xFFFF {
+        out.push_str(&format!("\\U{:08X}", u32::from(c)));
+    } else {
+        out.push_str(&format!("\\u{:04x}", u32::from(c)));
+    }
+}
+
+/// `text` with the characters `mask` picks written as `\u` / `\U` escapes;
+/// in a literal the others take the writer's own escapes.
+fn escaped(text: &str, mask: u64, literal: bool, out: &mut String) {
+    for (i, c) in text.chars().enumerate() {
+        let bit = (i * 7 % 64) as u32;
+        if mask.rotate_right(bit) & 1 == 1 {
+            uchar(c, mask.rotate_right(bit + 1) & 1 == 1, out);
+            continue;
+        }
+        match c {
+            '"' if literal => out.push_str("\\\""),
+            '\\' if literal => out.push_str("\\\\"),
+            '\n' if literal => out.push_str("\\n"),
+            '\t' if literal => out.push_str("\\t"),
+            '\r' if literal => out.push_str("\\r"),
+            _ => out.push(c),
+        }
+    }
+}
+
+/// One term in N-Triples with escapes picked by `mask` in its IRI, lexical
+/// form and datatype; blank-node labels and language tags stay as written.
+fn write_escaped_term(t: &Term, mask: u64, out: &mut String) {
+    match t {
+        Term::Iri(iri) => {
+            out.push('<');
+            escaped(iri, mask, false, out);
+            out.push('>');
+        }
+        Term::Literal { lexical, datatype, language } => {
+            out.push('"');
+            escaped(lexical, mask, true, out);
+            out.push('"');
+            if let Some(lang) = language {
+                out.push('@');
+                out.push_str(lang);
+            } else if let Some(dt) = datatype {
+                out.push_str("^^<");
+                escaped(dt, mask.rotate_left(17), false, out);
+                out.push('>');
+            }
+        }
+        Term::BlankNode(_) => out.push_str(&t.to_string()),
+    }
+}
+
 proptest! {
     #[test]
     fn ntriples_roundtrip(
@@ -46,11 +102,24 @@ proptest! {
             (arb_subject(), iri_text().prop_map(Term::iri), arb_term())
                 .prop_map(|(s, p, o)| TermTriple::new(s, p, o)),
             0..20,
-        )
+        ),
+        mask in any::<u64>(),
     ) {
         let doc = write_ntriples(&triples);
         let parsed = parse_ntriples(&doc).expect("serialized output must parse");
-        prop_assert_eq!(parsed, triples);
+        prop_assert_eq!(&parsed, &triples);
+
+        // The same triples with some characters written as escapes.
+        let mut doc = String::new();
+        for (i, t) in triples.iter().enumerate() {
+            for (k, term) in [&t.s, &t.p, &t.o].into_iter().enumerate() {
+                write_escaped_term(term, mask.rotate_left((i * 3 + k) as u32 * 11), &mut doc);
+                doc.push(' ');
+            }
+            doc.push_str(".\n");
+        }
+        let parsed = parse_ntriples(&doc).expect("escaped output must parse");
+        prop_assert_eq!(parsed, triples, "escaped document:\n{}", doc);
     }
 
     #[test]

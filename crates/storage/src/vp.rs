@@ -4,7 +4,7 @@
 //! simulated DFS.
 //!
 //! Optionally the store also materializes **ExtVP** reductions (S2RDF):
-//! for each co-occurring pair of tables, the semi-join reductions
+//! for every ordered pair of distinct tables, the semi-join reductions
 //! SS (subjects of the base that are subjects of the partner),
 //! SO (subjects of the base that are objects of the partner) and
 //! OS (objects of the base that are subjects of the partner), kept only
@@ -12,7 +12,10 @@
 //! threshold, S2RDF's 0.25 default). Compilers may substitute the smallest
 //! applicable reduction for a full-table scan without changing query
 //! output, because a semi-join against a *required* join partner only
-//! removes rows that could never survive that join.
+//! removes rows that could never survive that join. Construction is
+//! linear in the data per candidate: a subject and an object bitmap per
+//! table over the dictionary's dense id space, then one bit test per base
+//! row for each (base, partner, kind) candidate.
 
 use crate::segment::encode_segment;
 use rapida_rdf::{vocab, Dictionary, FxHashMap, Graph, Term, TermId};
@@ -120,10 +123,11 @@ impl VpStore {
     }
 
     /// Like [`VpStore::load`], but when `extvp_threshold` is `Some(t)` also
-    /// materialize ExtVP semi-join reductions for every co-occurring table
-    /// pair, keeping a reduction only when it is strictly smaller than its
-    /// base and retains at most `t` of the base's rows (S2RDF's selectivity
-    /// cutoff; empty reductions are kept — they prune the scan entirely).
+    /// materialize ExtVP semi-join reductions for every ordered pair of
+    /// distinct tables, keeping a reduction only when it is strictly smaller
+    /// than its base and retains at most `t` of the base's rows (S2RDF's
+    /// selectivity cutoff; empty reductions are kept — they prune the scan
+    /// entirely).
     pub fn load_ext(
         graph: &Graph,
         dfs: &SimDfs,
@@ -183,17 +187,17 @@ impl VpStore {
 
         let mut ext = Vec::new();
         if let Some(threshold) = extvp_threshold {
-            // Per-table sorted-unique subject and object id sets. Rows are
-            // already sorted by (s, o), so subjects dedup in place; objects
-            // need a sort.
-            let sets: Vec<(VpKey, Vec<u64>, Vec<u64>)> = groups
+            // One subject bitmap and one object bitmap per table over the
+            // dense id space, so each candidate costs one bit test per base
+            // row. A type partition's objects are never tested (below), so
+            // it gets no object bitmap.
+            let universe = dict.len();
+            let sets: Vec<(VpKey, IdBitmap, Option<IdBitmap>)> = groups
                 .iter()
                 .map(|(key, rows)| {
-                    let mut subjects: Vec<u64> = rows.iter().map(|r| r.0).collect();
-                    subjects.dedup();
-                    let mut objects: Vec<u64> = rows.iter().map(|r| r.1).collect();
-                    objects.sort_unstable();
-                    objects.dedup();
+                    let subjects = IdBitmap::of(universe, rows.iter().map(|r| r.0));
+                    let objects = matches!(key, VpKey::Prop(_))
+                        .then(|| IdBitmap::of(universe, rows.iter().map(|r| r.1)));
                     (*key, subjects, objects)
                 })
                 .collect();
@@ -207,35 +211,26 @@ impl VpStore {
                         // column holds the type term itself, never a join
                         // variable — so it cannot feed an SO reduction as
                         // partner, nor an OS reduction as base.
-                        let void = match kind {
-                            ExtVpKind::SS => false,
-                            ExtVpKind::SO => matches!(partner, VpKey::TypePartition(_)),
-                            ExtVpKind::OS => matches!(base, VpKey::TypePartition(_)),
+                        let (set, test_object) = match kind {
+                            ExtVpKind::SS => (p_subjects, false),
+                            ExtVpKind::SO => match p_objects {
+                                Some(objects) => (objects, false),
+                                None => continue,
+                            },
+                            ExtVpKind::OS if matches!(base, VpKey::TypePartition(_)) => continue,
+                            ExtVpKind::OS => (p_subjects, true),
                         };
-                        if void {
+                        let keep = |&(s, o): &(u64, u64)| set.contains(if test_object { o } else { s });
+                        // Count first, so a candidate that fails the cutoff
+                        // allocates nothing.
+                        let kept = rows.iter().filter(|r| keep(r)).count();
+                        let selectivity = kept as f64 / rows.len().max(1) as f64;
+                        if kept >= rows.len() || selectivity > threshold {
                             continue;
                         }
-                        let keep = |id: &u64| -> bool {
-                            let set = match kind {
-                                ExtVpKind::SS | ExtVpKind::OS => p_subjects,
-                                ExtVpKind::SO => p_objects,
-                            };
-                            set.binary_search(id).is_ok()
-                        };
                         // Filtering preserves the (s, o) sort order, so the
                         // reduction is written exactly like a base table.
-                        let reduced: Vec<(u64, u64)> = rows
-                            .iter()
-                            .filter(|(s, o)| match kind {
-                                ExtVpKind::SS | ExtVpKind::SO => keep(s),
-                                ExtVpKind::OS => keep(o),
-                            })
-                            .copied()
-                            .collect();
-                        let selectivity = reduced.len() as f64 / rows.len().max(1) as f64;
-                        if reduced.len() >= rows.len() || selectivity > threshold {
-                            continue;
-                        }
+                        let reduced: Vec<(u64, u64)> = rows.iter().filter(|r| keep(r)).copied().collect();
                         let dataset = format!("extvp_{kind}__{base}__{partner}");
                         let bytes = write_table(&dataset, &reduced);
                         ext.push(ExtVpMeta {
@@ -243,7 +238,7 @@ impl VpStore {
                             base: *base,
                             partner: *partner,
                             dataset,
-                            rows: reduced.len(),
+                            rows: kept,
                             bytes,
                             selectivity,
                         });
@@ -317,6 +312,24 @@ pub fn read_dataset_rows(ds: &Dataset) -> Vec<(u64, u64)> {
         }
     }
     out
+}
+
+/// A set of term ids as one bit per id of the dictionary's dense id space.
+struct IdBitmap(Vec<u64>);
+
+impl IdBitmap {
+    fn of(universe: usize, ids: impl Iterator<Item = u64>) -> IdBitmap {
+        let mut words = vec![0u64; universe.div_ceil(64)];
+        for id in ids {
+            words[(id / 64) as usize] |= 1 << (id % 64);
+        }
+        IdBitmap(words)
+    }
+
+    #[inline]
+    fn contains(&self, id: u64) -> bool {
+        self.0.get((id / 64) as usize).is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
 }
 
 #[cfg(test)]

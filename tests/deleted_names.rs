@@ -39,6 +39,7 @@ const DRAIN: &str = "each answer is moved out of the drain, never copied";
 const VALUE_FILTER: &str = "raw stars carry a `ValueFilter`, applied inside the one filter walk";
 const ORACLE: &str = "the logical NTGA operators are the spec oracle in `crates/ntga/tests/common`";
 const FLOORS: &str = "report floors are Rust: `crates/bench/tests/floors.rs`, and each timing bench checks its own";
+const TERM_HASH: &str = "term strings hash with std's SipHash; FxHash is for ids";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -75,6 +76,7 @@ const GUARDS: &[Guard] = &[
     guard("fn n_split", false, SRC, ORACLE),
     guard("bench_report", false, SRC_BENCH_SCRIPTS, FLOORS),
     guard("python3", false, &["scripts"], FLOORS),
+    guard("FxHashMap<Term", true, SRC, TERM_HASH),
     Guard {
         pattern: "iter_custom",
         word: false,
@@ -161,6 +163,8 @@ fn the_matcher_finds_whole_words_and_substrings() {
     assert!(holds("Prefilter { apply }", "Prefilter", true));
     assert!(holds("x.sort_unstable();", "sort_unstable()", false));
     assert!(!holds("fn run_workflows()", "fn run_workflow", true));
+    assert!(holds("index: FxHashMap<Term, TermId>,", "FxHashMap<Term", true));
+    assert!(!holds("FxHashMap<TermId, usize>", "FxHashMap<Term", true));
     // Every guarded directory exists: a misspelt scope would guard nothing.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(expand(root, "crates/*/src").len() >= 9);
