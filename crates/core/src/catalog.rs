@@ -2,7 +2,7 @@
 //! dictionary snapshots and statistics the planners need.
 
 use rapida_mapred::SimDfs;
-use rapida_ntga::NumericSnapshot;
+use rapida_ntga::{LexicalSnapshot, NumericSnapshot};
 use rapida_rdf::{Dictionary, Graph, GraphStats, Term, TermId};
 use rapida_sparql::analysis::PropKey;
 use rapida_storage::{StatsCatalog, TgStore, VpKey, VpStore};
@@ -26,7 +26,7 @@ pub struct DataCatalog {
     /// Numeric literal values by raw id.
     pub numeric: NumericSnapshot,
     /// Lexical forms by raw id (regex filters).
-    pub lexical: Arc<Vec<String>>,
+    pub lexical: LexicalSnapshot,
     /// Graph statistics (property cardinalities, type counts).
     pub stats: Arc<GraphStats>,
     /// Per-predicate count/NDV statistics (sorted; plan-enumeration inputs).
@@ -80,7 +80,7 @@ impl DataCatalog {
             vp,
             tg,
             numeric: Arc::new(graph.dict.numeric_snapshot()),
-            lexical: Arc::new(graph.dict.lexical_snapshot()),
+            lexical: Arc::new(graph.dict.lexical_forms()),
             stats: Arc::new(graph.stats()),
             pstats: Arc::new(pstats),
         }
@@ -158,7 +158,7 @@ mod tests {
         let c = catalog();
         let pid = c.id_of(&Term::decimal(0.5));
         assert_eq!(c.numeric[pid as usize], Some(0.5));
-        assert_eq!(c.lexical[pid as usize], "0.5");
+        assert_eq!(c.lexical.get(pid), Some("0.5"));
     }
 
     #[test]

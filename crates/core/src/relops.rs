@@ -995,7 +995,7 @@ mod tests {
     }
 
     fn empty_snapshots() -> (NumericSnapshot, LexicalSnapshot) {
-        (Arc::new(vec![None; 256]), Arc::new(vec![String::new(); 256]))
+        (Arc::new(vec![None; 256]), Arc::new(vec![""; 256].into_iter().collect()))
     }
 
     #[test]
@@ -1189,7 +1189,7 @@ mod tests {
             group_cols: vec![0],
             aggs: vec![(AggOp::Sum, Some(1)), (AggOp::Count, Some(1))],
             numeric: Arc::new(numeric),
-            lexical: Arc::new(vec![String::new(); 256]),
+            lexical: Arc::new(vec![""; 256].into_iter().collect()),
             map_side_combine: true,
         });
         let job = JobBuilder::new("agg")
@@ -1346,7 +1346,7 @@ mod tests {
             writer.push(&seg);
         }
         dfs.put("vp", writer.finish());
-        let lexical: LexicalSnapshot = Arc::new(Vec::new());
+        let lexical: LexicalSnapshot = Arc::default();
         let cfg = Arc::new(GroupAggCfg {
             block_id: 0,
             scan: ScanKind::VpConstObject(205),
@@ -1390,7 +1390,7 @@ mod tests {
                 vec![RVal::Id(2), RVal::Id(101)],
             ]),
         );
-        let lexical = Arc::new(vec![String::new(); 256]);
+        let lexical: LexicalSnapshot = Arc::new(vec![""; 256].into_iter().collect());
         let cfg = Arc::new(MapJoinCfg {
             stream: JoinInputCfg {
                 scan: ScanKind::Rows(2),

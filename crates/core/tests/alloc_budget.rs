@@ -66,7 +66,7 @@ fn cfg() -> Arc<JoinCycleCfg> {
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
         numeric: Arc::new(Vec::new()),
-        lexical: Arc::new(Vec::new()),
+        lexical: Arc::default(),
     })
 }
 
@@ -196,7 +196,7 @@ fn map_join_table_allocations_bounded() {
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
         numeric: Arc::new(Vec::new()),
-        lexical: Arc::new(Vec::new()),
+        lexical: Arc::default(),
     });
 
     let factory = MapJoinFactory::new(cfg.clone(), dfs.clone());

@@ -88,7 +88,7 @@ fn build_cfg(
             .collect(),
         post_preds,
         numeric: Arc::new(vec![Some(0.0), Some(10.0), Some(20.0), None, None]),
-        lexical: Arc::new(vec![String::new(); 5]),
+        lexical: Arc::new(vec![""; 5].into_iter().collect()),
     }
 }
 
@@ -236,7 +236,7 @@ fn group_agg(key: &[u8], values: &[&[u8]]) -> (Vec<AggRec>, u64) {
         group_cols: vec![0],
         aggs: vec![(AggOp::Sum, Some(1)), (AggOp::Count, None)],
         numeric: Arc::new(Vec::new()),
-        lexical: Arc::new(Vec::new()),
+        lexical: Arc::default(),
         map_side_combine: true,
     });
     let mut out = ReduceOutput::default();

@@ -117,7 +117,7 @@ fn build_cfg(
             .collect(),
         post_preds: post_preds.iter().map(|&p| pred(p, acc_width)).collect(),
         numeric: Arc::new(vec![Some(0.0), Some(10.0), Some(20.0), None, None]),
-        lexical: Arc::new(vec![String::new(); 5]),
+        lexical: Arc::new(vec![""; 5].into_iter().collect()),
     }
 }
 
@@ -219,7 +219,7 @@ fn cfg_over(smalls: Vec<MapJoinSmall>, output_cols: Vec<usize>) -> MapJoinCfg {
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
         numeric: Arc::new(Vec::new()),
-        lexical: Arc::new(Vec::new()),
+        lexical: Arc::default(),
     }
 }
 

@@ -218,7 +218,7 @@ mod tests {
     fn contains_marker_entities() {
         let g = generate(&ChemConfig::tiny());
         assert!(g.dict.lookup(&Term::literal("Dexamethasone")).is_some());
-        let lex = g.dict.lexical_snapshot();
+        let lex = g.dict.lexical_forms();
         assert!(lex.iter().any(|s| s.contains("MAPK signaling")));
         assert!(lex.iter().any(|s| s.contains("hepatomegaly")));
     }

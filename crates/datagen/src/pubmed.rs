@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn pub_type_selectivities() {
         let g = generate(&PubmedConfig::default());
-        let lex = g.dict.lexical_snapshot();
+        let lex = g.dict.lexical_forms();
         // Count triples whose object is each pub-type literal.
         let count_obj = |needle: &str| {
             let id = g.dict.lookup(&Term::literal(needle)).expect("type exists");

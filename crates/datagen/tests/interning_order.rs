@@ -1,22 +1,23 @@
-//! `Graph::insert_term_triples` interns in batches under one dictionary
-//! write lock; the result must be exactly that of inserting the triples term
-//! by term: the same id for every term, the same triple order, and the same
-//! duplicates dropped.
+//! `Graph::insert_term_triples` interns a parsed document under one
+//! dictionary write lock; the result must be exactly that of inserting the
+//! triples term by term: the same id for every term, the same triple order,
+//! and the same duplicates dropped.
 
 use rapida_datagen::{generate_bsbm, generate_chem, BsbmConfig, ChemConfig};
 use rapida_rdf::{parse_ntriples, write_ntriples, Graph, TermId, TermTriple};
 
-/// The generated graph as parsed N-Triples, with duplicates appended: every
+/// The generated graph as N-Triples text, with duplicates appended: every
 /// seventh triple again, then the first ten again.
-fn document_with_duplicates(graph: &Graph) -> Vec<TermTriple> {
+fn document_with_duplicates(graph: &Graph) -> String {
     let mut triples: Vec<TermTriple> = graph.triples.iter().map(|t| t.decode(&graph.dict)).collect();
     let again: Vec<TermTriple> = triples.iter().step_by(7).chain(triples.iter().take(10)).cloned().collect();
     triples.extend(again);
-    parse_ntriples(&write_ntriples(&triples)).expect("generated N-Triples parse")
+    write_ntriples(&triples)
 }
 
 fn assert_same_load(name: &str, generated: &Graph) {
-    let doc = document_with_duplicates(generated);
+    let text = document_with_duplicates(generated);
+    let doc = parse_ntriples(&text).expect("generated N-Triples parse");
     let mut batched = Graph::new();
     batched.insert_term_triples(&doc);
     let mut one_by_one = Graph::new();
@@ -33,7 +34,6 @@ fn assert_same_load(name: &str, generated: &Graph) {
 
 #[test]
 fn batched_interning_matches_term_by_term_insertion() {
-    // Tiny BSBM spans more than one interning batch; chem fits in one.
     assert_same_load("bsbm", &generate_bsbm(&BsbmConfig::tiny()));
     assert_same_load("chem", &generate_chem(&ChemConfig::tiny()));
 }

@@ -7,6 +7,7 @@
 
 use crate::triplegroup::{AnnTg, Stars, TripleGroup};
 use rapida_mapred::codec::{read_f64, read_varint, write_f64, write_varint};
+use rapida_rdf::LexicalForms;
 use rapida_sparql::ast::CmpOp;
 use std::fmt;
 use std::sync::Arc;
@@ -432,8 +433,9 @@ pub struct AggJoinSpec {
 /// predicates: index by raw term id, `None` for non-numeric terms.
 pub type NumericSnapshot = Arc<Vec<Option<f64>>>;
 
-/// The lexical-form resolver of substring predicates: index by raw term id.
-pub type LexicalSnapshot = Arc<Vec<String>>;
+/// The lexical-form resolver of substring predicates: every form in one
+/// buffer, looked up by raw term id.
+pub type LexicalSnapshot = Arc<LexicalForms>;
 
 /// An id-level value predicate (a FILTER comparison compiled against the
 /// catalog), evaluated by the NTGA group filter and the relational scans.
@@ -483,7 +485,7 @@ impl IdPred {
             IdPred::Contains {
                 pattern,
                 case_insensitive,
-            } => match lexical.get(id as usize) {
+            } => match lexical.get(id) {
                 None => false,
                 Some(lex) => {
                     if *case_insensitive {

@@ -25,9 +25,9 @@ mod term;
 mod triple;
 pub mod vocab;
 
-pub use dict::{Dictionary, TermId};
+pub use dict::{Dictionary, LexicalForms, TermId};
 pub use graph::{Graph, GraphStats};
-pub use ntriples::{parse_ntriples, parse_ntriples_line, write_ntriples, NtError};
+pub use ntriples::{parse_ntriples, write_ntriples, NtDocument, NtError, NtTriples};
 pub use term::{Term, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING};
 pub use triple::{TermTriple, Triple};
 

@@ -32,7 +32,8 @@ fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
 /// Re-ingest `generated` through the N-Triples text path.
 fn reingest(generated: &Graph) -> Graph {
     let text: Vec<_> = generated.triples.iter().map(|t| t.decode(&generated.dict)).collect();
-    let triples = parse_ntriples(&write_ntriples(&text)).expect("generated N-Triples parse");
+    let text = write_ntriples(&text);
+    let triples = parse_ntriples(&text).expect("generated N-Triples parse");
     let mut g = Graph::new();
     g.insert_term_triples(&triples);
     g

@@ -23,9 +23,11 @@ fn main() {
 <http://shop/o3> <http://shop/product> <http://shop/p2> .
 <http://shop/o3> <http://shop/price> "399.00" .
 "#;
-    let triples = rapida::rdf::parse_ntriples(ntriples).expect("valid N-Triples");
+    //    The parsed document borrows its terms from the text; loading it
+    //    interns each term straight from there.
+    let doc = rapida::rdf::parse_ntriples(ntriples).expect("valid N-Triples");
     let mut graph = Graph::new();
-    graph.insert_term_triples(&triples);
+    graph.insert_term_triples(&doc);
     println!("loaded {} triples", graph.len());
 
     // 2. Load the graph into the catalog: this materializes both storage

@@ -94,10 +94,10 @@ fn load_inputs(a: &Args) -> Result<(Graph, String), String> {
         (Some(data), None) => {
             let text = std::fs::read_to_string(data)
                 .map_err(|e| format!("cannot read {data}: {e}"))?;
-            let triples =
-                rapida::rdf::parse_ntriples(&text).map_err(|e| format!("{data}: {e}"))?;
+            // The document borrows from `text`; it is dropped once loaded.
+            let doc = rapida::rdf::parse_ntriples(&text).map_err(|e| format!("{data}: {e}"))?;
             let mut g = Graph::new();
-            g.insert_term_triples(&triples);
+            g.insert_term_triples(&doc);
             let qfile = a
                 .query
                 .as_ref()

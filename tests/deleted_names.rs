@@ -40,6 +40,8 @@ const VALUE_FILTER: &str = "raw stars carry a `ValueFilter`, applied inside the 
 const ORACLE: &str = "the logical NTGA operators are the spec oracle in `crates/ntga/tests/common`";
 const FLOORS: &str = "report floors are Rust: `crates/bench/tests/floors.rs`, and each timing bench checks its own";
 const TERM_HASH: &str = "term strings hash with std's SipHash; FxHash is for ids";
+const ONE_ARENA: &str = "the dictionary stores each term once, as a key in one arena, indexed by a table of ids";
+const ONE_COPY: &str = "`Dictionary::lexical_forms`: every lexical form in one buffer, copied once from the arena";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -77,6 +79,9 @@ const GUARDS: &[Guard] = &[
     guard("bench_report", false, SRC_BENCH_SCRIPTS, FLOORS),
     guard("python3", false, &["scripts"], FLOORS),
     guard("FxHashMap<Term", true, SRC, TERM_HASH),
+    guard("HashMap<Term", true, SRC, ONE_ARENA),
+    guard("fn intern_batch", true, SRC, ONE_ARENA),
+    guard("fn lexical_snapshot", true, SRC, ONE_COPY),
     Guard {
         pattern: "iter_custom",
         word: false,
@@ -165,6 +170,8 @@ fn the_matcher_finds_whole_words_and_substrings() {
     assert!(!holds("fn run_workflows()", "fn run_workflow", true));
     assert!(holds("index: FxHashMap<Term, TermId>,", "FxHashMap<Term", true));
     assert!(!holds("FxHashMap<TermId, usize>", "FxHashMap<Term", true));
+    assert!(holds("type TermIndex = HashMap<Term, TermId>;", "HashMap<Term", true));
+    assert!(!holds("index: FxHashMap<Term, TermId>,", "HashMap<Term", true));
     // Every guarded directory exists: a misspelt scope would guard nothing.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(expand(root, "crates/*/src").len() >= 9);
