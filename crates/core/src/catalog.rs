@@ -1,9 +1,8 @@
 //! The data catalog: one loaded dataset in both storage layouts, plus the
-//! dictionary snapshots and statistics the planners need.
+//! dictionary and statistics the planners need.
 
 use rapida_mapred::SimDfs;
-use rapida_ntga::{LexicalSnapshot, NumericSnapshot};
-use rapida_rdf::{Dictionary, Graph, GraphStats, Term, TermId};
+use rapida_rdf::{Dictionary, Graph, Term, TermId};
 use rapida_sparql::analysis::PropKey;
 use rapida_storage::{StatsCatalog, TgStore, VpKey, VpStore};
 use std::sync::Arc;
@@ -11,24 +10,19 @@ use std::sync::Arc;
 /// Sentinel id for query constants absent from the data: matches nothing.
 pub const MISSING_ID: u64 = u64::MAX;
 
-/// A loaded dataset: dictionary, DFS, both storage layouts, snapshots and
-/// statistics.
+/// A loaded dataset: dictionary, DFS, both storage layouts and statistics.
 #[derive(Clone)]
 pub struct DataCatalog {
-    /// The shared dictionary.
-    pub dict: Dictionary,
+    /// The graph's dictionary as loaded, shared read-only with every
+    /// operator config planned over this catalog. Terms the graph interns
+    /// later are not in it (see [`Graph::dict`]).
+    pub dict: Arc<Dictionary>,
     /// The simulated DFS holding all table/partition datasets.
     pub dfs: SimDfs,
     /// Vertical-partition store (Hive engines).
     pub vp: VpStore,
     /// Triplegroup store (RAPID engines).
     pub tg: TgStore,
-    /// Numeric literal values by raw id.
-    pub numeric: NumericSnapshot,
-    /// Lexical forms by raw id (regex filters).
-    pub lexical: LexicalSnapshot,
-    /// Graph statistics (property cardinalities, type counts).
-    pub stats: Arc<GraphStats>,
     /// Per-predicate count/NDV statistics (sorted; plan-enumeration inputs).
     pub pstats: Arc<StatsCatalog>,
 }
@@ -79,9 +73,6 @@ impl DataCatalog {
             dfs,
             vp,
             tg,
-            numeric: Arc::new(graph.dict.numeric_snapshot()),
-            lexical: Arc::new(graph.dict.lexical_forms()),
-            stats: Arc::new(graph.stats()),
             pstats: Arc::new(pstats),
         }
     }
@@ -143,7 +134,7 @@ mod tests {
         let c = catalog();
         assert!(c.vp.tables().count() >= 2);
         assert!(!c.tg.classes().is_empty());
-        assert_eq!(c.stats.triples, 20);
+        assert_eq!(c.pstats.triples, 20);
     }
 
     #[test]
@@ -154,11 +145,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_expose_values() {
+    fn the_dictionary_exposes_values() {
         let c = catalog();
-        let pid = c.id_of(&Term::decimal(0.5));
-        assert_eq!(c.numeric[pid as usize], Some(0.5));
-        assert_eq!(c.lexical.get(pid), Some("0.5"));
+        let pid = TermId(c.id_of(&Term::decimal(0.5)));
+        assert_eq!(c.dict.numeric_value(pid), Some(0.5));
+        assert_eq!(c.dict.lexical(pid), Some("0.5"));
+    }
+
+    #[test]
+    fn a_catalog_does_not_see_terms_interned_after_its_load() {
+        let mut g = Graph::new();
+        g.insert_terms(&iri("s"), &iri("p"), &iri("o"));
+        let cat = DataCatalog::load(&g);
+        let terms = cat.dict.len();
+        g.insert_terms(&iri("s"), &iri("p"), &iri("new"));
+        assert_eq!(cat.dict.len(), terms);
+        assert_eq!(cat.id_of(&iri("new")), MISSING_ID);
+        assert_ne!(DataCatalog::load(&g).id_of(&iri("new")), MISSING_ID);
     }
 
     #[test]

@@ -374,8 +374,7 @@ impl<'a> RelPlanner<'a> {
                 output_cols,
                 eq_checks: acc_eq,
                 post_preds: vec![],
-                numeric: self.cat.numeric.clone(),
-                lexical: self.cat.lexical.clone(),
+                dict: self.cat.dict.clone(),
             });
             JobBuilder::new(format!("{label} [map-join]"))
                 .input(stream.dataset.clone())
@@ -422,8 +421,7 @@ impl<'a> RelPlanner<'a> {
                 output_cols,
                 eq_checks,
                 post_preds: vec![],
-                numeric: self.cat.numeric.clone(),
-                lexical: self.cat.lexical.clone(),
+                dict: self.cat.dict.clone(),
             });
             let mut b = JobBuilder::new(label.to_string()).sig(cfg.sig());
             for r in &rels {
@@ -493,8 +491,7 @@ impl<'a> RelPlanner<'a> {
             scan_preds: rel.scan_preds.clone(),
             group_cols,
             aggs,
-            numeric: self.cat.numeric.clone(),
-            lexical: self.cat.lexical.clone(),
+            dict: self.cat.dict.clone(),
             map_side_combine: self.rules.map_side_agg,
         });
         let job = JobBuilder::new(label.to_string())

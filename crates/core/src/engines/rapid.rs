@@ -426,23 +426,23 @@ pub(crate) fn agg_join_job(
     route_table::record(&inputs, &table, raw.iter().map(|(spec, filter)| (spec, filter)));
     let cfg = Arc::new(AggJoinConfig {
         specs,
-        numeric: cat.numeric.clone(),
+        dict: cat.dict.clone(),
         inputs: table,
         raw_filters: raw,
         map_side_combine,
     });
-    // Exhaustive, so a new config field cannot be left out; the numeric
-    // snapshot prints by pointer.
+    // Exhaustive, so a new config field cannot be left out; the dictionary
+    // prints by pointer.
     let AggJoinConfig {
         specs,
-        numeric,
+        dict,
         inputs: table,
         raw_filters,
         map_side_combine,
     } = &*cfg;
     let sig = format!(
-        "agg-join {specs:?} raw{raw_filters:?} table{table:?} msc={map_side_combine} n{:p}",
-        Arc::as_ptr(numeric)
+        "agg-join {specs:?} raw{raw_filters:?} table{table:?} msc={map_side_combine} d{:p}",
+        Arc::as_ptr(dict)
     );
     let mut b = JobBuilder::new(name).sig(sig);
     for i in inputs {
@@ -545,13 +545,12 @@ fn star_filters(cat: &DataCatalog, filters: &[StarFilter], n_stars: usize) -> Ve
         .collect()
 }
 
-/// An ungated filter of `preds`, over the catalog's snapshots.
+/// An ungated filter of `preds`, over the catalog's dictionary.
 fn value_filter(cat: &DataCatalog, preds: Vec<(u64, IdPred)>) -> ValueFilter {
     ValueFilter {
         preds,
         subjects: None,
-        numeric: cat.numeric.clone(),
-        lexical: cat.lexical.clone(),
+        dict: cat.dict.clone(),
     }
 }
 

@@ -9,7 +9,7 @@
 //! * [`composite`] — composite graph pattern construction and α-condition
 //!   generation (§3, Table 2).
 //! * [`filters`] — the conjunctive FILTER subset and its compilation.
-//! * [`catalog`] — loaded datasets (both storage layouts + snapshots).
+//! * [`catalog`] — loaded datasets (both storage layouts + the dictionary).
 //! * [`relops`] — relational physical MR operators (scans, joins, map-joins,
 //!   group-agg, distinct).
 //! * [`plan`] — query plans, the final map-only join, result assembly.

@@ -7,9 +7,9 @@ use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{
     InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
 };
-pub use rapida_ntga::{IdPred, LexicalSnapshot};
-use rapida_ntga::{read_group_key, write_group_key, AggOp, AggRec, AggTable, NumericSnapshot, PartialAgg};
-use rapida_rdf::{FxHashMap, FxHashSet};
+pub use rapida_ntga::IdPred;
+use rapida_ntga::{read_group_key, write_group_key, AggOp, AggRec, AggTable, PartialAgg};
+use rapida_rdf::{Dictionary, FxHashMap, FxHashSet, TermId};
 use rapida_sparql::ast::CmpOp;
 use rapida_storage::decode_segment;
 use std::sync::{Arc, OnceLock};
@@ -24,9 +24,9 @@ pub struct PredOnCol {
 }
 
 impl PredOnCol {
-    fn eval(&self, row: &[RVal], numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> bool {
+    fn eval(&self, row: &[RVal], dict: &Dictionary) -> bool {
         match row[self.col] {
-            RVal::Id(id) => self.pred.eval(id, numeric, lexical),
+            RVal::Id(id) => self.pred.eval(id, dict),
             RVal::Num(_) | RVal::Null => false,
         }
     }
@@ -134,17 +134,15 @@ pub struct JoinCycleCfg {
     pub eq_checks: Vec<((usize, usize), (usize, usize))>,
     /// Predicates applied to the merged output row.
     pub post_preds: Vec<PredOnCol>,
-    /// Numeric snapshot.
-    pub numeric: NumericSnapshot,
-    /// Lexical snapshot.
-    pub lexical: LexicalSnapshot,
+    /// The catalog's dictionary, read by the predicates.
+    pub dict: Arc<Dictionary>,
 }
 
-/// The catalog snapshots stand in a [`rapida_mapred::Job::sig`] by address:
-/// one catalog hands every plan the same two `Arc`s, and printing them
-/// would cost more than the plan.
-fn snapshots_sig(numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> String {
-    format!("n{:p} l{:p}", Arc::as_ptr(numeric), Arc::as_ptr(lexical))
+/// The catalog's dictionary stands in a [`rapida_mapred::Job::sig`] by
+/// address: one catalog hands every plan the same `Arc`, a loaded
+/// dictionary never changes, and printing it would cost more than the plan.
+fn dict_sig(dict: &Arc<Dictionary>) -> String {
+    format!("d{:p}", Arc::as_ptr(dict))
 }
 
 impl JoinCycleCfg {
@@ -157,12 +155,11 @@ impl JoinCycleCfg {
             output_cols,
             eq_checks,
             post_preds,
-            numeric,
-            lexical,
+            dict,
         } = self;
         format!(
             "join {inputs:?} out{output_cols:?} eq{eq_checks:?} post{post_preds:?} {}",
-            snapshots_sig(numeric, lexical)
+            dict_sig(dict)
         )
     }
 }
@@ -257,10 +254,8 @@ impl MapTask for JoinMapTask {
             out.skip_segment(record.len());
             return;
         }
-        let numeric = &cfg.numeric;
-        let lexical = &cfg.lexical;
         let ok = input.scan.scan(record, row_buf, |row| {
-            if !input.scan_preds.iter().all(|p| p.eval(row, numeric, lexical)) {
+            if !input.scan_preds.iter().all(|p| p.eval(row, &cfg.dict)) {
                 return;
             }
             let RVal::Id(key) = row[input.key_col] else {
@@ -382,7 +377,7 @@ impl ReduceTask for JoinReduceTask {
             if eq_ok {
                 out_row.clear();
                 out_row.extend(cfg.output_cols.iter().map(|&c| cell(selection, c)));
-                let keep = |p: &PredOnCol| p.eval(out_row, &cfg.numeric, &cfg.lexical);
+                let keep = |p: &PredOnCol| p.eval(out_row, &cfg.dict);
                 if cfg.post_preds.iter().all(keep) {
                     out_buf.clear();
                     encode_row(out_row, out_buf);
@@ -437,10 +432,8 @@ pub struct MapJoinCfg {
     pub eq_checks: Vec<(usize, usize)>,
     /// Predicates on the accumulated row.
     pub post_preds: Vec<PredOnCol>,
-    /// Numeric snapshot.
-    pub numeric: NumericSnapshot,
-    /// Lexical snapshot.
-    pub lexical: LexicalSnapshot,
+    /// The catalog's dictionary, read by the predicates.
+    pub dict: Arc<Dictionary>,
 }
 
 impl MapJoinCfg {
@@ -453,13 +446,12 @@ impl MapJoinCfg {
             output_cols,
             eq_checks,
             post_preds,
-            numeric,
-            lexical,
+            dict,
         } = self;
         format!(
             "map-join {stream:?} {smalls:?} out{output_cols:?} eq{eq_checks:?} \
              post{post_preds:?} {}",
-            snapshots_sig(numeric, lexical)
+            dict_sig(dict)
         )
     }
 }
@@ -491,7 +483,7 @@ impl SmallTable {
         if let Some(ds) = dfs.get(&small.dataset) {
             for rec in ds.iter_records() {
                 let _ = small.scan.scan(rec, &mut row_buf, |row| {
-                    let keep = |p: &PredOnCol| p.eval(row, &cfg.numeric, &cfg.lexical);
+                    let keep = |p: &PredOnCol| p.eval(row, &cfg.dict);
                     if !small.scan_preds.iter().all(keep) {
                         return;
                     }
@@ -597,7 +589,7 @@ impl MapJoinTask {
                 .cfg
                 .post_preds
                 .iter()
-                .all(|p| p.eval(acc, &self.cfg.numeric, &self.cfg.lexical))
+                .all(|p| p.eval(acc, &self.cfg.dict))
             {
                 return;
             }
@@ -649,7 +641,7 @@ impl MapTask for MapJoinTask {
                 .stream
                 .scan_preds
                 .iter()
-                .all(|p| p.eval(row, &cfg.numeric, &cfg.lexical))
+                .all(|p| p.eval(row, &cfg.dict))
             {
                 return;
             }
@@ -680,10 +672,8 @@ pub struct GroupAggCfg {
     pub group_cols: Vec<usize>,
     /// `(op, arg column)` per aggregate; `None` = COUNT(*).
     pub aggs: Vec<(AggOp, Option<usize>)>,
-    /// Numeric snapshot.
-    pub numeric: NumericSnapshot,
-    /// Lexical snapshot (scan predicates).
-    pub lexical: LexicalSnapshot,
+    /// The catalog's dictionary: aggregated values and scan predicates.
+    pub dict: Arc<Dictionary>,
     /// Map-side hash partial aggregation (Hive's hash-based map
     /// aggregation). Ablation knob.
     pub map_side_combine: bool,
@@ -699,14 +689,13 @@ impl GroupAggCfg {
             scan_preds,
             group_cols,
             aggs,
-            numeric,
-            lexical,
+            dict,
             map_side_combine,
         } = self;
         format!(
             "group-agg b{block_id} {scan:?} {scan_preds:?} by{group_cols:?} {aggs:?} \
              msc={map_side_combine} {}",
-            snapshots_sig(numeric, lexical)
+            dict_sig(dict)
         )
     }
 }
@@ -759,7 +748,7 @@ fn fold_row(row: &[RVal], cfg: &GroupAggCfg, partials: &mut [PartialAgg]) {
             None => partials[i].add(None),
             Some(col) => match row[*col] {
                 RVal::Null => {}
-                RVal::Id(id) => partials[i].add(cfg.numeric.get(id as usize).copied().flatten()),
+                RVal::Id(id) => partials[i].add(cfg.dict.numeric_value(TermId(id))),
                 RVal::Num(n) => partials[i].add(Some(n)),
             },
         }
@@ -785,7 +774,7 @@ impl MapTask for GroupAggMapTask {
             if !cfg
                 .scan_preds
                 .iter()
-                .all(|p| p.eval(row, &cfg.numeric, &cfg.lexical))
+                .all(|p| p.eval(row, &cfg.dict))
             {
                 return;
             }
@@ -977,6 +966,7 @@ mod tests {
     use super::*;
     use crate::rows::{decode_row, row_bytes};
     use rapida_mapred::{DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder};
+    use rapida_rdf::Term;
 
     fn rows_dataset(rows: &[Vec<RVal>]) -> rapida_mapred::Dataset {
         let mut w = DatasetWriter::new(128);
@@ -994,8 +984,15 @@ mod tests {
             .collect()
     }
 
-    fn empty_snapshots() -> (NumericSnapshot, LexicalSnapshot) {
-        (Arc::new(vec![None; 256]), Arc::new(vec![""; 256].into_iter().collect()))
+    /// A dictionary of ids `0..n`: the decimal `value(i)` where it is
+    /// `Some`, the literal `"t{i}"` otherwise.
+    fn dict_of(n: u64, value: impl Fn(u64) -> Option<f64>) -> Arc<Dictionary> {
+        let mut dict = Dictionary::new();
+        for i in 0..n {
+            let term = value(i).map_or_else(|| Term::literal(format!("t{i}")), Term::decimal);
+            assert_eq!(dict.intern(&term), TermId(i), "one term per id");
+        }
+        Arc::new(dict)
     }
 
     #[test]
@@ -1016,7 +1013,6 @@ mod tests {
                 vec![RVal::Id(3), RVal::Id(300)],
             ]),
         );
-        let (numeric, lexical) = empty_snapshots();
         let cfg = Arc::new(JoinCycleCfg {
             inputs: vec![
                 JoinInputCfg {
@@ -1035,8 +1031,7 @@ mod tests {
             output_cols: vec![(0, 0), (0, 1), (1, 1)],
             eq_checks: vec![],
             post_preds: vec![],
-            numeric,
-            lexical,
+            dict: Arc::default(),
         });
         let job = JobBuilder::new("join")
             .input("left")
@@ -1074,7 +1069,6 @@ mod tests {
             ]),
         );
         dfs.put("right", rows_dataset(&[vec![RVal::Id(1), RVal::Id(100)]]));
-        let (numeric, lexical) = empty_snapshots();
         let cfg = Arc::new(JoinCycleCfg {
             inputs: vec![
                 JoinInputCfg {
@@ -1093,8 +1087,7 @@ mod tests {
             output_cols: vec![(0, 0), (1, 1)],
             eq_checks: vec![],
             post_preds: vec![],
-            numeric,
-            lexical,
+            dict: Arc::default(),
         });
         let job = JobBuilder::new("leftjoin")
             .input("left")
@@ -1135,7 +1128,6 @@ mod tests {
             "small",
             rows_dataset(&[vec![RVal::Id(5), RVal::Id(50)], vec![RVal::Id(7), RVal::Id(70)]]),
         );
-        let (numeric, lexical) = empty_snapshots();
         let cfg = Arc::new(MapJoinCfg {
             stream: JoinInputCfg {
                 scan: ScanKind::Rows(2),
@@ -1154,8 +1146,7 @@ mod tests {
             output_cols: vec![0, 1, 3],
             eq_checks: vec![],
             post_preds: vec![],
-            numeric,
-            lexical,
+            dict: Arc::default(),
         });
         let job = JobBuilder::new("mapjoin")
             .input("stream")
@@ -1171,9 +1162,11 @@ mod tests {
     #[test]
     fn group_agg_cycle() {
         let dfs = SimDfs::new();
-        let mut numeric = vec![None; 256];
-        numeric[100] = Some(10.0);
-        numeric[101] = Some(20.0);
+        let dict = dict_of(102, |i| match i {
+            100 => Some(10.0),
+            101 => Some(20.0),
+            _ => None,
+        });
         dfs.put(
             "rows",
             rows_dataset(&[
@@ -1188,8 +1181,7 @@ mod tests {
             scan_preds: vec![],
             group_cols: vec![0],
             aggs: vec![(AggOp::Sum, Some(1)), (AggOp::Count, Some(1))],
-            numeric: Arc::new(numeric),
-            lexical: Arc::new(vec![""; 256].into_iter().collect()),
+            dict,
             map_side_combine: true,
         });
         let job = JobBuilder::new("agg")
@@ -1225,15 +1217,13 @@ mod tests {
     #[test]
     fn group_agg_quarantines_rows_narrower_than_its_scan() {
         for map_side_combine in [true, false] {
-            let (numeric, lexical) = empty_snapshots();
             let mut task = GroupAggMapTask::new(Arc::new(GroupAggCfg {
                 block_id: 0,
                 scan: ScanKind::Rows(2),
                 scan_preds: vec![],
                 group_cols: vec![1],
                 aggs: vec![(AggOp::Count, Some(1))],
-                numeric,
-                lexical,
+                dict: Arc::default(),
                 map_side_combine,
             }));
             let mut out = MapOutput::default();
@@ -1346,15 +1336,13 @@ mod tests {
             writer.push(&seg);
         }
         dfs.put("vp", writer.finish());
-        let lexical: LexicalSnapshot = Arc::default();
         let cfg = Arc::new(GroupAggCfg {
             block_id: 0,
             scan: ScanKind::VpConstObject(205),
             scan_preds: vec![],
             group_cols: vec![0],
             aggs: vec![(AggOp::Count, None)],
-            numeric: Arc::new(Vec::new()),
-            lexical,
+            dict: Arc::default(),
             map_side_combine: true,
         });
         let job = JobBuilder::new("pruned")
@@ -1380,9 +1368,11 @@ mod tests {
     #[test]
     fn scan_pred_filters_at_scan() {
         let dfs = SimDfs::new();
-        let mut numeric = vec![None; 256];
-        numeric[100] = Some(10.0);
-        numeric[101] = Some(99.0);
+        let dict = dict_of(102, |i| match i {
+            100 => Some(10.0),
+            101 => Some(99.0),
+            _ => None,
+        });
         dfs.put(
             "rows",
             rows_dataset(&[
@@ -1390,7 +1380,6 @@ mod tests {
                 vec![RVal::Id(2), RVal::Id(101)],
             ]),
         );
-        let lexical: LexicalSnapshot = Arc::new(vec![""; 256].into_iter().collect());
         let cfg = Arc::new(MapJoinCfg {
             stream: JoinInputCfg {
                 scan: ScanKind::Rows(2),
@@ -1408,8 +1397,7 @@ mod tests {
             output_cols: vec![0],
             eq_checks: vec![],
             post_preds: vec![],
-            numeric: Arc::new(numeric),
-            lexical,
+            dict,
         });
         let job = JobBuilder::new("scanfilter")
             .input("rows")

@@ -65,8 +65,7 @@ fn cfg() -> Arc<JoinCycleCfg> {
         output_cols: vec![(0, 0), (0, 1), (1, 1), (2, 1)],
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
-        numeric: Arc::new(Vec::new()),
-        lexical: Arc::default(),
+        dict: Arc::default(),
     })
 }
 
@@ -195,8 +194,7 @@ fn map_join_table_allocations_bounded() {
         output_cols: vec![0, 1, 3],
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
-        numeric: Arc::new(Vec::new()),
-        lexical: Arc::default(),
+        dict: Arc::default(),
     });
 
     let factory = MapJoinFactory::new(cfg.clone(), dfs.clone());

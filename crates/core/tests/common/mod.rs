@@ -20,13 +20,30 @@
 
 #![allow(dead_code)] // each test binary uses its own part
 
-use rapida_core::relops::{JoinCycleCfg, LexicalSnapshot, MapJoinCfg, PredOnCol, ScanKind};
+use rapida_core::relops::{IdPred, JoinCycleCfg, MapJoinCfg, PredOnCol, ScanKind};
 use rapida_core::rows::{decode_row, encode_row, row_bytes, RVal};
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs};
-use rapida_ntga::NumericSnapshot;
-use rapida_rdf::FxHashMap;
+use rapida_rdf::{Dictionary, FxHashMap, Term, TermId};
 use std::sync::Arc;
+
+/// The identity suites' dictionary: ids 0, 1 and 2 are the numbers 0, 10
+/// and 20, ids 3 and 4 the literals `t3` and `t4`.
+pub fn five_terms() -> Arc<Dictionary> {
+    let mut dict = Dictionary::new();
+    for i in 0..5 {
+        let term = if i < 3 { Term::integer(10 * i) } else { Term::literal(format!("t{i}")) };
+        assert_eq!(dict.intern(&term), TermId(i as u64), "one term per id");
+    }
+    Arc::new(dict)
+}
+
+/// How many ids of `dict` `pred` admits, and how many it rejects.
+pub fn outcomes(pred: &IdPred, dict: &Dictionary) -> (usize, usize) {
+    let ids = 0..dict.len() as u64;
+    let admitted = ids.clone().filter(|&id| pred.eval(id, dict)).count();
+    (admitted, ids.count() - admitted)
+}
 
 /// One shuffled value of a join cycle, as `JoinMapTask` emits it:
 /// `varint(input tag) ++ row`.
@@ -41,14 +58,9 @@ pub struct ReferenceJoinReduce {
     pub cfg: Arc<JoinCycleCfg>,
 }
 
-fn eval_pred(
-    p: &PredOnCol,
-    row: &[RVal],
-    numeric: &NumericSnapshot,
-    lexical: &LexicalSnapshot,
-) -> bool {
+fn eval_pred(p: &PredOnCol, row: &[RVal], dict: &Dictionary) -> bool {
     match row[p.col] {
-        RVal::Id(id) => p.pred.eval(id, numeric, lexical),
+        RVal::Id(id) => p.pred.eval(id, dict),
         RVal::Num(_) | RVal::Null => false,
     }
 }
@@ -138,7 +150,7 @@ impl ReferenceJoinReduce {
             .cfg
             .post_preds
             .iter()
-            .all(|p| eval_pred(p, &row, &self.cfg.numeric, &self.cfg.lexical))
+            .all(|p| eval_pred(p, &row, &self.cfg.dict))
         {
             return;
         }
@@ -167,7 +179,7 @@ impl ReferenceMapJoin {
             let mut map: FxHashMap<u64, Vec<Vec<RVal>>> = FxHashMap::default();
             if let Some(ds) = dfs.get(&small.dataset) {
                 for row in ds.iter_records().filter_map(|r| scan_row(&small.scan, r)) {
-                    let keep = |p: &PredOnCol| eval_pred(p, &row, &cfg.numeric, &cfg.lexical);
+                    let keep = |p: &PredOnCol| eval_pred(p, &row, &cfg.dict);
                     if !small.scan_preds.iter().all(keep) {
                         continue;
                     }
@@ -191,7 +203,7 @@ impl ReferenceMapJoin {
                     }
                 }
             }
-            let keep = |p: &PredOnCol| eval_pred(p, acc, &cfg.numeric, &cfg.lexical);
+            let keep = |p: &PredOnCol| eval_pred(p, acc, &cfg.dict);
             if !cfg.post_preds.iter().all(keep) {
                 return;
             }
@@ -228,7 +240,7 @@ impl MapTask for ReferenceMapJoin {
             out.skip_corrupt();
             return;
         };
-        let keep = |p: &PredOnCol| eval_pred(p, &row, &self.cfg.numeric, &self.cfg.lexical);
+        let keep = |p: &PredOnCol| eval_pred(p, &row, &self.cfg.dict);
         if !stream.scan_preds.iter().all(keep) {
             return;
         }

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{value, ReferenceJoinReduce};
+use common::{five_terms, outcomes, value, ReferenceJoinReduce};
 use rapida_core::relops::{
     GroupAggCfg, GroupAggReduceTask, IdPred, JoinCycleCfg, JoinInputCfg, JoinReduceTask,
     PredOnCol, ScanKind,
@@ -35,6 +35,36 @@ fn cell(raw: u8) -> RVal {
     }
 }
 
+fn id_pred(kind: u8, rhs: u8) -> IdPred {
+    match kind % 3 {
+        0 => IdPred::IdEq {
+            eq: rhs.is_multiple_of(2),
+            rhs: u64::from(rhs) % 5,
+        },
+        1 => IdPred::Num {
+            op: CmpOp::Ge,
+            rhs: f64::from(rhs % 3) * 10.0,
+        },
+        _ => IdPred::Num {
+            op: CmpOp::Ne,
+            rhs: 10.0,
+        },
+    }
+}
+
+/// Over the five ids, each kind of predicate the configurations draw
+/// admits some and rejects others.
+#[test]
+fn every_drawn_predicate_kind_reaches_both_outcomes() {
+    let dict = five_terms();
+    for kind in 0..3 {
+        let (admitted, rejected) = (0..=u8::MAX)
+            .map(|rhs| outcomes(&id_pred(kind, rhs), &dict))
+            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        assert!(admitted > 0 && rejected > 0, "kind {kind}: {admitted} admitted, {rejected} rejected");
+    }
+}
+
 fn build_cfg(
     inputs: &[(u8, bool)],
     output_cols: &[(u8, u8)],
@@ -55,20 +85,7 @@ fn build_cfg(
             .iter()
             .map(|&(col, kind, rhs)| PredOnCol {
                 col: usize::from(col) % output_cols.len(),
-                pred: match kind % 3 {
-                    0 => IdPred::IdEq {
-                        eq: rhs % 2 == 0,
-                        rhs: u64::from(rhs) % 5,
-                    },
-                    1 => IdPred::Num {
-                        op: CmpOp::Ge,
-                        rhs: f64::from(rhs % 3) * 10.0,
-                    },
-                    _ => IdPred::Num {
-                        op: CmpOp::Ne,
-                        rhs: 10.0,
-                    },
-                },
+                pred: id_pred(kind, rhs),
             })
             .collect()
     };
@@ -87,8 +104,7 @@ fn build_cfg(
             .map(|&(i1, c1, i2, c2)| (pick((i1, c1)), pick((i2, c2))))
             .collect(),
         post_preds,
-        numeric: Arc::new(vec![Some(0.0), Some(10.0), Some(20.0), None, None]),
-        lexical: Arc::new(vec![""; 5].into_iter().collect()),
+        dict: five_terms(),
     }
 }
 
@@ -235,8 +251,7 @@ fn group_agg(key: &[u8], values: &[&[u8]]) -> (Vec<AggRec>, u64) {
         scan_preds: vec![],
         group_cols: vec![0],
         aggs: vec![(AggOp::Sum, Some(1)), (AggOp::Count, None)],
-        numeric: Arc::new(Vec::new()),
-        lexical: Arc::default(),
+        dict: Arc::default(),
         map_side_combine: true,
     });
     let mut out = ReduceOutput::default();

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::ReferenceMapJoin;
+use common::{five_terms, outcomes, ReferenceMapJoin};
 use rapida_core::relops::{
     IdPred, JoinInputCfg, MapJoinCfg, MapJoinFactory, MapJoinSmall, PredOnCol, ScanKind,
 };
@@ -52,6 +52,19 @@ fn pred((col, kind, rhs): (u8, u8, u8), width: usize) -> PredOnCol {
                 rhs: 10.0,
             },
         },
+    }
+}
+
+/// Over the five ids, each kind of predicate the configurations draw
+/// admits some and rejects others.
+#[test]
+fn every_drawn_predicate_kind_reaches_both_outcomes() {
+    let dict = five_terms();
+    for kind in 0..3 {
+        let (admitted, rejected) = (0..=u8::MAX)
+            .map(|rhs| outcomes(&pred((0, kind, rhs), 1).pred, &dict))
+            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        assert!(admitted > 0 && rejected > 0, "kind {kind}: {admitted} admitted, {rejected} rejected");
     }
 }
 
@@ -116,8 +129,7 @@ fn build_cfg(
             .map(|&(a, b)| (usize::from(a) % acc_width, usize::from(b) % acc_width))
             .collect(),
         post_preds: post_preds.iter().map(|&p| pred(p, acc_width)).collect(),
-        numeric: Arc::new(vec![Some(0.0), Some(10.0), Some(20.0), None, None]),
-        lexical: Arc::new(vec![""; 5].into_iter().collect()),
+        dict: five_terms(),
     }
 }
 
@@ -218,8 +230,7 @@ fn cfg_over(smalls: Vec<MapJoinSmall>, output_cols: Vec<usize>) -> MapJoinCfg {
         output_cols,
         eq_checks: Vec::new(),
         post_preds: Vec::new(),
-        numeric: Arc::new(Vec::new()),
-        lexical: Arc::default(),
+        dict: Arc::default(),
     }
 }
 

@@ -167,7 +167,6 @@ mod tests {
     #[test]
     fn pub_type_selectivities() {
         let g = generate(&PubmedConfig::default());
-        let lex = g.dict.lexical_forms();
         // Count triples whose object is each pub-type literal.
         let count_obj = |needle: &str| {
             let id = g.dict.lookup(&Term::literal(needle)).expect("type exists");
@@ -176,15 +175,16 @@ mod tests {
         let journal = count_obj("Journal Article");
         let news = count_obj("News");
         assert!(journal > 5 * news, "Journal Article must dominate News");
-        assert!(lex.iter().any(|s| s == "News"));
+        assert!((0..g.dict.len() as u64).any(|id| g.dict.lexical(rapida_rdf::TermId(id)) == Some("News")));
     }
 
     #[test]
     fn mesh_is_heavily_multivalued() {
         let g = generate(&PubmedConfig::tiny());
-        let stats = g.stats();
-        let mesh = g.dict.lookup(&ns("mesh_heading")).unwrap();
-        let journal = g.dict.lookup(&ns("journal")).unwrap();
-        assert!(stats.per_property[&mesh] > 2 * stats.per_property[&journal]);
+        let count = |p: &Term| {
+            let p = g.dict.lookup(p).unwrap();
+            g.triples.iter().filter(|t| t.p == p).count()
+        };
+        assert!(count(&ns("mesh_heading")) > 2 * count(&ns("journal")));
     }
 }

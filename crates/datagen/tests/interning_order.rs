@@ -1,6 +1,6 @@
-//! `Graph::insert_term_triples` interns a parsed document under one
-//! dictionary write lock; the result must be exactly that of inserting the
-//! triples term by term: the same id for every term, the same triple order,
+//! `Graph::insert_term_triples` interns a parsed document a run of triples
+//! at a time; the result must be exactly that of inserting the triples
+//! term by term: the same id for every term, the same triple order,
 //! and the same duplicates dropped.
 
 use rapida_datagen::{generate_bsbm, generate_chem, BsbmConfig, ChemConfig};

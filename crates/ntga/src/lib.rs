@@ -35,8 +35,8 @@ pub use hashagg::AggTable;
 pub use ops::{opt_group_filter_into, SlotProgram};
 pub use spec::{
     any_alpha_partial, any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec,
-    AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, IdPred, JoinKey, LexicalSnapshot,
-    NumericSnapshot, PartialAgg, PropReq, StarSpec, ValueFilter, VarRef,
+    AggOp, AggRec, AggSpec, AlphaCond, AlphaTerm, IdPred, JoinKey, PartialAgg, PropReq, StarSpec,
+    ValueFilter, VarRef,
 };
 pub use physical::{
     AggJoinConfig, AggJoinMapper, AggJoinReducer, AlphaJoinReducer, AnnRoute, InputRoutes, Side,

@@ -17,11 +17,12 @@ use crate::hashagg::AggTable;
 use crate::ops::{opt_group_filter_into, SlotProgram};
 use crate::spec::{
     any_alpha_partial_merged, read_group_key, write_group_key, AggJoinSpec, AggRec, AlphaCond,
-    JoinKey, NumericSnapshot, PartialAgg, StarSpec, ValueFilter,
+    JoinKey, PartialAgg, StarSpec, ValueFilter,
 };
 use crate::triplegroup::{StarDir, Stars, TgRef};
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
+use rapida_rdf::Dictionary;
 use std::sync::Arc;
 
 /// Join side tag; the discriminant is the byte that leads every shuffled
@@ -316,8 +317,8 @@ pub struct AggJoinConfig {
     /// All Agg-Join specs evaluated in this cycle (parallel evaluation of
     /// independent aggregations, §4.1 / Fig. 6(b)).
     pub specs: Vec<AggJoinSpec>,
-    /// Numeric values by raw term id.
-    pub numeric: NumericSnapshot,
+    /// The catalog's dictionary, read for aggregated values.
+    pub dict: Arc<Dictionary>,
     /// The route table, one entry per job input, indexed by
     /// [`InputSrc::dataset`]: an [`InputRoutes::Ann`] input is aggregated
     /// as it is, an [`InputRoutes::Raw`] input through the
@@ -376,7 +377,7 @@ fn process_view(
         if config.map_side_combine {
             let partials = table.slots_mut(u64::from(spec.id), key, spec.aggs.len());
             for (p, agg) in partials.iter_mut().zip(&spec.aggs) {
-                p.add(agg.value(assignment, &config.numeric));
+                p.add(agg.value(assignment, &config.dict));
             }
             return;
         }
@@ -388,7 +389,7 @@ fn process_view(
             for i in 0..spec.aggs.len() {
                 let mut p = PartialAgg::default();
                 if i == idx {
-                    p.add(agg.value(assignment, &config.numeric));
+                    p.add(agg.value(assignment, &config.dict));
                 }
                 p.encode(val_buf);
             }
@@ -569,6 +570,22 @@ mod tests {
     const PR: u64 = 3;
     const PC: u64 = 4;
 
+    /// A dictionary whose ids below the largest of `numeric` are the
+    /// literals `"t{i}"`, except each id in `numeric`, which holds the
+    /// integer equal to itself.
+    fn dict_of(numeric: &[u64]) -> Arc<Dictionary> {
+        let mut dict = Dictionary::new();
+        for i in 0..=numeric.iter().copied().max().unwrap_or(0) {
+            let term = if numeric.contains(&i) {
+                rapida_rdf::Term::integer(i as i64)
+            } else {
+                rapida_rdf::Term::literal(format!("t{i}"))
+            };
+            assert_eq!(dict.intern(&term).0, i, "one term per id");
+        }
+        Arc::new(dict)
+    }
+
     fn tg_record(s: u64, pairs: &[(u64, u64)]) -> Vec<u8> {
         let mut buf = Vec::new();
         TripleGroup::new(s, pairs.to_vec()).encode(&mut buf);
@@ -682,9 +699,6 @@ mod tests {
         let joined = run_composite_join(&dfs, vec![]);
         assert_eq!(joined.len(), 2);
 
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        numeric[40] = Some(40.0);
         let config = AggJoinConfig {
             specs: vec![
                 AggJoinSpec {
@@ -717,7 +731,7 @@ mod tests {
                     alpha: AlphaCond::default(),
                 },
             ],
-            numeric: Arc::new(numeric),
+            dict: dict_of(&[30, 40]),
             inputs: vec![InputRoutes::Ann],
             raw_filters: vec![],
             map_side_combine: true,
@@ -745,9 +759,7 @@ mod tests {
             w.push(&tg_record(i, &[(PC, 30)]));
         }
         dfs.put("tgs", w.finish());
-        let mut numeric = vec![None; 100];
-        numeric[30] = Some(30.0);
-        let numeric = Arc::new(numeric);
+        let dict = dict_of(&[30]);
 
         let run = |combine: bool, out: &str| {
             let config = AggJoinConfig {
@@ -761,7 +773,7 @@ mod tests {
                     }],
                     alpha: AlphaCond::default(),
                 }],
-                numeric: numeric.clone(),
+                dict: dict.clone(),
                 inputs: vec![InputRoutes::Raw(vec![0])],
                 raw_filters: vec![(
                     StarSpec {

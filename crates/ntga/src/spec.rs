@@ -2,12 +2,12 @@
 //! (Table 2), variable references, aggregation specs and partial aggregates.
 //!
 //! Everything here is dictionary-id based (`u64`) so the specs can be shipped
-//! into MR tasks without touching the dictionary; numeric values and
-//! lexical forms arrive via read-only snapshots.
+//! into MR tasks as plain data; numeric values and lexical forms are read
+//! from the loaded, read-only [`Dictionary`].
 
 use crate::triplegroup::{AnnTg, Stars, TripleGroup};
 use rapida_mapred::codec::{read_f64, read_varint, write_f64, write_varint};
-use rapida_rdf::LexicalForms;
+use rapida_rdf::{Dictionary, TermId};
 use rapida_sparql::ast::CmpOp;
 use std::fmt;
 use std::sync::Arc;
@@ -398,11 +398,8 @@ impl AggSpec {
     /// What one assignment (one value per slot) contributes to this
     /// aggregate: the numeric value of its argument slot; `None` for
     /// `COUNT(*)` and for non-numeric terms (the binding still counts).
-    pub fn value(&self, assignment: &[u64], numeric: &NumericSnapshot) -> Option<f64> {
-        numeric
-            .get(assignment[self.arg?] as usize)
-            .copied()
-            .flatten()
+    pub fn value(&self, assignment: &[u64], dict: &Dictionary) -> Option<f64> {
+        dict.numeric_value(TermId(assignment[self.arg?]))
     }
 }
 
@@ -429,19 +426,11 @@ pub struct AggJoinSpec {
     pub alpha: AlphaCond,
 }
 
-/// The numeric-value resolver shared by aggregation operators and value
-/// predicates: index by raw term id, `None` for non-numeric terms.
-pub type NumericSnapshot = Arc<Vec<Option<f64>>>;
-
-/// The lexical-form resolver of substring predicates: every form in one
-/// buffer, looked up by raw term id.
-pub type LexicalSnapshot = Arc<LexicalForms>;
-
 /// An id-level value predicate (a FILTER comparison compiled against the
 /// catalog), evaluated by the NTGA group filter and the relational scans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IdPred {
-    /// Numeric comparison via the numeric snapshot.
+    /// Numeric comparison on the term's cached numeric value.
     Num {
         /// Operator.
         op: CmpOp,
@@ -465,11 +454,12 @@ pub enum IdPred {
 }
 
 impl IdPred {
-    /// Evaluate against a term id.
-    pub fn eval(&self, id: u64, numeric: &NumericSnapshot, lexical: &LexicalSnapshot) -> bool {
+    /// Evaluate against a term id. An id `dict` did not issue matches
+    /// nothing.
+    pub fn eval(&self, id: u64, dict: &Dictionary) -> bool {
         match self {
             IdPred::Num { op, rhs } => {
-                let Some(v) = numeric.get(id as usize).copied().flatten() else {
+                let Some(v) = dict.numeric_value(TermId(id)) else {
                     return false;
                 };
                 match op {
@@ -485,7 +475,7 @@ impl IdPred {
             IdPred::Contains {
                 pattern,
                 case_insensitive,
-            } => match lexical.get(id) {
+            } => match dict.lexical(TermId(id)) {
                 None => false,
                 Some(lex) => {
                     if *case_insensitive {
@@ -512,10 +502,8 @@ pub struct ValueFilter {
     /// The subjects a group may have, ascending and distinct; `None` = any.
     /// Several gates on one star are intersected at plan time.
     pub subjects: Option<Arc<Vec<u64>>>,
-    /// Numeric values by term id, for [`IdPred::Num`].
-    pub numeric: NumericSnapshot,
-    /// Lexical forms by term id, for [`IdPred::Contains`].
-    pub lexical: LexicalSnapshot,
+    /// The catalog's dictionary, which the predicates read.
+    pub dict: Arc<Dictionary>,
 }
 
 impl ValueFilter {
@@ -524,7 +512,7 @@ impl ValueFilter {
         self.preds
             .iter()
             .filter(|(fp, _)| *fp == p)
-            .all(|(_, pred)| pred.eval(o, &self.numeric, &self.lexical))
+            .all(|(_, pred)| pred.eval(o, &self.dict))
     }
 
     /// Does the gate let a group with this subject through?
@@ -535,17 +523,17 @@ impl ValueFilter {
     }
 }
 
-/// The predicates and the subject set by value, the snapshots by pointer
-/// (they are the catalog's, shared by every filter planned over it).
+/// The predicates and the subject set by value, the dictionary by pointer:
+/// it is the catalog's, shared by every filter planned over it, and never
+/// changes once loaded, so one pointer stands for one content.
 impl fmt::Debug for ValueFilter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ValueFilter {{ preds: {:?}, subjects: {:?}, numeric: {:p}, lexical: {:p} }}",
+            "ValueFilter {{ preds: {:?}, subjects: {:?}, dict: {:p} }}",
             self.preds,
             self.subjects,
-            Arc::as_ptr(&self.numeric),
-            Arc::as_ptr(&self.lexical)
+            Arc::as_ptr(&self.dict)
         )
     }
 }

@@ -30,13 +30,14 @@
 
 mod common;
 
-use common::{tagged, ReferenceTgJoinMap};
+use common::{dict_of, outcomes, tagged, ReferenceTgJoinMap};
 use rapida_mapred::{InputSrc, KvBuffer, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     AggJoinConfig, AggJoinMapper, AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaJoinReducer,
     AlphaTerm, AnnTg, IdPred, InputRoutes, JoinKey, PropReq, Side, StarRoute, StarSpec,
     TgJoinMapConfig, TgJoinMapper, TripleGroup, ValueFilter, VarRef,
 };
+use rapida_rdf::{Dictionary, Term};
 use rapida_sparql::ast::CmpOp;
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
 use std::sync::Arc;
@@ -126,6 +127,16 @@ fn two_class_config() -> Arc<TgJoinMapConfig> {
     })
 }
 
+/// Ids `0..100`: the prices 10..60 are the integers equal to their ids,
+/// the delivery 7 is `"7 days"`, and every other id `i` is `"t{i}"`.
+fn dictionary() -> Arc<Dictionary> {
+    dict_of(100, |i| match i {
+        7 => Some(Term::literal("7 days")),
+        10..60 => Some(Term::integer(i as i64)),
+        _ => None,
+    })
+}
+
 /// The product route behind a pushed-down FILTER — prices of at least 20,
 /// delivery in 7 days, spelled with a `7` — and a subject gate that shuts
 /// out every seventh product.
@@ -137,8 +148,7 @@ fn filtered_config() -> Arc<TgJoinMapConfig> {
             (DELIVERY, IdPred::Contains { pattern: "7".into(), case_insensitive: false }),
         ],
         subjects: Some(Arc::new((1_000..1_000 + RECORDS as u64).filter(|s| s % 7 != 0).collect())),
-        numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
-        lexical: Arc::new((0..100).map(|i| format!("{i} days")).collect()),
+        dict: dictionary(),
     };
     Arc::new(TgJoinMapConfig {
         inputs: vec![InputRoutes::Raw(vec![0])],
@@ -216,7 +226,7 @@ fn agg_config() -> Arc<AggJoinConfig> {
                 alpha: AlphaCond::default(),
             },
         ],
-        numeric: Arc::new((0..100).map(|i| Some(f64::from(i))).collect()),
+        dict: dictionary(),
         inputs: vec![InputRoutes::Ann],
         raw_filters: Vec::new(),
         map_side_combine: true,
@@ -348,4 +358,8 @@ fn view_path_allocations_bounded() {
     assert_eq!(filtered_pairs, owned_pairs, "variants must agree on output");
     assert!(0 < filtered_pairs && filtered_pairs < view_pairs, "the filter must drop some, not all");
     assert_eq!(filtered_allocs, 0, "a warm filtered and gated route must not allocate");
+    // Over the dictionary's 100 ids, each predicate admits some and rejects
+    // others: prices 20..60, the delivery 7, and the 19 forms holding a 7.
+    let filter = &filtered_config().star_routes[0].filter;
+    assert_eq!(outcomes(filter), [(40, 60), (1, 99), (19, 81)]);
 }

@@ -34,11 +34,33 @@ use rapida_mapred::codec::write_varint;
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask};
 use rapida_ntga::{
     any_alpha_partial, write_group_key, AggJoinConfig, AggJoinSpec, AlphaCond, AnnTg, InputRoutes,
-    JoinKey, NumericSnapshot, PartialAgg, Side, StarSpec, TgJoinMapConfig, TripleGroup,
-    ValueFilter,
+    IdPred, JoinKey, PartialAgg, Side, StarSpec, TgJoinMapConfig, TripleGroup, ValueFilter,
 };
+use rapida_rdf::{Dictionary, Term, TermId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// A dictionary of ids `0..n`, interned in id order: `term(i)` where it is
+/// `Some`, the literal `"t{i}"` otherwise. Panics if two ids get one term.
+pub fn dict_of(n: u64, term: impl Fn(u64) -> Option<Term>) -> Arc<Dictionary> {
+    let mut dict = Dictionary::new();
+    for i in 0..n {
+        let t = term(i).unwrap_or_else(|| Term::literal(format!("t{i}")));
+        assert_eq!(dict.intern(&t), TermId(i), "one term per id");
+    }
+    Arc::new(dict)
+}
+
+/// For each predicate of `filter`, in order, how many ids of its
+/// dictionary it admits and how many it rejects.
+pub fn outcomes(filter: &ValueFilter) -> Vec<(usize, usize)> {
+    let ids = 0..filter.dict.len() as u64;
+    let outcome = |pred: &IdPred| {
+        let admitted = ids.clone().filter(|&id| pred.eval(id, &filter.dict)).count();
+        (admitted, ids.clone().count() - admitted)
+    };
+    filter.preds.iter().map(|(_, pred)| outcome(pred)).collect()
+}
 
 /// σ^γopt — the **optional group filter** (Def 3.3).
 ///
@@ -136,14 +158,14 @@ pub fn alpha_join(
 pub fn agg_join(
     details: &[AnnTg],
     spec: &AggJoinSpec,
-    numeric: &NumericSnapshot,
+    dict: &Dictionary,
 ) -> Vec<(Vec<u64>, Vec<PartialAgg>)> {
     let mut groups: BTreeMap<Vec<u64>, Vec<PartialAgg>> = BTreeMap::new();
     for tg in details {
         if !spec.alpha.satisfied_full(tg) {
             continue;
         }
-        accumulate(tg, spec, numeric, &mut |key, idx, value| {
+        accumulate(tg, spec, dict, &mut |key, idx, value| {
             let entry = groups
                 .entry(key.to_vec())
                 .or_insert_with(|| vec![PartialAgg::default(); spec.aggs.len()]);
@@ -159,7 +181,7 @@ pub fn agg_join(
 pub fn accumulate(
     tg: &AnnTg,
     spec: &AggJoinSpec,
-    numeric: &NumericSnapshot,
+    dict: &Dictionary,
     fold: &mut dyn FnMut(&[u64], usize, Option<f64>),
 ) {
     // Value lists per slot. A triplegroup that reached the Agg-Join and
@@ -178,7 +200,7 @@ pub fn accumulate(
     enumerate(&value_lists, 0, &mut assignment, &mut |assignment| {
         let key: Vec<u64> = spec.group_slots.iter().map(|&i| assignment[i]).collect();
         for (i, agg) in spec.aggs.iter().enumerate() {
-            fold(&key, i, agg.value(assignment, numeric));
+            fold(&key, i, agg.value(assignment, dict));
         }
     });
 }
@@ -209,7 +231,7 @@ pub fn value_filtered(tg: &TripleGroup, filter: &ValueFilter) -> Option<TripleGr
             .preds
             .iter()
             .filter(|(fp, _)| *fp == p)
-            .all(|(_, pred)| pred.eval(o, &filter.numeric, &filter.lexical))
+            .all(|(_, pred)| pred.eval(o, &filter.dict))
     });
     match &filter.subjects {
         Some(set) if !set.contains(&kept.subject) => None,
@@ -323,7 +345,7 @@ impl ReferenceAggJoinMap {
     fn fold(&mut self, ann: &AnnTg, out: &mut MapOutput) {
         let cfg = self.cfg.clone();
         for spec in cfg.specs.iter().filter(|s| s.alpha.satisfied_full(ann)) {
-            accumulate(ann, spec, &cfg.numeric, &mut |key, idx, value| {
+            accumulate(ann, spec, &cfg.dict, &mut |key, idx, value| {
                 let mut kb = Vec::new();
                 write_varint(&mut kb, u64::from(spec.id));
                 write_group_key(&mut kb, key);

@@ -5,11 +5,9 @@
 
 mod common;
 
-use common::{agg_join, alpha_join, n_split};
-use rapida_ntga::{
-    AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaTerm, AnnTg, NumericSnapshot, TripleGroup, VarRef,
-};
-use std::sync::Arc;
+use common::{agg_join, alpha_join, dict_of, n_split};
+use rapida_ntga::{AggJoinSpec, AggOp, AggSpec, AlphaCond, AlphaTerm, AnnTg, TripleGroup, VarRef};
+use rapida_rdf::Term;
 
 fn tg(s: u64, pairs: &[(u64, u64)]) -> TripleGroup {
     TripleGroup::new(s, pairs.to_vec())
@@ -118,12 +116,8 @@ fn fig5_agg_join() {
     let feat2 = 502;
     let uk = 601;
     let us = 602;
-    // Numeric snapshot: ids are prices when in 0..100.
-    let mut numeric = vec![None; 1000];
-    numeric[30] = Some(30.0);
-    numeric[50] = Some(50.0);
-    numeric[20] = Some(20.0);
-    let numeric: NumericSnapshot = Arc::new(numeric);
+    // Ids 20, 30 and 50 are prices, each the number equal to its id.
+    let dict = dict_of(1000, |i| matches!(i, 20 | 30 | 50).then(|| Term::integer(i as i64)));
 
     let dtg1 = AnnTg {
         groups: vec![
@@ -158,7 +152,7 @@ fn fig5_agg_join() {
             terms: vec![AlphaTerm { star: 0, prop: PF, required: true }],
         },
     };
-    let mut groups = agg_join(&[dtg1, dtg2, dtg3], &spec, &numeric);
+    let mut groups = agg_join(&[dtg1, dtg2, dtg3], &spec, &dict);
     groups.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(groups.len(), 3); // (f1,uk), (f1,us), (f2,us)
     let lookup = |k: &[u64]| {
@@ -178,7 +172,7 @@ fn fig5_agg_join() {
 #[test]
 fn agg_join_correlated_group_and_agg_var() {
     const CID: u64 = 5;
-    let numeric: NumericSnapshot = Arc::new(vec![None; 10]);
+    let dict = dict_of(10, |_| None);
     let d = AnnTg::single(0, tg(1, &[(CID, 7), (CID, 8)]));
     let spec = AggJoinSpec {
         id: 0,
@@ -190,7 +184,7 @@ fn agg_join_correlated_group_and_agg_var() {
         }],
         alpha: AlphaCond::default(),
     };
-    let mut groups = agg_join(&[d], &spec, &numeric);
+    let mut groups = agg_join(&[d], &spec, &dict);
     groups.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(groups.len(), 2);
     for (_, p) in &groups {
@@ -202,10 +196,7 @@ fn agg_join_correlated_group_and_agg_var() {
 #[test]
 fn agg_join_group_by_all() {
     const PC: u64 = 11;
-    let mut numeric = vec![None; 100];
-    numeric[30] = Some(30.0);
-    numeric[20] = Some(20.0);
-    let numeric: NumericSnapshot = Arc::new(numeric);
+    let dict = dict_of(100, |i| matches!(i, 20 | 30).then(|| Term::integer(i as i64)));
     let d1 = AnnTg::single(0, tg(1, &[(PC, 30)]));
     let d2 = AnnTg::single(0, tg(2, &[(PC, 20)]));
     let spec = AggJoinSpec {
@@ -218,7 +209,7 @@ fn agg_join_group_by_all() {
         }],
         alpha: AlphaCond::default(),
     };
-    let groups = agg_join(&[d1, d2], &spec, &numeric);
+    let groups = agg_join(&[d1, d2], &spec, &dict);
     assert_eq!(groups.len(), 1);
     assert_eq!(groups[0].0, Vec::<u64>::new());
     assert_eq!(groups[0].1[0].finalize(AggOp::Sum), Some(50.0));
@@ -230,10 +221,7 @@ fn agg_join_group_by_all() {
 fn parallel_agg_joins_equal_sequential() {
     const PF: u64 = 10;
     const PC: u64 = 11;
-    let mut numeric = vec![None; 100];
-    numeric[30] = Some(30.0);
-    numeric[20] = Some(20.0);
-    let numeric: NumericSnapshot = Arc::new(numeric);
+    let dict = dict_of(100, |i| matches!(i, 20 | 30).then(|| Term::integer(i as i64)));
     let details = vec![
         AnnTg::single(0, tg(1, &[(PF, 61), (PC, 30)])),
         AnnTg::single(0, tg(2, &[(PC, 20)])),
@@ -258,8 +246,8 @@ fn parallel_agg_joins_equal_sequential() {
         alpha: AlphaCond::default(),
     };
     // "Parallel": one pass over details feeding both specs.
-    let g1 = agg_join(&details, &spec1, &numeric);
-    let g2 = agg_join(&details, &spec2, &numeric);
+    let g1 = agg_join(&details, &spec1, &dict);
+    let g2 = agg_join(&details, &spec2, &dict);
     assert_eq!(g1.len(), 1);
     assert_eq!(g1[0].1[0].finalize(AggOp::Sum), Some(30.0));
     assert_eq!(g2[0].1[0].finalize(AggOp::Count), Some(2.0));

@@ -7,15 +7,15 @@
 
 mod common;
 
-use common::{accumulate, alpha_join, n_split, opt_group_filter, value_filtered};
+use common::{accumulate, alpha_join, dict_of, n_split, opt_group_filter, outcomes, value_filtered};
 use rapida_mapred::codec::write_varint;
 use rapida_mapred::{ReduceOutput, ReduceTask};
 use rapida_ntga::{
     any_alpha_partial, opt_group_filter_into, AggJoinConfig, AggJoinReducer, AggJoinSpec, AggOp,
-    AggRec, AggSpec, AlphaCond, AlphaTerm, AnnTg, IdPred, JoinKey, LexicalSnapshot,
-    NumericSnapshot, PartialAgg, PropReq, SlotProgram, StarDir, StarSpec, TgRef, TripleGroup,
-    ValueFilter, VarRef,
+    AggRec, AggSpec, AlphaCond, AlphaTerm, AnnTg, IdPred, JoinKey, PartialAgg, PropReq,
+    SlotProgram, StarDir, StarSpec, TgRef, TripleGroup, ValueFilter, VarRef,
 };
+use rapida_rdf::{Dictionary, Term};
 use rapida_sparql::ast::CmpOp;
 use rapida_testkit::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -40,16 +40,11 @@ fn arb_spec() -> impl Strategy<Value = StarSpec> {
         })
 }
 
-/// Snapshots over every object id the filter tests draw: ids divisible by 3
-/// are the numbers `id / 3`, and id `i`'s lexical form is `t{i}`.
-fn snapshots() -> (NumericSnapshot, LexicalSnapshot) {
-    static SNAPSHOTS: OnceLock<(NumericSnapshot, LexicalSnapshot)> = OnceLock::new();
-    SNAPSHOTS
-        .get_or_init(|| {
-            let ids = 0..24_000u32;
-            let numeric = ids.clone().map(|i| (i % 3 == 0).then_some(f64::from(i / 3))).collect();
-            (Arc::new(numeric), Arc::new(ids.map(|i| format!("t{i}")).collect()))
-        })
+/// A dictionary over every object id the filter tests draw: ids divisible
+/// by 3 are the integers `id / 3`, every other id `i` the literal `t{i}`.
+fn dictionary() -> Arc<Dictionary> {
+    static DICT: OnceLock<Arc<Dictionary>> = OnceLock::new();
+    DICT.get_or_init(|| dict_of(24_000, |i| (i % 3 == 0).then(|| Term::integer(i as i64 / 3))))
         .clone()
 }
 
@@ -67,6 +62,23 @@ fn id_pred((kind, n): (u8, u64)) -> IdPred {
             pattern: if n % 2 == 0 { format!("{}", n / 2) } else { format!("T{}", n / 2) },
             case_insensitive: n % 2 == 1,
         },
+    }
+}
+
+/// Each kind of predicate `id_pred` draws admits some ids of the filter
+/// tests' dictionary and rejects others.
+#[test]
+fn every_drawn_predicate_kind_reaches_both_outcomes() {
+    for kind in 0..3 {
+        let filter = ValueFilter {
+            preds: (0..24).map(|n| (1, id_pred((kind, n)))).collect(),
+            dict: dictionary(),
+            ..ValueFilter::default()
+        };
+        let (admitted, rejected) = outcomes(&filter)
+            .into_iter()
+            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        assert!(admitted > 0 && rejected > 0, "kind {kind}: {admitted} admitted, {rejected} rejected");
     }
 }
 
@@ -296,13 +308,12 @@ proptest! {
             })
             .collect();
         // Objects are 0..12; odd ones are numeric, subjects never are.
-        let numeric: NumericSnapshot =
-            Arc::new((0..12).map(|i| (i % 2 == 1).then_some(f64::from(i) * 1.5)).collect());
+        let dict = dict_of(12, |i| (i % 2 == 1).then(|| Term::decimal(i as f64 * 1.5)));
 
         let mut want: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
         for (si, spec) in specs.iter().enumerate() {
             if spec.alpha.satisfied_full(&ann) {
-                accumulate(&ann, spec, &numeric, &mut |key, i, v| {
+                accumulate(&ann, spec, &dict, &mut |key, i, v| {
                     want.push((si, key.to_vec(), i, v));
                 });
             }
@@ -315,7 +326,7 @@ proptest! {
             let mut got = Vec::new();
             prog.run(&dir.fill(&rec).expect("canonical record"), |si, key, assignment| {
                 for (i, agg) in specs[si].aggs.iter().enumerate() {
-                    got.push((si, key.to_vec(), i, agg.value(assignment, &numeric)));
+                    got.push((si, key.to_vec(), i, agg.value(assignment, &dict)));
                 }
             });
             prop_assert_eq!(&got, &want);
@@ -391,10 +402,7 @@ fn slot_program_matches_owned() {
     const PF: u64 = 10;
     const PC: u64 = 11;
     const CN: u64 = 12;
-    let mut numeric = vec![None; 100];
-    numeric[30] = Some(30.0);
-    numeric[20] = Some(20.0);
-    let numeric: NumericSnapshot = Arc::new(numeric);
+    let dict = dict_of(100, |i| matches!(i, 20 | 30).then(|| Term::integer(i as i64)));
     let specs = [
         AggJoinSpec {
             id: 0,
@@ -439,7 +447,7 @@ fn slot_program_matches_owned() {
         let mut owned_folds: Vec<(usize, Vec<u64>, usize, Option<f64>)> = Vec::new();
         for (si, spec) in specs.iter().enumerate() {
             if spec.alpha.satisfied_full(d) {
-                accumulate(d, spec, &numeric, &mut |k, i, v| {
+                accumulate(d, spec, &dict, &mut |k, i, v| {
                     owned_folds.push((si, k.to_vec(), i, v));
                 });
             }
@@ -448,7 +456,7 @@ fn slot_program_matches_owned() {
         let mut prog_folds = Vec::new();
         prog.run(&dir.fill(&rec).unwrap(), |si, k, assignment| {
             for (i, agg) in specs[si].aggs.iter().enumerate() {
-                prog_folds.push((si, k.to_vec(), i, agg.value(assignment, &numeric)));
+                prog_folds.push((si, k.to_vec(), i, agg.value(assignment, &dict)));
             }
         });
         assert!(!owned_folds.is_empty());
@@ -489,7 +497,6 @@ proptest! {
             primary: prim.iter().map(req).collect(),
             secondary: sec.iter().map(req).collect(),
         };
-        let (numeric, lexical) = snapshots();
         let subjects = gate.map(|(with_subject, others)| {
             let mut set: Vec<u64> = others.into_iter().map(u64::from).collect();
             set.extend(with_subject.then_some(tg.subject));
@@ -508,8 +515,7 @@ proptest! {
         let filter = ValueFilter {
             preds: preds.into_iter().map(|(p, pred)| (prop_of(p), id_pred(pred))).collect(),
             subjects,
-            numeric,
-            lexical,
+            dict: dictionary(),
         };
         let mut rec = Vec::new();
         tg.encode(&mut rec);

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{tagged, ReferenceAggJoinMap, ReferenceAlphaJoinReduce, ReferenceTgJoinMap};
+use common::{dict_of, outcomes, tagged, ReferenceAggJoinMap, ReferenceAlphaJoinReduce, ReferenceTgJoinMap};
 use rapida_mapred::codec::write_varint;
 use rapida_mapred::{
     DatasetWriter, Engine, FnMapFactory, FnReduceFactory, JobBuilder, KeyLocal, MapTask,
@@ -26,6 +26,7 @@ use rapida_ntga::{
     AlphaJoinReducer, AlphaTerm, AnnRoute, AnnTg, IdPred, InputRoutes, JoinKey, PropReq, Side,
     StarRoute, StarSpec, TgJoinMapConfig, TgJoinMapper, TripleGroup, ValueFilter, VarRef,
 };
+use rapida_rdf::{Dictionary, Term};
 use rapida_sparql::ast::CmpOp;
 use std::sync::Arc;
 
@@ -81,9 +82,19 @@ fn even_objects_of(prop: u64, gate: Option<Vec<u64>>) -> ValueFilter {
     ValueFilter {
         preds: vec![(prop, IdPred::Num { op: CmpOp::Eq, rhs: 0.0 })],
         subjects: gate.map(Arc::new),
-        numeric: Arc::new((0..400).map(|i| Some(f64::from(i % 2))).collect()),
-        ..ValueFilter::default()
+        dict: parities(),
     }
+}
+
+/// Ids `0..400` as the numbers `id % 2`, each spelled with a datatype of
+/// its own so that no two ids are one term.
+fn parities() -> Arc<Dictionary> {
+    dict_of(400, |i| Some(Term::typed_literal((i % 2).to_string(), format!("http://x/parity{i}"))))
+}
+
+#[test]
+fn the_parity_filter_admits_the_even_ids() {
+    assert_eq!(outcomes(&even_objects_of(1, None)), [(200, 200)]);
 }
 
 fn put(dfs: &SimDfs, name: &str, records: impl IntoIterator<Item = Vec<u8>>) {
@@ -205,8 +216,8 @@ fn agg_join(dfs: &SimDfs, inputs: &[&str], cfg: AggJoinConfig, out: &str) -> [Ou
 
 /// Term ids 25..=45 are prices, as reciprocals so that sums round;
 /// everything else is non-numeric.
-fn numeric() -> Arc<Vec<Option<f64>>> {
-    Arc::new((0..100).map(|i| (25..=45).contains(&i).then(|| 1.0 / f64::from(i))).collect())
+fn prices() -> Arc<Dictionary> {
+    dict_of(100, |i| (25..=45).contains(&i).then(|| Term::decimal(1.0 / i as f64)))
 }
 
 #[test]
@@ -280,7 +291,7 @@ fn workflow_is_byte_identical_to_the_reference() {
                 AlphaCond::default(),
             ),
         ],
-        numeric: numeric(),
+        dict: prices(),
         inputs: vec![InputRoutes::Ann; 2],
         raw_filters: vec![],
         map_side_combine: true,
@@ -300,7 +311,7 @@ fn workflow_is_byte_identical_to_the_reference() {
             block(0, vec![obj(0, PF)], vec![0], &[(AggOp::Count, None)], AlphaCond::default()),
             block(1, vec![obj(1, PV), price], vec![0], &[(AggOp::Sum, Some(1))], AlphaCond::default()),
         ],
-        numeric: numeric(),
+        dict: prices(),
         inputs: vec![InputRoutes::Raw(vec![1]), InputRoutes::Raw(vec![0, 1])],
         raw_filters: vec![
             (product_star(), even_objects_of(PF, Some(products))),

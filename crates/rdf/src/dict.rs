@@ -1,5 +1,5 @@
-//! Dictionary encoding: a concurrent bidirectional interner mapping
-//! [`Term`]s to dense `u64` [`TermId`]s.
+//! Dictionary encoding: a bidirectional interner mapping [`Term`]s to dense
+//! `u64` [`TermId`]s.
 //!
 //! Each distinct term is stored once, as a kind-tagged key in one string
 //! arena. Numeric literal values are parsed once at intern time and cached,
@@ -11,7 +11,6 @@ use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::BuildHasher;
-use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 /// A dictionary-encoded term identifier.
 ///
@@ -46,6 +45,7 @@ const LANG: u8 = 4;
 const TYPED_LANG: u8 = 5;
 
 fn push_counted(field: &str, out: &mut String) {
+    // `String`'s `fmt::Write` never returns an error.
     write!(out, "{}:{field}", field.len()).unwrap();
 }
 
@@ -76,6 +76,8 @@ fn encode_key(term: TermRef<'_>, out: &mut String) {
 
 /// The field `{len}:field` at the start of `s`, and what follows it.
 fn split_counted(s: &str) -> (&str, &str) {
+    // Keys reach the arena only through `encode_key`, whose `push_counted`
+    // wrote `{len}:` here, `len` ending on a char boundary of `field`.
     let (len, rest) = s.split_once(':').expect("a counted key field");
     rest.split_at(len.parse().expect("a key field length"))
 }
@@ -96,6 +98,7 @@ fn decode_key(key: &str) -> TermRef<'_> {
                     let (dt, lang) = split_counted(rest);
                     literal(lexical, Some(dt), Some(lang))
                 }
+                // `encode_key` writes no other tag, and nothing else writes keys.
                 _ => unreachable!("a term key starts with a tag, not {tag}"),
             }
         }
@@ -126,8 +129,13 @@ fn with_key<R>(term: TermRef<'_>, f: impl FnOnce(&str) -> R) -> R {
 /// time with one multiply, so generated IRIs that share a long prefix and
 /// differ in a short numeric suffix would pile onto a few slots. Growing
 /// the table re-slots ids by their stored hash, in id order.
-#[derive(Default)]
-pub(crate) struct DictInner {
+///
+/// Interning takes `&mut self` and every read `&self`, so a loaded
+/// dictionary is shared read-only (one `Arc`, see [`crate::Graph::dict`])
+/// with no lock. `Clone` is a deep copy that keeps the hasher, so ids and
+/// slots stay valid in the copy.
+#[derive(Clone, Default)]
+pub struct Dictionary {
     keys: String,
     ends: Vec<usize>,
     hashes: Vec<u64>,
@@ -139,18 +147,22 @@ pub(crate) struct DictInner {
 
 const HASH_BITS: u64 = !0 << 32;
 
-impl DictInner {
+impl Dictionary {
+    /// Create an empty dictionary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     fn hash(&self, key: &str) -> u64 {
         self.hasher.hash_one(key.as_bytes())
     }
 
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn key(&self, id: usize) -> &str {
+    /// The key of raw id `id`, if this dictionary issued it.
+    fn key(&self, id: u64) -> Option<&str> {
+        let id = usize::try_from(id).ok()?;
+        let end = *self.ends.get(id)?;
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
-        &self.keys[start..self.ends[id]]
+        Some(&self.keys[start..end])
     }
 
     fn find(&self, key: &str, hash: u64) -> Option<TermId> {
@@ -164,9 +176,9 @@ impl DictInner {
             if slot == 0 {
                 return None;
             }
-            let id = (slot as u32 - 1) as usize;
-            if slot & HASH_BITS == hash & HASH_BITS && self.key(id) == key {
-                return Some(TermId(id as u64));
+            let id = u64::from(slot as u32 - 1);
+            if slot & HASH_BITS == hash & HASH_BITS && self.key(id) == Some(key) {
+                return Some(TermId(id));
             }
             i = (i + 1) & mask;
         }
@@ -199,109 +211,57 @@ impl DictInner {
         TermId(id as u64)
     }
 
-    /// Intern a term, returning its id.
-    pub(crate) fn intern(&mut self, term: TermRef<'_>) -> TermId {
+    /// Intern a borrowed term, returning its id.
+    pub(crate) fn intern_ref(&mut self, term: TermRef<'_>) -> TermId {
         with_key(term, |key| {
             let hash = self.hash(key);
             self.find(key, hash).unwrap_or_else(|| self.push(key, hash, term))
         })
     }
-}
-
-/// A thread-safe term dictionary.
-///
-/// Cloning a `Dictionary` is cheap (it is an `Arc` handle); all clones share
-/// the same underlying interner.
-#[derive(Clone, Default)]
-pub struct Dictionary {
-    inner: Arc<RwLock<DictInner>>,
-}
-
-impl Dictionary {
-    /// Create an empty dictionary.
-    pub fn new() -> Self {
-        Self::default()
-    }
 
     /// Intern a term, returning its id. Idempotent.
-    pub fn intern(&self, term: &Term) -> TermId {
-        let term = term.view();
-        with_key(term, |key| {
-            let inner = self.inner.read().unwrap();
-            let hash = inner.hash(key);
-            if let Some(id) = inner.find(key, hash) {
-                return id;
-            }
-            drop(inner);
-            let mut inner = self.inner.write().unwrap();
-            inner.find(key, hash).unwrap_or_else(|| inner.push(key, hash, term))
-        })
-    }
-
-    /// Hold the write lock, for interning many terms without taking it for
-    /// each.
-    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, DictInner> {
-        self.inner.write().unwrap()
+    pub fn intern(&mut self, term: &Term) -> TermId {
+        self.intern_ref(term.view())
     }
 
     /// Intern an IRI given by string.
-    pub fn intern_iri(&self, iri: &str) -> TermId {
-        self.intern(&Term::iri(iri))
+    pub fn intern_iri(&mut self, iri: &str) -> TermId {
+        self.intern_ref(TermRef::Iri(iri))
     }
 
     /// Look up an already-interned term without inserting.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        with_key(term.view(), |key| {
-            let inner = self.inner.read().unwrap();
-            inner.find(key, inner.hash(key))
-        })
+        with_key(term.view(), |key| self.find(key, self.hash(key)))
     }
 
-    /// Resolve an id back to its term. Panics on unknown ids (ids only come
-    /// from this dictionary, so an unknown id is a logic error).
+    /// Resolve an id back to its term. Panics on an id this dictionary did
+    /// not issue.
     pub fn term(&self, id: TermId) -> Term {
-        decode_key(self.inner.read().unwrap().key(id.0 as usize)).to_term()
+        // A `TermId` is only ever issued by a dictionary: a miss is a logic error.
+        decode_key(self.key(id.0).expect("an id this dictionary issued")).to_term()
     }
 
     /// The lexical form of the term behind `id` (IRI string / literal lexical
-    /// form / bnode label).
-    pub fn lexical(&self, id: TermId) -> String {
-        decode_key(self.inner.read().unwrap().key(id.0 as usize)).lexical().to_owned()
+    /// form / bnode label); `None` for an id this dictionary did not issue.
+    pub fn lexical(&self, id: TermId) -> Option<&str> {
+        self.key(id.0).map(|key| decode_key(key).lexical())
     }
 
-    /// Cached numeric value of the literal behind `id`, if numeric.
+    /// Cached numeric value of the literal behind `id`, if numeric; `None`
+    /// too for an id this dictionary did not issue.
     #[inline]
     pub fn numeric_value(&self, id: TermId) -> Option<f64> {
-        self.inner.read().unwrap().numeric[id.0 as usize]
+        self.numeric.get(id.0 as usize).copied().flatten()
     }
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.inner.read().unwrap().len()
+        self.ends.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Snapshot of numeric values indexed by raw id, for lock-free access in
-    /// parallel operators. Index `i` holds the numeric value of `TermId(i)`.
-    pub fn numeric_snapshot(&self) -> Vec<Option<f64>> {
-        self.inner.read().unwrap().numeric.clone()
-    }
-
-    /// Every term's lexical form in id order, copied once out of the key
-    /// arena, for lock-free access in parallel operators (e.g. `regex`-style
-    /// FILTERs).
-    pub fn lexical_forms(&self) -> LexicalForms {
-        let inner = self.inner.read().unwrap();
-        let mut forms = LexicalForms {
-            text: String::with_capacity(inner.keys.len()),
-            ends: Vec::with_capacity(inner.len()),
-        };
-        (0..inner.len()).for_each(|id| forms.push(decode_key(inner.key(id)).lexical()));
-        forms
     }
 }
 
@@ -311,49 +271,13 @@ impl fmt::Debug for Dictionary {
     }
 }
 
-/// Lexical forms by raw term id, back to back in one buffer.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LexicalForms {
-    text: String,
-    /// Form `i` is `text[ends[i - 1]..ends[i]]`.
-    ends: Vec<usize>,
-}
-
-impl LexicalForms {
-    fn push(&mut self, form: &str) {
-        self.text.push_str(form);
-        self.ends.push(self.text.len());
-    }
-
-    /// The lexical form of raw id `id`, if the snapshot covers it.
-    pub fn get(&self, id: u64) -> Option<&str> {
-        let id = usize::try_from(id).ok()?;
-        let end = *self.ends.get(id)?;
-        let start = if id == 0 { 0 } else { self.ends[id - 1] };
-        Some(&self.text[start..end])
-    }
-
-    /// The forms in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.ends.len() as u64).filter_map(|id| self.get(id))
-    }
-}
-
-impl<S: AsRef<str>> FromIterator<S> for LexicalForms {
-    fn from_iter<I: IntoIterator<Item = S>>(forms: I) -> Self {
-        let mut out = LexicalForms::default();
-        forms.into_iter().for_each(|form| out.push(form.as_ref()));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn intern_is_idempotent() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         let a = d.intern(&Term::iri("http://x/a"));
         let b = d.intern(&Term::iri("http://x/a"));
         assert_eq!(a, b);
@@ -362,7 +286,7 @@ mod tests {
 
     #[test]
     fn distinct_terms_get_distinct_ids() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         let a = d.intern(&Term::iri("http://x/a"));
         let b = d.intern(&Term::literal("http://x/a"));
         assert_ne!(a, b, "IRI and literal with same lexical form differ");
@@ -370,7 +294,7 @@ mod tests {
 
     #[test]
     fn roundtrip_term() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         let t = Term::lang_literal("bonjour", "fr");
         let id = d.intern(&t);
         assert_eq!(d.term(id), t);
@@ -378,7 +302,7 @@ mod tests {
 
     #[test]
     fn numeric_cache() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         let id = d.intern(&Term::decimal(3.25));
         assert_eq!(d.numeric_value(id), Some(3.25));
         let id2 = d.intern(&Term::literal("not a number"));
@@ -387,7 +311,7 @@ mod tests {
 
     #[test]
     fn lookup_does_not_insert() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         assert_eq!(d.lookup(&Term::iri("http://x/a")), None);
         assert!(d.is_empty());
         let id = d.intern(&Term::iri("http://x/a"));
@@ -395,25 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_align_with_ids() {
-        let d = Dictionary::new();
-        let a = d.intern(&Term::integer(10));
-        let b = d.intern(&Term::literal("xyz"));
-        let c = d.intern(&Term::lang_literal("", "en"));
-        let nums = d.numeric_snapshot();
-        let lex = d.lexical_forms();
-        assert_eq!(nums[a.0 as usize], Some(10.0));
-        assert_eq!(nums[b.0 as usize], None);
-        assert_eq!(lex.get(a.0), Some("10"));
-        assert_eq!(lex.get(b.0), Some("xyz"));
-        assert_eq!(lex.get(c.0), Some(""));
-        assert_eq!(lex.get(3), None);
-        assert_eq!(lex.iter().collect::<Vec<_>>(), ["10", "xyz", ""]);
-    }
-
-    #[test]
     fn growing_the_table_keeps_every_id() {
-        let d = Dictionary::new();
+        let mut d = Dictionary::new();
         let terms: Vec<Term> = (0..5_000).map(|i| Term::iri(format!("http://x/{i}"))).collect();
         let ids: Vec<TermId> = terms.iter().map(|t| d.intern(t)).collect();
         assert_eq!(ids, (0..5_000).map(TermId).collect::<Vec<_>>());
@@ -424,7 +331,7 @@ mod tests {
 
     #[test]
     fn equal_hashes_still_compare_keys() {
-        let mut inner = DictInner::default();
+        let mut inner = Dictionary::default();
         let (a, b) = (Term::iri("http://x/a"), Term::iri("http://x/b"));
         let id_a = with_key(a.view(), |key| inner.push(key, 42, a.view()));
         let id_b = with_key(b.view(), |key| {
@@ -439,7 +346,7 @@ mod tests {
     fn index_hash_spreads_generated_iris() {
         // 65 536 BSBM generator IRIs: FxHash gives 32 (Product) and 256
         // (Offer) distinct low-16-bit hash values; a uniform hash ≈ 41 400.
-        let inner = DictInner::default();
+        let inner = Dictionary::default();
         for stem in ["Product", "Offer"] {
             let low: std::collections::HashSet<u64> = (0..65_536)
                 .map(|i| {
@@ -449,25 +356,5 @@ mod tests {
                 .collect();
             assert!(low.len() >= 40_000, "{stem}{{i}}: {} distinct low-16-bit hashes", low.len());
         }
-    }
-
-    #[test]
-    fn concurrent_intern_consistent() {
-        let d = Dictionary::new();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let d = d.clone();
-                std::thread::spawn(move || {
-                    (0..1000)
-                        .map(|i| d.intern(&Term::iri(format!("http://x/{i}"))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let results: Vec<Vec<TermId>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for r in &results[1..] {
-            assert_eq!(r, &results[0], "all threads see identical ids");
-        }
-        assert_eq!(d.len(), 1000);
     }
 }

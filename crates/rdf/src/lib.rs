@@ -5,12 +5,12 @@
 //!
 //! Everything downstream (storage, NTGA operators, query engines) works over
 //! dictionary-encoded [`TermId`]s; lexical forms and numeric literal values are
-//! resolved through a shared [`Dictionary`].
+//! resolved through the [`Dictionary`], which is read-only once loaded.
 //!
 //! ```
 //! use rapida_rdf::{Dictionary, Term, Triple};
 //!
-//! let dict = Dictionary::new();
+//! let mut dict = Dictionary::new();
 //! let s = dict.intern(&Term::iri("http://example.org/p1"));
 //! let p = dict.intern(&Term::iri("http://example.org/price"));
 //! let o = dict.intern(&Term::typed_literal("42.5", "http://www.w3.org/2001/XMLSchema#decimal"));
@@ -25,8 +25,8 @@ mod term;
 mod triple;
 pub mod vocab;
 
-pub use dict::{Dictionary, LexicalForms, TermId};
-pub use graph::{Graph, GraphStats};
+pub use dict::{Dictionary, TermId};
+pub use graph::Graph;
 pub use ntriples::{parse_ntriples, write_ntriples, NtDocument, NtError, NtTriples};
 pub use term::{Term, XSD_DATE, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING};
 pub use triple::{TermTriple, Triple};

@@ -392,12 +392,11 @@ impl Cursor<'_> {
 /// count.
 fn uchar(kind: u8, digits: &[u8]) -> Result<(char, usize), String> {
     let width = if kind == b'u' { 4 } else { 8 };
-    let hex = digits
+    // At most 8 hex digits: the code always fits a u32.
+    let code = digits
         .get(..width)
-        .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+        .and_then(|hex| hex.iter().try_fold(0u32, |acc, &d| Some(acc << 4 | (d as char).to_digit(16)?)))
         .ok_or_else(|| format!("bad escape '\\{}': needs {width} hex digits", kind as char))?;
-    // ASCII hex digits, at most 8: always a valid u32.
-    let code = hex.iter().fold(0u32, |acc, &d| acc << 4 | (d as char).to_digit(16).unwrap());
     match char::from_u32(code) {
         Some(c) => Ok((c, width)),
         None if (0xD800..=0xDFFF).contains(&code) => Err(format!("bad escape: U+{code:04X} is a surrogate")),

@@ -193,8 +193,7 @@ fn write_iri(iri: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let escaped = |c: char| c.is_control() || matches!(c, ' ' | '<' | '>' | '"' | '\\');
     f.write_str("<")?;
     let mut rest = iri;
-    while let Some(at) = rest.find(escaped) {
-        let c = rest[at..].chars().next().unwrap();
+    while let Some((at, c)) = rest.char_indices().find(|&(_, c)| escaped(c)) {
         write!(f, "{}\\u{:04X}", &rest[..at], u32::from(c))?;
         rest = &rest[at + c.len_utf8()..];
     }

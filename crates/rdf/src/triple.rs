@@ -56,7 +56,7 @@ impl TermTriple {
     }
 
     /// Encode against a dictionary, interning all three components.
-    pub fn encode(&self, dict: &Dictionary) -> Triple {
+    pub fn encode(&self, dict: &mut Dictionary) -> Triple {
         Triple {
             s: dict.intern(&self.s),
             p: dict.intern(&self.p),
@@ -77,13 +77,13 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let dict = Dictionary::new();
+        let mut dict = Dictionary::new();
         let tt = TermTriple::new(
             Term::iri("http://x/s"),
             Term::iri("http://x/p"),
             Term::literal("o"),
         );
-        let t = tt.encode(&dict);
+        let t = tt.encode(&mut dict);
         assert_eq!(t.decode(&dict), tt);
     }
 

@@ -128,7 +128,7 @@ proptest! {
 
     #[test]
     fn dictionary_is_injective(terms in proptest::collection::vec(arb_term(), 0..50)) {
-        let dict = Dictionary::new();
+        let mut dict = Dictionary::new();
         let ids: Vec<_> = terms.iter().map(|t| dict.intern(t)).collect();
         // Same term -> same id; different terms -> different ids.
         for (i, a) in terms.iter().enumerate() {
@@ -144,7 +144,7 @@ proptest! {
 
     #[test]
     fn numeric_cache_matches_term(term in arb_term()) {
-        let dict = Dictionary::new();
+        let mut dict = Dictionary::new();
         let id = dict.intern(&term);
         prop_assert_eq!(dict.numeric_value(id), term.numeric_value());
     }

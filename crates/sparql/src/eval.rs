@@ -6,7 +6,7 @@
 
 use crate::ast::*;
 use crate::relation::{Cell, Relation};
-use rapida_rdf::{FxHashMap, Dictionary, Graph, TermId, Triple};
+use rapida_rdf::{FxHashMap, Graph, TermId, Triple};
 
 /// Evaluate a parsed query against a graph.
 pub fn evaluate(query: &Query, graph: &Graph) -> Relation {
@@ -32,7 +32,6 @@ fn cell_of(id: TermId) -> Cell {
 
 struct Evaluator<'g> {
     graph: &'g Graph,
-    dict: Dictionary,
     by_prop: FxHashMap<TermId, Vec<Triple>>,
 }
 
@@ -44,7 +43,6 @@ impl<'g> Evaluator<'g> {
         }
         Evaluator {
             graph,
-            dict: graph.dict.clone(),
             by_prop,
         }
     }
@@ -87,7 +85,7 @@ impl<'g> Evaluator<'g> {
         let mut out = Vec::new();
         for b in rows {
             let candidates: &[Triple] = match &tp.p {
-                PatternTerm::Term(t) => match self.dict.lookup(t) {
+                PatternTerm::Term(t) => match self.graph.dict.lookup(t) {
                     Some(pid) => self.by_prop.get(&pid).map(|v| v.as_slice()).unwrap_or(&[]),
                     None => &[],
                 },
@@ -110,7 +108,7 @@ impl<'g> Evaluator<'g> {
         for (slot, id) in [(&tp.s, t.s), (&tp.p, t.p), (&tp.o, t.o)] {
             match slot {
                 PatternTerm::Term(term) => {
-                    if self.dict.lookup(term) != Some(id) {
+                    if self.graph.dict.lookup(term) != Some(id) {
                         return None;
                     }
                 }
@@ -170,9 +168,9 @@ impl<'g> Evaluator<'g> {
             } => match b.get(var) {
                 None => false,
                 Some(&id) => {
-                    let lex = match untag_num(id) {
-                        Some(n) => format!("{n}"),
-                        None => self.dict.lexical(id),
+                    let num = untag_num(id).map(|n| format!("{n}"));
+                    let Some(lex) = num.as_deref().or_else(|| self.graph.dict.lexical(id)) else {
+                        return false;
                     };
                     if *case_insensitive {
                         lex.to_lowercase().contains(&pattern.to_lowercase())
@@ -216,7 +214,7 @@ impl<'g> Evaluator<'g> {
             ValueExpr::Number(n) => Some(*n),
             ValueExpr::Var(v) => b
                 .get(v)
-                .and_then(|id| untag_num(*id).or_else(|| self.dict.numeric_value(*id))),
+                .and_then(|id| untag_num(*id).or_else(|| self.graph.dict.numeric_value(*id))),
             ValueExpr::Term(t) => t.numeric_value(),
         }
     }
@@ -225,7 +223,7 @@ impl<'g> Evaluator<'g> {
         match e {
             ValueExpr::Number(_) => None,
             ValueExpr::Var(v) => b.get(v).copied(),
-            ValueExpr::Term(t) => self.dict.lookup(t),
+            ValueExpr::Term(t) => self.graph.dict.lookup(t),
         }
     }
 
@@ -339,7 +337,7 @@ impl<'g> Evaluator<'g> {
             AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max => {
                 let nums: Vec<f64> = ids
                     .iter()
-                    .filter_map(|id| untag_num(*id).or_else(|| self.dict.numeric_value(*id)))
+                    .filter_map(|id| untag_num(*id).or_else(|| self.graph.dict.numeric_value(*id)))
                     .collect();
                 if nums.is_empty() {
                     return Cell::Null;

@@ -117,7 +117,7 @@ impl Relation {
             let cells: Vec<String> = row
                 .iter()
                 .map(|c| match c {
-                    Cell::Term(id) => dict.lexical(*id),
+                    Cell::Term(id) => dict.lexical(*id).map_or_else(|| id.to_string(), str::to_owned),
                     Cell::Num(n) => format!("{n}"),
                     Cell::Null => "-".to_string(),
                 })
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn canonicalization_is_column_order_insensitive() {
-        let dict = Dictionary::new();
+        let mut dict = Dictionary::new();
         let a = dict.intern(&Term::iri("http://x/a"));
         let b = dict.intern(&Term::iri("http://x/b"));
         let r1 = Relation {
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn cell_as_num_resolves_terms() {
-        let dict = Dictionary::new();
+        let mut dict = Dictionary::new();
         let id = dict.intern(&Term::integer(7));
         assert_eq!(Cell::Term(id).as_num(&dict), Some(7.0));
         assert_eq!(Cell::Num(1.5).as_num(&dict), Some(1.5));

@@ -14,7 +14,7 @@
 
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{DatasetWriter, SimDfs};
-use rapida_rdf::{Dictionary, FxHashMap, Graph, TermId};
+use rapida_rdf::{FxHashMap, Graph, TermId};
 use std::collections::BTreeSet;
 
 /// Canonical triplegroup record codec: `subject, n, (p, o) * n`.
@@ -59,8 +59,6 @@ pub struct EcMeta {
 /// The triplegroup store catalog.
 #[derive(Clone)]
 pub struct TgStore {
-    /// Shared dictionary.
-    pub dict: Dictionary,
     classes: Vec<EcMeta>,
 }
 
@@ -68,7 +66,6 @@ impl TgStore {
     /// Build the store from a graph, writing one dataset per equivalence
     /// class into `dfs`. `split_bytes` is the target input-split size.
     pub fn load(graph: &Graph, dfs: &SimDfs, split_bytes: usize) -> TgStore {
-        let dict = graph.dict.clone();
         // Group triples by subject.
         let mut by_subject: FxHashMap<u64, Vec<(u64, u64)>> = FxHashMap::default();
         for t in &graph.triples {
@@ -115,7 +112,7 @@ impl TgStore {
         // dataset names are unique (one per property-set equivalence
         // class), so no equal elements exist for stability to order.
         classes.sort_unstable_by(|a, b| a.dataset.cmp(&b.dataset));
-        TgStore { dict, classes }
+        TgStore { classes }
     }
 
     /// All equivalence classes.
@@ -243,7 +240,7 @@ mod tests {
             let ds = dfs.peek(&ec.dataset).unwrap();
             for rec in ds.iter_records() {
                 let (s, pairs) = decode_tg(rec).unwrap();
-                assert!(g.dict.lexical(TermId(s)).contains("prod"));
+                assert!(g.dict.lexical(TermId(s)).is_some_and(|l| l.contains("prod")));
                 assert!(!pairs.is_empty());
                 let feature = g.dict.lookup(&iri("feature")).unwrap().0;
                 if pairs.iter().filter(|(p, _)| *p == feature).count() == 2 {

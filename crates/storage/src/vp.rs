@@ -18,7 +18,7 @@
 //! row for each (base, partner, kind) candidate.
 
 use crate::segment::encode_segment;
-use rapida_rdf::{vocab, Dictionary, FxHashMap, Graph, Term, TermId};
+use rapida_rdf::{vocab, FxHashMap, Graph, Term, TermId};
 use rapida_mapred::{Dataset, DatasetWriter, SimDfs};
 use std::fmt;
 
@@ -105,8 +105,6 @@ pub struct ExtVpMeta {
 /// this struct holds the catalog.
 #[derive(Clone)]
 pub struct VpStore {
-    /// The dictionary shared with the source graph.
-    pub dict: Dictionary,
     tables: FxHashMap<VpKey, VpTableMeta>,
     /// ExtVP reductions, sorted by `(base, kind, partner)` for binary-search
     /// lookup (plan choice must not depend on hash order).
@@ -134,7 +132,7 @@ impl VpStore {
         segment_rows: usize,
         extvp_threshold: Option<f64>,
     ) -> VpStore {
-        let dict = graph.dict.clone();
+        let dict = &graph.dict;
         let rdf_type = dict.lookup(&Term::iri(vocab::RDF_TYPE));
         let mut groups: FxHashMap<VpKey, Vec<(u64, u64)>> = FxHashMap::default();
         for t in &graph.triples {
@@ -247,7 +245,7 @@ impl VpStore {
             }
             ext.sort_unstable_by_key(|e| (e.base, e.kind, e.partner));
         }
-        VpStore { dict, tables, ext }
+        VpStore { tables, ext }
     }
 
     /// Table metadata, if the table exists (absent tables mean no triples
@@ -398,7 +396,7 @@ mod tests {
     #[test]
     fn missing_table_reads_empty() {
         let (g, dfs, store) = sample();
-        let nosuch = g.dict.intern(&iri("nosuch"));
+        let nosuch = TermId(g.dict.len() as u64);
         assert!(store.read_table(&dfs, VpKey::Prop(nosuch)).is_empty());
     }
 

@@ -16,6 +16,7 @@ use rapida_rdf::{vocab, Graph, Term, TermId};
 use rapida_storage::{encode_segment, ExtVpKind, ExtVpMeta, VpKey, VpStore, VpTableMeta};
 use rapida_testkit::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The reference load: base tables plus ExtVP reductions, each candidate
 /// filtered row by row with a binary search of the partner's sorted,
@@ -192,7 +193,7 @@ fn random_graph(triples: &[(u64, u64, u64, bool)], gap: usize) -> Graph {
     let node = |i: u64| Term::iri(format!("http://x/n{i}"));
     for (i, &(s, p, o, literal)) in triples.iter().enumerate() {
         for j in 0..gap {
-            g.dict.intern(&Term::iri(format!("http://x/filler{i}_{j}")));
+            Arc::make_mut(&mut g.dict).intern(&Term::iri(format!("http://x/filler{i}_{j}")));
         }
         let (p, o) = if p == 0 {
             (Term::iri(vocab::RDF_TYPE), Term::iri(format!("http://x/Class{}", o % 3)))

@@ -36,7 +36,7 @@ fn main() {
     });
     for row in rows.iter().take(5) {
         let cid = match row[cid_col] {
-            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id),
+            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id).unwrap_or_default(),
             _ => continue,
         };
         println!(
@@ -66,7 +66,7 @@ fn main() {
     let cg = result.col(&Var::new("aPerCG")).unwrap();
     let ct = result.col(&Var::new("aPerC")).unwrap();
     let cid_col = result.col(&Var::new("cid")).unwrap();
-    let mut top: std::collections::HashMap<String, f64> = Default::default();
+    let mut top: std::collections::HashMap<&str, f64> = Default::default();
     for row in &result.rows {
         let (Some(per_cg), Some(per_c)) =
             (row[cg].as_num(&cat.dict), row[ct].as_num(&cat.dict))
@@ -77,7 +77,7 @@ fn main() {
             continue;
         }
         let cid = match row[cid_col] {
-            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id),
+            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id).unwrap_or_default(),
             _ => continue,
         };
         let share = per_cg / per_c;

@@ -49,7 +49,7 @@ fn main() {
     let (cf, cc) = (col("f"), col("c"));
     let (sum_f, cnt_f) = (col("sumF"), col("cntF"));
     let (sum_t, cnt_t) = (col("sumT"), col("cntT"));
-    let mut best: std::collections::HashMap<String, (String, f64)> = Default::default();
+    let mut best: std::collections::HashMap<&str, (&str, f64)> = Default::default();
     for row in &result.rows {
         let (Some(sf), Some(nf), Some(st), Some(nt)) = (
             row[sum_f].as_num(&cat.dict),
@@ -64,24 +64,24 @@ fn main() {
         }
         let ratio = (sf / nf) / (st / nt);
         let country = match row[cc] {
-            Cell::Term(id) => cat.dict.lexical(id),
+            Cell::Term(id) => cat.dict.lexical(id).unwrap_or_default(),
             _ => continue,
         };
         let feature = match row[cf] {
-            Cell::Term(id) => cat.dict.lexical(id),
+            Cell::Term(id) => cat.dict.lexical(id).unwrap_or_default(),
             _ => continue,
         };
-        let entry = best.entry(country).or_insert((feature.clone(), ratio));
+        let entry = best.entry(country).or_insert((feature, ratio));
         if ratio > entry.1 {
             *entry = (feature, ratio);
         }
     }
     println!("\nAQ1: feature with the highest price ratio per country");
     let mut countries: Vec<_> = best.into_iter().collect();
-    countries.sort_by(|a, b| a.0.cmp(&b.0));
+    countries.sort_by(|a, b| a.0.cmp(b.0));
     for (country, (feature, ratio)) in countries {
-        let c = country.rsplit('/').next().unwrap_or(&country);
-        let f = feature.rsplit('/').next().unwrap_or(&feature);
+        let c = country.rsplit('/').next().unwrap_or(country);
+        let f = feature.rsplit('/').next().unwrap_or(feature);
         println!("  {c:<12} {f:<12} ratio {ratio:.3}");
     }
 }

@@ -35,12 +35,12 @@ fn main() {
     });
     for row in &rows {
         let country = match row[c_col] {
-            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id),
+            rapida::sparql::Cell::Term(id) => cat.dict.lexical(id).unwrap_or_default(),
             _ => continue,
         };
         let share = row[cnt_c].as_num(&cat.dict).unwrap_or(0.0)
             / row[cnt_t].as_num(&cat.dict).unwrap_or(1.0);
-        let c = country.rsplit('/').next().unwrap_or(&country);
+        let c = country.rsplit('/').next().unwrap_or(country);
         println!("  {c:<12} {:5.1}% of all grants", share * 100.0);
     }
 

@@ -2,7 +2,11 @@
 # Tier-1 verification: everything must pass with no network access.
 #
 #   build (release)  ->  full workspace test suite  ->  runs with larger
-#   test knobs  ->  perfbench oracles  ->  serving CLI  ->  bench smoke
+#   test knobs  ->  perfbench oracles  ->  serving CLI  ->  examples  ->
+#   bench smoke
+#
+# `cargo test` only compiles the examples; they are run here, since each
+# reads the dictionary the way a user of the library would.
 #
 # The root manifest's `default-members` makes `cargo test` run every crate's
 # suite, so no test is re-run here by name; the only repeated runs are the
@@ -47,6 +51,11 @@ RAPIDA_SERVE_ROUNDS=2 RAPIDA_CHAOS_SEEDS=2 cargo test -q --offline --test serve_
 echo "==> serving CLI smoke (2 clients, 2 batching windows, both modes)"
 ./target/release/rapida serve --clients 2 --duration-ms 150 --window-ms 100 --seed 7 > /dev/null
 ./target/release/rapida serve --mode serial --clients 2 --duration-ms 150 --window-ms 100 --seed 7 > /dev/null
+
+echo "==> examples (each runs to completion)"
+for example in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "==> bench smoke (1 iteration per benchmark)"
 # Absolute path: bench binaries run with cwd = crates/bench, where a

@@ -41,7 +41,8 @@ const ORACLE: &str = "the logical NTGA operators are the spec oracle in `crates/
 const FLOORS: &str = "report floors are Rust: `crates/bench/tests/floors.rs`, and each timing bench checks its own";
 const TERM_HASH: &str = "term strings hash with std's SipHash; FxHash is for ids";
 const ONE_ARENA: &str = "the dictionary stores each term once, as a key in one arena, indexed by a table of ids";
-const ONE_COPY: &str = "`Dictionary::lexical_forms`: every lexical form in one buffer, copied once from the arena";
+const ONE_COPY: &str = "`Dictionary::lexical`: a form borrowed from the dictionary's one arena, never copied out";
+const FROZEN: &str = "one read-only `Arc<Dictionary>` after load, read by every operator with no lock and no copy";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -82,6 +83,14 @@ const GUARDS: &[Guard] = &[
     guard("HashMap<Term", true, SRC, ONE_ARENA),
     guard("fn intern_batch", true, SRC, ONE_ARENA),
     guard("fn lexical_snapshot", true, SRC, ONE_COPY),
+    guard("fn lexical_forms", true, SRC, ONE_COPY),
+    guard("LexicalForms", true, SRC, ONE_COPY),
+    guard("RwLock", true, &["crates/rdf/src"], FROZEN),
+    guard("fn numeric_snapshot", true, SRC, FROZEN),
+    guard("NumericSnapshot", true, SRC, FROZEN),
+    guard("LexicalSnapshot", true, SRC, FROZEN),
+    guard("GraphStats", true, SRC, FROZEN),
+    guard("fn with_dict", true, SRC, FROZEN),
     Guard {
         pattern: "iter_custom",
         word: false,
