@@ -6,9 +6,30 @@
 //! gives each worker its own deque, seeded with a contiguous chunk of the
 //! task list; a worker drains its own deque from the front and, when empty,
 //! steals the back half of a victim's deque — the classic Cilk/Chase-Lev
-//! shape, built here on `std::thread::scope` and plain `Mutex<VecDeque>`
-//! (contention is per-victim and steals are rare, so the simple lock is
-//! cheaper than an atomic deque would be to maintain).
+//! shape, built here on plain `Mutex<VecDeque>` (contention is per-victim
+//! and steals are rare, so the simple lock is cheaper than an atomic deque
+//! would be to maintain).
+//!
+//! ## Parked helpers
+//!
+//! A phase does not start threads. The process keeps a stack of parked
+//! helper threads; a phase of `threads = min(workers, tasks) ≥ 2` offers
+//! itself to at most `threads − 1` of them, and the caller runs slot 0 on
+//! its own thread. A woken helper claims the next free slot and runs that
+//! slot's loop — its own deque, then steals — exactly as a spawned worker
+//! did; a slot no helper claims is drained by the others' steals, so a
+//! phase finishes even with no helper at all, and a task may itself run a
+//! phase (nesting cannot deadlock). Helpers are spawned only when fewer are
+//! parked than a phase asks for, and never exit, so concurrent callers and
+//! nested phases run on as many threads as before while a sequence of
+//! phases reuses the same few. A phase thus pays a wake-up per helper, not a
+//! thread start and join per worker.
+//!
+//! `run_tasks` returns only after every helper that claimed a slot has left
+//! it, and after it has taken back every offer no helper took, so the phase
+//! closure may borrow the caller's stack. A panicking task is caught on
+//! whichever slot ran it and re-raised in the caller, with its payload,
+//! once every slot is left; the helper survives and serves later phases.
 //!
 //! ## Determinism
 //!
@@ -27,15 +48,17 @@
 //! work, which is what the scaling benchmark reports (see
 //! `crates/bench/benches/scale.rs`).
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// What one pool invocation observed about itself.
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
     /// Per-worker CPU nanoseconds spent inside task bodies: one entry per
-    /// requested worker, zero for a worker the phase gave no thread.
+    /// requested worker, zero for a worker whose slot no thread ran.
     pub busy_ns: Vec<u64>,
     /// Tasks moved between worker deques by steals.
     pub steals: u64,
@@ -91,20 +114,24 @@ pub fn thread_cpu_ns() -> u64 {
     BASE.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Run `tasks` across `workers` work-stealing threads and return each
-/// task's result, sorted by task index, plus the pool's stats.
+/// Run `tasks` across `workers` work-stealing slots and return each task's
+/// result, sorted by task index, plus the pool's stats.
 ///
 /// `f` is called as `f(task_index, task)`. Results are independent of
 /// worker count and scheduling: the output vector is always in task order.
 ///
-/// The pool spawns at most one thread per task — `min(workers, tasks)` —
-/// since a thread with nothing seeded could only steal. One thread needs no
-/// pool at all: with one worker, or a phase of one task, the tasks run in
-/// index order on the caller's thread and nothing is spawned, so a 1-worker
-/// engine — one dry-run candidate of the plan enumerator, or any engine on a
-/// 1-core host — and a single-split job pay no thread start or join per
-/// phase. [`PoolStats::busy_ns`] keeps one entry per requested worker either
-/// way; a worker that got no thread reports zero.
+/// The phase has at most one slot per task — `min(workers, tasks)` — since a
+/// slot seeded with nothing could only steal. The caller runs slot 0 and
+/// parked helpers claim the others (module doc). One slot needs no pool at
+/// all: with one worker, or a phase of one task, the tasks run in index
+/// order on the caller's thread and no helper is woken, so a 1-worker engine
+/// — one dry-run candidate of the plan enumerator, or any engine on a 1-core
+/// host — and a single-split job pay no hand-off per phase.
+/// [`PoolStats::busy_ns`] keeps one entry per requested worker either way; a
+/// worker whose slot nothing ran reports zero.
+///
+/// A panic in `f` is re-raised here, with its payload, after every slot of
+/// the phase has been left.
 pub fn run_tasks<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> (Vec<R>, PoolStats)
 where
     T: Send,
@@ -126,7 +153,7 @@ where
         return (results, PoolStats { busy_ns, steals: 0 });
     }
 
-    // Seed each deque with a contiguous chunk: task i goes to thread
+    // Seed each deque with a contiguous chunk: task i goes to slot
     // i / ceil(n / threads). Contiguous chunks keep the initial assignment
     // aligned with data locality (adjacent splits, adjacent partitions) and
     // make back-half steals grab the work farthest from the victim's
@@ -151,31 +178,53 @@ where
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     let busy: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::with_capacity(threads));
     let queues = &queues;
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let steals = &steals;
-            let results = &results;
-            let busy = &busy;
-            let f = &f;
-            scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                let mut busy_ns = 0u64;
-                loop {
-                    let own = queues[w].lock().expect("queue poisoned").pop_front();
-                    let Some((idx, t)) = own.or_else(|| steal(queues, w, steals)) else {
-                        break;
-                    };
-                    let t0 = thread_cpu_ns();
-                    local.push((idx, f(idx, t)));
-                    busy_ns += thread_cpu_ns().saturating_sub(t0);
-                }
-                results.lock().expect("results poisoned").append(&mut local);
-                busy.lock().expect("busy poisoned").push((w, busy_ns));
-            });
+    let run_slot = |w: usize| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        let mut busy_ns = 0u64;
+        loop {
+            let own = queues[w].lock().expect("queue poisoned").pop_front();
+            let Some((idx, t)) = own.or_else(|| steal(queues, w, &steals)) else {
+                break;
+            };
+            let t0 = thread_cpu_ns();
+            local.push((idx, f(idx, t)));
+            busy_ns += thread_cpu_ns().saturating_sub(t0);
         }
+        results.lock().expect("results poisoned").append(&mut local);
+        busy.lock().expect("busy poisoned").push((w, busy_ns));
+    };
+    let run_slot: &(dyn Fn(usize) + Sync) = &run_slot;
+    // SAFETY: only the lifetime changes; the reference stays valid for as
+    // long as any helper can reach it. Helpers reach it only through
+    // `Phase::claim`, which hands it out under the phase lock and counts the
+    // claimant in `active`. Below, nothing between `wake` and `close` can
+    // unwind out of this function: slot 0 runs under `catch_unwind`, and
+    // `wake`/`close` panic only on poisoned locks, which no code panics
+    // while holding. `close` clears the reference under the phase lock and
+    // returns only when `active` is zero, so when this function returns or
+    // re-raises a panic, no helper holds the reference and none can claim
+    // it again; `run_slot`, and everything it borrows, outlives that point.
+    let work: Work = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Work>(run_slot) };
+    let phase = Arc::new(Phase {
+        state: Mutex::new(PhaseState {
+            work: Some(work),
+            next_slot: 1,
+            active: 0,
+            panic: None,
+        }),
+        left: Condvar::new(),
     });
+    let woken = wake(&phase, threads - 1);
+    let own = panic::catch_unwind(AssertUnwindSafe(|| run_slot(0)));
+    let helper_panic = phase.close(woken);
+    if let Err(payload) = own {
+        panic::resume_unwind(payload);
+    }
+    if let Some(payload) = helper_panic {
+        panic::resume_unwind(payload);
+    }
 
-    let mut indexed = results.into_inner().expect("pool worker panicked");
+    let mut indexed = results.into_inner().expect("results poisoned");
     debug_assert_eq!(indexed.len(), n, "every task must produce one result");
     // Unique task indices: sort_unstable has no equal elements to reorder.
     indexed.sort_unstable_by_key(|(idx, _)| *idx);
@@ -191,6 +240,148 @@ where
             steals: steals.load(Ordering::Relaxed),
         },
     )
+}
+
+/// One phase's slot loop, borrowed from its `run_tasks` call with the
+/// lifetime erased (the SAFETY proof there says why that holds).
+type Work = &'static (dyn Fn(usize) + Sync);
+
+/// A panic payload, carried from the slot that raised it to the caller.
+type Payload = Box<dyn Any + Send>;
+
+/// One phase, as its helpers see it. Shared through an `Arc`, not borrowed
+/// from `run_tasks`: the last helper to leave still holds the phase lock
+/// when it wakes the caller, which may then return.
+struct Phase {
+    state: Mutex<PhaseState>,
+    /// Signalled when the last claimed slot is left.
+    left: Condvar,
+}
+
+struct PhaseState {
+    /// The slot loop; `None` once the caller has closed the phase.
+    work: Option<Work>,
+    /// The slot the next claimant runs; slot 0 is the caller's.
+    next_slot: usize,
+    /// Helpers inside a claimed slot.
+    active: usize,
+    /// The first payload a helper's slot panicked with.
+    panic: Option<Payload>,
+}
+
+const PHASE_LOCK: &str = "phase lock poisoned: no code panics while holding it";
+const OFFER_LOCK: &str = "offer lock poisoned: no code panics while holding it";
+const IDLE_LOCK: &str = "idle stack poisoned: no code panics while holding it";
+
+impl Phase {
+    /// Claim the next slot, unless the phase is closed.
+    fn claim(&self) -> Option<(usize, Work)> {
+        let mut st = self.state.lock().expect(PHASE_LOCK);
+        let work = st.work?;
+        let slot = st.next_slot;
+        st.next_slot += 1;
+        st.active += 1;
+        Some((slot, work))
+    }
+
+    /// Leave a claimed slot, keeping the first panic any slot raised.
+    fn leave(&self, panic: Option<Payload>) {
+        let mut st = self.state.lock().expect(PHASE_LOCK);
+        st.active -= 1;
+        if st.panic.is_none() {
+            st.panic = panic;
+        }
+        if st.active == 0 {
+            self.left.notify_one();
+        }
+    }
+
+    /// The caller's end of the phase: take back each offer in `woken` that
+    /// no helper has taken (re-parking that helper), close the phase so no
+    /// slot can be claimed, and wait until every claimed slot is left.
+    /// Returns the first panic a helper's slot raised.
+    fn close(&self, woken: Vec<Arc<Helper>>) -> Option<Payload> {
+        let untaken: Vec<Arc<Helper>> = woken
+            .into_iter()
+            .filter(|h| h.offer.lock().expect(OFFER_LOCK).take().is_some())
+            .collect();
+        IDLE.lock().expect(IDLE_LOCK).extend(untaken);
+        let mut st = self.state.lock().expect(PHASE_LOCK);
+        st.work = None;
+        while st.active > 0 {
+            st = self.left.wait(st).expect(PHASE_LOCK);
+        }
+        st.panic.take()
+    }
+}
+
+/// A helper thread's mailbox.
+struct Helper {
+    /// The phase this helper was woken for, until it takes the offer or the
+    /// phase's caller takes it back.
+    offer: Mutex<Option<Arc<Phase>>>,
+    wake: Condvar,
+}
+
+/// Parked helpers, the most recently parked last. A phase wakes from the
+/// top, so a run of phases keeps reusing the same few threads.
+static IDLE: Mutex<Vec<Arc<Helper>>> = Mutex::new(Vec::new());
+
+/// Offer `phase` to `k` helpers: parked ones first, spawning the rest.
+/// Returns the helpers offered to. A helper the OS refuses to start is
+/// skipped: its slot is left to the other slots' steals.
+fn wake(phase: &Arc<Phase>, k: usize) -> Vec<Arc<Helper>> {
+    let mut woken = {
+        let mut idle = IDLE.lock().expect(IDLE_LOCK);
+        let from = idle.len().saturating_sub(k);
+        idle.split_off(from)
+    };
+    for h in &woken {
+        *h.offer.lock().expect(OFFER_LOCK) = Some(Arc::clone(phase));
+        h.wake.notify_one();
+    }
+    for _ in woken.len()..k {
+        let h = Arc::new(Helper {
+            offer: Mutex::new(Some(Arc::clone(phase))),
+            wake: Condvar::new(),
+        });
+        let mine = Arc::clone(&h);
+        // Detached on purpose: a helper lives as long as the process and
+        // never unwinds (every slot runs under `catch_unwind`).
+        let spawned = std::thread::Builder::new()
+            .name("rapida-pool".into())
+            .spawn(move || serve(&mine));
+        if spawned.is_ok() {
+            woken.push(h);
+        }
+    }
+    woken
+}
+
+/// A helper's life: wait for an offer, claim a slot of it, run the slot,
+/// park again.
+fn serve(helper: &Arc<Helper>) {
+    loop {
+        let mut offer = helper.offer.lock().expect(OFFER_LOCK);
+        let phase = loop {
+            match offer.take() {
+                Some(phase) => break phase,
+                None => offer = helper.wake.wait(offer).expect(OFFER_LOCK),
+            }
+        };
+        // Claimed under the offer lock, so the caller's take-back in
+        // `Phase::close` finds either an untaken offer or a claimed slot.
+        let claimed = phase.claim();
+        drop(offer);
+        let outcome =
+            claimed.map(|(slot, work)| panic::catch_unwind(AssertUnwindSafe(|| work(slot))));
+        // Parked before leaving the slot: when the caller returns, every
+        // helper it woke is back on the stack for the next phase.
+        IDLE.lock().expect(IDLE_LOCK).push(Arc::clone(helper));
+        if let Some(outcome) = outcome {
+            phase.leave(outcome.err());
+        }
+    }
 }
 
 /// Steal the back half of some victim's deque into worker `w`'s, returning

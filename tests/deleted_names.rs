@@ -43,6 +43,7 @@ const TERM_HASH: &str = "term strings hash with std's SipHash; FxHash is for ids
 const ONE_ARENA: &str = "the dictionary stores each term once, as a key in one arena, indexed by a table of ids";
 const ONE_COPY: &str = "`Dictionary::lexical`: a form borrowed from the dictionary's one arena, never copied out";
 const FROZEN: &str = "one read-only `Arc<Dictionary>` after load, read by every operator with no lock and no copy";
+const PARKED: &str = "pool phases run on parked helpers; the caller is worker 0";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -91,6 +92,7 @@ const GUARDS: &[Guard] = &[
     guard("LexicalSnapshot", true, SRC, FROZEN),
     guard("GraphStats", true, SRC, FROZEN),
     guard("fn with_dict", true, SRC, FROZEN),
+    guard("thread::scope(", false, &["crates/mapred/src"], PARKED),
     Guard {
         pattern: "iter_custom",
         word: false,
