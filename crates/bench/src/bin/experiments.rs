@@ -14,7 +14,7 @@ use rapida_datagen::{
     catalog, generate_bsbm, generate_chem, generate_pubmed, BsbmConfig, ChemConfig, PubmedConfig,
     Workload,
 };
-use rapida_mapred::{ClusterModel, FaultPlan};
+use rapida_mapred::{ClusterModel, FaultPlan, JobMetrics};
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -140,7 +140,7 @@ fn cycles() {
         let row = wb.run_query(&engines, id);
         print!("| {id} |");
         for r in &row {
-            print!(" {} |", r.cycles);
+            print!(" {} |", r.wf.cycles());
         }
         println!(" {expect} |");
     }
@@ -170,11 +170,11 @@ fn chaos() {
                 f.engine,
                 c.sim_seconds,
                 f.sim_seconds,
-                f.task_attempts,
-                f.retried_attempts,
-                f.speculative_attempts,
-                f.wasted_mb,
-                f.backoff_s,
+                f.wf.total(JobMetrics::task_attempts),
+                f.wf.total(|j| j.failed_attempts),
+                f.wf.total(|j| j.speculative_attempts),
+                f.wf.total(|j| j.wasted_output_bytes) as f64 / 1e6,
+                f.wf.total(|j| j.backoff_s),
             );
         }
     }
@@ -230,7 +230,9 @@ fn ablations() {
         let r = wb.run(engine.as_ref(), &q).expect("ablation runs");
         println!(
             "| {label} | {:.0} | {} | {:.2} |",
-            r.sim_seconds, r.cycles, r.shuffle_mb
+            r.sim_seconds,
+            r.wf.cycles(),
+            r.wf.total(|j| j.shuffle_bytes) as f64 / 1e6
         );
     }
 
@@ -251,7 +253,9 @@ fn ablations() {
         let r = rapida_bench::run_sparql(&wb, &engine, "AQ-valid", &q).expect("runs");
         println!(
             "| {label} | {:.1} | {} | {:.4} |",
-            r.sim_seconds, r.cycles, r.materialized_mb
+            r.sim_seconds,
+            r.wf.cycles(),
+            r.wf.total(|j| j.output_bytes) as f64 / 1e6
         );
     }
 }

@@ -11,7 +11,7 @@ use rapida_datagen::{
     generate_bsbm, generate_chem, generate_pubmed, query, BsbmConfig, CatalogQuery, ChemConfig,
     PubmedConfig,
 };
-use rapida_mapred::{ClusterModel, Engine, FaultPlan};
+use rapida_mapred::{ClusterModel, Engine, FaultPlan, JobMetrics, WorkflowMetrics};
 use rapida_sparql::parse_query;
 use std::time::Instant;
 
@@ -44,44 +44,11 @@ pub struct ExperimentResult {
     pub wall_ms: f64,
     /// Simulated cluster seconds under the experiment's [`ClusterModel`].
     pub sim_seconds: f64,
-    /// Total MR cycles.
-    pub cycles: usize,
-    /// Full (shuffling) cycles.
-    pub full_cycles: usize,
-    /// Map-only cycles.
-    pub map_only_cycles: usize,
-    /// Shuffled megabytes (measured).
-    pub shuffle_mb: f64,
-    /// Materialized (DFS-written) megabytes (measured).
-    pub materialized_mb: f64,
     /// Result row count.
     pub rows: usize,
-    /// Total task attempts (map + reduce, incl. retries and speculation).
-    pub task_attempts: u64,
-    /// Attempts killed by injected failures and retried.
-    pub retried_attempts: u64,
-    /// Speculative duplicate attempts launched for stragglers.
-    pub speculative_attempts: u64,
-    /// Straggling tasks observed.
-    pub straggler_tasks: u64,
-    /// Megabytes produced by attempts whose work was discarded.
-    pub wasted_mb: f64,
-    /// Simulated retry backoff, seconds.
-    pub backoff_s: f64,
-    /// Corrupt DFS block copies detected and quarantined on read.
-    pub corrupt_blocks_detected: u64,
-    /// Corrupt shuffle spill runs detected and quarantined at commit.
-    pub corrupt_spills_detected: u64,
-    /// Megabytes re-read from replicas after a checksum mismatch.
-    pub integrity_reread_mb: f64,
-    /// Malformed records skipped (and counted) by operator decode paths.
-    pub corrupt_records_skipped: u64,
-    /// Jobs replayed by workflow-level recovery.
-    pub jobs_replayed: u64,
-    /// Megabytes recomputed by replayed jobs.
-    pub recomputed_mb: f64,
-    /// Checkpoint megabytes verified + read instead of recomputed.
-    pub checkpoint_mb: f64,
+    /// The run's measured workflow: per-job counters and the recovery
+    /// ledger. Reports read every count through it.
+    pub wf: WorkflowMetrics,
 }
 
 /// A prepared workload: catalog + cluster model calibrated to the paper's
@@ -180,34 +147,18 @@ impl Workbench {
         let aq = extract(&parsed)?;
         let plan = engine.plan(&aq, &self.cat)?;
         let start = Instant::now();
-        let (rel, wf) = plan.execute(&self.mr, &aq, &self.cat.dict);
+        let run = plan.try_execute(&self.mr, &aq, &self.cat.dict);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         plan.cleanup(&self.mr.dfs);
         self.mr.dfs.remove(&plan.output_dataset);
+        let (rel, wf) = run?;
         Ok(ExperimentResult {
             query: q.id.to_string(),
             engine: engine.name().to_string(),
             wall_ms,
             sim_seconds: self.model.workflow_time(&wf),
-            cycles: wf.cycles(),
-            full_cycles: wf.full_cycles(),
-            map_only_cycles: wf.map_only_cycles(),
-            shuffle_mb: wf.total_shuffle_bytes() as f64 / 1e6,
-            materialized_mb: wf.total_output_bytes() as f64 / 1e6,
             rows: rel.len(),
-            task_attempts: wf.total_task_attempts(),
-            retried_attempts: wf.total_retried_attempts(),
-            speculative_attempts: wf.total_speculative_attempts(),
-            straggler_tasks: wf.total_straggler_tasks(),
-            wasted_mb: wf.total_wasted_output_bytes() as f64 / 1e6,
-            backoff_s: wf.total_backoff_s(),
-            corrupt_blocks_detected: wf.total_corrupt_blocks_detected(),
-            corrupt_spills_detected: wf.total_corrupt_spills_detected(),
-            integrity_reread_mb: wf.total_integrity_reread_bytes() as f64 / 1e6,
-            corrupt_records_skipped: wf.total_corrupt_records_skipped(),
-            jobs_replayed: wf.recovery.jobs_replayed,
-            recomputed_mb: wf.recovery.recomputed_bytes as f64 / 1e6,
-            checkpoint_mb: wf.recovery.checkpoint_bytes_read as f64 / 1e6,
+            wf,
         })
     }
 
@@ -256,7 +207,9 @@ pub fn render_table(title: &str, results: &[Vec<ExperimentResult>]) -> String {
         for r in row {
             s.push_str(&format!(
                 " {:.0} | {} ({} mo) |",
-                r.sim_seconds, r.cycles, r.map_only_cycles
+                r.sim_seconds,
+                r.wf.cycles(),
+                r.wf.map_only_cycles()
             ));
         }
         s.push_str(&format!(" {} |\n", row[0].rows));
@@ -331,46 +284,36 @@ pub fn results_json(title: &str, results: &[Vec<ExperimentResult>]) -> String {
     json.push_str(&format!("  \"title\": {},\n", esc(title)));
     json.push_str("  \"results\": [\n");
     let flat: Vec<&ExperimentResult> = results.iter().flatten().collect();
+    let mb = |bytes: u64| num(bytes as f64 / 1e6);
     for (i, r) in flat.iter().enumerate() {
-        json.push_str("    {");
-        json.push_str(&format!("\"query\": {}, ", esc(&r.query)));
-        json.push_str(&format!("\"engine\": {}, ", esc(&r.engine)));
-        json.push_str(&format!("\"sim_seconds\": {}, ", num(r.sim_seconds)));
-        json.push_str(&format!("\"cycles\": {}, ", r.cycles));
-        json.push_str(&format!("\"full_cycles\": {}, ", r.full_cycles));
-        json.push_str(&format!("\"map_only_cycles\": {}, ", r.map_only_cycles));
-        json.push_str(&format!("\"shuffle_mb\": {}, ", num(r.shuffle_mb)));
-        json.push_str(&format!("\"materialized_mb\": {}, ", num(r.materialized_mb)));
-        json.push_str(&format!("\"rows\": {}, ", r.rows));
-        json.push_str(&format!("\"task_attempts\": {}, ", r.task_attempts));
-        json.push_str(&format!("\"retried_attempts\": {}, ", r.retried_attempts));
-        json.push_str(&format!(
-            "\"speculative_attempts\": {}, ",
-            r.speculative_attempts
-        ));
-        json.push_str(&format!("\"straggler_tasks\": {}, ", r.straggler_tasks));
-        json.push_str(&format!("\"wasted_mb\": {}, ", num(r.wasted_mb)));
-        json.push_str(&format!("\"backoff_s\": {}, ", num(r.backoff_s)));
-        json.push_str(&format!(
-            "\"corrupt_blocks_detected\": {}, ",
-            r.corrupt_blocks_detected
-        ));
-        json.push_str(&format!(
-            "\"corrupt_spills_detected\": {}, ",
-            r.corrupt_spills_detected
-        ));
-        json.push_str(&format!(
-            "\"integrity_reread_mb\": {}, ",
-            num(r.integrity_reread_mb)
-        ));
-        json.push_str(&format!(
-            "\"corrupt_records_skipped\": {}, ",
-            r.corrupt_records_skipped
-        ));
-        json.push_str(&format!("\"jobs_replayed\": {}, ", r.jobs_replayed));
-        json.push_str(&format!("\"recomputed_mb\": {}, ", num(r.recomputed_mb)));
-        json.push_str(&format!("\"checkpoint_mb\": {}", num(r.checkpoint_mb)));
-        json.push_str(if i + 1 == flat.len() { "}\n" } else { "},\n" });
+        let wf = &r.wf;
+        let fields = [
+            ("query", esc(&r.query)),
+            ("engine", esc(&r.engine)),
+            ("sim_seconds", num(r.sim_seconds)),
+            ("cycles", wf.cycles().to_string()),
+            ("full_cycles", wf.full_cycles().to_string()),
+            ("map_only_cycles", wf.map_only_cycles().to_string()),
+            ("shuffle_mb", mb(wf.total(|j| j.shuffle_bytes))),
+            ("materialized_mb", mb(wf.total(|j| j.output_bytes))),
+            ("rows", r.rows.to_string()),
+            ("task_attempts", wf.total(JobMetrics::task_attempts).to_string()),
+            ("retried_attempts", wf.total(|j| j.failed_attempts).to_string()),
+            ("speculative_attempts", wf.total(|j| j.speculative_attempts).to_string()),
+            ("straggler_tasks", wf.total(|j| j.straggler_tasks).to_string()),
+            ("wasted_mb", mb(wf.total(|j| j.wasted_output_bytes))),
+            ("backoff_s", num(wf.total(|j| j.backoff_s))),
+            ("corrupt_blocks_detected", wf.total(|j| j.corrupt_blocks_detected).to_string()),
+            ("corrupt_spills_detected", wf.total(|j| j.corrupt_spills_detected).to_string()),
+            ("integrity_reread_mb", mb(wf.total(|j| j.integrity_reread_bytes))),
+            ("corrupt_records_skipped", wf.total(|j| j.corrupt_records_skipped).to_string()),
+            ("jobs_replayed", wf.recovery.jobs_replayed.to_string()),
+            ("recomputed_mb", mb(wf.recovery.recomputed_bytes)),
+            ("checkpoint_mb", mb(wf.recovery.checkpoint_bytes_read)),
+        ];
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        json.push_str(&format!("    {{{}}}", body.join(", ")));
+        json.push_str(if i + 1 == flat.len() { "\n" } else { ",\n" });
     }
     json.push_str("  ]\n}\n");
     json
@@ -400,9 +343,10 @@ mod tests {
             .iter()
             .map(|r| (r.engine.as_str(), r))
             .collect();
-        assert!(by["RAPIDAnalytics"].cycles < by["RAPID+ (Naive)"].cycles);
-        assert!(by["RAPID+ (Naive)"].cycles < by["Hive (MQO)"].cycles);
-        assert!(by["Hive (MQO)"].cycles <= by["Hive (Naive)"].cycles);
+        let cycles = |e: &str| by[e].wf.cycles();
+        assert!(cycles("RAPIDAnalytics") < cycles("RAPID+ (Naive)"));
+        assert!(cycles("RAPID+ (Naive)") < cycles("Hive (MQO)"));
+        assert!(cycles("Hive (MQO)") <= cycles("Hive (Naive)"));
         // All engines produced the same number of rows.
         assert!(results.windows(2).all(|w| w[0].rows == w[1].rows));
     }
@@ -421,29 +365,27 @@ mod tests {
         let mut wb = Workbench::bsbm_tiny();
         let engines = all_engines();
         let clean = wb.run_query(&engines, "MG1");
-        assert!(clean.iter().all(|r| r.retried_attempts == 0
-            && r.speculative_attempts == 0
-            && r.task_attempts > 0));
+        let attempts = |r: &ExperimentResult| r.wf.total(JobMetrics::task_attempts);
+        let extra = |r: &ExperimentResult| r.wf.total(|j| j.failed_attempts + j.speculative_attempts);
+        assert!(clean.iter().all(|r| extra(r) == 0 && attempts(r) > 0));
 
         wb.set_faults(Some(FaultPlan::chaotic(0xBEEF)));
         let faulted = wb.run_query(&engines, "MG1");
         for (c, f) in clean.iter().zip(&faulted) {
             assert_eq!(c.rows, f.rows, "{}: rows changed under faults", c.engine);
             assert_eq!(
-                c.shuffle_mb, f.shuffle_mb,
+                c.wf.total(|j| j.shuffle_bytes),
+                f.wf.total(|j| j.shuffle_bytes),
                 "{}: committed shuffle changed under faults",
                 c.engine
             );
             assert!(
-                f.task_attempts >= c.task_attempts,
+                attempts(f) >= attempts(c),
                 "{}: attempts can only grow under faults",
                 c.engine
             );
         }
-        let injected: u64 = faulted
-            .iter()
-            .map(|r| r.retried_attempts + r.speculative_attempts)
-            .sum();
+        let injected: u64 = faulted.iter().map(extra).sum();
         assert!(injected > 0, "chaotic plan injected nothing across engines");
         let total_extra_cost: f64 = faulted
             .iter()
@@ -457,7 +399,7 @@ mod tests {
         // and committed shuffle already asserted unchanged above).
         let detected: u64 = faulted
             .iter()
-            .map(|r| r.corrupt_blocks_detected + r.corrupt_spills_detected)
+            .map(|r| r.wf.total(|j| j.corrupt_blocks_detected + j.corrupt_spills_detected))
             .sum();
         assert!(detected > 0, "chaotic plan corrupted nothing across engines");
 

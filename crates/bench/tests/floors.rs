@@ -23,10 +23,10 @@ fn analytical(id: &str) -> AnalyticalQuery {
 /// measurement the enumerator's dry runs use), with the run's input bytes.
 fn measured(plan: &QueryPlan, aq: &AnalyticalQuery, cat: &DataCatalog, model: &ClusterModel) -> (f64, u64) {
     let mr = Engine::pinned(cat.dfs.clone());
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     plan.cleanup(&cat.dfs);
     cat.dfs.remove(&plan.output_dataset);
-    (model.workflow_time(&wf), wf.total_input_bytes())
+    (model.workflow_time(&wf), wf.total(|j| j.input_bytes))
 }
 
 /// On the Fig. 8(a) workbench (BSBM-500K stand-in, 10-node model) the

@@ -316,10 +316,10 @@ mod tests {
             let plan =
                 demux_member_plan(&fused, m, aq, "Hive (MQO)", &cat.dfs, mr.split_bytes)
                     .expect("member plan");
-            let (rel, _) = plan.execute(&mr, aq, &g.dict);
+            let (rel, _) = plan.try_execute(&mr, aq, &g.dict).expect("plan executes");
 
             let solo = solo_engine.plan(aq, &cat).expect("solo plan");
-            let (srel, _) = solo.execute(&mr, aq, &g.dict);
+            let (srel, _) = solo.try_execute(&mr, aq, &g.dict).expect("plan executes");
             assert_eq!(
                 rel.canonicalized(&g.dict),
                 srel.canonicalized(&g.dict),

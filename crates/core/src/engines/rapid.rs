@@ -881,7 +881,7 @@ mod tests {
             };
             let plan = engine.plan(&aq, &cat).unwrap();
             let mr = rapida_mapred::Engine::pinned(cat.dfs.clone());
-            let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
             plan.cleanup(&cat.dfs);
             cat.dfs.remove(&plan.output_dataset);
             let emitted: u64 = wf.jobs.iter().map(|j| j.map_output_records).sum();

@@ -439,22 +439,6 @@ impl QueryPlan {
         Some(self.without_plan_id(&s))
     }
 
-    /// Execute against an MR engine, returning the result relation and the
-    /// measured workflow metrics.
-    ///
-    /// Delegates to [`QueryPlan::try_execute`]; an exhausted workflow
-    /// recovery budget panics (unreachable for probabilistic fault plans —
-    /// see `rapida_mapred::Engine::try_run_workflow`).
-    pub fn execute(
-        &self,
-        mr: &Engine,
-        aq: &AnalyticalQuery,
-        dict: &Dictionary,
-    ) -> (Relation, WorkflowMetrics) {
-        self.try_execute(mr, aq, dict)
-            .unwrap_or_else(|e| panic!("plan execution exhausted its recovery budget: {e}"))
-    }
-
     /// Execute against an MR engine with workflow-level checkpoint/recovery:
     /// lost jobs resume from the last committed checkpoint, and an exhausted
     /// retry budget degrades to a typed [`WorkflowError`] carrying the
@@ -622,9 +606,9 @@ pub enum PlanError {
     Extract(crate::aquery::ExtractError),
     /// The construct is outside the engine subset.
     Unsupported(String),
-    /// A candidate plan's dry run exhausted its workflow recovery budget
-    /// while the enumerator was pricing it.
-    DryRun(String),
+    /// A workflow exhausted its recovery budget: a plan's execution, or a
+    /// candidate's dry run while the enumerator was pricing it.
+    Workflow(String),
     /// Record `record` (0-based, in dataset order) of an intermediate
     /// dataset the plan consumes does not decode.
     CorruptRecord {
@@ -640,7 +624,7 @@ impl fmt::Display for PlanError {
         match self {
             PlanError::Extract(e) => write!(f, "{e}"),
             PlanError::Unsupported(m) => write!(f, "unsupported by this engine: {m}"),
-            PlanError::DryRun(m) => write!(f, "plan dry run failed: {m}"),
+            PlanError::Workflow(m) => write!(f, "plan workflow failed: {m}"),
             PlanError::CorruptRecord { dataset, record } => {
                 write!(f, "record {record} of dataset {dataset} does not decode")
             }
@@ -658,7 +642,7 @@ impl From<crate::aquery::ExtractError> for PlanError {
 
 impl From<WorkflowError> for PlanError {
     fn from(e: WorkflowError) -> Self {
-        PlanError::DryRun(e.to_string())
+        PlanError::Workflow(e.to_string())
     }
 }
 

@@ -149,18 +149,9 @@ impl GroupingSetsPlan {
     }
 
     /// Execute, assembling the lattice result: columns
-    /// `key_vars… aggregates… ?__set`.
-    ///
-    /// Delegates to [`GroupingSetsPlan::try_execute`]; an exhausted workflow
-    /// recovery budget panics.
-    pub fn execute(&self, mr: &Engine) -> (Relation, WorkflowMetrics) {
-        self.try_execute(mr)
-            .unwrap_or_else(|e| panic!("grouping-sets execution exhausted its recovery budget: {e}"))
-    }
-
-    /// Execute with workflow-level checkpoint/recovery: an exhausted retry
-    /// budget degrades to a typed [`WorkflowError`] carrying the partial
-    /// metrics instead of panicking.
+    /// `key_vars… aggregates… ?__set`. Runs with workflow-level
+    /// checkpoint/recovery: an exhausted retry budget degrades to a typed
+    /// [`WorkflowError`] carrying the partial metrics instead of panicking.
     pub fn try_execute(&self, mr: &Engine) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
         let wf = mr.try_run_workflow(&self.jobs)?;
         let mut vars = self.key_vars.clone();
@@ -259,7 +250,7 @@ mod tests {
         let plan = q.plan(&cat).unwrap();
         // Single-star pattern: exactly ONE cycle for the whole lattice.
         assert_eq!(plan.cycles(), 1);
-        let (rel, _wf) = plan.execute(&mr);
+        let (rel, _wf) = plan.try_execute(&mr).expect("plan executes");
 
         // Compare each level with the reference evaluator.
         let level_queries = [
@@ -330,7 +321,7 @@ mod tests {
         };
         let plan = q.plan(&cat).unwrap();
         assert_eq!(plan.cycles(), 1);
-        let (rel, _) = plan.execute(&mr);
+        let (rel, _) = plan.try_execute(&mr).expect("plan executes");
         // f×c = 6 groups, f = 3, c = 2, ALL = 1.
         assert_eq!(rel.len(), 6 + 3 + 2 + 1);
     }

@@ -67,7 +67,7 @@ fn check_all_engines(g: &Graph, sparql: &str) {
         let plan = e
             .plan(&aq, &cat)
             .unwrap_or_else(|err| panic!("{} failed to plan: {err}", e.name()));
-        let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         let got = rel.canonicalized(&g.dict);
         assert_eq!(
             got,
@@ -351,7 +351,7 @@ fn alpha_pruning_reduces_join_output() {
             ..PlanRules::rapida()
         };
         let plan = engine.plan(&aq, &cat).unwrap();
-        let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         assert_eq!(rel.canonicalized(&g.dict), expected, "pruning={pruning}");
         // The first job is the composite α-join cycle.
         join_outputs.push(wf.jobs[0].output_records);

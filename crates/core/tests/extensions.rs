@@ -3,8 +3,8 @@
 //! cleanup.
 
 use rapida_core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
-use rapida_core::{extract, DataCatalog, QueryEngine};
-use rapida_mapred::{Dataset, DatasetWriter, Engine};
+use rapida_core::{extract, run_query, DataCatalog, PlanError, QueryEngine};
+use rapida_mapred::{Dataset, DatasetWriter, Engine, FaultPlan};
 use rapida_rdf::{vocab, Graph, Term};
 use rapida_sparql::{evaluate, parse_query};
 
@@ -63,7 +63,7 @@ fn three_grouping_blocks() {
         if e.name().starts_with("RAPID+") {
             rp_cycles = plan.cycles();
         }
-        let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         assert_eq!(
             rel.canonicalized(&g.dict),
             expected,
@@ -120,10 +120,10 @@ fn corrupt_records_are_skipped() {
     ];
     for e in &engines {
         let plan = e.plan(&aq, &cat).unwrap();
-        let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         assert_eq!(rel.len(), 3, "{}: three feature groups survive", e.name());
         assert!(
-            wf.total_corrupt_records_skipped() > 0,
+            wf.total(|j| j.corrupt_records_skipped) > 0,
             "{}: skipped garbage records must be counted in the metrics",
             e.name()
         );
@@ -169,7 +169,7 @@ fn cleanup_removes_intermediates_only() {
     let mr = Engine::pinned(cat.dfs.clone());
     let base_names = cat.dfs.names();
     let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-    let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+    let (rel, _) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
     assert!(!rel.is_empty());
     assert!(cat.dfs.names().len() > base_names.len(), "intermediates exist");
     plan.cleanup(&cat.dfs);
@@ -208,9 +208,9 @@ fn shared_scan_reads_less_input() {
 
     // Single-star patterns: the Agg-Join cycle scans raw triplegroups.
     let ra_plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-    let (_, ra_wf) = ra_plan.execute(&mr, &aq, &cat.dict);
+    let (_, ra_wf) = ra_plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
     let rp_plan = RapidPlus::default().plan(&aq, &cat).unwrap();
-    let (_, rp_wf) = rp_plan.execute(&mr, &aq, &cat.dict);
+    let (_, rp_wf) = rp_plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
     let scan_bytes = |wf: &rapida_mapred::WorkflowMetrics| {
         wf.jobs
             .iter()
@@ -256,15 +256,15 @@ fn non_overlapping_single_star_blocks_share_one_cycle() {
     assert_eq!(ra.cycles(), 2, "shared scan collapses the block cycles");
     assert_eq!(rp.cycles(), 3);
 
-    let (ra_rel, ra_wf) = ra.execute(&mr, &aq, &cat.dict);
-    let (rp_rel, rp_wf) = rp.execute(&mr, &aq, &cat.dict);
+    let (ra_rel, ra_wf) = ra.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
+    let (rp_rel, rp_wf) = rp.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
     assert_eq!(ra_rel.canonicalized(&g.dict), expected);
     assert_eq!(rp_rel.canonicalized(&g.dict), expected);
     assert!(
-        ra_wf.total_input_bytes() < rp_wf.total_input_bytes(),
+        ra_wf.total(|j| j.input_bytes) < rp_wf.total(|j| j.input_bytes),
         "one shared scan reads less than two scans: {} vs {}",
-        ra_wf.total_input_bytes(),
-        rp_wf.total_input_bytes()
+        ra_wf.total(|j| j.input_bytes),
+        rp_wf.total(|j| j.input_bytes)
     );
 }
 
@@ -286,9 +286,41 @@ fn execution_is_deterministic() {
     let mut results = Vec::new();
     for _ in 0..3 {
         let plan = RapidAnalytics::default().plan(&aq, &cat).unwrap();
-        let (rel, _) = plan.execute(&mr, &aq, &cat.dict);
+        let (rel, _) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
         results.push(rel.canonicalized(&g.dict));
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);
+}
+
+/// A job killed on more workflow attempts than the retry budget allows makes
+/// `run_query` return the typed workflow error, on every engine, instead of
+/// panicking — and the failed plan leaves nothing behind in the DFS.
+#[test]
+fn run_query_returns_an_exhausted_budget_as_an_error() {
+    let g = sales_graph();
+    let q = "PREFIX ex: <http://x/>
+        SELECT ?f (COUNT(?p) AS ?n) { ?o a ex:Sale ; ex:f ?f ; ex:pc ?p . } GROUP BY ?f";
+    let cat = DataCatalog::load(&g);
+    let mut mr = Engine::pinned(cat.dfs.clone());
+    mr.faults = Some(FaultPlan {
+        abort_job: Some((0, 99)),
+        ..FaultPlan::new(0)
+    });
+    let stored = mr.dfs.names();
+    let engines: [&dyn QueryEngine; 4] = [
+        &HiveNaive::default(),
+        &HiveMqo::default(),
+        &RapidPlus::default(),
+        &RapidAnalytics::default(),
+    ];
+    for engine in engines {
+        let name = engine.name();
+        match run_query(engine, q, &cat, &mr) {
+            Err(PlanError::Workflow(m)) => assert!(m.contains("retry budget"), "{name}: {m}"),
+            Err(e) => panic!("{name}: expected a workflow error, got {e}"),
+            Ok(_) => panic!("{name}: the retry budget absorbed 99 kills"),
+        }
+        assert_eq!(mr.dfs.names(), stored, "{name}: the failed plan left datasets behind");
+    }
 }

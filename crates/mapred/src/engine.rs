@@ -320,11 +320,9 @@ impl Engine {
         let mut resume_at = 0usize;
         let mut first_round = true;
 
-        let assemble = |committed: &[Option<JobMetrics>], recovery: &RecoveryLedger| {
-            let mut wf = WorkflowMetrics::default();
-            wf.jobs = committed.iter().flatten().cloned().collect();
-            wf.recovery = recovery.clone();
-            wf
+        let assemble = |committed: &[Option<JobMetrics>], recovery: &RecoveryLedger| WorkflowMetrics {
+            jobs: committed.iter().flatten().cloned().collect(),
+            recovery: recovery.clone(),
         };
 
         loop {
@@ -386,7 +384,7 @@ impl Engine {
                     recovery.wasted_task_attempts += m.task_attempts();
                     spent += 1;
                     if spent >= budget {
-                        let partial = assemble(&committed, &recovery);
+                        let partial = Box::new(assemble(&committed, &recovery));
                         return Err(if deadline_blown {
                             WorkflowError::DeadlineExhausted {
                                 job: job.name.clone(),
@@ -986,13 +984,13 @@ mod tests {
         };
         let dfs1 = SimDfs::new();
         let (wf1, out1) = run(&dfs1);
-        assert_eq!(wf1.total_scan_cache_misses(), 1);
-        assert_eq!(wf1.total_scan_cache_hits(), 0);
+        assert_eq!(wf1.total(|j| j.scan_cache_misses), 1);
+        assert_eq!(wf1.total(|j| j.scan_cache_hits), 0);
 
         // Second workflow, fresh DFS namespace: the keyed job never runs.
         let dfs2 = SimDfs::new();
         let (wf2, out2) = run(&dfs2);
-        assert_eq!(wf2.total_scan_cache_hits(), 1);
+        assert_eq!(wf2.total(|j| j.scan_cache_hits), 1);
         assert_eq!(wf2.jobs[0].input_records, 0, "hit skips the job body");
         let bytes = |d: &Dataset| {
             d.blocks.iter().map(|b| b.as_ref().to_vec()).collect::<Vec<_>>()

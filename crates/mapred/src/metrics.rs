@@ -4,6 +4,7 @@
 //! genuinely processed — and the inputs to the cluster cost model.
 
 use std::fmt;
+use std::iter::Sum;
 use std::time::Duration;
 
 /// Metrics for one executed MapReduce job.
@@ -276,121 +277,12 @@ impl WorkflowMetrics {
         self.jobs.iter().filter(|j| j.map_only).count()
     }
 
-    /// Total bytes shuffled across all jobs.
-    pub fn total_shuffle_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.shuffle_bytes).sum()
-    }
-
-    /// Total bytes materialized to the DFS across all jobs.
-    pub fn total_output_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.output_bytes).sum()
-    }
-
-    /// Total bytes read from the DFS across all jobs.
-    pub fn total_input_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.input_bytes).sum()
-    }
-
-    /// Total input segments skipped via zone-map pruning across all jobs.
-    pub fn total_segments_skipped(&self) -> u64 {
-        self.jobs.iter().map(|j| j.segments_skipped).sum()
-    }
-
-    /// Total input bytes pruned by zone-map skipping across all jobs.
-    pub fn total_input_bytes_pruned(&self) -> u64 {
-        self.jobs.iter().map(|j| j.input_bytes_pruned).sum()
-    }
-
-    /// Total in-process wall time.
-    pub fn total_wall(&self) -> Duration {
-        self.jobs.iter().map(|j| j.wall).sum()
-    }
-
-    /// Total task attempts across all jobs (map + reduce, incl. retries
-    /// and speculation).
-    pub fn total_task_attempts(&self) -> u64 {
-        self.jobs.iter().map(|j| j.task_attempts()).sum()
-    }
-
-    /// Total attempts killed by injected failures across all jobs.
-    pub fn total_retried_attempts(&self) -> u64 {
-        self.jobs.iter().map(|j| j.failed_attempts).sum()
-    }
-
-    /// Total speculative duplicate attempts across all jobs.
-    pub fn total_speculative_attempts(&self) -> u64 {
-        self.jobs.iter().map(|j| j.speculative_attempts).sum()
-    }
-
-    /// Total straggling tasks observed across all jobs.
-    pub fn total_straggler_tasks(&self) -> u64 {
-        self.jobs.iter().map(|j| j.straggler_tasks).sum()
-    }
-
-    /// Total input records whose processing was discarded (failed or
-    /// superseded attempts) across all jobs.
-    pub fn total_wasted_input_records(&self) -> u64 {
-        self.jobs.iter().map(|j| j.wasted_input_records).sum()
-    }
-
-    /// Total output bytes produced then discarded across all jobs.
-    pub fn total_wasted_output_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.wasted_output_bytes).sum()
-    }
-
-    /// Total simulated retry backoff across all jobs, seconds.
-    pub fn total_backoff_s(&self) -> f64 {
-        self.jobs.iter().map(|j| j.backoff_s).sum()
-    }
-
-    /// Total corrupt DFS block reads detected and quarantined.
-    pub fn total_corrupt_blocks_detected(&self) -> u64 {
-        self.jobs.iter().map(|j| j.corrupt_blocks_detected).sum()
-    }
-
-    /// Total corrupt spill runs detected at the verify-on-commit gate.
-    pub fn total_corrupt_spills_detected(&self) -> u64 {
-        self.jobs.iter().map(|j| j.corrupt_spills_detected).sum()
-    }
-
-    /// Total bytes re-read recovering from quarantined blocks and spills.
-    pub fn total_integrity_reread_bytes(&self) -> u64 {
-        self.jobs.iter().map(|j| j.integrity_reread_bytes).sum()
-    }
-
-    /// Total corruptions that flowed through undetected (checksums off).
-    pub fn total_silent_corruptions(&self) -> u64 {
-        self.jobs.iter().map(|j| j.silent_corruptions).sum()
-    }
-
-    /// Total undecodable records skipped by committed task attempts.
-    pub fn total_corrupt_records_skipped(&self) -> u64 {
-        self.jobs.iter().map(|j| j.corrupt_records_skipped).sum()
-    }
-
-    /// Total busy-time makespan across all jobs (jobs run back to back).
-    pub fn total_busy_makespan_ns(&self) -> u64 {
-        self.jobs.iter().map(|j| j.busy_makespan_ns()).sum()
-    }
-
-    /// Total CPU time in task bodies across all jobs.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.jobs.iter().map(|j| j.busy_total_ns()).sum()
-    }
-
-    /// Total scan-cache hits (jobs short-circuited by the cache).
-    pub fn total_scan_cache_hits(&self) -> u64 {
-        self.jobs.iter().map(|j| j.scan_cache_hits).sum()
-    }
-
-    /// Total scan-cache misses (keyed jobs that had to run).
-    pub fn total_scan_cache_misses(&self) -> u64 {
-        self.jobs.iter().map(|j| j.scan_cache_misses).sum()
-    }
-
-    /// Total scan-cache evictions charged to this workflow's insertions.
-    pub fn total_scan_cache_evictions(&self) -> u64 {
-        self.jobs.iter().map(|j| j.scan_cache_evictions).sum()
+    /// Sum one per-job quantity over every committed job: a counter
+    /// (`wf.total(|j| j.shuffle_bytes)`), a derived count
+    /// (`wf.total(JobMetrics::task_attempts)`) or a time
+    /// (`wf.total(|j| j.wall)`). The one place a workflow total is folded.
+    pub fn total<T: Sum>(&self, f: impl Fn(&JobMetrics) -> T) -> T {
+        self.jobs.iter().map(f).sum()
     }
 }
 
@@ -402,8 +294,8 @@ impl fmt::Display for WorkflowMetrics {
             self.cycles(),
             self.full_cycles(),
             self.map_only_cycles(),
-            self.total_shuffle_bytes(),
-            self.total_output_bytes(),
+            self.total(|j| j.shuffle_bytes),
+            self.total(|j| j.output_bytes),
         )?;
         for j in &self.jobs {
             writeln!(f, "  {j}")?;
@@ -437,8 +329,8 @@ mod tests {
         assert_eq!(wf.cycles(), 2);
         assert_eq!(wf.full_cycles(), 1);
         assert_eq!(wf.map_only_cycles(), 1);
-        assert_eq!(wf.total_shuffle_bytes(), 100);
-        assert_eq!(wf.total_output_bytes(), 50);
+        assert_eq!(wf.total(|j| j.shuffle_bytes), 100);
+        assert_eq!(wf.total(|j| j.output_bytes), 50);
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub enum WorkflowError {
         /// The budget that was exhausted.
         attempts: usize,
         /// Metrics up to the failure: committed jobs + recovery ledger.
-        partial: WorkflowMetrics,
+        partial: Box<WorkflowMetrics>,
     },
     /// The budget ran out on a deadline timeout-kill.
     DeadlineExhausted {
@@ -142,7 +142,7 @@ pub enum WorkflowError {
         /// The limit (simulated seconds) in force at the final kill.
         limit_s: f64,
         /// Metrics up to the failure: committed jobs + recovery ledger.
-        partial: WorkflowMetrics,
+        partial: Box<WorkflowMetrics>,
     },
 }
 
@@ -227,7 +227,7 @@ mod tests {
             job: "j3".into(),
             job_index: 3,
             attempts: 4,
-            partial: WorkflowMetrics::default(),
+            partial: Box::default(),
         };
         assert_eq!(e.job(), "j3");
         assert_eq!(e.partial().jobs.len(), 0);

@@ -12,8 +12,8 @@ mod common;
 
 use rapida_mapred::{
     ClusterModel, Dataset, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory,
-    InputSrc, Job, JobBuilder, KeyLocal, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs,
-    WorkflowMetrics,
+    InputSrc, Job, JobBuilder, JobMetrics, KeyLocal, MapOutput, MapTask, ReduceOutput, ReduceTask,
+    SimDfs, WorkflowMetrics,
 };
 use rapida_testkit::chaos;
 use rapida_testkit::chaos::{ChaosConfig, Scenario};
@@ -259,7 +259,7 @@ chaos! {
     fn workflow_survives_read_corruption(scenario) {
         let (wf, blocks) = run(scenario, FaultPlan::corrupting);
         assert_eq!(
-            wf.total_silent_corruptions(), 0,
+            wf.total(|j| j.silent_corruptions), 0,
             "[{}] corruption slipped past the checksum gate", scenario.label()
         );
         (committed_signature(&wf), blocks)
@@ -426,10 +426,10 @@ fn sharded_reduce_ledger_is_worker_count_independent() {
             let (wf, _) = run_sharded(&s, reduce_chaos_plan);
             assert_eq!(
                 wf.jobs.iter().map(|j| j.extra_attempts()).sum::<u64>(),
-                wf.total_retried_attempts() + wf.total_speculative_attempts(),
+                wf.total(|j| j.failed_attempts + j.speculative_attempts),
                 "seed {seed:#x}: attempt ledger must balance"
             );
-            wf.total_retried_attempts() + wf.total_speculative_attempts()
+            wf.total(|j| j.failed_attempts + j.speculative_attempts)
         };
         assert!(extra > 0, "seed {seed:#x}: reduce chaos injected nothing");
     }
@@ -454,7 +454,7 @@ fn corruption_ledger_is_worker_count_independent_and_detects() {
                 };
                 let (wf, _) = run(&s, FaultPlan::corrupting);
                 assert_eq!(
-                    wf.total_silent_corruptions(),
+                    wf.total(|j| j.silent_corruptions),
                     0,
                     "seed {seed:#x}/{workers}w: silent corruption under checksums"
                 );
@@ -499,10 +499,10 @@ fn faulted_runs_ledger_attempts_and_cost_more() {
         workers: 4,
     };
     let (clean_wf, _) = run(&clean, FaultPlan::chaotic);
-    assert_eq!(clean_wf.total_retried_attempts(), 0);
-    assert_eq!(clean_wf.total_speculative_attempts(), 0);
+    assert_eq!(clean_wf.total(|j| j.failed_attempts), 0);
+    assert_eq!(clean_wf.total(|j| j.speculative_attempts), 0);
     assert_eq!(
-        clean_wf.total_task_attempts(),
+        clean_wf.total(JobMetrics::task_attempts),
         clean_wf
             .jobs
             .iter()
@@ -519,12 +519,12 @@ fn faulted_runs_ledger_attempts_and_cost_more() {
         let (wf, _) = run(&s, FaultPlan::chaotic);
         let extra: u64 = wf.jobs.iter().map(|j| j.extra_attempts()).sum();
         assert!(
-            wf.total_retried_attempts() + wf.total_speculative_attempts() > 0,
+            wf.total(|j| j.failed_attempts + j.speculative_attempts) > 0,
             "seed {seed:#x}: chaotic plan injected nothing"
         );
         assert_eq!(
             extra,
-            wf.total_retried_attempts() + wf.total_speculative_attempts(),
+            wf.total(|j| j.failed_attempts + j.speculative_attempts),
             "attempt ledger must balance"
         );
         assert!(

@@ -147,7 +147,7 @@ fn rerun_reproduces_workflow_metrics_exactly() {
     assert_eq!(a.cycles(), 3);
     assert_eq!(a.map_only_cycles(), 1);
     assert_eq!(a.full_cycles(), 2);
-    assert!(a.total_shuffle_bytes() > 0);
+    assert!(a.total(|j| j.shuffle_bytes) > 0);
 }
 
 #[test]
@@ -211,11 +211,11 @@ fn outputs_bit_identical_across_workers_with_and_without_faults() {
             // Faulted runs must actually have injected something.
             if plan.is_some() {
                 assert!(
-                    wf.total_retried_attempts() + wf.total_speculative_attempts() > 0,
+                    wf.total(|j| j.failed_attempts + j.speculative_attempts) > 0,
                     "fault plan injected nothing"
                 );
             } else {
-                assert_eq!(wf.total_retried_attempts(), 0);
+                assert_eq!(wf.total(|j| j.failed_attempts), 0);
             }
         }
     }

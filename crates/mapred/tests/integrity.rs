@@ -119,8 +119,8 @@ const SEEDS: [u64; 3] = [1, 0xC0FFEE, 0xDEAD_BEEF];
 fn checksums_detect_quarantine_and_preserve_bytes() {
     let model = ClusterModel::nodes10();
     let (golden_wf, golden) = run(None, ResiliencePolicy::default());
-    assert_eq!(golden_wf.total_corrupt_blocks_detected(), 0);
-    assert_eq!(golden_wf.total_silent_corruptions(), 0);
+    assert_eq!(golden_wf.total(|j| j.corrupt_blocks_detected), 0);
+    assert_eq!(golden_wf.total(|j| j.silent_corruptions), 0);
     let golden_cost = model.workflow_time(&golden_wf);
 
     for seed in SEEDS {
@@ -129,16 +129,15 @@ fn checksums_detect_quarantine_and_preserve_bytes() {
             blocks, golden,
             "seed {seed:#x}: corruption leaked into committed output despite checksums"
         );
-        let detected =
-            wf.total_corrupt_blocks_detected() + wf.total_corrupt_spills_detected();
+        let detected = wf.total(|j| j.corrupt_blocks_detected + j.corrupt_spills_detected);
         assert!(detected > 0, "seed {seed:#x}: corrupting plan injected nothing");
         assert_eq!(
-            wf.total_silent_corruptions(),
+            wf.total(|j| j.silent_corruptions),
             0,
             "seed {seed:#x}: corruption slipped past the checksum gate"
         );
         assert!(
-            wf.total_integrity_reread_bytes() > 0,
+            wf.total(|j| j.integrity_reread_bytes) > 0,
             "seed {seed:#x}: detections without replica re-read bytes"
         );
         assert!(
@@ -163,11 +162,11 @@ fn corruption_without_checksums_diverges() {
     for seed in SEEDS {
         let (wf, blocks) = run(Some(FaultPlan::corrupting(seed)), unchecked.clone());
         assert!(
-            wf.total_silent_corruptions() > 0,
+            wf.total(|j| j.silent_corruptions) > 0,
             "seed {seed:#x}: no corruption applied with checksums off"
         );
         assert_eq!(
-            wf.total_corrupt_blocks_detected() + wf.total_corrupt_spills_detected(),
+            wf.total(|j| j.corrupt_blocks_detected + j.corrupt_spills_detected),
             0,
             "seed {seed:#x}: detections ledgered while checksums were off"
         );
@@ -281,9 +280,9 @@ fn a_hit_republished_dataset_reads_like_a_freshly_written_one() {
             "checksums={checksums}: the republished checkpoint did not verify"
         );
         assert_eq!(hit_out, fresh_out);
-        assert_eq!(fresh.total_scan_cache_misses(), 1);
+        assert_eq!(fresh.total(|j| j.scan_cache_misses), 1);
         assert_eq!(
-            hit.total_scan_cache_hits(),
+            hit.total(|j| j.scan_cache_hits),
             1,
             "the recovery pass keeps the checkpoint"
         );

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 /// Is the harness in smoke mode (single iteration, no warmup)?
 pub fn smoke_mode() -> bool {
-    std::env::var("RAPIDA_BENCH_SMOKE").map_or(false, |v| v == "1" || v == "true")
+    std::env::var("RAPIDA_BENCH_SMOKE").is_ok_and(|v| v == "1" || v == "true")
 }
 
 /// The top-level harness handle, passed to every bench function.

@@ -57,8 +57,8 @@ fn main() {
     );
     println!(
         "  shuffled {:.2} MB, materialized {:.2} MB",
-        metrics.total_shuffle_bytes() as f64 / 1e6,
-        metrics.total_output_bytes() as f64 / 1e6
+        metrics.total(|j| j.shuffle_bytes) as f64 / 1e6,
+        metrics.total(|j| j.output_bytes) as f64 / 1e6
     );
 
     // Share of each compound's activity concentrated in its top gene: the

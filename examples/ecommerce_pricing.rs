@@ -36,7 +36,7 @@ fn main() {
             "{:<16} {} cycles, {:>8.2} MB shuffled, {} result rows",
             engine.name(),
             metrics.cycles(),
-            metrics.total_shuffle_bytes() as f64 / 1e6,
+            metrics.total(|j| j.shuffle_bytes) as f64 / 1e6,
             result.len()
         );
         last = Some(result);

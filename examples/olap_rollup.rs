@@ -37,11 +37,11 @@ fn main() {
         3,
         plan.cycles()
     );
-    let (rel, wf) = plan.execute(&mr);
+    let (rel, wf) = plan.try_execute(&mr).expect("plan executes");
     println!(
         "{} lattice rows, {:.2} MB shuffled total\n",
         rel.len(),
-        wf.total_shuffle_bytes() as f64 / 1e6
+        wf.total(|j| j.shuffle_bytes) as f64 / 1e6
     );
 
     // Show the roll-up levels.

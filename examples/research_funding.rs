@@ -59,7 +59,7 @@ fn main() {
     let mut ra_mb = 0.0;
     for engine in &engines {
         let (_, metrics, _) = run_query(engine.as_ref(), &q.sparql, &cat, &mr).expect("runs");
-        let mb = metrics.total_output_bytes() as f64 / 1e6;
+        let mb = metrics.total(|j| j.output_bytes) as f64 / 1e6;
         if engine.name().contains("Naive") && engine.name().contains("Hive") {
             naive_mb = mb;
         }

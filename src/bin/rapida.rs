@@ -242,13 +242,19 @@ fn main() -> ExitCode {
                     print!("{}", plan.explain());
                     continue;
                 }
-                let (rel, wf) = plan.execute(&mr, &aq, &cat.dict);
+                let (rel, wf) = match plan.try_execute(&mr, &aq, &cat.dict) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        eprintln!("{}: execution failed: {e}", engine.name());
+                        return ExitCode::FAILURE;
+                    }
+                };
                 eprintln!(
                     "{}: {} rows, {} cycles, {:.2} MB shuffled",
                     engine.name(),
                     rel.len(),
                     wf.cycles(),
-                    wf.total_shuffle_bytes() as f64 / 1e6
+                    wf.total(|j| j.shuffle_bytes) as f64 / 1e6
                 );
                 if engines.len() == 1 {
                     print!("{}", rel.pretty(&cat.dict));

@@ -80,7 +80,7 @@ fn run_one(
     let plan = engine
         .plan(aq, cat)
         .unwrap_or_else(|e| panic!("{} failed to plan: {e}", engine.name()));
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let blocks: Vec<Vec<u8>> = cat
         .dfs
         .get(&plan.output_dataset)
@@ -134,17 +134,16 @@ fn chaos_matrix(
                     s.label()
                 );
                 assert_eq!(
-                    wf.total_silent_corruptions(),
+                    wf.total(|j| j.silent_corruptions),
                     0,
                     "{id}/{}: [{}] corruption slipped past the checksum gate",
                     engine.name(),
                     s.label()
                 );
                 if s.fault_seed.is_some() {
-                    let extra = wf.total_retried_attempts() + wf.total_speculative_attempts();
+                    let extra = wf.total(|j| j.failed_attempts + j.speculative_attempts);
                     injected += extra;
-                    detected += wf.total_corrupt_blocks_detected()
-                        + wf.total_corrupt_spills_detected();
+                    detected += wf.total(|j| j.corrupt_blocks_detected + j.corrupt_spills_detected);
                     // Wasted attempts must be charged: strictly costlier
                     // whenever anything was injected.
                     if extra > 0 {
@@ -156,8 +155,8 @@ fn chaos_matrix(
                         );
                     }
                 } else {
-                    assert_eq!(wf.total_retried_attempts(), 0);
-                    assert_eq!(wf.total_speculative_attempts(), 0);
+                    assert_eq!(wf.total(|j| j.failed_attempts), 0);
+                    assert_eq!(wf.total(|j| j.speculative_attempts), 0);
                 }
             }
             assert!(

@@ -44,6 +44,8 @@ const ONE_ARENA: &str = "the dictionary stores each term once, as a key in one a
 const ONE_COPY: &str = "`Dictionary::lexical`: a form borrowed from the dictionary's one arena, never copied out";
 const FROZEN: &str = "one read-only `Arc<Dictionary>` after load, read by every operator with no lock and no copy";
 const PARKED: &str = "pool phases run on parked helpers; the caller is worker 0";
+const ONE_FOLD: &str = "one fold, `WorkflowMetrics::total`, sums every per-job quantity; reports read `ExperimentResult::wf`";
+const TYPED_RUNS: &str = "`try_execute` returns the workflow's typed error; `PlanError::Workflow` carries it";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -93,6 +95,21 @@ const GUARDS: &[Guard] = &[
     guard("GraphStats", true, SRC, FROZEN),
     guard("fn with_dict", true, SRC, FROZEN),
     guard("thread::scope(", false, &["crates/mapred/src"], PARKED),
+    Guard {
+        pattern: "fn total_",
+        word: false,
+        scope: &["crates/mapred/src"],
+        // `PoolStats::total_busy_ns` and `Dataset::total_bytes` are not
+        // workflow summers.
+        allowed: &["crates/mapred/src/pool.rs", "crates/mapred/src/dfs.rs"],
+        replaced_by: ONE_FOLD,
+    },
+    // The JSON key "retried_attempts" stays; a field or method of that name
+    // (declared, filled or called) does not come back.
+    guard("retried_attempts:", false, SRC_BENCH_SCRIPTS, ONE_FOLD),
+    guard("retried_attempts(", false, SRC_BENCH_SCRIPTS, ONE_FOLD),
+    guard("fn execute(", false, &["crates/core/src"], TYPED_RUNS),
+    guard("DryRun(", false, SRC, TYPED_RUNS),
     Guard {
         pattern: "iter_custom",
         word: false,
@@ -183,6 +200,10 @@ fn the_matcher_finds_whole_words_and_substrings() {
     assert!(!holds("FxHashMap<TermId, usize>", "FxHashMap<Term", true));
     assert!(holds("type TermIndex = HashMap<Term, TermId>;", "HashMap<Term", true));
     assert!(!holds("index: FxHashMap<Term, TermId>,", "HashMap<Term", true));
+    assert!(holds("    pub retried_attempts: u64,", "retried_attempts:", false));
+    assert!(holds("wf.total_retried_attempts()", "retried_attempts(", false));
+    assert!(!holds("(\"retried_attempts\", n.to_string()),", "retried_attempts:", false));
+    assert!(!holds("{\"retried_attempts\": 8, ", "retried_attempts:", false));
     // Every guarded directory exists: a misspelt scope would guard nothing.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(expand(root, "crates/*/src").len() >= 9);

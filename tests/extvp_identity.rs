@@ -57,7 +57,7 @@ fn run_one(
         .plan(aq, cat)
         .unwrap_or_else(|e| panic!("{} failed to plan: {e}", engine.name()));
     let cycles = plan.cycles();
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let blocks: Vec<Vec<u8>> = cat
         .dfs
         .get(&plan.output_dataset)
@@ -107,8 +107,8 @@ fn identity_matrix(on: &DataCatalog, off: &DataCatalog, ids: &[&'static str]) ->
                 engine.name()
             );
             // Never-worse: reductions and subject gates only remove work.
-            let (in_on, in_off) = (wf.total_input_bytes(), base_wf.total_input_bytes());
-            let (sh_on, sh_off) = (wf.total_shuffle_bytes(), base_wf.total_shuffle_bytes());
+            let (in_on, in_off) = (wf.total(|j| j.input_bytes), base_wf.total(|j| j.input_bytes));
+            let (sh_on, sh_off) = (wf.total(|j| j.shuffle_bytes), base_wf.total(|j| j.shuffle_bytes));
             assert!(
                 in_on <= in_off,
                 "{id}/{}: ExtVP read more ({in_on} > {in_off} input bytes)",
@@ -186,7 +186,7 @@ fn extvp_plans_survive_chaos_byte_identically() {
                 "MG2/{}: faulted ExtVP run diverged from the full-scan golden",
                 engine.name()
             );
-            injected += wf.total_retried_attempts() + wf.total_speculative_attempts();
+            injected += wf.total(|j| j.failed_attempts + j.speculative_attempts);
         }
     }
     assert!(

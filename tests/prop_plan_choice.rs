@@ -126,7 +126,7 @@ fn run_fixed(
 ) -> (f64, Vec<String>) {
     let mr = MrEngine::pinned(cat.dfs.clone());
     let plan = engine.plan(aq, cat).unwrap();
-    let (rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let cost = model.workflow_time(&wf);
     plan.cleanup(&cat.dfs);
     cat.dfs.remove(&plan.output_dataset);
@@ -180,7 +180,8 @@ proptest! {
             prop_assert!(e.measured_s.is_finite());
 
             let mr = MrEngine::pinned(cat.dfs.clone());
-            let (chosen_rel, chosen_wf) = e.plan.execute(&mr, &aq, &cat.dict);
+            let (chosen_rel, chosen_wf) =
+                e.plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
             let chosen_cost = model.workflow_time(&chosen_wf);
             let chosen_canon = chosen_rel.canonicalized(&cat.dict);
             e.plan.cleanup(&cat.dfs);

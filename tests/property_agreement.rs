@@ -135,7 +135,7 @@ proptest! {
         ];
         for e in &engines {
             let plan = e.plan(&aq, &cat).unwrap();
-            let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+            let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
             prop_assert_eq!(
                 rel.canonicalized(&g.dict),
                 expected.clone(),
@@ -181,7 +181,7 @@ proptest! {
                     if !seen.insert(plan.fingerprint().expect("every job is signed")) {
                         continue;
                     }
-                    let (rel, _wf) = plan.execute(&mr, &aq, &cat.dict);
+                    let (rel, _wf) = plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
                     prop_assert_eq!(rel.canonicalized(&g.dict), expected.clone(), "{:?}", rules);
                 }
             }

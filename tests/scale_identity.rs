@@ -65,7 +65,7 @@ fn run_one(
     let plan = engine
         .plan(aq, cat)
         .unwrap_or_else(|e| panic!("{} failed to plan: {e}", engine.name()));
-    let (_rel, wf) = plan.execute(&mr, aq, &cat.dict);
+    let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let blocks: Vec<Vec<u8>> = cat
         .dfs
         .get(&plan.output_dataset)
@@ -108,8 +108,8 @@ fn scale_matrix(cat: &DataCatalog, ids: &[&str]) {
                     engine.name()
                 );
                 // Fault-free: the attempt ledger stays at one per task.
-                assert_eq!(wf.total_retried_attempts(), 0);
-                assert_eq!(wf.total_speculative_attempts(), 0);
+                assert_eq!(wf.total(|j| j.failed_attempts), 0);
+                assert_eq!(wf.total(|j| j.speculative_attempts), 0);
             }
         }
     }
