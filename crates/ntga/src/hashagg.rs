@@ -81,7 +81,7 @@ impl AggTable {
                     self.keys.extend_from_slice(key);
                     let slot_off = self.slots.len() as u32;
                     self.slots
-                        .extend(std::iter::repeat(PartialAgg::default()).take(nagg));
+                        .extend(std::iter::repeat_n(PartialAgg::default(), nagg));
                     let idx = self.entries.len();
                     self.entries.push(Entry {
                         hash,

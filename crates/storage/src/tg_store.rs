@@ -71,9 +71,10 @@ impl TgStore {
         for t in &graph.triples {
             by_subject.entry(t.s.0).or_default().push((t.p.0, t.o.0));
         }
-        // Partition subjects by equivalence class.
-        type EcGroups = FxHashMap<BTreeSet<TermId>, Vec<(u64, Vec<(u64, u64)>)>>;
-        let mut by_ec: EcGroups = FxHashMap::default();
+        // Partition subjects by equivalence class: each class's subjects,
+        // with their sorted (predicate, object) pairs.
+        type Members = Vec<(u64, Vec<(u64, u64)>)>;
+        let mut by_ec: FxHashMap<BTreeSet<TermId>, Members> = FxHashMap::default();
         for (s, mut pairs) in by_subject {
             pairs.sort_unstable();
             let ec: BTreeSet<TermId> = pairs.iter().map(|(p, _)| TermId(*p)).collect();
@@ -83,8 +84,7 @@ impl TgStore {
         // Class indexes feed the `tg_ec{i}` dataset names, which appear in
         // compiled plans: assign them in property-set order, never in hash
         // order, so plan dumps are a pure function of the graph.
-        let mut ecs: Vec<(BTreeSet<TermId>, Vec<(u64, Vec<(u64, u64)>)>)> =
-            by_ec.into_iter().collect();
+        let mut ecs: Vec<(BTreeSet<TermId>, Members)> = by_ec.into_iter().collect();
         ecs.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
 
         let mut classes = Vec::with_capacity(ecs.len());

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything must pass with no network access.
 #
-#   build (release)  ->  clippy on mapred  ->  full workspace test suite  ->
-#   runs with larger test knobs  ->  perfbench oracles  ->  serving CLI  ->
-#   examples  ->  bench smoke
+#   build (release)  ->  clippy on serve and the crates under it  ->
+#   full workspace test suite  ->  runs with larger test knobs  ->
+#   perfbench oracles  ->  serving CLI  ->  examples  ->  bench smoke
 #
 # `cargo test` only compiles the examples; they are run here, since each
 # reads the dictionary the way a user of the library would.
@@ -27,8 +27,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo clippy -p rapida-mapred -D warnings (lints mapred and testkit)"
-cargo clippy --offline -q -p rapida-mapred -- -D warnings
+echo "==> cargo clippy -p rapida-serve -D warnings (lints serve, core, ntga, storage, mapred, sparql, rdf, datagen, testkit)"
+cargo clippy --offline -q -p rapida-serve -- -D warnings
 
 echo "==> cargo test --offline (every workspace crate)"
 cargo test -q --offline
