@@ -32,6 +32,13 @@ impl std::error::Error for NtError {}
 
 /// The largest document [`parse_ntriples`] takes: with its decoded text it
 /// must fit 32-bit spans.
+///
+/// It also keeps one document far inside `Graph`'s 32-bit triple
+/// positions: a triple takes at least 7 bytes of text (three 2-byte terms
+/// such as `<>` or `""`, and the `.`), so a document holds under
+/// `MAX_DOCUMENT / 7` ≈ 3.1 × 10⁸ triples, against `u32::MAX` ≈ 4.3 × 10⁹
+/// positions. Only a graph built from many documents or single inserts can
+/// pass `u32::MAX` triples, and it panics there rather than wrap.
 const MAX_DOCUMENT: usize = u32::MAX as usize / 2;
 
 /// Where a term's text lies: `start..end` of the document, or, at offsets
@@ -468,6 +475,13 @@ pub fn write_ntriples(triples: &[TermTriple]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_document_cannot_fill_a_graphs_u32_positions() {
+        let shortest = "<><>\"\".";
+        assert_eq!(parse_ntriples(shortest).map(|d| d.len()), Ok(1), "a 7-byte triple");
+        assert!(MAX_DOCUMENT / shortest.len() < u32::MAX as usize);
+    }
     use crate::term::Term;
 
     /// The one triple of a one-line document.

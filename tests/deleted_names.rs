@@ -48,6 +48,7 @@ const FROZEN: &str = "one read-only `Arc<Dictionary>` after load, read by every 
 const PARKED: &str = "pool phases run on parked helpers; the caller is worker 0";
 const ONE_FOLD: &str = "one fold, `WorkflowMetrics::total`, sums every per-job quantity; reports read `ExperimentResult::wf`";
 const TYPED_RUNS: &str = "`try_execute` returns the workflow's typed error; `PlanError::Workflow` carries it";
+const POSITION_INDEX: &str = "`Graph` dedups through `DedupIndex`, 4-byte positions into `triples`, released after a load";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 
 const GUARDS: &[Guard] = &[
@@ -99,6 +100,7 @@ const GUARDS: &[Guard] = &[
     guard("GraphStats", true, SRC, FROZEN),
     guard("fn with_dict", true, SRC, FROZEN),
     guard("thread::scope(", false, &["crates/mapred/src"], PARKED),
+    guard("HashSet<Triple", false, &["crates/rdf/src"], POSITION_INDEX),
     Guard {
         pattern: "fn total_",
         word: false,
