@@ -194,7 +194,7 @@ fn malformed_values_are_counted_not_dropped() {
     ];
     let want = run(
         &mut ReferenceJoinReduce { cfg: cfg.clone() },
-        &[group.clone()],
+        std::slice::from_ref(&group),
     );
     let got = run(&mut JoinReduceTask::new(cfg), &[group]);
     assert_eq!(got, want);

@@ -175,15 +175,14 @@ pub fn agg_join(
     groups.into_iter().collect()
 }
 
+/// What [`accumulate`] calls per (assignment, aggregation) pair: group
+/// key, aggregate index, numeric value.
+pub type Fold<'a> = dyn FnMut(&[u64], usize, Option<f64>) + 'a;
+
 /// The assignment enumeration of the Agg-Join: calls `fold(group key,
 /// aggregate index, numeric value)` once per (assignment, aggregation)
 /// pair, slot 0 outermost and the last slot fastest.
-pub fn accumulate(
-    tg: &AnnTg,
-    spec: &AggJoinSpec,
-    dict: &Dictionary,
-    fold: &mut dyn FnMut(&[u64], usize, Option<f64>),
-) {
+pub fn accumulate(tg: &AnnTg, spec: &AggJoinSpec, dict: &Dictionary, fold: &mut Fold<'_>) {
     // Value lists per slot. A triplegroup that reached the Agg-Join and
     // passed α has every pattern variable bound (primary presence is
     // enforced by the group filter, secondary presence by α); an empty slot

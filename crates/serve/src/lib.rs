@@ -887,8 +887,10 @@ mod tests {
 
     #[test]
     fn serial_mode_serves_in_arrival_order_without_sharing() {
-        let mut config = ServeConfig::default();
-        config.mode = ServeMode::Serial;
+        let config = ServeConfig {
+            mode: ServeMode::Serial,
+            ..ServeConfig::default()
+        };
         let server = tiny_server(config);
         let events = generate(&TrafficConfig::bsbm_mix(7, 3, 200));
         server.enqueue_traffic(&events);
@@ -915,8 +917,10 @@ mod tests {
             s.drain()
         };
         let serial = {
-            let mut c = ServeConfig::default();
-            c.mode = ServeMode::Serial;
+            let c = ServeConfig {
+                mode: ServeMode::Serial,
+                ..ServeConfig::default()
+            };
             let s = tiny_server(c);
             s.enqueue_traffic(&events);
             s.drain()
@@ -956,8 +960,10 @@ mod tests {
 
     #[test]
     fn deadline_rejections_are_typed_and_total() {
-        let mut config = ServeConfig::default();
-        config.deadline_s = Some(1e-9); // nothing can meet this
+        let config = ServeConfig {
+            deadline_s: Some(1e-9), // nothing can meet this
+            ..ServeConfig::default()
+        };
         let server = tiny_server(config);
         let events = generate(&TrafficConfig::bsbm_mix(5, 2, 150));
         server.enqueue_traffic(&events);
@@ -979,8 +985,10 @@ mod tests {
         let events = generate(&TrafficConfig::bsbm_mix(13, 6, 300));
         let run = |_: usize| {
             // Tiny budget forces evictions, exercising the LRU ledger too.
-            let mut c = ServeConfig::default();
-            c.cache_budget_bytes = 4 << 10;
+            let c = ServeConfig {
+                cache_budget_bytes: 4 << 10,
+                ..ServeConfig::default()
+            };
             let s = tiny_server(c);
             s.enqueue_traffic(&events);
             s.drain()

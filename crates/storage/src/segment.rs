@@ -200,7 +200,7 @@ mod tests {
         // Same multiset of objects, different subject-run layouts: the
         // numeric header bytes must agree (all Some with the same range, or
         // all None) regardless of where the poison lands.
-        let numeric_of = |o: u64| if o % 3 == 0 { None } else { Some(o as f64) };
+        let numeric_of = |o: u64| if o.is_multiple_of(3) { None } else { Some(o as f64) };
         let a: [(u64, u64); 4] = [(1, 1), (2, 3), (3, 5), (4, 7)];
         let b: [(u64, u64); 4] = [(1, 7), (2, 5), (3, 1), (4, 3)];
         let (mut ba, mut bb) = (Vec::new(), Vec::new());

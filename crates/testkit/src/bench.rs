@@ -408,7 +408,7 @@ mod tests {
             .measurement_time(Duration::from_millis(5));
         g.bench_function("fixed", |b| {
             // Report exactly 1 µs per iteration regardless of wall time.
-            b.iter_custom(|iters| Duration::from_micros(iters))
+            b.iter_custom(Duration::from_micros)
         });
         assert_eq!(g.results.len(), 1);
         for &s in &g.results[0].samples_ns {

@@ -39,7 +39,7 @@ proptest! {
         ]
     ) {
         prop_assert!(v % 2 == 0 || v % 3 == 0);
-        prop_assert!(v < 20 || v >= 300);
+        prop_assert!(!(20..300).contains(&v));
     }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything must pass with no network access.
 #
-#   build (release)  ->  clippy on serve and the crates under it  ->
+#   build (release)  ->  clippy on every workspace target  ->
 #   full workspace test suite  ->  runs with larger test knobs  ->
 #   perfbench oracles  ->  serving CLI  ->  examples  ->  bench smoke
 #
@@ -27,8 +27,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo clippy -p rapida-serve -D warnings (lints serve, core, ntga, storage, mapred, sparql, rdf, datagen, testkit)"
-cargo clippy --offline -q -p rapida-serve -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -D warnings (every crate's library, binaries, tests, benches and examples)"
+cargo clippy --offline -q --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --offline (every workspace crate)"
 cargo test -q --offline
