@@ -29,6 +29,10 @@ use rapida_ntga::AggRec;
 /// stars — well before either limit bites, a wider batch stops paying.
 pub const MAX_FUSED_BLOCKS: usize = 24;
 
+/// Target split size of a member's restamped block datasets. They hold
+/// final aggregates, small by construction, so one split usually takes all.
+const RESTAMP_SPLIT_BYTES: usize = 256 * 1024;
+
 /// Partition batch queries into fusion groups, greedily: each query joins
 /// the first existing group whose accumulated blocks still form a valid
 /// composite with it, else starts its own group. Singleton groups mean
@@ -79,28 +83,6 @@ pub struct FusedPlan {
 }
 
 impl FusedPlan {
-    /// Attach scan-cache keys to the shared jobs, by the same contract as
-    /// [`QueryPlan::attach_scan_cache_keys`]: `group_sig` must fold in the
-    /// engine configuration and every member query's canonical signature.
-    pub fn attach_scan_cache_keys(&mut self, group_sig: &str) {
-        for (slot, job) in self.jobs.iter_mut().enumerate() {
-            let name = job.name.replace(&self.plan_id, "«P»");
-            let output = job.output.replace(&self.plan_id, "«P»");
-            let inputs: Vec<String> = job
-                .inputs
-                .iter()
-                .map(|i| match rapida_storage::scan_class(i) {
-                    Some(class) => format!("{i}#{class}"),
-                    None => i.replace(&self.plan_id, "«P»"),
-                })
-                .collect();
-            job.cache_key = Some(format!(
-                "fused|{group_sig}|#{slot}|{name}->{output}<-[{}]",
-                inputs.join(",")
-            ));
-        }
-    }
-
     /// Every dataset the shared jobs write (for post-batch cleanup).
     pub fn intermediate_datasets(&self) -> Vec<String> {
         self.jobs.iter().map(|j| j.output.clone()).collect()
@@ -161,7 +143,6 @@ pub fn demux_member_plan(
     aq: &AnalyticalQuery,
     engine: &'static str,
     dfs: &SimDfs,
-    split_bytes: usize,
 ) -> Result<QueryPlan, PlanError> {
     let qpid = next_plan_id("dm");
     let offset = fused.member_offsets[member];
@@ -170,7 +151,7 @@ pub fn demux_member_plan(
         let combined = offset + local;
         let dest = format!("{qpid}_b{local}");
         let src = &fused.block_datasets[combined];
-        if let Err(e) = restamp(dfs, src, combined as u8, local as u8, &dest, split_bytes) {
+        if let Err(e) = restamp(dfs, src, combined as u8, local as u8, &dest) {
             for ds in &datasets {
                 dfs.remove(ds);
             }
@@ -185,16 +166,9 @@ pub fn demux_member_plan(
 /// member-local block id. Driver-side, like [`crate::plan::AllGroupFixup`]:
 /// the demux moves final aggregates (small by construction), not scans. A
 /// record that does not decode is an error, not a skipped row.
-fn restamp(
-    dfs: &SimDfs,
-    src: &str,
-    from_id: u8,
-    to_id: u8,
-    dest: &str,
-    split_bytes: usize,
-) -> Result<(), PlanError> {
+fn restamp(dfs: &SimDfs, src: &str, from_id: u8, to_id: u8, dest: &str) -> Result<(), PlanError> {
     let ds = dfs.peek(src).unwrap_or_default();
-    let mut w = DatasetWriter::new(split_bytes);
+    let mut w = DatasetWriter::new(RESTAMP_SPLIT_BYTES);
     let mut buf = Vec::new();
     for (record, rec) in ds.iter_records().enumerate() {
         let mut r = AggRec::decode(rec).ok_or_else(|| PlanError::CorruptRecord {
@@ -268,7 +242,7 @@ mod tests {
         let src = &fused.block_datasets[fused.member_offsets[1]];
         let ds = cat.dfs.peek(src).expect("shared block output");
         assert!(ds.records > 0, "nothing to damage");
-        let mut w = DatasetWriter::new(mr.split_bytes);
+        let mut w = DatasetWriter::new(RESTAMP_SPLIT_BYTES);
         for (i, rec) in ds.iter_records().enumerate() {
             w.push(if i == 0 { &rec[..1] } else { rec });
         }
@@ -276,7 +250,7 @@ mod tests {
 
         let before = cat.dfs.names();
         let (aq, engine) = (&members[1], "Hive (MQO)");
-        match demux_member_plan(&fused, 1, aq, engine, &cat.dfs, mr.split_bytes) {
+        match demux_member_plan(&fused, 1, aq, engine, &cat.dfs) {
             Err(PlanError::CorruptRecord { dataset, record }) => {
                 assert_eq!((dataset.as_str(), record), (src.as_str(), 0));
             }
@@ -314,8 +288,7 @@ mod tests {
 
         for (m, aq) in members.iter().enumerate() {
             let plan =
-                demux_member_plan(&fused, m, aq, "Hive (MQO)", &cat.dfs, mr.split_bytes)
-                    .expect("member plan");
+                demux_member_plan(&fused, m, aq, "Hive (MQO)", &cat.dfs).expect("member plan");
             let (rel, _) = plan.try_execute(&mr, aq, &g.dict).expect("plan executes");
 
             let solo = solo_engine.plan(aq, &cat).expect("solo plan");

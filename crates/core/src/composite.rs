@@ -9,7 +9,7 @@
 //! iff the block's own pattern carries it.
 
 use crate::aquery::{ExtractError, GroupingBlock};
-use crate::filters::{compile_block_filters, StarFilter, ValuePred};
+use crate::filters::{compile_block_filters, StarFilter};
 use crate::overlap::graphs_overlap;
 use rapida_sparql::analysis::{PropKey, Role, StarDecomposition};
 use rapida_sparql::ast::TriplePattern;
@@ -317,19 +317,6 @@ impl CompositePattern {
     ) -> Option<rapida_rdf::Term> {
         (0..decs.len()).find_map(|b| self.pattern_of(decs, b, cs, prop)?.o.as_term().cloned())
     }
-}
-
-/// Does a filter predicate act as an equality pin (used by tests and plan
-/// explanations)?
-pub fn is_equality_pred(p: &ValuePred) -> bool {
-    matches!(
-        p,
-        ValuePred::TermCmp { eq: true, .. }
-            | ValuePred::Num {
-                op: rapida_sparql::ast::CmpOp::Eq,
-                ..
-            }
-    )
 }
 
 #[cfg(test)]

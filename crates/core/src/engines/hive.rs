@@ -9,6 +9,7 @@ use crate::catalog::DataCatalog;
 use crate::composite::{CompositePattern, SecondaryProp};
 use crate::engines::rapid::id_pred_of;
 use crate::engines::NUM_REDUCERS;
+use crate::enumerate::coster::CardTag;
 use crate::filters::StarFilter;
 use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryPlan};
 use crate::relops::{
@@ -261,7 +262,7 @@ impl<'a> RelPlanner<'a> {
     fn join_cycle(
         &mut self,
         label: &str,
-        tag: &str,
+        tag: CardTag,
         rels: Vec<Rel>,
         key_var: &Var,
         needed: &BTreeSet<Var>,
@@ -373,12 +374,11 @@ impl<'a> RelPlanner<'a> {
                 smalls: small_cfgs,
                 output_cols,
                 eq_checks: acc_eq,
-                post_preds: vec![],
                 dict: self.cat.dict.clone(),
             });
             JobBuilder::new(format!("{label} [map-join]"))
                 .input(stream.dataset.clone())
-                .sig(cfg.sig())
+                .sig_of(&cfg)
                 .mapper(Arc::new(MapJoinFactory::new(cfg, self.cat.dfs.clone())))
                 .output(out_name.clone())
                 .tag(tag)
@@ -420,10 +420,9 @@ impl<'a> RelPlanner<'a> {
                 inputs,
                 output_cols,
                 eq_checks,
-                post_preds: vec![],
                 dict: self.cat.dict.clone(),
             });
-            let mut b = JobBuilder::new(label.to_string()).sig(cfg.sig());
+            let mut b = JobBuilder::new(label.to_string()).sig_of(&cfg);
             for r in &rels {
                 b = b.input(r.dataset.clone());
             }
@@ -459,7 +458,6 @@ impl<'a> RelPlanner<'a> {
         block: &GroupingBlock,
         block_id: u8,
     ) -> Result<String, PlanError> {
-        let tag = format!("agg b{block_id}");
         self.cycle += 1;
         let out = format!("{}_agg{}", self.prefix, self.cycle);
         let group_cols = block
@@ -496,7 +494,7 @@ impl<'a> RelPlanner<'a> {
         });
         let job = JobBuilder::new(label.to_string())
             .input(rel.dataset.clone())
-            .sig(cfg.sig())
+            .sig_of(&cfg)
             .mapper(Arc::new(FnMapFactory({
                 let c = cfg.clone();
                 move || GroupAggMapTask::new(c.clone())
@@ -507,7 +505,9 @@ impl<'a> RelPlanner<'a> {
             }))))
             .output(out.clone())
             .num_reducers(NUM_REDUCERS)
-            .tag(tag)
+            .tag(CardTag::Agg {
+                block: usize::from(block_id),
+            })
             .build();
         self.jobs.push(job);
         Ok(out)
@@ -563,7 +563,7 @@ impl<'a> RelPlanner<'a> {
             };
             acc = Some(self.join_cycle(
                 &format!("{label}:join {}", edge.var),
-                &format!("join u{unit} k{k}"),
+                CardTag::Join { unit, cycle: k },
                 rels,
                 &edge.var,
                 &cycle_needed,
@@ -613,7 +613,10 @@ impl<'a> RelPlanner<'a> {
                 star_needed.insert(star.subject.clone());
                 self.join_cycle(
                     &format!("Hive b{b}:star {}", star.subject),
-                    &format!("star u{b} s{s}"),
+                    CardTag::Star {
+                        unit: usize::from(b),
+                        star: s,
+                    },
                     rels,
                     &star.subject,
                     &star_needed,
@@ -764,7 +767,7 @@ impl<'a> RelPlanner<'a> {
             } else {
                 self.join_cycle(
                     &format!("HiveMQO:composite-star {}", subjects[cs]),
-                    &format!("star u0 s{cs}"),
+                    CardTag::Star { unit: 0, star: cs },
                     rels,
                     &subjects[cs].clone(),
                     &qopt_needed,
@@ -847,7 +850,7 @@ impl<'a> RelPlanner<'a> {
             });
             let job = JobBuilder::new(format!("HiveMQO:extract b{b}"))
                 .input(qopt.dataset.clone())
-                .sig(dcfg.sig())
+                .sig_of(&dcfg)
                 .mapper(Arc::new(FnMapFactory({
                     let c = dcfg.clone();
                     move || DistinctMapTask::new(c.clone())
@@ -855,7 +858,7 @@ impl<'a> RelPlanner<'a> {
                 .reducer(Arc::new(KeyLocal(FnReduceFactory(|| DistinctReduceTask))))
                 .output(extract_out.clone())
                 .num_reducers(NUM_REDUCERS)
-                .tag(format!("extract b{b}"))
+                .tag(CardTag::Extract { block: b })
                 .build();
             self.jobs.push(job);
 

@@ -7,6 +7,7 @@ use crate::aquery::{resolve_block_var, AnalyticalQuery, BlockVarBinding, Groupin
 use crate::catalog::DataCatalog;
 use crate::composite::{joins_of, CompositeJoin, CompositePattern, EdgeKey};
 use crate::engines::NUM_REDUCERS;
+use crate::enumerate::coster::CardTag;
 use crate::filters::{compile_block_filters, StarFilter, ValuePred};
 use crate::plan::{agg_op_of, finish_plan, next_plan_id, PlanError, QueryPlan};
 use crate::rules::{left_deep_walk, Attach, PlanRules};
@@ -45,7 +46,7 @@ pub(super) fn plan_per_block(
         jobs.push(agg_join_job(
             cat,
             &format!("RAPID+:agg-join b{b}"),
-            &format!("agg b{b}"),
+            CardTag::Agg { block: b },
             vec![spec],
             planner.agg_inputs(joined),
             rules.map_side_agg,
@@ -129,7 +130,7 @@ pub(super) fn plan_composite(
         jobs.push(agg_join_job(
             cat,
             "RAPIDAnalytics:parallel-agg-join",
-            "agg-par",
+            CardTag::AggPar,
             agg_specs,
             planner.agg_inputs(joined),
             rules.map_side_agg,
@@ -144,7 +145,7 @@ pub(super) fn plan_composite(
             jobs.push(agg_join_job(
                 cat,
                 &format!("RAPIDAnalytics:agg-join b{b}"),
-                &format!("agg b{b}"),
+                CardTag::Agg { block: b },
                 vec![spec],
                 planner.agg_inputs(joined.clone()),
                 rules.map_side_agg,
@@ -190,7 +191,7 @@ pub(super) fn plan_shared_single_star(
     let job = agg_join_job(
         cat,
         "RAPIDAnalytics:shared-scan-agg-join",
-        "agg-shared",
+        CardTag::AggShared,
         agg_specs,
         AggInputs {
             inputs,
@@ -290,7 +291,7 @@ impl<'a> TgJoinPlanner<'a> {
             cfg.star_routes.iter().map(|r| (&r.spec, &r.filter)),
         );
         let mut b = JobBuilder::new(format!("{}:tg-join{}", self.prefix, cycle))
-            .sig(format!("tg-join {cfg:?} alpha{:?}", self.conds));
+            .sig_of(&(&cfg, &self.conds));
         for i in inputs {
             b = b.input(i);
         }
@@ -302,7 +303,10 @@ impl<'a> TgJoinPlanner<'a> {
         }))))
         .output(out)
         .num_reducers(NUM_REDUCERS)
-        .tag(format!("join u{} k{}", self.unit, cycle - 1))
+        .tag(CardTag::Join {
+            unit: self.unit,
+            cycle: cycle - 1,
+        })
         .build()
     }
 
@@ -415,7 +419,7 @@ pub(crate) struct AggInputs {
 pub(crate) fn agg_join_job(
     cat: &DataCatalog,
     name: &str,
-    tag: &str,
+    tag: CardTag,
     specs: Vec<AggJoinSpec>,
     AggInputs { inputs, table, raw }: AggInputs,
     map_side_combine: bool,
@@ -431,20 +435,7 @@ pub(crate) fn agg_join_job(
         raw_filters: raw,
         map_side_combine,
     });
-    // Exhaustive, so a new config field cannot be left out; the dictionary
-    // prints by pointer.
-    let AggJoinConfig {
-        specs,
-        dict,
-        inputs: table,
-        raw_filters,
-        map_side_combine,
-    } = &*cfg;
-    let sig = format!(
-        "agg-join {specs:?} raw{raw_filters:?} table{table:?} msc={map_side_combine} d{:p}",
-        Arc::as_ptr(dict)
-    );
-    let mut b = JobBuilder::new(name).sig(sig);
+    let mut b = JobBuilder::new(name).sig_of(&cfg);
     for i in inputs {
         b = b.input(i);
     }

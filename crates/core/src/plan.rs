@@ -3,6 +3,7 @@
 //! output assembly into a [`Relation`].
 
 use crate::aquery::AnalyticalQuery;
+use crate::enumerate::coster::CardTag;
 use crate::rows::{decode_row, row_bytes, RVal};
 use rapida_mapred::codec::BlockBuilder;
 use rapida_mapred::{
@@ -40,7 +41,7 @@ pub enum CellSrc {
 /// Block results are [`AggRec`]s stamped with their block id; several blocks
 /// may share one physical dataset (the RAPID engines' parallel Agg-Join
 /// writes all blocks into a single output), so every read filters on the id.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct FinalJoinCfg {
     /// Per-block result dataset names; block 0 is streamed, the rest are
     /// broadcast (they are small aggregates — the paper's map-only final
@@ -52,19 +53,6 @@ pub struct FinalJoinCfg {
     pub joins: Vec<Vec<(CellSrc, usize)>>,
     /// Output row layout (the outer projection).
     pub output: Vec<CellSrc>,
-}
-
-impl FinalJoinCfg {
-    /// Everything [`FinalJoinFactory`] and [`FinalJoinTask`] read, as text
-    /// (see [`Job::sig`]); exhaustive, so a new field cannot be left out.
-    pub fn sig(&self) -> String {
-        let FinalJoinCfg {
-            datasets,
-            joins,
-            output,
-        } = self;
-        format!("final-join {datasets:?} on{joins:?} out{output:?}")
-    }
 }
 
 type BlockTables = Vec<FxHashMap<Vec<u64>, Vec<AggRec>>>;
@@ -304,20 +292,12 @@ impl QueryPlan {
             self.map_only_cycles()
         );
         for (i, job) in self.jobs.iter().enumerate() {
-            let inputs: Vec<String> = job
-                .inputs
-                .iter()
-                .map(|i| match scan_kind(i) {
-                    Some(kind) => format!("{i} {kind}"),
-                    None => i.clone(),
-                })
-                .collect();
             s.push_str(&format!(
                 "  MR{} [{}] {} <- {}\n",
                 i + 1,
                 if job.is_map_only() { "map-only" } else { "map-reduce" },
                 job.name,
-                inputs.join(", ")
+                render_inputs(job)
             ));
         }
         for f in &self.fixups {
@@ -331,21 +311,11 @@ impl QueryPlan {
                 "  MR{} [map-only] {} <- {}\n",
                 self.jobs.len() + 1,
                 job.name,
-                job.inputs.join(", ")
+                render_inputs(job)
             ));
         }
         s.push_str(&format!("  output: {}\n", self.output_dataset));
         s
-    }
-
-    /// `s` with the per-compilation plan id replaced by `«P»`, so that two
-    /// compilations of one plan read the same.
-    fn without_plan_id(&self, s: &str) -> String {
-        if self.plan_id.is_empty() {
-            s.to_string()
-        } else {
-            s.replace(&self.plan_id, "«P»")
-        }
     }
 
     /// A compact, *stable* textual plan dump: like [`QueryPlan::explain`]
@@ -371,17 +341,9 @@ impl QueryPlan {
             if !job.tag.is_empty() {
                 s.push_str(&format!("  [{}]", job.tag));
             }
-            let inputs: Vec<String> = job
-                .inputs
-                .iter()
-                .map(|i| match scan_kind(i) {
-                    Some(kind) => format!("{i} {kind}"),
-                    None => i.clone(),
-                })
-                .collect();
             s.push_str(&format!(
                 "\n     <- {}\n     -> {}\n",
-                inputs.join(", "),
+                render_inputs(job),
                 job.output
             ));
         }
@@ -399,7 +361,7 @@ impl QueryPlan {
                 OutputKind::AggRecs { .. } => "agg-recs",
             }
         ));
-        self.without_plan_id(&s)
+        without_plan_id(&s, &self.plan_id)
     }
 
     /// What this plan does, as text: every job's operator fingerprint
@@ -436,7 +398,7 @@ impl QueryPlan {
             "{:?} {} {:?}",
             self.fixups, self.output_dataset, self.output
         );
-        Some(self.without_plan_id(&s))
+        Some(without_plan_id(&s, &self.plan_id))
     }
 
     /// Execute against an MR engine with workflow-level checkpoint/recovery:
@@ -470,52 +432,6 @@ impl QueryPlan {
             wf.recovery.absorb(&tail.recovery);
         }
         Ok(wf)
-    }
-
-    /// Attach cross-query scan-cache keys to every job of this plan.
-    ///
-    /// `plan_sig` must uniquely determine the whole compilation: the
-    /// caller folds in the engine name, the full planner configuration,
-    /// and a canonical signature of the analytical query (see
-    /// [`crate::AnalyticalQuery::signature`]). Planning is a pure function
-    /// of those inputs, so every job's output bytes are determined by
-    /// `(plan_sig, job position)` plus the base datasets — and the cache
-    /// is only sound while it is bound to **one** loaded catalog, which is
-    /// the serving layer's contract (one cache per server, one server per
-    /// catalog). The per-compilation plan id is normalized out of names so
-    /// recompilations of the same query share cache entries, including the
-    /// scan-kind-bearing base inputs (`vp_*`, `extvp_*`, `tg_ec*`) the key
-    /// embeds via the normalized input list.
-    pub fn attach_scan_cache_keys(&mut self, plan_sig: &str) {
-        let pid = self.plan_id.clone();
-        let norm = |s: &str| {
-            if pid.is_empty() {
-                s.to_string()
-            } else {
-                s.replace(&pid, "«P»")
-            }
-        };
-        for (slot, job) in self
-            .jobs
-            .iter_mut()
-            .chain(self.final_job.iter_mut())
-            .enumerate()
-        {
-            let inputs: Vec<String> = job
-                .inputs
-                .iter()
-                .map(|i| match rapida_storage::scan_class(i) {
-                    Some(class) => format!("{i}#{class}"),
-                    None => norm(i),
-                })
-                .collect();
-            job.cache_key = Some(format!(
-                "{plan_sig}|#{slot}|{}->{}<-[{}]",
-                norm(&job.name),
-                norm(&job.output),
-                inputs.join(",")
-            ));
-        }
     }
 
     /// Remove the plan's intermediate datasets from the DFS (everything the
@@ -572,12 +488,72 @@ impl QueryPlan {
     }
 }
 
-/// Scan-kind annotation of a plan input dataset, keyed on the storage
-/// layer's naming scheme (see [`rapida_storage::scan_class`]): full VP
+/// `s` with the per-compilation plan id `plan_id` replaced by `«P»`, so
+/// that two compilations of one plan read the same.
+fn without_plan_id(s: &str, plan_id: &str) -> String {
+    if plan_id.is_empty() {
+        s.to_string()
+    } else {
+        s.replace(plan_id, "«P»")
+    }
+}
+
+/// A job's inputs as [`QueryPlan::explain`] and [`QueryPlan::dump`] show
+/// them: each base table with its scan-kind annotation, keyed on the storage
+/// layer's naming scheme (see [`rapida_storage::scan_class`]) — full VP
 /// tables vs ExtVP semi-join reductions. Intermediate datasets
 /// (plan-id-prefixed) and triplegroup partitions get no annotation.
-fn scan_kind(name: &str) -> Option<&'static str> {
-    rapida_storage::scan_class(name).and_then(|c| c.plan_label())
+fn render_inputs(job: &Job) -> String {
+    let inputs: Vec<String> = job
+        .inputs
+        .iter()
+        .map(
+            |i| match rapida_storage::scan_class(i).and_then(|c| c.plan_label()) {
+                Some(kind) => format!("{i} {kind}"),
+                None => i.clone(),
+            },
+        )
+        .collect();
+    inputs.join(", ")
+}
+
+/// Attach cross-query scan-cache keys to `jobs`, compiled under plan id
+/// `plan_id`.
+///
+/// `plan_sig` must uniquely determine the whole compilation: the caller
+/// folds in whether the jobs were compiled alone (`solo|…`) or as a fusion
+/// group's shared jobs (`fused|…`), the engine name, the full planner
+/// configuration, and a canonical signature of every analytical query
+/// compiled (see [`crate::AnalyticalQuery::signature`]). Planning is a pure
+/// function of those inputs, so every job's output bytes are determined by
+/// `(plan_sig, job position)` plus the base datasets — and the cache is only
+/// sound while it is bound to **one** loaded catalog, which is the serving
+/// layer's contract (one cache per server, one server per catalog). The
+/// plan id is normalized out of names so
+/// recompilations of the same query share cache entries, including the
+/// scan-kind-bearing base inputs (`vp_*`, `extvp_*`, `tg_ec*`) the key
+/// embeds via the normalized input list.
+pub fn attach_scan_cache_keys<'j>(
+    jobs: impl IntoIterator<Item = &'j mut Job>,
+    plan_id: &str,
+    plan_sig: &str,
+) {
+    for (slot, job) in jobs.into_iter().enumerate() {
+        let inputs: Vec<String> = job
+            .inputs
+            .iter()
+            .map(|i| match rapida_storage::scan_class(i) {
+                Some(class) => format!("{i}#{class}"),
+                None => without_plan_id(i, plan_id),
+            })
+            .collect();
+        job.cache_key = Some(format!(
+            "{plan_sig}|#{slot}|{}->{}<-[{}]",
+            without_plan_id(&job.name, plan_id),
+            without_plan_id(&job.output, plan_id),
+            inputs.join(",")
+        ));
+    }
 }
 
 fn rval_to_cell(v: &RVal) -> Cell {
@@ -726,10 +702,10 @@ pub fn finish_plan(
     });
     let final_job = rapida_mapred::JobBuilder::new(format!("{engine}:final-join"))
         .input(block_datasets[0].clone())
-        .sig(cfg.sig())
+        .sig_of(&cfg)
         .mapper(Arc::new(FinalJoinFactory::new(cfg, dfs.clone())))
         .output(out_name.clone())
-        .tag("final")
+        .tag(CardTag::Final)
         .build();
     Ok(QueryPlan {
         engine,

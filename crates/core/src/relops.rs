@@ -124,7 +124,7 @@ pub struct JoinInputCfg {
 }
 
 /// Shared config of a reduce-side join cycle.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct JoinCycleCfg {
     /// Inputs aligned with the job's input datasets.
     pub inputs: Vec<JoinInputCfg>,
@@ -132,36 +132,8 @@ pub struct JoinCycleCfg {
     pub output_cols: Vec<(usize, usize)>,
     /// Implicit equality constraints between duplicated variables.
     pub eq_checks: Vec<((usize, usize), (usize, usize))>,
-    /// Predicates applied to the merged output row.
-    pub post_preds: Vec<PredOnCol>,
-    /// The catalog's dictionary, read by the predicates.
+    /// The catalog's dictionary, read by the scan predicates.
     pub dict: Arc<Dictionary>,
-}
-
-/// The catalog's dictionary stands in a [`rapida_mapred::Job::sig`] by
-/// address: one catalog hands every plan the same `Arc`, a loaded
-/// dictionary never changes, and printing it would cost more than the plan.
-fn dict_sig(dict: &Arc<Dictionary>) -> String {
-    format!("d{:p}", Arc::as_ptr(dict))
-}
-
-impl JoinCycleCfg {
-    /// Everything [`JoinMapTask`] and [`JoinReduceTask`] read, as text (see
-    /// [`rapida_mapred::Job::sig`]). The destructuring is exhaustive so that
-    /// a new field cannot be left out.
-    pub fn sig(&self) -> String {
-        let JoinCycleCfg {
-            inputs,
-            output_cols,
-            eq_checks,
-            post_preds,
-            dict,
-        } = self;
-        format!(
-            "join {inputs:?} out{output_cols:?} eq{eq_checks:?} post{post_preds:?} {}",
-            dict_sig(dict)
-        )
-    }
 }
 
 /// ORC-style row-group skipping: can the whole segment be skipped because
@@ -377,12 +349,9 @@ impl ReduceTask for JoinReduceTask {
             if eq_ok {
                 out_row.clear();
                 out_row.extend(cfg.output_cols.iter().map(|&c| cell(selection, c)));
-                let keep = |p: &PredOnCol| p.eval(out_row, &cfg.dict);
-                if cfg.post_preds.iter().all(keep) {
-                    out_buf.clear();
-                    encode_row(out_row, out_buf);
-                    out.write(out_buf);
-                }
+                out_buf.clear();
+                encode_row(out_row, out_buf);
+                out.write(out_buf);
             }
             // Advance the cursor like an odometer, last input fastest.
             let mut i = selection.len();
@@ -420,7 +389,7 @@ pub struct MapJoinSmall {
 
 /// Config of a map-only broadcast-join cycle. The accumulated row is the
 /// stream row followed by each small side's columns, in order.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct MapJoinCfg {
     /// Stream-side scan.
     pub stream: JoinInputCfg,
@@ -430,30 +399,8 @@ pub struct MapJoinCfg {
     pub output_cols: Vec<usize>,
     /// Equality checks between accumulated-row positions.
     pub eq_checks: Vec<(usize, usize)>,
-    /// Predicates on the accumulated row.
-    pub post_preds: Vec<PredOnCol>,
-    /// The catalog's dictionary, read by the predicates.
+    /// The catalog's dictionary, read by the scan predicates.
     pub dict: Arc<Dictionary>,
-}
-
-impl MapJoinCfg {
-    /// Everything [`MapJoinFactory`] and [`MapJoinTask`] read (see
-    /// [`JoinCycleCfg::sig`]); the broadcast sides are read by dataset name.
-    pub fn sig(&self) -> String {
-        let MapJoinCfg {
-            stream,
-            smalls,
-            output_cols,
-            eq_checks,
-            post_preds,
-            dict,
-        } = self;
-        format!(
-            "map-join {stream:?} {smalls:?} out{output_cols:?} eq{eq_checks:?} \
-             post{post_preds:?} {}",
-            dict_sig(dict)
-        )
-    }
 }
 
 /// One broadcast side in memory, flat: every kept row's cells sit back to
@@ -585,14 +532,6 @@ impl MapJoinTask {
                     }
                 }
             }
-            if !self
-                .cfg
-                .post_preds
-                .iter()
-                .all(|p| p.eval(acc, &self.cfg.dict))
-            {
-                return;
-            }
             // Project + encode straight into the output scratch (same bytes
             // as `row_bytes` of the projected row).
             out_buf.clear();
@@ -659,7 +598,7 @@ impl MapTask for MapJoinTask {
 }
 
 /// Config of a group-by aggregation cycle over rows.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct GroupAggCfg {
     /// Block id stamped on output [`AggRec`]s.
     pub block_id: u8,
@@ -677,27 +616,6 @@ pub struct GroupAggCfg {
     /// Map-side hash partial aggregation (Hive's hash-based map
     /// aggregation). Ablation knob.
     pub map_side_combine: bool,
-}
-
-impl GroupAggCfg {
-    /// Everything [`GroupAggMapTask`] and [`GroupAggReduceTask`] read (see
-    /// [`JoinCycleCfg::sig`]).
-    pub fn sig(&self) -> String {
-        let GroupAggCfg {
-            block_id,
-            scan,
-            scan_preds,
-            group_cols,
-            aggs,
-            dict,
-            map_side_combine,
-        } = self;
-        format!(
-            "group-agg b{block_id} {scan:?} {scan_preds:?} by{group_cols:?} {aggs:?} \
-             msc={map_side_combine} {}",
-            dict_sig(dict)
-        )
-    }
 }
 
 /// Map task: partial aggregation keyed by the group values. Combining runs
@@ -883,23 +801,12 @@ impl ReduceTask for GroupAggReduceTask {
 }
 
 /// Config of a distinct-projection cycle (the MQO extraction step).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct DistinctCfg {
     /// Columns to project (in output order).
     pub project_cols: Vec<usize>,
     /// Columns that must be non-null for the row to belong to the pattern.
     pub required_cols: Vec<usize>,
-}
-
-impl DistinctCfg {
-    /// Everything [`DistinctMapTask`] reads (see [`JoinCycleCfg::sig`]).
-    pub fn sig(&self) -> String {
-        let DistinctCfg {
-            project_cols,
-            required_cols,
-        } = self;
-        format!("distinct {project_cols:?} req{required_cols:?}")
-    }
 }
 
 /// Map task: validate, project, map-side dedup, emit row as key. The
@@ -1030,7 +937,6 @@ mod tests {
             ],
             output_cols: vec![(0, 0), (0, 1), (1, 1)],
             eq_checks: vec![],
-            post_preds: vec![],
             dict: Arc::default(),
         });
         let job = JobBuilder::new("join")
@@ -1086,7 +992,6 @@ mod tests {
             ],
             output_cols: vec![(0, 0), (1, 1)],
             eq_checks: vec![],
-            post_preds: vec![],
             dict: Arc::default(),
         });
         let job = JobBuilder::new("leftjoin")
@@ -1145,7 +1050,6 @@ mod tests {
             }],
             output_cols: vec![0, 1, 3],
             eq_checks: vec![],
-            post_preds: vec![],
             dict: Arc::default(),
         });
         let job = JobBuilder::new("mapjoin")
@@ -1396,7 +1300,6 @@ mod tests {
             smalls: vec![],
             output_cols: vec![0],
             eq_checks: vec![],
-            post_preds: vec![],
             dict,
         });
         let job = JobBuilder::new("scanfilter")

@@ -17,6 +17,7 @@
 use crate::aquery::GroupingBlock;
 use crate::catalog::DataCatalog;
 use crate::engines::rapid::{agg_join_job, block_agg_spec, TgJoinPlanner};
+use crate::enumerate::coster::CardTag;
 use crate::plan::{next_plan_id, PlanError};
 use rapida_mapred::{Engine, WorkflowError, WorkflowMetrics};
 use rapida_ntga::{AggRec, AlphaCond};
@@ -126,7 +127,7 @@ impl GroupingSetsQuery {
         jobs.push(agg_join_job(
             cat,
             &format!("grouping-sets x{}", self.sets.len()),
-            "agg-par",
+            CardTag::AggPar,
             agg_specs,
             planner.agg_inputs(joined),
             true,

@@ -64,7 +64,6 @@ fn cfg() -> Arc<JoinCycleCfg> {
         inputs: vec![input(false), input(false), input(true)],
         output_cols: vec![(0, 0), (0, 1), (1, 1), (2, 1)],
         eq_checks: Vec::new(),
-        post_preds: Vec::new(),
         dict: Arc::default(),
     })
 }
@@ -193,7 +192,6 @@ fn map_join_table_allocations_bounded() {
         }],
         output_cols: vec![0, 1, 3],
         eq_checks: Vec::new(),
-        post_preds: Vec::new(),
         dict: Arc::default(),
     });
 

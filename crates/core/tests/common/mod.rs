@@ -146,14 +146,6 @@ impl ReferenceJoinReduce {
             .iter()
             .map(|(i, c)| cell(*i, *c))
             .collect();
-        if !self
-            .cfg
-            .post_preds
-            .iter()
-            .all(|p| eval_pred(p, &row, &self.cfg.dict))
-        {
-            return;
-        }
         out.write(&row_bytes(&row));
     }
 }
@@ -202,10 +194,6 @@ impl ReferenceMapJoin {
                         return;
                     }
                 }
-            }
-            let keep = |p: &PredOnCol| eval_pred(p, acc, &cfg.dict);
-            if !cfg.post_preds.iter().all(keep) {
-                return;
             }
             let row: Vec<RVal> = cfg.output_cols.iter().map(|&c| acc[c]).collect();
             out.write(&row_bytes(&row));

@@ -9,24 +9,22 @@
 
 mod common;
 
-use common::{five_terms, outcomes, value, ReferenceJoinReduce};
+use common::{five_terms, value, ReferenceJoinReduce};
 use rapida_core::relops::{
-    GroupAggCfg, GroupAggReduceTask, IdPred, JoinCycleCfg, JoinInputCfg, JoinReduceTask,
-    PredOnCol, ScanKind,
+    GroupAggCfg, GroupAggReduceTask, JoinCycleCfg, JoinInputCfg, JoinReduceTask, ScanKind,
 };
 use rapida_core::rows::{row_bytes, RVal};
 use rapida_mapred::codec::write_varint;
 use rapida_mapred::{ReduceOutput, ReduceTask};
 use rapida_ntga::{AggOp, AggRec, PartialAgg};
-use rapida_sparql::ast::CmpOp;
 use rapida_testkit::prelude::*;
 use std::sync::Arc;
 
 /// Raw draws for one shuffled value: `(tag, cells, extra width, mangle)`.
 type RawValue = (u8, Vec<u8>, u8, u8);
 
-/// Term ids come from a domain of 5 so `eq_checks` and `IdEq` predicates
-/// both pass and fail often; ids 0..3 carry numeric values 0.0, 10.0, 20.0.
+/// Term ids come from a domain of 5 so `eq_checks` both pass and fail
+/// often; ids 0..3 carry numeric values 0.0, 10.0, 20.0.
 fn cell(raw: u8) -> RVal {
     match raw % 8 {
         0 => RVal::Null,
@@ -35,41 +33,10 @@ fn cell(raw: u8) -> RVal {
     }
 }
 
-fn id_pred(kind: u8, rhs: u8) -> IdPred {
-    match kind % 3 {
-        0 => IdPred::IdEq {
-            eq: rhs.is_multiple_of(2),
-            rhs: u64::from(rhs) % 5,
-        },
-        1 => IdPred::Num {
-            op: CmpOp::Ge,
-            rhs: f64::from(rhs % 3) * 10.0,
-        },
-        _ => IdPred::Num {
-            op: CmpOp::Ne,
-            rhs: 10.0,
-        },
-    }
-}
-
-/// Over the five ids, each kind of predicate the configurations draw
-/// admits some and rejects others.
-#[test]
-fn every_drawn_predicate_kind_reaches_both_outcomes() {
-    let dict = five_terms();
-    for kind in 0..3 {
-        let (admitted, rejected) = (0..=u8::MAX)
-            .map(|rhs| outcomes(&id_pred(kind, rhs), &dict))
-            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
-        assert!(admitted > 0 && rejected > 0, "kind {kind}: {admitted} admitted, {rejected} rejected");
-    }
-}
-
 fn build_cfg(
     inputs: &[(u8, bool)],
     output_cols: &[(u8, u8)],
     eq_checks: &[(u8, u8, u8, u8)],
-    post_preds: &[(u8, u8, u8)],
 ) -> JoinCycleCfg {
     let n = inputs.len();
     let width = |i: usize| 1 + usize::from(inputs[i].0) % 3;
@@ -78,17 +45,6 @@ fn build_cfg(
         (i, usize::from(c) % width(i))
     };
     let output_cols: Vec<(usize, usize)> = output_cols.iter().map(|&ic| pick(ic)).collect();
-    let post_preds = if output_cols.is_empty() {
-        Vec::new()
-    } else {
-        post_preds
-            .iter()
-            .map(|&(col, kind, rhs)| PredOnCol {
-                col: usize::from(col) % output_cols.len(),
-                pred: id_pred(kind, rhs),
-            })
-            .collect()
-    };
     JoinCycleCfg {
         inputs: (0..n)
             .map(|i| JoinInputCfg {
@@ -103,7 +59,6 @@ fn build_cfg(
             .iter()
             .map(|&(i1, c1, i2, c2)| (pick((i1, c1)), pick((i2, c2))))
             .collect(),
-        post_preds,
         dict: five_terms(),
     }
 }
@@ -151,14 +106,13 @@ proptest! {
         output_cols in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..6),
         eq_checks in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..3),
-        post_preds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..3),
         groups in proptest::collection::vec(
             proptest::collection::vec(
                 (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..4), any::<u8>(), any::<u8>()),
                 0..9),
             1..6),
     ) {
-        let cfg = Arc::new(build_cfg(&inputs, &output_cols, &eq_checks, &post_preds));
+        let cfg = Arc::new(build_cfg(&inputs, &output_cols, &eq_checks));
         let groups: Vec<Vec<Vec<u8>>> = groups
             .iter()
             .map(|g| g.iter().map(|raw| build_value(&cfg, raw)).collect())
@@ -173,7 +127,6 @@ fn two_way(optional: bool) -> Arc<JoinCycleCfg> {
     Arc::new(build_cfg(
         &[(1, false), (1, optional)],
         &[(0, 0), (0, 1), (1, 1)],
-        &[],
         &[],
     ))
 }

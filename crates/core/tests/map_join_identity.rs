@@ -1,8 +1,8 @@
 //! Byte-identity of the flat broadcast table behind [`MapJoinFactory`]
 //! against the owned map it replaced ([`common::ReferenceMapJoin`]): over
 //! random map-join configurations — 1–3 broadcast sides, optional sides,
-//! probe columns anywhere in the accumulated row, `eq_checks`, `post_preds`,
-//! `scan_preds` on either side — and random row datasets with duplicate
+//! probe columns anywhere in the accumulated row, `eq_checks`, `scan_preds`
+//! on either side — and random row datasets with duplicate
 //! keys, `Null`/`Num` key cells, keys that match nothing, truncated records
 //! and records narrower than their scan, both must write the same records
 //! in the same order and quarantine the same number of stream records.
@@ -95,7 +95,6 @@ fn build_cfg(
     smalls: &[RawSmall],
     output_cols: &[u8],
     eq_checks: &[(u8, u8)],
-    post_preds: &[(u8, u8, u8)],
 ) -> MapJoinCfg {
     let stream_width = width_of(stream.0);
     let mut acc_width = stream_width;
@@ -128,7 +127,6 @@ fn build_cfg(
             .iter()
             .map(|&(a, b)| (usize::from(a) % acc_width, usize::from(b) % acc_width))
             .collect(),
-        post_preds: post_preds.iter().map(|&p| pred(p, acc_width)).collect(),
         dict: five_terms(),
     }
 }
@@ -183,14 +181,12 @@ proptest! {
             1..4),
         output_cols in proptest::collection::vec(any::<u8>(), 0..6),
         eq_checks in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
-        post_preds in raw_preds(),
     ) {
         let cfg = build_cfg(
             (stream_width, &stream_preds),
             &smalls,
             &output_cols,
             &eq_checks,
-            &post_preds,
         );
         let dfs = SimDfs::new();
         for (small, raw) in cfg.smalls.iter().zip(&smalls) {
@@ -229,7 +225,6 @@ fn cfg_over(smalls: Vec<MapJoinSmall>, output_cols: Vec<usize>) -> MapJoinCfg {
         smalls,
         output_cols,
         eq_checks: Vec::new(),
-        post_preds: Vec::new(),
         dict: Arc::default(),
     }
 }

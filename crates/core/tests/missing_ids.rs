@@ -35,7 +35,6 @@ fn scan_cfg(cat: &DataCatalog, pred: IdPred) -> MapJoinCfg {
         smalls: vec![],
         output_cols: vec![0],
         eq_checks: vec![],
-        post_preds: vec![],
         dict: cat.dict.clone(),
     }
 }

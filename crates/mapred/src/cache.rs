@@ -149,17 +149,6 @@ impl ScanCache {
         self.inner.lock().unwrap().stats.clone()
     }
 
-    /// Hit ratio over all lookups so far (0.0 when no lookups).
-    pub fn hit_ratio(&self) -> f64 {
-        let s = self.stats();
-        let total = s.hits + s.misses;
-        if total == 0 {
-            0.0
-        } else {
-            s.hits as f64 / total as f64
-        }
-    }
-
     /// Drop every entry (counters are kept — they are a ledger, not state).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();

@@ -173,12 +173,6 @@ impl ClusterModel {
         r.recovery_backoff_s + resubmits * self.job_startup_s + io
     }
 
-    /// Simulated replica count for the DFS integrity model, derived from the
-    /// replication factor (HDFS keeps `replication` copies; at least one).
-    pub fn replicas(&self) -> usize {
-        (self.replication.round() as usize).max(1)
-    }
-
     /// Simulated time of a whole workflow (jobs run sequentially, as Hadoop
     /// executes a dependent job DAG stage by stage), plus the recovery
     /// overhead of any workflow-level restarts.
@@ -360,16 +354,6 @@ mod tests {
             ..Default::default()
         };
         assert!(model.workflow_time(&wf) > model.workflow_time(&undisturbed));
-    }
-
-    #[test]
-    fn replicas_follow_the_replication_factor() {
-        let mut model = ClusterModel::nodes10();
-        assert_eq!(model.replicas(), 2);
-        model.replication = 3.0;
-        assert_eq!(model.replicas(), 3);
-        model.replication = 0.0;
-        assert_eq!(model.replicas(), 1, "always at least one copy");
     }
 
     #[test]

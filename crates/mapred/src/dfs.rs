@@ -194,7 +194,7 @@ impl SimDfs {
     /// checksum against the sum the dataset was sealed with, quarantined,
     /// and the block re-read from the next replica (the last replica is never
     /// corrupted, so the walk terminates on clean bytes — see
-    /// [`FaultPlan::replicas`]). With `verify` off, the first replica's
+    /// [`FaultPlan::REPLICAS`]). With `verify` off, the first replica's
     /// possibly-flipped copy is returned as-is and counted as silent.
     ///
     /// Without a fault plan this is exactly [`SimDfs::get`].
@@ -213,8 +213,7 @@ impl SimDfs {
             return Some((ds, report));
         };
         for (bi, block) in ds.blocks.iter_mut().enumerate() {
-            let replicas = plan.replicas.max(1);
-            for replica in 0..replicas {
+            for replica in 0..FaultPlan::REPLICAS {
                 let copy = plan
                     .corrupt_block(name, bi, replica)
                     .and_then(|h| integrity::corrupt_block(block, h));
@@ -460,8 +459,8 @@ mod tests {
             ds.blocks[0].as_ref(),
             "verified read must return clean bytes"
         );
-        assert_eq!(report.corrupt_blocks as usize, plan.replicas - 1);
-        assert_eq!(report.reread_bytes, (plan.replicas as u64 - 1) * size);
+        assert_eq!(report.corrupt_blocks as usize, FaultPlan::REPLICAS - 1);
+        assert_eq!(report.reread_bytes, (FaultPlan::REPLICAS as u64 - 1) * size);
         assert_eq!(report.silent, 0);
         // Base read + one re-read per quarantined replica.
         assert_eq!(dfs.bytes_read(), size + report.reread_bytes);

@@ -34,7 +34,7 @@ use crate::job::{InputSrc, Job, MapOutput, ReduceOutput};
 use crate::merge::{merge_key_groups, plan_shards, Route, Run};
 use crate::metrics::{JobMetrics, RecoveryLedger, WorkflowMetrics};
 use crate::pool;
-use crate::resilience::{ResiliencePolicy, WorkflowError};
+use crate::resilience::{self, ResiliencePolicy, WorkflowError};
 use std::time::Instant;
 
 /// The reducer a key is routed to: FNV-1a ([`integrity::fnv1a`], the same
@@ -55,8 +55,6 @@ pub struct Engine {
     pub dfs: SimDfs,
     /// Worker thread count for map and reduce phases.
     pub workers: usize,
-    /// Target output split size in bytes.
-    pub split_bytes: usize,
     /// Optional fault-injection plan; `None` runs the cluster perfectly.
     pub faults: Option<FaultPlan>,
     /// Resilience policy: checksums, checkpointing, retry budgets,
@@ -205,7 +203,7 @@ fn attempt_script(
                     let total = total();
                     m.failed_attempts += 1;
                     m.lost_node_tasks += u64::from(node_loss);
-                    backoff_s += plan.backoff_s(retry);
+                    backoff_s += resilience::backoff_s(retry);
                     lost.push(UnitKind::Doomed {
                         limit: ((fraction * total as f64) as usize).min(total),
                     });
@@ -235,15 +233,14 @@ fn attempt_script(
 }
 
 impl Engine {
-    /// Create an engine with sensible defaults (all cores, 256 KiB splits —
-    /// scaled down with the datasets, as HDFS's 128 MB is to 175M triples).
+    /// Create an engine with sensible defaults (all cores, no fault plan,
+    /// every protection on, no scan cache).
     pub fn new(dfs: SimDfs) -> Self {
         Engine {
             dfs,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            split_bytes: 256 * 1024,
             faults: None,
             resilience: ResiliencePolicy::default(),
             scan_cache: None,
@@ -401,7 +398,7 @@ impl Engine {
                             }
                         });
                     }
-                    recovery.recovery_backoff_s += pol.backoff.delay_s(spent - 1);
+                    recovery.recovery_backoff_s += resilience::backoff_s(spent - 1);
                     restart = Some(i);
                     break;
                 }

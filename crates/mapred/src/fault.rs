@@ -23,13 +23,12 @@
 //!
 //! ## Bounded retry
 //!
-//! Attempts per task are capped at [`FaultPlan::max_attempts`] (Hadoop's
+//! Attempts per task are capped at [`FaultPlan::MAX_ATTEMPTS`] (Hadoop's
 //! `mapred.map.max.attempts`, default 4). The plan never injects a failure
 //! into a task's final allowed attempt, so recovery always terminates and
 //! every chaos run completes with output identical to the fault-free run —
 //! the simulator models the *cost* of failure, not job abortion.
 
-use crate::resilience::Backoff;
 use rapida_testkit::rng::splitmix64;
 
 /// Which phase a task attempt belongs to.
@@ -81,11 +80,6 @@ pub struct FaultPlan {
     /// Launch a speculative duplicate for stragglers (Hadoop's
     /// `mapred.map.tasks.speculative.execution`).
     pub speculation: bool,
-    /// Maximum attempts per task; the last attempt always succeeds.
-    pub max_attempts: usize,
-    /// Simulated backoff before the first retry, in seconds; doubles on
-    /// every further retry of the same task.
-    pub backoff_base_s: f64,
     /// Number of simulated nodes tasks are placed on (round-robin by task
     /// index).
     pub nodes: usize,
@@ -110,14 +104,19 @@ pub struct FaultPlan {
     /// suppressed on the final allowed attempt, so it can drive a workflow
     /// into its typed [`crate::resilience::WorkflowError`] on purpose.
     pub abort_job: Option<(usize, usize)>,
+}
+
+impl FaultPlan {
+    /// Maximum attempts per task; the last attempt always succeeds. Retries
+    /// wait [`crate::resilience::backoff_s`].
+    pub const MAX_ATTEMPTS: usize = 4;
+
     /// Simulated replica count for DFS blocks. Corruption is decided per
     /// replica, and the last replica is never corrupted — the storage-side
     /// mirror of "the final attempt never fails", so integrity recovery
     /// always terminates.
-    pub replicas: usize,
-}
+    pub const REPLICAS: usize = 3;
 
-impl FaultPlan {
     /// A quiet plan: no faults at all (useful as a baseline carrier).
     pub fn new(seed: u64) -> Self {
         FaultPlan {
@@ -126,15 +125,12 @@ impl FaultPlan {
             reduce_fail_p: 0.0,
             straggler_p: 0.0,
             speculation: true,
-            max_attempts: 4,
-            backoff_base_s: 2.0,
             nodes: 8,
             lost_node: None,
             block_corrupt_p: 0.0,
             spill_corrupt_p: 0.0,
             job_abort_p: 0.0,
             abort_job: None,
-            replicas: 3,
         }
     }
 
@@ -209,7 +205,7 @@ impl FaultPlan {
     /// Decide the outcome of attempt `attempt` of task `task` — pure,
     /// order-independent, identical on every replay.
     pub fn decide(&self, job: &str, kind: TaskKind, task: usize, attempt: usize) -> Outcome {
-        let final_attempt = attempt + 1 >= self.max_attempts.max(1);
+        let final_attempt = attempt + 1 >= Self::MAX_ATTEMPTS;
         if !final_attempt {
             // Whole-node loss: every task placed on the lost node dies on
             // its first attempt, wholesale (fraction ~1: the node took the
@@ -241,16 +237,6 @@ impl FaultPlan {
         Outcome::Success
     }
 
-    /// Simulated backoff before retry number `retry` (0-based) of a task:
-    /// exponential, `backoff_base_s · 2^min(retry, 16)` — the shared
-    /// [`Backoff`] schedule. The exponent clamp saturates the delay rather
-    /// than overflowing `f64` range on adversarial retry counts; within the
-    /// [`Self::max_attempts`] bound (default 4) the clamp is unreachable,
-    /// so ordinary retries see pure doubling.
-    pub fn backoff_s(&self, retry: usize) -> f64 {
-        Backoff::new(self.backoff_base_s).delay_s(retry)
-    }
-
     /// The pinned hash for non-task fault domains (blocks, spills, job
     /// aborts): a pure function of the plan seed, a domain constant, a name,
     /// and two coordinates — same mixer discipline as [`Self::hash`].
@@ -269,10 +255,10 @@ impl FaultPlan {
     /// Decide whether reading replica `replica` of block `block` of dataset
     /// `dataset` returns a corrupted copy; `Some(h)` carries the hash that
     /// picks the flipped bit. The last replica is never corrupted (see
-    /// [`Self::replicas`]), so a verify-and-re-read loop always terminates
+    /// [`Self::REPLICAS`]), so a verify-and-re-read loop always terminates
     /// on clean bytes.
     pub fn corrupt_block(&self, dataset: &str, block: usize, replica: usize) -> Option<u64> {
-        if replica + 1 >= self.replicas.max(1) {
+        if replica + 1 >= Self::REPLICAS {
             return None;
         }
         let h = self.hash_domain(0xb10c, dataset, block as u64, replica as u64);
@@ -319,6 +305,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::backoff_s;
 
     #[test]
     fn decisions_are_pure() {
@@ -370,14 +357,14 @@ mod tests {
         for task in 0..16 {
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 // Attempts 0..max-1 all fail at p=1; the last may not.
-                for attempt in 0..plan.max_attempts - 1 {
+                for attempt in 0..FaultPlan::MAX_ATTEMPTS - 1 {
                     assert!(matches!(
                         plan.decide("j", kind, task, attempt),
                         Outcome::Fail { .. }
                     ));
                 }
                 assert!(!matches!(
-                    plan.decide("j", kind, task, plan.max_attempts - 1),
+                    plan.decide("j", kind, task, FaultPlan::MAX_ATTEMPTS - 1),
                     Outcome::Fail { .. }
                 ));
             }
@@ -432,45 +419,23 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential() {
-        let plan = FaultPlan::new(0);
-        assert_eq!(plan.backoff_s(0), 2.0);
-        assert_eq!(plan.backoff_s(1), 4.0);
-        assert_eq!(plan.backoff_s(2), 8.0);
-    }
-
-    #[test]
-    fn backoff_clamp_matches_the_shared_schedule_and_saturates() {
-        // The `min(retry, 16)` clamp: beyond retry 16 the delay is constant
-        // and finite, and the plan's schedule is exactly the shared
-        // `resilience::Backoff` with the same base — one schedule, two
-        // consumers.
-        let plan = FaultPlan {
-            backoff_base_s: 3.0,
-            ..FaultPlan::new(0)
-        };
-        let shared = Backoff::new(3.0);
-        for retry in [0usize, 1, 5, 15, 16, 17, 100, usize::MAX] {
-            assert_eq!(plan.backoff_s(retry), shared.delay_s(retry));
-            assert!(plan.backoff_s(retry).is_finite());
-        }
-        assert_eq!(plan.backoff_s(16), 3.0 * 65536.0);
-        assert_eq!(plan.backoff_s(17), plan.backoff_s(16), "clamp saturates");
+        assert_eq!(backoff_s(0), 2.0);
+        assert_eq!(backoff_s(1), 4.0);
+        assert_eq!(backoff_s(2), 8.0);
     }
 
     #[test]
     fn backoff_is_jitterless_and_retry_count_determined() {
-        // Backoff depends only on (base, retry number): no RNG, no worker
-        // or scheduling input. Summing a fixed retry multiset therefore
-        // yields bit-identical totals in any accumulation order — the
-        // property that makes the ledger's `backoff_s` worker-count
-        // independent.
-        let plan = FaultPlan::chaotic(11);
+        // The delay depends only on the retry number: no RNG, no worker or
+        // scheduling input. Summing a fixed retry multiset therefore yields
+        // bit-identical totals in any accumulation order — the property
+        // that makes the ledger's `backoff_s` worker-count independent.
         let retries = [0usize, 1, 2, 0, 3, 1, 0, 2];
-        let forward: f64 = retries.iter().map(|&r| plan.backoff_s(r)).sum();
-        let reverse: f64 = retries.iter().rev().map(|&r| plan.backoff_s(r)).sum();
+        let forward: f64 = retries.iter().map(|&r| backoff_s(r)).sum();
+        let reverse: f64 = retries.iter().rev().map(|&r| backoff_s(r)).sum();
         assert_eq!(forward.to_bits(), reverse.to_bits());
         for &r in &retries {
-            assert_eq!(plan.backoff_s(r), plan.backoff_s(r));
+            assert_eq!(backoff_s(r), backoff_s(r));
         }
     }
 
@@ -479,10 +444,10 @@ mod tests {
         let plan = FaultPlan::corrupting(5);
         let mut fired = 0;
         for block in 0..64 {
-            for replica in 0..plan.replicas {
+            for replica in 0..FaultPlan::REPLICAS {
                 let d = plan.corrupt_block("vp_x", block, replica);
                 assert_eq!(d, plan.corrupt_block("vp_x", block, replica));
-                if replica + 1 >= plan.replicas {
+                if replica + 1 >= FaultPlan::REPLICAS {
                     assert!(d.is_none(), "last replica must never corrupt");
                 } else if d.is_some() {
                     fired += 1;

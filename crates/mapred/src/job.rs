@@ -4,6 +4,7 @@
 //! hash aggregation relies on).
 
 use crate::codec::{KvBuffer, RecBuffer};
+use std::fmt;
 use std::sync::Arc;
 
 /// Identifies which job input a record came from (Hadoop: input path tag).
@@ -206,13 +207,15 @@ pub struct Job {
     /// planner is responsible for folding in everything the job's output
     /// depends on (engine config, plan signature, input identity).
     pub cache_key: Option<String>,
-    /// Operator fingerprint: a text that determines what this job's task
-    /// factories do to their input bytes — the whole operator config they
-    /// were built from — written by the planner that built them. Two jobs
-    /// with equal non-empty `sig`s, equal inputs and equal reducer count
-    /// write the same output bytes and meter the same counters on an engine
-    /// without a fault plan (injected faults are keyed by job *name*).
-    /// Empty (the default) means unknown, and is equal to nothing.
+    /// Operator fingerprint: the derived `Debug` of the whole operator
+    /// config this job's task factories were built from
+    /// ([`JobBuilder::sig_of`]), so it determines what they do to their
+    /// input bytes. Two jobs with equal non-empty `sig`s, equal inputs and
+    /// equal reducer count write the same output bytes and meter the same
+    /// counters on an engine without a fault plan (injected faults are keyed
+    /// by job *name*). Configs that hold the catalog's dictionary print it
+    /// as its size, so `sig`s compare only within one catalog. Empty (the
+    /// default) means unknown, and is equal to nothing.
     pub sig: String,
 }
 
@@ -254,9 +257,10 @@ impl JobBuilder {
         }
     }
 
-    /// Set the operator fingerprint (see [`Job::sig`]).
-    pub fn sig(mut self, sig: impl Into<String>) -> Self {
-        self.sig = sig.into();
+    /// Set the operator fingerprint to `cfg`'s `Debug` (see [`Job::sig`]):
+    /// `cfg` is everything the task factories are built from.
+    pub fn sig_of(mut self, cfg: &impl fmt::Debug) -> Self {
+        self.sig = format!("{cfg:?}");
         self
     }
 

@@ -72,4 +72,4 @@ pub use job::{
 };
 pub use pool::PoolStats;
 pub use metrics::{JobMetrics, RecoveryLedger, WorkflowMetrics};
-pub use resilience::{Backoff, JobDeadline, ResiliencePolicy, WorkflowError};
+pub use resilience::{backoff_s, JobDeadline, ResiliencePolicy, WorkflowError};

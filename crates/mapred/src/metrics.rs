@@ -132,12 +132,6 @@ impl JobMetrics {
     pub fn busy_makespan_ns(&self) -> u64 {
         self.map_busy_max_ns + self.reduce_busy_max_ns
     }
-
-    /// Total CPU time in task bodies across both phases — the serial-run
-    /// equivalent of [`Self::busy_makespan_ns`].
-    pub fn busy_total_ns(&self) -> u64 {
-        self.map_busy_total_ns + self.reduce_busy_total_ns
-    }
 }
 
 impl fmt::Display for JobMetrics {

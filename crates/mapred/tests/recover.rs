@@ -5,7 +5,7 @@
 //! degrade to a typed [`WorkflowError`] carrying partial metrics.
 
 use rapida_mapred::{
-    Backoff, ClusterModel, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory,
+    backoff_s, ClusterModel, DatasetWriter, Engine, FaultPlan, FnMapFactory, FnReduceFactory,
     InputSrc, JobBuilder, JobDeadline, MapOutput, MapTask, ReduceOutput, ReduceTask,
     ResiliencePolicy, SimDfs, WorkflowError, WorkflowMetrics,
 };
@@ -137,7 +137,7 @@ fn checkpoint_resume_replays_only_the_lost_job() {
     assert!(r.recomputed_bytes > 0);
     assert!(r.wasted_bytes > 0, "the aborted attempt's work is charged");
     assert!(r.wasted_task_attempts > 0);
-    assert_eq!(r.recovery_backoff_s, Backoff::default().delay_s(0));
+    assert_eq!(r.recovery_backoff_s, backoff_s(0));
     // Committed metrics are those of the final (successful) runs only.
     assert_eq!(wf.jobs.len(), 3);
 }

@@ -312,7 +312,7 @@ impl ReduceTask for AlphaJoinReducer {
 }
 
 /// Configuration for the Agg-Join map phase.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AggJoinConfig {
     /// All Agg-Join specs evaluated in this cycle (parallel evaluation of
     /// independent aggregations, §4.1 / Fig. 6(b)).

@@ -9,7 +9,6 @@ use crate::triplegroup::{AnnTg, Stars, TripleGroup};
 use rapida_mapred::codec::{read_f64, read_varint, write_f64, write_varint};
 use rapida_rdf::{Dictionary, TermId};
 use rapida_sparql::ast::CmpOp;
-use std::fmt;
 use std::sync::Arc;
 
 /// One property requirement of a star pattern. For the `ty PT18`
@@ -242,29 +241,6 @@ pub enum AggOp {
     Max,
 }
 
-impl AggOp {
-    fn code(self) -> u64 {
-        match self {
-            AggOp::Count => 0,
-            AggOp::Sum => 1,
-            AggOp::Avg => 2,
-            AggOp::Min => 3,
-            AggOp::Max => 4,
-        }
-    }
-
-    fn from_code(c: u64) -> Option<Self> {
-        Some(match c {
-            0 => AggOp::Count,
-            1 => AggOp::Sum,
-            2 => AggOp::Avg,
-            3 => AggOp::Min,
-            4 => AggOp::Max,
-            _ => return None,
-        })
-    }
-}
-
 /// A partial (distributive/algebraic) aggregate state — mergeable across
 /// mappers and reducers, finalizable into any [`AggOp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -493,7 +469,7 @@ impl IdPred {
 /// star's pushed-down FILTER predicates and its ExtVP subject gate (the
 /// subject set of an `SO` reduction, S2RDF's semi-join). The default
 /// admits everything.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ValueFilter {
     /// `(property, predicate)`: a pair of `property` whose object fails one
     /// of its predicates counts as absent — not kept, and matching no
@@ -520,21 +496,6 @@ impl ValueFilter {
         self.subjects
             .as_ref()
             .is_none_or(|s| s.binary_search(&subject).is_ok())
-    }
-}
-
-/// The predicates and the subject set by value, the dictionary by pointer:
-/// it is the catalog's, shared by every filter planned over it, and never
-/// changes once loaded, so one pointer stands for one content.
-impl fmt::Debug for ValueFilter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ValueFilter {{ preds: {:?}, subjects: {:?}, dict: {:p} }}",
-            self.preds,
-            self.subjects,
-            Arc::as_ptr(&self.dict)
-        )
     }
 }
 
@@ -602,24 +563,6 @@ impl AggRec {
         }
         Some(AggRec { id, key, values })
     }
-}
-
-/// Encode an [`AggOp`] list compactly (used by plan serialization tests).
-pub fn encode_ops(ops: &[AggOp], out: &mut Vec<u8>) {
-    write_varint(out, ops.len() as u64);
-    for op in ops {
-        write_varint(out, op.code());
-    }
-}
-
-/// Decode an [`AggOp`] list.
-pub fn decode_ops(buf: &mut &[u8]) -> Option<Vec<AggOp>> {
-    let n = read_varint(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        out.push(AggOp::from_code(read_varint(buf)?)?);
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -728,14 +671,5 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         assert_eq!(AggRec::decode(&buf), Some(r));
-    }
-
-    #[test]
-    fn ops_codec_roundtrip() {
-        let ops = vec![AggOp::Count, AggOp::Avg, AggOp::Max];
-        let mut buf = Vec::new();
-        encode_ops(&ops, &mut buf);
-        let mut s = buf.as_slice();
-        assert_eq!(decode_ops(&mut s), Some(ops));
     }
 }

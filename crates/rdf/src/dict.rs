@@ -224,11 +224,6 @@ impl Dictionary {
         self.intern_ref(term.view())
     }
 
-    /// Intern an IRI given by string.
-    pub fn intern_iri(&mut self, iri: &str) -> TermId {
-        self.intern_ref(TermRef::Iri(iri))
-    }
-
     /// Look up an already-interned term without inserting.
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
         with_key(term.view(), |key| self.find(key, self.hash(key)))

@@ -123,11 +123,6 @@ impl Term {
             Term::BlankNode(label) => TermRef::BlankNode(label),
         }
     }
-
-    /// Canonical N-Triples encoding of this term.
-    pub fn to_ntriples(&self) -> String {
-        self.to_string()
-    }
 }
 
 /// A [`Term`] whose strings are borrowed: what the N-Triples parser hands

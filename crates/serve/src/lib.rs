@@ -26,6 +26,7 @@
 //! turns an over-budget query into a typed [`RequestStatus::Rejected`],
 //! never a panic, and never partial rows.
 
+use rapida_core::plan::attach_scan_cache_keys;
 use rapida_core::{
     demux_member_plan, extract, fusion_groups, plan_fused_group, AnalyticalQuery, DataCatalog,
     PlanRules, QueryEngine, QueryPlan,
@@ -479,7 +480,8 @@ impl Server {
                     .map(|&u| front.queries[uniq[u].0].0.as_str())
                     .collect();
                 let shared = plan_fused_group(&refs, &RULES, cat).and_then(|mut fused| {
-                    fused.attach_scan_cache_keys(&format!("{RULES:?}|{}", group_sig.join("&")));
+                    let group_sig = format!("fused|{RULES:?}|{}", group_sig.join("&"));
+                    attach_scan_cache_keys(&mut fused.jobs, &fused.plan_id, &group_sig);
                     let wf = mr.try_run_workflow(&fused.jobs).map_err(|e| {
                         rapida_core::PlanError::Unsupported(format!("shared jobs: {e}"))
                     })?;
@@ -500,19 +502,12 @@ impl Server {
                         board.clock_ms += shared_s * 1000.0;
                         for (m, &u) in group.iter().enumerate() {
                             let aq = &queries[u];
-                            let run = demux_member_plan(
-                                &fused,
-                                m,
-                                aq,
-                                RULES.name(),
-                                &cat.dfs,
-                                mr.split_bytes,
-                            )
-                            .map_err(|e| format!("demux: {e}"))
-                            .and_then(|plan| {
-                                self.execute(&mr, &plan, aq)
-                                    .map_err(|e| format!("finishing jobs: {e}"))
-                            });
+                            let run = demux_member_plan(&fused, m, aq, RULES.name(), &cat.dfs)
+                                .map_err(|e| format!("demux: {e}"))
+                                .and_then(|plan| {
+                                    self.execute(&mr, &plan, aq)
+                                        .map_err(|e| format!("finishing jobs: {e}"))
+                                });
                             let run = board.store(run);
                             board.settle(&uniq[u].1, &run);
                         }
@@ -575,7 +570,8 @@ impl Server {
         let mut plan = RULES
             .plan(aq, &self.inner.cat)
             .map_err(|e| format!("planning: {e}"))?;
-        plan.attach_scan_cache_keys(&format!("solo|{RULES:?}|{sig}"));
+        let jobs = plan.jobs.iter_mut().chain(plan.final_job.iter_mut());
+        attach_scan_cache_keys(jobs, &plan.plan_id, &format!("solo|{RULES:?}|{sig}"));
         self.execute(mr, &plan, aq)
     }
 

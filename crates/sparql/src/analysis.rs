@@ -106,18 +106,6 @@ impl StarPattern {
             PropKey::of(tp).is_some_and(|k| k.is_type_key())
         })
     }
-
-    /// All variables appearing in object position, with their property keys.
-    pub fn object_vars(&self) -> Vec<(&Var, PropKey)> {
-        self.triples
-            .iter()
-            .filter_map(|tp| {
-                let v = tp.o.as_var()?;
-                let k = PropKey::of(tp)?;
-                Some((v, k))
-            })
-            .collect()
-    }
 }
 
 /// One side of a star-join edge: which star, the variable's role there, and
