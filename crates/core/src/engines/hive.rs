@@ -338,8 +338,7 @@ impl<'a> RelPlanner<'a> {
                 small_cfgs.push(MapJoinSmall {
                     dataset: r.dataset.clone(),
                     scan: r.scan.clone(),
-                    key_col,
-                    probe_col: stream_key,
+                    key: Some((key_col, stream_key)),
                     optional: r.optional,
                     scan_preds: r.scan_preds.clone(),
                 });
@@ -365,12 +364,8 @@ impl<'a> RelPlanner<'a> {
                 }
             }
             let cfg = Arc::new(MapJoinCfg {
-                stream: JoinInputCfg {
-                    scan: stream.scan.clone(),
-                    key_col: stream_key,
-                    scan_preds: stream.scan_preds.clone(),
-                    optional: false,
-                },
+                stream: stream.scan.clone(),
+                stream_preds: stream.scan_preds.clone(),
                 smalls: small_cfgs,
                 output_cols,
                 eq_checks: acc_eq,

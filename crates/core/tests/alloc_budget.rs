@@ -176,17 +176,12 @@ fn map_join_table_allocations_bounded() {
         .map(|i| id_row(if i % 4 == 0 { SIDE_ROWS + i } else { i / 2 }, i))
         .collect();
     let cfg = Arc::new(MapJoinCfg {
-        stream: JoinInputCfg {
-            scan: ScanKind::Rows(2),
-            key_col: 0,
-            scan_preds: Vec::new(),
-            optional: false,
-        },
+        stream: ScanKind::Rows(2),
+        stream_preds: Vec::new(),
         smalls: vec![MapJoinSmall {
             dataset: "side".into(),
             scan: ScanKind::Rows(2),
-            key_col: 0,
-            probe_col: 0,
+            key: Some((0, 0)),
             optional: false,
             scan_preds: Vec::new(),
         }],

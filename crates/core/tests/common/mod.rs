@@ -13,10 +13,13 @@
 //!
 //! [`ReferenceMapJoin`] is the broadcast join before the flat broadcast
 //! table (`map_join_identity.rs`): every small side is a
-//! `FxHashMap<u64, Vec<Vec<RVal>>>`, one heap row per broadcast row. Its one
-//! deviation: a row record narrower than its scan's width is malformed
-//! (counted on the stream side, dropped on the build side), where the old
-//! code indexed past the row.
+//! `FxHashMap<Option<u64>, Vec<Vec<RVal>>>`, one heap row per broadcast row,
+//! a keyless side filing every row under `None`. Its one deviation: a row
+//! record narrower than its scan's width is malformed (counted on the
+//! stream side, dropped on the build side), where the old code indexed past
+//! the row. It reads `Rows` and block-aggregate (`AggRecs`) inputs; an
+//! aggregate of another block yields no row, and one of the block with the
+//! wrong key or value count is malformed.
 
 #![allow(dead_code)] // each test binary uses its own part
 
@@ -24,6 +27,7 @@ use rapida_core::relops::{IdPred, JoinCycleCfg, MapJoinCfg, PredOnCol, ScanKind}
 use rapida_core::rows::{decode_row, encode_row, row_bytes, RVal};
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{InputSrc, MapOutput, MapTask, ReduceOutput, ReduceTask, SimDfs};
+use rapida_ntga::AggRec;
 use rapida_rdf::{Dictionary, FxHashMap, Term, TermId};
 use std::sync::Arc;
 
@@ -150,17 +154,33 @@ impl ReferenceJoinReduce {
     }
 }
 
-/// Decode one record of a `Rows(w)` input; `None` = malformed.
-fn scan_row(scan: &ScanKind, rec: &[u8]) -> Option<Vec<RVal>> {
-    let ScanKind::Rows(w) = scan else {
-        panic!("the reference map-join reads row datasets only");
-    };
-    decode_row(rec).filter(|row| row.len() >= *w)
+/// Decode one record of a `Rows(w)` or `AggRecs` input: `None` =
+/// malformed, `Some(None)` = an aggregate of another block (no row).
+fn scan_row(scan: &ScanKind, rec: &[u8]) -> Option<Option<Vec<RVal>>> {
+    match *scan {
+        ScanKind::Rows(w) => decode_row(rec).filter(|row| row.len() >= w).map(Some),
+        ScanKind::AggRecs { block, keys, aggs } => {
+            let r = AggRec::decode(rec)?;
+            if r.id != block {
+                return Some(None);
+            }
+            if r.key.len() != keys || r.values.len() != aggs {
+                return None;
+            }
+            let values = r.values.iter().map(|v| match v {
+                Some(x) => RVal::Num(*x),
+                None => RVal::Null,
+            });
+            let keys = r.key.iter().map(|&k| RVal::Id(k));
+            Some(Some(keys.chain(values).collect()))
+        }
+        _ => panic!("the reference map-join reads row and aggregate datasets only"),
+    }
 }
 
 pub struct ReferenceMapJoin {
     cfg: Arc<MapJoinCfg>,
-    tables: Vec<FxHashMap<u64, Vec<Vec<RVal>>>>,
+    tables: Vec<FxHashMap<Option<u64>, Vec<Vec<RVal>>>>,
 }
 
 impl ReferenceMapJoin {
@@ -168,15 +188,21 @@ impl ReferenceMapJoin {
     pub fn load(cfg: Arc<MapJoinCfg>, dfs: &SimDfs) -> Self {
         let mut tables = Vec::with_capacity(cfg.smalls.len());
         for small in &cfg.smalls {
-            let mut map: FxHashMap<u64, Vec<Vec<RVal>>> = FxHashMap::default();
+            let mut map: FxHashMap<Option<u64>, Vec<Vec<RVal>>> = FxHashMap::default();
             if let Some(ds) = dfs.get(&small.dataset) {
-                for row in ds.iter_records().filter_map(|r| scan_row(&small.scan, r)) {
+                let scan = |r| scan_row(&small.scan, r).flatten();
+                for row in ds.iter_records().filter_map(scan) {
                     let keep = |p: &PredOnCol| eval_pred(p, &row, &cfg.dict);
                     if !small.scan_preds.iter().all(keep) {
                         continue;
                     }
-                    if let RVal::Id(k) = row[small.key_col] {
-                        map.entry(k).or_default().push(row);
+                    match small.key {
+                        None => map.entry(None).or_default().push(row),
+                        Some((col, _)) => {
+                            if let RVal::Id(k) = row[col] {
+                                map.entry(Some(k)).or_default().push(row);
+                            }
+                        }
                     }
                 }
             }
@@ -200,8 +226,11 @@ impl ReferenceMapJoin {
             return;
         }
         let small = &cfg.smalls[i];
-        let key = acc[small.probe_col].id();
-        match key.and_then(|k| self.tables[i].get(&k)) {
+        let rows = match small.key {
+            None => self.tables[i].get(&None),
+            Some((_, probe)) => acc[probe].id().and_then(|k| self.tables[i].get(&Some(k))),
+        };
+        match rows {
             Some(rows) => {
                 for r in rows {
                     let base = acc.len();
@@ -223,13 +252,15 @@ impl ReferenceMapJoin {
 
 impl MapTask for ReferenceMapJoin {
     fn map(&mut self, _src: InputSrc, record: &[u8], out: &mut MapOutput) {
-        let stream = &self.cfg.stream;
-        let Some(row) = scan_row(&stream.scan, record) else {
+        let Some(row) = scan_row(&self.cfg.stream, record) else {
             out.skip_corrupt();
             return;
         };
+        let Some(row) = row else {
+            return;
+        };
         let keep = |p: &PredOnCol| eval_pred(p, &row, &self.cfg.dict);
-        if !stream.scan_preds.iter().all(keep) {
+        if !self.cfg.stream_preds.iter().all(keep) {
             return;
         }
         let mut acc = row.clone();

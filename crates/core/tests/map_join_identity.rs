@@ -1,20 +1,21 @@
 //! Byte-identity of the flat broadcast table behind [`MapJoinFactory`]
 //! against the owned map it replaced ([`common::ReferenceMapJoin`]): over
-//! random map-join configurations — 1–3 broadcast sides, optional sides,
-//! probe columns anywhere in the accumulated row, `eq_checks`, `scan_preds`
-//! on either side — and random row datasets with duplicate
-//! keys, `Null`/`Num` key cells, keys that match nothing, truncated records
-//! and records narrower than their scan, both must write the same records
-//! in the same order and quarantine the same number of stream records.
+//! random map-join configurations — 1–3 broadcast sides, keyless and
+//! optional sides, probe columns anywhere in the accumulated row,
+//! `eq_checks`, `scan_preds` on either side — and random row or
+//! block-aggregate datasets with duplicate keys, `Null`/`Num` key cells,
+//! keys that match nothing, truncated records, records narrower than their
+//! scan, aggregates of other blocks and aggregates with the wrong key or
+//! value count, both must write the same records in the same order and
+//! quarantine the same number of stream records.
 
 mod common;
 
 use common::{five_terms, outcomes, ReferenceMapJoin};
-use rapida_core::relops::{
-    IdPred, JoinInputCfg, MapJoinCfg, MapJoinFactory, MapJoinSmall, PredOnCol, ScanKind,
-};
+use rapida_core::relops::{IdPred, MapJoinCfg, MapJoinFactory, MapJoinSmall, PredOnCol, ScanKind};
 use rapida_core::rows::{row_bytes, RVal};
 use rapida_mapred::{DatasetWriter, InputSrc, MapOutput, MapTask, MapTaskFactory, SimDfs};
+use rapida_ntga::AggRec;
 use rapida_sparql::ast::CmpOp;
 use rapida_testkit::prelude::*;
 use std::sync::Arc;
@@ -22,7 +23,8 @@ use std::sync::Arc;
 /// Raw draws for one record: `(cells, mangle)`.
 type RawRow = (Vec<u8>, u8);
 /// Raw draws for one broadcast side:
-/// `(width, key col, probe col, optional, scan preds, rows)`.
+/// `(scan, key, probe col, optional, scan preds, rows)`; one key draw in
+/// four makes the side keyless.
 type RawSmall = (u8, u8, u8, bool, Vec<(u8, u8, u8)>, Vec<RawRow>);
 
 /// Term ids come from a domain of 5 so keys repeat, `eq_checks` and `IdEq`
@@ -71,7 +73,7 @@ fn every_drawn_predicate_kind_reaches_both_outcomes() {
 /// One record of a `Rows(width)` dataset. Most are `width` cells or one
 /// more; `mangle` makes one in eight a cell too narrow and truncates
 /// another one in eight somewhere, possibly down to nothing.
-fn record(width: usize, (cells, mangle): &RawRow) -> Vec<u8> {
+fn row_record(width: usize, (cells, mangle): &RawRow) -> Vec<u8> {
     let w = match mangle % 8 {
         1 => width - 1,
         m => width + usize::from(m) % 2,
@@ -79,15 +81,60 @@ fn record(width: usize, (cells, mangle): &RawRow) -> Vec<u8> {
     let row: Vec<RVal> = (0..w)
         .map(|c| cell(cells.get(c).copied().unwrap_or(c as u8 + 2)))
         .collect();
-    let mut rec = row_bytes(&row);
-    if mangle % 8 == 0 {
-        rec.truncate(usize::from(*mangle / 8) % rec.len());
+    truncated(row_bytes(&row), *mangle)
+}
+
+/// One in eight `mangle`s cuts the record somewhere, possibly to nothing.
+fn truncated(mut rec: Vec<u8>, mangle: u8) -> Vec<u8> {
+    if mangle.is_multiple_of(8) {
+        rec.truncate(usize::from(mangle / 8) % rec.len());
     }
     rec
 }
 
-fn width_of(raw: u8) -> usize {
-    1 + usize::from(raw) % 3
+/// One aggregate record of an `AggRecs` dataset. Most are of the scan's
+/// block with its key and value counts; `mangle` drops a key (or adds one
+/// to a keyless block), adds a value, stamps another block's id, or
+/// truncates the record, one in eight each.
+fn agg_record(block: u8, keys: usize, aggs: usize, (cells, mangle): &RawRow) -> Vec<u8> {
+    let raw = |c: usize| cells.get(c).copied().unwrap_or(c as u8 + 2);
+    let keys = match mangle % 8 {
+        1 if keys > 0 => keys - 1,
+        1 => 1,
+        _ => keys,
+    };
+    let aggs = aggs + usize::from(mangle % 8 == 2);
+    let rec = AggRec {
+        id: if mangle % 8 == 3 { block + 1 } else { block },
+        key: (0..keys).map(|c| u64::from(raw(c)) % 5).collect(),
+        values: (0..aggs)
+            .map(|c| (raw(keys + c) % 3 != 0).then(|| f64::from(raw(keys + c)) * 0.5))
+            .collect(),
+    };
+    let mut buf = Vec::new();
+    rec.encode(&mut buf);
+    truncated(buf, *mangle)
+}
+
+fn record(scan: &ScanKind, raw: &RawRow) -> Vec<u8> {
+    match *scan {
+        ScanKind::AggRecs { block, keys, aggs } => agg_record(block, keys, aggs, raw),
+        ref rows => row_record(rows.width(), raw),
+    }
+}
+
+/// An even draw reads rows of width 1–3; an odd one reads block `block`'s
+/// aggregates, 0–2 keys and 0–2 values, at least one column in all.
+fn scan_of(raw: u8, block: u8) -> ScanKind {
+    if raw.is_multiple_of(2) {
+        return ScanKind::Rows(1 + usize::from(raw / 2) % 3);
+    }
+    let keys = usize::from(raw / 2) % 3;
+    ScanKind::AggRecs {
+        block,
+        keys,
+        aggs: usize::from(raw / 8) % 3 + usize::from(keys == 0),
+    }
 }
 
 fn build_cfg(
@@ -96,28 +143,29 @@ fn build_cfg(
     output_cols: &[u8],
     eq_checks: &[(u8, u8)],
 ) -> MapJoinCfg {
-    let stream_width = width_of(stream.0);
+    let stream_scan = scan_of(stream.0, 0);
+    let stream_width = stream_scan.width();
     let mut acc_width = stream_width;
     let mut small_cfgs = Vec::new();
-    for (i, (width, key_col, probe_col, optional, scan_preds, _)) in smalls.iter().enumerate() {
-        let width = width_of(*width);
+    for (i, (scan, key_draw, probe_col, optional, scan_preds, _)) in smalls.iter().enumerate() {
+        let scan = scan_of(*scan, i as u8 + 1);
+        let width = scan.width();
+        let key = (
+            usize::from(key_draw / 4) % width,
+            usize::from(*probe_col) % acc_width,
+        );
         small_cfgs.push(MapJoinSmall {
             dataset: format!("small{i}"),
-            scan: ScanKind::Rows(width),
-            key_col: usize::from(*key_col) % width,
-            probe_col: usize::from(*probe_col) % acc_width,
+            key: (key_draw % 4 != 0).then_some(key),
+            scan,
             optional: *optional,
             scan_preds: scan_preds.iter().map(|&p| pred(p, width)).collect(),
         });
         acc_width += width;
     }
     MapJoinCfg {
-        stream: JoinInputCfg {
-            scan: ScanKind::Rows(stream_width),
-            key_col: 0,
-            scan_preds: stream.1.iter().map(|&p| pred(p, stream_width)).collect(),
-            optional: false,
-        },
+        stream_preds: stream.1.iter().map(|&p| pred(p, stream_width)).collect(),
+        stream: stream_scan,
         smalls: small_cfgs,
         output_cols: output_cols
             .iter()
@@ -173,7 +221,7 @@ fn raw_preds() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 proptest! {
     #[test]
     fn flat_table_matches_owned_reference(
-        stream_width in any::<u8>(),
+        stream_scan in any::<u8>(),
         stream_preds in raw_preds(),
         stream_rows in raw_rows(16),
         smalls in proptest::collection::vec(
@@ -183,7 +231,7 @@ proptest! {
         eq_checks in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..3),
     ) {
         let cfg = build_cfg(
-            (stream_width, &stream_preds),
+            (stream_scan, &stream_preds),
             &smalls,
             &output_cols,
             &eq_checks,
@@ -191,12 +239,12 @@ proptest! {
         let dfs = SimDfs::new();
         for (small, raw) in cfg.smalls.iter().zip(&smalls) {
             let recs: Vec<Vec<u8>> =
-                raw.5.iter().map(|r| record(small.scan.width(), r)).collect();
+                raw.5.iter().map(|r| record(&small.scan, r)).collect();
             put(&dfs, &small.dataset, &recs);
         }
         let stream: Vec<Vec<u8>> = stream_rows
             .iter()
-            .map(|r| record(cfg.stream.scan.width(), r))
+            .map(|r| record(&cfg.stream, r))
             .collect();
         let [got, want] = both(cfg, &dfs, &stream);
         prop_assert_eq!(got, want);
@@ -207,8 +255,7 @@ fn small(dataset: &str, width: usize, key_col: usize, optional: bool) -> MapJoin
     MapJoinSmall {
         dataset: dataset.into(),
         scan: ScanKind::Rows(width),
-        key_col,
-        probe_col: 0,
+        key: Some((key_col, 0)),
         optional,
         scan_preds: Vec::new(),
     }
@@ -216,12 +263,8 @@ fn small(dataset: &str, width: usize, key_col: usize, optional: bool) -> MapJoin
 
 fn cfg_over(smalls: Vec<MapJoinSmall>, output_cols: Vec<usize>) -> MapJoinCfg {
     MapJoinCfg {
-        stream: JoinInputCfg {
-            scan: ScanKind::Rows(2),
-            key_col: 0,
-            scan_preds: Vec::new(),
-            optional: false,
-        },
+        stream: ScanKind::Rows(2),
+        stream_preds: Vec::new(),
         smalls,
         output_cols,
         eq_checks: Vec::new(),

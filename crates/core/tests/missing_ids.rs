@@ -4,7 +4,7 @@
 //! `crates/ntga/tests/missing_ids.rs`.
 
 use rapida_core::catalog::{DataCatalog, MISSING_ID};
-use rapida_core::relops::{IdPred, JoinInputCfg, MapJoinCfg, MapJoinFactory, PredOnCol, ScanKind};
+use rapida_core::relops::{IdPred, MapJoinCfg, MapJoinFactory, PredOnCol, ScanKind};
 use rapida_core::rows::{decode_row, row_bytes, RVal};
 use rapida_mapred::{DatasetWriter, Engine, JobBuilder, SimDfs};
 use rapida_rdf::{Graph, Term};
@@ -26,12 +26,8 @@ const PAST_END: u64 = 5;
 
 fn scan_cfg(cat: &DataCatalog, pred: IdPred) -> MapJoinCfg {
     MapJoinCfg {
-        stream: JoinInputCfg {
-            scan: ScanKind::Rows(2),
-            key_col: 0,
-            scan_preds: vec![PredOnCol { col: 1, pred }],
-            optional: false,
-        },
+        stream: ScanKind::Rows(2),
+        stream_preds: vec![PredOnCol { col: 1, pred }],
         smalls: vec![],
         output_cols: vec![0],
         eq_checks: vec![],
