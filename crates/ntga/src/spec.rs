@@ -542,9 +542,10 @@ impl AggRec {
         }
     }
 
-    /// Decode from [`AggRec::encode`] output.
+    /// Decode from [`AggRec::encode`] output. An id that does not fit a
+    /// `u8` is damage, not a block id to truncate.
     pub fn decode(mut rec: &[u8]) -> Option<AggRec> {
-        let id = read_varint(&mut rec)? as u8;
+        let id = u8::try_from(read_varint(&mut rec)?).ok()?;
         let nk = read_varint(&mut rec)? as usize;
         let mut key = Vec::with_capacity(nk.min(16));
         for _ in 0..nk {
@@ -671,5 +672,24 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         assert_eq!(AggRec::decode(&buf), Some(r));
+    }
+
+    #[test]
+    fn aggrec_ids_past_a_byte_are_rejected() {
+        // `body` is a record's bytes after its one-byte id 0.
+        let mut rec = Vec::new();
+        AggRec::encode_parts(0, &[7], [Some(1.0)].into_iter(), &mut rec);
+        let body = &rec[1..];
+        let stamped = |id: u64| {
+            let mut r = Vec::new();
+            write_varint(&mut r, id);
+            r.extend_from_slice(body);
+            AggRec::decode(&r).map(|r| r.id)
+        };
+        assert_eq!(stamped(0), Some(0));
+        assert_eq!(stamped(255), Some(255));
+        // Truncated to a byte, 256 would read as block 0.
+        assert_eq!(stamped(256), None);
+        assert_eq!(stamped(u64::MAX), None);
     }
 }
