@@ -56,6 +56,11 @@ const ONE_KEY_WRITER: &str = "one plan-id normaliser and one cache-key writer, i
 const SCAN_FILTERS: &str = "joins evaluate no predicate after merging; filters run at the scan";
 const CONSTANTS: &str = "a setting with one value is a constant: `FaultPlan::{MAX_ATTEMPTS, REPLICAS}`, `resilience::backoff_s`";
 const UNREACHED: &str = "deleted: nothing called it";
+const FINAL_MAP_JOIN: &str = "the final join is a `relops::MapJoinCfg` over `ScanKind::AggRecs` scans, built by `plan::finish_plan`";
+const FINAL_FACTORY: &str = "the final join's tasks come from `relops::MapJoinFactory`";
+const FINAL_TASK: &str = "the final join runs as `relops::MapJoinTask`";
+const FINAL_TABLES: &str = "broadcast blocks load into `relops::MapJoinFactory`'s flat tables";
+const FINAL_CELLS: &str = "`output_cols` and `plan::OutputKind::cols` index the scanned row";
 
 const GUARDS: &[Guard] = &[
     Guard {
@@ -160,6 +165,11 @@ const GUARDS: &[Guard] = &[
     guard("to_ntriples", true, SRC, UNREACHED),
     guard("encode_ops", true, SRC, UNREACHED),
     guard("decode_ops", true, SRC, UNREACHED),
+    guard("FinalJoinCfg", true, SRC, FINAL_MAP_JOIN),
+    guard("FinalJoinFactory", true, SRC, FINAL_FACTORY),
+    guard("FinalJoinTask", true, SRC, FINAL_TASK),
+    guard("BlockTables", true, SRC, FINAL_TABLES),
+    guard("CellSrc", true, SRC, FINAL_CELLS),
 ];
 
 /// Does `line` hold `pattern` — as a whole word, when `word`?
