@@ -23,10 +23,13 @@
 //!
 //! * the build allocates per buffer growth — at most 64 times, and at least
 //!   100x less often than the owned map;
+//! * a second factory over the same side (another job) allocates no table
+//!   block: its task shares the table the DFS keeps for the side;
 //! * a warm task allocates nothing per stream record (only the output sink
 //!   grows, amortized);
-//! * dropping the table frees its three buffers and the two blocks that
-//!   hold the table list, where the owned map frees a block per row.
+//! * the table dies with its dataset: removing the side frees the table's
+//!   three buffers and its `Arc`, and exactly three blocks of the DFS memo's
+//!   bookkeeping, where the owned map frees a block per row.
 //!
 //! The gauge's counters are global, so the tests take [`GAUGE`] and measure
 //! one at a time.
@@ -170,7 +173,8 @@ fn map_join_table_allocations_bounded() {
     for i in 0..SIDE_ROWS {
         side.push(&id_row(i % (SIDE_ROWS / 2), 1_000_000 + i));
     }
-    dfs.put("side", side.finish());
+    let side = side.finish();
+    dfs.put("side", side.clone());
     // One stream record in four probes a key the side does not have.
     let stream: Vec<Vec<u8>> = (0..SIDE_ROWS)
         .map(|i| id_row(if i % 4 == 0 { SIDE_ROWS + i } else { i / 2 }, i))
@@ -203,6 +207,15 @@ fn map_join_table_allocations_bounded() {
          ({owned_build})"
     );
 
+    // Another job's factory over the same side shares the built table: its
+    // task allocates its box and its list of table handles, nothing more.
+    let second = MapJoinFactory::new(cfg.clone(), dfs.clone());
+    let (second_task, second_build, _) = gauged(|| second.create());
+    assert!(
+        second_build <= 2,
+        "a second factory over the same side allocated {second_build} times"
+    );
+
     let (flat_probe, flat_out) = probe(&mut *flat, &stream);
     let (_, owned_out) = probe(&mut owned, &stream);
     assert_eq!(flat_out, owned_out, "variants must agree on output");
@@ -212,10 +225,25 @@ fn map_join_table_allocations_bounded() {
         "warm map-join task allocated {flat_probe} times over {SIDE_ROWS} stream records"
     );
 
-    // The task shares the table with the factory's cache; `cfg` and `dfs`
-    // stay alive here, so what the factory frees is the table alone.
-    drop(flat);
-    let ((), _, flat_frees) = gauged(|| drop(factory));
+    // The table lives in the DFS's memo of the side, so tasks and factories
+    // hold handles only: it dies when the side is removed. What a removal
+    // frees besides the table is measured on two more copies of the side,
+    // one bare and one holding a one-byte artefact.
+    drop((flat, second_task, factory, second));
+    dfs.put("bare", side.clone());
+    dfs.put("marked", side);
+    let marker = dfs.derived("marked", &0u8, |_| 0u8);
+    assert_eq!(marker.as_deref(), Some(&0));
+    drop(marker);
+    let (_, _, bare_frees) = gauged(|| dfs.remove("bare"));
+    let (_, _, marked_frees) = gauged(|| dfs.remove("marked"));
+    let (removed, _, side_frees) = gauged(|| dfs.remove("side"));
+    assert!(removed.is_some());
+    // The memo's vector, its slot's boxed key and shared cell; the marker's
+    // `Arc` is its one other block.
+    let bookkeeping = marked_frees - bare_frees - 1;
+    assert_eq!(bookkeeping, 3, "the memo's bookkeeping freed {bookkeeping} blocks");
+    let flat_frees = side_frees - bare_frees - bookkeeping;
     let ((), _, owned_frees) = gauged(|| drop(owned));
     assert!(
         flat_frees <= 3 + 2,

@@ -9,8 +9,9 @@
 # reads the dictionary the way a user of the library would.
 #
 # The root manifest's `default-members` makes `cargo test` run every crate's
-# suite, so no test is re-run here by name; the only repeated runs are the
-# ones that set an environment knob (RAPIDA_CHAOS_SEEDS, RAPIDA_SERVE_ROUNDS).
+# suite; the repeated runs are the ones that set an environment knob
+# (RAPIDA_CHAOS_SEEDS, RAPIDA_SERVE_ROUNDS), and the broadcast-side suite,
+# named so a failure of the DFS memo's contract is reported on its own line.
 # The deleted-name guards are part of that suite (tests/deleted_names.rs).
 #
 # The deterministic report floors (plan choice, ExtVP, recovery, serving)
@@ -32,6 +33,9 @@ cargo clippy --offline -q --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --offline (every workspace crate)"
 cargo test -q --offline
+
+echo "==> broadcast sides (read as stored when a job runs; built once per stored copy)"
+cargo test -q --offline -p rapida-core --test broadcast_sides
 
 echo "==> chaos smoke (4 fault seeds x worker counts, incl. corruption sweeps)"
 RAPIDA_CHAOS_SEEDS=4 cargo test -q --offline -p rapida-mapred --test chaos

@@ -61,6 +61,7 @@ const FINAL_FACTORY: &str = "the final join's tasks come from `relops::MapJoinFa
 const FINAL_TASK: &str = "the final join runs as `relops::MapJoinTask`";
 const FINAL_TABLES: &str = "broadcast blocks load into `relops::MapJoinFactory`'s flat tables";
 const FINAL_CELLS: &str = "`output_cols` and `plan::OutputKind::cols` index the scanned row";
+const SIDE_MEMO: &str = "a broadcast side's table is built once per stored dataset, in the `SimDfs::derived` memo";
 
 const GUARDS: &[Guard] = &[
     Guard {
@@ -170,6 +171,7 @@ const GUARDS: &[Guard] = &[
     guard("FinalJoinTask", true, SRC, FINAL_TASK),
     guard("BlockTables", true, SRC, FINAL_TABLES),
     guard("CellSrc", true, SRC, FINAL_CELLS),
+    guard("OnceLock<Arc<Vec<SmallTable>>>", false, SRC, SIDE_MEMO),
 ];
 
 /// Does `line` hold `pattern` — as a whole word, when `word`?
