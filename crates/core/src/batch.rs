@@ -265,6 +265,38 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_value_flag_or_trailing_bytes_fail_the_restamp() {
+        let dfs = SimDfs::new();
+        let mut good = Vec::new();
+        AggRec::encode_parts(0, &[7], [Some(2.0)].into_iter(), &mut good);
+        // id, key count, key, value count, then the value's flag.
+        let mut flag9 = good.clone();
+        flag9[4] = 9;
+        let mut longer = good.clone();
+        longer.extend_from_slice(&[1, 2, 3]);
+        let put = |records: &[&[u8]]| {
+            let mut w = DatasetWriter::new(RESTAMP_SPLIT_BYTES);
+            records.iter().for_each(|r| w.push(r));
+            dfs.put("shared", w.finish());
+        };
+        for bad in [&flag9, &longer] {
+            put(&[&good, bad]);
+            match restamp(&dfs, "shared", 0, 1, "member") {
+                Err(PlanError::CorruptRecord { dataset, record }) => {
+                    assert_eq!((dataset.as_str(), record), ("shared", 1));
+                }
+                other => panic!("a damaged record was restamped: {other:?}"),
+            }
+            assert!(!dfs.contains("member"));
+        }
+        put(&[&good]);
+        restamp(&dfs, "shared", 0, 1, "member").expect("a clean record restamps");
+        let member = dfs.peek("member").expect("written");
+        let recs: Vec<AggRec> = member.iter_records().filter_map(AggRec::decode).collect();
+        assert_eq!(recs, vec![AggRec { id: 1, key: vec![7], values: vec![Some(2.0)] }]);
+    }
+
+    #[test]
     fn fused_member_matches_solo_run() {
         use crate::plan::QueryEngine;
 

@@ -542,27 +542,46 @@ impl AggRec {
         }
     }
 
-    /// Decode from [`AggRec::encode`] output. An id that does not fit a
-    /// `u8` is damage, not a block id to truncate.
-    pub fn decode(mut rec: &[u8]) -> Option<AggRec> {
+    /// Decode from [`AggRec::encode`] output into an owned record, through
+    /// [`Self::decode_into`].
+    pub fn decode(rec: &[u8]) -> Option<AggRec> {
+        let mut parts = Vec::new();
+        let (id, keys) = Self::decode_into(rec, &mut parts, Ok, Err)?;
+        let (key, values) = parts.split_at(keys);
+        Some(AggRec {
+            id,
+            key: key.iter().filter_map(|p| p.ok()).collect(),
+            values: values.iter().filter_map(|p| p.err()).collect(),
+        })
+    }
+
+    /// The one decoder of [`AggRec::encode`] output: appends the record's
+    /// grouping keys, then its values, to `out` through `key` and `value`,
+    /// and returns the block id and the key count. `None` when the record
+    /// is damaged — it ends early, has an id that does not fit a `u8` (not
+    /// a block id to truncate), a value flag other than 0 (unbound) or 1,
+    /// or bytes after its last value — and `out` may then hold part of it.
+    pub fn decode_into<T>(
+        mut rec: &[u8],
+        out: &mut Vec<T>,
+        key: impl Fn(u64) -> T,
+        value: impl Fn(Option<f64>) -> T,
+    ) -> Option<(u8, usize)> {
         let id = u8::try_from(read_varint(&mut rec)?).ok()?;
-        let nk = read_varint(&mut rec)? as usize;
-        let mut key = Vec::with_capacity(nk.min(16));
-        for _ in 0..nk {
-            key.push(read_varint(&mut rec)?);
+        let keys = read_varint(&mut rec)?;
+        for _ in 0..keys {
+            out.push(key(read_varint(&mut rec)?));
         }
-        let nv = read_varint(&mut rec)? as usize;
-        let mut values = Vec::with_capacity(nv.min(16));
-        for _ in 0..nv {
+        for _ in 0..read_varint(&mut rec)? {
             let (flag, rest) = rec.split_first()?;
             rec = rest;
-            values.push(if *flag == 1 {
-                Some(read_f64(&mut rec)?)
-            } else {
-                None
-            });
+            out.push(value(match flag {
+                0 => None,
+                1 => Some(read_f64(&mut rec)?),
+                _ => return None,
+            }));
         }
-        Some(AggRec { id, key, values })
+        rec.is_empty().then_some((id, keys as usize))
     }
 }
 
@@ -691,5 +710,30 @@ mod tests {
         // Truncated to a byte, 256 would read as block 0.
         assert_eq!(stamped(256), None);
         assert_eq!(stamped(u64::MAX), None);
+    }
+
+    #[test]
+    fn aggrec_flags_past_one_and_trailing_bytes_are_rejected() {
+        let mut rec = Vec::new();
+        AggRec::encode_parts(0, &[7], [Some(2.0), None].into_iter(), &mut rec);
+        // id, key count, key, value count, then the first value's flag.
+        let flag = 4;
+        assert_eq!(rec[flag], 1);
+        let mut parts = Vec::new();
+        let decoded = AggRec::decode_into(&rec, &mut parts, Ok, Err);
+        assert_eq!(decoded, Some((0, 1)));
+        assert_eq!(parts, vec![Ok(7), Err(Some(2.0)), Err(None)]);
+        for bad in [0, 9] {
+            let mut flipped = rec.clone();
+            flipped[flag] = bad;
+            assert_eq!(AggRec::decode(&flipped), None, "flag {bad}");
+        }
+        let mut unbound = rec.clone();
+        unbound[rec.len() - 1] = 2;
+        assert_eq!(AggRec::decode(&unbound), None, "flag 2");
+        let mut longer = rec.clone();
+        longer.extend_from_slice(&[0, 0, 0]);
+        assert_eq!(AggRec::decode(&longer), None, "trailing bytes");
+        assert_eq!(AggRec::decode(&rec[..rec.len() - 1]), None, "truncated");
     }
 }
