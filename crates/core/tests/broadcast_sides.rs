@@ -7,8 +7,8 @@
 //! And the side is built once per stored copy ([`SimDfs::derived_builds`]
 //! counts the builds): the jobs and engines that broadcast it share one
 //! table, whatever column they probe it with and whether it is optional,
-//! and the enumerator's dry runs and the chosen plan share the base tables'
-//! sides across queries and rounds.
+//! and the enumerator's dry runs share the base tables' sides across
+//! queries and rounds.
 
 use rapida_core::relops::{MapJoinCfg, MapJoinFactory, MapJoinSmall, ScanKind};
 use rapida_core::rows::{decode_row, row_bytes, RVal};
@@ -202,10 +202,12 @@ fn engines_running_side_by_side_build_a_shared_side_once() {
 /// planned by `enumerate_best` over the Hive family (dry runs included)
 /// and its chosen plan executed: the sides read from stored VP/ExtVP
 /// tables, then the sides read from a round's intermediate outputs. The
-/// base sides are built in the first round only. (Building one table per
-/// job and side, as each map-join once did, built 50 tables a round.)
+/// base sides are built in the first round only, and the chosen plans'
+/// executions build none: each replays the dry run that priced it.
+/// (Building one table per job and side, as each map-join once did, built
+/// 50 tables a round; executing the chosen plans again built 24.)
 const BASE_SIDES: u64 = 4;
-const INTERMEDIATE_SIDES_PER_ROUND: u64 = 24;
+const INTERMEDIATE_SIDES_PER_ROUND: u64 = 16;
 
 #[test]
 fn hive_plans_build_each_base_side_once() {

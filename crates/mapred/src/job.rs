@@ -105,6 +105,13 @@ pub trait MapTask: Send {
 pub trait MapTaskFactory: Send + Sync {
     /// Create a fresh task.
     fn create(&self) -> Box<dyn MapTask>;
+
+    /// The datasets its tasks read from the DFS besides their split, such as
+    /// a map-join's broadcast sides. A job's output is a function of these
+    /// and of [`Job::inputs`].
+    fn side_inputs(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// A per-partition reduce task instance.

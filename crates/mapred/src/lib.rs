@@ -62,7 +62,7 @@ pub use bytes::Bytes;
 pub use cache::{ScanCache, ScanCacheStats};
 pub use codec::{KvBuffer, KvRef, RecBuffer};
 pub use cost::ClusterModel;
-pub use dfs::{Dataset, DatasetWriter, IntegrityReport, Sealed, SimDfs};
+pub use dfs::{CopyId, Dataset, DatasetWriter, IntegrityReport, Sealed, SimDfs};
 pub use engine::{shuffle_partition, Engine};
 pub use merge::{merge_key_groups, plan_shards, Route, Run};
 pub use fault::{FaultPlan, Outcome, TaskKind};
