@@ -31,6 +31,11 @@
 //!   three buffers and its `Arc`, and exactly three blocks of the DFS memo's
 //!   bookkeeping, where the owned map frees a block per row.
 //!
+//! **Empty-ALL fixup.** [`AllGroupFixup::apply`] scans a block dataset for
+//! a record of its block: it reads only the ids, so the scan allocates
+//! nothing per record, and the fixup's allocations do not grow with the
+//! dataset — whether it finds its block or appends the synthesized record.
+//!
 //! The gauge's counters are global, so the tests take [`GAUGE`] and measure
 //! one at a time.
 
@@ -40,10 +45,13 @@ use common::{value, ReferenceJoinReduce, ReferenceMapJoin};
 use rapida_core::relops::{
     JoinCycleCfg, JoinInputCfg, JoinReduceTask, MapJoinCfg, MapJoinFactory, MapJoinSmall, ScanKind,
 };
+use rapida_core::plan::AllGroupFixup;
 use rapida_core::rows::{row_bytes, RVal};
 use rapida_mapred::{
-    DatasetWriter, InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask, SimDfs,
+    Dataset, DatasetWriter, InputSrc, MapOutput, MapTask, MapTaskFactory, ReduceOutput, ReduceTask,
+    SimDfs,
 };
+use rapida_ntga::{AggOp, AggRec};
 use rapida_testkit::alloc_gauge::{self, CountingAlloc};
 use std::sync::{Arc, Mutex};
 
@@ -253,4 +261,45 @@ fn map_join_table_allocations_bounded() {
         owned_frees >= SIDE_ROWS,
         "the owned map should free a block per row, freed {owned_frees}"
     );
+}
+
+/// `n` aggregate records of block 2, then one of block 0.
+fn block_records(n: u64) -> Dataset {
+    let mut w = DatasetWriter::new(4096);
+    let mut buf = Vec::new();
+    for (id, k) in (0..n).map(|k| (2, k)).chain([(0, n)]) {
+        let rec = AggRec {
+            id,
+            key: vec![k, k + 1],
+            values: vec![Some(k as f64), None],
+        };
+        buf.clear();
+        rec.encode(&mut buf);
+        w.push(&buf);
+    }
+    w.finish()
+}
+
+#[test]
+fn all_group_fixup_allocations_do_not_grow_with_the_dataset() {
+    let _measuring = GAUGE.lock().unwrap();
+    let fixup = |block_id| AllGroupFixup {
+        dataset: "blk".into(),
+        block_id,
+        aggs: vec![AggOp::Count, AggOp::Sum],
+    };
+    // Measured alone: 4 allocations to find the block, 18 to append, at
+    // either size. The bound leaves room for the test harness's threads,
+    // which share the gauge; a decode per record would allocate thousands.
+    for n in [2_000, 8_000] {
+        let dfs = SimDfs::new();
+        dfs.put("blk", block_records(n));
+        // Block 0's record is the last one: the scan reads every record.
+        let ((), found, _) = gauged(|| fixup(0).apply(&dfs));
+        assert_eq!(dfs.peek("blk").unwrap().records as u64, n + 1, "block 0 is there");
+        let ((), appended, _) = gauged(|| fixup(1).apply(&dfs));
+        assert_eq!(dfs.peek("blk").unwrap().records as u64, n + 2, "block 1 was added");
+        assert!(found <= 32, "{n} records: finding the block allocated {found}");
+        assert!(appended <= 64, "{n} records: appending allocated {appended}");
+    }
 }
