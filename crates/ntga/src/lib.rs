@@ -25,6 +25,12 @@
 //! as the spec oracle, which `tests/view_identity.rs` and
 //! `tests/prop_ops.rs` hold the production operators to.
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod hashagg;
 pub mod ops;
 pub mod physical;

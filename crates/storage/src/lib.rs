@@ -12,6 +12,12 @@
 //! compressed) sizes drive split counts and scan costs exactly as in the
 //! paper's pre-processing section.
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod scan;
 pub mod segment;
 pub mod stats;

@@ -10,8 +10,9 @@
 #
 # The root manifest's `default-members` makes `cargo test` run every crate's
 # suite; the repeated runs are the ones that set an environment knob
-# (RAPIDA_CHAOS_SEEDS, RAPIDA_SERVE_ROUNDS), and the broadcast-side suite,
-# named so a failure of the DFS memo's contract is reported on its own line.
+# (RAPIDA_CHAOS_SEEDS, RAPIDA_SERVE_ROUNDS), and the broadcast-side and
+# enumerated-execution suites, named so a failure of the DFS memo's contract
+# or of the chosen plan's replay is reported on its own line.
 # The deleted-name guards are part of that suite (tests/deleted_names.rs).
 #
 # The deterministic report floors (plan choice, ExtVP, recovery, serving)
@@ -36,6 +37,9 @@ cargo test -q --offline
 
 echo "==> broadcast sides (read as stored when a job runs; built once per stored copy)"
 cargo test -q --offline -p rapida-core --test broadcast_sides
+
+echo "==> enumerated execution (the chosen plan replays its dry run only where that run stands for it)"
+cargo test -q --offline -p rapida-core --test enumerated_execution
 
 echo "==> chaos smoke (4 fault seeds x worker counts, incl. corruption sweeps)"
 RAPIDA_CHAOS_SEEDS=4 cargo test -q --offline -p rapida-mapred --test chaos
