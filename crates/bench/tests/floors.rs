@@ -9,7 +9,7 @@ use rapida_bench::Workbench;
 use rapida_core::engines::{HiveMqo, HiveNaive, RapidAnalytics, RapidPlus};
 use rapida_core::{enumerate_best, extract, AnalyticalQuery, DataCatalog, Family, LoadConfig, QueryEngine, QueryPlan};
 use rapida_datagen::{generate_bsbm, generate_chem, generate_traffic, query, BsbmConfig, ChemConfig, TrafficConfig};
-use rapida_mapred::{ClusterModel, Engine, FaultPlan, RecoveryLedger, ResiliencePolicy};
+use rapida_mapred::{ClusterModel, Engine, FaultPlan, JobDeadline, RecoveryLedger, ResiliencePolicy};
 use rapida_serve::{ServeConfig, ServeLedger, ServeMode, Server};
 use rapida_sparql::parse_query;
 
@@ -19,10 +19,15 @@ fn analytical(id: &str) -> AnalyticalQuery {
     extract(&parse_query(&query(id).sparql).unwrap()).unwrap()
 }
 
-/// Simulated cost of one compiled plan on the pinned simulator (the
+/// Simulated cost of one compiled plan run on the pinned simulator (the
 /// measurement the enumerator's dry runs use), with the run's input bytes.
+/// The engine's deadline is one no plan comes near; an engine with a
+/// deadline runs a chosen plan afresh instead of replaying its dry run.
 fn measured(plan: &QueryPlan, aq: &AnalyticalQuery, cat: &DataCatalog, model: &ClusterModel) -> (f64, u64) {
-    let mr = Engine::pinned(cat.dfs.clone());
+    let mr = Engine::pinned(cat.dfs.clone()).with_resilience(ResiliencePolicy {
+        deadline: Some(JobDeadline::new(*model, 1e12)),
+        ..ResiliencePolicy::default()
+    });
     let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     plan.cleanup(&cat.dfs);
     cat.dfs.remove(&plan.output_dataset);

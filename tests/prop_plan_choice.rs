@@ -7,6 +7,7 @@
 //! oracle.
 
 use rapida::core::{enumerate_best, Family};
+use rapida::mapred::{JobDeadline, ResiliencePolicy};
 use rapida::prelude::*;
 use rapida::rdf::vocab;
 use rapida_testkit::prelude::*;
@@ -116,6 +117,30 @@ fn templates() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// An engine that never replays a kept dry run: it carries a deadline, one
+/// no plan here comes near.
+fn never_replaying(cat: &DataCatalog) -> MrEngine {
+    let deadline = JobDeadline::new(ClusterModel::nodes10(), 1e12);
+    MrEngine::pinned(cat.dfs.clone()).with_resilience(ResiliencePolicy {
+        deadline: Some(deadline),
+        ..ResiliencePolicy::default()
+    })
+}
+
+/// Measured simulated cost and canonical result of `plan` executed on `mr`.
+fn run(
+    plan: &QueryPlan,
+    mr: &MrEngine,
+    aq: &rapida::core::AnalyticalQuery,
+    cat: &DataCatalog,
+    model: &ClusterModel,
+) -> (f64, Vec<String>) {
+    let (rel, wf) = plan.try_execute(mr, aq, &cat.dict).expect("plan executes");
+    plan.cleanup(&cat.dfs);
+    cat.dfs.remove(&plan.output_dataset);
+    (model.workflow_time(&wf), rel.canonicalized(&cat.dict))
+}
+
 /// Measured simulated cost of a fixed engine's plan, plus its canonical
 /// result — the oracle the chosen plan is compared against.
 fn run_fixed(
@@ -124,13 +149,8 @@ fn run_fixed(
     cat: &DataCatalog,
     model: &ClusterModel,
 ) -> (f64, Vec<String>) {
-    let mr = MrEngine::pinned(cat.dfs.clone());
     let plan = engine.plan(aq, cat).unwrap();
-    let (rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
-    let cost = model.workflow_time(&wf);
-    plan.cleanup(&cat.dfs);
-    cat.dfs.remove(&plan.output_dataset);
-    (cost, rel.canonicalized(&cat.dict))
+    run(&plan, &MrEngine::pinned(cat.dfs.clone()), aq, cat, model)
 }
 
 proptest! {
@@ -179,19 +199,22 @@ proptest! {
             let e = enumerate_best(family, &aq, &cat, &model).unwrap();
             prop_assert!(e.measured_s.is_finite());
 
-            let mr = MrEngine::pinned(cat.dfs.clone());
-            let (chosen_rel, chosen_wf) =
-                e.plan.try_execute(&mr, &aq, &cat.dict).expect("plan executes");
-            let chosen_cost = model.workflow_time(&chosen_wf);
-            let chosen_canon = chosen_rel.canonicalized(&cat.dict);
-            e.plan.cleanup(&cat.dfs);
-            cat.dfs.remove(&e.plan.output_dataset);
+            let (chosen_cost, chosen_canon) = run(&e.plan, &never_replaying(&cat), &aq, &cat, &model);
 
-            // The freshly recompiled winner re-measures at its dry-run cost.
+            // A fresh run of the winner re-measures at its dry-run cost.
             prop_assert!(
                 (chosen_cost - e.measured_s).abs() <= 1e-6 * e.measured_s.max(1.0),
                 "template '{}' {:?}: fresh run {:.4}s != dry-run {:.4}s",
                 label, family, chosen_cost, e.measured_s
+            );
+            // On the pinned simulator it replays that dry run, with the
+            // fresh run's cost and answer.
+            let replayed = run(&e.plan, &MrEngine::pinned(cat.dfs.clone()), &aq, &cat, &model);
+            prop_assert_eq!(
+                &replayed,
+                &(chosen_cost, chosen_canon.clone()),
+                "template '{}' {:?}: replay differs from a fresh run",
+                label, family
             );
 
             for (engine, incumbent) in &engines {
