@@ -189,7 +189,7 @@ impl ReferenceMapJoin {
         let mut tables = Vec::with_capacity(cfg.smalls.len());
         for small in &cfg.smalls {
             let mut map: FxHashMap<Option<u64>, Vec<Vec<RVal>>> = FxHashMap::default();
-            if let Some(ds) = dfs.get(&small.dataset) {
+            if let Some(ds) = dfs.peek(&small.dataset) {
                 let scan = |r| scan_row(&small.scan, r).flatten();
                 for row in ds.iter_records().filter_map(scan) {
                     let keep = |p: &PredOnCol| eval_pred(p, &row, &cfg.dict);

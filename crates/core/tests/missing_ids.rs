@@ -49,7 +49,7 @@ fn surviving(cat: &DataCatalog, pred: IdPred, ids: &[u64]) -> Vec<u64> {
         .output("out")
         .build();
     Engine::pinned(dfs.clone()).run_job(&job);
-    let out = dfs.get("out").unwrap();
+    let out = dfs.peek("out").unwrap();
     let mut keys: Vec<u64> = out.iter_records().map(|r| decode_row(r).unwrap()[0].id().unwrap()).collect();
     keys.sort_unstable();
     keys

@@ -799,7 +799,7 @@ mod tests {
         dfs.put("in", wc_input());
         let engine = Engine::pinned(dfs.clone());
         let m = engine.run_job(&wordcount_job(with_combiner));
-        let out = dfs.get("out").unwrap();
+        let out = dfs.peek("out").unwrap();
         let mut lines: Vec<String> = out
             .iter_records()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())
@@ -852,7 +852,7 @@ mod tests {
         assert!(m.map_only);
         assert_eq!(m.shuffle_bytes, 0);
         assert_eq!(m.output_records, 3);
-        assert_eq!(dfs.get("out").unwrap().records, 3);
+        assert_eq!(dfs.peek("out").unwrap().records, 3);
     }
 
     /// Mapper that tags records by input source — exercises multi-input jobs.
@@ -879,7 +879,7 @@ mod tests {
         let engine = Engine::pinned(dfs.clone());
         engine.run_job(&job);
         let mut recs: Vec<String> = dfs
-            .get("out")
+            .peek("out")
             .unwrap()
             .iter_records()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())
@@ -930,7 +930,7 @@ mod tests {
         let engine = Engine::pinned(dfs.clone());
         let m = engine.run_job(&job);
         let recs: Vec<String> = dfs
-            .get("out")
+            .peek("out")
             .unwrap()
             .iter_records()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())
@@ -960,7 +960,7 @@ mod tests {
         assert_eq!(wf.cycles(), 2);
         assert_eq!(wf.full_cycles(), 1);
         assert_eq!(wf.map_only_cycles(), 1);
-        assert_eq!(dfs.get("out").unwrap().records, 2);
+        assert_eq!(dfs.peek("out").unwrap().records, 2);
     }
 
     #[test]
@@ -977,7 +977,7 @@ mod tests {
                 .cache_key("k:scan")
                 .build();
             let engine = Engine::pinned(dfs.clone()).with_scan_cache(cache.clone());
-            (engine.try_run_workflow(&[job]).expect("no faults, no recovery"), dfs.get("out").unwrap())
+            (engine.try_run_workflow(&[job]).expect("no faults, no recovery"), dfs.peek("out").unwrap())
         };
         let dfs1 = SimDfs::new();
         let (wf1, out1) = run(&dfs1);
@@ -1053,7 +1053,7 @@ mod tests {
             engine.faults = faults;
             let m = engine.run_job(&wordcount_job(true));
             let bytes: Vec<Vec<u8>> = dfs
-                .get("out")
+                .peek("out")
                 .unwrap()
                 .blocks
                 .iter()
@@ -1104,7 +1104,7 @@ mod tests {
         assert!(m.lost_node_tasks > 0);
         assert!(m.lost_node_tasks as usize <= on_lost_node);
         let out: Vec<String> = dfs
-            .get("out")
+            .peek("out")
             .unwrap()
             .iter_records()
             .map(|r| String::from_utf8(r.to_vec()).unwrap())
@@ -1195,7 +1195,7 @@ mod tests {
         let engine = Engine::with_workers(dfs.clone(), workers);
         let m = engine.run_job(&big_count_job(key_local));
         let bytes: Vec<Vec<u8>> = dfs
-            .get("out")
+            .peek("out")
             .unwrap()
             .blocks
             .iter()
@@ -1259,7 +1259,7 @@ mod tests {
             engine.faults = faults;
             let m = engine.run_job(&big_count_job(true));
             let bytes: Vec<Vec<u8>> = dfs
-                .get("out")
+                .peek("out")
                 .unwrap()
                 .blocks
                 .iter()

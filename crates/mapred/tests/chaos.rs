@@ -127,7 +127,7 @@ fn run_jobs(
         .try_run_workflow(jobs)
         .expect("probabilistic fault plans never exhaust the recovery budget");
     let blocks: Vec<Vec<u8>> = dfs
-        .get("out")
+        .peek("out")
         .expect("workflow output")
         .blocks
         .iter()

@@ -121,7 +121,7 @@ fn run_with_faults(
         .try_run_workflow(&workflow())
         .expect("probabilistic fault plans never exhaust the recovery budget");
     let out: Vec<Vec<u8>> = dfs
-        .get("out")
+        .peek("out")
         .expect("workflow output")
         .iter_records()
         .map(|r| r.to_vec())

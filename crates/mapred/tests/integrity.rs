@@ -99,7 +99,7 @@ fn run(
         .try_run_workflow(&workflow())
         .expect("probabilistic fault plans never exhaust the recovery budget");
     let blocks: Vec<Vec<u8>> = dfs
-        .get("out")
+        .peek("out")
         .expect("workflow output")
         .blocks
         .iter()
@@ -255,7 +255,7 @@ fn a_hit_republished_dataset_reads_like_a_freshly_written_one() {
                 .try_run_workflow(&workflow())
                 .expect("one abort, then commit");
             let out: Vec<Vec<u8>> = dfs
-                .get("out")
+                .peek("out")
                 .unwrap()
                 .blocks
                 .iter()

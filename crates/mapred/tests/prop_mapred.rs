@@ -144,7 +144,7 @@ proptest! {
         prop_assert_eq!(metrics.input_records as usize, words.len());
 
         let mut got: HashMap<String, u32> = HashMap::new();
-        for rec in dfs.get("out").unwrap().iter_records() {
+        for rec in dfs.peek("out").unwrap().iter_records() {
             let sep = rec.iter().position(|&b| b == 0).unwrap();
             let word = String::from_utf8(rec[..sep].to_vec()).unwrap();
             let mut b = [0u8; 4];

@@ -246,7 +246,7 @@ fn engine_run(job: &Job, records: &[Vec<u8>], split: usize, workers: usize) -> R
     dfs.put("in", w.finish());
     let engine = Engine::with_workers(dfs.clone(), workers);
     let m = engine.run_job(job);
-    let out = dfs.get("out").unwrap();
+    let out = dfs.peek("out").unwrap();
     RunSig {
         blocks: out.blocks.iter().map(|b| b.as_ref().to_vec()).collect(),
         records: out.records,

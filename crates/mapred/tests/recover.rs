@@ -102,7 +102,7 @@ fn run(
     engine.faults = faults;
     let res = engine.try_run_workflow(&workflow());
     let blocks: Vec<Vec<u8>> = dfs
-        .get("out")
+        .peek("out")
         .map(|ds| ds.blocks.iter().map(|b| b.as_ref().to_vec()).collect())
         .unwrap_or_default();
     (res, blocks)

@@ -178,7 +178,7 @@ fn both(dfs: &SimDfs, inputs: &[&str], reference: Tasks, production: Tasks, out:
             job = job.input(*input);
         }
         let m = Engine::pinned(dfs.clone()).run_job(&job.build());
-        let blocks = dfs.get(out).expect("job wrote its output").blocks;
+        let blocks = dfs.peek(out).expect("job wrote its output").blocks;
         let blocks = blocks.iter().map(|b| b.as_ref().to_vec()).collect();
         (blocks, (m.map_output_records, m.map_output_bytes), m.corrupt_records_skipped)
     };

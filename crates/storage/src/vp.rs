@@ -294,7 +294,7 @@ impl VpStore {
         let Some(meta) = self.tables.get(&key) else {
             return Vec::new();
         };
-        let Some(ds) = dfs.get(&meta.dataset) else {
+        let Some(ds) = dfs.peek(&meta.dataset) else {
             return Vec::new();
         };
         read_dataset_rows(&ds)
@@ -472,7 +472,7 @@ mod tests {
                 })
                 .copied()
                 .collect();
-            let ds = dfs.get(&e.dataset).unwrap();
+            let ds = dfs.peek(&e.dataset).unwrap();
             assert_eq!(read_dataset_rows(&ds), expect, "{}", e.dataset);
             assert_eq!(e.rows, expect.len(), "{}", e.dataset);
         }
@@ -508,7 +508,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         for e in store.ext_tables() {
-            assert!(dfs.get(&e.dataset).is_some(), "{} missing in DFS", e.dataset);
+            assert!(dfs.peek(&e.dataset).is_some(), "{} missing in DFS", e.dataset);
         }
     }
 }

@@ -68,7 +68,7 @@ fn run_one(
     let (_rel, wf) = plan.try_execute(&mr, aq, &cat.dict).expect("plan executes");
     let blocks: Vec<Vec<u8>> = cat
         .dfs
-        .get(&plan.output_dataset)
+        .peek(&plan.output_dataset)
         .map(|ds| ds.blocks.iter().map(|b| b.as_ref().to_vec()).collect())
         .unwrap_or_default();
     plan.cleanup(&cat.dfs);
