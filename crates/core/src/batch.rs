@@ -159,7 +159,7 @@ pub fn demux_member_plan(
         }
         datasets.push(dest);
     }
-    finish_plan(engine, aq, Vec::new(), datasets, dfs, &qpid)
+    finish_plan(engine, aq, Vec::new(), datasets, &qpid)
 }
 
 /// Copy the records of one combined block into a private dataset with the

@@ -41,7 +41,7 @@ pub(super) fn plan_per_block(
         block_datasets.push(planner.plan_block_naive(block, b as u8)?);
     }
     let jobs = planner.jobs;
-    finish_plan("Hive (Naive)", aq, jobs, block_datasets, &cat.dfs, &pid)
+    finish_plan("Hive (Naive)", aq, jobs, block_datasets, &pid)
 }
 
 /// Hive (MQO): the composite materialized once, then per-block extraction +
@@ -54,7 +54,7 @@ pub(super) fn plan_composite(
 ) -> Result<QueryPlan, PlanError> {
     let pid = next_plan_id("hm");
     let (jobs, block_datasets) = mqo_block_jobs(rules, aq, composite, cat, pid.clone())?;
-    finish_plan("Hive (MQO)", aq, jobs, block_datasets, &cat.dfs, &pid)
+    finish_plan("Hive (MQO)", aq, jobs, block_datasets, &pid)
 }
 
 /// Compile just the shared MQO block jobs — composite QOPT materialization
@@ -374,7 +374,7 @@ impl<'a> RelPlanner<'a> {
             JobBuilder::new(format!("{label} [map-join]"))
                 .input(stream.dataset.clone())
                 .sig_of(&cfg)
-                .mapper(Arc::new(MapJoinFactory::new(cfg, self.cat.dfs.clone())))
+                .mapper(Arc::new(MapJoinFactory::new(cfg)))
                 .output(out_name.clone())
                 .tag(tag)
                 .build()

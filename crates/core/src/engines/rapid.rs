@@ -54,7 +54,7 @@ pub(super) fn plan_per_block(
         ));
         block_datasets.push(out);
     }
-    finish_plan("RAPID+ (Naive)", aq, jobs, block_datasets, &cat.dfs, &pid)
+    finish_plan("RAPID+ (Naive)", aq, jobs, block_datasets, &pid)
 }
 
 /// RAPIDAnalytics: the composite pattern joined once (α-join pruning),
@@ -154,7 +154,7 @@ pub(super) fn plan_composite(
             block_datasets.push(out);
         }
     }
-    finish_plan("RAPIDAnalytics", aq, jobs, block_datasets, &cat.dfs, &pid)
+    finish_plan("RAPIDAnalytics", aq, jobs, block_datasets, &pid)
 }
 
 /// The §2.2 shared scan over non-overlapping single-star blocks: one
@@ -207,7 +207,6 @@ pub(super) fn plan_shared_single_star(
         aq,
         vec![job],
         block_datasets,
-        &cat.dfs,
         &pid,
     )
 }

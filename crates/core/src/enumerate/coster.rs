@@ -8,13 +8,15 @@
 //! s1"`, `"join u0 k2"`, `"agg b0"`, … — resolved against the [`CardCtx`] built
 //! from the same statistics the memo search uses. The estimate is therefore
 //! a pure function of (query, statistics, model): good enough to pick the
-//! plans worth a dry run, cheap enough to price dozens of candidates. It is
-//! blind to ExtVP reductions — a substituted scan's rows are the unreduced
-//! star's — which is why the enumerator also dry-runs the other ExtVP arm.
+//! plans worth a dry run, cheap enough to price dozens of candidates. A star
+//! job that reads ExtVP reductions emits its star's rows scaled by their
+//! selectivities, the factor S2RDF keeps per ExtVP table (`extvp_cuts`), so
+//! the joins after it shrink too.
 
 use crate::catalog::DataCatalog;
 use crate::plan::QueryPlan;
 use rapida_mapred::{ClusterModel, Job, JobMetrics};
+use rapida_storage::ExtVpKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -137,6 +139,39 @@ impl From<CardTag> for String {
     }
 }
 
+/// Per star job of `plan` — `(unit, star, factor)` — the share of its
+/// star's rows left by the OS/SO ExtVP reductions the job reads, as job
+/// inputs or as broadcast sides: the product of their selectivities. An OS
+/// or SO reduction keeps the rows whose join key the star's neighbour has,
+/// which the unreduced star statistics cannot see. An SS reduction's
+/// partner is a pattern of the same star, whose join already drops those
+/// rows, so it cuts nothing.
+pub(crate) fn extvp_cuts(cat: &DataCatalog, plan: &QueryPlan) -> Vec<(usize, usize, f64)> {
+    let selectivity = |name: &str| {
+        if !name.starts_with("extvp_") {
+            return None;
+        }
+        let e = cat.vp.ext_tables().iter().find(|e| e.dataset == name)?;
+        (e.kind != ExtVpKind::SS).then_some(e.selectivity)
+    };
+    plan.jobs
+        .iter()
+        .filter_map(|job| match CardTag::parse(&job.tag)? {
+            CardTag::Star { unit, star } => {
+                let sides = job.mapper.side_inputs();
+                let cut: f64 = job
+                    .inputs
+                    .iter()
+                    .chain(&sides)
+                    .filter_map(|name| selectivity(name))
+                    .product();
+                (cut < 1.0).then_some((unit, star, cut))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Estimated simulated cost of a plan, in model seconds.
 pub fn estimate_plan(
     model: &ClusterModel,
@@ -144,18 +179,27 @@ pub fn estimate_plan(
     plan: &QueryPlan,
     ctx: &CardCtx,
 ) -> f64 {
+    let mut total = 0.0;
+    for m in estimate_jobs(cat, plan, ctx) {
+        total += model.job_time(&m);
+    }
+    total
+}
+
+/// The estimated metrics of every job of `plan`, final join last.
+pub(crate) fn estimate_jobs(cat: &DataCatalog, plan: &QueryPlan, ctx: &CardCtx) -> Vec<JobMetrics> {
     // Intermediate sizes recorded as jobs are walked: name -> (rows, bytes).
     let mut inter: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
-    let mut total = 0.0;
+    let mut out = Vec::with_capacity(plan.cycles());
     for job in plan.jobs.iter().chain(plan.final_job.iter()) {
         let m = estimate_job(cat, job, ctx, &inter);
-        total += model.job_time(&m);
         inter.insert(
             job.output.as_str(),
             (m.output_records as f64, m.output_bytes as f64),
         );
+        out.push(m);
     }
-    total
+    out
 }
 
 fn estimate_job(

@@ -576,7 +576,6 @@ pub fn finish_plan(
     aq: &AnalyticalQuery,
     jobs: Vec<Job>,
     block_datasets: Vec<String>,
-    dfs: &SimDfs,
     plan_id: &str,
 ) -> Result<QueryPlan, PlanError> {
     let resolved = aq.resolve_projection()?;
@@ -668,7 +667,7 @@ pub fn finish_plan(
     let final_job = rapida_mapred::JobBuilder::new(format!("{engine}:final-join"))
         .input(block_datasets[0].clone())
         .sig_of(&cfg)
-        .mapper(Arc::new(MapJoinFactory::new(cfg, dfs.clone())))
+        .mapper(Arc::new(MapJoinFactory::new(cfg)))
         .output(out_name.clone())
         .tag(CardTag::Final)
         .build();

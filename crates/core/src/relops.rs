@@ -541,32 +541,31 @@ impl PartialEq for SideKey {
 }
 
 /// Factory for map-join tasks — the distributed-cache analog. Each task
-/// fetches its broadcast sides' tables from the DFS when it is created (by
-/// which time the producing jobs have run). The DFS builds a side's table
-/// once per stored copy of its dataset and shares it with every task, job
-/// and engine that broadcasts the same side; a missing dataset is an empty
-/// side.
+/// fetches its broadcast sides' tables when it is created (by which time
+/// the producing jobs have run), from the DFS of the engine that runs the
+/// job. That DFS builds a side's table once per stored copy of its dataset
+/// and shares it with every task, job and engine that broadcasts the same
+/// side; a missing dataset is an empty side.
 pub struct MapJoinFactory {
     cfg: Arc<MapJoinCfg>,
-    dfs: SimDfs,
     /// Per broadcast side, the memo key of its table.
     keys: Vec<SideKey>,
 }
 
 impl MapJoinFactory {
-    /// Create a factory bound to the DFS.
-    pub fn new(cfg: Arc<MapJoinCfg>, dfs: SimDfs) -> Self {
+    /// Create a factory for the join `cfg` describes.
+    pub fn new(cfg: Arc<MapJoinCfg>) -> Self {
         let keys = cfg.smalls.iter().map(|s| SideKey::of(s, &cfg.dict)).collect();
-        MapJoinFactory { cfg, dfs, keys }
+        MapJoinFactory { cfg, keys }
     }
 }
 
 impl MapTaskFactory for MapJoinFactory {
-    fn create(&self) -> Box<dyn MapTask> {
+    fn create(&self, dfs: &SimDfs) -> Box<dyn MapTask> {
         let cfg = &self.cfg;
         let table = |(small, key): (&MapJoinSmall, &SideKey)| {
             let build = |ds: &Dataset| SmallTable::build(small, &cfg.dict, ds);
-            self.dfs.derived(&small.dataset, key, build).unwrap_or_default()
+            dfs.derived(&small.dataset, key, build).unwrap_or_default()
         };
         Box::new(MapJoinTask {
             cfg: cfg.clone(),
@@ -1116,7 +1115,7 @@ mod tests {
         });
         let job = JobBuilder::new("mapjoin")
             .input("stream")
-            .mapper(Arc::new(MapJoinFactory::new(cfg, dfs.clone())))
+            .mapper(Arc::new(MapJoinFactory::new(cfg)))
             .output("out")
             .build();
         let m = Engine::pinned(dfs.clone()).run_job(&job);
@@ -1395,7 +1394,7 @@ mod tests {
         });
         let job = JobBuilder::new("scanfilter")
             .input("rows")
-            .mapper(Arc::new(MapJoinFactory::new(cfg, dfs.clone())))
+            .mapper(Arc::new(MapJoinFactory::new(cfg)))
             .output("out")
             .build();
         Engine::pinned(dfs.clone()).run_job(&job);

@@ -202,8 +202,8 @@ fn map_join_table_allocations_bounded() {
         dict: Arc::default(),
     });
 
-    let factory = MapJoinFactory::new(cfg.clone(), dfs.clone());
-    let (mut flat, flat_build, _) = gauged(|| factory.create());
+    let factory = MapJoinFactory::new(cfg.clone());
+    let (mut flat, flat_build, _) = gauged(|| factory.create(&dfs));
     let (mut owned, owned_build, _) = gauged(|| ReferenceMapJoin::load(cfg.clone(), &dfs));
     assert!(
         flat_build <= 64,
@@ -217,8 +217,8 @@ fn map_join_table_allocations_bounded() {
 
     // Another job's factory over the same side shares the built table: its
     // task allocates its box and its list of table handles, nothing more.
-    let second = MapJoinFactory::new(cfg.clone(), dfs.clone());
-    let (second_task, second_build, _) = gauged(|| second.create());
+    let second = MapJoinFactory::new(cfg.clone());
+    let (second_task, second_build, _) = gauged(|| second.create(&dfs));
     assert!(
         second_build <= 2,
         "a second factory over the same side allocated {second_build} times"

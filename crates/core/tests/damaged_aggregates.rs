@@ -81,7 +81,6 @@ fn final_join_raw(b0: &[Vec<u8>], b1: &[Vec<u8>]) -> (Vec<Vec<Cell>>, u64) {
         &aq,
         Vec::new(),
         vec!["b0".into(), "b1".into()],
-        &dfs,
         "dmg",
     )
     .expect("plan builds");
@@ -158,7 +157,7 @@ fn row(a: u64, n: f64) -> Vec<Cell> {
 fn single_block(dfs: SimDfs) -> Vec<Vec<Cell>> {
     let aq = aq(ONE_BLOCK);
     let plan =
-        finish_plan("test", &aq, Vec::new(), vec!["b0".into()], &dfs, "dmg").expect("plan builds");
+        finish_plan("test", &aq, Vec::new(), vec!["b0".into()], "dmg").expect("plan builds");
     let (rel, _) = plan
         .try_execute(&Engine::pinned(dfs), &aq, &Dictionary::new())
         .expect("nothing to run");

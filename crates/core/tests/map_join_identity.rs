@@ -203,7 +203,7 @@ fn run(task: &mut dyn MapTask, stream: &[Vec<u8>]) -> (Vec<Vec<u8>>, u64) {
 fn both(cfg: MapJoinCfg, dfs: &SimDfs, stream: &[Vec<u8>]) -> [(Vec<Vec<u8>>, u64); 2] {
     let cfg = Arc::new(cfg);
     let want = run(&mut ReferenceMapJoin::load(cfg.clone(), dfs), stream);
-    let got = run(&mut *MapJoinFactory::new(cfg, dfs.clone()).create(), stream);
+    let got = run(&mut *MapJoinFactory::new(cfg).create(dfs), stream);
     [got, want]
 }
 

@@ -45,7 +45,7 @@ fn surviving(cat: &DataCatalog, pred: IdPred, ids: &[u64]) -> Vec<u64> {
     dfs.put("rows", w.finish());
     let job = JobBuilder::new("scan")
         .input("rows")
-        .mapper(Arc::new(MapJoinFactory::new(Arc::new(scan_cfg(cat, pred)), dfs.clone())))
+        .mapper(Arc::new(MapJoinFactory::new(Arc::new(scan_cfg(cat, pred)))))
         .output("out")
         .build();
     Engine::pinned(dfs.clone()).run_job(&job);

@@ -10,6 +10,12 @@
 //! * [`queries`] — G1–G9, MG1–MG4, MG6–MG18 with Fig. 7 structure metadata.
 //! * [`traffic`] — seeded multi-client arrival streams for `rapida serve`.
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod bsbm;
 pub mod chem;
 pub mod pubmed;

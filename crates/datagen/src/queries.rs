@@ -458,6 +458,9 @@ pub fn try_query(id: &str) -> Option<CatalogQuery> {
 
 /// Look up a catalog query by id. Panics on unknown ids (programmer error
 /// in benchmarks/examples).
+// Invariant: the panic is this function's contract; `try_query` is the
+// fallible lookup.
+#[allow(clippy::panic)]
 pub fn query(id: &str) -> CatalogQuery {
     try_query(id).unwrap_or_else(|| panic!("unknown catalog query '{id}'"))
 }

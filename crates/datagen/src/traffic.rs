@@ -90,14 +90,17 @@ pub fn generate(cfg: &TrafficConfig) -> Vec<TrafficEvent> {
                 break;
             }
             let mut roll = rng.unit_f64() * total_weight;
-            let mut query_id = cfg.mix.last().unwrap().0.clone();
+            // What rounding leaves of the roll past every weight goes to the
+            // last template (the mix is not empty, asserted above).
+            let mut query_id = &cfg.mix[cfg.mix.len() - 1].0;
             for (id, w) in &cfg.mix {
                 if roll < *w {
-                    query_id = id.clone();
+                    query_id = id;
                     break;
                 }
                 roll -= *w;
             }
+            let query_id = query_id.clone();
             events.push(TrafficEvent { at_ms: at, client, seq, query_id });
             seq += 1;
         }

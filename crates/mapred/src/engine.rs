@@ -524,7 +524,7 @@ impl Engine {
         // interleaving, or faults. Only the committed attempt combines and
         // spills; a lost one reports its waste.
         let (map_outs, map_pool) = pool::run_tasks(workers, units, |_, (di, block, kind)| {
-            let mut task = job.mapper.create();
+            let mut task = job.mapper.create(&self.dfs);
             let mut out = MapOutput::default();
             let mut read = 0;
             for rec in RecordIter::new(&block).take(kind.limit().unwrap_or(usize::MAX)) {

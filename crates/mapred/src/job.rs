@@ -4,6 +4,7 @@
 //! hash aggregation relies on).
 
 use crate::codec::{KvBuffer, RecBuffer};
+use crate::dfs::SimDfs;
 use std::fmt;
 use std::sync::Arc;
 
@@ -103,8 +104,9 @@ pub trait MapTask: Send {
 
 /// Factory creating map task instances (one per split).
 pub trait MapTaskFactory: Send + Sync {
-    /// Create a fresh task.
-    fn create(&self) -> Box<dyn MapTask>;
+    /// Create a fresh task for a job run on the engine over `dfs`, from
+    /// which it reads its [`Self::side_inputs`].
+    fn create(&self, dfs: &SimDfs) -> Box<dyn MapTask>;
 
     /// The datasets its tasks read from the DFS besides their split, such as
     /// a map-join's broadcast sides. A job's output is a function of these
@@ -167,7 +169,7 @@ where
     F: Fn() -> T + Send + Sync,
     T: MapTask + 'static,
 {
-    fn create(&self) -> Box<dyn MapTask> {
+    fn create(&self, _: &SimDfs) -> Box<dyn MapTask> {
         Box::new((self.0)())
     }
 }

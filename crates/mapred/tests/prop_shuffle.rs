@@ -125,7 +125,7 @@ fn reference_run(job: &Job, records: &[Vec<u8>], split: usize) -> RunSig {
     let mut map_output_records = 0u64;
     let mut map_output_bytes = 0u64;
     for block in &input.blocks {
-        let mut task = job.mapper.create();
+        let mut task = job.mapper.create(&SimDfs::new());
         let mut out = MapOutput::default();
         for rec in rapida_mapred::codec::RecordIter::new(block) {
             task.map(InputSrc { dataset: 0 }, rec, &mut out);

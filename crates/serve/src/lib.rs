@@ -26,6 +26,12 @@
 //! turns an over-budget query into a typed [`RequestStatus::Rejected`],
 //! never a panic, and never partial rows.
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 use rapida_core::plan::attach_scan_cache_keys;
 use rapida_core::{
     demux_member_plan, extract, fusion_groups, plan_fused_group, AnalyticalQuery, DataCatalog,
@@ -40,7 +46,7 @@ use rapida_rdf::Graph;
 use rapida_sparql::{parse_query, Relation};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The planner every request goes through, in both modes; its `Debug` form
 /// is part of each scan-cache key.
@@ -285,6 +291,15 @@ struct Inner {
     queue: Mutex<Vec<Request>>,
 }
 
+impl Inner {
+    /// The queue, locked. A holder only pushes onto it or takes it whole,
+    /// which leave it a whole `Vec` even if the holder panicked, so a
+    /// poisoned lock still guards a sound queue.
+    fn queue(&self) -> MutexGuard<'_, Vec<Request>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The in-process server: one loaded catalog, one scan cache, one queue.
 /// Cloning is cheap and shares all state, which is what [`Session`]
 /// handles rely on to submit concurrently from many client threads.
@@ -315,7 +330,7 @@ impl Session {
     }
 
     fn push(&self, at_ms: u64, query_id: &str, text: Result<Arc<str>, String>) {
-        self.server.inner.queue.lock().unwrap().push(Request {
+        self.server.inner.queue().push(Request {
             at_ms,
             client: self.client,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
@@ -361,7 +376,7 @@ impl Server {
     pub fn enqueue_traffic(&self, events: &[TrafficEvent]) {
         // One catalog lookup per distinct id of the call, not per event.
         let mut texts: HashMap<&str, Result<Arc<str>, String>> = HashMap::new();
-        let mut q = self.inner.queue.lock().unwrap();
+        let mut q = self.inner.queue();
         for ev in events {
             let text = texts
                 .entry(&ev.query_id)
@@ -389,7 +404,7 @@ impl Server {
     /// seq)` and serve them under the configured mode. The scan cache
     /// persists across drains; the queue does not.
     pub fn drain(&self) -> ServeReport {
-        let mut reqs: Vec<Request> = std::mem::take(&mut *self.inner.queue.lock().unwrap());
+        let mut reqs: Vec<Request> = std::mem::take(&mut *self.inner.queue());
         reqs.sort_by(|a, b| {
             (a.at_ms, a.client, a.seq).cmp(&(b.at_ms, b.client, b.seq))
         });
@@ -619,6 +634,9 @@ impl Server {
             .zip(slots)
             .enumerate()
             .map(|(i, (r, slot))| {
+                // Invariant: `duplicates` lists every request but an answer's
+                // last, so `copy_answers` made its copy, in request order.
+                #[allow(clippy::expect_used)]
                 let (status, done_ms) = match slot {
                     Some((Ok(a), done_ms)) => {
                         let relation = if last[a] == i {

@@ -7,7 +7,7 @@
 
 use crate::ast::{TriplePattern, Var};
 use rapida_rdf::{vocab, Term};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The role a variable plays inside a triple pattern (Table 1: `role(?v)`).
@@ -229,14 +229,18 @@ pub fn decompose(triples: &[TriplePattern]) -> Result<StarDecomposition, Analysi
     }
 
     // Join detection: for every ordered star pair and shared variable.
+    let vars: Vec<_> = stars.iter().map(join_vars).collect();
     let mut joins = Vec::new();
     for i in 0..stars.len() {
         for j in (i + 1)..stars.len() {
-            let shared = shared_vars(&stars[i], &stars[j]);
-            for v in shared {
-                let left = join_side(&stars[i], i, &v);
-                let right = join_side(&stars[j], j, &v);
-                joins.push(StarJoin { var: v, left, right });
+            for (&v, &left) in &vars[i] {
+                if let Some(&right) = vars[j].get(v) {
+                    joins.push(StarJoin {
+                        var: v.clone(),
+                        left: join_side(&stars[i], i, left),
+                        right: join_side(&stars[j], j, right),
+                    });
+                }
             }
         }
     }
@@ -269,41 +273,35 @@ pub fn decompose(triples: &[TriplePattern]) -> Result<StarDecomposition, Analysi
     })
 }
 
-fn star_vars(star: &StarPattern) -> BTreeSet<Var> {
-    let mut out = BTreeSet::new();
-    out.insert(star.subject.clone());
+/// Every variable of `star` — its subject and its objects — with the
+/// pattern a join on it goes through: none for the subject, else the first
+/// pattern whose object it is (several joining patterns on one variable
+/// behave alike).
+fn join_vars(star: &StarPattern) -> BTreeMap<&Var, Option<&TriplePattern>> {
+    let mut vars = BTreeMap::new();
+    vars.insert(&star.subject, None);
     for tp in &star.triples {
         if let Some(v) = tp.o.as_var() {
-            out.insert(v.clone());
+            vars.entry(v).or_insert(Some(tp));
         }
     }
-    out
+    vars
 }
 
-fn shared_vars(a: &StarPattern, b: &StarPattern) -> Vec<Var> {
-    star_vars(a).intersection(&star_vars(b)).cloned().collect()
-}
-
-fn join_side(star: &StarPattern, idx: usize, v: &Var) -> JoinSide {
-    if &star.subject == v {
-        JoinSide {
+/// One side of a join on a variable of star `idx`, which goes through the
+/// joining pattern `jtp` ([`join_vars`]).
+fn join_side(star: &StarPattern, idx: usize, jtp: Option<&TriplePattern>) -> JoinSide {
+    match jtp {
+        None => JoinSide {
             star: idx,
             role: Role::Subject,
             prop: star.type_anchor().and_then(PropKey::of),
-        }
-    } else {
-        // The joining tp is the one whose object is v. If several, take the
-        // first (multiple joining tps on the same variable behave alike).
-        let tp = star
-            .triples
-            .iter()
-            .find(|tp| tp.o.as_var() == Some(v))
-            .expect("join variable must appear in the star");
-        JoinSide {
+        },
+        Some(tp) => JoinSide {
             star: idx,
             role: Role::Object,
             prop: PropKey::of(tp),
-        }
+        },
     }
 }
 

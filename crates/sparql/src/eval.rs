@@ -332,26 +332,25 @@ impl<'g> Evaluator<'g> {
             let mut seen = std::collections::BTreeSet::new();
             ids.retain(|id| seen.insert(*id));
         }
+        // A numeric aggregate folds the numeric arguments; over none it is
+        // unbound.
+        let numeric = |fold: fn(&[f64]) -> f64| {
+            let nums: Vec<f64> = ids
+                .iter()
+                .filter_map(|id| untag_num(*id).or_else(|| self.graph.dict.numeric_value(*id)))
+                .collect();
+            if nums.is_empty() {
+                Cell::Null
+            } else {
+                Cell::Num(fold(&nums))
+            }
+        };
         match func {
             AggFunc::Count => Cell::Num(ids.len() as f64),
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max => {
-                let nums: Vec<f64> = ids
-                    .iter()
-                    .filter_map(|id| untag_num(*id).or_else(|| self.graph.dict.numeric_value(*id)))
-                    .collect();
-                if nums.is_empty() {
-                    return Cell::Null;
-                }
-                match func {
-                    AggFunc::Sum => Cell::Num(nums.iter().sum()),
-                    AggFunc::Avg => Cell::Num(nums.iter().sum::<f64>() / nums.len() as f64),
-                    AggFunc::Min => Cell::Num(nums.iter().cloned().fold(f64::INFINITY, f64::min)),
-                    AggFunc::Max => {
-                        Cell::Num(nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-                    }
-                    AggFunc::Count => unreachable!(),
-                }
-            }
+            AggFunc::Sum => numeric(|n| n.iter().sum()),
+            AggFunc::Avg => numeric(|n| n.iter().sum::<f64>() / n.len() as f64),
+            AggFunc::Min => numeric(|n| n.iter().cloned().fold(f64::INFINITY, f64::min)),
+            AggFunc::Max => numeric(|n| n.iter().cloned().fold(f64::NEG_INFINITY, f64::max)),
         }
     }
 }

@@ -24,6 +24,12 @@
 //! assert_eq!(result.rows.len(), 1);
 //! ```
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod analysis;
 pub mod ast;
 pub mod eval;

@@ -348,12 +348,10 @@ impl Parser {
                         };
                         Ok(PatternTerm::Term(Term::typed_literal(s, dt)))
                     }
-                    Some(Token::LangTag(_)) => {
-                        if let Some(Token::LangTag(lang)) = self.bump() {
-                            Ok(PatternTerm::Term(Term::lang_literal(s, lang)))
-                        } else {
-                            unreachable!()
-                        }
+                    Some(Token::LangTag(lang)) => {
+                        let term = Term::lang_literal(s, lang.clone());
+                        self.pos += 1;
+                        Ok(PatternTerm::Term(term))
                     }
                     _ => Ok(PatternTerm::Term(Term::literal(s))),
                 }

@@ -23,6 +23,11 @@
 # harnesses execute end-to-end without paying for a real measurement run;
 # each bench fails if one of its ids was never measured, and checks its own
 # speedup floor outside smoke mode. JSON reports land in target/bench-smoke/.
+#
+# Two of those floors are enforced here at full size: `shuffle` (the arena
+# data path >= 2x over legacy pairs) and `scale` (>= 2x busy makespan at 4
+# workers). Their JSON reports land in target/bench-floors/, so the
+# committed baselines at the repo root are not rewritten.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +78,11 @@ echo "==> bench smoke (1 iteration per benchmark)"
 # relative RAPIDA_BENCH_DIR would silently land.
 RAPIDA_BENCH_SMOKE=1 RAPIDA_BENCH_DIR="$(pwd)/target/bench-smoke" \
     cargo bench --offline -p rapida-bench
+
+echo "==> bench floors (full size: shuffle arena >= 2x, scale >= 2x at 4 workers)"
+for bench in shuffle scale; do
+    RAPIDA_BENCH_DIR="$(pwd)/target/bench-floors" \
+        cargo bench --offline -p rapida-bench --bench "$bench"
+done
 
 echo "==> verify OK"
