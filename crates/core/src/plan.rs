@@ -373,13 +373,22 @@ impl QueryPlan {
     pub fn try_run(&self, mr: &Engine) -> Result<WorkflowMetrics, WorkflowError> {
         let mut wf = mr.try_run_workflow(&self.jobs)?;
         for f in &self.fixups {
+            // A fixup reads its block's output: a lost one is no empty block.
+            if self.jobs.iter().any(|j| j.output == f.dataset) && !mr.dfs.contains(&f.dataset) {
+                return Err(WorkflowError::MissingIntermediate {
+                    job: format!("empty-ALL fixup of block {}", f.block_id),
+                    job_index: self.jobs.len(),
+                    dataset: f.dataset.clone(),
+                    partial: Box::new(wf),
+                });
+            }
             f.apply(&mr.dfs);
         }
         if let Some(job) = &self.final_job {
             // The final join runs as a one-job continuation of the workflow
             // so it shares the same recovery machinery (checkpoints of the
             // block jobs are already committed above).
-            let tail = mr.try_run_workflow(std::slice::from_ref(job))?;
+            let tail = mr.try_run_workflow_after(&self.jobs, std::slice::from_ref(job))?;
             wf.jobs.extend(tail.jobs);
             wf.recovery.absorb(&tail.recovery);
         }

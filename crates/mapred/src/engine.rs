@@ -301,7 +301,24 @@ impl Engine {
     /// ([`ResiliencePolicy::workflow_attempts`]) and one deterministic
     /// backoff delay; an exhausted budget degrades gracefully to a typed
     /// [`WorkflowError`] carrying the partial metrics instead of panicking.
+    ///
+    /// A job about to read a dataset that an earlier job wrote, and that the
+    /// DFS no longer holds, stops the workflow with
+    /// [`WorkflowError::MissingIntermediate`]; a missing base table reads
+    /// as empty.
     pub fn try_run_workflow(&self, jobs: &[Job]) -> Result<WorkflowMetrics, WorkflowError> {
+        self.try_run_workflow_after(&[], jobs)
+    }
+
+    /// [`Self::try_run_workflow`] for jobs that continue a workflow whose
+    /// `earlier` jobs already ran: the datasets those wrote count as the
+    /// workflow's own, so a missing one is a
+    /// [`WorkflowError::MissingIntermediate`] here too.
+    pub fn try_run_workflow_after(
+        &self,
+        earlier: &[Job],
+        jobs: &[Job],
+    ) -> Result<WorkflowMetrics, WorkflowError> {
         let pol = &self.resilience;
         let budget = pol.workflow_attempts.max(1);
         let mut recovery = RecoveryLedger::default();
@@ -347,6 +364,21 @@ impl Engine {
 
             let mut restart: Option<usize> = None;
             for (i, job) in jobs.iter().enumerate().skip(from) {
+                let writers = || earlier.iter().chain(&jobs[..i]);
+                let missing = job
+                    .inputs
+                    .iter()
+                    .cloned()
+                    .chain(job.mapper.side_inputs())
+                    .find(|name| writers().any(|w| &w.output == name) && !self.dfs.contains(name));
+                if let Some(dataset) = missing {
+                    return Err(WorkflowError::MissingIntermediate {
+                        job: job.name.clone(),
+                        job_index: i,
+                        dataset,
+                        partial: Box::new(assemble(&committed, &recovery)),
+                    });
+                }
                 let m = self.run_job_cached(job);
                 if ran_before[i] {
                     recovery.jobs_replayed += 1;
@@ -1280,6 +1312,72 @@ mod tests {
         assert_eq!(m1.wasted_input_records, m8.wasted_input_records);
         assert_eq!(m1.wasted_output_bytes, m8.wasted_output_bytes);
         assert_eq!(m1.backoff_s, m8.backoff_s);
+    }
+
+    /// A mapper factory that passes records through, whose `create` removes
+    /// a dataset, and that declares some side inputs.
+    struct RemovingMap {
+        removes: &'static str,
+        sides: Vec<String>,
+    }
+    impl MapTaskFactory for RemovingMap {
+        fn create(&self, dfs: &SimDfs) -> Box<dyn MapTask> {
+            dfs.remove(self.removes);
+            Box::new(IdMap)
+        }
+
+        fn side_inputs(&self) -> Vec<String> {
+            self.sides.clone()
+        }
+    }
+
+    /// `base -> a`, then a job whose tasks remove `a` (`base -> b`), then
+    /// `third`.
+    fn losing_workflow(third: Job) -> (SimDfs, Vec<Job>) {
+        let dfs = SimDfs::new();
+        dfs.put("base", word_dataset(&["x", "y"]));
+        let first = JobBuilder::new("first").input("base").mapper(Arc::new(FnMapFactory(|| IdMap))).output("a").build();
+        let remover = Arc::new(RemovingMap { removes: "a", sides: Vec::new() });
+        let second = JobBuilder::new("second").input("base").mapper(remover).output("b").build();
+        (dfs, vec![first, second, third])
+    }
+
+    #[test]
+    fn a_missing_intermediate_input_is_a_typed_error() {
+        let third = JobBuilder::new("third").input("a").mapper(Arc::new(FnMapFactory(|| IdMap))).output("c").build();
+        let (dfs, jobs) = losing_workflow(third);
+        match Engine::pinned(dfs.clone()).try_run_workflow(&jobs) {
+            Err(WorkflowError::MissingIntermediate { job, job_index, dataset, partial }) => {
+                assert_eq!((job.as_str(), job_index, dataset.as_str()), ("third", 2, "a"));
+                assert_eq!(partial.jobs.len(), 2, "the jobs before it committed");
+            }
+            other => panic!("expected a missing intermediate, got {:?}", other.map(|wf| wf.jobs.len())),
+        }
+        assert!(!dfs.contains("c"), "the reading job never ran");
+    }
+
+    #[test]
+    fn a_missing_intermediate_side_input_is_a_typed_error() {
+        let reader = Arc::new(RemovingMap { removes: "", sides: vec!["a".into()] });
+        let third = JobBuilder::new("third").input("base").mapper(reader).output("c").build();
+        let (dfs, jobs) = losing_workflow(third);
+        let err = Engine::pinned(dfs).try_run_workflow(&jobs).err().map(|e| e.to_string());
+        assert!(err.as_deref().is_some_and(|e| e.contains("job 2 (third) reads a")), "{err:?}");
+    }
+
+    #[test]
+    fn a_continuation_counts_the_earlier_jobs_outputs_as_intermediates() {
+        let third = JobBuilder::new("third").input("a").mapper(Arc::new(FnMapFactory(|| IdMap))).output("c").build();
+        let (dfs, jobs) = losing_workflow(third);
+        let engine = Engine::pinned(dfs);
+        engine.try_run_workflow(&jobs[..2]).expect("the first two jobs run");
+        // Alone, `third` reads a table no job of its workflow writes: empty.
+        let alone = engine.try_run_workflow(&jobs[2..]).expect("a missing base table reads as empty");
+        assert_eq!(alone.jobs[0].input_records, 0);
+        assert!(matches!(
+            engine.try_run_workflow_after(&jobs[..2], &jobs[2..]),
+            Err(WorkflowError::MissingIntermediate { job_index: 0, .. })
+        ));
     }
 
     #[test]

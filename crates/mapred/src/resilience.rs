@@ -122,22 +122,38 @@ pub enum WorkflowError {
         /// Metrics up to the failure: committed jobs + recovery ledger.
         partial: Box<WorkflowMetrics>,
     },
+    /// A job was about to read — as an input or a side input — a dataset
+    /// that an earlier job of the same workflow writes, and the DFS does not
+    /// hold it. A missing *base* table reads as empty instead: an absent
+    /// predicate has no table.
+    MissingIntermediate {
+        /// Name of the job that would read it.
+        job: String,
+        /// Its index in the workflow.
+        job_index: usize,
+        /// The missing dataset.
+        dataset: String,
+        /// Metrics up to the failure: committed jobs + recovery ledger.
+        partial: Box<WorkflowMetrics>,
+    },
 }
 
 impl WorkflowError {
     /// The partial metrics accumulated before the failure.
     pub fn partial(&self) -> &WorkflowMetrics {
         match self {
-            WorkflowError::RetryBudgetExhausted { partial, .. } => partial,
-            WorkflowError::DeadlineExhausted { partial, .. } => partial,
+            WorkflowError::RetryBudgetExhausted { partial, .. }
+            | WorkflowError::DeadlineExhausted { partial, .. }
+            | WorkflowError::MissingIntermediate { partial, .. } => partial,
         }
     }
 
     /// Name of the job the workflow died on.
     pub fn job(&self) -> &str {
         match self {
-            WorkflowError::RetryBudgetExhausted { job, .. } => job,
-            WorkflowError::DeadlineExhausted { job, .. } => job,
+            WorkflowError::RetryBudgetExhausted { job, .. }
+            | WorkflowError::DeadlineExhausted { job, .. }
+            | WorkflowError::MissingIntermediate { job, .. } => job,
         }
     }
 }
@@ -165,6 +181,17 @@ impl fmt::Display for WorkflowError {
                 f,
                 "deadline ({limit_s:.1}s) exhausted the retry budget at job {job_index} ({job}); \
                  {} jobs committed",
+                partial.jobs.len()
+            ),
+            WorkflowError::MissingIntermediate {
+                job,
+                job_index,
+                dataset,
+                partial,
+            } => write!(
+                f,
+                "job {job_index} ({job}) reads {dataset}, which an earlier job wrote and the DFS no \
+                 longer holds; {} jobs committed",
                 partial.jobs.len()
             ),
         }

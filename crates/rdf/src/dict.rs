@@ -43,10 +43,12 @@ const PLAIN: u8 = 2;
 const TYPED: u8 = 3;
 const LANG: u8 = 4;
 const TYPED_LANG: u8 = 5;
+// `encode_key` computes a literal's tag from its datatype and language.
+const _: () = assert!(TYPED == PLAIN + 1 && LANG == PLAIN + 2 && TYPED_LANG == PLAIN + 3);
 
 fn push_counted(field: &str, out: &mut String) {
     // `String`'s `fmt::Write` never returns an error.
-    write!(out, "{}:{field}", field.len()).unwrap();
+    let _ = write!(out, "{}:{field}", field.len());
 }
 
 /// Append the key of `term` to `out`.
@@ -75,11 +77,14 @@ fn encode_key(term: TermRef<'_>, out: &mut String) {
 }
 
 /// The field `{len}:field` at the start of `s`, and what follows it.
+///
+/// Keys reach the arena only through `encode_key`, whose `push_counted`
+/// wrote `{len}:` here, `len` ending on a char boundary of `field`; a key
+/// without one would read as one field and nothing after it.
 fn split_counted(s: &str) -> (&str, &str) {
-    // Keys reach the arena only through `encode_key`, whose `push_counted`
-    // wrote `{len}:` here, `len` ending on a char boundary of `field`.
-    let (len, rest) = s.split_once(':').expect("a counted key field");
-    rest.split_at(len.parse().expect("a key field length"))
+    s.split_once(':')
+        .and_then(|(len, rest)| rest.split_at_checked(len.parse().ok()?))
+        .unwrap_or((s, ""))
 }
 
 fn decode_key(key: &str) -> TermRef<'_> {
@@ -91,15 +96,15 @@ fn decode_key(key: &str) -> TermRef<'_> {
         PLAIN => literal(body, None, None),
         tag => {
             let (lexical, rest) = split_counted(body);
+            // `encode_key` writes no tag past `TYPED_LANG`, and nothing
+            // else writes keys.
             match tag {
                 TYPED => literal(lexical, Some(rest), None),
                 LANG => literal(lexical, None, Some(rest)),
-                TYPED_LANG => {
+                _ => {
                     let (dt, lang) = split_counted(rest);
                     literal(lexical, Some(dt), Some(lang))
                 }
-                // `encode_key` writes no other tag, and nothing else writes keys.
-                _ => unreachable!("a term key starts with a tag, not {tag}"),
             }
         }
     }
@@ -125,10 +130,12 @@ fn with_key<R>(term: TermRef<'_>, f: impl FnOnce(&str) -> R) -> R {
 /// The index is an open-addressing table with linear probing, never more
 /// than half full. A slot holds `id + 1` (0 = empty) under the top 32 bits
 /// of the key's hash, so a probe compares keys only when those bits agree.
-/// Keys hash with std's SipHash: FxHash folds a string eight bytes at a
-/// time with one multiply, so generated IRIs that share a long prefix and
-/// differ in a short numeric suffix would pile onto a few slots. Growing
-/// the table re-slots ids by their stored hash, in id order.
+/// A probe starts at the slot those same bits name ([`home`]), so growing
+/// the table re-slots every entry from what its slot holds, without a
+/// stored hash per id. Keys hash with std's SipHash: FxHash folds a string
+/// eight bytes at a time with one multiply, so generated IRIs that share a
+/// long prefix and differ in a short numeric suffix would pile onto a few
+/// slots.
 ///
 /// Interning takes `&mut self` and every read `&self`, so a loaded
 /// dictionary is shared read-only (one `Arc`, see [`crate::Graph::dict`])
@@ -138,14 +145,27 @@ fn with_key<R>(term: TermRef<'_>, f: impl FnOnce(&str) -> R) -> R {
 pub struct Dictionary {
     keys: String,
     ends: Vec<usize>,
-    hashes: Vec<u64>,
-    /// Cached numeric value per id.
-    numeric: Vec<Option<f64>>,
+    /// Cached numeric value per id; [`NOT_NUMERIC`] for a term without one.
+    numeric: Vec<f64>,
     slots: Vec<u64>,
     hasher: RandomState,
 }
 
 const HASH_BITS: u64 = !0 << 32;
+
+/// The numeric cache's "no value": a NaN payload that no `f64` parse
+/// yields (a parsed NaN is `±f64::NAN`), so 8 bytes an id hold both cases.
+const NOT_NUMERIC: u64 = 0x7ff0_0000_0000_0001;
+
+/// The slot a probe for a key hashed to `hash` starts at, in a table of
+/// `len` slots (a power of two): the top bits of the hash's top 32 bits,
+/// which a slot keeps, so a slot's own value names its home too.
+#[inline]
+fn home(hash: u64, len: usize) -> usize {
+    let (top, bits) = (hash >> 32, len.trailing_zeros());
+    // Past 2^32 slots the 32 kept bits are spread over the table.
+    (if bits <= 32 { top >> (32 - bits) } else { top << (bits - 32) }) as usize
+}
 
 impl Dictionary {
     /// Create an empty dictionary.
@@ -170,7 +190,7 @@ impl Dictionary {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = home(hash, self.slots.len());
         loop {
             let slot = self.slots[i];
             if slot == 0 {
@@ -184,15 +204,15 @@ impl Dictionary {
         }
     }
 
-    /// Put `id` in the first free slot from its hash's home slot.
-    fn place(&mut self, id: usize) {
-        let hash = self.hashes[id];
+    /// Put a slot value (`id + 1` under its hash's top 32 bits) in the
+    /// first free slot from its home slot.
+    fn place(&mut self, value: u64) {
         let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = home(value, self.slots.len());
         while self.slots[i] != 0 {
             i = (i + 1) & mask;
         }
-        self.slots[i] = hash & HASH_BITS | (id as u64 + 1);
+        self.slots[i] = value;
     }
 
     fn push(&mut self, key: &str, hash: u64, term: TermRef<'_>) -> TermId {
@@ -200,14 +220,13 @@ impl Dictionary {
         assert!(id < u32::MAX as usize, "a dictionary holds fewer than 2^32 - 1 terms");
         self.keys.push_str(key);
         self.ends.push(self.keys.len());
-        self.hashes.push(hash);
-        self.numeric.push(term.numeric_value());
+        self.numeric.push(term.numeric_value().unwrap_or(f64::from_bits(NOT_NUMERIC)));
         if 2 * (id + 1) > self.slots.len() {
-            self.slots = vec![0; (2 * self.slots.len()).max(16)];
-            (0..=id).for_each(|id| self.place(id));
-        } else {
-            self.place(id);
+            let grown = vec![0; (2 * self.slots.len()).max(16)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            old.into_iter().filter(|&slot| slot != 0).for_each(|slot| self.place(slot));
         }
+        self.place(hash & HASH_BITS | (id as u64 + 1));
         TermId(id as u64)
     }
 
@@ -232,7 +251,9 @@ impl Dictionary {
     /// Resolve an id back to its term. Panics on an id this dictionary did
     /// not issue.
     pub fn term(&self, id: TermId) -> Term {
-        // A `TermId` is only ever issued by a dictionary: a miss is a logic error.
+        // A `TermId` is only ever issued by a dictionary: a miss is a logic
+        // error, and this panic is the documented contract.
+        #[allow(clippy::expect_used)]
         decode_key(self.key(id.0).expect("an id this dictionary issued")).to_term()
     }
 
@@ -246,7 +267,7 @@ impl Dictionary {
     /// too for an id this dictionary did not issue.
     #[inline]
     pub fn numeric_value(&self, id: TermId) -> Option<f64> {
-        self.numeric.get(id.0 as usize).copied().flatten()
+        self.numeric.get(id.0 as usize).copied().filter(|v| v.to_bits() != NOT_NUMERIC)
     }
 
     /// Number of distinct interned terms.
@@ -339,17 +360,41 @@ mod tests {
 
     #[test]
     fn index_hash_spreads_generated_iris() {
-        // 65 536 BSBM generator IRIs: FxHash gives 32 (Product) and 256
-        // (Offer) distinct low-16-bit hash values; a uniform hash ≈ 41 400.
+        // 65 536 BSBM generator IRIs: the home slots of a 2^16-slot table
+        // (the top 16 hash bits); a uniform hash gives ≈ 41 400 distinct.
         let inner = Dictionary::default();
         for stem in ["Product", "Offer"] {
-            let low: std::collections::HashSet<u64> = (0..65_536)
+            let homes: std::collections::HashSet<usize> = (0..65_536)
                 .map(|i| {
                     let iri = Term::iri(format!("http://bsbm.example.org/v01/{stem}{i}"));
-                    with_key(iri.view(), |key| inner.hash(key)) & 0xffff
+                    home(with_key(iri.view(), |key| inner.hash(key)), 1 << 16)
                 })
                 .collect();
-            assert!(low.len() >= 40_000, "{stem}{{i}}: {} distinct low-16-bit hashes", low.len());
+            assert!(homes.len() >= 40_000, "{stem}{{i}}: {} distinct home slots", homes.len());
         }
+    }
+
+    #[test]
+    fn a_parsed_nan_is_numeric_and_the_sentinel_is_no_parse() {
+        let mut d = Dictionary::new();
+        for (lexical, sign) in [("NaN", false), ("-nan", true)] {
+            let id = d.intern(&Term::typed_literal(lexical, crate::XSD_DOUBLE));
+            let v = d.numeric_value(id).expect("a NaN literal is numeric");
+            assert!(v.is_nan() && v.is_sign_negative() == sign, "{lexical}");
+        }
+        assert!(f64::from_bits(NOT_NUMERIC).is_nan());
+        assert_ne!(f64::NAN.to_bits(), NOT_NUMERIC);
+        assert_ne!((-f64::NAN).to_bits(), NOT_NUMERIC);
+    }
+
+    #[test]
+    fn a_home_slot_lies_in_the_table() {
+        for hash in [0, 1, u64::MAX, 0xdead_beef_0000_0000] {
+            for bits in [4, 16, 32, 33] {
+                assert!(home(hash, 1 << bits) < 1 << bits, "{hash:#x} in 2^{bits}");
+            }
+        }
+        assert_eq!(home(u64::MAX, 1 << 4), 15);
+        assert_eq!(home(0x8000_0000_0000_0000, 1 << 33), 1 << 32);
     }
 }

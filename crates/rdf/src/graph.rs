@@ -110,13 +110,10 @@ impl DedupIndex {
     /// than half full (or is released), rebuild it from `triples` with the
     /// smallest power of two of slots that keeps it at most half full.
     fn reserve(&mut self, triples: &[Triple], additional: usize) {
-        let needed = triples
-            .len()
-            .checked_add(additional)
-            .and_then(|n| n.checked_mul(2))
-            .and_then(usize::checked_next_power_of_two)
-            .expect("a dedup index size that fits usize")
-            .max(MIN_SLOTS);
+        // Past `u32::MAX` triples `position` fails first, so the count is
+        // clamped there: at most 2^33 slots, and no arithmetic overflows.
+        let wanted = triples.len().saturating_add(additional).min(u32::MAX as usize) as u64;
+        let needed = ((2 * wanted).next_power_of_two() as usize).max(MIN_SLOTS);
         if self.slots.len() >= needed {
             return;
         }
@@ -165,6 +162,7 @@ impl DedupIndex {
 /// `u32::MAX` triples (positions `0..u32::MAX`, `EMPTY` excluded); one
 /// more fails here instead of wrapping.
 #[inline]
+#[allow(clippy::panic)] // The documented, tested contract: never wrap a position.
 fn position(len: usize) -> u32 {
     match u32::try_from(len) {
         Ok(pos) if pos != EMPTY => pos,

@@ -18,6 +18,12 @@
 //! assert_eq!(dict.numeric_value(t.o), Some(42.5));
 //! ```
 
+// Library code reports damage with a typed value, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 mod dict;
 mod graph;
 mod ntriples;

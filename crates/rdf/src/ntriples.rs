@@ -58,8 +58,15 @@ enum Kind {
     Lang,
 }
 
-/// A parsed term: its kind, its IRI, label or lexical form, and a
-/// literal's datatype or language tag.
+impl Kind {
+    /// Does a second span, the datatype or language tag, follow the text?
+    fn tagged(self) -> bool {
+        matches!(self, Kind::Typed | Kind::Lang)
+    }
+}
+
+/// A term as the parser reads it: its kind, its IRI, label or lexical
+/// form, and a literal's datatype or language tag.
 #[derive(Clone, Copy)]
 struct NtTerm {
     kind: Kind,
@@ -69,6 +76,9 @@ struct NtTerm {
 
 /// A parsed N-Triples document whose terms borrow from its text.
 ///
+/// A term costs one kind byte and one 8-byte span, plus a second span for
+/// a typed or language-tagged literal: 27 to 35 bytes a triple.
+///
 /// Iterating a `&NtDocument` yields owned [`TermTriple`]s;
 /// `Graph::insert_term_triples` interns the borrowed terms without copying
 /// them.
@@ -76,27 +86,28 @@ pub struct NtDocument<'a> {
     text: &'a str,
     /// The terms written with escapes, decoded, back to back.
     decoded: String,
-    /// Subject, property and object of each triple, in document order.
-    terms: Vec<NtTerm>,
+    /// The kind of each term: subject, property and object of each
+    /// triple, in document order.
+    kinds: Vec<Kind>,
+    /// Each term's text span, in the order of `kinds`; a typed or
+    /// language-tagged literal's tag span follows its text span.
+    spans: Vec<Span>,
 }
 
 impl<'a> NtDocument<'a> {
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.terms.len() / 3
+        self.kinds.len() / 3
     }
 
     /// True if the document holds no triple.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.kinds.is_empty()
     }
 
     /// The triples as owned terms, in document order.
     pub fn iter(&self) -> NtTriples<'_> {
-        NtTriples {
-            doc: self,
-            terms: self.terms.chunks_exact(3),
-        }
+        NtTriples { terms: self.term_refs() }
     }
 
     /// The owned triples, collected.
@@ -105,8 +116,12 @@ impl<'a> NtDocument<'a> {
     }
 
     /// The triples with their terms borrowed, in document order.
-    pub(crate) fn term_refs(&self) -> impl Iterator<Item = [TermRef<'_>; 3]> {
-        self.terms.chunks_exact(3).map(|t| [self.term(t[0]), self.term(t[1]), self.term(t[2])])
+    pub(crate) fn term_refs(&self) -> TermRefs<'_> {
+        TermRefs {
+            doc: self,
+            kinds: self.kinds.chunks_exact(3),
+            spans: self.spans.iter(),
+        }
     }
 
     fn str(&self, span: Span) -> &str {
@@ -114,18 +129,6 @@ impl<'a> NtDocument<'a> {
         match start.checked_sub(self.text.len()) {
             Some(at) => &self.decoded[at..at + end - start],
             None => &self.text[start..end],
-        }
-    }
-
-    fn term(&self, t: NtTerm) -> TermRef<'_> {
-        let text = self.str(t.text);
-        let literal = |datatype, language| TermRef::Literal { lexical: text, datatype, language };
-        match t.kind {
-            Kind::Iri => TermRef::Iri(text),
-            Kind::Blank => TermRef::BlankNode(text),
-            Kind::Plain => literal(None, None),
-            Kind::Typed => literal(Some(self.str(t.tag)), None),
-            Kind::Lang => literal(None, Some(self.str(t.tag))),
         }
     }
 
@@ -153,7 +156,13 @@ impl<'a> NtDocument<'a> {
         if p.kind != Kind::Iri {
             return Err("non-IRI in property position".into());
         }
-        self.terms.extend([s, p, o]);
+        for t in [s, p, o] {
+            self.kinds.push(t.kind);
+            self.spans.push(t.text);
+            if t.kind.tagged() {
+                self.spans.push(t.tag);
+            }
+        }
         Ok(())
     }
 }
@@ -164,19 +173,56 @@ impl fmt::Debug for NtDocument<'_> {
     }
 }
 
+/// A cursor over an [`NtDocument`]'s kinds and spans: its triples with
+/// their terms borrowed.
+pub(crate) struct TermRefs<'d> {
+    doc: &'d NtDocument<'d>,
+    kinds: std::slice::ChunksExact<'d, Kind>,
+    spans: std::slice::Iter<'d, Span>,
+}
+
+impl<'d> TermRefs<'d> {
+    /// The next term, of kind `kind`, from the span cursor. The parser
+    /// pushed a span for each kind and a second for each tagged kind, so
+    /// the cursor never runs dry; an empty span stands in if it did.
+    fn term(&mut self, kind: Kind) -> TermRef<'d> {
+        let doc = self.doc;
+        let mut next = || doc.str(self.spans.next().copied().unwrap_or_default());
+        let text = next();
+        let literal = |datatype, language| TermRef::Literal { lexical: text, datatype, language };
+        match kind {
+            Kind::Iri => TermRef::Iri(text),
+            Kind::Blank => TermRef::BlankNode(text),
+            Kind::Plain => literal(None, None),
+            Kind::Typed => literal(Some(next()), None),
+            Kind::Lang => literal(None, Some(next())),
+        }
+    }
+}
+
+impl<'d> Iterator for TermRefs<'d> {
+    type Item = [TermRef<'d>; 3];
+
+    #[inline]
+    fn next(&mut self) -> Option<[TermRef<'d>; 3]> {
+        let &[s, p, o] = self.kinds.next()? else {
+            return None;
+        };
+        Some([self.term(s), self.term(p), self.term(o)])
+    }
+}
+
 /// The triples of an [`NtDocument`] as owned [`TermTriple`]s.
 pub struct NtTriples<'d> {
-    doc: &'d NtDocument<'d>,
-    terms: std::slice::ChunksExact<'d, NtTerm>,
+    terms: TermRefs<'d>,
 }
 
 impl Iterator for NtTriples<'_> {
     type Item = TermTriple;
 
     fn next(&mut self) -> Option<TermTriple> {
-        let t = self.terms.next()?;
-        let term = |i: usize| self.doc.term(t[i]).to_term();
-        Some(TermTriple::new(term(0), term(1), term(2)))
+        let [s, p, o] = self.terms.next()?;
+        Some(TermTriple::new(s.to_term(), p.to_term(), o.to_term()))
     }
 }
 
@@ -442,11 +488,16 @@ pub fn parse_ntriples(doc: &str) -> Result<NtDocument<'_>, NtError> {
         let message = format!("the document is {} bytes; at most {MAX_DOCUMENT} are parsed", doc.len());
         return Err(NtError { line: 0, message });
     }
+    // Room for every term up front, so the two buffers never grow: a line
+    // holds at most one triple, and only its object can carry a tag span.
+    // What the tags leave unused is handed back after the parse; it was
+    // never written, so it never counted towards the resident set.
     let lines = doc.bytes().filter(|&b| b == b'\n').count() + 1;
     let mut out = NtDocument {
         text: doc,
         decoded: String::new(),
-        terms: Vec::with_capacity(3 * lines),
+        kinds: Vec::with_capacity(3 * lines),
+        spans: Vec::with_capacity(4 * lines),
     };
     let mut base = 0;
     for (i, raw) in doc.split_inclusive('\n').enumerate() {
@@ -459,6 +510,7 @@ pub fn parse_ntriples(doc: &str) -> Result<NtDocument<'_>, NtError> {
         }
         out.parse_line(line, offset).map_err(|message| NtError { line: i + 1, message })?;
     }
+    out.spans.shrink_to_fit();
     Ok(out)
 }
 
@@ -483,6 +535,29 @@ mod tests {
         assert!(MAX_DOCUMENT / shortest.len() < u32::MAX as usize);
     }
     use crate::term::Term;
+
+    #[test]
+    fn a_term_is_a_kind_byte_and_a_span_and_a_tag_one_more_span() {
+        let text = "<http://x/s> <http://x/p> <http://x/o> .\n\
+                    _:b <http://x/p> \"1\"^^<http://x/int> .\n\
+                    # a comment\n\
+                    <http://x/s> <http://x/p> \"chat\"@fr .\n\
+                    <http://x/s> <http://x/p> \"plain\" .\n";
+        let doc = parse_ntriples(text).unwrap();
+        assert_eq!((doc.kinds.len(), doc.spans.len()), (12, 14), "4 triples, 2 tags");
+        assert_eq!(doc.spans.capacity(), doc.spans.len(), "the unused room is handed back");
+        assert_eq!((std::mem::size_of::<Kind>(), std::mem::size_of::<Span>()), (1, 8));
+        let objects: Vec<Term> = doc.iter().map(|t| t.o).collect();
+        assert_eq!(
+            objects,
+            [
+                Term::iri("http://x/o"),
+                Term::typed_literal("1", "http://x/int"),
+                Term::lang_literal("chat", "fr"),
+                Term::literal("plain")
+            ]
+        );
+    }
 
     /// The one triple of a one-line document.
     fn one(line: &str) -> TermTriple {

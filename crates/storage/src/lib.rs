@@ -18,6 +18,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)
 )]
 
+mod bitmap;
 pub mod scan;
 pub mod segment;
 pub mod stats;

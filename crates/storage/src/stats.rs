@@ -7,8 +7,8 @@
 //! search: statistics sit on the plan-choice path, where hash-map iteration
 //! order must never leak into the chosen plan.
 
+use crate::bitmap::{id_universe, IdBitmap};
 use rapida_rdf::{vocab, FxHashMap, Graph, Term, TermId};
-use std::collections::hash_map::Entry;
 
 /// Statistics of one property's triple table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,42 +64,50 @@ pub struct StatsCatalog {
 
 impl StatsCatalog {
     /// One pass over the graph. NDVs are exact (the simulator's datasets are
-    /// small); a production system would substitute sketches here without
-    /// changing the interface.
+    /// small): each property's subjects and objects are marked in bitmaps
+    /// over the dense id space and counted with popcount. A production
+    /// system would substitute sketches here without changing the
+    /// interface.
     pub fn compute(graph: &Graph) -> StatsCatalog {
         let rdf_type = graph.dict.lookup(&Term::iri(vocab::RDF_TYPE));
+        let universe = id_universe(graph);
         struct Acc {
+            prop: TermId,
             count: u64,
-            subjects: FxHashMap<u64, ()>,
-            objects: FxHashMap<u64, ()>,
+            subjects: IdBitmap,
+            objects: IdBitmap,
         }
-        let mut by_prop: FxHashMap<TermId, Acc> = FxHashMap::default();
-        let mut all_subjects: FxHashMap<u64, ()> = FxHashMap::default();
+        let mut accs: Vec<Acc> = Vec::new();
+        let mut slot_of: FxHashMap<TermId, usize> = FxHashMap::default();
+        let mut all_subjects = IdBitmap::new(universe);
         let mut type_counts: FxHashMap<TermId, u64> = FxHashMap::default();
         for t in &graph.triples {
-            all_subjects.insert(t.s.0, ());
+            all_subjects.insert(t.s.0);
             if Some(t.p) == rdf_type {
                 *type_counts.entry(t.o).or_insert(0) += 1;
             }
-            let acc = match by_prop.entry(t.p) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(Acc {
+            let slot = *slot_of.entry(t.p).or_insert_with(|| {
+                accs.push(Acc {
+                    prop: t.p,
                     count: 0,
-                    subjects: FxHashMap::default(),
-                    objects: FxHashMap::default(),
-                }),
-            };
-            acc.count += 1;
-            acc.subjects.insert(t.s.0, ());
-            acc.objects.insert(t.o.0, ());
+                    subjects: IdBitmap::new(universe),
+                    objects: IdBitmap::new(universe),
+                });
+                accs.len() - 1
+            });
+            if let Some(acc) = accs.get_mut(slot) {
+                acc.count += 1;
+                acc.subjects.insert(t.s.0);
+                acc.objects.insert(t.o.0);
+            }
         }
-        let mut preds: Vec<PredStat> = by_prop
-            .into_iter()
-            .map(|(prop, acc)| PredStat {
-                prop,
+        let mut preds: Vec<PredStat> = accs
+            .iter()
+            .map(|acc| PredStat {
+                prop: acc.prop,
                 count: acc.count,
-                ndv_subjects: acc.subjects.len() as u64,
-                ndv_objects: acc.objects.len() as u64,
+                ndv_subjects: acc.subjects.len(),
+                ndv_objects: acc.objects.len(),
             })
             .collect();
         preds.sort_unstable_by_key(|p| p.prop);
@@ -107,7 +115,7 @@ impl StatsCatalog {
         types.sort_unstable_by_key(|(o, _)| *o);
         StatsCatalog {
             triples: graph.triples.len() as u64,
-            subjects: all_subjects.len() as u64,
+            subjects: all_subjects.len(),
             preds,
             types,
             ext: Vec::new(),

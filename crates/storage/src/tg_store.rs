@@ -12,6 +12,7 @@
 //! that into the scan's route table, so a record is walked only by the star
 //! routes its class can satisfy.
 
+use crate::bitmap::id_universe;
 use rapida_mapred::codec::{read_varint, write_varint};
 use rapida_mapred::{DatasetWriter, SimDfs};
 use rapida_rdf::{FxHashMap, Graph, TermId};
@@ -65,46 +66,100 @@ pub struct TgStore {
 impl TgStore {
     /// Build the store from a graph, writing one dataset per equivalence
     /// class into `dfs`. `split_bytes` is the target input-split size.
+    ///
+    /// The triples are walked in `(s, p, o)` order: a counting sort of
+    /// their positions by subject over the dense id space, then each
+    /// subject's run sorted by `(p, o)` in one reused buffer. A run's
+    /// property list finds its class in a map with one key per class, and
+    /// the record goes straight to that class's writer, so the load
+    /// allocates per class, not per subject.
     pub fn load(graph: &Graph, dfs: &SimDfs, split_bytes: usize) -> TgStore {
-        // Group triples by subject.
-        let mut by_subject: FxHashMap<u64, Vec<(u64, u64)>> = FxHashMap::default();
-        for t in &graph.triples {
-            by_subject.entry(t.s.0).or_default().push((t.p.0, t.o.0));
+        let triples = &graph.triples;
+        // `ends[s]` counts subject `s`'s triples, then (a prefix sum) is
+        // where its run starts in `order`, then (after the fill) where it
+        // ends. Positions fit `u32`: a graph holds fewer than 2^32 triples.
+        let mut ends = vec![0u32; id_universe(graph)];
+        for t in triples {
+            ends[t.s.0 as usize] += 1;
         }
-        // Partition subjects by equivalence class: each class's subjects,
-        // with their sorted (predicate, object) pairs.
-        type Members = Vec<(u64, Vec<(u64, u64)>)>;
-        let mut by_ec: FxHashMap<BTreeSet<TermId>, Members> = FxHashMap::default();
-        for (s, mut pairs) in by_subject {
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        let mut order = vec![0u32; triples.len()];
+        for (pos, t) in triples.iter().enumerate() {
+            let at = &mut ends[t.s.0 as usize];
+            order[*at as usize] = pos as u32;
+            *at += 1;
+        }
+
+        // The classes in the order the walk meets them, each with its
+        // writer; `index` maps a property list to its class.
+        struct Class {
+            writer: DatasetWriter,
+            groups: usize,
+        }
+        let mut index: FxHashMap<Box<[u64]>, usize> = FxHashMap::default();
+        let mut built: Vec<Class> = Vec::new();
+        let (mut pairs, mut props, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+        let mut begin = 0;
+        for (s, &end) in ends.iter().enumerate() {
+            let run = &order[begin as usize..end as usize];
+            begin = end;
+            if run.is_empty() {
+                continue;
+            }
+            pairs.clear();
+            pairs.extend(run.iter().map(|&pos| {
+                let t = &triples[pos as usize];
+                (t.p.0, t.o.0)
+            }));
             pairs.sort_unstable();
-            let ec: BTreeSet<TermId> = pairs.iter().map(|(p, _)| TermId(*p)).collect();
-            by_ec.entry(ec).or_default().push((s, pairs));
+            props.clear();
+            props.extend(pairs.iter().map(|(p, _)| *p));
+            props.dedup();
+            let class = match index.get(props.as_slice()) {
+                Some(&class) => class,
+                None => {
+                    index.insert(props.as_slice().into(), built.len());
+                    built.push(Class {
+                        writer: DatasetWriter::new(split_bytes),
+                        groups: 0,
+                    });
+                    built.len() - 1
+                }
+            };
+            buf.clear();
+            encode_tg(s as u64, &pairs, &mut buf);
+            if let Some(class) = built.get_mut(class) {
+                class.writer.push(&buf);
+                class.groups += 1;
+            }
         }
+        drop(order);
+        drop(ends);
 
         // Class indexes feed the `tg_ec{i}` dataset names, which appear in
         // compiled plans: assign them in property-set order, never in hash
-        // order, so plan dumps are a pure function of the graph.
-        let mut ecs: Vec<(BTreeSet<TermId>, Members)> = by_ec.into_iter().collect();
-        ecs.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-
+        // or walk order, so plan dumps are a pure function of the graph.
+        let mut ecs: Vec<(Box<[u64]>, usize)> = index.into_iter().collect();
+        ecs.sort_unstable();
+        let mut built: Vec<Option<Class>> = built.into_iter().map(Some).collect();
         let mut classes = Vec::with_capacity(ecs.len());
-        for (i, (props, mut groups)) in ecs.into_iter().enumerate() {
-            groups.sort_unstable_by_key(|(s, _)| *s);
+        for (i, (props, at)) in ecs.into_iter().enumerate() {
+            let Some(Class { writer, groups }) = built.get_mut(at).and_then(Option::take) else {
+                continue;
+            };
             let dataset = format!("tg_ec{i}");
-            let mut writer = DatasetWriter::new(split_bytes);
-            let mut buf = Vec::new();
-            for (s, pairs) in &groups {
-                buf.clear();
-                encode_tg(*s, pairs, &mut buf);
-                writer.push(&buf);
-            }
             let ds = writer.finish();
             let bytes = ds.total_bytes();
             dfs.put(&dataset, ds);
             classes.push(EcMeta {
-                props,
+                props: props.iter().map(|&p| TermId(p)).collect(),
                 dataset,
-                groups: groups.len(),
+                groups,
                 bytes,
             });
         }

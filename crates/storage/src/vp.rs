@@ -17,8 +17,9 @@
 //! table over the dictionary's dense id space, then one bit test per base
 //! row for each (base, partner, kind) candidate.
 
+use crate::bitmap::{id_universe, IdBitmap};
 use crate::segment::encode_segment;
-use rapida_rdf::{vocab, FxHashMap, Graph, Term, TermId};
+use rapida_rdf::{vocab, FxHashMap, Graph, Term, TermId, Triple};
 use rapida_mapred::{Dataset, DatasetWriter, SimDfs};
 use std::fmt;
 
@@ -134,28 +135,51 @@ impl VpStore {
     ) -> VpStore {
         let dict = &graph.dict;
         let rdf_type = dict.lookup(&Term::iri(vocab::RDF_TYPE));
-        let mut groups: FxHashMap<VpKey, Vec<(u64, u64)>> = FxHashMap::default();
-        for t in &graph.triples {
-            let key = if Some(t.p) == rdf_type {
+        let key_of = |t: &Triple| {
+            if Some(t.p) == rdf_type {
                 VpKey::TypePartition(t.o)
             } else {
                 VpKey::Prop(t.p)
-            };
-            groups.entry(key).or_default().push((t.s.0, t.o.0));
+            }
+        };
+        // Count the rows of each key, then turn each count into its key's
+        // cursor in one exactly sized buffer, keys in order: one slice per
+        // table. Materializing in key order keeps the load deterministic
+        // end-to-end (DFS insertion order, block layout).
+        let mut cursors: FxHashMap<VpKey, usize> = FxHashMap::default();
+        for t in &graph.triples {
+            *cursors.entry(key_of(t)).or_insert(0) += 1;
+        }
+        let mut keys: Vec<(VpKey, usize)> = cursors.iter().map(|(k, n)| (*k, *n)).collect();
+        keys.sort_unstable_by_key(|(k, _)| *k);
+        let mut start = 0;
+        for (key, rows) in &keys {
+            cursors.insert(*key, start);
+            start += rows;
+        }
+        let mut rows = vec![(0u64, 0u64); graph.triples.len()];
+        for t in &graph.triples {
+            if let Some(at) = cursors.get_mut(&key_of(t)) {
+                rows[*at] = (t.s.0, t.o.0);
+                *at += 1;
+            }
+        }
+        drop(cursors);
+        let mut groups: Vec<(VpKey, &mut [(u64, u64)])> = Vec::with_capacity(keys.len());
+        let mut rest = rows.as_mut_slice();
+        for (key, n) in keys {
+            let (table, tail) = rest.split_at_mut(n);
+            groups.push((key, table));
+            rest = tail;
         }
 
-        // Table datasets are keyed by VpKey so hash order cannot leak into
-        // names, but keep the load deterministic end-to-end (DFS insertion
-        // order, block layout) by materializing in key order.
-        let mut groups: Vec<(VpKey, Vec<(u64, u64)>)> = groups.into_iter().collect();
-        groups.sort_unstable_by_key(|(k, _)| *k);
-
-        let write_table = |name: &str, rows: &[(u64, u64)]| -> usize {
+        let mut seg = Vec::new();
+        let mut write_table = |name: &str, rows: &[(u64, u64)]| -> usize {
             // One segment per block: writer with split size 1 rolls a block
             // after every record (= segment).
             let mut writer = DatasetWriter::new(1);
             for chunk in rows.chunks(segment_rows.max(1)) {
-                let mut seg = Vec::new();
+                seg.clear();
                 encode_segment(chunk, |o| dict.numeric_value(TermId(o)), &mut seg);
                 writer.push(&seg);
             }
@@ -189,7 +213,7 @@ impl VpStore {
             // dense id space, so each candidate costs one bit test per base
             // row. A type partition's objects are never tested (below), so
             // it gets no object bitmap.
-            let universe = dict.len();
+            let universe = id_universe(graph);
             let sets: Vec<(VpKey, IdBitmap, Option<IdBitmap>)> = groups
                 .iter()
                 .map(|(key, rows)| {
@@ -199,7 +223,9 @@ impl VpStore {
                     (*key, subjects, objects)
                 })
                 .collect();
+            let mut reduced: Vec<(u64, u64)> = Vec::new();
             for (base, rows) in &groups {
+                let rows: &[(u64, u64)] = rows;
                 for (partner, p_subjects, p_objects) in &sets {
                     if partner == base {
                         continue;
@@ -228,7 +254,8 @@ impl VpStore {
                         }
                         // Filtering preserves the (s, o) sort order, so the
                         // reduction is written exactly like a base table.
-                        let reduced: Vec<(u64, u64)> = rows.iter().filter(|r| keep(r)).copied().collect();
+                        reduced.clear();
+                        reduced.extend(rows.iter().filter(|r| keep(r)));
                         let dataset = format!("extvp_{kind}__{base}__{partner}");
                         let bytes = write_table(&dataset, &reduced);
                         ext.push(ExtVpMeta {
@@ -310,24 +337,6 @@ pub fn read_dataset_rows(ds: &Dataset) -> Vec<(u64, u64)> {
         }
     }
     out
-}
-
-/// A set of term ids as one bit per id of the dictionary's dense id space.
-struct IdBitmap(Vec<u64>);
-
-impl IdBitmap {
-    fn of(universe: usize, ids: impl Iterator<Item = u64>) -> IdBitmap {
-        let mut words = vec![0u64; universe.div_ceil(64)];
-        for id in ids {
-            words[(id / 64) as usize] |= 1 << (id % 64);
-        }
-        IdBitmap(words)
-    }
-
-    #[inline]
-    fn contains(&self, id: u64) -> bool {
-        self.0.get((id / 64) as usize).is_some_and(|w| w & (1 << (id % 64)) != 0)
-    }
 }
 
 #[cfg(test)]

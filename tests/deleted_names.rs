@@ -48,6 +48,12 @@ const FROZEN: &str = "one read-only `Arc<Dictionary>` after load, read by every 
 const PARKED: &str = "pool phases run on parked helpers; the caller is worker 0";
 const ONE_FOLD: &str = "one fold, `WorkflowMetrics::total`, sums every per-job quantity; reports read `ExperimentResult::wf`";
 const TYPED_RUNS: &str = "`try_execute` returns the workflow's typed error; `PlanError::Workflow` carries it";
+const COMPACT_DOC: &str = "a parsed term is one kind byte and one span (a tagged literal two): `NtDocument::{kinds, spans}`";
+const HASH_HOME: &str = "a dictionary slot's kept hash bits name its home slot; no hash is stored per id";
+const NUMERIC_CELL: &str = "the numeric cache is one `f64` per id, `NOT_NUMERIC` where a term has none";
+const TG_RUNS: &str = "`TgStore::load` walks subject runs of a counting sort; one map key per class, keyed by its property list";
+const VP_SLICES: &str = "`VpStore::load_ext` fills one exactly sized row buffer, one sorted slice per key";
+const NDV_BITMAPS: &str = "NDVs are popcounts of per-property subject and object bitmaps over the dense id space";
 const POSITION_INDEX: &str = "`Graph` dedups through `DedupIndex`, 4-byte positions into `triples`, released after a load";
 const HONEST_UNITS: &str = "model seconds and bytes are asserted in `crates/bench/tests/floors.rs`, not timed as nanoseconds";
 const DERIVED_SIG: &str = "a job's `sig` is the derived `Debug` of the config its tasks are built from";
@@ -177,6 +183,13 @@ const GUARDS: &[Guard] = &[
     guard("bytes_read", true, SRC, JOB_METERED),
     guard("bytes_written", true, SRC, JOB_METERED),
     guard("fn get(&self, name: &str)", false, &["crates/mapred/src"], ONE_READ),
+    guard("Vec<NtTerm>", false, &["crates/rdf/src"], COMPACT_DOC),
+    guard("hashes: Vec<u64>", false, &["crates/rdf/src"], HASH_HOME),
+    guard("Vec<Option<f64>>", false, &["crates/rdf/src"], NUMERIC_CELL),
+    guard("by_subject", true, &["crates/storage/src"], TG_RUNS),
+    guard("FxHashMap<BTreeSet", false, &["crates/storage/src"], TG_RUNS),
+    guard("FxHashMap<VpKey, Vec<", false, &["crates/storage/src"], VP_SLICES),
+    guard("FxHashMap<u64, ()>", false, &["crates/storage/src"], NDV_BITMAPS),
 ];
 
 /// Does `line` hold `pattern` — as a whole word, when `word`?
