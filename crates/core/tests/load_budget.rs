@@ -18,7 +18,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// at bsbm-24k, of which the load keeps 10.3 (52.8 while the triplegroups
 /// were grouped per subject and the VP rows per key in growing vectors).
 const PEAK_BUDGET: f64 = 24.0;
-/// Allocations of the whole load: 3 612 at bsbm-24k (255 173 with a
+/// Allocations of the whole load: 3 618 at bsbm-24k (255 173 with a
 /// vector and a property set per subject).
 const ALLOC_BUDGET: u64 = 4_000;
 

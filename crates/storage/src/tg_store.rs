@@ -98,6 +98,7 @@ impl TgStore {
         // The classes in the order the walk meets them, each with its
         // writer; `index` maps a property list to its class.
         struct Class {
+            props: Box<[u64]>,
             writer: DatasetWriter,
             groups: usize,
         }
@@ -125,6 +126,7 @@ impl TgStore {
                 None => {
                     index.insert(props.as_slice().into(), built.len());
                     built.push(Class {
+                        props: props.as_slice().into(),
                         writer: DatasetWriter::new(split_bytes),
                         groups: 0,
                     });
@@ -138,20 +140,14 @@ impl TgStore {
                 class.groups += 1;
             }
         }
-        drop(order);
-        drop(ends);
+        drop((order, ends, index));
 
         // Class indexes feed the `tg_ec{i}` dataset names, which appear in
         // compiled plans: assign them in property-set order, never in hash
         // or walk order, so plan dumps are a pure function of the graph.
-        let mut ecs: Vec<(Box<[u64]>, usize)> = index.into_iter().collect();
-        ecs.sort_unstable();
-        let mut built: Vec<Option<Class>> = built.into_iter().map(Some).collect();
-        let mut classes = Vec::with_capacity(ecs.len());
-        for (i, (props, at)) in ecs.into_iter().enumerate() {
-            let Some(Class { writer, groups }) = built.get_mut(at).and_then(Option::take) else {
-                continue;
-            };
+        built.sort_unstable_by(|a, b| a.props.cmp(&b.props));
+        let mut classes = Vec::with_capacity(built.len());
+        for (i, Class { props, writer, groups }) in built.into_iter().enumerate() {
             let dataset = format!("tg_ec{i}");
             let ds = writer.finish();
             let bytes = ds.total_bytes();

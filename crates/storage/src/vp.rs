@@ -225,7 +225,6 @@ impl VpStore {
                 .collect();
             let mut reduced: Vec<(u64, u64)> = Vec::new();
             for (base, rows) in &groups {
-                let rows: &[(u64, u64)] = rows;
                 for (partner, p_subjects, p_objects) in &sets {
                     if partner == base {
                         continue;
