@@ -365,12 +365,13 @@ impl Engine {
             let mut restart: Option<usize> = None;
             for (i, job) in jobs.iter().enumerate().skip(from) {
                 let writers = || earlier.iter().chain(&jobs[..i]);
+                let lost = |name: &String| writers().any(|w| &w.output == name) && !self.dfs.contains(name);
                 let missing = job
                     .inputs
                     .iter()
+                    .find(|name| lost(name))
                     .cloned()
-                    .chain(job.mapper.side_inputs())
-                    .find(|name| writers().any(|w| &w.output == name) && !self.dfs.contains(name));
+                    .or_else(|| job.mapper.side_inputs().into_iter().find(|name| lost(name)));
                 if let Some(dataset) = missing {
                     return Err(WorkflowError::MissingIntermediate {
                         job: job.name.clone(),

@@ -72,13 +72,11 @@ impl StatsCatalog {
         let rdf_type = graph.dict.lookup(&Term::iri(vocab::RDF_TYPE));
         let universe = id_universe(graph);
         struct Acc {
-            prop: TermId,
             count: u64,
             subjects: IdBitmap,
             objects: IdBitmap,
         }
-        let mut accs: Vec<Acc> = Vec::new();
-        let mut slot_of: FxHashMap<TermId, usize> = FxHashMap::default();
+        let mut by_prop: FxHashMap<TermId, Acc> = FxHashMap::default();
         let mut all_subjects = IdBitmap::new(universe);
         let mut type_counts: FxHashMap<TermId, u64> = FxHashMap::default();
         for t in &graph.triples {
@@ -86,25 +84,19 @@ impl StatsCatalog {
             if Some(t.p) == rdf_type {
                 *type_counts.entry(t.o).or_insert(0) += 1;
             }
-            let slot = *slot_of.entry(t.p).or_insert_with(|| {
-                accs.push(Acc {
-                    prop: t.p,
-                    count: 0,
-                    subjects: IdBitmap::new(universe),
-                    objects: IdBitmap::new(universe),
-                });
-                accs.len() - 1
+            let acc = by_prop.entry(t.p).or_insert_with(|| Acc {
+                count: 0,
+                subjects: IdBitmap::new(universe),
+                objects: IdBitmap::new(universe),
             });
-            if let Some(acc) = accs.get_mut(slot) {
-                acc.count += 1;
-                acc.subjects.insert(t.s.0);
-                acc.objects.insert(t.o.0);
-            }
+            acc.count += 1;
+            acc.subjects.insert(t.s.0);
+            acc.objects.insert(t.o.0);
         }
-        let mut preds: Vec<PredStat> = accs
-            .iter()
-            .map(|acc| PredStat {
-                prop: acc.prop,
+        let mut preds: Vec<PredStat> = by_prop
+            .into_iter()
+            .map(|(prop, acc)| PredStat {
+                prop,
                 count: acc.count,
                 ndv_subjects: acc.subjects.len(),
                 ndv_objects: acc.objects.len(),

@@ -135,10 +135,9 @@ impl TgStore {
             };
             buf.clear();
             encode_tg(s as u64, &pairs, &mut buf);
-            if let Some(class) = built.get_mut(class) {
-                class.writer.push(&buf);
-                class.groups += 1;
-            }
+            let class = &mut built[class];
+            class.writer.push(&buf);
+            class.groups += 1;
         }
         drop((order, ends, index));
 
