@@ -415,6 +415,27 @@ mod tests {
         );
     }
 
+    /// The ROLLUP and CUBE relations over `sample_graph`, canonicalised, with
+    /// their column order, as `tests/snapshots/rollup_lattice.txt` pins them.
+    #[test]
+    fn rollup_and_cube_relations_match_the_pin() {
+        let g = sample_graph();
+        let cat = DataCatalog::load(&g);
+        let mr = Engine::pinned(cat.dfs.clone());
+        let lattice = [Var::new("f"), Var::new("c")];
+        let mut got = String::new();
+        for (name, sets) in [("ROLLUP", rollup_sets(&lattice)), ("CUBE", cube_sets(&lattice))] {
+            let plan = GroupingSetsQuery { block: block(), sets }.plan(&cat).unwrap();
+            let (rel, _) = plan.try_execute(&mr).expect("plan executes");
+            got.push_str(&format!("{name} {:?}\n", rel.vars));
+            for row in rel.canonicalized(&g.dict) {
+                got.push_str(&format!("  {row}\n"));
+            }
+        }
+        let pinned = include_str!("../tests/snapshots/rollup_lattice.txt");
+        assert_eq!(got, pinned, "the grouping-set relations moved");
+    }
+
     #[test]
     fn empty_sets_rejected() {
         let cat = DataCatalog::load(&sample_graph());

@@ -6,12 +6,21 @@
 //! ```text
 //! cargo run --release --example olap_rollup
 //! ```
+//!
+//! `tests/olap_rollup_output.rs` pins what it prints.
 
 use rapida::core::{extract, rollup_sets, GroupingSetsQuery};
 use rapida::prelude::*;
 use rapida::sparql::Var;
+use std::fmt::Write;
 
 fn main() {
+    print!("{}", report());
+}
+
+/// Everything the example prints.
+pub fn report() -> String {
+    let mut out = String::new();
     let graph = rapida::datagen::generate_bsbm(&rapida::datagen::BsbmConfig::small());
     let cat = DataCatalog::load(&graph);
     let mr = MrEngine::new(cat.dfs.clone());
@@ -32,13 +41,15 @@ fn main() {
         block,
     };
     let plan = q.plan(&cat).expect("plans");
-    println!(
+    let _ = writeln!(
+        out,
         "ROLLUP(feature, country): {} grouping sets in {} MR cycles",
         3,
         plan.cycles()
     );
     let (rel, wf) = plan.try_execute(&mr).expect("plan executes");
-    println!(
+    let _ = writeln!(
+        out,
         "{} lattice rows, {:.2} MB shuffled total\n",
         rel.len(),
         wf.total(|j| j.shuffle_bytes) as f64 / 1e6
@@ -57,11 +68,13 @@ fn main() {
             .iter()
             .filter_map(|r| r[cnt_col].as_num(&cat.dict))
             .sum();
-        println!(
+        let _ = writeln!(
+            out,
             "  level {label:<24} {:>5} groups, {:>8} offers counted",
             rows.len(),
             total
         );
     }
-    println!("\nevery level carries the same offer total — the lattice is consistent");
+    let _ = writeln!(out, "\nevery level carries the same offer total — the lattice is consistent");
+    out
 }
