@@ -20,6 +20,8 @@
 //!   under the paper's names: `HiveNaive`, `HiveMqo`, `RapidPlus`,
 //!   `RapidAnalytics`.
 //! * [`enumerate`] — cost-based choice among the rules values of one family.
+//! * [`rollup`] — grouping sets / ROLLUP / CUBE over one pattern, compiled
+//!   to an ordinary [`QueryPlan`] that runs every set in one Agg-Join cycle.
 //!
 //! ```no_run
 //! use rapida_core::{DataCatalog, QueryEngine, engines::RapidAnalytics, extract};
@@ -58,7 +60,7 @@ pub use composite::{build_composite, CompositeOutcome, CompositePattern};
 pub use enumerate::{enumerate_best, CandidateReport, Enumerated};
 pub use overlap::{graphs_overlap, stars_overlap, GraphOverlap};
 pub use plan::{PlanError, QueryEngine, QueryPlan};
-pub use rollup::{cube_sets, rollup_sets, GroupingSetsPlan, GroupingSetsQuery};
+pub use rollup::{cube_sets, rollup_sets, GroupingSetsQuery};
 pub use rules::{Family, PlanRules};
 
 use rapida_mapred::{Engine, WorkflowMetrics};

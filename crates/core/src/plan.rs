@@ -324,13 +324,21 @@ impl QueryPlan {
         &self,
         mr: &Engine,
         aq: &AnalyticalQuery,
-        dict: &Dictionary,
+        _dict: &Dictionary,
     ) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
-        let wf = match self.replay(mr) {
+        let mut wf = match self.replay(mr) {
             Some(wf) => wf,
             None => self.try_run(mr)?,
         };
-        Ok((self.assemble(&mr.dfs, aq, dict), wf))
+        let (rel, skipped) = self.decode(&mr.dfs, aq);
+        // The job that wrote the output meters the records its scan drops;
+        // a driver-written output (a demuxed member) has none.
+        let jobs = self.jobs.iter().chain(&self.final_job).enumerate();
+        let writer = jobs.filter(|(_, j)| j.output == self.output_dataset).last();
+        if let Some(m) = writer.and_then(|(i, _)| wf.jobs.get_mut(i)) {
+            m.corrupt_records_skipped += skipped;
+        }
+        Ok((rel, wf))
     }
 
     /// Replay the kept dry run on `mr`, if it may (see [`Self::try_execute`]).
@@ -371,7 +379,7 @@ impl QueryPlan {
     /// only prices the plan needs (the enumerator's dry runs). It never
     /// replays.
     pub fn try_run(&self, mr: &Engine) -> Result<WorkflowMetrics, WorkflowError> {
-        let mut wf = mr.try_run_workflow(&self.jobs)?;
+        let wf = mr.try_run_workflow(&self.jobs)?;
         for f in &self.fixups {
             // A fixup reads its block's output: a lost one is no empty block.
             if self.jobs.iter().any(|j| j.output == f.dataset) && !mr.dfs.contains(&f.dataset) {
@@ -384,15 +392,12 @@ impl QueryPlan {
             }
             f.apply(&mr.dfs);
         }
-        if let Some(job) = &self.final_job {
-            // The final join runs as a one-job continuation of the workflow
-            // so it shares the same recovery machinery (checkpoints of the
-            // block jobs are already committed above).
-            let tail = mr.try_run_workflow_after(&self.jobs, std::slice::from_ref(job))?;
-            wf.jobs.extend(tail.jobs);
-            wf.recovery.absorb(&tail.recovery);
+        // The final join continues the workflow: it is job `jobs.len()`, on
+        // the block jobs' metrics and recovery ledger.
+        match &self.final_job {
+            Some(job) => mr.try_run_workflow_after(&self.jobs, std::slice::from_ref(job), wf),
+            None => Ok(wf),
         }
-        Ok(wf)
     }
 
     /// Remove the plan's intermediate datasets from the DFS (everything the
@@ -410,21 +415,27 @@ impl QueryPlan {
     /// Decode the output dataset into a [`Relation`] over the outer
     /// projection.
     pub fn assemble(&self, dfs: &SimDfs, aq: &AnalyticalQuery, _dict: &Dictionary) -> Relation {
+        self.decode(dfs, aq).0
+    }
+
+    /// [`Self::assemble`], and the number of records that did not decode:
+    /// each is dropped from the relation.
+    fn decode(&self, dfs: &SimDfs, aq: &AnalyticalQuery) -> (Relation, u64) {
         let vars = aq.projection.clone();
         let Some(ds) = dfs.peek(&self.output_dataset) else {
-            return Relation::empty(vars);
+            return (Relation::empty(vars), 0);
         };
         let OutputKind { scan, cols } = &self.output;
         let mut rows = Vec::with_capacity(ds.records);
         let mut row_buf = Vec::new();
+        let mut skipped = 0;
         for rec in ds.iter_records() {
-            // A record that does not decode is dropped, like a broadcast
-            // side's: the output is read driver-side, after the tasks.
-            let _ = scan.scan(rec, &mut row_buf, |row| {
+            let decoded = scan.scan(rec, &mut row_buf, |row| {
                 rows.push(cols.iter().map(|&c| rval_to_cell(&row[c])).collect());
             });
+            skipped += u64::from(!decoded);
         }
-        Relation { vars, rows }
+        (Relation { vars, rows }, skipped)
     }
 }
 
@@ -575,6 +586,22 @@ pub trait QueryEngine {
     ) -> Result<QueryPlan, PlanError>;
 }
 
+/// The empty-ALL fixup of every GROUP-BY-ALL block of `aq`, block `i`'s
+/// output being `block_datasets[i]`.
+pub(crate) fn all_group_fixups(aq: &AnalyticalQuery, block_datasets: &[String]) -> Vec<AllGroupFixup> {
+    aq.blocks
+        .iter()
+        .zip(block_datasets)
+        .enumerate()
+        .filter(|(_, (b, _))| b.group_by.is_empty())
+        .map(|(i, (b, dataset))| AllGroupFixup {
+            dataset: dataset.clone(),
+            block_id: i as u8,
+            aggs: b.aggregates.iter().map(|a| agg_op_of(a.func)).collect(),
+        })
+        .collect()
+}
+
 /// Build the standard fixups + final join for a multi-block plan, given the
 /// per-block AggRec dataset names. The final join is a broadcast
 /// [`MapJoinCfg`]: block 0's `AggRecs` scan is streamed, every other block
@@ -588,17 +615,7 @@ pub fn finish_plan(
     plan_id: &str,
 ) -> Result<QueryPlan, PlanError> {
     let resolved = aq.resolve_projection()?;
-    let fixups: Vec<AllGroupFixup> = aq
-        .blocks
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.group_by.is_empty())
-        .map(|(i, b)| AllGroupFixup {
-            dataset: block_datasets[i].clone(),
-            block_id: i as u8,
-            aggs: b.aggregates.iter().map(|a| agg_op_of(a.func)).collect(),
-        })
-        .collect();
+    let fixups = all_group_fixups(aq, &block_datasets);
 
     // Block b's scanned row is its keys then its aggregates; the final
     // join's accumulated row is every block's, in block order.

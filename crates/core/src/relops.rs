@@ -55,6 +55,18 @@ pub enum ScanKind {
         /// Aggregate values per record.
         aggs: usize,
     },
+    /// [`AggRec`]s of grouping sets, the block id naming the set → rows of
+    /// `keys` key columns (`Null` where the set has no key), the `aggs`
+    /// aggregate values, then the set id. A record whose id names no set,
+    /// or whose key or value count differs from its set's, is malformed.
+    Sets {
+        /// Per set, the key column of each of its keys.
+        layouts: Vec<Vec<usize>>,
+        /// Key columns per row.
+        keys: usize,
+        /// Aggregate values per record.
+        aggs: usize,
+    },
 }
 
 impl ScanKind {
@@ -65,6 +77,7 @@ impl ScanKind {
             ScanKind::VpSubjectOnly | ScanKind::VpConstObject(_) => 1,
             ScanKind::Rows(w) => *w,
             ScanKind::AggRecs { keys, aggs, .. } => keys + aggs,
+            ScanKind::Sets { keys, aggs, .. } => keys + aggs + 1,
         }
     }
 
@@ -133,6 +146,26 @@ impl ScanKind {
                     _ => return false,
                 }
             }
+            ScanKind::Sets { layouts, keys, aggs } => {
+                row.clear();
+                let value = |v: Option<f64>| v.map_or(RVal::Null, RVal::Num);
+                let decoded = AggRec::decode_into(rec, row, RVal::Id, value);
+                let Some((id, layout)) = decoded.and_then(|(id, k)| {
+                    let layout = layouts.get(usize::from(id))?;
+                    (layout.len() == k && row.len() == k + aggs).then_some((id, layout))
+                }) else {
+                    return false;
+                };
+                // [set keys, values] → [key columns, set keys, values]: each
+                // set key moves to its column, then the moved copies go.
+                row.splice(0..0, std::iter::repeat_n(RVal::Null, *keys));
+                for (j, &col) in layout.iter().enumerate() {
+                    row[col] = row[keys + j];
+                }
+                row.drain(*keys..keys + layout.len());
+                row.push(RVal::Num(f64::from(id)));
+                sink(row);
+            }
         }
         true
     }
@@ -176,7 +209,7 @@ pub struct JoinCycleCfg {
 ///   constant-object scans and positive `IdEq` equality predicates.
 pub fn segment_skippable(rec: &[u8], scan: &ScanKind, preds: &[PredOnCol]) -> bool {
     // Row and aggregate records are not VP segments: they carry no stats.
-    if matches!(scan, ScanKind::Rows(_) | ScanKind::AggRecs { .. }) {
+    if matches!(scan, ScanKind::Rows(_) | ScanKind::AggRecs { .. } | ScanKind::Sets { .. }) {
         return false;
     }
     let Some(stats) = rapida_storage::decode_stats(rec) else {

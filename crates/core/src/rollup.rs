@@ -9,21 +9,22 @@
 //! a family — one `AggJoinSpec` per set, sharing the graph-pattern scan,
 //! the join cycles and the aggregation cycle.
 //!
-//! The result is one relation in the SQL convention: a column per grouping
-//! variable (unbound = `Null` for rolled-up levels, like SQL's NULL) plus
-//! the aggregate columns, and a `__set` discriminator column holding the
+//! The plan is an ordinary [`QueryPlan`]: a grouping set is a grouping
+//! block of the paper's analytical query ([`GroupingSetsQuery::analytical`])
+//! whose pattern every other block shares (full overlap, §3). Its result is
+//! one relation in the SQL convention: a column per grouping variable
+//! (unbound = `Null` for rolled-up levels, like SQL's NULL) plus the
+//! aggregate columns, and a `__set` discriminator column holding the
 //! grouping-set index.
 
-use crate::aquery::GroupingBlock;
+use crate::aquery::{AnalyticalQuery, GroupingBlock};
 use crate::catalog::DataCatalog;
 use crate::engines::rapid::{agg_join_job, block_agg_spec, TgJoinPlanner};
 use crate::enumerate::coster::CardTag;
-use crate::plan::{next_plan_id, PlanError};
-use rapida_mapred::{Engine, WorkflowError, WorkflowMetrics};
-use rapida_ntga::{AggRec, AlphaCond};
-use rapida_rdf::TermId;
+use crate::plan::{all_group_fixups, next_plan_id, OutputKind, PlanError, QueryPlan};
+use crate::relops::ScanKind;
+use rapida_ntga::AlphaCond;
 use rapida_sparql::ast::Var;
-use rapida_sparql::{Cell, Relation};
 
 /// A grouping-sets query: one pattern block, many grouping levels.
 #[derive(Debug, Clone)]
@@ -60,23 +61,29 @@ pub fn cube_sets(vars: &[Var]) -> Vec<Vec<Var>> {
     sets
 }
 
-/// The executable plan of a grouping-sets query.
-pub struct GroupingSetsPlan {
-    jobs: Vec<rapida_mapred::Job>,
-    dataset: String,
-    /// Distinct grouping variables, in first-appearance order (the output
-    /// key columns).
-    pub key_vars: Vec<Var>,
-    /// Per set: position of each of its keys within `key_vars`.
-    set_layouts: Vec<Vec<usize>>,
-    /// Aggregate aliases (output value columns).
-    agg_aliases: Vec<Var>,
-}
-
 impl GroupingSetsQuery {
-    /// Compile to jobs: the block's graph-pattern join cycles plus one
-    /// generalized Agg-Join cycle carrying a spec per grouping set.
-    pub fn plan(&self, cat: &DataCatalog) -> Result<GroupingSetsPlan, PlanError> {
+    /// The query the plan answers: one block per set (the pattern grouped
+    /// by the set), projected to the sets' variables in first-appearance
+    /// order, then the aggregate aliases, then `?__set`. A row of one set
+    /// leaves the other sets' variables unbound.
+    pub fn analytical(&self) -> AnalyticalQuery {
+        let mut projection: Vec<Var> = Vec::new();
+        for v in self.sets.iter().flatten() {
+            if !projection.contains(v) {
+                projection.push(v.clone());
+            }
+        }
+        projection.extend(self.block.aggregates.iter().map(|a| a.alias.clone()));
+        projection.push(Var::new("__set"));
+        let blocks = self.sets.iter().map(|set| GroupingBlock { group_by: set.clone(), ..self.block.clone() });
+        AnalyticalQuery { blocks: blocks.collect(), projection }
+    }
+
+    /// Compile to a [`QueryPlan`] answering [`Self::analytical`]: the
+    /// block's graph-pattern join cycles plus one generalized Agg-Join cycle
+    /// carrying a spec per grouping set, all sets writing one dataset, with
+    /// the empty-ALL fixup of the `[]` set.
+    pub fn plan(&self, cat: &DataCatalog) -> Result<QueryPlan, PlanError> {
         if self.sets.is_empty() {
             return Err(PlanError::Unsupported(
                 "grouping-sets query requires at least one set".into(),
@@ -90,39 +97,11 @@ impl GroupingSetsQuery {
         let planner = TgJoinPlanner::for_block(cat, &self.block, &dec, pid.clone(), 0, &[], false)?;
         let (mut jobs, joined) = planner.build_join_jobs()?;
 
-        // Output key layout: union of set variables.
-        let mut key_vars: Vec<Var> = Vec::new();
-        for set in &self.sets {
-            for v in set {
-                if !key_vars.contains(v) {
-                    key_vars.push(v.clone());
-                }
-            }
-        }
-        let set_layouts: Vec<Vec<usize>> = self
-            .sets
-            .iter()
-            .map(|set| {
-                set.iter()
-                    .map(|v| key_vars.iter().position(|k| k == v).expect("in union"))
-                    .collect()
-            })
-            .collect();
-
         // One AggJoinSpec per set, all in one cycle.
-        let mut agg_specs = Vec::with_capacity(self.sets.len());
-        for (i, set) in self.sets.iter().enumerate() {
-            let mut level = self.block.clone();
-            level.group_by = set.clone();
-            agg_specs.push(block_agg_spec(
-                cat,
-                &level,
-                &dec,
-                i as u8,
-                None,
-                AlphaCond::default(),
-            )?);
-        }
+        let aq = self.analytical();
+        let agg_specs = (aq.blocks.iter().enumerate())
+            .map(|(i, level)| block_agg_spec(cat, level, &dec, i as u8, None, AlphaCond::default()))
+            .collect::<Result<Vec<_>, _>>()?;
         let out = format!("{pid}_sets");
         jobs.push(agg_join_job(
             cat,
@@ -133,58 +112,27 @@ impl GroupingSetsQuery {
             true,
             &out,
         ));
-        Ok(GroupingSetsPlan {
+        // A set variable's key column is its place in the projection.
+        let column = |v: &Var| aq.projection.iter().position(|p| p == v);
+        let aggs = self.block.aggregates.len();
+        let scan = ScanKind::Sets {
+            layouts: self.sets.iter().map(|set| set.iter().filter_map(column).collect()).collect(),
+            keys: aq.projection.len() - aggs - 1,
+            aggs,
+        };
+        Ok(QueryPlan {
+            engine: "GroupingSets",
+            plan_id: pid,
             jobs,
-            dataset: out,
-            key_vars,
-            set_layouts,
-            agg_aliases: self.block.aggregates.iter().map(|a| a.alias.clone()).collect(),
+            fixups: all_group_fixups(&aq, &vec![out.clone(); aq.blocks.len()]),
+            final_job: None,
+            output_dataset: out,
+            output: OutputKind {
+                cols: (0..scan.width()).collect(),
+                scan,
+            },
+            replay: None,
         })
-    }
-}
-
-impl GroupingSetsPlan {
-    /// Number of MR cycles (pattern joins + the single aggregation cycle).
-    pub fn cycles(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Execute, assembling the lattice result: columns
-    /// `key_vars… aggregates… ?__set`. Runs with workflow-level
-    /// checkpoint/recovery: an exhausted retry budget degrades to a typed
-    /// [`WorkflowError`] carrying the partial metrics instead of panicking.
-    pub fn try_execute(&self, mr: &Engine) -> Result<(Relation, WorkflowMetrics), WorkflowError> {
-        let wf = mr.try_run_workflow(&self.jobs)?;
-        let mut vars = self.key_vars.clone();
-        vars.extend(self.agg_aliases.iter().cloned());
-        vars.push(Var::new("__set"));
-        let mut rows = Vec::new();
-        // One record's keys then values, decoded straight into cells.
-        let mut cells = Vec::new();
-        if let Some(ds) = mr.dfs.peek(&self.dataset) {
-            for rec in ds.iter_records() {
-                cells.clear();
-                let key = |k| Cell::Term(TermId(k));
-                let value = |v: Option<f64>| v.map_or(Cell::Null, Cell::Num);
-                let Some((id, keys)) = AggRec::decode_into(rec, &mut cells, key, value) else {
-                    continue;
-                };
-                // A set's record carries a key per column of its layout.
-                let layout = self.set_layouts.get(id as usize);
-                let Some(layout) = layout.filter(|l| l.len() <= keys) else {
-                    continue;
-                };
-                let mut row = Vec::with_capacity(self.key_vars.len() + cells.len() - keys + 1);
-                row.resize(self.key_vars.len(), Cell::Null);
-                for (&col, &cell) in layout.iter().zip(&cells) {
-                    row[col] = cell;
-                }
-                row.extend_from_slice(&cells[keys..]);
-                row.push(Cell::Num(f64::from(id)));
-                rows.push(row);
-            }
-        }
-        Ok((Relation { vars, rows }, wf))
     }
 }
 
@@ -192,8 +140,11 @@ impl GroupingSetsPlan {
 mod tests {
     use super::*;
     use crate::aquery::extract;
-    use rapida_rdf::{Graph, Term};
-    use rapida_sparql::parse_query;
+    use rapida_mapred::{Engine, FnMapFactory, InputSrc, JobBuilder, MapOutput, MapTask, WorkflowError};
+    use rapida_ntga::AggRec;
+    use rapida_rdf::{Graph, Term, TermId};
+    use rapida_sparql::{parse_query, Cell, Relation};
+    use std::sync::Arc;
 
     fn iri(s: &str) -> Term {
         Term::iri(format!("http://x/{s}"))
@@ -256,7 +207,7 @@ mod tests {
         let plan = q.plan(&cat).unwrap();
         // Single-star pattern: exactly ONE cycle for the whole lattice.
         assert_eq!(plan.cycles(), 1);
-        let (rel, _wf) = plan.try_execute(&mr).expect("plan executes");
+        let (rel, _wf) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("plan executes");
 
         // Compare each level with the reference evaluator.
         let level_queries = [
@@ -327,7 +278,7 @@ mod tests {
         };
         let plan = q.plan(&cat).unwrap();
         assert_eq!(plan.cycles(), 1);
-        let (rel, _) = plan.try_execute(&mr).expect("plan executes");
+        let (rel, _) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("plan executes");
         // f×c = 6 groups, f = 3, c = 2, ALL = 1.
         assert_eq!(rel.len(), 6 + 3 + 2 + 1);
     }
@@ -350,12 +301,11 @@ mod tests {
         )
         .unwrap();
         let cat = DataCatalog::load(&g);
-        let plan = GroupingSetsQuery {
+        let q = GroupingSetsQuery {
             block: extract(&q).unwrap().blocks.remove(0),
             sets: rollup_sets(&[Var::new("l")]),
-        }
-        .plan(&cat)
-        .unwrap();
+        };
+        let plan = q.plan(&cat).unwrap();
         let last = plan.cycles() - 1;
         assert!(last > 0, "the two-star pattern must join before it aggregates");
         let mr = Engine::pinned(cat.dfs.clone())
@@ -367,7 +317,7 @@ mod tests {
                 workflow_attempts: 3,
                 ..ResiliencePolicy::default()
             });
-        match plan.try_execute(&mr) {
+        match plan.try_execute(&mr, &q.analytical(), &cat.dict) {
             Err(WorkflowError::RetryBudgetExhausted {
                 job_index,
                 attempts,
@@ -383,36 +333,121 @@ mod tests {
         }
     }
 
-    /// A record with fewer keys than its set's layout is skipped, as one
-    /// that does not decode is; the records around it are kept.
-    #[test]
-    fn a_record_with_too_few_keys_is_skipped() {
+    struct Pass;
+    impl MapTask for Pass {
+        fn map(&mut self, _: InputSrc, record: &[u8], out: &mut MapOutput) {
+            out.write(record);
+        }
+    }
+
+    fn rec(id: u8, key: &[u64], values: &[Option<f64>]) -> AggRec {
+        AggRec { id, key: key.to_vec(), values: values.to_vec() }
+    }
+
+    /// ROLLUP(f, c) with its aggregation cycle replaced by a job that copies
+    /// `records` to the output: the relation, and the records the copying
+    /// job's metrics count as skipped.
+    fn assembled(records: &[AggRec]) -> (Vec<Vec<Cell>>, u64) {
         let cat = DataCatalog::load(&sample_graph());
         let q = GroupingSetsQuery {
             block: block(),
             sets: rollup_sets(&[Var::new("f"), Var::new("c")]),
         };
         let mut plan = q.plan(&cat).unwrap();
-        plan.jobs.clear();
         let mut w = rapida_mapred::DatasetWriter::new(4096);
         let mut buf = Vec::new();
-        for (id, key) in [(0, vec![7, 8]), (0, vec![7]), (1, vec![7]), (2, vec![])] {
+        for r in records {
             buf.clear();
-            AggRec { id, key, values: vec![Some(1.0), None] }.encode(&mut buf);
+            r.encode(&mut buf);
             w.push(&buf);
         }
-        cat.dfs.put(&plan.dataset, w.finish());
-        let (rel, wf) = plan.try_execute(&Engine::pinned(cat.dfs.clone())).expect("no job runs");
-        assert!(wf.jobs.is_empty());
+        cat.dfs.put("damaged_sets", w.finish());
+        plan.jobs = vec![JobBuilder::new("copy")
+            .input("damaged_sets")
+            .mapper(Arc::new(FnMapFactory(|| Pass)))
+            .output(plan.output_dataset.clone())
+            .build()];
+        let mr = Engine::pinned(cat.dfs.clone());
+        let (rel, wf) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("the copy runs");
+        (rel.rows, wf.jobs[0].corrupt_records_skipped)
+    }
+
+    const VALUES: &[Option<f64>] = &[Some(1.0), None];
+
+    /// A record with fewer keys than its set's layout is skipped and
+    /// counted; the records around it are kept.
+    #[test]
+    fn a_record_with_too_few_keys_is_skipped() {
+        let (rows, skipped) =
+            assembled(&[rec(0, &[7, 8], VALUES), rec(0, &[7], VALUES), rec(1, &[7], VALUES), rec(2, &[], VALUES)]);
         let (t, n) = (|k| Cell::Term(TermId(k)), Cell::Num);
         assert_eq!(
-            rel.rows,
+            rows,
             vec![
                 vec![t(7), t(8), n(1.0), Cell::Null, n(0.0)],
                 vec![t(7), Cell::Null, n(1.0), Cell::Null, n(1.0)],
                 vec![Cell::Null, Cell::Null, n(1.0), Cell::Null, n(2.0)],
             ]
         );
+        assert_eq!(skipped, 1);
+    }
+
+    /// A record with more values than the aggregates, more keys than its
+    /// set, or a set id past the last set is skipped and counted, never
+    /// read as a wider or shifted row.
+    #[test]
+    fn an_over_wide_or_unknown_set_record_is_skipped_and_counted() {
+        let three = &[Some(1.0), None, Some(5.0)][..];
+        let (rows, skipped) = assembled(&[
+            rec(0, &[7, 8], three),
+            rec(1, &[7, 8], VALUES),
+            rec(3, &[], VALUES),
+            rec(2, &[], VALUES),
+        ]);
+        let n = Cell::Num;
+        assert_eq!(rows, vec![vec![Cell::Null, Cell::Null, n(1.0), Cell::Null, n(2.0)]]);
+        assert_eq!(skipped, 3);
+    }
+
+    /// A ROLLUP whose pattern matches nothing still has its ALL row, the
+    /// one the reference evaluator gives (COUNT 0, SUM unbound); and the
+    /// plan's cleanup with the output's removal leaves none of its
+    /// datasets behind.
+    #[test]
+    fn an_empty_match_keeps_the_all_row_and_leaves_no_dataset() {
+        let g = sample_graph();
+        // No feature has a country: the two stars never join.
+        let text = "PREFIX ex: <http://x/>
+             SELECT ?c (COUNT(?p) AS ?n) (SUM(?p) AS ?s)
+             { ?o ex:f ?f ; ex:pc ?p . ?f ex:c ?c . } GROUP BY ?c";
+        let cat = DataCatalog::load(&g);
+        let q = GroupingSetsQuery {
+            block: extract(&parse_query(text).unwrap()).unwrap().blocks.remove(0),
+            sets: rollup_sets(&[Var::new("c")]),
+        };
+        let plan = q.plan(&cat).unwrap();
+        assert!(plan.cycles() > 1, "the two-star pattern joins before it aggregates");
+        assert!(plan.fingerprint().is_some(), "every job is signed");
+        let mr = Engine::pinned(cat.dfs.clone());
+        let (rel, _) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("plan executes");
+        let all = rapida_sparql::evaluate(
+            &parse_query(
+                "PREFIX ex: <http://x/>
+                 SELECT (COUNT(?p) AS ?n) (SUM(?p) AS ?s)
+                 { ?o ex:f ?f ; ex:pc ?p . ?f ex:c ?c . }",
+            )
+            .unwrap(),
+            &g,
+        );
+        assert_eq!(all.rows, vec![vec![Cell::Num(0.0), Cell::Null]]);
+        let mut row = vec![Cell::Null];
+        row.extend_from_slice(&all.rows[0]);
+        row.push(Cell::Num(1.0));
+        assert_eq!(rel.rows, vec![row]);
+        plan.cleanup(&cat.dfs);
+        cat.dfs.remove(&plan.output_dataset);
+        let left: Vec<String> = cat.dfs.names().into_iter().filter(|n| n.starts_with("gs")).collect();
+        assert!(left.is_empty(), "datasets left behind: {left:?}");
     }
 
     /// The ROLLUP and CUBE relations over `sample_graph`, canonicalised, with
@@ -425,8 +460,9 @@ mod tests {
         let lattice = [Var::new("f"), Var::new("c")];
         let mut got = String::new();
         for (name, sets) in [("ROLLUP", rollup_sets(&lattice)), ("CUBE", cube_sets(&lattice))] {
-            let plan = GroupingSetsQuery { block: block(), sets }.plan(&cat).unwrap();
-            let (rel, _) = plan.try_execute(&mr).expect("plan executes");
+            let q = GroupingSetsQuery { block: block(), sets };
+            let plan = q.plan(&cat).unwrap();
+            let (rel, _) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("plan executes");
             got.push_str(&format!("{name} {:?}\n", rel.vars));
             for row in rel.canonicalized(&g.dict) {
                 got.push_str(&format!("  {row}\n"));

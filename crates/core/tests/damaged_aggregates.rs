@@ -6,13 +6,22 @@
 //! indexes past its keys), and for one whose bytes do not decode strictly:
 //! a value flag other than 0 or 1, or bytes after its last value. Neither
 //! may be read as a different aggregate.
+//!
+//! A plan's output that a job wrote is read the same way, and each record
+//! its scan drops is counted in that job's `corrupt_records_skipped`: a
+//! block aggregate with a short or extra key or an over-wide value list,
+//! a final-join row short of the projection.
 
 use rapida_core::plan::finish_plan;
-use rapida_core::{extract, AnalyticalQuery};
-use rapida_mapred::{DatasetWriter, Engine, SimDfs};
+use rapida_core::rows::{row_bytes, RVal};
+use rapida_core::{extract, AnalyticalQuery, QueryPlan};
+use rapida_mapred::{
+    DatasetWriter, Engine, FnMapFactory, InputSrc, Job, JobBuilder, MapOutput, MapTask, SimDfs,
+};
 use rapida_ntga::AggRec;
 use rapida_rdf::{Dictionary, TermId};
 use rapida_sparql::{parse_query, Cell};
+use std::sync::Arc;
 
 const TWO_BLOCKS: &str = "SELECT ?a ?n ?m {
   { SELECT ?a (COUNT(?x) AS ?n) { ?a <http://x/p> ?x } GROUP BY ?a }
@@ -173,4 +182,62 @@ fn a_short_aggregate_in_a_single_block_output_is_dropped() {
         &[rec(0, &[1], 2.0), rec(0, &[], 4.0), rec(0, &[2], 3.0)],
     );
     assert_eq!(single_block(dfs), vec![row(1, 2.0), row(2, 3.0)]);
+}
+
+struct Pass;
+impl MapTask for Pass {
+    fn map(&mut self, _: InputSrc, record: &[u8], out: &mut MapOutput) {
+        out.write(record);
+    }
+}
+
+/// A job that copies dataset `from` to `to`, record for record.
+fn copy_job(from: &str, to: &str) -> Job {
+    JobBuilder::new(format!("copy {from}"))
+        .input(from)
+        .mapper(Arc::new(FnMapFactory(|| Pass)))
+        .output(to)
+        .build()
+}
+
+/// Execute `plan` over `dfs`: the rows, and per job its skipped records.
+fn executed(plan: &QueryPlan, aq: &AnalyticalQuery, dfs: SimDfs) -> (Vec<Vec<Cell>>, Vec<u64>) {
+    let (rel, wf) = plan
+        .try_execute(&Engine::pinned(dfs), aq, &Dictionary::new())
+        .expect("the plan runs");
+    (rel.rows, wf.jobs.iter().map(|j| j.corrupt_records_skipped).collect())
+}
+
+#[test]
+fn a_damaged_aggregate_in_a_job_written_single_block_output_is_counted() {
+    let dfs = SimDfs::new();
+    let wide = AggRec {
+        values: vec![Some(4.0), Some(5.0)],
+        ..rec(0, &[3], 4.0)
+    };
+    let short = rec(0, &[], 6.0);
+    let extra = rec(0, &[4, 5], 7.0);
+    put(&dfs, "raw", &[rec(0, &[1], 2.0), wide, short, extra, rec(0, &[2], 3.0)]);
+    let aq = aq(ONE_BLOCK);
+    let plan = finish_plan("test", &aq, vec![copy_job("raw", "b0")], vec!["b0".into()], "dmg")
+        .expect("plan builds");
+    let (rows, skipped) = executed(&plan, &aq, dfs);
+    assert_eq!(rows, vec![row(1, 2.0), row(2, 3.0)]);
+    assert_eq!(skipped, vec![3], "the wide, short and extra-key records");
+}
+
+#[test]
+fn a_short_row_in_a_job_written_final_join_output_is_counted() {
+    let dfs = SimDfs::new();
+    let aq = aq(TWO_BLOCKS);
+    let mut plan = finish_plan("test", &aq, Vec::new(), vec!["b0".into(), "b1".into()], "dmg")
+        .expect("plan builds");
+    let final_out = plan.output_dataset.clone();
+    plan.final_job = Some(copy_job("raw", &final_out));
+    let (id, num) = (RVal::Id, RVal::Num);
+    let rows = [vec![id(1), num(2.0), num(5.0)], vec![id(9), num(1.0)], vec![id(2), num(3.0), num(7.0)]];
+    put_raw(&dfs, "raw", &rows.iter().map(|r| row_bytes(r)).collect::<Vec<_>>());
+    let (rows, skipped) = executed(&plan, &aq, dfs);
+    assert_eq!(rows, vec![joined(1, 2.0, 5.0), joined(2, 3.0, 7.0)]);
+    assert_eq!(skipped, vec![1], "the final job wrote the output");
 }

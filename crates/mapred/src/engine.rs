@@ -307,21 +307,25 @@ impl Engine {
     /// [`WorkflowError::MissingIntermediate`]; a missing base table reads
     /// as empty.
     pub fn try_run_workflow(&self, jobs: &[Job]) -> Result<WorkflowMetrics, WorkflowError> {
-        self.try_run_workflow_after(&[], jobs)
+        self.try_run_workflow_after(&[], jobs, WorkflowMetrics::default())
     }
 
     /// [`Self::try_run_workflow`] for jobs that continue a workflow whose
-    /// `earlier` jobs already ran: the datasets those wrote count as the
-    /// workflow's own, so a missing one is a
-    /// [`WorkflowError::MissingIntermediate`] here too.
+    /// `earlier` jobs already ran, metering `done`: the datasets those wrote
+    /// count as the workflow's own (a missing one is a
+    /// [`WorkflowError::MissingIntermediate`] here too), an error's job index
+    /// counts them, and the result or an error's partial metrics extend
+    /// `done`'s jobs and ledger. The fault plan sees each job at its
+    /// position in `jobs`, and recovery here has a retry budget of its own.
     pub fn try_run_workflow_after(
         &self,
         earlier: &[Job],
         jobs: &[Job],
+        done: WorkflowMetrics,
     ) -> Result<WorkflowMetrics, WorkflowError> {
         let pol = &self.resilience;
         let budget = pol.workflow_attempts.max(1);
-        let mut recovery = RecoveryLedger::default();
+        let WorkflowMetrics { jobs: mut done, mut recovery } = done;
         let mut committed: Vec<Option<JobMetrics>> = (0..jobs.len()).map(|_| None).collect();
         let mut ran_before = vec![false; jobs.len()];
         let mut deadline_limit: Vec<f64> = match &pol.deadline {
@@ -334,9 +338,9 @@ impl Engine {
         let mut resume_at = 0usize;
         let mut first_round = true;
 
-        let assemble = |committed: &[Option<JobMetrics>], recovery: &RecoveryLedger| WorkflowMetrics {
-            jobs: committed.iter().flatten().cloned().collect(),
-            recovery: recovery.clone(),
+        let partial = |committed: &[Option<JobMetrics>], recovery: &RecoveryLedger| {
+            let jobs = done.iter().chain(committed.iter().flatten()).cloned().collect();
+            Box::new(WorkflowMetrics { jobs, recovery: recovery.clone() })
         };
 
         loop {
@@ -364,6 +368,7 @@ impl Engine {
 
             let mut restart: Option<usize> = None;
             for (i, job) in jobs.iter().enumerate().skip(from) {
+                let at = earlier.len() + i;
                 let writers = || earlier.iter().chain(&jobs[..i]);
                 let lost = |name: &String| writers().any(|w| &w.output == name) && !self.dfs.contains(name);
                 let missing = job
@@ -375,9 +380,9 @@ impl Engine {
                 if let Some(dataset) = missing {
                     return Err(WorkflowError::MissingIntermediate {
                         job: job.name.clone(),
-                        job_index: i,
+                        job_index: at,
                         dataset,
-                        partial: Box::new(assemble(&committed, &recovery)),
+                        partial: partial(&committed, &recovery),
                     });
                 }
                 let m = self.run_job_cached(job);
@@ -414,18 +419,18 @@ impl Engine {
                     recovery.wasted_task_attempts += m.task_attempts();
                     spent += 1;
                     if spent >= budget {
-                        let partial = Box::new(assemble(&committed, &recovery));
+                        let partial = partial(&committed, &recovery);
                         return Err(if deadline_blown {
                             WorkflowError::DeadlineExhausted {
                                 job: job.name.clone(),
-                                job_index: i,
+                                job_index: at,
                                 limit_s: deadline_limit[i],
                                 partial,
                             }
                         } else {
                             WorkflowError::RetryBudgetExhausted {
                                 job: job.name.clone(),
-                                job_index: i,
+                                job_index: at,
                                 attempts: spent,
                                 partial,
                             }
@@ -445,7 +450,8 @@ impl Engine {
                 None => break,
             }
         }
-        Ok(assemble(&committed, &recovery))
+        done.extend(committed.into_iter().flatten());
+        Ok(WorkflowMetrics { jobs: done, recovery })
     }
 
     /// Run one job through the scan cache when both the engine carries a
@@ -1371,14 +1377,17 @@ mod tests {
         let third = JobBuilder::new("third").input("a").mapper(Arc::new(FnMapFactory(|| IdMap))).output("c").build();
         let (dfs, jobs) = losing_workflow(third);
         let engine = Engine::pinned(dfs);
-        engine.try_run_workflow(&jobs[..2]).expect("the first two jobs run");
+        let done = engine.try_run_workflow(&jobs[..2]).expect("the first two jobs run");
         // Alone, `third` reads a table no job of its workflow writes: empty.
         let alone = engine.try_run_workflow(&jobs[2..]).expect("a missing base table reads as empty");
         assert_eq!(alone.jobs[0].input_records, 0);
-        assert!(matches!(
-            engine.try_run_workflow_after(&jobs[..2], &jobs[2..]),
-            Err(WorkflowError::MissingIntermediate { job_index: 0, .. })
-        ));
+        match engine.try_run_workflow_after(&jobs[..2], &jobs[2..], done) {
+            Err(WorkflowError::MissingIntermediate { job_index, partial, .. }) => {
+                assert_eq!(job_index, 2, "the index counts the earlier jobs");
+                assert_eq!(partial.jobs.len(), 2, "the earlier jobs' metrics carry over");
+            }
+            other => panic!("expected a missing intermediate, got {:?}", other.map(|wf| wf.jobs.len())),
+        }
     }
 
     #[test]

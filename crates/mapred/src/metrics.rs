@@ -210,21 +210,6 @@ impl RecoveryLedger {
             && self.timeout_kills == 0
             && self.jobs_replayed == 0
     }
-
-    /// Fold another ledger into this one (chained workflow segments).
-    pub fn absorb(&mut self, o: &RecoveryLedger) {
-        self.workflow_restarts += o.workflow_restarts;
-        self.aborted_job_attempts += o.aborted_job_attempts;
-        self.timeout_kills += o.timeout_kills;
-        self.deadline_escalations += o.deadline_escalations;
-        self.jobs_replayed += o.jobs_replayed;
-        self.checkpoint_jobs_skipped += o.checkpoint_jobs_skipped;
-        self.checkpoint_bytes_read += o.checkpoint_bytes_read;
-        self.recomputed_bytes += o.recomputed_bytes;
-        self.wasted_bytes += o.wasted_bytes;
-        self.wasted_task_attempts += o.wasted_task_attempts;
-        self.recovery_backoff_s += o.recovery_backoff_s;
-    }
 }
 
 impl fmt::Display for RecoveryLedger {

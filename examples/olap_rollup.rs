@@ -47,7 +47,7 @@ pub fn report() -> String {
         3,
         plan.cycles()
     );
-    let (rel, wf) = plan.try_execute(&mr).expect("plan executes");
+    let (rel, wf) = plan.try_execute(&mr, &q.analytical(), &cat.dict).expect("plan executes");
     let _ = writeln!(
         out,
         "{} lattice rows, {:.2} MB shuffled total\n",

@@ -43,8 +43,8 @@ cargo clippy --offline -q --workspace --all-targets -- -D warnings
 # other warning), and the sites they report in those two crates are
 # counted; each crate that does deny them fails the step above instead.
 # Lower the bound when a site goes; never raise it.
-echo "==> panic-site ratchet (clippy unwrap_used/expect_used/panic/unreachable; core + mapred <= 59)"
-PANIC_SITES_MAX=59
+echo "==> panic-site ratchet (clippy unwrap_used/expect_used/panic/unreachable; core + mapred <= 58)"
+PANIC_SITES_MAX=58
 panic_sites=$(cargo clippy --offline -q --workspace --lib --message-format=short -- \
     -A clippy::all -W clippy::unwrap_used -W clippy::expect_used -W clippy::panic -W clippy::unreachable 2>&1 \
     | grep -cE '^crates/(core|mapred)/src/.*: warning: ' || true)

@@ -24,6 +24,7 @@ struct Guard {
 
 const SRC: &[&str] = &["crates/*/src"];
 const SRC_BENCH_SCRIPTS: &[&str] = &["crates/*/src", "src", "crates/bench", "scripts"];
+const SRC_EXAMPLES: &[&str] = &["crates/*/src", "src", "examples"];
 
 const fn guard(pattern: &'static str, word: bool, scope: &'static [&'static str], replaced_by: &'static str) -> Guard {
     Guard { pattern, word, scope, allowed: &[], replaced_by }
@@ -70,6 +71,8 @@ const FINAL_CELLS: &str = "`output_cols` and `plan::OutputKind::cols` index the 
 const SIDE_MEMO: &str = "a broadcast side's table is built once per stored dataset, in the `SimDfs::derived` memo";
 const JOB_METERED: &str = "the engine meters what each job reads and writes (`JobMetrics`); the DFS counts no bytes";
 const ONE_READ: &str = "one read of a stored dataset: `SimDfs::peek` (`peek_sealed` with its sums)";
+const ONE_EXECUTOR: &str = "grouping sets compile to a `QueryPlan` whose output is a `ScanKind::Sets` scan";
+const ONE_WORKFLOW: &str = "the final join continues the block jobs' `WorkflowMetrics` (`try_run_workflow_after`)";
 
 const GUARDS: &[Guard] = &[
     Guard {
@@ -190,6 +193,8 @@ const GUARDS: &[Guard] = &[
     guard("FxHashMap<BTreeSet", false, &["crates/storage/src"], TG_RUNS),
     guard("FxHashMap<VpKey, Vec<", false, &["crates/storage/src"], VP_SLICES),
     guard("FxHashMap<u64, ()>", false, &["crates/storage/src"], NDV_BITMAPS),
+    guard("GroupingSetsPlan", true, SRC_EXAMPLES, ONE_EXECUTOR),
+    guard("fn absorb", false, SRC, ONE_WORKFLOW),
 ];
 
 /// Does `line` hold `pattern` — as a whole word, when `word`?
